@@ -104,7 +104,7 @@ fn bench_spec(
 ) -> SpecResult {
     let (legacy_ms, legacy) = time_best(iters, || compute_marginal_legacy(dataset, spec));
     let (scalar_1t_ms, scalar) = time_best(iters, || {
-        index.marginal_sharded_with_kernel(spec, 1, Kernel::Scalar)
+        index.marginal_sharded_with_kernel(spec, None, 1, Kernel::Scalar)
     });
     let (indexed_ms, indexed) = time_best(iters, || index.marginal(spec));
     // MT rows go through the same shard-count heuristic the release
@@ -150,7 +150,7 @@ fn bench_flows(
     let after_index = TabulationIndex::build(after);
     let (legacy_ms, legacy) = time_best(iters, || compute_flows_legacy(before, after, spec));
     let (scalar_1t_ms, scalar) = time_best(iters, || {
-        before_index.flows_sharded_with_kernel(&after_index, spec, 1, Kernel::Scalar)
+        before_index.flows_sharded_with_kernel(&after_index, spec, None, 1, Kernel::Scalar)
     });
     let (indexed_ms, indexed) =
         time_best(iters, || before_index.flows_sharded(&after_index, spec, 1));
@@ -260,7 +260,7 @@ fn bench_national(target_jobs: usize, iters: usize, threads: usize) -> String {
     let mut results = Vec::new();
     for spec in [workload1(), full_spec] {
         let (scalar_1t_ms, scalar) = time_best(iters, || {
-            index.marginal_sharded_with_kernel(&spec, 1, Kernel::Scalar)
+            index.marginal_sharded_with_kernel(&spec, None, 1, Kernel::Scalar)
         });
         let mut threads_ms = Vec::new();
         let mut auto_1t_ms = f64::INFINITY;

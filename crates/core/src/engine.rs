@@ -12,9 +12,9 @@
 //!   (`ReleaseRequest::shapes`), with a mechanism, an `(α, ε[, δ])`
 //!   budget (total or per-cell), an optional population filter (a
 //!   declarative, serializable [`FilterExpr`] via
-//!   [`ReleaseRequest::filter_expr`]; opaque closures survive as a
-//!   deprecated escape hatch), optional integer post-processing, and a
-//!   seed.
+//!   [`ReleaseRequest::filter_expr`] — the only filter form, so every
+//!   artifact records the population it counted), optional integer
+//!   post-processing, and a seed.
 //! * [`ReleaseEngine`] — owns a [`Ledger`] and executes requests. Every
 //!   request is validated against the mechanism's constraints and the
 //!   remaining budget *before* any sampling happens; a rejected request
@@ -39,9 +39,8 @@
 //! [`TabulationIndex`] — built **once per
 //! dataset**: `execute_all` builds it per batch, [`TabulationCache`]
 //! (used by `SeasonStore::run`) holds it for a whole season. Within a
-//! batch or cache, each distinct `(MarginalSpec, filter identity)` is
-//! tabulated once; declarative filters are identified by their
-//! normalized structure (the [`FilterId`] digest is its compact
+//! batch or cache, each distinct `(MarginalSpec, normalized filter)` is
+//! tabulated once (the [`FilterId`] digest is the filter's compact
 //! fingerprint), so structurally equal expressions share even when
 //! constructed independently.
 //!
@@ -89,7 +88,7 @@ use crate::mechanisms::{CellQuery, MechanismKind};
 use crate::metrics::{MetricsRegistry, REASON_REQUEST_INVALID};
 use crate::neighbors::NeighborKind;
 use crate::shape::ShapeRelease;
-use lodes::{Dataset, Worker};
+use lodes::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -100,41 +99,6 @@ use tabulate::{
     CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Marginal, MarginalSpec,
     RegionShardedIndex, TabulationIndex,
 };
-
-/// Worker predicate for filtered (single-query) workloads — the opaque
-/// escape hatch. Prefer [`FilterExpr`] (via
-/// [`ReleaseRequest::filter_expr`]): an expression's identity is
-/// serializable, so structurally equal filters share tabulations and
-/// filter provenance survives in artifacts and season stores.
-pub type WorkerFilter = Arc<dyn Fn(&Worker) -> bool + Send + Sync>;
-
-/// How a request restricts the tabulated population.
-#[derive(Clone)]
-enum RequestFilter {
-    /// Declarative, serializable filter (the documented path).
-    Expr(FilterExpr),
-    /// Opaque closure (deprecated escape hatch); identity is the `Arc`
-    /// pointer, provenance records only a boolean.
-    Closure(WorkerFilter),
-}
-
-impl RequestFilter {
-    fn expr(&self) -> Option<&FilterExpr> {
-        match self {
-            RequestFilter::Expr(expr) => Some(expr),
-            RequestFilter::Closure(_) => None,
-        }
-    }
-}
-
-impl std::fmt::Debug for RequestFilter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RequestFilter::Expr(expr) => write!(f, "Expr({})", expr.id()),
-            RequestFilter::Closure(_) => write!(f, "Closure(<opaque>)"),
-        }
-    }
-}
 
 /// What kind of release a request describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -181,30 +145,16 @@ enum BudgetSpec {
 /// and optionally [`filter_expr`](Self::filter_expr),
 /// [`integerize`](Self::integerize), [`seed`](Self::seed),
 /// [`describe`](Self::describe).
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ReleaseRequest {
     kind: RequestKind,
     spec: MarginalSpec,
     mechanism: Option<MechanismKind>,
     budget: Option<BudgetSpec>,
-    filter: Option<RequestFilter>,
+    filter: Option<FilterExpr>,
     integerize: bool,
     seed: u64,
     description: Option<String>,
-}
-
-impl std::fmt::Debug for ReleaseRequest {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReleaseRequest")
-            .field("kind", &self.kind)
-            .field("spec", &self.spec.name())
-            .field("mechanism", &self.mechanism)
-            .field("budget", &self.budget)
-            .field("filter", &self.filter)
-            .field("integerize", &self.integerize)
-            .field("seed", &self.seed)
-            .finish()
-    }
 }
 
 impl ReleaseRequest {
@@ -247,13 +197,7 @@ impl ReleaseRequest {
     /// (e.g. a release service rebuilding a season's plan from its store).
     /// The rebuilt request reproduces the stored provenance exactly, so it
     /// passes the season store's resume verification.
-    ///
-    /// Returns `None` for closure-filtered provenance (`filtered` with no
-    /// recorded expression): the population is not reconstructible.
-    pub fn from_provenance(provenance: &RequestProvenance) -> Option<Self> {
-        if provenance.filtered && provenance.filter.is_none() {
-            return None;
-        }
+    pub fn from_provenance(provenance: &RequestProvenance) -> Self {
         let mut request = Self::new(provenance.kind, provenance.spec.clone())
             .mechanism(provenance.mechanism)
             .integerize(provenance.integerized)
@@ -264,10 +208,8 @@ impl ReleaseRequest {
         } else {
             request.budget(provenance.budget)
         };
-        if let Some(expr) = &provenance.filter {
-            request = request.filter_expr(expr.clone());
-        }
-        Some(request)
+        request.filter = provenance.filter.clone();
+        request
     }
 
     /// Which mechanism to sample from (required).
@@ -298,31 +240,12 @@ impl ReleaseRequest {
     /// `FilterExpr::All` — the engine prices the request by its form,
     /// not by what the expression happens to match).
     ///
-    /// Unlike a closure filter, the expression is recorded in the
-    /// artifact's provenance, keys the tabulation cache by its
-    /// normalized structure (structurally equal expressions share a
-    /// tabulation, no `Arc` reuse required — the [`FilterId`] digest is
-    /// only a compact fingerprint), and is verified across season
-    /// resumes.
+    /// The expression is recorded in the artifact's provenance, keys the
+    /// tabulation cache by its normalized structure (structurally equal
+    /// expressions share a tabulation — the [`FilterId`] digest is only a
+    /// compact fingerprint), and is verified across season resumes.
     pub fn filter_expr(mut self, expr: FilterExpr) -> Self {
-        self.filter = Some(RequestFilter::Expr(expr));
-        self
-    }
-
-    /// Restrict the tabulated population by an opaque worker predicate.
-    ///
-    /// Deprecated escape hatch: a closure's identity is its `Arc`
-    /// pointer, so only requests cloned from one handle share
-    /// tabulations, and provenance records nothing but a boolean flag —
-    /// a resumed season cannot verify *which* population was filtered.
-    /// Use [`filter_expr`](Self::filter_expr) unless the predicate
-    /// genuinely cannot be expressed as a [`FilterExpr`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use filter_expr(FilterExpr) — serializable identity, shared tabulations, verifiable provenance"
-    )]
-    pub fn filter(mut self, filter: impl Fn(&Worker) -> bool + Send + Sync + 'static) -> Self {
-        self.filter = Some(RequestFilter::Closure(Arc::new(filter)));
+        self.filter = Some(expr);
         self
     }
 
@@ -451,8 +374,7 @@ impl ReleaseRequest {
             budget: plan.requested,
             budget_is_per_cell: plan.per_cell_budgeting,
             seed: self.seed,
-            filtered: self.filter.is_some(),
-            filter: self.filter.as_ref().and_then(RequestFilter::expr).cloned(),
+            filter: self.filter.clone(),
             integerized: self.integerize,
             description: self.description(),
         }
@@ -475,12 +397,7 @@ pub struct ReleasePlan {
 }
 
 /// Immutable record of what was asked for, embedded in every artifact.
-///
-/// Serde is hand-written (not derived) for one reason: artifacts
-/// persisted before the filter AST existed carry no `filter` field, and
-/// they must keep deserializing — a missing field reads as `None`, the
-/// exact provenance those artifacts recorded.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestProvenance {
     /// Marginal or shapes.
     pub kind: RequestKind,
@@ -495,13 +412,9 @@ pub struct RequestProvenance {
     pub budget_is_per_cell: bool,
     /// The request seed.
     pub seed: u64,
-    /// Whether a worker filter restricted the population.
-    pub filtered: bool,
-    /// The declarative filter restricting the population, when the
-    /// request used [`ReleaseRequest::filter_expr`]. `None` for
-    /// unfiltered requests, for the deprecated closure escape hatch
-    /// (whose only trace is [`filtered`](Self::filtered)), and for
-    /// artifacts persisted before the AST existed.
+    /// The filter restricting the counted population, exactly as the
+    /// request gave it to [`ReleaseRequest::filter_expr`]; `None` when
+    /// the whole population was counted.
     pub filter: Option<FilterExpr>,
     /// Whether outputs were rounded to non-negative integers.
     pub integerized: bool,
@@ -514,51 +427,6 @@ impl RequestProvenance {
     /// recorded. Season resume verification compares these digests.
     pub fn filter_id(&self) -> Option<FilterId> {
         self.filter.as_ref().map(FilterExpr::id)
-    }
-}
-
-impl Serialize for RequestProvenance {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("kind".to_string(), self.kind.to_value()),
-            ("spec".to_string(), self.spec.to_value()),
-            ("mechanism".to_string(), self.mechanism.to_value()),
-            ("budget".to_string(), self.budget.to_value()),
-            (
-                "budget_is_per_cell".to_string(),
-                self.budget_is_per_cell.to_value(),
-            ),
-            ("seed".to_string(), self.seed.to_value()),
-            ("filtered".to_string(), self.filtered.to_value()),
-            ("filter".to_string(), self.filter.to_value()),
-            ("integerized".to_string(), self.integerized.to_value()),
-            ("description".to_string(), self.description.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RequestProvenance {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            kind: Deserialize::from_value(serde::get_field(v, "kind")?)?,
-            spec: Deserialize::from_value(serde::get_field(v, "spec")?)?,
-            mechanism: Deserialize::from_value(serde::get_field(v, "mechanism")?)?,
-            budget: Deserialize::from_value(serde::get_field(v, "budget")?)?,
-            budget_is_per_cell: Deserialize::from_value(serde::get_field(
-                v,
-                "budget_is_per_cell",
-            )?)?,
-            seed: Deserialize::from_value(serde::get_field(v, "seed")?)?,
-            filtered: Deserialize::from_value(serde::get_field(v, "filtered")?)?,
-            // Absent in pre-AST artifacts: default to "no expression
-            // recorded" rather than refusing the whole store.
-            filter: match v.get("filter") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => None,
-            },
-            integerized: Deserialize::from_value(serde::get_field(v, "integerized")?)?,
-            description: Deserialize::from_value(serde::get_field(v, "description")?)?,
-        })
     }
 }
 
@@ -703,36 +571,18 @@ impl ReleaseArtifact {
 /// Execution order for batches and per-cell noising.
 const MIN_PARALLEL_CELLS: usize = 512;
 
-/// Identity of the filter of one tabulation, for cache keying.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum FilterKey {
-    /// The normalized form of a declarative filter: *structurally equal*
-    /// expressions share a tabulation no matter where or when they were
-    /// constructed. The expression itself is the key (not its
-    /// [`FilterId`] digest) so a digest collision can never alias two
-    /// different populations onto one cached truth.
-    Expr(FilterExpr),
-    /// Address of an opaque closure's shared [`WorkerFilter`] allocation:
-    /// only requests built from the *same* `Arc` (a cloned request, or
-    /// one handle reused across a batch) share. Cache entries hold a
-    /// clone of the `Arc`, so a keyed address can never be freed and
-    /// reused while the cache lives.
-    Opaque(usize),
-}
-
-/// Identity of one tabulation: the marginal spec plus the identity of the
-/// filter restricting its population (`None` when unfiltered).
-type TabulationKey = (MarginalSpec, Option<FilterKey>);
+/// Identity of one tabulation: the marginal spec plus the **normalized**
+/// filter expression restricting its population (`None` when
+/// unfiltered). Structurally equal expressions share a tabulation no
+/// matter where or when they were constructed; the expression itself is
+/// the key (not its [`FilterId`] digest) so a digest collision can never
+/// alias two different populations onto one cached truth.
+type TabulationKey = (MarginalSpec, Option<FilterExpr>);
 
 fn tabulation_key(request: &ReleaseRequest) -> TabulationKey {
     (
         request.spec.clone(),
-        request.filter.as_ref().map(|f| match f {
-            RequestFilter::Expr(expr) => FilterKey::Expr(expr.normalized()),
-            RequestFilter::Closure(closure) => {
-                FilterKey::Opaque(Arc::as_ptr(closure) as *const () as usize)
-            }
-        }),
+        request.filter.as_ref().map(FilterExpr::normalized),
     )
 }
 
@@ -748,9 +598,8 @@ enum TabulationSource {
 }
 
 /// A cache of tabulated truth marginals keyed by
-/// `(MarginalSpec, filter identity)` — the normalized expression for
-/// declarative filters, the `Arc` address for opaque closures — plus the
-/// shared columnar [`TabulationIndex`] they were computed from.
+/// `(MarginalSpec, normalized filter)`, plus the shared columnar
+/// [`TabulationIndex`] they were computed from.
 ///
 /// Tabulation is the engine's dominant cost for large universes; a batch
 /// (or a resumed publication season) whose requests share a marginal
@@ -773,12 +622,11 @@ enum TabulationSource {
 /// this cache** (one linear scan; a mismatch is refused loudly) and on
 /// every [`SeasonStore::run_cached`](crate::store::SeasonStore::run_cached)
 /// — the one-dataset-per-cache contract above still rests on the caller
-/// for later direct `execute_cached` calls. Closure-filtered truths have
-/// no serializable identity and stay memory-only.
+/// for later direct `execute_cached` calls.
 #[derive(Default)]
 pub struct TabulationCache {
     index: Option<DatasetIndex>,
-    entries: BTreeMap<TabulationKey, (Arc<Marginal>, Option<WorkerFilter>)>,
+    entries: BTreeMap<TabulationKey, Arc<Marginal>>,
     store: Option<crate::truths::TruthStore>,
     /// Whether the dataset's digest has been checked against the store's.
     /// One linear pass per cache, on the first tabulation.
@@ -787,7 +635,7 @@ pub struct TabulationCache {
     /// The cache's main `index` doubles as the *after* side (it is the
     /// index of the cache's one dataset — the current quarter); only the
     /// *before* snapshot needs a second index.
-    flow_entries: BTreeMap<TabulationKey, (Arc<FlowMarginal>, Option<WorkerFilter>)>,
+    flow_entries: BTreeMap<TabulationKey, Arc<FlowMarginal>>,
     before_index: Option<DatasetIndex>,
     /// [`dataset_pair_digest`](crate::store::dataset_pair_digest) of the
     /// cache's one pair, computed (two full-dataset scans) or supplied by
@@ -801,8 +649,7 @@ impl TabulationCache {
         Self::default()
     }
 
-    /// An empty cache backed by a persistent truth store. Declaratively
-    /// identified tabulations (unfiltered or [`FilterExpr`]-filtered) are
+    /// An empty cache backed by a persistent truth store. Tabulations are
     /// served from and persisted to `store`; the cache may only ever be
     /// used with the dataset `store` is pinned to.
     pub fn with_store(store: crate::truths::TruthStore) -> Self {
@@ -905,49 +752,30 @@ impl TabulationCache {
         threads: usize,
     ) -> Result<(Arc<Marginal>, TabulationSource), EngineError> {
         let key = tabulation_key(request);
-        if let Some((truth, _)) = self.entries.get(&key) {
+        if let Some(truth) = self.entries.get(&key) {
             return Ok((Arc::clone(truth), TabulationSource::Memory));
         }
-        // The persistent layer only speaks serializable identities.
-        let filter_expr = match &request.filter {
-            Some(RequestFilter::Expr(expr)) => Some(expr),
-            Some(RequestFilter::Closure(_)) => None,
-            None => None,
-        };
-        let persistable = !matches!(&request.filter, Some(RequestFilter::Closure(_)));
-        if self.store.is_some() {
-            if !self.dataset_verified {
-                let digest = crate::store::dataset_digest(dataset);
-                self.verify_dataset_digest(digest)?;
-            }
-            let store = self.store.as_ref().expect("checked above");
-            if persistable {
-                if let Some(truth) = store.load(&request.spec, filter_expr) {
-                    let truth = Arc::new(truth);
-                    self.entries.insert(key, (Arc::clone(&truth), None));
-                    return Ok((truth, TabulationSource::Disk));
-                }
+        if self.store.is_some() && !self.dataset_verified {
+            let digest = crate::store::dataset_digest(dataset);
+            self.verify_dataset_digest(digest)?;
+        }
+        if let Some(store) = &self.store {
+            if let Some(truth) = store.load(&request.spec, request.filter.as_ref()) {
+                let truth = Arc::new(truth);
+                self.entries.insert(key, Arc::clone(&truth));
+                return Ok((truth, TabulationSource::Disk));
             }
         }
         let index = self.index_for(dataset);
         let truth = Arc::new(tabulate_request(&index, request, threads));
-        if persistable {
-            if let Some(store) = &self.store {
-                store
-                    .save(&request.spec, filter_expr, &truth)
-                    .map_err(|e| EngineError::TruthStore {
-                        detail: format!("persisting freshly computed truth failed: {e}"),
-                    })?;
-            }
+        if let Some(store) = &self.store {
+            store
+                .save(&request.spec, request.filter.as_ref(), &truth)
+                .map_err(|e| EngineError::TruthStore {
+                    detail: format!("persisting freshly computed truth failed: {e}"),
+                })?;
         }
-        // Pin opaque closures so an `Opaque` key's address can never be
-        // freed and reused while the cache lives; declarative filters are
-        // keyed by their normalized structure and need no pinning.
-        let pinned = match &request.filter {
-            Some(RequestFilter::Closure(closure)) => Some(Arc::clone(closure)),
-            _ => None,
-        };
-        self.entries.insert(key, (Arc::clone(&truth), pinned));
+        self.entries.insert(key, Arc::clone(&truth));
         Ok((truth, TabulationSource::Computed))
     }
 
@@ -963,30 +791,23 @@ impl TabulationCache {
         threads: usize,
     ) -> Result<(Arc<FlowMarginal>, TabulationSource), EngineError> {
         let key = tabulation_key(request);
-        if let Some((truth, _)) = self.flow_entries.get(&key) {
+        if let Some(truth) = self.flow_entries.get(&key) {
             return Ok((Arc::clone(truth), TabulationSource::Memory));
         }
-        let filter_expr = match &request.filter {
-            Some(RequestFilter::Expr(expr)) => Some(expr),
-            Some(RequestFilter::Closure(_)) | None => None,
-        };
-        let persistable = !matches!(&request.filter, Some(RequestFilter::Closure(_)));
         // Flow truths are content-addressed by the pair digest — computed
         // once per cache — so only store-backed caches pay for it.
-        let pair_digest = if self.store.is_some() && persistable {
-            Some(*self.flow_pair_digest.get_or_insert_with(|| {
+        let pair_digest = self.store.is_some().then(|| {
+            *self.flow_pair_digest.get_or_insert_with(|| {
                 crate::store::dataset_pair_digest(
                     crate::store::dataset_digest(before),
                     crate::store::dataset_digest(after),
                 )
-            }))
-        } else {
-            None
-        };
+            })
+        });
         if let (Some(store), Some(pair)) = (self.store.as_ref(), pair_digest) {
-            if let Some(truth) = store.load_flows(pair, &request.spec, filter_expr) {
+            if let Some(truth) = store.load_flows(pair, &request.spec, request.filter.as_ref()) {
                 let truth = Arc::new(truth);
-                self.flow_entries.insert(key, (Arc::clone(&truth), None));
+                self.flow_entries.insert(key, Arc::clone(&truth));
                 return Ok((truth, TabulationSource::Disk));
             }
         }
@@ -1012,16 +833,12 @@ impl TabulationCache {
         ));
         if let (Some(store), Some(pair)) = (self.store.as_ref(), pair_digest) {
             store
-                .save_flows(pair, &request.spec, filter_expr, &truth)
+                .save_flows(pair, &request.spec, request.filter.as_ref(), &truth)
                 .map_err(|e| EngineError::TruthStore {
                     detail: format!("persisting freshly computed flow truth failed: {e}"),
                 })?;
         }
-        let pinned = match &request.filter {
-            Some(RequestFilter::Closure(closure)) => Some(Arc::clone(closure)),
-            _ => None,
-        };
-        self.flow_entries.insert(key, (Arc::clone(&truth), pinned));
+        self.flow_entries.insert(key, Arc::clone(&truth));
         Ok((truth, TabulationSource::Computed))
     }
 }
@@ -1035,12 +852,7 @@ impl TabulationCache {
 fn tabulate_request(index: &DatasetIndex, request: &ReleaseRequest, threads: usize) -> Marginal {
     let threads = index.effective_shards(threads);
     match &request.filter {
-        Some(RequestFilter::Expr(expr)) => {
-            index.marginal_expr_sharded(&request.spec, expr, threads)
-        }
-        Some(RequestFilter::Closure(filter)) => {
-            index.marginal_filtered_sharded(&request.spec, |w| filter(w), threads)
-        }
+        Some(expr) => index.marginal_expr_sharded(&request.spec, expr, threads),
         None => index.marginal_sharded(&request.spec, threads),
     }
 }
@@ -1056,12 +868,7 @@ fn tabulate_flow_request(
 ) -> FlowMarginal {
     let threads = before.effective_shards(threads);
     match &request.filter {
-        Some(RequestFilter::Expr(expr)) => {
-            before.flows_expr_sharded(after, &request.spec, expr, threads)
-        }
-        Some(RequestFilter::Closure(filter)) => {
-            before.flows_filtered_sharded(after, &request.spec, |w| filter(w), threads)
-        }
+        Some(expr) => before.flows_expr_sharded(after, &request.spec, expr, threads),
         None => before.flows_sharded(after, &request.spec, threads),
     }
 }
@@ -1084,7 +891,9 @@ pub struct TabulationStats {
 /// Owns a [`Ledger`]; every execution path charges it before sampling, so
 /// the cumulative privacy loss of everything the engine has ever released
 /// is `ledger().budget() - remaining`. A request that would overdraw the
-/// ledger (or fails validation) is rejected *without* spending.
+/// ledger (or fails validation) is rejected *without* spending. Every
+/// single-release path that tabulates admits the same way: a dry-run
+/// charge, then the tabulation, then the real charge.
 #[derive(Debug)]
 pub struct ReleaseEngine {
     ledger: Ledger,
@@ -1140,35 +949,28 @@ impl ReleaseEngine {
     }
 
     /// Lifetime tabulation-cache counters: how many truth marginals were
-    /// actually computed vs served from a cache, across all
-    /// [`execute_all`](Self::execute_all) batches and
-    /// [`execute_cached`](Self::execute_cached) calls on this engine.
+    /// actually computed vs served from a cache, across every tabulating
+    /// call on this engine — [`execute_all`](Self::execute_all) batches,
+    /// the `*_cached` paths, and [`execute`](Self::execute) /
+    /// [`execute_flows`](Self::execute_flows), whose one tabulation each
+    /// counts as computed.
     pub fn tabulation_stats(&self) -> TabulationStats {
         self.tab_stats
     }
 
-    /// Validate `request`, charge the ledger, tabulate, and sample.
+    /// Validate `request`, tabulate, charge the ledger, and sample.
     ///
-    /// Builds a throwaway [`TabulationIndex`] for the single tabulation;
-    /// batches and seasons ([`execute_all`](Self::execute_all),
-    /// [`execute_cached`](Self::execute_cached)) share one index across
+    /// [`execute_cached`](Self::execute_cached) over a fresh memory-only
+    /// [`TabulationCache`], so the one tabulation builds a throwaway
+    /// index; batches and seasons ([`execute_all`](Self::execute_all),
+    /// `execute_cached` with a long-lived cache) share one index across
     /// requests instead.
     pub fn execute(
         &mut self,
         dataset: &Dataset,
         request: &ReleaseRequest,
     ) -> Result<ReleaseArtifact, EngineError> {
-        let started = Instant::now();
-        let result = (|| {
-            reject_flow_kind(request)?;
-            let plan = request.plan()?;
-            self.charge(request, &plan)?;
-            let index = DatasetIndex::build_auto(dataset);
-            let truth = tabulate_request(&index, request, self.threads);
-            Ok(self.sample(&truth, request, &plan, self.threads))
-        })();
-        self.observe(request.kind(), started, &result);
-        result
+        self.execute_cached(dataset, request, &mut TabulationCache::new())
     }
 
     /// Like [`execute`](Self::execute), but over an already-tabulated
@@ -1230,30 +1032,19 @@ impl ReleaseEngine {
         result
     }
 
-    /// Validate a flow `request`, charge the ledger, tabulate job-flow
-    /// statistics over the `(before, after)` dataset pair, and sample.
+    /// Validate a flow `request`, tabulate job-flow statistics over the
+    /// `(before, after)` dataset pair, charge the ledger, and sample.
     ///
-    /// Builds two throwaway [`TabulationIndex`]es for the single
-    /// tabulation; drivers executing several flow requests over one pair
-    /// share them through
-    /// [`execute_flows_cached`](Self::execute_flows_cached).
+    /// [`execute_flows_cached`](Self::execute_flows_cached) over a fresh
+    /// memory-only [`TabulationCache`]; drivers executing several flow
+    /// requests over one pair share a long-lived cache instead.
     pub fn execute_flows(
         &mut self,
         before: &Dataset,
         after: &Dataset,
         request: &ReleaseRequest,
     ) -> Result<ReleaseArtifact, EngineError> {
-        let started = Instant::now();
-        let result = (|| {
-            let plan = flow_plan(request)?;
-            self.charge(request, &plan)?;
-            let before_index = DatasetIndex::build_auto(before);
-            let after_index = DatasetIndex::build_auto(after);
-            let truth = tabulate_flow_request(&before_index, &after_index, request, self.threads);
-            Ok(self.sample_flows(&truth, request, &plan, self.threads))
-        })();
-        self.observe(request.kind(), started, &result);
-        result
+        self.execute_flows_cached(before, after, request, &mut TabulationCache::new())
     }
 
     /// Like [`execute_flows`](Self::execute_flows), but over an
@@ -1840,9 +1631,6 @@ mod tests {
         let filtered =
             ReleaseRequest::marginal(workload1()).filter_expr(FilterExpr::sex(lodes::Sex::Female));
         assert_eq!(filtered.regime(), NeighborKind::Weak);
-        #[allow(deprecated)]
-        let closure = ReleaseRequest::marginal(workload1()).filter(|w| w.sex.index() == 1);
-        assert_eq!(closure.regime(), NeighborKind::Weak);
         assert_eq!(
             ReleaseRequest::marginal(workload3()).regime(),
             NeighborKind::Weak
@@ -1867,6 +1655,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(artifact.cost.multiplier, 1);
+        assert!((artifact.cost.per_cell_epsilon - 2.0).abs() < 1e-12);
         assert!((engine.ledger().remaining_epsilon() - 2.0).abs() < 1e-12);
         assert_eq!(artifact.regime, NeighborKind::Strong);
         let cells = artifact.cells().expect("marginal payload");
@@ -1901,6 +1690,80 @@ mod tests {
         assert!(matches!(err, EngineError::InvalidParameters { .. }));
         assert!((engine.ledger().remaining_epsilon() - 1.0).abs() < 1e-12);
         assert!(engine.ledger().entries().is_empty());
+    }
+
+    #[test]
+    fn parameter_validity_follows_the_per_cell_split() {
+        let d = dataset();
+        let release = |mechanism: MechanismKind, spec: MarginalSpec, budget: PrivacyParams| {
+            ReleaseEngine::new(budget).execute(
+                &d,
+                &ReleaseRequest::marginal(spec)
+                    .mechanism(mechanism)
+                    .budget(budget)
+                    .seed(3),
+            )
+        };
+        // Smooth Gamma at alpha = 0.2 needs eps > 5 ln(1.2) ≈ 0.91 per
+        // cell: workload 3's 8-way split of 8.0 leaves 1.0 (valid), of
+        // 4.0 leaves 0.5 (refused, not fudged).
+        let smooth_gamma = MechanismKind::SmoothGamma;
+        assert!(release(smooth_gamma, workload3(), PrivacyParams::pure(0.2, 8.0)).is_ok());
+        let err = release(smooth_gamma, workload3(), PrivacyParams::pure(0.2, 4.0)).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidParameters { .. }));
+        assert!(!err.to_string().is_empty());
+        // Smooth Laplace needs delta > 0.
+        let smooth_laplace = MechanismKind::SmoothLaplace;
+        assert!(release(smooth_laplace, workload1(), PrivacyParams::pure(0.1, 2.0)).is_err());
+        let approximate = PrivacyParams::approximate(0.1, 2.0, 0.05);
+        assert!(release(smooth_laplace, workload1(), approximate).is_ok());
+    }
+
+    #[test]
+    fn releases_are_deterministic_in_seed_and_sharpen_with_epsilon() {
+        let d = dataset();
+        let truth = compute_marginal(&d, &workload1());
+        let release = |epsilon: f64, seed: u64| {
+            let budget = PrivacyParams::approximate(0.1, epsilon, 0.05);
+            ReleaseEngine::new(budget)
+                .execute(
+                    &d,
+                    &ReleaseRequest::marginal(workload1())
+                        .mechanism(MechanismKind::SmoothLaplace)
+                        .budget(budget)
+                        .seed(seed),
+                )
+                .unwrap()
+        };
+        assert_eq!(release(2.0, 42), release(2.0, 42));
+        assert_ne!(release(2.0, 42).payload, release(2.0, 43).payload);
+        let l1 = |epsilon: f64| release(epsilon, 7).l1_error_against(&truth).unwrap();
+        assert!(l1(8.0) < l1(1.0), "error must grow as epsilon shrinks");
+    }
+
+    #[test]
+    fn l1_error_refuses_missing_cells() {
+        let d = dataset();
+        let truth = compute_marginal(&d, &workload1());
+        let mut artifact = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0))
+            .execute(
+                &d,
+                &ReleaseRequest::marginal(workload1())
+                    .mechanism(MechanismKind::SmoothGamma)
+                    .budget(PrivacyParams::pure(0.1, 2.0))
+                    .seed(9),
+            )
+            .unwrap();
+        assert!(artifact.l1_error_against(&truth).is_ok());
+        let ArtifactPayload::Cells(cells) = &mut artifact.payload else {
+            panic!("marginal payload");
+        };
+        let dropped = *cells.keys().next().expect("nonempty release");
+        cells.remove(&dropped);
+        assert_eq!(
+            artifact.l1_error_against(&truth).unwrap_err(),
+            EngineError::MissingCell { key: dropped.0 }
+        );
     }
 
     #[test]
@@ -2125,74 +1988,95 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn closure_filters_still_share_by_arc_identity() {
-        use lodes::Sex;
-        let d = dataset();
-        let shared: WorkerFilter = Arc::new(|w: &Worker| w.sex == Sex::Female);
-        let request = |seed: u64, f: WorkerFilter| {
-            let mut r = ReleaseRequest::marginal(workload1())
-                .mechanism(MechanismKind::LogLaplace)
-                .budget(PrivacyParams::pure(0.1, 1.0))
-                .seed(seed);
-            r.filter = Some(RequestFilter::Closure(f));
-            r
-        };
-        let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 3.0));
-        let batch = vec![
-            request(1, Arc::clone(&shared)),
-            request(2, Arc::clone(&shared)),
-            // Textually identical but separately allocated: not shared.
-            request(3, Arc::new(|w: &Worker| w.sex == Sex::Female)),
-        ];
-        let outcomes = engine.execute_all(&d, &batch);
-        assert!(outcomes.iter().all(Result::is_ok));
-        assert_eq!(engine.tabulation_stats().computed, 2);
-        assert_eq!(engine.tabulation_stats().hits, 1);
-        // The AST filter for the same population is bit-identical to the
-        // closure's artifact (modulo provenance, which now records it).
-        let mut ast_engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 1.0));
-        let ast = ast_engine
-            .execute(
-                &d,
-                &ReleaseRequest::marginal(workload1())
-                    .mechanism(MechanismKind::LogLaplace)
-                    .budget(PrivacyParams::pure(0.1, 1.0))
-                    .filter_expr(FilterExpr::sex(Sex::Female))
-                    .seed(1),
-            )
-            .unwrap();
-        let closure_artifact = outcomes[0].as_ref().unwrap();
-        assert_eq!(ast.payload, closure_artifact.payload);
-        assert!(closure_artifact.request.filter.is_none());
-        assert!(closure_artifact.request.filtered);
-        assert!(ast.request.filter.is_some());
+    fn provenance_json_round_trips_with_its_filter() {
+        for filter in [None, Some(FilterExpr::sex(lodes::Sex::Female))] {
+            let mut request = ReleaseRequest::marginal(workload1())
+                .mechanism(MechanismKind::SmoothGamma)
+                .budget(PrivacyParams::pure(0.1, 2.0))
+                .seed(7);
+            if let Some(expr) = filter.clone() {
+                request = request.filter_expr(expr);
+            }
+            let fresh = request.provenance(&request.plan().unwrap());
+            assert_eq!(fresh.filter, filter);
+            let json = serde_json::to_string(&fresh).unwrap();
+            let back: RequestProvenance = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, fresh);
+            assert_eq!(back.filter_id(), filter.as_ref().map(FilterExpr::id));
+        }
     }
 
-    #[test]
-    fn provenance_json_without_filter_field_still_deserializes() {
-        // A pre-AST artifact's provenance has no `filter` key at all.
-        let request = ReleaseRequest::marginal(workload1())
-            .mechanism(MechanismKind::SmoothGamma)
-            .budget(PrivacyParams::pure(0.1, 2.0))
-            .seed(7);
-        let fresh = request.provenance(&request.plan().unwrap());
-        let json = serde_json::to_string(&fresh).unwrap();
-        let stripped = json.replace("\"filter\":null,", "");
-        assert_ne!(json, stripped, "test must actually remove the field");
-        let parsed: RequestProvenance = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(parsed, fresh);
-        // And a filtered provenance round-trips with its expression.
-        let filtered = ReleaseRequest::marginal(workload1())
-            .mechanism(MechanismKind::SmoothGamma)
-            .budget(PrivacyParams::pure(0.1, 2.0))
-            .filter_expr(FilterExpr::sex(lodes::Sex::Female))
-            .seed(7);
-        let fresh = filtered.provenance(&filtered.plan().unwrap());
-        let back: RequestProvenance =
-            serde_json::from_str(&serde_json::to_string(&fresh).unwrap()).unwrap();
-        assert_eq!(back, fresh);
-        assert_eq!(back.filter_id(), fresh.filter_id());
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A season worker respawn rebuilds its whole plan with
+        /// `from_provenance`: for any valid request, the rebuilt request
+        /// must record the same provenance, bit for bit, and plan to the
+        /// same cost. Filters are drawn from a pool that includes an
+        /// unnormalized membership set, so the round trip must carry the
+        /// expression exactly as given. Totals of at least 4.0 keep every
+        /// mechanism valid after the widest split (workload 3's 8 cells
+        /// leave Smooth Gamma ε ≥ 0.5 > 5·ln 1.1).
+        #[test]
+        fn from_provenance_round_trips_any_valid_request(
+            kind in 0u8..4,
+            mechanism in 0u8..3,
+            per_cell in proptest::prelude::any::<bool>(),
+            epsilon in 4.0f64..40.0,
+            filter in 0u8..5,
+            integerize in proptest::prelude::any::<bool>(),
+            seed in 0u64..u64::MAX,
+            described in proptest::prelude::any::<bool>(),
+        ) {
+            use lodes::{Education, Sex};
+            use tabulate::WorkplaceAttr;
+            let mut request = match kind {
+                0 => ReleaseRequest::marginal(workload1()),
+                1 => ReleaseRequest::marginal(workload3()),
+                2 => ReleaseRequest::shapes(workload3()),
+                _ => ReleaseRequest::flows(workload1()),
+            };
+            request = request.mechanism(match mechanism {
+                0 => MechanismKind::LogLaplace,
+                1 => MechanismKind::SmoothGamma,
+                _ => MechanismKind::SmoothLaplace,
+            });
+            let budget = PrivacyParams::approximate(0.1, epsilon, 0.05);
+            request = if per_cell {
+                request.budget_per_cell(budget)
+            } else {
+                request.budget(budget)
+            };
+            let expr = match filter {
+                0 => None,
+                1 => Some(FilterExpr::All),
+                2 => Some(FilterExpr::sex(Sex::Female)),
+                3 => Some(
+                    FilterExpr::sex(Sex::Female)
+                        .and(FilterExpr::education_at_least(Education::BachelorOrHigher)),
+                ),
+                _ => Some(FilterExpr::WorkplaceIn(WorkplaceAttr::Naics, vec![4, 1, 4]).not()),
+            };
+            if let Some(expr) = expr {
+                request = request.filter_expr(expr);
+            }
+            if described {
+                request = request.describe(format!("release {seed}"));
+            }
+            let request = request.integerize(integerize).seed(seed);
+            let plan = request.plan().expect("generated requests are valid");
+            let original = request.provenance(&plan);
+            let rebuilt = ReleaseRequest::from_provenance(&original);
+            let rebuilt_plan = rebuilt.plan().expect("rebuilt request stays valid");
+            let again = rebuilt.provenance(&rebuilt_plan);
+            proptest::prop_assert_eq!(&again, &original);
+            proptest::prop_assert_eq!(
+                serde_json::to_string(&again).unwrap(),
+                serde_json::to_string(&original).unwrap()
+            );
+            proptest::prop_assert_eq!(rebuilt_plan.cost, plan.cost);
+            proptest::prop_assert_eq!(rebuilt.regime(), request.regime());
+        }
     }
 
     #[test]

@@ -27,9 +27,8 @@
 //!   auditor can read *which* population a published table covers — the
 //!   disclosure-avoidance review posture the paper's setting demands.
 //! * **Verified resume.** A [`SeasonStore`](crate::store::SeasonStore)
-//!   compares stored filter digests against the resume plan's: a season
-//!   can no longer be silently resumed under a plan whose filter changed,
-//!   which the previous boolean `filtered` flag could not detect.
+//!   compares stored filters against the resume plan's: a season cannot
+//!   be silently resumed under a plan whose filter changed.
 //!
 //! ```
 //! use eree_core::filter::FilterExpr;

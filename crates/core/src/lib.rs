@@ -132,8 +132,7 @@
 //!   truth store — an agency's whole release program under one bound.
 //! * [`error`] — the [`EngineError`] hierarchy consolidating release,
 //!   ledger, shape, and neighbor errors.
-//! * [`release`] / [`shape`] — the legacy free functions, now thin
-//!   deprecated wrappers over the engine.
+//! * [`shape`] — the released establishment-shape type and its error.
 
 // Every public item of the release pipeline is part of an agency-facing
 // API surface; undocumented additions fail `cargo doc -D warnings` in CI.
@@ -153,7 +152,6 @@ pub mod metrics;
 pub mod neighbors;
 pub mod public_cache;
 pub mod pufferfish;
-pub mod release;
 pub mod shape;
 pub mod smooth;
 pub mod store;
@@ -185,11 +183,6 @@ pub use metrics::{
 };
 pub use neighbors::{size_distance, NeighborError, NeighborKind};
 pub use public_cache::{ReleaseCache, ReleaseKey};
-#[allow(deprecated)]
-pub use release::release_marginal;
-pub use release::{PrivateRelease, ReleaseConfig, ReleaseError};
-#[allow(deprecated)]
-pub use shape::release_shapes;
 pub use shape::{ShapeError, ShapeRelease};
 pub use smooth::{smooth_sensitivity_count, AdmissibilityBudget};
 pub use store::{

@@ -66,7 +66,10 @@ use tabulate::{FilterExpr, MarginalSpec};
 
 /// Cache-file format version, recorded in every file so a future layout
 /// change invalidates (rather than misreads) old entries.
-const CACHE_FORMAT_VERSION: u32 = 1;
+/// Version 2: provenance no longer carries the closure-era `filtered`
+/// flag, so a version-1 file (which may record `filtered: true` with no
+/// expression) is a miss, never an unfiltered hit.
+const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// The full identity of one released artifact — everything its bits are a
 /// deterministic function of. See the [module docs](self) for why the
@@ -99,14 +102,10 @@ impl ReleaseKey {
     /// The key of the artifact `provenance` describes, released against
     /// the dataset fingerprinted by `dataset_digest`.
     ///
-    /// Returns `None` for closure-filtered releases (provenance records
-    /// `filtered` with no expression): their population has no
-    /// serializable identity, so they are never cacheable — the same rule
-    /// the [`TruthStore`](crate::truths::TruthStore) applies.
+    /// Always `Some`: every release records its filter as a declarative
+    /// expression, so every artifact has a cache identity. The `Option`
+    /// is kept for callers written against it.
     pub fn of(provenance: &RequestProvenance, dataset_digest: u64) -> Option<Self> {
-        if provenance.filtered && provenance.filter.is_none() {
-            return None;
-        }
         Some(Self {
             dataset_digest,
             kind: provenance.kind,
@@ -372,14 +371,5 @@ mod tests {
             Err(StoreError::Inconsistent { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn closure_filtered_releases_are_not_cacheable() {
-        let (digest, artifact) = release(11);
-        let mut opaque = artifact.request.clone();
-        opaque.filter = None;
-        opaque.filtered = true;
-        assert!(ReleaseKey::of(&opaque, digest).is_none());
     }
 }

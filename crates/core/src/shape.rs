@@ -18,15 +18,10 @@
 //!
 //! The sampling logic lives in [`crate::engine`]
 //! ([`ReleaseRequest::shapes`](crate::engine::ReleaseRequest::shapes));
-//! the free function here is a deprecated single-release wrapper.
+//! this module holds the released type and the shape-specific error.
 
-use crate::accountant::Ledger;
-use crate::definitions::PrivacyParams;
-use crate::engine::{ArtifactPayload, ReleaseEngine, ReleaseRequest};
-use crate::error::EngineError;
-use crate::mechanisms::MechanismKind;
 use serde::{Deserialize, Serialize};
-use tabulate::{CellKey, Marginal};
+use tabulate::CellKey;
 
 /// A privately released shape for one workplace-attribute cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,17 +38,14 @@ pub struct ShapeRelease {
     pub total: f64,
 }
 
-/// Errors from shape release.
+/// Errors from shape release. A budget the per-class mechanism rejects
+/// after the d-way split is an
+/// [`EngineError::InvalidParameters`](crate::error::EngineError::InvalidParameters).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShapeError {
     /// The marginal must group by at least one worker attribute to define
     /// a partition.
     NoWorkerAttributes,
-    /// The per-class mechanism rejected the split budget.
-    InvalidParameters {
-        /// Per-class ε after the d-way split.
-        per_class_epsilon: f64,
-    },
 }
 
 impl std::fmt::Display for ShapeError {
@@ -62,77 +54,44 @@ impl std::fmt::Display for ShapeError {
             ShapeError::NoWorkerAttributes => {
                 write!(f, "shape release needs worker attributes in the marginal")
             }
-            ShapeError::InvalidParameters { per_class_epsilon } => write!(
-                f,
-                "mechanism rejects per-class epsilon {per_class_epsilon} after the d-way split"
-            ),
         }
     }
 }
 
 impl std::error::Error for ShapeError {}
 
-/// Release the shapes of every workplace cell of a worker×workplace
-/// marginal under weak (α, ε_total[, δ_total])-ER-EE privacy.
-///
-/// `truth` must be the marginal over workplace attributes × the partition
-/// attributes (e.g. Workload 3 for sex×education shapes). The budget is
-/// split `d` ways across the worker domain.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ReleaseEngine::execute with ReleaseRequest::shapes"
-)]
-pub fn release_shapes(
-    truth: &Marginal,
-    mechanism: MechanismKind,
-    total_budget: &PrivacyParams,
-    seed: u64,
-) -> Result<Vec<ShapeRelease>, ShapeError> {
-    let request = ReleaseRequest::shapes(truth.spec().clone())
-        .mechanism(mechanism)
-        .budget(*total_budget)
-        .seed(seed);
-    let plan = request.plan().map_err(demote)?;
-    let mut engine = ReleaseEngine::with_ledger(Ledger::new(PrivacyParams {
-        alpha: plan.per_cell.alpha,
-        epsilon: plan.cost.epsilon,
-        delta: plan.cost.delta,
-    }));
-    let artifact = engine
-        .execute_precomputed(truth, &request)
-        .map_err(demote)?;
-    match artifact.payload {
-        ArtifactPayload::Shapes(shapes) => Ok(shapes),
-        ArtifactPayload::Cells(_) | ArtifactPayload::Flows(_) => {
-            unreachable!("shapes request yields a shapes payload")
-        }
-    }
-}
-
-/// Map engine errors onto the legacy error type; the wrapper's private
-/// ledger always covers the request.
-fn demote(e: EngineError) -> ShapeError {
-    match e {
-        EngineError::Shape(e) => e,
-        EngineError::InvalidParameters {
-            per_cell_epsilon, ..
-        } => ShapeError::InvalidParameters {
-            per_class_epsilon: per_cell_epsilon,
-        },
-        other => unreachable!("single-release shape wrapper cannot fail with {other}"),
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::definitions::PrivacyParams;
+    use crate::engine::{ReleaseEngine, ReleaseRequest};
+    use crate::error::EngineError;
+    use crate::mechanisms::MechanismKind;
     use lodes::{Generator, GeneratorConfig};
-    use tabulate::{compute_marginal, workload1, workload3};
+    use tabulate::{compute_marginal, workload1, workload3, Marginal};
 
     fn truth() -> Marginal {
         let d = Generator::new(GeneratorConfig::test_small(71)).generate();
         compute_marginal(&d, &workload3())
+    }
+
+    /// Release `truth`'s shapes through an engine whose ledger holds
+    /// exactly the request's total budget.
+    fn release_shapes(
+        truth: &Marginal,
+        mechanism: MechanismKind,
+        total_budget: &PrivacyParams,
+        seed: u64,
+    ) -> Result<Vec<ShapeRelease>, EngineError> {
+        let request = ReleaseRequest::shapes(truth.spec().clone())
+            .mechanism(mechanism)
+            .budget(*total_budget)
+            .seed(seed);
+        let artifact = ReleaseEngine::new(*total_budget).execute_precomputed(truth, &request)?;
+        Ok(artifact
+            .shapes()
+            .expect("shapes request yields shapes")
+            .to_vec())
     }
 
     #[test]
@@ -218,7 +177,7 @@ mod tests {
             1,
         )
         .unwrap_err();
-        assert_eq!(err, ShapeError::NoWorkerAttributes);
+        assert_eq!(err, EngineError::Shape(ShapeError::NoWorkerAttributes));
     }
 
     #[test]
@@ -233,7 +192,7 @@ mod tests {
             1,
         )
         .unwrap_err();
-        assert!(matches!(err, ShapeError::InvalidParameters { .. }));
+        assert!(matches!(err, EngineError::InvalidParameters { .. }));
         assert!(!err.to_string().is_empty());
     }
 }

@@ -35,11 +35,9 @@
 //!
 //! [`SeasonStore::run`] is the resumable driver: given the season's full
 //! request list, it verifies the already-persisted artifacts came from the
-//! same plan — request-by-request provenance comparison, with declarative
-//! filters checked by content digest (`FilterId`), so a plan whose
-//! sub-population definition changed is refused; artifacts persisted
-//! before the filter AST existed fall back to the legacy boolean-flag
-//! check — then executes
+//! same plan — request-by-request provenance comparison, with filter
+//! expressions compared in normalized form, so a plan whose
+//! sub-population definition changed is refused — then executes
 //! only the remainder through a [`ReleaseEngine`] opened on the restored
 //! ledger, sharing tabulations via a [`TabulationCache`] — which also
 //! builds the dataset's columnar `TabulationIndex` exactly once per run,
@@ -94,9 +92,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Store format version, recorded in the season manifest so a future
-/// layout change can refuse (or migrate) old directories explicitly.
-const FORMAT_VERSION: u32 = 1;
+/// Store format version, recorded in the season manifest so a layout
+/// change refuses (or migrates) old directories explicitly. Version 2:
+/// artifact provenance no longer carries the closure-era `filtered`
+/// flag, so a version-1 season (whose artifacts may record
+/// `filtered: true` with no expression) is refused, not misread as
+/// unfiltered.
+const FORMAT_VERSION: u32 = 2;
 
 /// Manifest file name under the season directory.
 const MANIFEST_FILE: &str = "season.json";
@@ -1119,41 +1121,26 @@ fn artifact_file(dir: &Path, index: usize) -> PathBuf {
 /// Filters are compared **structurally, in normalized form**: a stored
 /// expression must equal the plan's (membership sets canonicalized), so
 /// a season can never silently resume under a filter whose *population*
-/// definition changed — something the pre-AST boolean `filtered` flag
-/// could not see. The [`FilterId`] digests appear only in the error
-/// message; equality never rests on a 64-bit fingerprint.
-///
-/// One asymmetry is tolerated for compatibility: artifacts persisted
-/// before the filter AST existed (and closure-filtered requests, whose
-/// expression was never representable) record `filter: None` while still
-/// flagging `filtered: true`. When the *stored* side has no expression,
-/// the expression cannot be checked and verification falls back to the
-/// flag and every other provenance field. The reverse is never
-/// tolerated: a stored expression that the plan no longer carries is a
-/// plan change.
+/// definition changed. The [`FilterId`](tabulate::FilterId) digests
+/// appear only in the error message; equality never rests on a 64-bit
+/// fingerprint.
 fn provenance_matches(
     stored: &crate::engine::RequestProvenance,
     fresh: &crate::engine::RequestProvenance,
 ) -> Result<(), String> {
-    match (&stored.filter, &fresh.filter) {
-        (Some(s), Some(f)) if s.normalized() != f.normalized() => {
-            return Err(format!(
-                "stored filter (digest {}) differs from the plan's filter (digest {})",
-                s.id(),
-                f.id()
-            ));
-        }
-        (Some(s), None) => {
-            return Err(format!(
-                "stored artifact records a filter (digest {}) but the plan's request \
-                 carries no filter expression",
-                s.id()
-            ));
-        }
-        // Pre-AST artifact (or closure escape hatch): no expression to
-        // check; the `filtered` flag is still compared below with the
-        // rest.
-        (None, _) | (Some(_), Some(_)) => {}
+    let normalized = |p: &crate::engine::RequestProvenance| {
+        p.filter.as_ref().map(tabulate::FilterExpr::normalized)
+    };
+    if normalized(stored) != normalized(fresh) {
+        let label = |p: &crate::engine::RequestProvenance| {
+            p.filter_id()
+                .map_or("no filter".to_string(), |id| format!("filter digest {id}"))
+        };
+        return Err(format!(
+            "stored filter ({}) differs from the plan's filter ({})",
+            label(stored),
+            label(fresh)
+        ));
     }
     // Compare every remaining field by neutralizing the (already
     // structurally checked) expression.

@@ -32,10 +32,6 @@
 //! the source of record. (Like the season store, the directory is trusted
 //! infrastructure: the digest defends against corruption and drift, not
 //! against an adversary who can rewrite the file *and* its digest.)
-//!
-//! Only declaratively filtered (or unfiltered) tabulations are
-//! persistable; closure-filtered truths have no serializable identity and
-//! stay in the in-memory [`TabulationCache`](crate::engine::TabulationCache).
 
 use crate::metrics::MetricsRegistry;
 use crate::store::{read_json, write_json_atomic, StoreError};

@@ -14,12 +14,12 @@
 
 use crate::distortion::{DistortionFactors, DistortionParams};
 use crate::small_cell::SmallCellModel;
-use lodes::{Dataset, Worker};
+use lodes::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use tabulate::{CellKey, FilterExpr, Marginal, MarginalSpec, TabulationIndex};
+use tabulate::{CellKey, FilterExpr, Kernel, Marginal, MarginalSpec, TabulationIndex};
 
 /// Configuration of the SDL publication pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,7 +110,7 @@ impl SdlPublisher {
 
     /// Publish the marginal `spec` over `dataset`.
     pub fn publish(&self, dataset: &Dataset, spec: &MarginalSpec) -> SdlRelease {
-        self.publish_inner(&TabulationIndex::build(dataset), dataset, spec, |_| true)
+        self.publish_on(&TabulationIndex::build(dataset), dataset, spec)
     }
 
     /// Publish a marginal restricted to the sub-population matching the
@@ -128,23 +128,6 @@ impl SdlPublisher {
         self.publish_expr_on(&TabulationIndex::build(dataset), dataset, spec, expr)
     }
 
-    /// Publish a filtered marginal through an opaque closure.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use publish_expr(FilterExpr) — declarative filters share definitions with the release engine"
-    )]
-    pub fn publish_filtered<F>(
-        &self,
-        dataset: &Dataset,
-        spec: &MarginalSpec,
-        filter: F,
-    ) -> SdlRelease
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        self.publish_inner(&TabulationIndex::build(dataset), dataset, spec, filter)
-    }
-
     /// Like [`publish`](Self::publish), but tabulating the truth over a
     /// caller-provided [`TabulationIndex`] of `dataset`, so repeated
     /// publications share one index build.
@@ -154,7 +137,7 @@ impl SdlPublisher {
         dataset: &Dataset,
         spec: &MarginalSpec,
     ) -> SdlRelease {
-        self.publish_inner(index, dataset, spec, |_| true)
+        self.publish_inner(index, dataset, spec, None)
     }
 
     /// Declaratively filtered variant of [`publish_on`](Self::publish_on).
@@ -166,48 +149,27 @@ impl SdlPublisher {
         spec: &MarginalSpec,
         expr: &FilterExpr,
     ) -> SdlRelease {
-        let compiled = expr.compile(index);
-        self.publish_inner(index, dataset, spec, |w| compiled.matches(w))
+        self.publish_inner(index, dataset, spec, Some(expr))
     }
 
-    /// Closure-filtered variant of [`publish_on`](Self::publish_on).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use publish_expr_on(FilterExpr) — declarative filters share definitions with the release engine"
-    )]
-    pub fn publish_filtered_on<F>(
+    fn publish_inner(
         &self,
         index: &TabulationIndex,
         dataset: &Dataset,
         spec: &MarginalSpec,
-        filter: F,
-    ) -> SdlRelease
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        self.publish_inner(index, dataset, spec, filter)
-    }
-
-    fn publish_inner<F>(
-        &self,
-        index: &TabulationIndex,
-        dataset: &Dataset,
-        spec: &MarginalSpec,
-        filter: F,
-    ) -> SdlRelease
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
+        filter: Option<&FilterExpr>,
+    ) -> SdlRelease {
         // Noisy per-cell sums: every worker contributes its establishment's
         // factor. (Equivalent to Σ_w f_w·h(w,c) without materializing the
         // per-establishment histograms.)
-        let truth = index.marginal_filtered(spec, &filter);
+        let truth = index.marginal_sharded_with_kernel(spec, filter, 1, Kernel::Auto);
         let schema = truth.schema();
+        let compiled = filter.map(|expr| expr.compile(index));
 
         let mut noisy: BTreeMap<CellKey, f64> = BTreeMap::new();
         let mut values: Vec<u32> = Vec::with_capacity(schema.attrs().len());
         for worker in dataset.workers() {
-            if !filter(worker) {
+            if compiled.as_ref().is_some_and(|f| !f.matches(worker)) {
                 continue;
             }
             let wp = dataset.workplace(dataset.employer_of(worker.id));
@@ -372,13 +334,45 @@ mod tests {
     }
 
     #[test]
-    fn expr_publication_matches_closure_publication() {
+    fn expr_publication_restricts_to_the_filtered_population() {
         let (d, p) = setup();
-        let via_expr = p.publish_expr(&d, &workload1(), &tabulate::ranking2_expr());
-        #[allow(deprecated)]
-        let via_closure = p.publish_filtered(&d, &workload1(), tabulate::ranking2_filter);
-        assert_eq!(via_expr.published, via_closure.published);
-        assert_eq!(via_expr.truth.num_cells(), via_closure.truth.num_cells());
+        let expr = tabulate::ranking2_expr();
+        let release = p.publish_expr(&d, &workload1(), &expr);
+        // The truth is the filtered tabulation, and only its cells are
+        // published.
+        let truth = tabulate::compute_marginal_expr(&d, &workload1(), &expr);
+        assert_eq!(release.truth, truth);
+        assert!(release.truth.total() < p.publish(&d, &workload1()).truth.total());
+        assert!(release
+            .published
+            .keys()
+            .all(|key| truth.cell(*key).is_some()));
+        // The noisy sums count exactly the matching workers, judged by the
+        // reference record semantics (every cell not replaced by a
+        // small-cell draw).
+        let mut expected: BTreeMap<CellKey, f64> = BTreeMap::new();
+        for w in d.workers() {
+            let wp = d.workplace(d.employer_of(w.id));
+            if expr.matches_record(w, wp) {
+                let values: Vec<u32> = workload1()
+                    .workplace_attrs
+                    .iter()
+                    .map(|a| a.value(wp))
+                    .collect();
+                *expected
+                    .entry(truth.schema().encode(&values))
+                    .or_insert(0.0) += p.factors().factor(wp.id.0 as usize);
+            }
+        }
+        for (key, stats) in truth.iter() {
+            if !p.config().small_cell.applies(stats.count) {
+                assert_eq!(
+                    release.published[&key],
+                    expected[&key].round(),
+                    "cell {key:?}"
+                );
+            }
+        }
     }
 
     #[test]

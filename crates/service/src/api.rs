@@ -3,8 +3,7 @@
 //! Everything a tenant sends or receives is defined here, built from the
 //! core layer's serializable vocabulary: [`MarginalSpec`] and
 //! [`FilterExpr`] give release submissions a fully declarative identity
-//! (there is deliberately no closure escape hatch on the wire — every
-//! service release is cacheable and resume-verifiable), and audit
+//! (so every service release is cacheable and resume-verifiable), and audit
 //! responses reuse [`SeasonSummary`] and [`TabulationStats`] verbatim so
 //! the HTTP audit view is exactly the library's.
 

@@ -10,8 +10,11 @@
 //! and shuts down cooperatively.
 //!
 //! Hard limits keep a malicious or broken client from tying up a worker:
-//! headers are capped at [`MAX_HEAD_BYTES`], bodies at
-//! [`MAX_BODY_BYTES`], and every socket read carries a timeout.
+//! the request line and headers together are capped at
+//! [`MAX_HEAD_BYTES`] (every head line is read through a bounded
+//! [`Read::take`], so an endless line is cut off at the cap, not
+//! buffered), bodies at [`MAX_BODY_BYTES`], and every socket read
+//! carries a timeout.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -113,6 +116,26 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Read one head line (the request line or a header, newline included)
+/// through [`Read::take`], capped at what is left of the
+/// [`MAX_HEAD_BYTES`] budget: a line that reaches the cap without its
+/// newline is refused with 413 before another byte is buffered. A line
+/// cut short by the client closing is returned as read.
+fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, Response> {
+    let remaining = MAX_HEAD_BYTES - *head_bytes;
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(remaining as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| Response::error(400, &format!("unreadable request head: {e}")))?;
+    if line.len() == remaining && !line.ends_with(b"\n") {
+        return Err(Response::error(413, "request head too large"));
+    }
+    *head_bytes += line.len();
+    String::from_utf8(line).map_err(|_| Response::error(400, "request head is not UTF-8"))
+}
+
 /// Read and parse one request off `stream`. Errors are protocol-level
 /// (malformed request line, oversized head/body, timeout) and map to a
 /// 400/413 response by the caller.
@@ -120,11 +143,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| Response::error(400, &format!("unreadable request line: {e}")))?;
-    head_bytes += line.len();
+    let line = read_head_line(&mut reader, &mut head_bytes)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -142,14 +161,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| Response::error(400, &format!("unreadable header: {e}")))?;
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(Response::error(413, "request head too large"));
-        }
+        let header = read_head_line(&mut reader, &mut head_bytes)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -287,5 +299,65 @@ impl HttpServer {
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// A client streaming an endless request line is answered 413 as
+    /// soon as the head budget is spent — not after the read timeout,
+    /// and without buffering past the cap.
+    #[test]
+    fn endless_request_line_is_refused_at_the_head_cap() {
+        let handler: Handler = Arc::new(|_: &Request| Response::json(200, "{}"));
+        let mut server = HttpServer::serve("127.0.0.1:0", 1, handler).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        client.set_read_timeout(Some(READ_TIMEOUT * 2)).unwrap();
+        let started = Instant::now();
+        // No newline, and the socket stays open: only the cap can end
+        // the read.
+        client.write_all(&vec![b'a'; MAX_HEAD_BYTES + 1]).unwrap();
+        let mut response = Vec::new();
+        let _ = client.read_to_end(&mut response);
+        let elapsed = started.elapsed();
+        let response = String::from_utf8_lossy(&response);
+        assert!(
+            response.starts_with("HTTP/1.1 413 "),
+            "unexpected response: {response:?}"
+        );
+        assert!(
+            elapsed < READ_TIMEOUT / 2,
+            "refusal took {elapsed:?}, the read timeout is {READ_TIMEOUT:?}"
+        );
+        drop(client);
+        server.shutdown();
+    }
+
+    /// A head that fits the budget exactly is still served.
+    #[test]
+    fn head_of_exactly_the_cap_is_served() {
+        let handler: Handler =
+            Arc::new(|request: &Request| Response::json(200, request.path.clone()));
+        let mut server = HttpServer::serve("127.0.0.1:0", 1, handler).unwrap();
+        let head = |pad: usize| {
+            let prefix = "GET /ok HTTP/1.1\r\nX-Pad: ";
+            format!("{prefix}{}\r\n\r\n", "p".repeat(pad - prefix.len() - 4))
+        };
+        for (size, status) in [(MAX_HEAD_BYTES, "200"), (MAX_HEAD_BYTES + 1, "413")] {
+            let request = head(size);
+            assert_eq!(request.len(), size);
+            let mut client = TcpStream::connect(server.addr()).unwrap();
+            client.write_all(request.as_bytes()).unwrap();
+            let mut response = String::new();
+            let _ = client.read_to_string(&mut response);
+            assert!(
+                response.starts_with(&format!("HTTP/1.1 {status} ")),
+                "head of {size} bytes: {response:?}"
+            );
+        }
+        server.shutdown();
     }
 }

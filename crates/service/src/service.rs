@@ -1035,21 +1035,11 @@ fn spawn_worker(
             });
         }
     }
-    let mut plan = Vec::with_capacity(store.completed());
-    for release in store.releases() {
-        match ReleaseRequest::from_provenance(&release.request) {
-            Some(request) => plan.push(request),
-            None => {
-                return Err(StoreError::Inconsistent {
-                    detail: format!(
-                        "season `{name}` holds a closure-filtered release ({}) whose plan \
-                         cannot be reconstructed; it cannot be served",
-                        release.request.description
-                    ),
-                })
-            }
-        }
-    }
+    let plan: Vec<ReleaseRequest> = store
+        .releases()
+        .iter()
+        .map(|release| ReleaseRequest::from_provenance(&release.request))
+        .collect();
     let view = Arc::new(Mutex::new(SeasonView {
         summary: SeasonSummary {
             name: name.to_string(),
@@ -1132,10 +1122,9 @@ impl WorkerCtx {
                         // Publish to the released-artifact cache under
                         // the digest that keys this release: the pair
                         // digest for flows, the quarter's otherwise.
-                        // Every service release has a declarative
-                        // identity, so the key always exists; a
-                        // cache-write failure is only a lost
-                        // optimization, never a lost release.
+                        // Every release has a cache identity, so the
+                        // key always exists; a cache-write failure is
+                        // only a lost optimization, never a lost release.
                         let digest = if artifact.request.kind == RequestKind::Flows {
                             dataset_pair_digest(
                                 self.shared.quarters[self.quarter - 1].digest,

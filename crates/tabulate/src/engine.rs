@@ -51,10 +51,13 @@
 use crate::attr::MarginalSpec;
 use crate::cell::CellKey;
 use crate::cell::CellSchema;
+use crate::filter::{CompiledFilter, FilterExpr};
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, worker_subkeys, Kernel};
 use crate::marginal::{CellStats, Marginal};
-use lodes::{Dataset, Worker};
+use lodes::Dataset;
+#[cfg(feature = "reference")]
+use lodes::Worker;
 #[cfg(feature = "reference")]
 use std::collections::{BTreeMap, HashMap};
 
@@ -68,22 +71,6 @@ pub fn compute_marginal(dataset: &Dataset, spec: &MarginalSpec) -> Marginal {
     TabulationIndex::build(dataset).marginal(spec)
 }
 
-/// Evaluate a marginal over only the workers matching `filter`.
-///
-/// The filter models single-query workloads like Ranking 2 ("number of
-/// female employees with a bachelor's degree per place×industry×ownership
-/// cell"): group by workplace attributes while restricting the counted
-/// population. Establishment metadata (`x_v`, contributing-establishment
-/// counts) refer to the *filtered* population, matching Lemma 8.5's
-/// definition of `x_v` as the largest per-establishment count of workers
-/// matching the query condition.
-pub fn compute_marginal_filtered<F>(dataset: &Dataset, spec: &MarginalSpec, filter: F) -> Marginal
-where
-    F: Fn(&Worker) -> bool + Sync,
-{
-    TabulationIndex::build(dataset).marginal_filtered(spec, filter)
-}
-
 /// Evaluate a marginal over only the records matching the declarative
 /// filter `expr` (see [`crate::filter`]).
 ///
@@ -93,7 +80,7 @@ where
 pub fn compute_marginal_expr(
     dataset: &Dataset,
     spec: &MarginalSpec,
-    expr: &crate::filter::FilterExpr,
+    expr: &FilterExpr,
 ) -> Marginal {
     TabulationIndex::build(dataset).marginal_expr(spec, expr)
 }
@@ -108,39 +95,14 @@ impl TabulationIndex {
     /// `threads` scoped workers. The result is bit-identical at any
     /// thread count.
     pub fn marginal_sharded(&self, spec: &MarginalSpec, threads: usize) -> Marginal {
-        tabulate_index(self, spec, None, threads, Kernel::Auto)
-    }
-
-    /// [`marginal_sharded`](Self::marginal_sharded) with an explicit
-    /// [`Kernel`] choice. `Kernel::Scalar` forces the scalar key kernels;
-    /// the result is bit-identical to `Kernel::Auto` by construction (the
-    /// property tests assert it, the benchmark measures the difference).
-    pub fn marginal_sharded_with_kernel(
-        &self,
-        spec: &MarginalSpec,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        tabulate_index(self, spec, None, threads, kernel)
-    }
-
-    /// Evaluate `q_V` over only the workers matching `filter`,
-    /// single-threaded.
-    pub fn marginal_filtered<F>(&self, spec: &MarginalSpec, filter: F) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        self.marginal_filtered_sharded(spec, filter, 1)
+        self.marginal_sharded_with_kernel(spec, None, threads, Kernel::Auto)
     }
 
     /// Evaluate `q_V` over only the records matching the declarative
     /// filter `expr`, single-threaded. The expression is compiled against
     /// this index (workplace leaves resolved per establishment, worker
-    /// leaves collapsed into domain truth tables — see [`crate::filter`])
-    /// and then evaluated exactly like a closure filter, so the result is
-    /// bit-identical to [`marginal_filtered`](Self::marginal_filtered)
-    /// with the equivalent predicate.
-    pub fn marginal_expr(&self, spec: &MarginalSpec, expr: &crate::filter::FilterExpr) -> Marginal {
+    /// leaves collapsed into domain truth tables — see [`crate::filter`]).
+    pub fn marginal_expr(&self, spec: &MarginalSpec, expr: &FilterExpr) -> Marginal {
         self.marginal_expr_sharded(spec, expr, 1)
     }
 
@@ -150,54 +112,27 @@ impl TabulationIndex {
     pub fn marginal_expr_sharded(
         &self,
         spec: &MarginalSpec,
-        expr: &crate::filter::FilterExpr,
+        expr: &FilterExpr,
         threads: usize,
     ) -> Marginal {
-        self.marginal_expr_sharded_with_kernel(spec, expr, threads, Kernel::Auto)
+        self.marginal_sharded_with_kernel(spec, Some(expr), threads, Kernel::Auto)
     }
 
-    /// [`marginal_expr_sharded`](Self::marginal_expr_sharded) with an
-    /// explicit [`Kernel`] choice (see
-    /// [`marginal_sharded_with_kernel`](Self::marginal_sharded_with_kernel)).
-    pub fn marginal_expr_sharded_with_kernel(
+    /// The general evaluator: `q_V` over the records matching `filter`
+    /// (every record when `None`), sharded across up to `threads`
+    /// workers, with an explicit [`Kernel`] choice. `Kernel::Scalar`
+    /// forces the scalar key kernels; the result is bit-identical to
+    /// `Kernel::Auto` by construction (the property tests assert it, the
+    /// benchmark measures the difference).
+    pub fn marginal_sharded_with_kernel(
         &self,
         spec: &MarginalSpec,
-        expr: &crate::filter::FilterExpr,
+        filter: Option<&FilterExpr>,
         threads: usize,
         kernel: Kernel,
     ) -> Marginal {
-        let compiled = expr.compile(self);
-        self.marginal_filtered_sharded_with_kernel(spec, |w| compiled.matches(w), threads, kernel)
-    }
-
-    /// Evaluate a filtered marginal with a sharded establishment loop.
-    /// The result is bit-identical at any thread count.
-    pub fn marginal_filtered_sharded<F>(
-        &self,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        tabulate_index(self, spec, Some(&filter), threads, Kernel::Auto)
-    }
-
-    /// [`marginal_filtered_sharded`](Self::marginal_filtered_sharded) with
-    /// an explicit [`Kernel`] choice (see
-    /// [`marginal_sharded_with_kernel`](Self::marginal_sharded_with_kernel)).
-    pub fn marginal_filtered_sharded_with_kernel<F>(
-        &self,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        tabulate_index(self, spec, Some(&filter), threads, kernel)
+        let compiled = filter.map(|expr| expr.compile(self));
+        tabulate_index(self, spec, compiled.as_ref(), threads, kernel)
     }
 
     /// Advisory shard-count heuristic: the number of shards `threads`
@@ -244,7 +179,7 @@ pub(crate) struct ShardPlan<'a> {
     wk_strides: Vec<u16>,
     /// Worker sub-domain size — the dense scratch extent.
     worker_domain: usize,
-    filter: Option<&'a (dyn Fn(&Worker) -> bool + Sync)>,
+    filter: Option<&'a CompiledFilter>,
     kernel: Kernel,
 }
 
@@ -253,7 +188,7 @@ impl<'a> ShardPlan<'a> {
         index: &'a TabulationIndex,
         spec: &MarginalSpec,
         schema: &CellSchema,
-        filter: Option<&'a (dyn Fn(&Worker) -> bool + Sync)>,
+        filter: Option<&'a CompiledFilter>,
         kernel: Kernel,
     ) -> Self {
         let n_wp = spec.workplace_attrs.len();
@@ -287,7 +222,7 @@ impl<'a> ShardPlan<'a> {
 fn tabulate_index(
     index: &TabulationIndex,
     spec: &MarginalSpec,
-    filter: Option<&(dyn Fn(&Worker) -> bool + Sync)>,
+    filter: Option<&CompiledFilter>,
     threads: usize,
     kernel: Kernel,
 ) -> Marginal {
@@ -381,7 +316,7 @@ pub(crate) fn tabulate_shard(plan: &ShardPlan<'_>, lo: usize, hi: usize) -> Vec<
                 }
                 let count = match plan.filter {
                     None => range.len() as u32,
-                    Some(f) => workers[range].iter().filter(|w| f(w)).count() as u32,
+                    Some(f) => workers[range].iter().filter(|w| f.matches(w)).count() as u32,
                 };
                 if count > 0 {
                     let base = bases[e - batch_lo];
@@ -430,7 +365,7 @@ pub(crate) fn tabulate_shard(plan: &ShardPlan<'_>, lo: usize, hi: usize) -> Vec<
                 }
                 Some(f) => {
                     for i in range {
-                        if f(&workers[i]) {
+                        if f.matches(&workers[i]) {
                             let subkey = subkeys[i - span_start];
                             let slot = unsafe { scratch.get_unchecked_mut(subkey as usize) };
                             if *slot == 0 {
@@ -741,7 +676,7 @@ mod tests {
             assert_marginals_identical(&index.marginal(spec), &legacy);
             // Filtered path too.
             let legacy_f = compute_marginal_filtered_legacy(&d, spec, |w| w.sex == Sex::Female);
-            let indexed_f = index.marginal_filtered(spec, |w| w.sex == Sex::Female);
+            let indexed_f = index.marginal_expr(spec, &FilterExpr::sex(Sex::Female));
             assert_marginals_identical(&indexed_f, &legacy_f);
         }
     }
@@ -762,9 +697,10 @@ mod tests {
         for threads in [2, 3, 7, 64] {
             assert_marginals_identical(&index.marginal_sharded(&spec, threads), &reference);
         }
-        let filtered_ref = index.marginal_filtered_sharded(&spec, |w| w.sex == Sex::Male, 1);
+        let male = FilterExpr::sex(Sex::Male);
+        let filtered_ref = index.marginal_expr_sharded(&spec, &male, 1);
         for threads in [2, 5, 16] {
-            let m = index.marginal_filtered_sharded(&spec, |w| w.sex == Sex::Male, threads);
+            let m = index.marginal_expr_sharded(&spec, &male, threads);
             assert_marginals_identical(&m, &filtered_ref);
         }
     }
@@ -791,24 +727,16 @@ mod tests {
                 ],
             ),
         ];
+        let female = FilterExpr::sex(Sex::Female);
         for spec in &specs {
             for threads in [1, 3] {
-                let scalar = index.marginal_sharded_with_kernel(spec, threads, Kernel::Scalar);
-                let auto = index.marginal_sharded_with_kernel(spec, threads, Kernel::Auto);
-                assert_marginals_identical(&auto, &scalar);
-                let scalar_f = index.marginal_filtered_sharded_with_kernel(
-                    spec,
-                    |w| w.sex == Sex::Female,
-                    threads,
-                    Kernel::Scalar,
-                );
-                let auto_f = index.marginal_filtered_sharded_with_kernel(
-                    spec,
-                    |w| w.sex == Sex::Female,
-                    threads,
-                    Kernel::Auto,
-                );
-                assert_marginals_identical(&auto_f, &scalar_f);
+                for filter in [None, Some(&female)] {
+                    let scalar =
+                        index.marginal_sharded_with_kernel(spec, filter, threads, Kernel::Scalar);
+                    let auto =
+                        index.marginal_sharded_with_kernel(spec, filter, threads, Kernel::Auto);
+                    assert_marginals_identical(&auto, &scalar);
+                }
             }
         }
     }
@@ -846,8 +774,8 @@ mod tests {
     fn filtered_marginal_counts_only_matching_workers() {
         let d = dataset();
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Naics], vec![]);
-        let females = compute_marginal_filtered(&d, &spec, |w| w.sex == Sex::Female);
-        let males = compute_marginal_filtered(&d, &spec, |w| w.sex == Sex::Male);
+        let females = compute_marginal_expr(&d, &spec, &FilterExpr::sex(Sex::Female));
+        let males = compute_marginal_expr(&d, &spec, &FilterExpr::sex(Sex::Male));
         let all = compute_marginal(&d, &spec);
         assert_eq!(females.total() + males.total(), all.total());
         // Filtered x_v never exceeds unfiltered x_v.
@@ -862,7 +790,8 @@ mod tests {
     fn empty_filter_yields_empty_marginal() {
         let d = dataset();
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Place], vec![]);
-        let m = compute_marginal_filtered(&d, &spec, |_| false);
+        // An empty disjunction matches no record.
+        let m = compute_marginal_expr(&d, &spec, &FilterExpr::Or(vec![]));
         assert_eq!(m.num_cells(), 0);
         assert_eq!(m.total(), 0);
         // The legacy reference agrees (and its capacity heuristic now

@@ -37,8 +37,8 @@
 //! [`FilterExpr::matches_record`] is the reference semantics: evaluate
 //! the tree against one `(worker, workplace)` record pair. The production
 //! path is [`FilterExpr::compile`], which specializes the expression
-//! against a [`TabulationIndex`] into a [`CompiledFilter`] usable as the
-//! `Fn(&Worker) -> bool` closure the tabulation engine consumes:
+//! against a [`TabulationIndex`] into the [`CompiledFilter`] the
+//! tabulation scatter loop consults:
 //!
 //! * every workplace leaf is evaluated once per **establishment** from
 //!   the index's columnar workplace codes, and establishments are deduped
@@ -421,9 +421,9 @@ impl FilterExpr {
         }
     }
 
-    /// Specialize this expression against `index` into the closure form
-    /// the tabulation engine consumes; see the [module docs](self) for
-    /// the pattern/truth-table construction.
+    /// Specialize this expression against `index` into the form the
+    /// tabulation engine consumes; see the [module docs](self) for the
+    /// pattern/truth-table construction.
     pub fn compile(&self, index: &TabulationIndex) -> CompiledFilter {
         // 1. Evaluate every workplace leaf per establishment and dedupe
         //    establishments into distinct leaf-truth patterns.
@@ -478,7 +478,7 @@ impl FilterExpr {
                     .collect()
             })
             .collect();
-        // 3. Workers reach the closure as `&Worker` (in whatever order the
+        // 3. Workers reach `matches` as `&Worker` (in whatever order the
         //    caller iterates), so establishment lookup goes through the
         //    dense worker id — a filter-independent column the index
         //    built once and shares with every compiled filter.
@@ -656,8 +656,6 @@ impl CompiledFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::MarginalSpec;
-    use crate::engine::compute_marginal_filtered;
     use lodes::{Dataset, Generator, GeneratorConfig};
 
     fn dataset() -> Dataset {
@@ -742,22 +740,22 @@ mod tests {
         }
     }
 
+    #[cfg(feature = "reference")]
     #[test]
-    fn expr_marginal_matches_closure_marginal() {
+    fn expr_marginal_matches_reference_marginal() {
         let d = dataset();
         let index = TabulationIndex::build(&d);
-        let spec = MarginalSpec::new(
+        let spec = crate::attr::MarginalSpec::new(
             vec![WorkplaceAttr::Naics, WorkplaceAttr::Ownership],
             vec![crate::attr::WorkerAttr::Sex],
         );
         let expr = ranking2().or(FilterExpr::in_place(PlaceId(0)));
         let via_expr = index.marginal_expr(&spec, &expr);
-        let via_closure = compute_marginal_filtered(&d, &spec, |w| {
-            let wp = d.workplace(d.employer_of(w.id));
-            expr.matches_record(w, wp)
+        let reference = crate::engine::compute_marginal_filtered_legacy(&d, &spec, |w| {
+            expr.matches_record(w, d.workplace(d.employer_of(w.id)))
         });
-        assert_eq!(via_expr.num_cells(), via_closure.num_cells());
-        for ((ka, sa), (kb, sb)) in via_expr.iter().zip(via_closure.iter()) {
+        assert_eq!(via_expr.num_cells(), reference.num_cells());
+        for ((ka, sa), (kb, sb)) in via_expr.iter().zip(reference.iter()) {
             assert_eq!(ka, kb);
             assert_eq!(sa, sb);
         }

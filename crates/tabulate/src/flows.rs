@@ -35,9 +35,10 @@
 
 use crate::attr::{Attr, MarginalSpec};
 use crate::cell::{CellKey, CellSchema};
+use crate::filter::{CompiledFilter, FilterExpr};
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, Kernel};
-use lodes::{Dataset, Worker};
+use lodes::Dataset;
 use serde::{get_field, DeError, Deserialize, Serialize, Value};
 #[cfg(feature = "reference")]
 use std::collections::BTreeMap;
@@ -303,74 +304,45 @@ impl TabulationIndex {
         spec: &MarginalSpec,
         threads: usize,
     ) -> FlowMarginal {
-        tabulate_flows(self, after, spec, None, threads, Kernel::Auto)
-    }
-
-    /// [`flows_sharded`](Self::flows_sharded) with an explicit [`Kernel`]
-    /// choice. `Kernel::Scalar` forces the scalar establishment-key
-    /// kernel; the result is bit-identical to `Kernel::Auto` by
-    /// construction.
-    pub fn flows_sharded_with_kernel(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        threads: usize,
-        kernel: Kernel,
-    ) -> FlowMarginal {
-        tabulate_flows(self, after, spec, None, threads, kernel)
-    }
-
-    /// Tabulate job flows over only the workers matching `filter` — on
-    /// both sides of the pair — with a sharded establishment loop.
-    pub fn flows_filtered_sharded<F>(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> FlowMarginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        tabulate_flows(self, after, spec, Some(&filter), threads, Kernel::Auto)
-    }
-
-    /// [`flows_filtered_sharded`](Self::flows_filtered_sharded) with an
-    /// explicit [`Kernel`] choice.
-    pub fn flows_filtered_sharded_with_kernel<F>(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-        kernel: Kernel,
-    ) -> FlowMarginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        tabulate_flows(self, after, spec, Some(&filter), threads, kernel)
+        self.flows_sharded_with_kernel(after, spec, None, threads, Kernel::Auto)
     }
 
     /// Tabulate job flows over only the records matching the declarative
-    /// filter `expr`, compiled against each quarter's index separately
-    /// (the worker-domain truth tables agree; workplace leaves resolve
-    /// against each quarter's own establishment column).
+    /// filter `expr` — on both sides of the pair — with a sharded
+    /// establishment loop.
     pub fn flows_expr_sharded(
         &self,
         after: &TabulationIndex,
         spec: &MarginalSpec,
-        expr: &crate::filter::FilterExpr,
+        expr: &FilterExpr,
         threads: usize,
     ) -> FlowMarginal {
-        let before_filter = expr.compile(self);
-        let after_filter = expr.compile(after);
-        tabulate_flows_split(
+        self.flows_sharded_with_kernel(after, spec, Some(expr), threads, Kernel::Auto)
+    }
+
+    /// The general flow evaluator: job flows over the records matching
+    /// `filter` (every record when `None`), with an explicit [`Kernel`]
+    /// choice. The filter is compiled against each quarter's index
+    /// separately (the worker-domain truth tables agree; workplace leaves
+    /// resolve against each quarter's own establishment column).
+    /// `Kernel::Scalar` forces the scalar establishment-key kernel; the
+    /// result is bit-identical to `Kernel::Auto` by construction.
+    pub fn flows_sharded_with_kernel(
+        &self,
+        after: &TabulationIndex,
+        spec: &MarginalSpec,
+        filter: Option<&FilterExpr>,
+        threads: usize,
+        kernel: Kernel,
+    ) -> FlowMarginal {
+        let compiled = filter.map(|expr| (expr.compile(self), expr.compile(after)));
+        tabulate_flows(
             self,
             after,
             spec,
-            Some((&|w| before_filter.matches(w), &|w| after_filter.matches(w))),
+            compiled.as_ref().map(|(b, a)| (b, a)),
             threads,
-            Kernel::Auto,
+            kernel,
         )
     }
 }
@@ -391,22 +363,8 @@ pub fn compute_flows(before: &Dataset, after: &Dataset, spec: &MarginalSpec) -> 
     TabulationIndex::build(before).flows(&TabulationIndex::build(after), spec)
 }
 
-/// One filter applied to both sides of the pair.
-type PairFilter<'a> = (
-    &'a (dyn Fn(&Worker) -> bool + Sync),
-    &'a (dyn Fn(&Worker) -> bool + Sync),
-);
-
-fn tabulate_flows(
-    before: &TabulationIndex,
-    after: &TabulationIndex,
-    spec: &MarginalSpec,
-    filter: Option<&(dyn Fn(&Worker) -> bool + Sync)>,
-    threads: usize,
-    kernel: Kernel,
-) -> FlowMarginal {
-    tabulate_flows_split(before, after, spec, filter.map(|f| (f, f)), threads, kernel)
-}
+/// One filter compiled against each side of the pair.
+type PairFilter<'a> = (&'a CompiledFilter, &'a CompiledFilter);
 
 /// Per-shard flow tabulation state, borrowed immutably by every worker
 /// thread. Also built by [`crate::region`] to tabulate each region shard
@@ -501,7 +459,7 @@ pub(crate) fn flow_shard(plan: &FlowPlan<'_>, lo: usize, hi: usize) -> Vec<(u64,
 /// The indexed flow evaluator: shard the shared establishment frame,
 /// tabulate sorted runs of per-establishment `(key, before, after)`
 /// contributions, k-way merge into [`FlowStats`].
-fn tabulate_flows_split(
+fn tabulate_flows(
     before: &TabulationIndex,
     after: &TabulationIndex,
     spec: &MarginalSpec,
@@ -540,15 +498,14 @@ fn tabulate_flows_split(
 
 /// One quarter's (possibly filtered) employment of establishment `e`.
 #[inline]
-fn side_count(
-    index: &TabulationIndex,
-    e: usize,
-    filter: Option<&(dyn Fn(&Worker) -> bool + Sync)>,
-) -> u32 {
+fn side_count(index: &TabulationIndex, e: usize, filter: Option<&CompiledFilter>) -> u32 {
     let range = index.worker_range(e);
     match filter {
         None => range.len() as u32,
-        Some(f) => index.workers()[range].iter().filter(|w| f(w)).count() as u32,
+        Some(f) => index.workers()[range]
+            .iter()
+            .filter(|w| f.matches(w))
+            .count() as u32,
     }
 }
 
@@ -725,6 +682,7 @@ mod tests {
         let p = panel();
         let before = TabulationIndex::build(p.quarter(0));
         let after = TabulationIndex::build(p.quarter(1));
+        let female = FilterExpr::sex(lodes::Sex::Female);
         let specs = [
             MarginalSpec::new(vec![], vec![]),
             MarginalSpec::new(vec![WorkplaceAttr::Naics], vec![]),
@@ -739,26 +697,24 @@ mod tests {
         ];
         for spec in &specs {
             for threads in [1, 3] {
-                let scalar =
-                    before.flows_sharded_with_kernel(&after, spec, threads, Kernel::Scalar);
-                let auto = before.flows_sharded_with_kernel(&after, spec, threads, Kernel::Auto);
-                assert_eq!(auto, scalar);
-                assert_eq!(auto.content_digest(), scalar.content_digest());
-                let scalar_f = before.flows_filtered_sharded_with_kernel(
-                    &after,
-                    spec,
-                    |w| w.sex == lodes::Sex::Female,
-                    threads,
-                    Kernel::Scalar,
-                );
-                let auto_f = before.flows_filtered_sharded_with_kernel(
-                    &after,
-                    spec,
-                    |w| w.sex == lodes::Sex::Female,
-                    threads,
-                    Kernel::Auto,
-                );
-                assert_eq!(auto_f, scalar_f);
+                for filter in [None, Some(&female)] {
+                    let scalar = before.flows_sharded_with_kernel(
+                        &after,
+                        spec,
+                        filter,
+                        threads,
+                        Kernel::Scalar,
+                    );
+                    let auto = before.flows_sharded_with_kernel(
+                        &after,
+                        spec,
+                        filter,
+                        threads,
+                        Kernel::Auto,
+                    );
+                    assert_eq!(auto, scalar);
+                    assert_eq!(auto.content_digest(), scalar.content_digest());
+                }
             }
         }
     }
@@ -771,8 +727,8 @@ mod tests {
         let before = TabulationIndex::build(p.quarter(0));
         let after = TabulationIndex::build(p.quarter(1));
         let all = before.flows_sharded(&after, &spec, 2);
-        let female = before.flows_filtered_sharded(&after, &spec, |w| w.sex == Sex::Female, 2);
-        let male = before.flows_filtered_sharded(&after, &spec, |w| w.sex == Sex::Male, 2);
+        let female = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Female), 2);
+        let male = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Male), 2);
         assert_eq!(
             female.totals().beginning + male.totals().beginning,
             all.totals().beginning
@@ -781,10 +737,9 @@ mod tests {
             female.totals().ending + male.totals().ending,
             all.totals().ending
         );
-        // The declarative-filter path agrees with the closure path.
-        let expr = crate::filter::FilterExpr::sex(Sex::Female);
-        let via_expr = before.flows_expr_sharded(&after, &spec, &expr, 3);
-        assert_eq!(via_expr, female);
+        // The shard count never changes a filtered flow cell.
+        let three = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Female), 3);
+        assert_eq!(three, female);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! Sub-population workloads (Ranking 2, OnTheMap-style extracts) restrict
 //! the tabulated population with a declarative [`FilterExpr`] — a
 //! serializable AST over worker and workplace attributes with a stable
-//! content digest ([`FilterId`]) — compiled against the index into the
-//! same closure form the raw `Fn(&Worker) -> bool` API consumes; see
-//! [`filter`].
+//! content digest ([`FilterId`]) — compiled against the index into a
+//! [`CompiledFilter`]; it is the only population filter the evaluators
+//! accept. See [`filter`].
 
 // Marginals, specs, filters, and the index are agency-facing API surface;
 // undocumented additions fail `cargo doc -D warnings` in CI.
@@ -53,7 +53,7 @@ pub mod workload;
 pub use area::{area_comparison, validate_disjoint, AreaSelection, OverlapError};
 pub use attr::{Attr, MarginalSpec, WorkerAttr, WorkplaceAttr};
 pub use cell::{CellKey, CellSchema};
-pub use engine::{compute_marginal, compute_marginal_expr, compute_marginal_filtered};
+pub use engine::{compute_marginal, compute_marginal_expr};
 #[cfg(feature = "reference")]
 pub use engine::{compute_marginal_filtered_legacy, compute_marginal_legacy};
 pub use filter::{Cmp, CompiledFilter, FilterExpr, FilterId};

@@ -28,10 +28,8 @@
 //!   commutative.
 //!
 //! **Worker ids are shard-local.** Each shard's index rebases worker ids
-//! dense-per-shard (see [`IndexBuilder`]); declarative [`FilterExpr`]
-//! filters are unaffected (compiled per shard, they read attributes
-//! only), but raw closure filters that inspect `Worker::id` would see
-//! local ids — the engine's filters never do.
+//! dense-per-shard (see [`IndexBuilder`]); a [`FilterExpr`] is compiled
+//! once per shard, against that shard's own ids.
 //!
 //! [`DatasetIndex`] is the dispatch layer the release engine holds: a
 //! flat index for ordinary datasets, a [`RegionShardedIndex`] above a
@@ -40,16 +38,13 @@
 use crate::attr::MarginalSpec;
 use crate::cell::CellSchema;
 use crate::engine::{merge_runs, tabulate_shard, ShardPlan, MIN_SHARD_WORKERS};
-use crate::filter::FilterExpr;
+use crate::filter::{CompiledFilter, FilterExpr};
 use crate::flows::{flow_shard, merge_flow_runs, FlowMarginal, FlowPlan};
 use crate::index::{cards_from_geography, schema_from_cards, IndexBuilder, TabulationIndex};
 use crate::kernel::Kernel;
 use crate::marginal::Marginal;
 use lodes::{Dataset, Geography, Worker, WorkerId, Workplace};
 use std::sync::Arc;
-
-/// A per-shard optional worker predicate, borrowed for one evaluation.
-type ShardFilter<'a> = Option<&'a (dyn Fn(&Worker) -> bool + Sync)>;
 
 /// One state's slice of the universe: its home-state id plus a flat
 /// [`TabulationIndex`] over exactly its establishments.
@@ -141,90 +136,42 @@ impl RegionShardedIndex {
     /// scoped workers among them in proportion to shard worker counts.
     /// Bit-identical to the flat index's result at any thread count.
     pub fn marginal_sharded(&self, spec: &MarginalSpec, threads: usize) -> Marginal {
-        self.marginal_sharded_with_kernel(spec, threads, Kernel::Auto)
-    }
-
-    /// [`marginal_sharded`](Self::marginal_sharded) with an explicit
-    /// [`Kernel`] choice.
-    pub fn marginal_sharded_with_kernel(
-        &self,
-        spec: &MarginalSpec,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        let filters = vec![None; self.shards.len()];
-        self.marginal_with_filters(spec, filters, threads, kernel)
-    }
-
-    /// Evaluate `q_V` over only the workers matching `filter`. The
-    /// closure receives shard-local worker records (rebased ids — see the
-    /// [module docs](self)); attribute-based predicates behave exactly as
-    /// on a flat index.
-    pub fn marginal_filtered_sharded<F>(
-        &self,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        let f: &(dyn Fn(&Worker) -> bool + Sync) = &filter;
-        let filters = vec![Some(f); self.shards.len()];
-        self.marginal_with_filters(spec, filters, threads, Kernel::Auto)
+        self.marginal_sharded_with_kernel(spec, None, threads, Kernel::Auto)
     }
 
     /// Evaluate `q_V` over only the records matching the declarative
-    /// filter `expr`, compiled once per shard (workplace leaves resolve
-    /// against each shard's own establishment columns). Bit-identical to
-    /// the flat index's [`TabulationIndex::marginal_expr_sharded`].
+    /// filter `expr`. Bit-identical to the flat index's
+    /// [`TabulationIndex::marginal_expr_sharded`].
     pub fn marginal_expr_sharded(
         &self,
         spec: &MarginalSpec,
         expr: &FilterExpr,
         threads: usize,
     ) -> Marginal {
-        self.marginal_expr_sharded_with_kernel(spec, expr, threads, Kernel::Auto)
+        self.marginal_sharded_with_kernel(spec, Some(expr), threads, Kernel::Auto)
     }
 
-    /// [`marginal_expr_sharded`](Self::marginal_expr_sharded) with an
-    /// explicit [`Kernel`] choice.
-    pub fn marginal_expr_sharded_with_kernel(
+    /// The general evaluator (see
+    /// [`TabulationIndex::marginal_sharded_with_kernel`]): `filter` is
+    /// compiled once per region shard (workplace leaves resolve against
+    /// each shard's own establishment columns), threads are budgeted in
+    /// proportion to shard worker counts, every establishment window is
+    /// tabulated in one scope, and all runs merge by the deterministic
+    /// k-way merge.
+    pub fn marginal_sharded_with_kernel(
         &self,
         spec: &MarginalSpec,
-        expr: &FilterExpr,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        let compiled: Vec<_> = self.shards.iter().map(|s| expr.compile(&s.index)).collect();
-        let closures: Vec<_> = compiled
-            .iter()
-            .map(|c| move |w: &Worker| c.matches(w))
-            .collect();
-        let filters: Vec<ShardFilter<'_>> = closures
-            .iter()
-            .map(|c| Some(c as &(dyn Fn(&Worker) -> bool + Sync)))
-            .collect();
-        self.marginal_with_filters(spec, filters, threads, kernel)
-    }
-
-    /// The sharded evaluator core: one [`ShardPlan`] per region shard
-    /// (with that shard's filter), worker-proportional thread budgets,
-    /// every establishment window tabulated in one scope, all runs merged
-    /// by the deterministic k-way merge.
-    fn marginal_with_filters(
-        &self,
-        spec: &MarginalSpec,
-        filters: Vec<ShardFilter<'_>>,
+        filter: Option<&FilterExpr>,
         threads: usize,
         kernel: Kernel,
     ) -> Marginal {
         let schema = self.schema(spec);
+        let compiled = self.compile_per_shard(filter);
         let plans: Vec<ShardPlan<'_>> = self
             .shards
             .iter()
-            .zip(&filters)
-            .map(|(s, &f)| ShardPlan::new(&s.index, spec, &schema, f, kernel))
+            .zip(&compiled)
+            .map(|(s, f)| ShardPlan::new(&s.index, spec, &schema, f.as_ref(), kernel))
             .collect();
         let tasks = self.plan_tasks(threads);
         let runs: Vec<Vec<(u64, u32)>> = if threads.max(1) <= 1 {
@@ -246,6 +193,14 @@ impl RegionShardedIndex {
             })
         };
         Marginal::from_sorted(spec.clone(), schema, merge_runs(runs))
+    }
+
+    /// `filter` compiled against every shard's index, in shard order.
+    fn compile_per_shard(&self, filter: Option<&FilterExpr>) -> Vec<Option<CompiledFilter>> {
+        self.shards
+            .iter()
+            .map(|s| filter.map(|expr| expr.compile(&s.index)))
+            .collect()
     }
 
     /// Split `threads` across region shards in proportion to worker
@@ -281,31 +236,7 @@ impl RegionShardedIndex {
         spec: &MarginalSpec,
         threads: usize,
     ) -> FlowMarginal {
-        self.flows_with_filters(
-            after,
-            spec,
-            vec![None; self.shards.len()],
-            threads,
-            Kernel::Auto,
-        )
-    }
-
-    /// Tabulate job flows over only the workers matching `filter` on both
-    /// sides of the pair (shard-local worker records, as with
-    /// [`marginal_filtered_sharded`](Self::marginal_filtered_sharded)).
-    pub fn flows_filtered_sharded<F>(
-        &self,
-        after: &RegionShardedIndex,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> FlowMarginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        let f: &(dyn Fn(&Worker) -> bool + Sync) = &filter;
-        let filters = vec![Some((f, f)); self.shards.len()];
-        self.flows_with_filters(after, spec, filters, threads, Kernel::Auto)
+        self.flows_with_filter(after, spec, None, threads)
     }
 
     /// Tabulate job flows over only the records matching the declarative
@@ -317,50 +248,18 @@ impl RegionShardedIndex {
         expr: &FilterExpr,
         threads: usize,
     ) -> FlowMarginal {
-        let before_compiled: Vec<_> = self.shards.iter().map(|s| expr.compile(&s.index)).collect();
-        let after_compiled: Vec<_> = after
-            .shards
-            .iter()
-            .map(|s| expr.compile(&s.index))
-            .collect();
-        let closures: Vec<_> = before_compiled
-            .iter()
-            .zip(&after_compiled)
-            .map(|(b, a)| {
-                (
-                    move |w: &Worker| b.matches(w),
-                    move |w: &Worker| a.matches(w),
-                )
-            })
-            .collect();
-        let filters: Vec<_> = closures
-            .iter()
-            .map(|(b, a)| {
-                Some((
-                    b as &(dyn Fn(&Worker) -> bool + Sync),
-                    a as &(dyn Fn(&Worker) -> bool + Sync),
-                ))
-            })
-            .collect();
-        self.flows_with_filters(after, spec, filters, threads, Kernel::Auto)
+        self.flows_with_filter(after, spec, Some(expr), threads)
     }
 
     /// The sharded flow evaluator core: one [`FlowPlan`] per aligned
     /// shard pair, the same worker-proportional task split as marginals,
     /// merged by the deterministic flow merge.
-    #[allow(clippy::type_complexity)]
-    fn flows_with_filters(
+    fn flows_with_filter(
         &self,
         after: &RegionShardedIndex,
         spec: &MarginalSpec,
-        filters: Vec<
-            Option<(
-                &(dyn Fn(&Worker) -> bool + Sync),
-                &(dyn Fn(&Worker) -> bool + Sync),
-            )>,
-        >,
+        filter: Option<&FilterExpr>,
         threads: usize,
-        kernel: Kernel,
     ) -> FlowMarginal {
         assert_eq!(
             self.shards.len(),
@@ -368,17 +267,20 @@ impl RegionShardedIndex {
             "flow tabulation requires matching region shard structures"
         );
         let schema = self.schema(spec);
+        let before_compiled = self.compile_per_shard(filter);
+        let after_compiled = after.compile_per_shard(filter);
         let plans: Vec<FlowPlan<'_>> = self
             .shards
             .iter()
             .zip(&after.shards)
-            .zip(&filters)
-            .map(|((b, a), &f)| {
+            .zip(before_compiled.iter().zip(&after_compiled))
+            .map(|((b, a), (bf, af))| {
                 assert_eq!(
                     b.state, a.state,
                     "flow tabulation requires matching region shard structures"
                 );
-                FlowPlan::new(&b.index, &a.index, spec, &schema, f, kernel)
+                let filters = bf.as_ref().zip(af.as_ref());
+                FlowPlan::new(&b.index, &a.index, spec, &schema, filters, Kernel::Auto)
             })
             .collect();
         let tasks = self.plan_tasks(threads);
@@ -560,24 +462,6 @@ impl DatasetIndex {
         }
     }
 
-    /// Evaluate a closure-filtered `q_V`; see
-    /// [`TabulationIndex::marginal_filtered_sharded`]. On the sharded
-    /// representation the closure sees shard-local worker records.
-    pub fn marginal_filtered_sharded<F>(
-        &self,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        match self {
-            Self::Single(i) => i.marginal_filtered_sharded(spec, filter, threads),
-            Self::Sharded(s) => s.marginal_filtered_sharded(spec, filter, threads),
-        }
-    }
-
     /// Evaluate a declaratively filtered `q_V`; see
     /// [`TabulationIndex::marginal_expr_sharded`].
     pub fn marginal_expr_sharded(
@@ -608,29 +492,6 @@ impl DatasetIndex {
         match (self, after) {
             (Self::Single(b), Self::Single(a)) => b.flows_sharded(a, spec, threads),
             (Self::Sharded(b), Self::Sharded(a)) => b.flows_sharded(a, spec, threads),
-            _ => panic!("flow tabulation requires both quarters in the same index representation"),
-        }
-    }
-
-    /// Tabulate closure-filtered job flows to `after`; see
-    /// [`TabulationIndex::flows_filtered_sharded`].
-    pub fn flows_filtered_sharded<F>(
-        &self,
-        after: &DatasetIndex,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> FlowMarginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        match (self, after) {
-            (Self::Single(b), Self::Single(a)) => {
-                b.flows_filtered_sharded(a, spec, filter, threads)
-            }
-            (Self::Sharded(b), Self::Sharded(a)) => {
-                b.flows_filtered_sharded(a, spec, filter, threads)
-            }
             _ => panic!("flow tabulation requires both quarters in the same index representation"),
         }
     }
@@ -712,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_filtered_and_expr_marginals_match_flat_index() {
+    fn sharded_expr_marginals_match_flat_index() {
         let d = dataset();
         let flat = TabulationIndex::build(&d);
         let sharded = RegionShardedIndex::build(&d);
@@ -720,15 +581,18 @@ mod tests {
             vec![WorkplaceAttr::Naics],
             vec![WorkerAttr::Age, WorkerAttr::Education],
         );
-        for threads in [1, 3] {
-            let f = sharded.marginal_filtered_sharded(&spec, |w| w.sex == Sex::Female, threads);
-            assert_marginals_identical(
-                &f,
-                &flat.marginal_filtered_sharded(&spec, |w| w.sex == Sex::Female, 1),
-            );
-            let expr = FilterExpr::sex(Sex::Female);
-            let e = sharded.marginal_expr_sharded(&spec, &expr, threads);
-            assert_marginals_identical(&e, &f);
+        // A worker-only and a workplace-leaf expression: the latter
+        // compiles to different establishment patterns in every shard.
+        let exprs = [
+            FilterExpr::sex(Sex::Female),
+            FilterExpr::in_state(lodes::StateId(0)).or(FilterExpr::sex(Sex::Male)),
+        ];
+        for expr in &exprs {
+            let reference = flat.marginal_expr_sharded(&spec, expr, 1);
+            for threads in [1, 3] {
+                let e = sharded.marginal_expr_sharded(&spec, expr, threads);
+                assert_marginals_identical(&e, &reference);
+            }
         }
     }
 
@@ -783,15 +647,13 @@ mod tests {
             assert_eq!(sharded, flat);
             assert_eq!(sharded.content_digest(), flat.content_digest());
         }
-        // Filtered and declarative paths agree too.
-        let filtered_flat =
-            flat_b.flows_filtered_sharded(&flat_a, &spec, |w| w.sex == Sex::Male, 1);
-        let filtered_sharded =
-            shard_b.flows_filtered_sharded(&shard_a, &spec, |w| w.sex == Sex::Male, 2);
-        assert_eq!(filtered_sharded, filtered_flat);
+        // Filtered flows agree too.
         let expr = FilterExpr::sex(Sex::Male);
-        let expr_sharded = shard_b.flows_expr_sharded(&shard_a, &spec, &expr, 2);
-        assert_eq!(expr_sharded, filtered_flat);
+        let filtered_flat = flat_b.flows_expr_sharded(&flat_a, &spec, &expr, 1);
+        for threads in [1, 2] {
+            let filtered_sharded = shard_b.flows_expr_sharded(&shard_a, &spec, &expr, threads);
+            assert_eq!(filtered_sharded, filtered_flat);
+        }
     }
 
     #[test]

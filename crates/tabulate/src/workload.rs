@@ -51,10 +51,8 @@ pub fn workload2() -> MarginalSpec {
 /// Worker filter for Ranking 2: female workers with a bachelor's degree or
 /// higher.
 ///
-/// This is the raw-closure form; release pipelines should prefer
-/// [`ranking2_expr`], whose identity is serializable and
-/// provenance-checkable. The closure survives as the reference the
-/// equivalence tests compare the AST against.
+/// The hand-written predicate [`ranking2_expr`] is checked against; the
+/// tabulation engine itself only accepts the declarative form.
 pub fn ranking2_filter(worker: &Worker) -> bool {
     worker.sex == Sex::Female && worker.education == Education::BachelorOrHigher
 }
@@ -71,7 +69,8 @@ pub fn ranking2_expr() -> FilterExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{compute_marginal, compute_marginal_filtered};
+    use crate::engine::{compute_marginal, compute_marginal_expr};
+    use crate::index::TabulationIndex;
     use lodes::{Generator, GeneratorConfig};
 
     #[test]
@@ -92,7 +91,7 @@ mod tests {
         let w3 = compute_marginal(&d, &workload3());
         // Slice: sex = Female(1), education = BachelorOrHigher(3).
         let sliced = w3.slice_worker_attrs(&[(WorkerAttr::Sex, 1), (WorkerAttr::Education, 3)]);
-        let filtered = compute_marginal_filtered(&d, &workload1(), ranking2_filter);
+        let filtered = compute_marginal_expr(&d, &workload1(), &ranking2_expr());
         // Both routes must agree cell-by-cell.
         assert_eq!(sliced.len(), filtered.num_cells());
         for (key, stats) in filtered.iter() {
@@ -103,11 +102,19 @@ mod tests {
     #[test]
     fn ranking2_expr_matches_ranking2_filter() {
         let d = Generator::new(GeneratorConfig::test_small(8)).generate();
-        let via_closure = compute_marginal_filtered(&d, &workload1(), ranking2_filter);
-        let via_expr = crate::engine::compute_marginal_expr(&d, &workload1(), &ranking2_expr());
-        assert_eq!(via_expr.num_cells(), via_closure.num_cells());
-        for ((ka, sa), (kb, sb)) in via_expr.iter().zip(via_closure.iter()) {
-            assert_eq!((ka, sa), (kb, sb));
+        let compiled = ranking2_expr().compile(&TabulationIndex::build(&d));
+        for w in d.workers() {
+            assert_eq!(compiled.matches(w), ranking2_filter(w), "worker {:?}", w.id);
+        }
+        #[cfg(feature = "reference")]
+        {
+            let reference =
+                crate::engine::compute_marginal_filtered_legacy(&d, &workload1(), ranking2_filter);
+            let via_expr = compute_marginal_expr(&d, &workload1(), &ranking2_expr());
+            assert_eq!(via_expr.num_cells(), reference.num_cells());
+            for ((ka, sa), (kb, sb)) in via_expr.iter().zip(reference.iter()) {
+                assert_eq!((ka, sa), (kb, sb));
+            }
         }
         // Two separately constructed expressions share one identity.
         assert_eq!(ranking2_expr().id(), ranking2_expr().id());

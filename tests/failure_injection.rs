@@ -3,7 +3,6 @@
 
 use eree::prelude::*;
 use eree_core::mechanisms::{LogLaplaceMechanism, SmoothGammaMechanism, SmoothLaplaceMechanism};
-use eree_core::release::ReleaseError;
 use noise::{GammaPoly, Laplace, LogLaplace};
 
 // ---- noise layer -----------------------------------------------------
@@ -79,26 +78,6 @@ fn release_surfaces_structured_errors() {
         other => panic!("expected InvalidParameters, got {other:?}"),
     }
     assert!((engine.ledger().remaining_epsilon() - 2.0).abs() < 1e-12);
-
-    // The deprecated wrapper surfaces the same failure as its legacy type.
-    #[allow(deprecated)]
-    let err = release_marginal(
-        &d,
-        &workload3(),
-        &ReleaseConfig {
-            mechanism: MechanismKind::SmoothGamma,
-            budget: PrivacyParams::pure(0.2, 2.0),
-            seed: 1,
-        },
-    )
-    .unwrap_err();
-    match err {
-        ReleaseError::InvalidParameters {
-            per_cell_epsilon, ..
-        } => {
-            assert!((per_cell_epsilon - 0.25).abs() < 1e-12, "2.0 / 8 cells");
-        }
-    }
 }
 
 #[test]
@@ -135,7 +114,7 @@ fn shape_release_rejects_without_partition() {
     use eree_core::ShapeError;
     let d = Generator::new(GeneratorConfig::test_small(4042)).generate();
     let truth = compute_marginal(&d, &workload1());
-    // Engine path: the unified error wraps the shape failure.
+    // The unified error wraps the shape failure.
     let mut engine = ReleaseEngine::new(PrivacyParams::approximate(0.1, 8.0, 0.05));
     let err = engine
         .execute_precomputed(
@@ -147,16 +126,6 @@ fn shape_release_rejects_without_partition() {
         )
         .unwrap_err();
     assert_eq!(err, EngineError::Shape(ShapeError::NoWorkerAttributes));
-    // Deprecated wrapper path: the legacy error type survives.
-    #[allow(deprecated)]
-    let err = release_shapes(
-        &truth,
-        MechanismKind::SmoothLaplace,
-        &PrivacyParams::approximate(0.1, 8.0, 0.05),
-        1,
-    )
-    .unwrap_err();
-    assert_eq!(err, ShapeError::NoWorkerAttributes);
 }
 
 // ---- SDL layer -----------------------------------------------------------

@@ -1,7 +1,8 @@
 //! Property tests for the declarative filter AST: serde round-trips
 //! preserve structure and identity ([`FilterId`]), and the compiled form
 //! agrees bit-for-bit with the reference record semantics — and therefore
-//! with the equivalent closure filter — on randomly generated expressions.
+//! with the brute-force reference evaluator run on the equivalent closure
+//! — on randomly generated expressions.
 
 use eree::prelude::*;
 use lodes::Worker;
@@ -137,7 +138,7 @@ proptest! {
             let wp = d.workplace(d.employer_of(w.id));
             expr.matches_record(w, wp)
         };
-        let via_closure = compute_marginal_filtered(d, &spec, closure);
+        let via_closure = tabulate::compute_marginal_filtered_legacy(d, &spec, closure);
         prop_assert_eq!(via_expr.num_cells(), via_closure.num_cells());
         prop_assert_eq!(via_expr.total(), via_closure.total());
         for ((ka, sa), (kb, sb)) in via_expr.iter().zip(via_closure.iter()) {

@@ -6,6 +6,17 @@ use eree::prelude::*;
 use eree_core::mechanisms::{LogLaplaceMechanism, SmoothGammaMechanism, SmoothLaplaceMechanism};
 use eree_core::{CellQuery, CountMechanism};
 use proptest::prelude::*;
+use tabulate::{Cmp, Kernel};
+
+/// The population filters the brute-force properties draw from: none, a
+/// worker equality leaf, and a worker threshold leaf.
+fn random_filter(kind: u8) -> Option<FilterExpr> {
+    match kind {
+        0 => None,
+        1 => Some(FilterExpr::sex(lodes::Sex::Female)),
+        _ => Some(FilterExpr::WorkerCmp(WorkerAttr::Age, Cmp::Ge, 3)),
+    }
+}
 
 /// Pointwise density-ratio check on a coarse grid (cheap enough for many
 /// proptest cases).
@@ -171,7 +182,7 @@ proptest! {
         filter_kind in 0u8..3,
         threads in 1usize..5,
     ) {
-        use lodes::{Sex, Worker};
+        use lodes::Worker;
         use std::collections::BTreeMap;
 
         let d = Generator::new(GeneratorConfig {
@@ -192,10 +203,9 @@ proptest! {
         if use_age { wk.push(WorkerAttr::Age); }
         if use_edu { wk.push(WorkerAttr::Education); }
         let spec = MarginalSpec::new(wp, wk);
-        let filter = move |w: &Worker| match filter_kind {
-            0 => true,
-            1 => w.sex == Sex::Female,
-            _ => w.age.index() >= 3,
+        let filter = random_filter(filter_kind);
+        let keep = |w: &Worker| {
+            filter.as_ref().is_none_or(|e| e.matches_record(w, d.workplace(d.employer_of(w.id))))
         };
 
         // Brute-force reference: per-worker loop into a
@@ -204,7 +214,7 @@ proptest! {
         let schema = index.schema(&spec);
         let mut per_estab: BTreeMap<(u64, u32), u32> = BTreeMap::new();
         for w in d.workers() {
-            if !filter(w) { continue; }
+            if !keep(w) { continue; }
             let wp_rec = d.workplace(d.employer_of(w.id));
             let mut vals = Vec::new();
             for a in &spec.workplace_attrs { vals.push(a.value(wp_rec)); }
@@ -219,7 +229,7 @@ proptest! {
             cell.2 = cell.2.max(c);
         }
 
-        let m = index.marginal_filtered_sharded(&spec, filter, threads);
+        let m = index.marginal_sharded_with_kernel(&spec, filter.as_ref(), threads, Kernel::Auto);
         prop_assert_eq!(m.num_cells(), reference.len());
         for (key, stats) in m.iter() {
             let &(count, estabs, max) = reference.get(&key.0)
@@ -232,7 +242,7 @@ proptest! {
         // Worker-count-balanced shard boundaries (the skew-proof split)
         // are bit-identical to the contiguous single-chunk evaluation:
         // chunking strategy is a performance choice, never a semantic one.
-        let contiguous = index.marginal_filtered_sharded(&spec, filter, 1);
+        let contiguous = index.marginal_sharded_with_kernel(&spec, filter.as_ref(), 1, Kernel::Auto);
         prop_assert_eq!(&m, &contiguous);
         prop_assert_eq!(m.content_digest(), contiguous.content_digest());
     }
@@ -253,7 +263,7 @@ proptest! {
         growth in 0.02f64..0.2,
         deaths in 0.0f64..0.1,
     ) {
-        use lodes::{DatasetPanel, PanelConfig, Sex, Worker};
+        use lodes::{DatasetPanel, PanelConfig};
         use std::collections::BTreeMap;
 
         let panel = DatasetPanel::generate(
@@ -279,11 +289,7 @@ proptest! {
         if use_own { wp.push(WorkplaceAttr::Ownership); }
         // Flows are establishment-level: workplace attributes only.
         let spec = MarginalSpec::new(wp, vec![]);
-        let filter = move |w: &Worker| match filter_kind {
-            0 => true,
-            1 => w.sex == Sex::Female,
-            _ => w.age.index() >= 3,
-        };
+        let filter = random_filter(filter_kind);
 
         // Brute-force reference: per-worker loop on each side into a
         // per-establishment (filtered) count, folded per cell with the
@@ -294,7 +300,8 @@ proptest! {
         let side = |d: &Dataset| -> BTreeMap<u32, u32> {
             let mut counts = BTreeMap::new();
             for w in d.workers() {
-                if !filter(w) { continue; }
+                let wp_rec = d.workplace(d.employer_of(w.id));
+                if !filter.as_ref().is_none_or(|e| e.matches_record(w, wp_rec)) { continue; }
                 *counts.entry(d.employer_of(w.id).0).or_insert(0u32) += 1;
             }
             counts
@@ -322,7 +329,7 @@ proptest! {
             cell.7 = cell.7.max(jd);
         }
 
-        let m = before.flows_filtered_sharded(&after, &spec, filter, threads);
+        let m = before.flows_sharded_with_kernel(&after, &spec, filter.as_ref(), threads, Kernel::Auto);
         prop_assert_eq!(m.num_cells(), reference.len());
         for (key, stats) in m.iter() {
             let &(b, e, jc, jd, mb, me, mc, md) = reference.get(&key.0)
@@ -340,7 +347,7 @@ proptest! {
         // Shard count is a performance choice, never a semantic one: the
         // tabulation — and therefore the released artifact drawn from it
         // under a fixed seed — is bit-identical at any thread count.
-        let contiguous = before.flows_filtered_sharded(&after, &spec, filter, 1);
+        let contiguous = before.flows_sharded_with_kernel(&after, &spec, filter.as_ref(), 1, Kernel::Auto);
         prop_assert_eq!(&m, &contiguous);
         prop_assert_eq!(m.content_digest(), contiguous.content_digest());
         let release = |truth: &FlowMarginal| {

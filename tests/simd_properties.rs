@@ -135,15 +135,14 @@ proptest! {
         let d = Generator::new(config(next(&mut state), size_class)).generate();
         let index = TabulationIndex::build(&d);
 
-        let scalar = index.marginal_sharded_with_kernel(&spec, threads, Kernel::Scalar);
-        let auto = index.marginal_sharded_with_kernel(&spec, threads, Kernel::Auto);
+        let scalar = index.marginal_sharded_with_kernel(&spec, None, threads, Kernel::Scalar);
+        let auto = index.marginal_sharded_with_kernel(&spec, None, threads, Kernel::Auto);
         prop_assert_eq!(&scalar, &auto, "unfiltered marginal diverged");
 
         let expr = random_filter(&mut state);
         let scalar_f =
-            index.marginal_expr_sharded_with_kernel(&spec, &expr, threads, Kernel::Scalar);
-        let auto_f =
-            index.marginal_expr_sharded_with_kernel(&spec, &expr, threads, Kernel::Auto);
+            index.marginal_sharded_with_kernel(&spec, Some(&expr), threads, Kernel::Scalar);
+        let auto_f = index.marginal_sharded_with_kernel(&spec, Some(&expr), threads, Kernel::Auto);
         prop_assert_eq!(&scalar_f, &auto_f, "filtered marginal diverged");
         prop_assert!(scalar_f.total() <= scalar.total());
     }
@@ -169,28 +168,19 @@ proptest! {
         let before = TabulationIndex::build(p.quarter(0));
         let after = TabulationIndex::build(p.quarter(1));
 
-        let scalar = before.flows_sharded_with_kernel(&after, &spec, threads, Kernel::Scalar);
-        let auto = before.flows_sharded_with_kernel(&after, &spec, threads, Kernel::Auto);
+        let scalar =
+            before.flows_sharded_with_kernel(&after, &spec, None, threads, Kernel::Scalar);
+        let auto = before.flows_sharded_with_kernel(&after, &spec, None, threads, Kernel::Auto);
         prop_assert_eq!(&scalar, &auto, "unfiltered flows diverged");
 
-        // A worker-side threshold filter applies identically to both
-        // quarters, which is what the single-closure flow API expects.
+        // A worker-side threshold filter, compiled against each quarter.
         let attr = WORKER_ATTRS[(next(&mut state) % 5) as usize];
         let cut = next(&mut state) as u32 % 6;
-        let scalar_f = before.flows_filtered_sharded_with_kernel(
-            &after,
-            &spec,
-            |w| attr.value(w) <= cut,
-            threads,
-            Kernel::Scalar,
-        );
-        let auto_f = before.flows_filtered_sharded_with_kernel(
-            &after,
-            &spec,
-            |w| attr.value(w) <= cut,
-            threads,
-            Kernel::Auto,
-        );
+        let expr = FilterExpr::WorkerCmp(attr, Cmp::Le, cut);
+        let scalar_f =
+            before.flows_sharded_with_kernel(&after, &spec, Some(&expr), threads, Kernel::Scalar);
+        let auto_f =
+            before.flows_sharded_with_kernel(&after, &spec, Some(&expr), threads, Kernel::Auto);
         prop_assert_eq!(&scalar_f, &auto_f, "filtered flows diverged");
     }
 }

@@ -379,61 +379,142 @@ fn resuming_with_a_changed_filter_digest_is_refused() {
         Err(StoreError::Inconsistent { .. })
     ));
 
+    // And the other way round: an unfiltered stored release never
+    // matches a filtered plan.
+    let unf_dir = test_dir("refiltered-unfiltered");
+    let mut unfiltered_store = SeasonStore::create(&unf_dir, budget()).unwrap();
+    unfiltered_store.run(&d, &unfiltered).unwrap();
+    assert!(matches!(
+        unfiltered_store.run(&d, &filtered_plan(ranking2_expr())),
+        Err(StoreError::Inconsistent { .. })
+    ));
+    fs::remove_dir_all(unf_dir).unwrap();
+
     // The original filter still resumes.
     let report = store.run(&d, &filtered_plan(ranking2_expr())).unwrap();
     assert_eq!((report.resumed_from, report.executed), (2, 0));
     fs::remove_dir_all(dir).unwrap();
 }
 
-#[test]
-#[allow(deprecated)]
-fn pre_ast_closure_store_resumes_under_ast_plan() {
-    // A store persisted before the AST existed recorded `filtered: true`
-    // with no expression — exactly what the deprecated closure escape
-    // hatch still records. Re-expressing the same plan with a FilterExpr
-    // must be accepted (the digest is unverifiable; the flag and every
-    // other field still are), because the alternative is stranding every
-    // pre-AST season.
-    let d = dataset();
-    let dir = test_dir("pre-ast");
-    let closure_plan: Vec<ReleaseRequest> = {
-        let mut plan = filtered_plan(ranking2_expr());
-        plan[1] = ReleaseRequest::marginal(workload1())
-            .mechanism(MechanismKind::LogLaplace)
-            .budget(PrivacyParams::pure(0.1, 1.0))
-            .filter(ranking2_filter)
-            .describe("F1: workload1 sub-population")
-            .seed(2);
-        plan
+/// The named member of a JSON object.
+fn field_mut<'a>(value: &'a mut serde::Value, name: &str) -> &'a mut serde::Value {
+    let serde::Value::Map(fields) = value else {
+        panic!("expected a JSON object holding `{name}`");
     };
-    let mut store = SeasonStore::create(&dir, budget()).unwrap();
-    store.run(&d, &closure_plan).unwrap();
-    let stored = store.load_artifact(1).unwrap();
-    assert!(stored.request.filtered && stored.request.filter.is_none());
-    drop(store);
+    &mut fields
+        .iter_mut()
+        .find(|(key, _)| key == name)
+        .unwrap_or_else(|| panic!("missing field `{name}`"))
+        .1
+}
 
-    // Resume under the AST-ified plan: accepted, nothing re-executed.
-    let mut store = SeasonStore::open(&dir).unwrap();
-    let report = store.run(&d, &filtered_plan(ranking2_expr())).unwrap();
-    assert_eq!((report.resumed_from, report.executed), (2, 0));
+fn read_value(path: &Path) -> serde::Value {
+    serde_json::from_str(&fs::read_to_string(path).unwrap()).unwrap()
+}
 
-    // The compatibility path is one-directional: an *unfiltered* stored
-    // artifact never matches a filtered request.
-    let unf_dir = test_dir("pre-ast-unf");
-    let mut unfiltered_store = SeasonStore::create(&unf_dir, budget()).unwrap();
-    let mut plain = filtered_plan(ranking2_expr());
-    plain[1] = ReleaseRequest::marginal(workload1())
-        .mechanism(MechanismKind::LogLaplace)
-        .budget(PrivacyParams::pure(0.1, 1.0))
-        .describe("F1: workload1 sub-population")
-        .seed(2);
-    unfiltered_store.run(&d, &plain).unwrap();
-    assert!(matches!(
-        unfiltered_store.run(&d, &filtered_plan(ranking2_expr())),
-        Err(StoreError::Inconsistent { .. })
-    ));
+fn write_value(path: &Path, value: &serde::Value) {
+    fs::write(path, serde_json::to_string_pretty(value).unwrap()).unwrap();
+}
+
+/// Rewrite a serialized provenance into the format-1 layout, which
+/// carried a `filtered` flag between `seed` and `filter`. A `closure`
+/// release recorded `filtered: true` and no expression.
+fn to_format1_provenance(provenance: &mut serde::Value, closure: bool) {
+    let filtered = closure || !matches!(field_mut(provenance, "filter"), serde::Value::Null);
+    if closure {
+        *field_mut(provenance, "filter") = serde::Value::Null;
+    }
+    let serde::Value::Map(fields) = provenance else {
+        unreachable!("field_mut checked the object");
+    };
+    let at = fields.iter().position(|(key, _)| key == "filter").unwrap();
+    fields.insert(at, ("filtered".to_string(), serde::Value::Bool(filtered)));
+}
+
+/// FNV-1a, the public cache's content digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Stores and cache files written in format 1 (provenance with the
+/// closure-era `filtered` flag) are refused, never misread: the derived
+/// provenance deserializer ignores unknown fields, so a format-1 closure
+/// release (`filtered: true`, `filter: null`) would otherwise load as an
+/// unfiltered one.
+#[test]
+fn format1_stores_and_cache_files_are_refused() {
+    let d = dataset();
+    let dir = test_dir("format1");
+    let mut agency = AgencyStore::create(&dir, budget()).unwrap();
+    agency
+        .create_season("a", PrivacyParams::pure(0.1, 3.0))
+        .unwrap();
+    agency
+        .run_season("a", &d, &filtered_plan(ranking2_expr()))
+        .unwrap();
+    let season_dir = dir.join("seasons").join("a");
+    let filtered = agency.open_season("a").unwrap().load_artifact(1).unwrap();
+    drop(agency);
+
+    // The season as format 1 wrote it: every filtered release a closure
+    // release.
+    let manifest = season_dir.join("season.json");
+    let mut value = read_value(&manifest);
+    *field_mut(&mut value, "format") = serde::Value::U64(1);
+    write_value(&manifest, &value);
+    for entry in fs::read_dir(season_dir.join("artifacts")).unwrap() {
+        let path = entry.unwrap().path();
+        let mut artifact = read_value(&path);
+        let request = field_mut(&mut artifact, "request");
+        let closure = !matches!(request.get("filter"), Some(serde::Value::Null));
+        to_format1_provenance(request, closure);
+        write_value(&path, &artifact);
+    }
+    let unsupported = |result: Result<(), StoreError>| match result {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(
+                detail.contains("unsupported store format 1"),
+                "unexpected detail: {detail}"
+            );
+        }
+        other => panic!("expected an unsupported-format refusal, got {other:?}"),
+    };
+    unsupported(SeasonStore::open(&season_dir).map(drop));
+    unsupported(AgencyStore::open(&dir).map(drop));
+
+    // A public-cache file as format 1 wrote it, content digest included.
+    let registry = std::sync::Arc::new(MetricsRegistry::new());
+    let cache = eree_core::ReleaseCache::open(dir.join("public"))
+        .unwrap()
+        .with_metrics(registry.clone());
+    let key = eree_core::ReleaseKey::of(&filtered.request, eree_core::dataset_digest(&d)).unwrap();
+    cache.save(&key, &filtered).unwrap();
+    assert_eq!(cache.load(&key).as_ref(), Some(&filtered));
+    let path = fs::read_dir(dir.join("public"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .unwrap();
+    let mut file = read_value(&path);
+    let digest_of =
+        |artifact: &serde::Value| fnv1a(serde_json::to_string(artifact).unwrap().as_bytes());
+    let stored_digest = field_mut(&mut file, "content_digest").clone();
+    assert_eq!(
+        stored_digest,
+        serde::Value::U64(digest_of(field_mut(&mut file, "artifact"))),
+        "the rewrite must reproduce the cache's own digest"
+    );
+    *field_mut(&mut file, "format") = serde::Value::U64(1);
+    let artifact = field_mut(&mut file, "artifact");
+    to_format1_provenance(field_mut(artifact, "request"), false);
+    let format1_digest = digest_of(artifact);
+    *field_mut(&mut file, "content_digest") = serde::Value::U64(format1_digest);
+    write_value(&path, &file);
+    assert!(cache.load(&key).is_none(), "a format-1 file is a miss");
+    assert_eq!(registry.caches.public_self_heals.get(), 1);
     fs::remove_dir_all(dir).unwrap();
-    fs::remove_dir_all(unf_dir).unwrap();
 }
 
 #[test]
