@@ -9,7 +9,8 @@ use rand::SeedableRng;
 use sdl::{SdlConfig, SdlPublisher};
 use std::hint::black_box;
 use tabulate::{
-    compute_marginal_legacy, workload1, workload3, MarginalSpec, TabulationIndex, WorkplaceAttr,
+    compute_marginal_legacy, workload1, workload3, DatasetIndex, Kernel, MarginalSpec,
+    WorkplaceAttr,
 };
 
 fn bench_engine(c: &mut Criterion) {
@@ -25,26 +26,27 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| black_box(compute_marginal_legacy(&ctx.dataset, &workload3())))
     });
 
-    // Columnar CSR index engine: one-time build, then indexed tabulation.
-    group.bench_function("index_build", |b| {
-        b.iter(|| black_box(TabulationIndex::build(&ctx.dataset)))
-    });
-    let index = TabulationIndex::build(&ctx.dataset);
+    // Columnar CSR index engine (one-shard layout): one-time build, then
+    // indexed tabulation.
+    let build = || DatasetIndex::build_with_threshold(&ctx.dataset, usize::MAX);
+    group.bench_function("index_build", |b| b.iter(|| black_box(build())));
+    let index = build();
+    let marginal = |spec: &MarginalSpec, threads| index.marginal(spec, None, threads, Kernel::Auto);
     group.bench_function("workload1_marginal_indexed", |b| {
-        b.iter(|| black_box(index.marginal(&workload1())))
+        b.iter(|| black_box(marginal(&workload1(), 1)))
     });
     group.bench_function("workload3_marginal_indexed", |b| {
-        b.iter(|| black_box(index.marginal(&workload3())))
+        b.iter(|| black_box(marginal(&workload3(), 1)))
     });
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     group.bench_function("workload3_marginal_indexed_sharded", |b| {
-        b.iter(|| black_box(index.marginal_sharded(&workload3(), threads)))
+        b.iter(|| black_box(marginal(&workload3(), threads)))
     });
     group.bench_function("naics_only_marginal_indexed", |b| {
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Naics], vec![]);
-        b.iter(|| black_box(index.marginal(&spec)))
+        b.iter(|| black_box(marginal(&spec, 1)))
     });
     group.finish();
 }

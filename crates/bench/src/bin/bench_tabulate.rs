@@ -1,6 +1,6 @@
 //! Old-vs-new tabulation timing: the legacy per-worker hash-map engine
-//! against the columnar CSR [`TabulationIndex`] engine, on the canonical
-//! eval dataset.
+//! against the columnar CSR [`DatasetIndex`] engine (one-shard layout),
+//! on the canonical eval dataset.
 //!
 //! Writes `BENCH_tabulate.json` at the repo root (override with
 //! `--out <path>`), recording per-spec wall times and speedups plus the
@@ -15,7 +15,8 @@
 //! [--check-against BASELINE [--max-regression F]]`.
 //! Scale follows `EREE_SCALE` (`small`/`default`/`paper`);
 //! `--national JOBS` additionally streams a ~`JOBS`-job
-//! `GeneratorConfig::national` universe into a region-sharded index and
+//! `GeneratorConfig::national` universe into a per-state index, checks
+//! every thread count's result against the scalar 1-thread result, and
 //! records the build cost, peak RSS, kernel A/B, and thread-scaling
 //! curve in a `national` section.
 //!
@@ -35,7 +36,7 @@ use lodes::{Dataset, DatasetPanel, Generator, GeneratorConfig, PanelConfig};
 use std::time::Instant;
 use tabulate::{
     compute_flows_legacy, compute_marginal_legacy, simd_available, workload1, workload3,
-    FlowMarginal, Kernel, Marginal, MarginalSpec, RegionIndexBuilder, TabulationIndex, WorkerAttr,
+    DatasetIndex, FlowMarginal, Kernel, Marginal, MarginalSpec, RegionIndexBuilder, WorkerAttr,
     WorkplaceAttr,
 };
 
@@ -97,16 +98,14 @@ struct SpecResult {
 
 fn bench_spec(
     dataset: &Dataset,
-    index: &TabulationIndex,
+    index: &DatasetIndex,
     spec: &MarginalSpec,
     iters: usize,
     threads: usize,
 ) -> SpecResult {
     let (legacy_ms, legacy) = time_best(iters, || compute_marginal_legacy(dataset, spec));
-    let (scalar_1t_ms, scalar) = time_best(iters, || {
-        index.marginal_sharded_with_kernel(spec, None, 1, Kernel::Scalar)
-    });
-    let (indexed_ms, indexed) = time_best(iters, || index.marginal(spec));
+    let (scalar_1t_ms, scalar) = time_best(iters, || index.marginal(spec, None, 1, Kernel::Scalar));
+    let (indexed_ms, indexed) = time_best(iters, || index.marginal(spec, None, 1, Kernel::Auto));
     // MT rows go through the same shard-count heuristic the release
     // engine applies: when the dataset is too small (or the host too
     // narrow) to pay for sharding, the 1-thread measurement IS the
@@ -116,7 +115,7 @@ fn bench_spec(
     let (indexed_mt_ms, indexed_mt) = if eff <= 1 {
         (indexed_ms, indexed.clone())
     } else {
-        time_best(iters, || index.marginal_sharded(spec, eff))
+        time_best(iters, || index.marginal(spec, None, eff, Kernel::Auto))
     };
     assert_identical(&spec.name(), &legacy, &scalar);
     assert_identical(&spec.name(), &legacy, &indexed);
@@ -146,21 +145,17 @@ fn bench_flows(
 ) -> SpecResult {
     let before = panel.quarter(0);
     let after = panel.quarter(1);
-    let before_index = TabulationIndex::build(before);
-    let after_index = TabulationIndex::build(after);
+    let before_index = DatasetIndex::build_with_threshold(before, usize::MAX);
+    let after_index = before_index.build_like(after);
+    let flows = |threads, kernel| before_index.flows(&after_index, spec, None, threads, kernel);
     let (legacy_ms, legacy) = time_best(iters, || compute_flows_legacy(before, after, spec));
-    let (scalar_1t_ms, scalar) = time_best(iters, || {
-        before_index.flows_sharded_with_kernel(&after_index, spec, None, 1, Kernel::Scalar)
-    });
-    let (indexed_ms, indexed) =
-        time_best(iters, || before_index.flows_sharded(&after_index, spec, 1));
+    let (scalar_1t_ms, scalar) = time_best(iters, || flows(1, Kernel::Scalar));
+    let (indexed_ms, indexed) = time_best(iters, || flows(1, Kernel::Auto));
     let eff = before_index.effective_shards(threads);
     let (indexed_mt_ms, indexed_mt) = if eff <= 1 {
         (indexed_ms, indexed.clone())
     } else {
-        time_best(iters, || {
-            before_index.flows_sharded(&after_index, spec, eff)
-        })
+        time_best(iters, || flows(eff, Kernel::Auto))
     };
     let name = format!("flows:{}", spec.name());
     assert_flows_identical(&name, &legacy, &scalar);
@@ -210,14 +205,14 @@ struct NationalSpecResult {
 }
 
 /// The national streaming workload: stream-generate `target_jobs` jobs
-/// straight into a region-sharded index (no flat `Dataset` is ever
+/// straight into a per-state index (no flat `Dataset` is ever
 /// materialized — peak RSS stays bounded by the index itself), then
 /// record the 1..=N-thread scaling curve per spec. Returns the JSON
 /// fragment for the `national` section.
 fn bench_national(target_jobs: usize, iters: usize, threads: usize) -> String {
     let cfg = GeneratorConfig::national(CANONICAL_SEED, target_jobs);
     let generator = Generator::new(cfg);
-    eprintln!("national: streaming ~{target_jobs} jobs into a region-sharded index ...");
+    eprintln!("national: streaming ~{target_jobs} jobs into a per-state index ...");
     let build_start = Instant::now();
     let mut builder = RegionIndexBuilder::new(&generator.geography());
     generator.for_each_establishment(|wp, workers| builder.push_establishment(wp, workers));
@@ -259,13 +254,12 @@ fn bench_national(target_jobs: usize, iters: usize, threads: usize) -> String {
     );
     let mut results = Vec::new();
     for spec in [workload1(), full_spec] {
-        let (scalar_1t_ms, scalar) = time_best(iters, || {
-            index.marginal_sharded_with_kernel(&spec, None, 1, Kernel::Scalar)
-        });
+        let (scalar_1t_ms, scalar) =
+            time_best(iters, || index.marginal(&spec, None, 1, Kernel::Scalar));
         let mut threads_ms = Vec::new();
         let mut auto_1t_ms = f64::INFINITY;
         for &t in &curve_threads {
-            let (ms, m) = time_best(iters, || index.marginal_sharded(&spec, t));
+            let (ms, m) = time_best(iters, || index.marginal(&spec, None, t, Kernel::Auto));
             assert_eq!(
                 m,
                 scalar,
@@ -418,7 +412,11 @@ fn main() {
         dataset.num_workplaces()
     );
 
-    let (build_ms, index) = time_best(iters, || TabulationIndex::build(&dataset));
+    // The one-shard layout at every scale, so the recorded trajectory
+    // stays comparable; the `national` section covers the per-state one.
+    let (build_ms, index) = time_best(iters, || {
+        DatasetIndex::build_with_threshold(&dataset, usize::MAX)
+    });
 
     // The full-attribute (workload3-class) spec: all establishment
     // attributes crossed with every worker attribute.

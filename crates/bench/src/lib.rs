@@ -8,7 +8,7 @@
 //!
 //! Beyond the Criterion targets, `bin/bench_tabulate` times the legacy
 //! per-worker tabulation engine against the columnar CSR
-//! [`TabulationIndex`](tabulate::TabulationIndex) engine on the canonical
+//! [`DatasetIndex`](tabulate::DatasetIndex) engine on the canonical
 //! eval dataset, and **panics if the two ever disagree on a single
 //! cell** — CI runs it at small scale as a correctness smoke as well as
 //! a perf probe. Regenerate the checked-in file with:
@@ -43,7 +43,7 @@
 //! | `jobs`, `establishments` | size of the timed universe |
 //! | `threads` | hardware threads used for the `_mt` rows |
 //! | `iters` | best-of-N iteration count |
-//! | `index_build_ms` | one-time [`TabulationIndex`](tabulate::TabulationIndex) build cost |
+//! | `index_build_ms` | one-time one-shard [`DatasetIndex`](tabulate::DatasetIndex) build cost |
 //! | `simd` | whether the AVX2 kernels were available at run time |
 //! | `specs[].spec` | marginal spec name (`workload1`, `workload3`, full-attribute) |
 //! | `specs[].cells` | nonzero cells tabulated |

@@ -36,7 +36,7 @@
 //! of how many worker threads participate in either phase.
 //!
 //! Tabulation runs on a columnar employer-grouped
-//! [`TabulationIndex`] — built **once per
+//! [`DatasetIndex`] — built **once per
 //! dataset**: `execute_all` builds it per batch, [`TabulationCache`]
 //! (used by `SeasonStore::run`) holds it for a whole season. Within a
 //! batch or cache, each distinct `(MarginalSpec, normalized filter)` is
@@ -96,8 +96,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tabulate::{
-    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Marginal, MarginalSpec,
-    RegionShardedIndex, TabulationIndex,
+    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Kernel, Marginal,
+    MarginalSpec,
 };
 
 /// What kind of release a request describes.
@@ -599,7 +599,7 @@ enum TabulationSource {
 
 /// A cache of tabulated truth marginals keyed by
 /// `(MarginalSpec, normalized filter)`, plus the shared columnar
-/// [`TabulationIndex`] they were computed from.
+/// [`DatasetIndex`] they were computed from.
 ///
 /// Tabulation is the engine's dominant cost for large universes; a batch
 /// (or a resumed publication season) whose requests share a marginal
@@ -666,8 +666,8 @@ impl TabulationCache {
 
     /// Seed the cache with an already built index instead of building one
     /// lazily on the first miss. A multi-tenant frontend builds the index
-    /// **once** at startup and hands a clone (the [`DatasetIndex`]
-    /// variants are `Arc`-backed) to every per-season cache, so N
+    /// **once** at startup and hands a clone (a [`DatasetIndex`] clone is
+    /// a pointer copy) to every per-season cache, so N
     /// concurrent seasons share one image of the dataset instead of
     /// paying N builds — the caller owes the same one-dataset contract as
     /// for cached truths: the index must have been built from the dataset
@@ -681,10 +681,10 @@ impl TabulationCache {
     /// snapshot for flow tabulations — the pair-wise analogue of
     /// [`with_shared_index`](Self::with_shared_index) (which supplies the
     /// *after*/current-quarter side). The same one-dataset contract
-    /// applies — and both quarters of a pair must use the same
-    /// representation (flat or region-sharded), which holds automatically
-    /// when both are built through [`DatasetIndex::build_auto`] on
-    /// same-scale panel quarters.
+    /// applies — and both quarters of a pair must use the same layout
+    /// (one-shard or per-state), which holds automatically when both are
+    /// built through [`DatasetIndex::build_auto`] on same-scale panel
+    /// quarters.
     pub fn with_flow_before_index(mut self, index: DatasetIndex) -> Self {
         self.before_index = Some(index);
         self
@@ -733,8 +733,8 @@ impl TabulationCache {
         Ok(())
     }
 
-    /// The shared index of `dataset`, building it on first use — flat for
-    /// ordinary datasets, region-sharded above the national-scale
+    /// The shared index of `dataset`, building it on first use — one shard
+    /// for ordinary datasets, one per state above the national-scale
     /// threshold (see [`DatasetIndex::build_auto`]); results are
     /// bit-identical either way.
     fn index_for(&mut self, dataset: &Dataset) -> DatasetIndex {
@@ -767,7 +767,15 @@ impl TabulationCache {
             }
         }
         let index = self.index_for(dataset);
-        let truth = Arc::new(tabulate_request(&index, request, threads));
+        // The advisory `effective_shards` cap keeps small datasets on the
+        // one-thread path instead of paying per-task spawn/sort/merge
+        // overhead that exceeds the scan.
+        let truth = Arc::new(index.marginal(
+            &request.spec,
+            request.filter.as_ref(),
+            index.effective_shards(threads),
+            Kernel::Auto,
+        ));
         if let Some(store) = &self.store {
             store
                 .save(&request.spec, request.filter.as_ref(), &truth)
@@ -812,24 +820,18 @@ impl TabulationCache {
             }
         }
         let after_index = self.index_for(after);
-        // The before side must match the after side's representation —
-        // sharded flow tabulation pairs shards state by state.
+        // The before side must share the after side's layout — flow
+        // tabulation pairs the quarters shard by shard.
         let before_index = self
             .before_index
-            .get_or_insert_with(|| match &after_index {
-                DatasetIndex::Single(_) => {
-                    DatasetIndex::Single(Arc::new(TabulationIndex::build(before)))
-                }
-                DatasetIndex::Sharded(_) => {
-                    DatasetIndex::Sharded(Arc::new(RegionShardedIndex::build(before)))
-                }
-            })
+            .get_or_insert_with(|| after_index.build_like(before))
             .clone();
-        let truth = Arc::new(tabulate_flow_request(
-            &before_index,
+        let truth = Arc::new(before_index.flows(
             &after_index,
-            request,
-            threads,
+            &request.spec,
+            request.filter.as_ref(),
+            before_index.effective_shards(threads),
+            Kernel::Auto,
         ));
         if let (Some(store), Some(pair)) = (self.store.as_ref(), pair_digest) {
             store
@@ -840,36 +842,6 @@ impl TabulationCache {
         }
         self.flow_entries.insert(key, Arc::clone(&truth));
         Ok((truth, TabulationSource::Computed))
-    }
-}
-
-/// Tabulate one request's truth marginal over the shared index,
-/// sharding the establishment loop across up to `threads` workers
-/// (bit-identical at any count). The advisory
-/// [`effective_shards`](DatasetIndex::effective_shards) heuristic caps
-/// fan-out first, so small datasets take the single-shard path instead of
-/// paying per-shard spawn/sort/merge overhead that exceeds the scan.
-fn tabulate_request(index: &DatasetIndex, request: &ReleaseRequest, threads: usize) -> Marginal {
-    let threads = index.effective_shards(threads);
-    match &request.filter {
-        Some(expr) => index.marginal_expr_sharded(&request.spec, expr, threads),
-        None => index.marginal_sharded(&request.spec, threads),
-    }
-}
-
-/// Tabulate one flow request's truth over the shared pair of indexes,
-/// sharding the establishment loop (bit-identical at any thread count);
-/// a filter restricts the population on *both* sides of the pair.
-fn tabulate_flow_request(
-    before: &DatasetIndex,
-    after: &DatasetIndex,
-    request: &ReleaseRequest,
-    threads: usize,
-) -> FlowMarginal {
-    let threads = before.effective_shards(threads);
-    match &request.filter {
-        Some(expr) => before.flows_expr_sharded(after, &request.spec, expr, threads),
-        None => before.flows_sharded(after, &request.spec, threads),
     }
 }
 
@@ -1003,7 +975,7 @@ impl ReleaseEngine {
     /// caller-owned [`TabulationCache`]: requests sharing a
     /// `(spec, filter)` tabulation — e.g. the sequential, persist-as-you-go
     /// releases of a publication season — pay for it once, and *all*
-    /// requests share the cache's one [`TabulationIndex`] of the dataset.
+    /// requests share the cache's one [`DatasetIndex`] of the dataset.
     /// The cache must only ever be used with one dataset.
     pub fn execute_cached(
         &mut self,
@@ -1173,7 +1145,12 @@ impl ReleaseEngine {
             self.threads.min(distinct.len().max(1)),
             |request| {
                 let index = index.as_ref().expect("index built for nonempty batch");
-                Arc::new(tabulate_request(index, request, tab_inner))
+                Arc::new(index.marginal(
+                    &request.spec,
+                    request.filter.as_ref(),
+                    index.effective_shards(tab_inner),
+                    Kernel::Auto,
+                ))
             },
         );
         self.tab_stats.computed += distinct.len() as u64;
@@ -1898,9 +1875,9 @@ mod tests {
         assert_eq!(engine.tabulation_stats(), TabulationStats::default());
     }
 
-    /// A season run over the region-sharded representation releases
-    /// bit-identical artifacts (same truths, same draws, same digests) as
-    /// the flat index — sharding is a pure representation choice.
+    /// A season run over the per-state layout releases bit-identical
+    /// artifacts (same truths, same draws, same digests) as the one-shard
+    /// layout — the layout is a pure representation choice.
     #[test]
     fn sharded_index_seasons_release_bit_identical_artifacts() {
         let d = dataset();
@@ -1917,8 +1894,8 @@ mod tests {
         ];
         let flat_index = DatasetIndex::build_with_threshold(&d, usize::MAX);
         let sharded_index = DatasetIndex::build_with_threshold(&d, 1);
-        assert!(!flat_index.is_sharded());
-        assert!(sharded_index.is_sharded());
+        assert!(!flat_index.is_per_state());
+        assert!(sharded_index.is_per_state());
         let mut flat_engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
         let mut flat_cache = TabulationCache::new().with_shared_index(flat_index);
         let mut sharded_engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
@@ -2327,9 +2304,9 @@ mod tests {
         assert_eq!(artifact.regime, NeighborKind::Weak);
         // The filtered truth the noise was centred on is the both-sides
         // restriction computed by the tabulation layer.
-        let b_idx = TabulationIndex::build(&before);
-        let a_idx = TabulationIndex::build(&after);
-        let truth = b_idx.flows_expr_sharded(&a_idx, &workload1(), &expr, 1);
+        let b_idx = DatasetIndex::build_auto(&before);
+        let a_idx = b_idx.build_like(&after);
+        let truth = b_idx.flows(&a_idx, &workload1(), Some(&expr), 1, Kernel::Auto);
         assert_eq!(
             artifact.flows().expect("flow payload").len(),
             truth.num_cells()

@@ -40,7 +40,7 @@
 //! sub-population definition changed is refused — then executes
 //! only the remainder through a [`ReleaseEngine`] opened on the restored
 //! ledger, sharing tabulations via a [`TabulationCache`] — which also
-//! builds the dataset's columnar `TabulationIndex` exactly once per run,
+//! builds the dataset's columnar `DatasetIndex` exactly once per run,
 //! so a resumed season re-tabulates over the shared CSR index instead of
 //! from scratch. Because per-cell noise streams derive from
 //! `(request seed, cell key)` and tabulation's sharded merge is

@@ -14,7 +14,7 @@ use eree_core::MechanismKind;
 use sdl::{SdlConfig, SdlPublisher};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use tabulate::{ranking2_expr, stratify_by_place_size, workload1, CellKey};
+use tabulate::{ranking2_expr, stratify_by_place_size, workload1, CellKey, Kernel};
 
 /// One plotted point of Figure 5.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -39,7 +39,9 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure5Row> {
     // the same filter definition a release pipeline would record in
     // provenance.
     let filter = ranking2_expr();
-    let truth = ctx.index.marginal_expr(&workload1(), &filter);
+    let truth = ctx
+        .index
+        .marginal(&workload1(), Some(&filter), 1, Kernel::Auto);
     // SDL baseline on the same filtered population (sharing the index).
     let sdl = SdlPublisher::new(&ctx.dataset, SdlConfig::default()).publish_expr_on(
         &ctx.index,

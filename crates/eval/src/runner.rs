@@ -9,8 +9,7 @@
 use lodes::{Dataset, Generator, GeneratorConfig};
 use sdl::{SdlConfig, SdlPublisher, SdlRelease};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use tabulate::{workload1, workload3, MarginalSpec, TabulationIndex};
+use tabulate::{workload1, workload3, DatasetIndex, MarginalSpec};
 
 /// Universe scale for experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,7 +122,7 @@ pub struct ExperimentContext {
     pub dataset: Dataset,
     /// Shared columnar tabulation index of [`dataset`](Self::dataset),
     /// built once so every experiment's truth marginals reuse it.
-    pub index: Arc<TabulationIndex>,
+    pub index: DatasetIndex,
     /// SDL release of Workload 1 (place × industry × ownership).
     pub sdl_w1: SdlRelease,
     /// SDL release of Workload 2/3 (… × sex × education).
@@ -141,7 +140,7 @@ impl ExperimentContext {
     /// Build with an explicit data seed (exposed so tests can vary data).
     pub fn with_seed(scale: EvalScale, seed: u64) -> Self {
         let dataset = Generator::new(scale.generator_config(seed)).generate();
-        let index = Arc::new(TabulationIndex::build(&dataset));
+        let index = DatasetIndex::build_auto(&dataset);
         let publisher = SdlPublisher::new(&dataset, SdlConfig::default());
         let sdl_w1 = publisher.publish_on(&index, &dataset, &workload1());
         let sdl_w3 = publisher.publish_on(&index, &dataset, &workload3());

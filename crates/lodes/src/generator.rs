@@ -110,7 +110,7 @@ impl GeneratorConfig {
     /// `target_jobs` total jobs (mean establishment size ≈ 20, so the
     /// establishment target is `target_jobs / 20`). 10–100 M jobs is the
     /// QWI/QCEW production range; datasets this size should be **streamed**
-    /// through [`Generator::for_each_establishment`] into a region-sharded
+    /// through [`Generator::for_each_establishment`] into a per-state
     /// index rather than materialized as one [`Dataset`].
     pub fn national(seed: u64, target_jobs: usize) -> Self {
         Self {
@@ -190,7 +190,7 @@ impl Generator {
     /// [`for_each_establishment`](Self::for_each_establishment), so it is
     /// identical to the geography either of them produces. Cheap relative
     /// to the establishment stream; use it to size a streaming consumer
-    /// (e.g. a region-sharded index builder) before the stream starts.
+    /// (e.g. a per-state index builder) before the stream starts.
     pub fn geography(&self) -> Geography {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         self.generate_geography(&mut rng)

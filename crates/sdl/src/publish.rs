@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use tabulate::{CellKey, FilterExpr, Kernel, Marginal, MarginalSpec, TabulationIndex};
+use tabulate::{CellKey, DatasetIndex, FilterExpr, Kernel, Marginal, MarginalSpec};
 
 /// Configuration of the SDL publication pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,7 +110,7 @@ impl SdlPublisher {
 
     /// Publish the marginal `spec` over `dataset`.
     pub fn publish(&self, dataset: &Dataset, spec: &MarginalSpec) -> SdlRelease {
-        self.publish_on(&TabulationIndex::build(dataset), dataset, spec)
+        self.publish_on(&DatasetIndex::build_auto(dataset), dataset, spec)
     }
 
     /// Publish a marginal restricted to the sub-population matching the
@@ -125,15 +125,15 @@ impl SdlPublisher {
         spec: &MarginalSpec,
         expr: &FilterExpr,
     ) -> SdlRelease {
-        self.publish_expr_on(&TabulationIndex::build(dataset), dataset, spec, expr)
+        self.publish_expr_on(&DatasetIndex::build_auto(dataset), dataset, spec, expr)
     }
 
     /// Like [`publish`](Self::publish), but tabulating the truth over a
-    /// caller-provided [`TabulationIndex`] of `dataset`, so repeated
+    /// caller-provided [`DatasetIndex`] of `dataset`, so repeated
     /// publications share one index build.
     pub fn publish_on(
         &self,
-        index: &TabulationIndex,
+        index: &DatasetIndex,
         dataset: &Dataset,
         spec: &MarginalSpec,
     ) -> SdlRelease {
@@ -144,7 +144,7 @@ impl SdlPublisher {
     /// `index` must be an index of `dataset`.
     pub fn publish_expr_on(
         &self,
-        index: &TabulationIndex,
+        index: &DatasetIndex,
         dataset: &Dataset,
         spec: &MarginalSpec,
         expr: &FilterExpr,
@@ -154,7 +154,7 @@ impl SdlPublisher {
 
     fn publish_inner(
         &self,
-        index: &TabulationIndex,
+        index: &DatasetIndex,
         dataset: &Dataset,
         spec: &MarginalSpec,
         filter: Option<&FilterExpr>,
@@ -162,17 +162,19 @@ impl SdlPublisher {
         // Noisy per-cell sums: every worker contributes its establishment's
         // factor. (Equivalent to Σ_w f_w·h(w,c) without materializing the
         // per-establishment histograms.)
-        let truth = index.marginal_sharded_with_kernel(spec, filter, 1, Kernel::Auto);
+        let truth = index.marginal(spec, filter, 1, Kernel::Auto);
         let schema = truth.schema();
-        let compiled = filter.map(|expr| expr.compile(index));
 
         let mut noisy: BTreeMap<CellKey, f64> = BTreeMap::new();
         let mut values: Vec<u32> = Vec::with_capacity(schema.attrs().len());
         for worker in dataset.workers() {
-            if compiled.as_ref().is_some_and(|f| !f.matches(worker)) {
+            let wp = dataset.workplace(dataset.employer_of(worker.id));
+            // Record semantics, not a compiled filter: a compiled filter
+            // resolves employers by index-local worker ids, which the
+            // per-state layout rebases.
+            if filter.is_some_and(|expr| !expr.matches_record(worker, wp)) {
                 continue;
             }
-            let wp = dataset.workplace(dataset.employer_of(worker.id));
             values.clear();
             for attr in &spec.workplace_attrs {
                 values.push(attr.value(wp));

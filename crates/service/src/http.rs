@@ -13,22 +13,30 @@
 //! the request line and headers together are capped at
 //! [`MAX_HEAD_BYTES`] (every head line is read through a bounded
 //! [`Read::take`], so an endless line is cut off at the cap, not
-//! buffered), bodies at [`MAX_BODY_BYTES`], and every socket read
-//! carries a timeout.
+//! buffered), bodies at [`MAX_BODY_BYTES`], the whole request must
+//! arrive within one deadline (a client trickling bytes is answered 408
+//! when it passes), and the whole response must be written within
+//! another (a client that stops reading its response is dropped).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum accepted size of the request line + headers, in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum accepted request-body size, in bytes.
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
-/// Per-read socket timeout: a stalled client costs a worker at most this.
+/// Whole-request deadline, counted from the first read: a stalled or
+/// trickling client costs a worker at most this.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// Whole-response write deadline, counted from the first write: a client
+/// that stops reading its response costs a worker at most this. (A
+/// timeout per write call is not enough: each partial write restarts it,
+/// so a stalled reader held a worker for several timeouts.)
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -109,10 +117,68 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         413 => "Payload Too Large",
         423 => "Locked",
         _ => "Internal Server Error",
+    }
+}
+
+/// A socket under one deadline: every read or write re-arms the
+/// socket's timeout with the time left, so no pattern of slow reads (a
+/// trickling client) or partial writes (a client that stops reading) can
+/// stretch a request or a response past the deadline.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl<'a> Deadline<'a> {
+    fn after(stream: &'a TcpStream, timeout: Duration) -> Self {
+        Self {
+            stream,
+            at: Instant::now() + timeout,
+        }
+    }
+
+    /// The time left, or a `TimedOut` error once the deadline passed.
+    fn left(&self) -> io::Result<Duration> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        Ok(left)
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadline<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// The response to a failed read: 408 once the request deadline passed
+/// (a socket timeout reads as `WouldBlock` on Unix, `TimedOut`
+/// elsewhere), 400 for anything else.
+fn read_error(error: io::Error, what: &str) -> Response {
+    match error.kind() {
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => {
+            Response::error(408, "request not received before the deadline")
+        }
+        _ => Response::error(400, &format!("{what}: {error}")),
     }
 }
 
@@ -128,7 +194,7 @@ fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<S
         .by_ref()
         .take(remaining as u64)
         .read_until(b'\n', &mut line)
-        .map_err(|e| Response::error(400, &format!("unreadable request head: {e}")))?;
+        .map_err(|e| read_error(e, "unreadable request head"))?;
     if line.len() == remaining && !line.ends_with(b"\n") {
         return Err(Response::error(413, "request head too large"));
     }
@@ -136,12 +202,12 @@ fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<S
     String::from_utf8(line).map_err(|_| Response::error(400, "request head is not UTF-8"))
 }
 
-/// Read and parse one request off `stream`. Errors are protocol-level
-/// (malformed request line, oversized head/body, timeout) and map to a
-/// 400/413 response by the caller.
+/// Read and parse one request off `stream` within [`READ_TIMEOUT`] of the
+/// first read. Errors are protocol-level (malformed request line,
+/// oversized head/body, deadline passed) and map to a 400/408/413
+/// response by the caller.
 fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
-    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Deadline::after(stream, READ_TIMEOUT));
     let mut head_bytes = 0usize;
     let line = read_head_line(&mut reader, &mut head_bytes)?;
     let mut parts = line.split_whitespace();
@@ -181,7 +247,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|e| Response::error(400, &format!("truncated body: {e}")))?;
+        .map_err(|e| read_error(e, "truncated body"))?;
     let body = String::from_utf8(body).map_err(|_| Response::error(400, "body is not UTF-8"))?;
     Ok(Request {
         method,
@@ -191,6 +257,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     })
 }
 
+/// Write `response` to `stream` within [`WRITE_TIMEOUT`].
 fn write_response(stream: &mut TcpStream, response: &Response) {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -199,12 +266,13 @@ fn write_response(stream: &mut TcpStream, response: &Response) {
         response.content_type,
         response.body.len()
     );
-    // A peer that hung up mid-response is its own problem; the server
-    // must not die for it.
-    let _ = stream
+    // A peer that hung up or stopped reading mid-response is its own
+    // problem; the server must not die (or wait) for it.
+    let mut out = Deadline::after(stream, WRITE_TIMEOUT);
+    let _ = out
         .write_all(head.as_bytes())
-        .and_then(|_| stream.write_all(response.body.as_bytes()))
-        .and_then(|_| stream.flush());
+        .and_then(|_| out.write_all(response.body.as_bytes()))
+        .and_then(|_| out.flush());
 }
 
 /// The router signature: pure request → response.
@@ -333,6 +401,89 @@ mod tests {
             "refusal took {elapsed:?}, the read timeout is {READ_TIMEOUT:?}"
         );
         drop(client);
+        server.shutdown();
+    }
+
+    /// A client trickling one byte a second never finishes its request
+    /// line; the whole-request deadline answers it 408 (or closes) once
+    /// the deadline passes, instead of each byte re-arming a fresh
+    /// timeout.
+    #[test]
+    fn trickling_client_is_cut_off_at_the_request_deadline() {
+        let handler: Handler = Arc::new(|_: &Request| Response::json(200, "{}"));
+        let mut server = HttpServer::serve("127.0.0.1:0", 1, handler).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        let grace = Duration::from_secs(5);
+        client.set_read_timeout(Some(READ_TIMEOUT + grace)).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let (mut writer, stop) = (client.try_clone().unwrap(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let request = b"GET /never-finished-path HTTP/1.1\r\n";
+                for byte in request.iter().cycle().take(60) {
+                    if stop.load(Ordering::SeqCst) || writer.write_all(&[*byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+            })
+        };
+        let started = Instant::now();
+        let mut response = Vec::new();
+        let outcome = client.read_to_end(&mut response);
+        let elapsed = started.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        trickle.join().unwrap();
+        let client_gave_up = matches!(
+            &outcome,
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+        );
+        assert!(
+            !client_gave_up && elapsed < READ_TIMEOUT + grace,
+            "trickling client held the worker for {elapsed:?} ({outcome:?})"
+        );
+        let response = String::from_utf8_lossy(&response);
+        assert!(
+            response.is_empty() || response.starts_with("HTTP/1.1 408 "),
+            "unexpected response: {response:?}"
+        );
+        server.shutdown();
+    }
+
+    /// With one pool worker, a client that requests a large response and
+    /// never reads it does not block the next client past the write
+    /// timeout.
+    #[test]
+    fn client_that_never_reads_does_not_block_the_pool() {
+        // Far more than the socket buffers absorb: a send buffer
+        // autotunes to at most a few MiB, and a receive buffer the
+        // client never drains does not grow.
+        let big = Arc::new("x".repeat(32 << 20));
+        let handler: Handler = Arc::new(move |request: &Request| match request.path.as_str() {
+            "/big" => Response::text(200, "text/plain", big.as_str()),
+            _ => Response::json(200, "{}"),
+        });
+        let mut server = HttpServer::serve("127.0.0.1:0", 1, handler).unwrap();
+        let mut stalled = TcpStream::connect(server.addr()).unwrap();
+        stalled.write_all(b"GET /big HTTP/1.1\r\n\r\n").unwrap();
+
+        let grace = Duration::from_secs(5);
+        let started = Instant::now();
+        let mut next = TcpStream::connect(server.addr()).unwrap();
+        next.set_read_timeout(Some(WRITE_TIMEOUT + grace)).unwrap();
+        next.write_all(b"GET /small HTTP/1.1\r\n\r\n").unwrap();
+        let mut response = String::new();
+        let outcome = next.read_to_string(&mut response);
+        let elapsed = started.elapsed();
+        assert!(
+            response.starts_with("HTTP/1.1 200 "),
+            "second client not answered within {elapsed:?} ({outcome:?}): {response:?}"
+        );
+        assert!(
+            elapsed < WRITE_TIMEOUT + grace,
+            "answered after {elapsed:?}"
+        );
+        drop(stalled);
         server.shutdown();
     }
 

@@ -28,7 +28,7 @@
 //! strictly ordered objects; there is no correct concurrent charge),
 //! while different seasons run fully in parallel. Workers for the same
 //! quarter share one [`DatasetIndex`] (built lazily per quarter;
-//! region-sharded automatically at national scale) and
+//! one shard per state automatically at national scale) and
 //! the agency's persistent truth store, so concurrent tenants never
 //! duplicate tabulation work. Every admission decision is durable before
 //! it is acknowledged: a completed release is an artifact + ledger

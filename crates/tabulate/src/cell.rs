@@ -45,7 +45,7 @@ impl CellSchema {
     }
 
     /// Build a schema from an attribute list and matching cardinalities
-    /// (used by [`crate::TabulationIndex`], which snapshots the dataset's
+    /// (used by [`crate::DatasetIndex`], which snapshots the dataset's
     /// domain cardinalities at build time).
     ///
     /// # Panics

@@ -1,7 +1,8 @@
-//! Marginal evaluation over the columnar [`TabulationIndex`].
+//! Marginal evaluation over one CSR shard ([`TabulationIndex`]) of a
+//! [`DatasetIndex`].
 //!
-//! The evaluator iterates **establishments, not workers**, over the
-//! index's CSR layout (see [`crate::index`]):
+//! The per-shard evaluator iterates **establishments, not workers**, over
+//! the shard's CSR layout (see [`crate::index`]):
 //!
 //! 1. The workplace part of the cell key is encoded **once per
 //!    establishment** by accumulating the spec's workplace code columns
@@ -26,15 +27,17 @@
 //! lands in exactly one cell, contributing its whole (or filtered)
 //! worker-range size.
 //!
-//! **Parallelism and determinism.** The establishment loop is sharded
-//! across `std::thread::scope` workers in contiguous chunks; each shard
-//! sorts its emitted run by key, and the shards are combined by a
+//! **Parallelism and determinism.** [`DatasetIndex::marginal`] splits
+//! every shard's establishment loop into contiguous, worker-balanced
+//! windows and runs them on the shared driver in [`crate::region`]; each
+//! window sorts its emitted run by key, and the runs are combined by a
 //! deterministic k-way merge that aggregates equal keys into
 //! [`CellStats`] (`count` sums, `establishments` counts pairs,
 //! `max_establishment` maxes). All three aggregates are commutative, so
 //! the resulting [`Marginal`] — a `Vec` of cells sorted by key — is
-//! **bit-identical at any thread count**, preserving the engine-wide
-//! determinism guarantee (artifacts depend only on `(seed, cell key)`).
+//! **bit-identical at any thread count and in either layout**, preserving
+//! the engine-wide determinism guarantee (artifacts depend only on
+//! `(seed, cell key)`).
 //!
 //! Establishment metadata follows Lemma 8.5 throughout: for filtered
 //! queries, `x_v` is the largest per-establishment count of workers
@@ -55,6 +58,7 @@ use crate::filter::{CompiledFilter, FilterExpr};
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, worker_subkeys, Kernel};
 use crate::marginal::{CellStats, Marginal};
+use crate::region::DatasetIndex;
 use lodes::Dataset;
 #[cfg(feature = "reference")]
 use lodes::Worker;
@@ -63,107 +67,30 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Evaluate the marginal query `q_V(D)`.
 ///
-/// Convenience wrapper: builds a throwaway [`TabulationIndex`] and runs
-/// the indexed evaluator single-threaded. Callers tabulating one dataset
-/// more than once should build the index themselves (or go through the
-/// release engine, which shares one per batch/season).
+/// Convenience wrapper: builds a throwaway one-shard [`DatasetIndex`] and
+/// runs the indexed evaluator single-threaded. Callers tabulating one
+/// dataset more than once should build the index themselves (or go
+/// through the release engine, which shares one per batch/season).
 pub fn compute_marginal(dataset: &Dataset, spec: &MarginalSpec) -> Marginal {
-    TabulationIndex::build(dataset).marginal(spec)
+    DatasetIndex::one_shard(dataset).marginal(spec, None, 1, Kernel::Auto)
 }
 
 /// Evaluate a marginal over only the records matching the declarative
 /// filter `expr` (see [`crate::filter`]).
 ///
-/// Convenience wrapper building a throwaway [`TabulationIndex`]; callers
-/// tabulating one dataset more than once should build the index
-/// themselves and use [`TabulationIndex::marginal_expr`].
+/// Convenience wrapper building a throwaway one-shard [`DatasetIndex`];
+/// callers tabulating one dataset more than once should build the index
+/// themselves and use [`DatasetIndex::marginal`].
 pub fn compute_marginal_expr(
     dataset: &Dataset,
     spec: &MarginalSpec,
     expr: &FilterExpr,
 ) -> Marginal {
-    TabulationIndex::build(dataset).marginal_expr(spec, expr)
+    DatasetIndex::one_shard(dataset).marginal(spec, Some(expr), 1, Kernel::Auto)
 }
 
-impl TabulationIndex {
-    /// Evaluate `q_V` over the indexed dataset, single-threaded.
-    pub fn marginal(&self, spec: &MarginalSpec) -> Marginal {
-        self.marginal_sharded(spec, 1)
-    }
-
-    /// Evaluate `q_V`, sharding the establishment loop across up to
-    /// `threads` scoped workers. The result is bit-identical at any
-    /// thread count.
-    pub fn marginal_sharded(&self, spec: &MarginalSpec, threads: usize) -> Marginal {
-        self.marginal_sharded_with_kernel(spec, None, threads, Kernel::Auto)
-    }
-
-    /// Evaluate `q_V` over only the records matching the declarative
-    /// filter `expr`, single-threaded. The expression is compiled against
-    /// this index (workplace leaves resolved per establishment, worker
-    /// leaves collapsed into domain truth tables — see [`crate::filter`]).
-    pub fn marginal_expr(&self, spec: &MarginalSpec, expr: &FilterExpr) -> Marginal {
-        self.marginal_expr_sharded(spec, expr, 1)
-    }
-
-    /// Evaluate a declaratively filtered marginal with a sharded
-    /// establishment loop. The result is bit-identical at any thread
-    /// count.
-    pub fn marginal_expr_sharded(
-        &self,
-        spec: &MarginalSpec,
-        expr: &FilterExpr,
-        threads: usize,
-    ) -> Marginal {
-        self.marginal_sharded_with_kernel(spec, Some(expr), threads, Kernel::Auto)
-    }
-
-    /// The general evaluator: `q_V` over the records matching `filter`
-    /// (every record when `None`), sharded across up to `threads`
-    /// workers, with an explicit [`Kernel`] choice. `Kernel::Scalar`
-    /// forces the scalar key kernels; the result is bit-identical to
-    /// `Kernel::Auto` by construction (the property tests assert it, the
-    /// benchmark measures the difference).
-    pub fn marginal_sharded_with_kernel(
-        &self,
-        spec: &MarginalSpec,
-        filter: Option<&FilterExpr>,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        let compiled = filter.map(|expr| expr.compile(self));
-        tabulate_index(self, spec, compiled.as_ref(), threads, kernel)
-    }
-
-    /// Advisory shard-count heuristic: the number of shards `threads`
-    /// should actually be split into on this index so that parallel
-    /// tabulation never loses to single-threaded.
-    ///
-    /// Every shard costs a sorted run plus a k-way-merge cursor, and a
-    /// shard scanning only a few thousand workers finishes faster than its
-    /// thread spawns — on small datasets the fixed per-shard overhead made
-    /// the recorded multithreaded full-attribute workload *slower* than
-    /// 1T. The heuristic caps shards so each scans at least
-    /// `MIN_SHARD_WORKERS` (2¹⁶) workers, collapsing to one shard (the 1T
-    /// code path, bit-identical by the merge guarantee) whenever the
-    /// dataset is too small to amortize fan-out. The release engine and
-    /// the benchmark apply it before sharding; direct `*_sharded` calls
-    /// keep the caller's count so tests can force any shard layout.
-    pub fn effective_shards(&self, threads: usize) -> usize {
-        threads
-            .max(1)
-            .min((self.num_workers() / MIN_SHARD_WORKERS).max(1))
-            .min(self.num_establishments().max(1))
-    }
-}
-
-/// Minimum workers a shard must scan to pay for its thread spawn, sort,
-/// and merge cursor (see [`TabulationIndex::effective_shards`]).
-pub(crate) const MIN_SHARD_WORKERS: usize = 1 << 16;
-
-/// Per-shard tabulation state, borrowed immutably by every worker thread.
-/// Also built by [`crate::region`] to tabulate each region shard of a
-/// [`crate::RegionShardedIndex`] through the same code path.
+/// Per-shard tabulation state, borrowed immutably by every task of one
+/// shard. Built by [`DatasetIndex::marginal`], one per shard.
 pub(crate) struct ShardPlan<'a> {
     index: &'a TabulationIndex,
     /// Workplace code columns of the spec's workplace attributes.
@@ -216,44 +143,6 @@ impl<'a> ShardPlan<'a> {
             kernel,
         }
     }
-}
-
-/// The indexed evaluator: shard, tabulate sorted runs, k-way merge.
-fn tabulate_index(
-    index: &TabulationIndex,
-    spec: &MarginalSpec,
-    filter: Option<&CompiledFilter>,
-    threads: usize,
-    kernel: Kernel,
-) -> Marginal {
-    let schema = index.schema(spec);
-    let n_estabs = index.num_establishments();
-    let plan = ShardPlan::new(index, spec, &schema, filter, kernel);
-    let threads = threads.max(1).min(n_estabs.max(1));
-    let runs: Vec<Vec<(u64, u32)>> = if threads <= 1 {
-        vec![tabulate_shard(&plan, 0, n_estabs)]
-    } else {
-        // Shard boundaries are balanced by cumulative *worker* count (see
-        // [`TabulationIndex::shard_bounds`]): tabulation cost is linear in
-        // workers scanned, so establishment-count chunking starves some
-        // shards and overloads others on skewed universes.
-        let bounds = index.shard_bounds(threads);
-        std::thread::scope(|scope| {
-            let plan = &plan;
-            let handles: Vec<_> = bounds
-                .windows(2)
-                .map(|w| {
-                    let (lo, hi) = (w[0], w[1]);
-                    scope.spawn(move || tabulate_shard(plan, lo, hi))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tabulation shard panicked"))
-                .collect()
-        })
-    };
-    Marginal::from_sorted(spec.clone(), schema, merge_runs(runs))
 }
 
 /// Workers per precomputed sub-key block: 2¹⁵ `u16` sub-keys = 64 KiB, an
@@ -657,7 +546,6 @@ mod tests {
     #[test]
     fn indexed_engine_matches_legacy_engine() {
         let d = dataset();
-        let index = TabulationIndex::build(&d);
         let specs = [
             MarginalSpec::new(vec![], vec![]),
             MarginalSpec::new(vec![WorkplaceAttr::Place], vec![]),
@@ -671,20 +559,24 @@ mod tests {
                 vec![WorkerAttr::Sex, WorkerAttr::Education],
             ),
         ];
-        for spec in &specs {
-            let legacy = compute_marginal_legacy(&d, spec);
-            assert_marginals_identical(&index.marginal(spec), &legacy);
-            // Filtered path too.
-            let legacy_f = compute_marginal_filtered_legacy(&d, spec, |w| w.sex == Sex::Female);
-            let indexed_f = index.marginal_expr(spec, &FilterExpr::sex(Sex::Female));
-            assert_marginals_identical(&indexed_f, &legacy_f);
+        let female = FilterExpr::sex(Sex::Female);
+        for index in [DatasetIndex::one_shard(&d), DatasetIndex::per_state(&d)] {
+            for spec in &specs {
+                let legacy = compute_marginal_legacy(&d, spec);
+                let indexed = index.marginal(spec, None, 1, Kernel::Auto);
+                assert_marginals_identical(&indexed, &legacy);
+                // Filtered path too.
+                let legacy_f = compute_marginal_filtered_legacy(&d, spec, |w| w.sex == Sex::Female);
+                let indexed_f = index.marginal(spec, Some(&female), 1, Kernel::Auto);
+                assert_marginals_identical(&indexed_f, &legacy_f);
+            }
         }
     }
 
     #[test]
     fn sharded_tabulation_is_bit_identical_at_any_thread_count() {
         let d = dataset();
-        let index = TabulationIndex::build(&d);
+        let index = DatasetIndex::one_shard(&d);
         let spec = MarginalSpec::new(
             vec![
                 WorkplaceAttr::Place,
@@ -693,25 +585,26 @@ mod tests {
             ],
             vec![WorkerAttr::Sex, WorkerAttr::Education],
         );
-        let reference = index.marginal_sharded(&spec, 1);
+        let reference = index.marginal(&spec, None, 1, Kernel::Auto);
         for threads in [2, 3, 7, 64] {
-            assert_marginals_identical(&index.marginal_sharded(&spec, threads), &reference);
+            let m = index.marginal(&spec, None, threads, Kernel::Auto);
+            assert_marginals_identical(&m, &reference);
         }
         let male = FilterExpr::sex(Sex::Male);
-        let filtered_ref = index.marginal_expr_sharded(&spec, &male, 1);
+        let filtered_ref = index.marginal(&spec, Some(&male), 1, Kernel::Auto);
         for threads in [2, 5, 16] {
-            let m = index.marginal_expr_sharded(&spec, &male, threads);
+            let m = index.marginal(&spec, Some(&male), threads, Kernel::Auto);
             assert_marginals_identical(&m, &filtered_ref);
         }
     }
 
     /// The dispatch choice must never change a released cell: scalar and
     /// Auto (AVX2 on this CI hardware) kernels agree bit-for-bit on every
-    /// spec shape, filtered and not, at several shard counts.
+    /// spec shape, filtered and not, at several thread counts, in either
+    /// layout.
     #[test]
     fn simd_and_scalar_kernels_are_bit_identical() {
         let d = dataset();
-        let index = TabulationIndex::build(&d);
         let specs = [
             MarginalSpec::new(vec![], vec![]),
             MarginalSpec::new(vec![WorkplaceAttr::Block], vec![]),
@@ -728,27 +621,16 @@ mod tests {
             ),
         ];
         let female = FilterExpr::sex(Sex::Female);
-        for spec in &specs {
-            for threads in [1, 3] {
-                for filter in [None, Some(&female)] {
-                    let scalar =
-                        index.marginal_sharded_with_kernel(spec, filter, threads, Kernel::Scalar);
-                    let auto =
-                        index.marginal_sharded_with_kernel(spec, filter, threads, Kernel::Auto);
-                    assert_marginals_identical(&auto, &scalar);
+        for index in [DatasetIndex::one_shard(&d), DatasetIndex::per_state(&d)] {
+            for spec in &specs {
+                for threads in [1, 3] {
+                    for filter in [None, Some(&female)] {
+                        let scalar = index.marginal(spec, filter, threads, Kernel::Scalar);
+                        let auto = index.marginal(spec, filter, threads, Kernel::Auto);
+                        assert_marginals_identical(&auto, &scalar);
+                    }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn effective_shards_collapse_small_datasets() {
-        let d = dataset();
-        let index = TabulationIndex::build(&d);
-        // The test universe (~40k workers) is below the 2^16-per-shard
-        // floor: any requested parallelism collapses to the 1T path.
-        for threads in [1, 2, 8, 64] {
-            assert_eq!(index.effective_shards(threads), 1);
         }
     }
 
@@ -841,14 +723,15 @@ mod tests {
             ..GeneratorConfig::default()
         })
         .generate();
-        let index = TabulationIndex::build(&d);
+        let index = DatasetIndex::one_shard(&d);
         let spec = MarginalSpec::new(
             vec![WorkplaceAttr::County, WorkplaceAttr::Naics],
             vec![WorkerAttr::Sex, WorkerAttr::Age],
         );
-        let contiguous = index.marginal_sharded(&spec, 1);
+        let contiguous = index.marginal(&spec, None, 1, Kernel::Auto);
         for threads in [2, 3, 5, 13, 64] {
-            assert_marginals_identical(&index.marginal_sharded(&spec, threads), &contiguous);
+            let m = index.marginal(&spec, None, threads, Kernel::Auto);
+            assert_marginals_identical(&m, &contiguous);
         }
     }
 }

@@ -52,7 +52,7 @@
 //!
 //! ```
 //! use lodes::{Generator, GeneratorConfig, Education, Sex};
-//! use tabulate::{workload1, FilterExpr, TabulationIndex};
+//! use tabulate::{workload1, DatasetIndex, FilterExpr, Kernel};
 //!
 //! // Ranking 2's population: female workers with a bachelor's or higher.
 //! let expr = FilterExpr::sex(Sex::Female)
@@ -63,10 +63,11 @@
 //! let back: FilterExpr = serde_json::from_str(&json).unwrap();
 //! assert_eq!(back.id(), expr.id());
 //!
-//! // Compiled against the columnar index, it drives a filtered marginal.
+//! // Compiled against each shard of the index, it drives a filtered
+//! // marginal.
 //! let dataset = Generator::new(GeneratorConfig::test_small(7)).generate();
-//! let index = TabulationIndex::build(&dataset);
-//! let marginal = index.marginal_expr(&workload1(), &expr);
+//! let index = DatasetIndex::build_auto(&dataset);
+//! let marginal = index.marginal(&workload1(), Some(&expr), 1, Kernel::Auto);
 //! assert!(marginal.total() > 0);
 //! ```
 
@@ -744,13 +745,12 @@ mod tests {
     #[test]
     fn expr_marginal_matches_reference_marginal() {
         let d = dataset();
-        let index = TabulationIndex::build(&d);
         let spec = crate::attr::MarginalSpec::new(
             vec![WorkplaceAttr::Naics, WorkplaceAttr::Ownership],
             vec![crate::attr::WorkerAttr::Sex],
         );
         let expr = ranking2().or(FilterExpr::in_place(PlaceId(0)));
-        let via_expr = index.marginal_expr(&spec, &expr);
+        let via_expr = crate::engine::compute_marginal_expr(&d, &spec, &expr);
         let reference = crate::engine::compute_marginal_filtered_legacy(&d, &spec, |w| {
             expr.matches_record(w, d.workplace(d.employer_of(w.id)))
         });

@@ -22,22 +22,24 @@
 //!
 //! # Evaluation
 //!
-//! Flow tabulation runs on a **pair** of [`TabulationIndex`]es sharing one
-//! establishment frame, with the same shape as the level-marginal engine
-//! in [`crate::engine`]: the establishment loop is sharded into contiguous
-//! CSR chunks, each shard emits a key-sorted run of per-establishment
+//! [`DatasetIndex::flows`] tabulates a **pair** of [`DatasetIndex`]es in
+//! one layout, sharing one establishment frame, through the same driver
+//! as level marginals (see [`crate::region`]): each aligned pair of
+//! [`TabulationIndex`] shards is split into contiguous CSR windows, each
+//! window emits a key-sorted run of per-establishment
 //! `(key, before, after)` contributions, and a deterministic k-way merge
 //! aggregates equal keys into [`FlowStats`]. Every aggregate (sums of
 //! `B`/`E`/`JC`/`JD`, per-statistic maxima) is commutative, so the result
-//! is **bit-identical at any thread count** — the engine-wide determinism
-//! guarantee extends to flows. Filtered flows count only matching workers
-//! on *both* sides of the pair.
+//! is **bit-identical at any thread count and in either layout** — the
+//! engine-wide determinism guarantee extends to flows. Filtered flows
+//! count only matching workers on *both* sides of the pair.
 
 use crate::attr::{Attr, MarginalSpec};
 use crate::cell::{CellKey, CellSchema};
-use crate::filter::{CompiledFilter, FilterExpr};
+use crate::filter::CompiledFilter;
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, Kernel};
+use crate::region::DatasetIndex;
 use lodes::Dataset;
 use serde::{get_field, DeError, Deserialize, Serialize, Value};
 #[cfg(feature = "reference")]
@@ -288,71 +290,12 @@ impl Deserialize for FlowMarginal {
     }
 }
 
-impl TabulationIndex {
-    /// Tabulate job flows from this index (quarter `t`) to `after`
-    /// (quarter `t+1`), single-threaded. See [`compute_flows`] for the
-    /// semantics and panics.
-    pub fn flows(&self, after: &TabulationIndex, spec: &MarginalSpec) -> FlowMarginal {
-        self.flows_sharded(after, spec, 1)
-    }
-
-    /// Tabulate job flows with a sharded establishment loop. The result is
-    /// bit-identical at any thread count.
-    pub fn flows_sharded(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        threads: usize,
-    ) -> FlowMarginal {
-        self.flows_sharded_with_kernel(after, spec, None, threads, Kernel::Auto)
-    }
-
-    /// Tabulate job flows over only the records matching the declarative
-    /// filter `expr` — on both sides of the pair — with a sharded
-    /// establishment loop.
-    pub fn flows_expr_sharded(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        expr: &FilterExpr,
-        threads: usize,
-    ) -> FlowMarginal {
-        self.flows_sharded_with_kernel(after, spec, Some(expr), threads, Kernel::Auto)
-    }
-
-    /// The general flow evaluator: job flows over the records matching
-    /// `filter` (every record when `None`), with an explicit [`Kernel`]
-    /// choice. The filter is compiled against each quarter's index
-    /// separately (the worker-domain truth tables agree; workplace leaves
-    /// resolve against each quarter's own establishment column).
-    /// `Kernel::Scalar` forces the scalar establishment-key kernel; the
-    /// result is bit-identical to `Kernel::Auto` by construction.
-    pub fn flows_sharded_with_kernel(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        filter: Option<&FilterExpr>,
-        threads: usize,
-        kernel: Kernel,
-    ) -> FlowMarginal {
-        let compiled = filter.map(|expr| (expr.compile(self), expr.compile(after)));
-        tabulate_flows(
-            self,
-            after,
-            spec,
-            compiled.as_ref().map(|(b, a)| (b, a)),
-            threads,
-            kernel,
-        )
-    }
-}
-
 /// Evaluate the flow query `(B, E, JC, JD)` between two snapshots grouped
 /// by the workplace attributes of `spec`.
 ///
-/// Convenience wrapper: builds two throwaway [`TabulationIndex`]es and
-/// runs the indexed evaluator single-threaded. Callers tabulating a pair
-/// more than once should build (or share) the indexes themselves.
+/// Convenience wrapper: builds two throwaway one-shard [`DatasetIndex`]es
+/// and runs [`DatasetIndex::flows`] single-threaded. Callers tabulating a
+/// pair more than once should build (or share) the indexes themselves.
 ///
 /// # Panics
 /// Panics if the spec has worker attributes (flows are establishment-level
@@ -360,15 +303,17 @@ impl TabulationIndex {
 /// frame (same workplace count; the panel generator guarantees identical
 /// frames).
 pub fn compute_flows(before: &Dataset, after: &Dataset, spec: &MarginalSpec) -> FlowMarginal {
-    TabulationIndex::build(before).flows(&TabulationIndex::build(after), spec)
+    let before = DatasetIndex::one_shard(before);
+    let after = before.build_like(after);
+    before.flows(&after, spec, None, 1, Kernel::Auto)
 }
 
 /// One filter compiled against each side of the pair.
 type PairFilter<'a> = (&'a CompiledFilter, &'a CompiledFilter);
 
-/// Per-shard flow tabulation state, borrowed immutably by every worker
-/// thread. Also built by [`crate::region`] to tabulate each region shard
-/// of a sharded flow pair through the same code path.
+/// Per-shard-pair flow tabulation state, borrowed immutably by every task
+/// of one shard. Built by [`DatasetIndex::flows`], one per aligned pair
+/// of shards.
 pub(crate) struct FlowPlan<'a> {
     before: &'a TabulationIndex,
     after: &'a TabulationIndex,
@@ -389,10 +334,6 @@ impl<'a> FlowPlan<'a> {
         filters: Option<PairFilter<'a>>,
         kernel: Kernel,
     ) -> Self {
-        assert!(
-            !spec.has_worker_attrs(),
-            "job flows are establishment-level: spec must not include worker attributes"
-        );
         assert_eq!(
             before.num_establishments(),
             after.num_establishments(),
@@ -454,46 +395,6 @@ pub(crate) fn flow_shard(plan: &FlowPlan<'_>, lo: usize, hi: usize) -> Vec<(u64,
     // arbitrarily; the merge's aggregates are all commutative.
     crate::engine::sort_run_by_key(&mut run, max_key, |&(key, _, _)| key);
     run
-}
-
-/// The indexed flow evaluator: shard the shared establishment frame,
-/// tabulate sorted runs of per-establishment `(key, before, after)`
-/// contributions, k-way merge into [`FlowStats`].
-fn tabulate_flows(
-    before: &TabulationIndex,
-    after: &TabulationIndex,
-    spec: &MarginalSpec,
-    filters: Option<PairFilter<'_>>,
-    threads: usize,
-    kernel: Kernel,
-) -> FlowMarginal {
-    let schema = before.schema(spec);
-    let n_estabs = before.num_establishments();
-    let plan = FlowPlan::new(before, after, spec, &schema, filters, kernel);
-    let threads = threads.max(1).min(n_estabs.max(1));
-    let runs: Vec<Vec<(u64, u32, u32)>> = if threads <= 1 {
-        vec![flow_shard(&plan, 0, n_estabs)]
-    } else {
-        // Shard boundaries balanced by the before-quarter's cumulative
-        // worker count (see `TabulationIndex::shard_bounds`); the merge,
-        // not the chunking, carries the determinism guarantee.
-        let bounds = before.shard_bounds(threads);
-        std::thread::scope(|scope| {
-            let plan = &plan;
-            let handles: Vec<_> = bounds
-                .windows(2)
-                .map(|w| {
-                    let (lo, hi) = (w[0], w[1]);
-                    scope.spawn(move || flow_shard(plan, lo, hi))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("flow tabulation shard panicked"))
-                .collect()
-        })
-    };
-    FlowMarginal::from_sorted(spec.clone(), schema, merge_flow_runs(runs))
 }
 
 /// One quarter's (possibly filtered) employment of establishment `e`.
@@ -581,6 +482,7 @@ pub fn compute_flows_legacy(
 mod tests {
     use super::*;
     use crate::attr::{MarginalSpec, WorkerAttr, WorkplaceAttr};
+    use crate::filter::FilterExpr;
     use lodes::{DatasetPanel, GeneratorConfig, PanelConfig};
 
     fn panel() -> DatasetPanel {
@@ -664,24 +566,21 @@ mod tests {
     fn sharded_flows_are_bit_identical_at_any_thread_count() {
         let p = panel();
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Place, WorkplaceAttr::Naics], vec![]);
-        let before = TabulationIndex::build(p.quarter(0));
-        let after = TabulationIndex::build(p.quarter(1));
-        let reference = before.flows_sharded(&after, &spec, 1);
+        let before = DatasetIndex::one_shard(p.quarter(0));
+        let after = before.build_like(p.quarter(1));
+        let reference = before.flows(&after, &spec, None, 1, Kernel::Auto);
         for threads in [2, 3, 7, 64] {
-            let sharded = before.flows_sharded(&after, &spec, threads);
+            let sharded = before.flows(&after, &spec, None, threads, Kernel::Auto);
             assert_eq!(sharded, reference);
             assert_eq!(sharded.content_digest(), reference.content_digest());
         }
     }
 
     /// The kernel dispatch choice never changes a flow cell: scalar and
-    /// Auto (AVX2 on CI hardware) agree bit-for-bit.
+    /// Auto (AVX2 on CI hardware) agree bit-for-bit, in either layout.
     #[test]
     fn simd_and_scalar_flow_kernels_are_bit_identical() {
-        use crate::kernel::Kernel;
         let p = panel();
-        let before = TabulationIndex::build(p.quarter(0));
-        let after = TabulationIndex::build(p.quarter(1));
         let female = FilterExpr::sex(lodes::Sex::Female);
         let specs = [
             MarginalSpec::new(vec![], vec![]),
@@ -695,25 +594,19 @@ mod tests {
                 vec![],
             ),
         ];
-        for spec in &specs {
-            for threads in [1, 3] {
-                for filter in [None, Some(&female)] {
-                    let scalar = before.flows_sharded_with_kernel(
-                        &after,
-                        spec,
-                        filter,
-                        threads,
-                        Kernel::Scalar,
-                    );
-                    let auto = before.flows_sharded_with_kernel(
-                        &after,
-                        spec,
-                        filter,
-                        threads,
-                        Kernel::Auto,
-                    );
-                    assert_eq!(auto, scalar);
-                    assert_eq!(auto.content_digest(), scalar.content_digest());
+        for before in [
+            DatasetIndex::one_shard(p.quarter(0)),
+            DatasetIndex::per_state(p.quarter(0)),
+        ] {
+            let after = before.build_like(p.quarter(1));
+            for spec in &specs {
+                for threads in [1, 3] {
+                    for filter in [None, Some(&female)] {
+                        let scalar = before.flows(&after, spec, filter, threads, Kernel::Scalar);
+                        let auto = before.flows(&after, spec, filter, threads, Kernel::Auto);
+                        assert_eq!(auto, scalar);
+                        assert_eq!(auto.content_digest(), scalar.content_digest());
+                    }
                 }
             }
         }
@@ -724,11 +617,12 @@ mod tests {
         use lodes::Sex;
         let p = panel();
         let spec = MarginalSpec::new(vec![WorkplaceAttr::County], vec![]);
-        let before = TabulationIndex::build(p.quarter(0));
-        let after = TabulationIndex::build(p.quarter(1));
-        let all = before.flows_sharded(&after, &spec, 2);
-        let female = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Female), 2);
-        let male = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Male), 2);
+        let before = DatasetIndex::one_shard(p.quarter(0));
+        let after = before.build_like(p.quarter(1));
+        let (female_expr, male_expr) = (FilterExpr::sex(Sex::Female), FilterExpr::sex(Sex::Male));
+        let all = before.flows(&after, &spec, None, 2, Kernel::Auto);
+        let female = before.flows(&after, &spec, Some(&female_expr), 2, Kernel::Auto);
+        let male = before.flows(&after, &spec, Some(&male_expr), 2, Kernel::Auto);
         assert_eq!(
             female.totals().beginning + male.totals().beginning,
             all.totals().beginning
@@ -737,8 +631,8 @@ mod tests {
             female.totals().ending + male.totals().ending,
             all.totals().ending
         );
-        // The shard count never changes a filtered flow cell.
-        let three = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Female), 3);
+        // The thread count never changes a filtered flow cell.
+        let three = before.flows(&after, &spec, Some(&female_expr), 3, Kernel::Auto);
         assert_eq!(three, female);
     }
 

@@ -15,14 +15,14 @@
 //!   `u8` codes in CSR order, workplace attributes as dense `u32` codes
 //!   per establishment — tabulation reads only the columns a spec names;
 //! * the worker records themselves in CSR order, for filtered workloads
-//!   (the filter API takes `&Worker`);
-//! * a snapshot of the dataset's workplace-attribute cardinalities, so a
-//!   [`CellSchema`] can be derived for any spec without re-touching the
-//!   dataset.
+//!   (the filter API takes `&Worker`).
 //!
-//! The marginal evaluation built on top of this lives in
-//! [`crate::engine`]; see that module for the sorted-run algorithm and its
-//! determinism guarantee.
+//! A [`TabulationIndex`] is one shard of a [`crate::DatasetIndex`] — the
+//! whole dataset in the one-shard layout, one state in the per-state
+//! layout — and the target [`crate::FilterExpr::compile`] resolves
+//! against. It has no evaluators of its own: the drivers live in
+//! [`crate::region`], the per-shard marginal algorithm and its
+//! determinism guarantee in [`crate::engine`].
 
 use crate::attr::{Attr, MarginalSpec, WorkerAttr, WorkplaceAttr};
 use crate::cell::CellSchema;
@@ -91,9 +91,6 @@ pub struct TabulationIndex {
     /// indexed by `workplace_slot` (state, county, place, block, naics,
     /// ownership).
     workplace_codes: [Vec<u32>; 6],
-    /// Workplace-attribute domain cardinalities of the source dataset,
-    /// indexed by `workplace_slot`.
-    workplace_cards: [u64; 6],
     /// Employing establishment per **dense worker id** (the inverse of
     /// the CSR grouping). Filter compilation needs it to resolve
     /// workplace predicates from a bare `&Worker`; it is
@@ -130,7 +127,6 @@ impl TabulationIndex {
                 .map(|wp| attr.value(wp))
                 .collect()
         });
-        let workplace_cards = WORKPLACE_ATTRS.map(|attr| attr.cardinality(dataset) as u64);
         let mut employer_of_worker = vec![0u32; workers.len()];
         for e in 0..offsets.len() - 1 {
             for i in offsets[e] as usize..offsets[e + 1] as usize {
@@ -142,7 +138,6 @@ impl TabulationIndex {
             workers,
             worker_codes,
             workplace_codes,
-            workplace_cards,
             employer_of_worker: Arc::new(employer_of_worker),
         }
     }
@@ -161,6 +156,11 @@ impl TabulationIndex {
     #[inline]
     pub(crate) fn worker_range(&self, e: usize) -> std::ops::Range<usize> {
         self.offsets[e] as usize..self.offsets[e + 1] as usize
+    }
+
+    /// Workers employed by establishments `lo..hi`.
+    pub(crate) fn workers_between(&self, lo: usize, hi: usize) -> usize {
+        (self.offsets[hi] - self.offsets[lo]) as usize
     }
 
     /// Worker records in employer-grouped order.
@@ -229,12 +229,6 @@ impl TabulationIndex {
         bounds.push(n);
         bounds
     }
-
-    /// The key schema `spec` induces over the indexed dataset — identical
-    /// to `CellSchema::new(spec, dataset)` on the source dataset.
-    pub fn schema(&self, spec: &MarginalSpec) -> CellSchema {
-        schema_from_cards(&self.workplace_cards, spec)
-    }
 }
 
 /// Workplace-attribute domain cardinalities of a geography, in column-slot
@@ -272,39 +266,29 @@ pub(crate) fn schema_from_cards(cards: &[u64; 6], spec: &MarginalSpec) -> CellSc
 /// which is exactly the CSR layout the index stores — so a national-scale
 /// index can be built from a generation *stream* with peak memory bounded
 /// by the index itself (no second copy as a `Dataset`, no counting-sort
-/// scratch). [`crate::RegionIndexBuilder`] routes the same stream into
-/// per-state shards.
+/// scratch). [`crate::RegionIndexBuilder`] routes the stream into one
+/// builder per state.
 ///
 /// Worker identifiers are **rebased**: each pushed worker is assigned the
 /// next dense id in arrival (CSR) order, so the finished index is
 /// self-contained — filter compilation resolves `employer_of_worker` by
-/// those local ids. Closure filters that inspect `Worker::id` therefore
-/// see builder-local ids, not the caller's; the declarative
-/// [`crate::FilterExpr`] path is unaffected (it reads only attributes).
+/// those local ids.
 #[derive(Debug, Clone)]
-pub struct IndexBuilder {
+pub(crate) struct IndexBuilder {
     offsets: Vec<u32>,
     workers: Vec<Worker>,
     worker_codes: [Vec<u8>; 5],
     workplace_codes: [Vec<u32>; 6],
-    workplace_cards: [u64; 6],
 }
 
 impl IndexBuilder {
-    /// Start an empty index over `geography` (the cardinality snapshot
-    /// must come from the universe, not from the — possibly partial —
-    /// stream).
-    pub fn new(geography: &Geography) -> Self {
-        Self::with_cards(cards_from_geography(geography))
-    }
-
-    pub(crate) fn with_cards(workplace_cards: [u64; 6]) -> Self {
+    /// Start an empty index.
+    pub fn new() -> Self {
         Self {
             offsets: vec![0],
             workers: Vec::new(),
             worker_codes: std::array::from_fn(|_| Vec::new()),
             workplace_codes: std::array::from_fn(|_| Vec::new()),
-            workplace_cards,
         }
     }
 
@@ -357,7 +341,6 @@ impl IndexBuilder {
             workers: self.workers,
             worker_codes: self.worker_codes,
             workplace_codes: self.workplace_codes,
-            workplace_cards: self.workplace_cards,
             employer_of_worker: Arc::new(employer_of_worker),
         }
     }
@@ -421,24 +404,6 @@ mod tests {
                      biggest establishment {biggest_estab})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn schema_matches_dataset_schema() {
-        let d = Generator::new(GeneratorConfig::test_small(5)).generate();
-        let idx = TabulationIndex::build(&d);
-        let spec = MarginalSpec::new(
-            vec![WorkplaceAttr::Place, WorkplaceAttr::Naics],
-            vec![WorkerAttr::Sex, WorkerAttr::Education],
-        );
-        let from_index = idx.schema(&spec);
-        let from_dataset = CellSchema::new(&spec, &d);
-        assert_eq!(from_index.domain_size(), from_dataset.domain_size());
-        assert_eq!(from_index.attrs(), from_dataset.attrs());
-        for i in 0..from_index.attrs().len() {
-            assert_eq!(from_index.stride_of(i), from_dataset.stride_of(i));
-            assert_eq!(from_index.cardinality_of(i), from_dataset.cardinality_of(i));
         }
     }
 }

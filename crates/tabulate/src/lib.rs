@@ -17,14 +17,17 @@
 //!   the SDL attack demonstrations, which need singleton-establishment
 //!   cells).
 //!
-//! Evaluation runs on a columnar, employer-grouped [`TabulationIndex`]
-//! (CSR worker ranges + pre-extracted attribute code columns), built once
-//! per dataset and shared across every tabulation of it; the
-//! establishment loop shards across scoped threads and merges sorted
-//! per-shard runs deterministically. The engine is deterministic: cells
-//! live in a `Vec` sorted by packed key, so iteration order (and
-//! therefore experiment output) is stable across runs *and* bit-identical
-//! at any thread count.
+//! Evaluation runs on one index type, [`DatasetIndex`], built once per
+//! dataset and shared across every tabulation of it: a list of columnar,
+//! employer-grouped CSR shards ([`TabulationIndex`] — CSR worker ranges +
+//! pre-extracted attribute code columns), one shard for ordinary
+//! datasets and one per state at national scale. Its two evaluators,
+//! [`DatasetIndex::marginal`] and [`DatasetIndex::flows`], split the
+//! establishment loop into tasks run on at most `threads` scoped threads
+//! and merge the sorted per-task runs deterministically. The engine is
+//! deterministic: cells live in a `Vec` sorted by packed key, so
+//! iteration order (and therefore experiment output) is stable across
+//! runs *and* bit-identical at any thread count, in either layout.
 //!
 //! Sub-population workloads (Ranking 2, OnTheMap-style extracts) restrict
 //! the tabulated population with a declarative [`FilterExpr`] — a
@@ -60,9 +63,9 @@ pub use filter::{Cmp, CompiledFilter, FilterExpr, FilterId};
 #[cfg(feature = "reference")]
 pub use flows::compute_flows_legacy;
 pub use flows::{compute_flows, FlowMarginal, FlowStats};
-pub use index::{IndexBuilder, TabulationIndex};
+pub use index::TabulationIndex;
 pub use kernel::{simd_available, Kernel};
 pub use marginal::{CellStats, Marginal};
-pub use region::{DatasetIndex, RegionIndexBuilder, RegionShardedIndex};
+pub use region::{DatasetIndex, RegionIndexBuilder};
 pub use strata::stratify_by_place_size;
 pub use workload::{ranking2_expr, ranking2_filter, workload1, workload2, workload3};

@@ -88,8 +88,8 @@ pub mod prelude {
     pub use sdl::{SdlConfig, SdlPublisher};
     pub use tabulate::{
         compute_flows, compute_marginal, compute_marginal_expr, ranking2_expr, ranking2_filter,
-        workload1, workload3, CellKey, FlowMarginal, FlowStats, Marginal, MarginalSpec,
-        TabulationIndex, WorkerAttr, WorkplaceAttr,
+        workload1, workload3, CellKey, DatasetIndex, FlowMarginal, FlowStats, Kernel, Marginal,
+        MarginalSpec, WorkerAttr, WorkplaceAttr,
     };
 }
 

@@ -202,11 +202,8 @@ proptest! {
             ),
         };
 
-        let index = TabulationIndex::build(&d);
-        let truth = match &filter {
-            Some(expr) => index.marginal_expr_sharded(&spec, expr, threads),
-            None => index.marginal_sharded(&spec, threads),
-        };
+        let index = DatasetIndex::build_auto(&d);
+        let truth = index.marginal(&spec, filter.as_ref(), threads, Kernel::Auto);
         let digest = eree_core::store::dataset_digest(&d);
         let store = TruthStore::open(&dir, digest).unwrap();
         store.save(&spec, filter.as_ref(), &truth).unwrap();

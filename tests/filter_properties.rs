@@ -8,7 +8,7 @@ use eree::prelude::*;
 use lodes::Worker;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tabulate::{Cmp, FilterExpr};
+use tabulate::{Cmp, FilterExpr, TabulationIndex};
 
 fn dataset() -> &'static Dataset {
     static DATASET: OnceLock<Dataset> = OnceLock::new();

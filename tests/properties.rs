@@ -210,7 +210,7 @@ proptest! {
 
         // Brute-force reference: per-worker loop into a
         // (cell values, establishment) -> count map, aggregated per cell.
-        let index = TabulationIndex::build(&d);
+        let index = DatasetIndex::build_auto(&d);
         let schema = index.schema(&spec);
         let mut per_estab: BTreeMap<(u64, u32), u32> = BTreeMap::new();
         for w in d.workers() {
@@ -229,7 +229,7 @@ proptest! {
             cell.2 = cell.2.max(c);
         }
 
-        let m = index.marginal_sharded_with_kernel(&spec, filter.as_ref(), threads, Kernel::Auto);
+        let m = index.marginal(&spec, filter.as_ref(), threads, Kernel::Auto);
         prop_assert_eq!(m.num_cells(), reference.len());
         for (key, stats) in m.iter() {
             let &(count, estabs, max) = reference.get(&key.0)
@@ -242,7 +242,7 @@ proptest! {
         // Worker-count-balanced shard boundaries (the skew-proof split)
         // are bit-identical to the contiguous single-chunk evaluation:
         // chunking strategy is a performance choice, never a semantic one.
-        let contiguous = index.marginal_sharded_with_kernel(&spec, filter.as_ref(), 1, Kernel::Auto);
+        let contiguous = index.marginal(&spec, filter.as_ref(), 1, Kernel::Auto);
         prop_assert_eq!(&m, &contiguous);
         prop_assert_eq!(m.content_digest(), contiguous.content_digest());
     }
@@ -294,8 +294,8 @@ proptest! {
         // Brute-force reference: per-worker loop on each side into a
         // per-establishment (filtered) count, folded per cell with the
         // published FlowStats semantics.
-        let before = TabulationIndex::build(panel.quarter(0));
-        let after = TabulationIndex::build(panel.quarter(1));
+        let before = DatasetIndex::build_auto(panel.quarter(0));
+        let after = before.build_like(panel.quarter(1));
         let schema = before.schema(&spec);
         let side = |d: &Dataset| -> BTreeMap<u32, u32> {
             let mut counts = BTreeMap::new();
@@ -329,7 +329,7 @@ proptest! {
             cell.7 = cell.7.max(jd);
         }
 
-        let m = before.flows_sharded_with_kernel(&after, &spec, filter.as_ref(), threads, Kernel::Auto);
+        let m = before.flows(&after, &spec, filter.as_ref(), threads, Kernel::Auto);
         prop_assert_eq!(m.num_cells(), reference.len());
         for (key, stats) in m.iter() {
             let &(b, e, jc, jd, mb, me, mc, md) = reference.get(&key.0)
@@ -347,7 +347,7 @@ proptest! {
         // Shard count is a performance choice, never a semantic one: the
         // tabulation — and therefore the released artifact drawn from it
         // under a fixed seed — is bit-identical at any thread count.
-        let contiguous = before.flows_sharded_with_kernel(&after, &spec, filter.as_ref(), 1, Kernel::Auto);
+        let contiguous = before.flows(&after, &spec, filter.as_ref(), 1, Kernel::Auto);
         prop_assert_eq!(&m, &contiguous);
         prop_assert_eq!(m.content_digest(), contiguous.content_digest());
         let release = |truth: &FlowMarginal| {

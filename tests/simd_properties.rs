@@ -1,8 +1,9 @@
 //! Property tests for the SIMD tabulation kernels: on random specs,
-//! filters, seeds, thread counts, and dataset sizes — including datasets
-//! smaller than one SIMD chunk, which exercise the scalar remainder path
-//! — the vectorized kernels must agree **bit-for-bit** with the scalar
-//! kernel, for marginals and flows alike.
+//! filters, seeds, thread counts, index layouts (one shard or one per
+//! state), and dataset sizes — including datasets smaller than one SIMD
+//! chunk, which exercise the scalar remainder path — the vectorized
+//! kernels must agree **bit-for-bit** with the scalar kernel, for
+//! marginals and flows alike.
 //!
 //! With the `simd` feature off (or on non-AVX2 hardware) `Kernel::Auto`
 //! resolves to the scalar kernel and these properties hold trivially;
@@ -11,7 +12,7 @@
 use eree::prelude::*;
 use lodes::{DatasetPanel, PanelConfig};
 use proptest::prelude::*;
-use tabulate::{Cmp, FilterExpr, Kernel, TabulationIndex};
+use tabulate::{Cmp, FilterExpr, Kernel};
 
 /// SplitMix64 step: derives spec/filter choices from one sampled seed
 /// (the vendored proptest has no recursive strategies).
@@ -92,6 +93,18 @@ fn random_filter(state: &mut u64) -> FilterExpr {
     }
 }
 
+/// The job-count threshold that builds the drawn layout:
+/// [`DatasetIndex::build_with_threshold`] picks the per-state layout at
+/// threshold 1 (on any multi-state universe) and the one-shard layout at
+/// `usize::MAX`.
+fn layout_threshold(per_state: bool) -> usize {
+    if per_state {
+        1
+    } else {
+        usize::MAX
+    }
+}
+
 /// A dataset sized by `size_class`: 0 ⇒ a single establishment (a few
 /// dozen workers at most — smaller than one 32-lane SIMD chunk, so the
 /// whole tabulation runs through the kernel's remainder path), 1 ⇒ a few
@@ -129,20 +142,20 @@ proptest! {
         seed in 0u64..u64::MAX,
         size_class in 0u8..3,
         threads in 1usize..4,
+        per_state in any::<bool>(),
     ) {
         let mut state = seed;
         let spec = random_spec(&mut state);
         let d = Generator::new(config(next(&mut state), size_class)).generate();
-        let index = TabulationIndex::build(&d);
+        let index = DatasetIndex::build_with_threshold(&d, layout_threshold(per_state));
 
-        let scalar = index.marginal_sharded_with_kernel(&spec, None, threads, Kernel::Scalar);
-        let auto = index.marginal_sharded_with_kernel(&spec, None, threads, Kernel::Auto);
+        let scalar = index.marginal(&spec, None, threads, Kernel::Scalar);
+        let auto = index.marginal(&spec, None, threads, Kernel::Auto);
         prop_assert_eq!(&scalar, &auto, "unfiltered marginal diverged");
 
         let expr = random_filter(&mut state);
-        let scalar_f =
-            index.marginal_sharded_with_kernel(&spec, Some(&expr), threads, Kernel::Scalar);
-        let auto_f = index.marginal_sharded_with_kernel(&spec, Some(&expr), threads, Kernel::Auto);
+        let scalar_f = index.marginal(&spec, Some(&expr), threads, Kernel::Scalar);
+        let auto_f = index.marginal(&spec, Some(&expr), threads, Kernel::Auto);
         prop_assert_eq!(&scalar_f, &auto_f, "filtered marginal diverged");
         prop_assert!(scalar_f.total() <= scalar.total());
     }
@@ -152,6 +165,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         size_class in 0u8..3,
         threads in 1usize..4,
+        per_state in any::<bool>(),
     ) {
         let mut state = seed;
         // Flows are establishment-level: workplace attributes only.
@@ -165,22 +179,19 @@ proptest! {
                 seed: next(&mut state),
             },
         );
-        let before = TabulationIndex::build(p.quarter(0));
-        let after = TabulationIndex::build(p.quarter(1));
+        let before = DatasetIndex::build_with_threshold(p.quarter(0), layout_threshold(per_state));
+        let after = before.build_like(p.quarter(1));
 
-        let scalar =
-            before.flows_sharded_with_kernel(&after, &spec, None, threads, Kernel::Scalar);
-        let auto = before.flows_sharded_with_kernel(&after, &spec, None, threads, Kernel::Auto);
+        let scalar = before.flows(&after, &spec, None, threads, Kernel::Scalar);
+        let auto = before.flows(&after, &spec, None, threads, Kernel::Auto);
         prop_assert_eq!(&scalar, &auto, "unfiltered flows diverged");
 
         // A worker-side threshold filter, compiled against each quarter.
         let attr = WORKER_ATTRS[(next(&mut state) % 5) as usize];
         let cut = next(&mut state) as u32 % 6;
         let expr = FilterExpr::WorkerCmp(attr, Cmp::Le, cut);
-        let scalar_f =
-            before.flows_sharded_with_kernel(&after, &spec, Some(&expr), threads, Kernel::Scalar);
-        let auto_f =
-            before.flows_sharded_with_kernel(&after, &spec, Some(&expr), threads, Kernel::Auto);
+        let scalar_f = before.flows(&after, &spec, Some(&expr), threads, Kernel::Scalar);
+        let auto_f = before.flows(&after, &spec, Some(&expr), threads, Kernel::Auto);
         prop_assert_eq!(&scalar_f, &auto_f, "filtered flows diverged");
     }
 }
