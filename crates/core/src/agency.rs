@@ -61,7 +61,9 @@
 //!
 //! # Shared truths
 //!
-//! [`AgencyStore::run_season`] executes a season through a
+//! [`AgencyStore::run_season`] and
+//! [`run_panel_season`](AgencyStore::run_panel_season) — two signatures
+//! for two kinds of input, one body — execute a season through a
 //! [`TabulationCache`] backed by the agency-wide [`TruthStore`]: the
 //! first season to tabulate
 //! a `(spec, normalized filter)` persists the truth, and every later
@@ -113,7 +115,7 @@
 
 use crate::accountant::MetaLedger;
 use crate::definitions::PrivacyParams;
-use crate::engine::{ReleaseRequest, RequestKind, TabulationCache};
+use crate::engine::{ReleaseRequest, RequestKind, Snapshot, TabulationCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::public_cache::ReleaseCache;
 use crate::store::{
@@ -194,7 +196,7 @@ impl Deserialize for AgencyManifest {
 /// The audit view of one governed season, refreshed on
 /// [`AgencyStore::open`] and after every [`AgencyStore::run_season`].
 /// Serializable so budget-audit endpoints can publish it as-is.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeasonSummary {
     /// The season's name (its directory name under `seasons/`).
     pub name: String,
@@ -213,25 +215,6 @@ pub struct SeasonSummary {
     /// Whether the season has been closed: its unspent remainder was
     /// refunded to the cap and no further release is admitted.
     pub closed: bool,
-}
-
-impl Deserialize for SeasonSummary {
-    /// Hand-written for wire compatibility: `closed` postdates the first
-    /// audit payloads, so a summary without the field reads as open.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            name: String::from_value(get_field(v, "name")?)?,
-            budget: PrivacyParams::from_value(get_field(v, "budget")?)?,
-            spent_epsilon: f64::from_value(get_field(v, "spent_epsilon")?)?,
-            spent_delta: f64::from_value(get_field(v, "spent_delta")?)?,
-            completed: usize::from_value(get_field(v, "completed")?)?,
-            materialized: bool::from_value(get_field(v, "materialized")?)?,
-            closed: match get_field(v, "closed") {
-                Ok(value) => bool::from_value(value)?,
-                Err(_) => false,
-            },
-        })
-    }
 }
 
 /// What [`AgencyStore::close_season`] accomplished: the refund credited
@@ -853,7 +836,7 @@ impl AgencyStore {
     /// Execute (or resume) season `name` against `dataset` under the
     /// agency's shared truth store: verify the dataset pin (binding it on
     /// the agency's first run), open the season, and drive
-    /// [`SeasonStore::run_cached`] with a cache backed by the persistent
+    /// [`SeasonStore::run`] with a cache backed by the persistent
     /// [`TruthStore`] — so truths tabulated by *any* season of this agency
     /// are reused, digest-verified, with zero recomputation.
     pub fn run_season(
@@ -869,30 +852,8 @@ impl AgencyStore {
                     .to_string(),
             });
         }
-        // Validate the season *before* touching the dataset pin: a failed
-        // call (typo'd name, corrupt season) must not durably bind the
-        // agency to whatever dataset it happened to be handed.
-        let mut season = self.open_season(name)?;
-        if season.is_closed() {
-            return Err(StoreError::SeasonClosed {
-                name: name.to_string(),
-            });
-        }
-        let digest = dataset_digest(dataset);
-        self.bind_dataset(digest)?;
-        let truths = self.truth_store_pinned(digest)?;
-        let mut cache = TabulationCache::with_store(truths);
-        let result = season.run_cached_with_digest(dataset, digest, requests, &mut cache);
-        // Refresh the audit view even when the run aborted mid-plan: the
-        // season store reflects exactly what was durably persisted (and
-        // charged) before the refusal, and that spend is real.
-        self.upsert_summary(name, &season);
-        // Flush the counters the run accumulated. On the error path the
-        // original refusal outranks a metrics-flush failure.
-        match self.flush_metrics() {
-            Ok(()) => result,
-            Err(flush_error) => result.and(Err(flush_error)),
-        }
+        let data = Snapshot::of(dataset);
+        self.run_snapshot(name, data.digest(), data, requests)
     }
 
     /// Execute (or resume) season `name` as quarter `quarter` of `panel`
@@ -937,21 +898,12 @@ impl AgencyStore {
                 ),
             });
         }
-        // Season validity before the pin, exactly as in `run_season`.
-        let mut season = self.open_season(name)?;
-        if season.is_closed() {
-            return Err(StoreError::SeasonClosed {
-                name: name.to_string(),
-            });
-        }
-        let quarter_digests: Vec<u64> = panel.snapshots().iter().map(dataset_digest).collect();
-        self.bind_dataset(panel_digest(&quarter_digests))?;
-        let digest = quarter_digests[quarter];
-        // The store handle is pinned to *this quarter*: level truths of
-        // different quarters have disjoint content addresses in the one
-        // shared directory, and flow truths are addressed by pair digest.
-        let truths = self.truth_store_pinned(digest)?;
-        let mut cache = TabulationCache::with_store(truths);
+        let digests: Vec<u64> = panel.snapshots().iter().map(dataset_digest).collect();
+        let snapshot = |q: usize| Snapshot::with_digest(panel.quarter(q), digests[q]);
+        let data = match quarter.checked_sub(1) {
+            Some(before) => snapshot(quarter).after(snapshot(before)),
+            None => snapshot(quarter),
+        };
         let seeded: Vec<ReleaseRequest> = requests
             .iter()
             .map(|request| {
@@ -959,16 +911,41 @@ impl AgencyStore {
                 request.clone().seed(seed)
             })
             .collect();
-        let before =
-            (quarter > 0).then(|| (panel.quarter(quarter - 1), quarter_digests[quarter - 1]));
-        let result = season.run_panel_cached_with_digest(
-            before,
-            panel.quarter(quarter),
-            digest,
-            &seeded,
-            &mut cache,
-        );
+        self.run_snapshot(name, panel_digest(&digests), data, &seeded)
+    }
+
+    /// The season-run body both modes share: open the season, refuse a
+    /// closed one, bind the agency to `pin`, run the plan through a cache
+    /// over the shared truth store pinned to `data`'s dataset, then
+    /// refresh the audit view and flush the metrics.
+    fn run_snapshot(
+        &mut self,
+        name: &str,
+        pin: u64,
+        data: Snapshot<'_>,
+        requests: &[ReleaseRequest],
+    ) -> Result<SeasonReport, StoreError> {
+        // Validate the season *before* touching the dataset pin: a failed
+        // call (typo'd name, corrupt season) must not durably bind the
+        // agency to whatever data it happened to be handed.
+        let mut season = self.open_season(name)?;
+        if season.is_closed() {
+            return Err(StoreError::SeasonClosed {
+                name: name.to_string(),
+            });
+        }
+        self.bind_dataset(pin)?;
+        // The store handle is pinned to this snapshot: level truths of
+        // different quarters have disjoint content addresses in the one
+        // shared directory, and flow truths are addressed by pair digest.
+        let mut cache = TabulationCache::with_store(self.truth_store_pinned(data.digest())?);
+        let result = season.run(data, requests, &mut cache);
+        // Refresh the audit view even when the run aborted mid-plan: the
+        // season store reflects exactly what was durably persisted (and
+        // charged) before the refusal, and that spend is real.
         self.upsert_summary(name, &season);
+        // Flush the counters the run accumulated. On the error path the
+        // original refusal outranks a metrics-flush failure.
         match self.flush_metrics() {
             Ok(()) => result,
             Err(flush_error) => result.and(Err(flush_error)),

@@ -15,13 +15,15 @@
 //!   [`ReleaseRequest::filter_expr`] — the only filter form, so every
 //!   artifact records the population it counted), optional integer
 //!   post-processing, and a seed.
-//! * [`ReleaseEngine`] — owns a [`Ledger`] and executes requests. Every
+//! * [`ReleaseEngine`] — owns a [`Ledger`] and admits requests. Every
 //!   request is validated against the mechanism's constraints and the
-//!   remaining budget *before* any sampling happens; a rejected request
-//!   consumes nothing. [`ReleaseEngine::execute_all`] runs a whole
-//!   workload batch under the same ledger (sequential composition,
-//!   Thm 7.3), parallelizing tabulation across requests and noising
-//!   across cells.
+//!   remaining budget *before* any tabulation or sampling happens; a
+//!   rejected request consumes nothing. [`ReleaseEngine::execute`] admits
+//!   one release against a [`TruthSource`] — a [`Snapshot`] tabulated
+//!   through a [`TabulationCache`], or an already tabulated truth;
+//!   [`ReleaseEngine::execute_all`] runs a whole workload batch under the
+//!   same ledger (sequential composition, Thm 7.3), parallelizing
+//!   tabulation across requests and noising across cells.
 //! * [`ReleaseArtifact`] — the durable, serde-serializable output:
 //!   published cells (or shapes), the neighbor regime, the
 //!   [`ReleaseCost`] charged, the mechanism name, the seed and request
@@ -38,8 +40,8 @@
 //! Tabulation runs on a columnar employer-grouped
 //! [`DatasetIndex`] — built **once per
 //! dataset**: `execute_all` builds it per batch, [`TabulationCache`]
-//! (used by `SeasonStore::run`) holds it for a whole season. Within a
-//! batch or cache, each distinct `(MarginalSpec, normalized filter)` is
+//! (used by `SeasonStore::{run, admit}`) holds it for a whole season.
+//! Within a batch or cache, each distinct `(MarginalSpec, normalized filter)` is
 //! tabulated once (the [`FilterId`] digest is the filter's compact
 //! fingerprint), so structurally equal expressions share even when
 //! constructed independently.
@@ -84,10 +86,11 @@
 use crate::accountant::{Ledger, ReleaseCost};
 use crate::definitions::PrivacyParams;
 use crate::error::EngineError;
-use crate::mechanisms::{CellQuery, MechanismKind};
+use crate::mechanisms::{CellQuery, CountMechanism, MechanismKind};
 use crate::metrics::{MetricsRegistry, REASON_REQUEST_INVALID};
 use crate::neighbors::NeighborKind;
 use crate::shape::ShapeRelease;
+use crate::store::StoreError;
 use lodes::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -109,8 +112,8 @@ pub enum RequestKind {
     Shapes,
     /// Release job-flow statistics (`B`, `JC`, `JD`, derived `E`) over a
     /// `(before, after)` dataset pair sharing one establishment frame.
-    /// Flow requests execute through the `execute_flows*` entry points,
-    /// which take both snapshots.
+    /// Flow requests execute against a [`TruthSource::Flows`] truth or a
+    /// [`Snapshot`] that carries its before quarter.
     Flows,
 }
 
@@ -185,31 +188,12 @@ impl ReleaseRequest {
     /// Request job-flow statistics (`B`, `JC`, `JD`, derived `E`) grouped
     /// by the workplace attributes of `spec`, over a `(before, after)`
     /// dataset pair. The spec must not group by worker attributes — flows
-    /// are establishment-level quantities. Execute through
-    /// [`ReleaseEngine::execute_flows`] (or its cached/precomputed
-    /// variants), which take both snapshots.
+    /// are establishment-level quantities. Execute it with
+    /// [`ReleaseEngine::execute`] against a [`Snapshot`] that carries its
+    /// before quarter (see [`Snapshot::after`]) or a precomputed
+    /// [`TruthSource::Flows`] truth.
     pub fn flows(spec: MarginalSpec) -> Self {
         Self::new(RequestKind::Flows, spec)
-    }
-
-    /// Reconstruct the request a recorded [`RequestProvenance`] describes
-    /// — the resume path of drivers that hold only persisted artifacts
-    /// (e.g. a release service rebuilding a season's plan from its store).
-    /// The rebuilt request reproduces the stored provenance exactly, so it
-    /// passes the season store's resume verification.
-    pub fn from_provenance(provenance: &RequestProvenance) -> Self {
-        let mut request = Self::new(provenance.kind, provenance.spec.clone())
-            .mechanism(provenance.mechanism)
-            .integerize(provenance.integerized)
-            .seed(provenance.seed)
-            .describe(provenance.description.clone());
-        request = if provenance.budget_is_per_cell {
-            request.budget_per_cell(provenance.budget)
-        } else {
-            request.budget(provenance.budget)
-        };
-        request.filter = provenance.filter.clone();
-        request
     }
 
     /// Which mechanism to sample from (required).
@@ -268,9 +252,9 @@ impl ReleaseRequest {
         self
     }
 
-    /// The workload kind this request declares — drivers that route
-    /// requests to the right execution path (single-snapshot vs dataset
-    /// pair) dispatch on it.
+    /// The workload kind this request declares — flow requests need a
+    /// flow truth, which drivers supply by handing [`ReleaseEngine::execute`]
+    /// a [`Snapshot`] with its before quarter.
     pub fn kind(&self) -> RequestKind {
         self.kind
     }
@@ -571,16 +555,118 @@ impl ReleaseArtifact {
 /// Execution order for batches and per-cell noising.
 const MIN_PARALLEL_CELLS: usize = 512;
 
-/// Identity of one tabulation: the marginal spec plus the **normalized**
-/// filter expression restricting its population (`None` when
-/// unfiltered). Structurally equal expressions share a tabulation no
-/// matter where or when they were constructed; the expression itself is
-/// the key (not its [`FilterId`] digest) so a digest collision can never
-/// alias two different populations onto one cached truth.
-type TabulationKey = (MarginalSpec, Option<FilterExpr>);
+/// One confidential snapshot, as every admission layer hands it down: the
+/// dataset, its [`dataset_digest`](crate::store::dataset_digest), and —
+/// for a panel quarter past the base — the previous quarter that flow
+/// requests tabulate against. Whoever builds the value pays for the
+/// digests once; the season store pins [`digest`](Self::digest), every
+/// [`TabulationCache`] checks it on every call, and flow truths are
+/// addressed by [`pair_digest`](Self::pair_digest).
+#[derive(Clone, Copy)]
+pub struct Snapshot<'a> {
+    dataset: &'a Dataset,
+    digest: u64,
+    before: Option<(&'a Dataset, u64)>,
+}
+
+impl<'a> Snapshot<'a> {
+    /// `dataset`, digested here (one linear scan).
+    pub fn of(dataset: &'a Dataset) -> Self {
+        Self::with_digest(dataset, crate::store::dataset_digest(dataset))
+    }
+
+    /// `dataset` with its digest already in hand — drivers that computed
+    /// it for their own pins (the agency's panel runner, the release
+    /// service's quarters) pass it through. The digest must be
+    /// [`dataset_digest`](crate::store::dataset_digest)`(dataset)`;
+    /// handing a digest of different data voids every pin built on it.
+    pub fn with_digest(dataset: &'a Dataset, digest: u64) -> Self {
+        Self {
+            dataset,
+            digest,
+            before: None,
+        }
+    }
+
+    /// This snapshot as the *after* quarter of a flow pair whose before
+    /// quarter is `before`. Level and shape requests still see only this
+    /// snapshot.
+    pub fn after(self, before: Snapshot<'a>) -> Self {
+        Self {
+            before: Some((before.dataset, before.digest)),
+            ..self
+        }
+    }
+
+    /// The snapshot's dataset digest.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// [`dataset_pair_digest`](crate::store::dataset_pair_digest) of the
+    /// `(before, this)` pair — the address of flow truths and flow
+    /// release-cache entries — or `None` without a before quarter.
+    pub fn pair_digest(&self) -> Option<u64> {
+        self.before
+            .map(|(_, before)| crate::store::dataset_pair_digest(before, self.digest))
+    }
+}
+
+/// Where [`ReleaseEngine::execute`] gets the truth a release samples
+/// from.
+pub enum TruthSource<'a> {
+    /// Tabulate through a caller-owned cache: levels and shapes over the
+    /// snapshot's dataset, flows over its `(before, dataset)` pair.
+    Tabulate {
+        /// The snapshot to tabulate.
+        data: Snapshot<'a>,
+        /// The cache that serves, and keeps, the tabulation.
+        cache: &'a mut TabulationCache,
+    },
+    /// An already tabulated level truth — evaluation sweeps tabulate once
+    /// and release many times. Its spec must match the request's.
+    Marginal(&'a Marginal),
+    /// An already tabulated flow truth. Its spec must match the
+    /// request's.
+    Flows(&'a FlowMarginal),
+}
+
+/// A truth in hand, borrowed for sampling.
+#[derive(Clone, Copy)]
+enum Truth<'a> {
+    Level(&'a Marginal),
+    Flows(&'a FlowMarginal),
+}
+
+/// A cached tabulation: a level marginal (levels and shapes sample from
+/// it) or the flow marginal of the cache's `(before, after)` pair.
+#[derive(Clone)]
+enum Tabulated {
+    Level(Arc<Marginal>),
+    Flows(Arc<FlowMarginal>),
+}
+
+impl Tabulated {
+    fn truth(&self) -> Truth<'_> {
+        match self {
+            Tabulated::Level(truth) => Truth::Level(truth),
+            Tabulated::Flows(truth) => Truth::Flows(truth),
+        }
+    }
+}
+
+/// Identity of one tabulation: whether it is a flow truth, the marginal
+/// spec, and the **normalized** filter expression restricting its
+/// population (`None` when unfiltered). Structurally equal expressions
+/// share a tabulation no matter where or when they were constructed; the
+/// expression itself is the key (not its [`FilterId`] digest) so a digest
+/// collision can never alias two different populations onto one cached
+/// truth.
+type TabulationKey = (bool, MarginalSpec, Option<FilterExpr>);
 
 fn tabulation_key(request: &ReleaseRequest) -> TabulationKey {
     (
+        request.kind == RequestKind::Flows,
         request.spec.clone(),
         request.filter.as_ref().map(FilterExpr::normalized),
     )
@@ -597,9 +683,9 @@ enum TabulationSource {
     Computed,
 }
 
-/// A cache of tabulated truth marginals keyed by
-/// `(MarginalSpec, normalized filter)`, plus the shared columnar
-/// [`DatasetIndex`] they were computed from.
+/// A cache of tabulated truths keyed by `(kind, MarginalSpec, normalized
+/// filter)`, plus the shared columnar [`DatasetIndex`] they were computed
+/// from.
 ///
 /// Tabulation is the engine's dominant cost for large universes; a batch
 /// (or a resumed publication season) whose requests share a marginal
@@ -608,39 +694,33 @@ enum TabulationSource {
 /// The cache is owned by the *caller* (or created per
 /// [`ReleaseEngine::execute_all`] batch) rather than stored inside the
 /// engine, because cached truths (and the index) are only valid for one
-/// dataset — tying the cache's lifetime to the caller's dataset makes
-/// stale reuse a type discipline instead of a runtime bug.
+/// dataset.
+///
+/// A cache serves exactly one [`Snapshot`]: it remembers the digest of
+/// its truth store's pin (or of the first snapshot it tabulates), plus
+/// the first before-quarter digest it sees, and refuses any snapshot
+/// whose digests differ — one `u64` compare per call.
 ///
 /// A cache built with [`with_store`](Self::with_store) additionally reads
 /// and writes a persistent, content-addressed
 /// [`TruthStore`](crate::truths::TruthStore): a memory miss first tries
-/// the store (digest-verified
-/// load), and a computed truth is persisted before it is used — so a
-/// resumed season, or a *sibling* season sharing a `(spec, filter)` with
-/// an earlier one, never re-tabulates. The store is pinned to one dataset
-/// digest, checked against the dataset on the **first tabulation through
-/// this cache** (one linear scan; a mismatch is refused loudly) and on
-/// every [`SeasonStore::run_cached`](crate::store::SeasonStore::run_cached)
-/// — the one-dataset-per-cache contract above still rests on the caller
-/// for later direct `execute_cached` calls.
+/// the store (digest-verified load), and a computed truth is persisted
+/// before it is used — so a resumed season, or a *sibling* season sharing
+/// a `(spec, filter)` with an earlier one, never re-tabulates. Level
+/// truths are addressed under the store's pin, flow truths under the
+/// snapshot's pair digest.
 #[derive(Default)]
 pub struct TabulationCache {
     index: Option<DatasetIndex>,
-    entries: BTreeMap<TabulationKey, Arc<Marginal>>,
-    store: Option<crate::truths::TruthStore>,
-    /// Whether the dataset's digest has been checked against the store's.
-    /// One linear pass per cache, on the first tabulation.
-    dataset_verified: bool,
-    /// Cached flow tabulations of the cache's one `(before, after)` pair.
-    /// The cache's main `index` doubles as the *after* side (it is the
-    /// index of the cache's one dataset — the current quarter); only the
-    /// *before* snapshot needs a second index.
-    flow_entries: BTreeMap<TabulationKey, Arc<FlowMarginal>>,
+    /// The *before* quarter's index for flow tabulations; the main
+    /// `index` is the after side.
     before_index: Option<DatasetIndex>,
-    /// [`dataset_pair_digest`](crate::store::dataset_pair_digest) of the
-    /// cache's one pair, computed (two full-dataset scans) or supplied by
-    /// a driver once, then reused for every persistent flow-truth lookup.
-    flow_pair_digest: Option<u64>,
+    entries: BTreeMap<TabulationKey, Tabulated>,
+    store: Option<crate::truths::TruthStore>,
+    /// Digest of the one dataset this cache serves.
+    digest: Option<u64>,
+    /// Digest of the one before quarter this cache pairs flows with.
+    before_digest: Option<u64>,
 }
 
 impl TabulationCache {
@@ -650,18 +730,14 @@ impl TabulationCache {
     }
 
     /// An empty cache backed by a persistent truth store. Tabulations are
-    /// served from and persisted to `store`; the cache may only ever be
-    /// used with the dataset `store` is pinned to.
+    /// served from and persisted to `store`; the cache serves only the
+    /// dataset `store` is pinned to.
     pub fn with_store(store: crate::truths::TruthStore) -> Self {
         Self {
+            digest: Some(store.dataset_digest()),
             store: Some(store),
             ..Self::default()
         }
-    }
-
-    /// The persistent truth store backing this cache, if any.
-    pub fn store(&self) -> Option<&crate::truths::TruthStore> {
-        self.store.as_ref()
     }
 
     /// Seed the cache with an already built index instead of building one
@@ -669,36 +745,11 @@ impl TabulationCache {
     /// **once** at startup and hands a clone (a [`DatasetIndex`] clone is
     /// a pointer copy) to every per-season cache, so N
     /// concurrent seasons share one image of the dataset instead of
-    /// paying N builds — the caller owes the same one-dataset contract as
-    /// for cached truths: the index must have been built from the dataset
-    /// this cache will be used with.
+    /// paying N builds. The index must have been built from the dataset
+    /// this cache will serve.
     pub fn with_shared_index(mut self, index: DatasetIndex) -> Self {
         self.index = Some(index);
         self
-    }
-
-    /// Seed the cache with an already built index of the *before*
-    /// snapshot for flow tabulations — the pair-wise analogue of
-    /// [`with_shared_index`](Self::with_shared_index) (which supplies the
-    /// *after*/current-quarter side). The same one-dataset contract
-    /// applies — and both quarters of a pair must use the same layout
-    /// (one-shard or per-state), which holds automatically when both are
-    /// built through [`DatasetIndex::build_auto`] on same-scale panel
-    /// quarters.
-    pub fn with_flow_before_index(mut self, index: DatasetIndex) -> Self {
-        self.before_index = Some(index);
-        self
-    }
-
-    /// Supply the pair digest of the cache's `(before, after)` pair so the
-    /// first persistent flow-truth lookup doesn't pay two full-dataset
-    /// scans — drivers (the agency's panel runner, the release service)
-    /// already hold both quarter digests for their own pins. The digest
-    /// must be [`dataset_pair_digest`](crate::store::dataset_pair_digest)
-    /// of the datasets actually passed; handing a digest of different data
-    /// voids the truth store's content addressing.
-    pub(crate) fn set_flow_pair_digest(&mut self, digest: u64) {
-        self.flow_pair_digest = Some(digest);
     }
 
     /// Number of distinct tabulations held in memory.
@@ -711,136 +762,108 @@ impl TabulationCache {
         self.entries.is_empty()
     }
 
-    /// Check an externally computed dataset digest against the backing
-    /// store's pin, marking the cache verified on success — so callers
-    /// that already paid for the digest (season/agency drivers, which
-    /// need it for their own manifest pins) don't trigger a second
-    /// full-dataset scan inside [`get_or_tabulate`](Self::get_or_tabulate).
-    /// A no-op for memory-only caches.
-    pub(crate) fn verify_dataset_digest(&mut self, digest: u64) -> Result<(), EngineError> {
-        if let Some(store) = &self.store {
-            if digest != store.dataset_digest() {
-                return Err(EngineError::TruthStore {
+    /// Refuse a snapshot other than the one this cache serves, pinning
+    /// its digests on first use.
+    fn check(&mut self, data: Snapshot<'_>) -> Result<(), EngineError> {
+        fn pin(pinned: &mut Option<u64>, handed: u64) -> Result<(), EngineError> {
+            match *pinned.get_or_insert(handed) {
+                pinned if pinned != handed => Err(EngineError::TruthStore {
                     detail: format!(
-                        "cache's truth store is pinned to dataset {:016x} but was handed \
-                         dataset {digest:016x} — refusing to mix databases",
-                        store.dataset_digest()
+                        "tabulation cache serves dataset {pinned:016x} but was handed \
+                         dataset {handed:016x} — refusing to mix databases"
                     ),
-                });
+                }),
+                _ => Ok(()),
             }
-            self.dataset_verified = true;
         }
-        Ok(())
+        pin(&mut self.digest, data.digest)?;
+        match data.before {
+            Some((_, before)) => pin(&mut self.before_digest, before),
+            None => Ok(()),
+        }
     }
 
-    /// The shared index of `dataset`, building it on first use — one shard
-    /// for ordinary datasets, one per state above the national-scale
-    /// threshold (see [`DatasetIndex::build_auto`]); results are
-    /// bit-identical either way.
-    fn index_for(&mut self, dataset: &Dataset) -> DatasetIndex {
-        self.index
-            .get_or_insert_with(|| DatasetIndex::build_auto(dataset))
-            .clone()
-    }
-
-    /// The truth marginal for `request`: in-memory entry, verified
-    /// persistent truth, or fresh tabulation of `dataset`, in that order.
+    /// The truth for `request` over `data`: in-memory entry, verified
+    /// persistent truth, or fresh tabulation over the shared index (or
+    /// pair of indexes, for flows), in that order.
     fn get_or_tabulate(
         &mut self,
-        dataset: &Dataset,
+        data: Snapshot<'_>,
         request: &ReleaseRequest,
         threads: usize,
-    ) -> Result<(Arc<Marginal>, TabulationSource), EngineError> {
+    ) -> Result<(Tabulated, TabulationSource), EngineError> {
+        self.check(data)?;
         let key = tabulation_key(request);
         if let Some(truth) = self.entries.get(&key) {
-            return Ok((Arc::clone(truth), TabulationSource::Memory));
+            return Ok((truth.clone(), TabulationSource::Memory));
         }
-        if self.store.is_some() && !self.dataset_verified {
-            let digest = crate::store::dataset_digest(dataset);
-            self.verify_dataset_digest(digest)?;
+        let (spec, filter) = (&request.spec, request.filter.as_ref());
+        // A flow truth pairs the before quarter with this snapshot and is
+        // addressed by the pair digest; level truths by the store's pin.
+        let flow_pair = key.0.then(|| {
+            let (before, before_digest) = data
+                .before
+                .expect("execute refuses flow requests without a before quarter");
+            let pair = crate::store::dataset_pair_digest(before_digest, data.digest);
+            (before, pair)
+        });
+        let loaded = self.store.as_ref().and_then(|store| match flow_pair {
+            Some((_, pair)) => store
+                .load_flows(pair, spec, filter)
+                .map(|truth| Tabulated::Flows(Arc::new(truth))),
+            None => store
+                .load(spec, filter)
+                .map(|truth| Tabulated::Level(Arc::new(truth))),
+        });
+        if let Some(truth) = loaded {
+            self.entries.insert(key, truth.clone());
+            return Ok((truth, TabulationSource::Disk));
         }
-        if let Some(store) = &self.store {
-            if let Some(truth) = store.load(&request.spec, request.filter.as_ref()) {
-                let truth = Arc::new(truth);
-                self.entries.insert(key, Arc::clone(&truth));
-                return Ok((truth, TabulationSource::Disk));
-            }
-        }
-        let index = self.index_for(dataset);
+        let index = self
+            .index
+            .get_or_insert_with(|| DatasetIndex::build_auto(data.dataset))
+            .clone();
+        let persist_failed = |e: StoreError| EngineError::TruthStore {
+            detail: format!("persisting freshly computed truth failed: {e}"),
+        };
         // The advisory `effective_shards` cap keeps small datasets on the
         // one-thread path instead of paying per-task spawn/sort/merge
         // overhead that exceeds the scan.
-        let truth = Arc::new(index.marginal(
-            &request.spec,
-            request.filter.as_ref(),
-            index.effective_shards(threads),
-            Kernel::Auto,
-        ));
-        if let Some(store) = &self.store {
-            store
-                .save(&request.spec, request.filter.as_ref(), &truth)
-                .map_err(|e| EngineError::TruthStore {
-                    detail: format!("persisting freshly computed truth failed: {e}"),
-                })?;
-        }
-        self.entries.insert(key, Arc::clone(&truth));
-        Ok((truth, TabulationSource::Computed))
-    }
-
-    /// The flow truth for `request` over the `(before, after)` pair:
-    /// in-memory entry, verified persistent flow truth (addressed by the
-    /// pair digest, not the store's single-dataset pin), or fresh
-    /// tabulation over the shared pair of indexes, in that order.
-    fn get_or_tabulate_flows(
-        &mut self,
-        before: &Dataset,
-        after: &Dataset,
-        request: &ReleaseRequest,
-        threads: usize,
-    ) -> Result<(Arc<FlowMarginal>, TabulationSource), EngineError> {
-        let key = tabulation_key(request);
-        if let Some(truth) = self.flow_entries.get(&key) {
-            return Ok((Arc::clone(truth), TabulationSource::Memory));
-        }
-        // Flow truths are content-addressed by the pair digest — computed
-        // once per cache — so only store-backed caches pay for it.
-        let pair_digest = self.store.is_some().then(|| {
-            *self.flow_pair_digest.get_or_insert_with(|| {
-                crate::store::dataset_pair_digest(
-                    crate::store::dataset_digest(before),
-                    crate::store::dataset_digest(after),
-                )
-            })
-        });
-        if let (Some(store), Some(pair)) = (self.store.as_ref(), pair_digest) {
-            if let Some(truth) = store.load_flows(pair, &request.spec, request.filter.as_ref()) {
-                let truth = Arc::new(truth);
-                self.flow_entries.insert(key, Arc::clone(&truth));
-                return Ok((truth, TabulationSource::Disk));
+        let truth = match flow_pair {
+            Some((before, pair)) => {
+                // The before side must share the after side's layout —
+                // flow tabulation pairs the quarters shard by shard.
+                let before_index = self
+                    .before_index
+                    .get_or_insert_with(|| index.build_like(before));
+                let truth = Arc::new(before_index.flows(
+                    &index,
+                    spec,
+                    filter,
+                    before_index.effective_shards(threads),
+                    Kernel::Auto,
+                ));
+                if let Some(store) = &self.store {
+                    store
+                        .save_flows(pair, spec, filter, &truth)
+                        .map_err(persist_failed)?;
+                }
+                Tabulated::Flows(truth)
             }
-        }
-        let after_index = self.index_for(after);
-        // The before side must share the after side's layout — flow
-        // tabulation pairs the quarters shard by shard.
-        let before_index = self
-            .before_index
-            .get_or_insert_with(|| after_index.build_like(before))
-            .clone();
-        let truth = Arc::new(before_index.flows(
-            &after_index,
-            &request.spec,
-            request.filter.as_ref(),
-            before_index.effective_shards(threads),
-            Kernel::Auto,
-        ));
-        if let (Some(store), Some(pair)) = (self.store.as_ref(), pair_digest) {
-            store
-                .save_flows(pair, &request.spec, request.filter.as_ref(), &truth)
-                .map_err(|e| EngineError::TruthStore {
-                    detail: format!("persisting freshly computed flow truth failed: {e}"),
-                })?;
-        }
-        self.flow_entries.insert(key, Arc::clone(&truth));
+            None => {
+                let truth = Arc::new(index.marginal(
+                    spec,
+                    filter,
+                    index.effective_shards(threads),
+                    Kernel::Auto,
+                ));
+                if let Some(store) = &self.store {
+                    store.save(spec, filter, &truth).map_err(persist_failed)?;
+                }
+                Tabulated::Level(truth)
+            }
+        };
+        self.entries.insert(key, truth.clone());
         Ok((truth, TabulationSource::Computed))
     }
 }
@@ -863,9 +886,9 @@ pub struct TabulationStats {
 /// Owns a [`Ledger`]; every execution path charges it before sampling, so
 /// the cumulative privacy loss of everything the engine has ever released
 /// is `ledger().budget() - remaining`. A request that would overdraw the
-/// ledger (or fails validation) is rejected *without* spending. Every
-/// single-release path that tabulates admits the same way: a dry-run
-/// charge, then the tabulation, then the real charge.
+/// ledger (or fails validation) is rejected *without* spending. One
+/// release is admitted in one place, [`execute`](Self::execute): a
+/// dry-run charge, then the truth, then the real charge, then sampling.
 #[derive(Debug)]
 pub struct ReleaseEngine {
     ledger: Ledger,
@@ -920,156 +943,105 @@ impl ReleaseEngine {
         self.ledger
     }
 
-    /// Lifetime tabulation-cache counters: how many truth marginals were
-    /// actually computed vs served from a cache, across every tabulating
-    /// call on this engine — [`execute_all`](Self::execute_all) batches,
-    /// the `*_cached` paths, and [`execute`](Self::execute) /
-    /// [`execute_flows`](Self::execute_flows), whose one tabulation each
-    /// counts as computed.
+    /// Lifetime tabulation-cache counters: how many truths were actually
+    /// computed vs served from a cache, across every tabulating call on
+    /// this engine — [`execute_all`](Self::execute_all) batches and
+    /// [`execute`](Self::execute) over [`TruthSource::Tabulate`].
     pub fn tabulation_stats(&self) -> TabulationStats {
         self.tab_stats
     }
 
-    /// Validate `request`, tabulate, charge the ledger, and sample.
+    /// Admit one release: validate `request` against `truth`, dry-run the
+    /// charge, get the truth, charge the ledger, and sample.
     ///
-    /// [`execute_cached`](Self::execute_cached) over a fresh memory-only
-    /// [`TabulationCache`], so the one tabulation builds a throwaway
-    /// index; batches and seasons ([`execute_all`](Self::execute_all),
-    /// `execute_cached` with a long-lived cache) share one index across
-    /// requests instead.
+    /// Validation refuses a flow request without a flow truth (a
+    /// [`TruthSource::Flows`] or a [`Snapshot`] with a before quarter), a
+    /// level or shapes request with a flow truth, and a precomputed truth
+    /// whose spec differs from the request's. A refused request — invalid,
+    /// or over budget — charges nothing and never reaches the cache or the
+    /// truth store; a truth-store failure leaves no charge behind, because
+    /// the real charge happens only once the truth is in hand, on the
+    /// ledger state the dry run admitted.
     pub fn execute(
         &mut self,
-        dataset: &Dataset,
         request: &ReleaseRequest,
+        truth: TruthSource<'_>,
     ) -> Result<ReleaseArtifact, EngineError> {
-        self.execute_cached(dataset, request, &mut TabulationCache::new())
+        let started = Instant::now();
+        let result = self.admit(request, truth);
+        if let Some(registry) = &self.metrics {
+            let family = registry.family(request.kind());
+            match &result {
+                Ok(artifact) => {
+                    family.record_accepted(artifact.cost.epsilon, artifact.cost.delta);
+                    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                    family.latency.observe_micros(micros);
+                }
+                Err(error) => family.record_denied(denial_reason(error)),
+            }
+        }
+        result
     }
 
-    /// Like [`execute`](Self::execute), but over an already-tabulated
-    /// truth marginal (the hot path for evaluation sweeps, which tabulate
-    /// once and release many times). The marginal's spec must match the
-    /// request's.
+    /// [`execute`](Self::execute) over an already tabulated level truth.
+    /// The release-path benchmark calls this by name, so it stays.
     pub fn execute_precomputed(
         &mut self,
         truth: &Marginal,
         request: &ReleaseRequest,
     ) -> Result<ReleaseArtifact, EngineError> {
-        let started = Instant::now();
-        let result = (|| {
-            reject_flow_kind(request)?;
-            if truth.spec() != &request.spec {
-                return Err(EngineError::SpecMismatch {
-                    requested: request.spec.name(),
-                    supplied: truth.spec().name(),
+        self.execute(request, TruthSource::Marginal(truth))
+    }
+
+    fn admit(
+        &mut self,
+        request: &ReleaseRequest,
+        truth: TruthSource<'_>,
+    ) -> Result<ReleaseArtifact, EngineError> {
+        let flows = request.kind == RequestKind::Flows;
+        let supplied = match &truth {
+            TruthSource::Tabulate { data, .. } if flows && data.before.is_none() => {
+                return Err(EngineError::Flow {
+                    detail: "flow requests tabulate a (before, after) pair — the snapshot \
+                             carries no before quarter",
                 });
             }
-            let plan = request.plan()?;
-            self.charge(request, &plan)?;
-            Ok(self.sample(truth, request, &plan, self.threads))
-        })();
-        self.observe(request.kind(), started, &result);
-        result
-    }
-
-    /// Like [`execute`](Self::execute), but tabulating through a
-    /// caller-owned [`TabulationCache`]: requests sharing a
-    /// `(spec, filter)` tabulation — e.g. the sequential, persist-as-you-go
-    /// releases of a publication season — pay for it once, and *all*
-    /// requests share the cache's one [`DatasetIndex`] of the dataset.
-    /// The cache must only ever be used with one dataset.
-    pub fn execute_cached(
-        &mut self,
-        dataset: &Dataset,
-        request: &ReleaseRequest,
-        cache: &mut TabulationCache,
-    ) -> Result<ReleaseArtifact, EngineError> {
-        let started = Instant::now();
-        let result = (|| {
-            reject_flow_kind(request)?;
-            let plan = request.plan()?;
-            // Dry-run the admission first: a budget-rejected request must
-            // not touch the cache or the truth store, and — the other way
-            // round — a truth-store failure must not strand a ledger
-            // charge that never produced an artifact. The real charge
-            // happens once the truth is in hand, on identical ledger
-            // state, so it cannot fail.
-            self.ledger.can_charge(&plan.per_cell, &plan.cost)?;
-            let (truth, source) = cache.get_or_tabulate(dataset, request, self.threads)?;
-            self.charge(request, &plan)
-                .expect("dry-run admitted this charge on identical ledger state");
-            self.note_source(source);
-            Ok(self.sample(&truth, request, &plan, self.threads))
-        })();
-        self.observe(request.kind(), started, &result);
-        result
-    }
-
-    /// Validate a flow `request`, tabulate job-flow statistics over the
-    /// `(before, after)` dataset pair, charge the ledger, and sample.
-    ///
-    /// [`execute_flows_cached`](Self::execute_flows_cached) over a fresh
-    /// memory-only [`TabulationCache`]; drivers executing several flow
-    /// requests over one pair share a long-lived cache instead.
-    pub fn execute_flows(
-        &mut self,
-        before: &Dataset,
-        after: &Dataset,
-        request: &ReleaseRequest,
-    ) -> Result<ReleaseArtifact, EngineError> {
-        self.execute_flows_cached(before, after, request, &mut TabulationCache::new())
-    }
-
-    /// Like [`execute_flows`](Self::execute_flows), but over an
-    /// already-tabulated flow truth (evaluation sweeps tabulate the pair
-    /// once and release many times). The truth's spec must match the
-    /// request's.
-    pub fn execute_flows_precomputed(
-        &mut self,
-        truth: &FlowMarginal,
-        request: &ReleaseRequest,
-    ) -> Result<ReleaseArtifact, EngineError> {
-        let started = Instant::now();
-        let result = (|| {
-            let plan = flow_plan(request)?;
-            if truth.spec() != &request.spec {
-                return Err(EngineError::SpecMismatch {
-                    requested: request.spec.name(),
-                    supplied: truth.spec().name(),
+            TruthSource::Tabulate { .. } => None,
+            TruthSource::Marginal(_) if flows => {
+                return Err(EngineError::Flow {
+                    detail: "flow requests sample a flow truth, not a level marginal",
                 });
             }
-            self.charge(request, &plan)?;
-            Ok(self.sample_flows(truth, request, &plan, self.threads))
-        })();
-        self.observe(request.kind(), started, &result);
-        result
-    }
-
-    /// Like [`execute_flows`](Self::execute_flows), but tabulating through
-    /// a caller-owned [`TabulationCache`] — the same dry-run-then-charge
-    /// protocol as [`execute_cached`](Self::execute_cached). The cache's
-    /// one-dataset contract extends pair-wise: `after` must be the cache's
-    /// dataset (its shared index and truth store are the current
-    /// quarter's) and every flow call must pass the same `before`.
-    pub fn execute_flows_cached(
-        &mut self,
-        before: &Dataset,
-        after: &Dataset,
-        request: &ReleaseRequest,
-        cache: &mut TabulationCache,
-    ) -> Result<ReleaseArtifact, EngineError> {
-        let started = Instant::now();
-        let result = (|| {
-            let plan = flow_plan(request)?;
-            self.ledger.can_charge(&plan.per_cell, &plan.cost)?;
-            let (truth, source) =
-                cache.get_or_tabulate_flows(before, after, request, self.threads)?;
-            self.charge(request, &plan)
-                .expect("dry-run admitted this charge on identical ledger state");
-            self.note_source(source);
-            Ok(self.sample_flows(&truth, request, &plan, self.threads))
-        })();
-        self.observe(request.kind(), started, &result);
-        result
+            TruthSource::Flows(_) if !flows => {
+                return Err(EngineError::Flow {
+                    detail: "only flow requests may sample a flow truth",
+                });
+            }
+            TruthSource::Marginal(truth) => Some(truth.spec()),
+            TruthSource::Flows(truth) => Some(truth.spec()),
+        };
+        if let Some(supplied) = supplied.filter(|spec| *spec != &request.spec) {
+            return Err(EngineError::SpecMismatch {
+                requested: request.spec.name(),
+                supplied: supplied.name(),
+            });
+        }
+        let plan = request.plan()?;
+        self.ledger.can_charge(&plan.per_cell, &plan.cost)?;
+        let tabulated;
+        let truth = match truth {
+            TruthSource::Tabulate { data, cache } => {
+                let (held, source) = cache.get_or_tabulate(data, request, self.threads)?;
+                self.note_source(source);
+                tabulated = held;
+                tabulated.truth()
+            }
+            TruthSource::Marginal(truth) => Truth::Level(truth),
+            TruthSource::Flows(truth) => Truth::Flows(truth),
+        };
+        self.charge(request, &plan)
+            .expect("dry-run admitted this charge on identical ledger state");
+        Ok(self.sample(truth, request, &plan, self.threads))
     }
 
     /// Execute a whole workload batch under this engine's single ledger.
@@ -1080,7 +1052,8 @@ impl ReleaseEngine {
     /// later requests still run if they fit the remaining budget.
     /// Execution of the admitted requests (tabulation + noising) is
     /// parallelized across requests; artifacts are returned in request
-    /// order and are bit-identical to sequential execution.
+    /// order and are bit-identical to sequential execution. Flow requests
+    /// need a before quarter a batch does not carry, so they are refused.
     pub fn execute_all(
         &mut self,
         dataset: &Dataset,
@@ -1093,7 +1066,12 @@ impl ReleaseEngine {
             .iter()
             .map(|request| {
                 let outcome = (|| {
-                    reject_flow_kind(request)?;
+                    if request.kind == RequestKind::Flows {
+                        return Err(EngineError::Flow {
+                            detail: "flow requests tabulate a (before, after) pair — execute \
+                                     them against a Snapshot that carries its before quarter",
+                        });
+                    }
                     let plan = request.plan()?;
                     self.charge(request, &plan)?;
                     Ok(plan)
@@ -1110,7 +1088,7 @@ impl ReleaseEngine {
             .collect();
         // Phase 2 (parallel): run admitted requests. Leftover threads are
         // shared out to each request's per-cell noising, so a batch of one
-        // big marginal parallelizes as well as a direct `execute` call.
+        // big marginal parallelizes as well as a single `execute` call.
         let jobs: Vec<(usize, &ReleaseRequest, ReleasePlan)> = admitted
             .iter()
             .enumerate()
@@ -1174,7 +1152,9 @@ impl ReleaseEngine {
         let artifacts = par_map(
             &tasks,
             self.threads.min(tasks.len().max(1)),
-            |(_, request, plan, truth)| self.sample(truth, request, plan, inner_threads),
+            |(_, request, plan, truth)| {
+                self.sample(Truth::Level(truth), request, plan, inner_threads)
+            },
         );
         let mut by_index: BTreeMap<usize, ReleaseArtifact> =
             jobs.iter().map(|(i, _, _)| *i).zip(artifacts).collect();
@@ -1195,29 +1175,6 @@ impl ReleaseEngine {
         Ok(())
     }
 
-    /// Record a single-release outcome into the attached registry: an
-    /// admission with its charged cost and wall latency, or a denial
-    /// keyed by reason.
-    fn observe(
-        &self,
-        kind: RequestKind,
-        started: Instant,
-        result: &Result<ReleaseArtifact, EngineError>,
-    ) {
-        let Some(registry) = &self.metrics else {
-            return;
-        };
-        let family = registry.family(kind);
-        match result {
-            Ok(artifact) => {
-                family.record_accepted(artifact.cost.epsilon, artifact.cost.delta);
-                let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                family.latency.observe_micros(micros);
-            }
-            Err(error) => family.record_denied(denial_reason(error)),
-        }
-    }
-
     /// Count one cached-tabulation source, mirrored into both the
     /// engine's [`TabulationStats`] and the attached registry.
     fn note_source(&mut self, source: TabulationSource) {
@@ -1235,75 +1192,49 @@ impl ReleaseEngine {
         }
     }
 
+    /// Sample an admitted release from its truth and wrap it in the one
+    /// artifact shape every path returns. The payload follows the
+    /// request's kind; the caller has already matched it to the truth.
     fn sample(
         &self,
-        truth: &Marginal,
+        truth: Truth<'_>,
         request: &ReleaseRequest,
         plan: &ReleasePlan,
         threads: usize,
     ) -> ReleaseArtifact {
-        let payload = match request.kind {
-            RequestKind::Marginal => ArtifactPayload::Cells(sample_cells(
+        let mechanism = plan
+            .mechanism
+            .build(&plan.per_cell)
+            .expect("plan() validated mechanism parameters");
+        let (seed, integerize) = (request.seed, request.integerize);
+        let payload = match truth {
+            Truth::Level(truth) if request.kind == RequestKind::Shapes => ArtifactPayload::Shapes(
+                sample_shapes(truth, &*mechanism, seed, integerize, threads),
+            ),
+            Truth::Level(truth) => {
+                ArtifactPayload::Cells(sample_cells(truth, &*mechanism, seed, integerize, threads))
+            }
+            Truth::Flows(truth) => ArtifactPayload::Flows(sample_flow_cells(
                 truth,
-                plan,
-                request.seed,
-                request.integerize,
+                &*mechanism,
+                seed,
+                integerize,
                 threads,
             )),
-            RequestKind::Shapes => ArtifactPayload::Shapes(sample_shapes(
-                truth,
-                plan,
-                request.seed,
-                request.integerize,
-                threads,
-            )),
-            // Every level-marginal entry point rejects flow requests up
-            // front; flow artifacts come from `sample_flows`.
-            RequestKind::Flows => unreachable!("flow requests are routed through sample_flows"),
         };
-        let mechanism_name = plan
-            .mechanism
-            .build(&plan.per_cell)
-            .expect("plan() validated mechanism parameters")
-            .name()
-            .to_string();
+        // Truth fingerprints exist only for the evaluation harness; a
+        // production build never computes or emits one.
+        let truth_digest = cfg!(feature = "eval-only").then(|| match truth {
+            Truth::Level(truth) => TruthDigest::of(truth),
+            Truth::Flows(truth) => TruthDigest::of_flows(truth),
+        });
         ReleaseArtifact {
             request: request.provenance(plan),
             regime: plan.regime,
             cost: plan.cost,
-            mechanism_name,
+            mechanism_name: mechanism.name().to_string(),
             payload,
-            truth_digest: truth_digest(truth),
-        }
-    }
-
-    fn sample_flows(
-        &self,
-        truth: &FlowMarginal,
-        request: &ReleaseRequest,
-        plan: &ReleasePlan,
-        threads: usize,
-    ) -> ReleaseArtifact {
-        let payload = ArtifactPayload::Flows(sample_flow_cells(
-            truth,
-            plan,
-            request.seed,
-            request.integerize,
-            threads,
-        ));
-        let mechanism_name = plan
-            .mechanism
-            .build(&plan.per_cell)
-            .expect("plan() validated mechanism parameters")
-            .name()
-            .to_string();
-        ReleaseArtifact {
-            request: request.provenance(plan),
-            regime: plan.regime,
-            cost: plan.cost,
-            mechanism_name,
-            payload,
-            truth_digest: flow_truth_digest(truth),
+            truth_digest,
         }
     }
 }
@@ -1318,52 +1249,6 @@ fn denial_reason(error: &EngineError) -> &'static str {
         EngineError::Budget(ledger_error) => ledger_error.metric_reason(),
         _ => REASON_REQUEST_INVALID,
     }
-}
-
-/// Refuse [`RequestKind::Flows`] on a single-snapshot execution path:
-/// flow statistics tabulate a `(before, after)` dataset pair and must go
-/// through the `execute_flows*` entry points — there is no dataset a
-/// single-snapshot path could silently substitute for the missing one.
-fn reject_flow_kind(request: &ReleaseRequest) -> Result<(), EngineError> {
-    if request.kind == RequestKind::Flows {
-        return Err(EngineError::Flow {
-            detail: "flow requests tabulate a (before, after) dataset pair — \
-                     use execute_flows / execute_flows_cached",
-        });
-    }
-    Ok(())
-}
-
-/// The flow-path mirror of [`reject_flow_kind`]: only
-/// [`RequestKind::Flows`] requests may enter `execute_flows*`, and their
-/// plan is computed here.
-fn flow_plan(request: &ReleaseRequest) -> Result<ReleasePlan, EngineError> {
-    if request.kind != RequestKind::Flows {
-        return Err(EngineError::Flow {
-            detail: "only RequestKind::Flows requests may use the flow execution paths",
-        });
-    }
-    request.plan()
-}
-
-#[cfg(feature = "eval-only")]
-fn truth_digest(truth: &Marginal) -> Option<TruthDigest> {
-    Some(TruthDigest::of(truth))
-}
-
-#[cfg(not(feature = "eval-only"))]
-fn truth_digest(_truth: &Marginal) -> Option<TruthDigest> {
-    None
-}
-
-#[cfg(feature = "eval-only")]
-fn flow_truth_digest(truth: &FlowMarginal) -> Option<TruthDigest> {
-    Some(TruthDigest::of_flows(truth))
-}
-
-#[cfg(not(feature = "eval-only"))]
-fn flow_truth_digest(_truth: &FlowMarginal) -> Option<TruthDigest> {
-    None
 }
 
 /// Derive the independent noise seed of one cell from the request seed:
@@ -1404,9 +1289,30 @@ fn par_map<T: Sync, U: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> U + 
     out
 }
 
+/// Saturate a non-finite value at `±f64::MAX`; finite values pass
+/// through unchanged. JSON cannot carry `±∞`, so without this an admitted
+/// (and charged) release could not be persisted.
+fn saturate(value: f64) -> f64 {
+    value.clamp(-f64::MAX, f64::MAX)
+}
+
+/// The one post-processing step every noised value passes through before
+/// it is published. It is data-independent, so it costs no privacy.
+/// Log-Laplace perturbs in log space, so a small per-cell ε can overflow
+/// `exp` to `+∞`; the value saturates first, then integerization (when
+/// requested) rounds it and clamps it at zero.
+fn post_process(value: f64, integerize: bool) -> f64 {
+    let value = saturate(value);
+    if integerize {
+        value.round().max(0.0)
+    } else {
+        value
+    }
+}
+
 fn sample_cells(
     truth: &Marginal,
-    plan: &ReleasePlan,
+    mechanism: &(dyn CountMechanism + Sync),
     seed: u64,
     integerize: bool,
     threads: usize,
@@ -1420,19 +1326,12 @@ fn sample_cells(
     } else {
         threads
     };
-    let mechanism = plan
-        .mechanism
-        .build(&plan.per_cell)
-        .expect("plan() validated mechanism parameters");
     let released = par_map(&cells, threads, |(key, query)| {
         let mut rng = StdRng::seed_from_u64(cell_seed(seed, key.0));
-        let value = mechanism.release(query, &mut rng);
-        let value = if integerize {
-            value.round().max(0.0)
-        } else {
-            value
-        };
-        (*key, value)
+        (
+            *key,
+            post_process(mechanism.release(query, &mut rng), integerize),
+        )
     });
     released.into_iter().collect()
 }
@@ -1447,7 +1346,7 @@ fn sample_cells(
 /// is derived — never `E` itself, which may legitimately go negative.
 fn sample_flow_cells(
     truth: &FlowMarginal,
-    plan: &ReleasePlan,
+    mechanism: &(dyn CountMechanism + Sync),
     seed: u64,
     integerize: bool,
     threads: usize,
@@ -1458,50 +1357,28 @@ fn sample_flow_cells(
     } else {
         threads
     };
-    let mechanism = plan
-        .mechanism
-        .build(&plan.per_cell)
-        .expect("plan() validated mechanism parameters");
     let released = par_map(&cells, threads, |(key, stats)| {
         let mut rng = StdRng::seed_from_u64(cell_seed(seed, key.0));
-        let finish = |value: f64| {
-            if integerize {
-                value.round().max(0.0)
-            } else {
-                value
-            }
-        };
         // A zero-count statistic of an active cell still has x_v = 0;
         // the mechanisms need max(x_v, 1) just like Lemma 8.5's
         // max(x_v·α, 1) floor.
-        let beginning = finish(mechanism.release(
-            &CellQuery {
-                count: stats.beginning,
-                max_establishment: stats.max_beginning.max(1),
-            },
-            &mut rng,
-        ));
-        let job_creation = finish(mechanism.release(
-            &CellQuery {
-                count: stats.job_creation,
-                max_establishment: stats.max_creation.max(1),
-            },
-            &mut rng,
-        ));
-        let job_destruction = finish(mechanism.release(
-            &CellQuery {
-                count: stats.job_destruction,
-                max_establishment: stats.max_destruction.max(1),
-            },
-            &mut rng,
-        ));
+        let mut release = |count: u64, max_establishment: u32| {
+            let query = CellQuery {
+                count,
+                max_establishment: max_establishment.max(1),
+            };
+            post_process(mechanism.release(&query, &mut rng), integerize)
+        };
+        let beginning = release(stats.beginning, stats.max_beginning);
+        let job_creation = release(stats.job_creation, stats.max_creation);
+        let job_destruction = release(stats.job_destruction, stats.max_destruction);
         (
             *key,
             FlowRelease {
                 beginning,
                 job_creation,
                 job_destruction,
-                ending: beginning + job_creation - job_destruction,
+                ending: saturate(beginning + job_creation - job_destruction),
             },
         )
     });
@@ -1510,7 +1387,7 @@ fn sample_flow_cells(
 
 fn sample_shapes(
     truth: &Marginal,
-    plan: &ReleasePlan,
+    mechanism: &(dyn CountMechanism + Sync),
     seed: u64,
     integerize: bool,
     threads: usize,
@@ -1538,10 +1415,6 @@ fn sample_shapes(
             CellQuery::from_stats(stats),
         ));
     }
-    let mechanism = plan
-        .mechanism
-        .build(&plan.per_cell)
-        .expect("plan() validated mechanism parameters");
     let group_list: Vec<(u64, Vec<GroupedCell>)> = groups.into_iter().collect();
     let threads = if group_list.len() < MIN_PARALLEL_CELLS {
         1
@@ -1554,13 +1427,12 @@ fn sample_shapes(
             // True-zero classes are not released (sparse-publication
             // convention); their noisy value stays 0.
             let mut rng = StdRng::seed_from_u64(cell_seed(seed, *full_key));
-            let mut value = mechanism.release(query, &mut rng).max(0.0);
-            if integerize {
-                value = value.round();
-            }
-            sub_counts[*class_idx] = value;
+            let value = mechanism.release(query, &mut rng).max(0.0);
+            sub_counts[*class_idx] = post_process(value, integerize);
         }
-        let total: f64 = sub_counts.iter().sum();
+        // Derived from the saturated counts, and saturated the same way:
+        // every count is finite and non-negative, so each fraction is too.
+        let total = saturate(sub_counts.iter().sum());
         let fractions = if total > 0.0 {
             sub_counts.iter().map(|&c| c / total).collect()
         } else {
@@ -1583,6 +1455,51 @@ mod tests {
 
     fn dataset() -> Dataset {
         Generator::new(GeneratorConfig::test_small(91)).generate()
+    }
+
+    /// One-shot call shapes: [`ReleaseEngine::execute`] tabulating
+    /// through a fresh memory-only cache.
+    trait ExecuteOn {
+        fn execute_on(
+            &mut self,
+            d: &Dataset,
+            request: &ReleaseRequest,
+        ) -> Result<ReleaseArtifact, EngineError>;
+
+        fn execute_pair(
+            &mut self,
+            before: &Dataset,
+            after: &Dataset,
+            request: &ReleaseRequest,
+        ) -> Result<ReleaseArtifact, EngineError>;
+    }
+
+    impl ExecuteOn for ReleaseEngine {
+        fn execute_on(
+            &mut self,
+            d: &Dataset,
+            request: &ReleaseRequest,
+        ) -> Result<ReleaseArtifact, EngineError> {
+            let cache = &mut TabulationCache::new();
+            self.execute(
+                request,
+                TruthSource::Tabulate {
+                    data: Snapshot::of(d),
+                    cache,
+                },
+            )
+        }
+
+        fn execute_pair(
+            &mut self,
+            before: &Dataset,
+            after: &Dataset,
+            request: &ReleaseRequest,
+        ) -> Result<ReleaseArtifact, EngineError> {
+            let data = Snapshot::of(after).after(Snapshot::of(before));
+            let cache = &mut TabulationCache::new();
+            self.execute(request, TruthSource::Tabulate { data, cache })
+        }
     }
 
     #[test]
@@ -1623,7 +1540,7 @@ mod tests {
         let d = dataset();
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
         let artifact = engine
-            .execute(
+            .execute_on(
                 &d,
                 &ReleaseRequest::marginal(workload1())
                     .mechanism(MechanismKind::SmoothGamma)
@@ -1646,7 +1563,7 @@ mod tests {
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 1.0));
         // Over budget.
         let err = engine
-            .execute(
+            .execute_on(
                 &d,
                 &ReleaseRequest::marginal(workload1())
                     .mechanism(MechanismKind::SmoothGamma)
@@ -1657,7 +1574,7 @@ mod tests {
         assert!((engine.ledger().remaining_epsilon() - 1.0).abs() < 1e-12);
         // Invalid mechanism parameters: rejected before charging.
         let err = engine
-            .execute(
+            .execute_on(
                 &d,
                 &ReleaseRequest::marginal(workload1())
                     .mechanism(MechanismKind::SmoothGamma)
@@ -1673,7 +1590,7 @@ mod tests {
     fn parameter_validity_follows_the_per_cell_split() {
         let d = dataset();
         let release = |mechanism: MechanismKind, spec: MarginalSpec, budget: PrivacyParams| {
-            ReleaseEngine::new(budget).execute(
+            ReleaseEngine::new(budget).execute_on(
                 &d,
                 &ReleaseRequest::marginal(spec)
                     .mechanism(mechanism)
@@ -1703,7 +1620,7 @@ mod tests {
         let release = |epsilon: f64, seed: u64| {
             let budget = PrivacyParams::approximate(0.1, epsilon, 0.05);
             ReleaseEngine::new(budget)
-                .execute(
+                .execute_on(
                     &d,
                     &ReleaseRequest::marginal(workload1())
                         .mechanism(MechanismKind::SmoothLaplace)
@@ -1723,7 +1640,7 @@ mod tests {
         let d = dataset();
         let truth = compute_marginal(&d, &workload1());
         let mut artifact = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0))
-            .execute(
+            .execute_on(
                 &d,
                 &ReleaseRequest::marginal(workload1())
                     .mechanism(MechanismKind::SmoothGamma)
@@ -1773,7 +1690,7 @@ mod tests {
         }
         // Single-request execution with cell parallelism agrees too.
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0)).with_parallelism(8);
-        let single = engine.execute(&d, &requests[0]).unwrap();
+        let single = engine.execute_on(&d, &requests[0]).unwrap();
         assert_eq!(&single, sequential[0].as_ref().unwrap());
     }
 
@@ -1856,23 +1773,88 @@ mod tests {
             .mechanism(MechanismKind::LogLaplace)
             .budget(PrivacyParams::pure(0.1, 1.0))
             .seed(32);
+        let data = Snapshot::of(&d);
         let mut cached = ReleaseEngine::new(PrivacyParams::pure(0.1, 3.0));
         let mut cache = TabulationCache::new();
-        let a1 = cached.execute_cached(&d, &r1, &mut cache).unwrap();
-        let a2 = cached.execute_cached(&d, &r2, &mut cache).unwrap();
+        let a1 = cached
+            .execute(
+                &r1,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache,
+                },
+            )
+            .unwrap();
+        let a2 = cached
+            .execute(
+                &r2,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache,
+                },
+            )
+            .unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cached.tabulation_stats().computed, 1);
         assert_eq!(cached.tabulation_stats().hits, 1);
         // Bit-identical to the uncached path.
         let mut plain = ReleaseEngine::new(PrivacyParams::pure(0.1, 3.0));
-        assert_eq!(plain.execute(&d, &r1).unwrap(), a1);
-        assert_eq!(plain.execute(&d, &r2).unwrap(), a2);
+        assert_eq!(plain.execute_on(&d, &r1).unwrap(), a1);
+        assert_eq!(plain.execute_on(&d, &r2).unwrap(), a2);
         // A rejected request never touches the cache or the stats.
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 0.5));
         let mut cache = TabulationCache::new();
-        assert!(engine.execute_cached(&d, &r1, &mut cache).is_err());
+        assert!(engine
+            .execute(
+                &r1,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache
+                }
+            )
+            .is_err());
         assert!(cache.is_empty());
         assert_eq!(engine.tabulation_stats(), TabulationStats::default());
+    }
+
+    /// A cache serves one snapshot: a different dataset, or a different
+    /// before quarter than the first one it paired, is refused before
+    /// anything is charged.
+    #[test]
+    fn tabulation_cache_refuses_a_second_snapshot() {
+        let (before, after) = quarter_pair();
+        let level = ReleaseRequest::marginal(workload1())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 1.0))
+            .seed(5);
+        let flows = ReleaseRequest::flows(workload1())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 1.0))
+            .seed(6);
+        let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
+        let mut cache = TabulationCache::new();
+        let mut run = |request: &ReleaseRequest, data: Snapshot<'_>| {
+            let outcome = engine.execute(
+                request,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache,
+                },
+            );
+            (outcome, engine.ledger().entries().len())
+        };
+        let pair = Snapshot::of(&after).after(Snapshot::of(&before));
+        assert!(matches!(run(&level, pair), (Ok(_), 1)));
+        assert!(matches!(
+            run(&level, Snapshot::of(&before)),
+            (Err(EngineError::TruthStore { .. }), 1)
+        ));
+        assert!(matches!(run(&flows, pair), (Ok(_), 2)));
+        let swapped = Snapshot::of(&after).after(Snapshot::of(&after));
+        assert!(matches!(
+            run(&flows, swapped),
+            (Err(EngineError::TruthStore { .. }), 2)
+        ));
     }
 
     /// A season run over the per-state layout releases bit-identical
@@ -1900,12 +1882,25 @@ mod tests {
         let mut flat_cache = TabulationCache::new().with_shared_index(flat_index);
         let mut sharded_engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
         let mut sharded_cache = TabulationCache::new().with_shared_index(sharded_index);
+        let data = Snapshot::of(&d);
         for request in &requests {
             let flat = flat_engine
-                .execute_cached(&d, request, &mut flat_cache)
+                .execute(
+                    request,
+                    TruthSource::Tabulate {
+                        data,
+                        cache: &mut flat_cache,
+                    },
+                )
                 .unwrap();
             let sharded = sharded_engine
-                .execute_cached(&d, request, &mut sharded_cache)
+                .execute(
+                    request,
+                    TruthSource::Tabulate {
+                        data,
+                        cache: &mut sharded_cache,
+                    },
+                )
                 .unwrap();
             assert_eq!(flat, sharded);
             assert_eq!(flat.truth_digest, sharded.truth_digest);
@@ -1940,10 +1935,27 @@ mod tests {
         assert_eq!(engine.tabulation_stats().computed, 1);
         assert_eq!(engine.tabulation_stats().hits, 1);
         // The caller-owned cache shares by digest the same way.
+        let data = Snapshot::of(&d);
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 3.0));
         let mut cache = TabulationCache::new();
-        let a0 = engine.execute_cached(&d, &requests[0], &mut cache).unwrap();
-        let a1 = engine.execute_cached(&d, &requests[1], &mut cache).unwrap();
+        let a0 = engine
+            .execute(
+                &requests[0],
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache,
+                },
+            )
+            .unwrap();
+        let a1 = engine
+            .execute(
+                &requests[1],
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache,
+                },
+            )
+            .unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(engine.tabulation_stats().hits, 1);
         assert_eq!(outcomes[0].as_ref().unwrap(), &a0);
@@ -1951,14 +1963,16 @@ mod tests {
         // A structurally different filter does not share.
         let mut other = ReleaseEngine::new(PrivacyParams::pure(0.1, 1.0));
         other
-            .execute_cached(
-                &d,
+            .execute(
                 &ReleaseRequest::marginal(workload1())
                     .mechanism(MechanismKind::LogLaplace)
                     .budget(PrivacyParams::pure(0.1, 1.0))
                     .filter_expr(FilterExpr::sex(Sex::Female))
                     .seed(3),
-                &mut cache,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache,
+                },
             )
             .unwrap();
         assert_eq!(cache.len(), 2);
@@ -1983,79 +1997,6 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// A season worker respawn rebuilds its whole plan with
-        /// `from_provenance`: for any valid request, the rebuilt request
-        /// must record the same provenance, bit for bit, and plan to the
-        /// same cost. Filters are drawn from a pool that includes an
-        /// unnormalized membership set, so the round trip must carry the
-        /// expression exactly as given. Totals of at least 4.0 keep every
-        /// mechanism valid after the widest split (workload 3's 8 cells
-        /// leave Smooth Gamma ε ≥ 0.5 > 5·ln 1.1).
-        #[test]
-        fn from_provenance_round_trips_any_valid_request(
-            kind in 0u8..4,
-            mechanism in 0u8..3,
-            per_cell in proptest::prelude::any::<bool>(),
-            epsilon in 4.0f64..40.0,
-            filter in 0u8..5,
-            integerize in proptest::prelude::any::<bool>(),
-            seed in 0u64..u64::MAX,
-            described in proptest::prelude::any::<bool>(),
-        ) {
-            use lodes::{Education, Sex};
-            use tabulate::WorkplaceAttr;
-            let mut request = match kind {
-                0 => ReleaseRequest::marginal(workload1()),
-                1 => ReleaseRequest::marginal(workload3()),
-                2 => ReleaseRequest::shapes(workload3()),
-                _ => ReleaseRequest::flows(workload1()),
-            };
-            request = request.mechanism(match mechanism {
-                0 => MechanismKind::LogLaplace,
-                1 => MechanismKind::SmoothGamma,
-                _ => MechanismKind::SmoothLaplace,
-            });
-            let budget = PrivacyParams::approximate(0.1, epsilon, 0.05);
-            request = if per_cell {
-                request.budget_per_cell(budget)
-            } else {
-                request.budget(budget)
-            };
-            let expr = match filter {
-                0 => None,
-                1 => Some(FilterExpr::All),
-                2 => Some(FilterExpr::sex(Sex::Female)),
-                3 => Some(
-                    FilterExpr::sex(Sex::Female)
-                        .and(FilterExpr::education_at_least(Education::BachelorOrHigher)),
-                ),
-                _ => Some(FilterExpr::WorkplaceIn(WorkplaceAttr::Naics, vec![4, 1, 4]).not()),
-            };
-            if let Some(expr) = expr {
-                request = request.filter_expr(expr);
-            }
-            if described {
-                request = request.describe(format!("release {seed}"));
-            }
-            let request = request.integerize(integerize).seed(seed);
-            let plan = request.plan().expect("generated requests are valid");
-            let original = request.provenance(&plan);
-            let rebuilt = ReleaseRequest::from_provenance(&original);
-            let rebuilt_plan = rebuilt.plan().expect("rebuilt request stays valid");
-            let again = rebuilt.provenance(&rebuilt_plan);
-            proptest::prop_assert_eq!(&again, &original);
-            proptest::prop_assert_eq!(
-                serde_json::to_string(&again).unwrap(),
-                serde_json::to_string(&original).unwrap()
-            );
-            proptest::prop_assert_eq!(rebuilt_plan.cost, plan.cost);
-            proptest::prop_assert_eq!(rebuilt.regime(), request.regime());
-        }
-    }
-
     #[test]
     fn precomputed_path_matches_dataset_path() {
         let d = dataset();
@@ -2066,7 +2007,7 @@ mod tests {
             .seed(21);
         let mut e1 = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
         let mut e2 = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
-        let a = e1.execute(&d, &request).unwrap();
+        let a = e1.execute_on(&d, &request).unwrap();
         let b = e2.execute_precomputed(&truth, &request).unwrap();
         assert_eq!(a, b);
         // Spec mismatch is caught.
@@ -2086,7 +2027,7 @@ mod tests {
         let d = dataset();
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.5, 1.0));
         let artifact = engine
-            .execute(
+            .execute_on(
                 &d,
                 &ReleaseRequest::marginal(workload1())
                     .mechanism(MechanismKind::LogLaplace)
@@ -2107,7 +2048,7 @@ mod tests {
         // Workload 3 under weak composition: per-cell 1.0 -> total 8.0.
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 8.0));
         let artifact = engine
-            .execute(
+            .execute_on(
                 &d,
                 &ReleaseRequest::marginal(workload3())
                     .mechanism(MechanismKind::LogLaplace)
@@ -2141,7 +2082,7 @@ mod tests {
         let d = dataset();
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
         let artifact = engine
-            .execute(
+            .execute_on(
                 &d,
                 &ReleaseRequest::marginal(workload1())
                     .mechanism(MechanismKind::SmoothGamma)
@@ -2179,7 +2120,7 @@ mod tests {
         let (before, after) = quarter_pair();
         let mut engine = ReleaseEngine::new(PrivacyParams::approximate(0.1, 6.0, 0.06));
         let artifact = engine
-            .execute_flows(&before, &after, &flow_request())
+            .execute_pair(&before, &after, &flow_request())
             .unwrap();
         // B, JC, JD are separate sequential charges; E is post-processing.
         assert_eq!(artifact.cost.multiplier, ReleaseCost::FLOW_STATISTICS);
@@ -2200,25 +2141,38 @@ mod tests {
         let (before, after) = quarter_pair();
         let mut engine = ReleaseEngine::new(PrivacyParams::approximate(0.1, 20.0, 0.2));
         let request = flow_request();
-        assert!(matches!(
-            engine.execute(&after, &request).unwrap_err(),
-            EngineError::Flow { .. }
-        ));
         let mut cache = TabulationCache::new();
         assert!(matches!(
             engine
-                .execute_cached(&after, &request, &mut cache)
+                .execute(
+                    &request,
+                    TruthSource::Tabulate {
+                        data: Snapshot::of(&after),
+                        cache: &mut cache,
+                    },
+                )
+                .unwrap_err(),
+            EngineError::Flow { .. }
+        ));
+        assert!(cache.is_empty(), "a refusal never reaches the cache");
+        let level_truth = compute_marginal(&after, &workload1());
+        assert!(matches!(
+            engine
+                .execute(&request, TruthSource::Marginal(&level_truth))
                 .unwrap_err(),
             EngineError::Flow { .. }
         ));
         let outcomes = engine.execute_all(&after, std::slice::from_ref(&request));
         assert!(matches!(outcomes[0], Err(EngineError::Flow { .. })));
-        // And the mirror: a level request may not enter the flow paths.
+        // And the mirror: a level request may not sample a flow truth.
         let level = ReleaseRequest::marginal(workload1())
             .mechanism(MechanismKind::SmoothGamma)
             .budget(PrivacyParams::pure(0.1, 2.0));
+        let flow_truth = tabulate::compute_flows(&before, &after, &workload1());
         assert!(matches!(
-            engine.execute_flows(&before, &after, &level).unwrap_err(),
+            engine
+                .execute(&level, TruthSource::Flows(&flow_truth))
+                .unwrap_err(),
             EngineError::Flow { .. }
         ));
         // Nothing above spent budget.
@@ -2243,16 +2197,29 @@ mod tests {
 
         let mut direct_engine = ReleaseEngine::new(budget);
         let direct = direct_engine
-            .execute_flows(&before, &after, &request)
+            .execute_pair(&before, &after, &request)
             .unwrap();
 
+        let data = Snapshot::of(&after).after(Snapshot::of(&before));
         let mut engine = ReleaseEngine::new(budget);
         let mut cache = TabulationCache::new();
         let first = engine
-            .execute_flows_cached(&before, &after, &request, &mut cache)
+            .execute(
+                &request,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache,
+                },
+            )
             .unwrap();
         let second = engine
-            .execute_flows_cached(&before, &after, &request.clone().seed(78), &mut cache)
+            .execute(
+                &request.clone().seed(78),
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut cache,
+                },
+            )
             .unwrap();
         assert_eq!(first, direct);
         assert_ne!(first.payload, second.payload, "different seeds re-noise");
@@ -2269,21 +2236,21 @@ mod tests {
 
         let mut direct_engine = ReleaseEngine::new(budget);
         let direct = direct_engine
-            .execute_flows(&before, &after, &flow_request())
+            .execute_pair(&before, &after, &flow_request())
             .unwrap();
         let mut engine = ReleaseEngine::new(budget);
         let from_truth = engine
-            .execute_flows_precomputed(&truth, &flow_request())
+            .execute(&flow_request(), TruthSource::Flows(&truth))
             .unwrap();
         assert_eq!(from_truth, direct);
 
         let other_spec = MarginalSpec::new(vec![tabulate::WorkplaceAttr::County], vec![]);
         let err = ReleaseEngine::new(budget)
-            .execute_flows_precomputed(
-                &truth,
+            .execute(
                 &ReleaseRequest::flows(other_spec)
                     .mechanism(MechanismKind::SmoothLaplace)
                     .budget(budget),
+                TruthSource::Flows(&truth),
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::SpecMismatch { .. }));
@@ -2300,7 +2267,7 @@ mod tests {
             .seed(101);
         assert_eq!(request.regime(), NeighborKind::Weak);
         let mut engine = ReleaseEngine::new(PrivacyParams::approximate(0.1, 6.0, 0.06));
-        let artifact = engine.execute_flows(&before, &after, &request).unwrap();
+        let artifact = engine.execute_pair(&before, &after, &request).unwrap();
         assert_eq!(artifact.regime, NeighborKind::Weak);
         // The filtered truth the noise was centred on is the both-sides
         // restriction computed by the tabulation layer.
@@ -2324,19 +2291,30 @@ mod tests {
 
         let open_cache =
             || TabulationCache::with_store(crate::truths::TruthStore::open(&dir, digest).unwrap());
+        let data = Snapshot::of(&after).after(Snapshot::of(&before));
         let mut engine = ReleaseEngine::new(budget);
-        let mut cache = open_cache();
         let first = engine
-            .execute_flows_cached(&before, &after, &request, &mut cache)
+            .execute(
+                &request,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut open_cache(),
+                },
+            )
             .unwrap();
         assert_eq!(engine.tabulation_stats().computed, 1);
 
         // A sibling cache over the same store reuses the persisted flow
         // truth: a digest-verified load, zero recomputation.
         let mut engine2 = ReleaseEngine::new(budget);
-        let mut cache2 = open_cache();
         let resumed = engine2
-            .execute_flows_cached(&before, &after, &request, &mut cache2)
+            .execute(
+                &request,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut open_cache(),
+                },
+            )
             .unwrap();
         assert_eq!(resumed, first);
         assert_eq!(engine2.tabulation_stats().computed, 0);

@@ -64,18 +64,18 @@ pub enum EngineError {
         expected: &'static str,
     },
     /// A flow request was invalid (e.g. its spec groups by worker
-    /// attributes) or reached a single-snapshot execution path — flow
-    /// statistics tabulate a `(before, after)` dataset pair and must go
-    /// through the `execute_flows*` entry points.
+    /// attributes), or its kind disagrees with the truth it was executed
+    /// against — flow statistics need a flow truth or a snapshot that
+    /// carries its before quarter, and only flow requests may use one.
     Flow {
         /// What went wrong.
         detail: &'static str,
     },
-    /// The persistent truth store refused to cooperate: the cache's store
-    /// is pinned to a different dataset than the one being tabulated, or
-    /// persisting a freshly computed truth failed. The store is never
-    /// silently bypassed — a season configured to persist truths either
-    /// persists them or stops.
+    /// The tabulation cache or its persistent truth store refused to
+    /// cooperate: the cache serves a different dataset than the snapshot
+    /// it was handed, or persisting a freshly computed truth failed. The
+    /// store is never silently bypassed — a season configured to persist
+    /// truths either persists them or stops.
     TruthStore {
         /// What went wrong.
         detail: String,

@@ -32,7 +32,10 @@
 //!
 //! ```
 //! use eree_core::filter::FilterExpr;
-//! use eree_core::{MechanismKind, PrivacyParams, ReleaseEngine, ReleaseRequest};
+//! use eree_core::{
+//!     MechanismKind, PrivacyParams, ReleaseEngine, ReleaseRequest, Snapshot, TabulationCache,
+//!     TruthSource,
+//! };
 //! use lodes::{CountyId, Education, Generator, GeneratorConfig, Sex};
 //! use tabulate::workload1;
 //!
@@ -51,15 +54,15 @@
 //! // records it.
 //! let dataset = Generator::new(GeneratorConfig::test_small(7)).generate();
 //! let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
+//! let request = ReleaseRequest::marginal(workload1())
+//!     .mechanism(MechanismKind::SmoothGamma)
+//!     .budget(PrivacyParams::pure(0.1, 2.0))
+//!     .filter_expr(expr.clone())
+//!     .seed(3);
+//! let data = Snapshot::of(&dataset);
+//! let mut cache = TabulationCache::new();
 //! let artifact = engine
-//!     .execute(
-//!         &dataset,
-//!         &ReleaseRequest::marginal(workload1())
-//!             .mechanism(MechanismKind::SmoothGamma)
-//!             .budget(PrivacyParams::pure(0.1, 2.0))
-//!             .filter_expr(expr.clone())
-//!             .seed(3),
-//!     )
+//!     .execute(&request, TruthSource::Tabulate { data, cache: &mut cache })
 //!     .unwrap();
 //! assert_eq!(artifact.request.filter_id(), Some(expr.id()));
 //! ```

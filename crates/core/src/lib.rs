@@ -9,24 +9,27 @@
 //! are described with the [`engine::ReleaseRequest`] builder, validated
 //! against the mechanism's constraints and the remaining `(α, ε, δ)`
 //! budget *before* any sampling, and emitted as serde-serializable
-//! [`engine::ReleaseArtifact`]s carrying provenance, cost, and payload:
+//! [`engine::ReleaseArtifact`]s carrying provenance, cost, and payload.
+//! [`engine::ReleaseEngine::execute`] admits one release against a
+//! [`TruthSource`]: here a [`Snapshot`] of the dataset, tabulated through
+//! a [`TabulationCache`]:
 //!
 //! ```
 //! use eree_core::engine::{ReleaseEngine, ReleaseRequest};
-//! use eree_core::{MechanismKind, PrivacyParams};
+//! use eree_core::{MechanismKind, PrivacyParams, Snapshot, TabulationCache, TruthSource};
 //! use lodes::{Generator, GeneratorConfig};
 //! use tabulate::workload1;
 //!
 //! let dataset = Generator::new(GeneratorConfig::test_small(7)).generate();
 //! let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
+//! let request = ReleaseRequest::marginal(workload1())
+//!     .mechanism(MechanismKind::SmoothGamma)
+//!     .budget(PrivacyParams::pure(0.1, 2.0))
+//!     .seed(42);
+//! let mut cache = TabulationCache::new();
+//! let data = Snapshot::of(&dataset);
 //! let artifact = engine
-//!     .execute(
-//!         &dataset,
-//!         &ReleaseRequest::marginal(workload1())
-//!             .mechanism(MechanismKind::SmoothGamma)
-//!             .budget(PrivacyParams::pure(0.1, 2.0))
-//!             .seed(42),
-//!     )
+//!     .execute(&request, TruthSource::Tabulate { data, cache: &mut cache })
 //!     .unwrap();
 //! assert!((engine.ledger().remaining_epsilon() - 2.0).abs() < 1e-12);
 //! assert!(!artifact.cells().unwrap().is_empty());
@@ -52,7 +55,7 @@
 //!
 //! ```
 //! use eree_core::store::SeasonStore;
-//! use eree_core::{MechanismKind, PrivacyParams, ReleaseRequest};
+//! use eree_core::{MechanismKind, PrivacyParams, ReleaseRequest, Snapshot, TabulationCache};
 //! use lodes::{Generator, GeneratorConfig};
 //! use tabulate::{workload1, workload3};
 //!
@@ -73,13 +76,14 @@
 //! let _ = std::fs::remove_dir_all(&dir);
 //!
 //! // The process running the season is killed after the first release…
+//! let data = Snapshot::of(&dataset);
 //! let mut store = SeasonStore::create(&dir, PrivacyParams::pure(0.1, 10.0)).unwrap();
-//! store.run(&dataset, &season[..1]).unwrap();
+//! store.run(data, &season[..1], &mut TabulationCache::new()).unwrap();
 //! drop(store); // (the kill)
 //!
 //! // …and a new process resumes exactly where it stopped.
 //! let mut store = SeasonStore::open(&dir).unwrap();
-//! let report = store.run(&dataset, &season).unwrap();
+//! let report = store.run(data, &season, &mut TabulationCache::new()).unwrap();
 //! assert_eq!((report.resumed_from, report.executed), (1, 1));
 //! assert_eq!(store.completed(), 2);
 //! assert!(store.ledger().remaining_epsilon() < 1e-9);
@@ -168,7 +172,7 @@ pub use definitions::{
 };
 pub use engine::{
     ArtifactPayload, FlowRelease, ReleaseArtifact, ReleaseEngine, ReleaseRequest, RequestKind,
-    RequestProvenance, TabulationCache, TabulationStats, TruthDigest,
+    RequestProvenance, Snapshot, TabulationCache, TabulationStats, TruthDigest, TruthSource,
 };
 pub use error::EngineError;
 pub use filter::{Cmp, CompiledFilter, FilterExpr, FilterId};

@@ -272,7 +272,7 @@ impl ReleaseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ReleaseEngine, ReleaseRequest};
+    use crate::engine::{ReleaseEngine, ReleaseRequest, Snapshot, TabulationCache, TruthSource};
     use crate::store::dataset_digest;
     use lodes::{Generator, GeneratorConfig, Sex};
     use std::fs;
@@ -287,15 +287,15 @@ mod tests {
     fn release(seed: u64) -> (u64, ReleaseArtifact) {
         let d = Generator::new(GeneratorConfig::test_small(31)).generate();
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 8.0));
+        let request = ReleaseRequest::marginal(workload1())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 2.0))
+            .filter_expr(FilterExpr::sex(Sex::Female))
+            .seed(seed);
+        let data = Snapshot::of(&d);
+        let cache = &mut TabulationCache::new();
         let artifact = engine
-            .execute(
-                &d,
-                &ReleaseRequest::marginal(workload1())
-                    .mechanism(MechanismKind::LogLaplace)
-                    .budget(PrivacyParams::pure(0.1, 2.0))
-                    .filter_expr(FilterExpr::sex(Sex::Female))
-                    .seed(seed),
-            )
+            .execute(&request, TruthSource::Tabulate { data, cache })
             .unwrap();
         (dataset_digest(&d), artifact)
     }

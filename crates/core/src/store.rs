@@ -33,6 +33,7 @@
 //!
 //! # Resuming a season
 //!
+//! A season admits releases two ways, through one admission body.
 //! [`SeasonStore::run`] is the resumable driver: given the season's full
 //! request list, it verifies the already-persisted artifacts came from the
 //! same plan — request-by-request provenance comparison, with filter
@@ -40,16 +41,19 @@
 //! sub-population definition changed is refused — then executes
 //! only the remainder through a [`ReleaseEngine`] opened on the restored
 //! ledger, sharing tabulations via a [`TabulationCache`] — which also
-//! builds the dataset's columnar `DatasetIndex` exactly once per run,
+//! builds the dataset's columnar `DatasetIndex` exactly once,
 //! so a resumed season re-tabulates over the shared CSR index instead of
-//! from scratch. Because per-cell noise streams derive from
-//! `(request seed, cell key)` and tabulation's sharded merge is
+//! from scratch. [`SeasonStore::admit`] records one new release on top of
+//! whatever the season holds and returns the artifact it recorded — the
+//! path of a driver that receives releases one at a time, like the
+//! release service's season workers. Because per-cell noise streams
+//! derive from `(request seed, cell key)` and tabulation's sharded merge is
 //! order-insensitive, the artifacts a resumed run produces are
 //! bit-identical to an uninterrupted run's at any thread count.
 //!
 //! ```
 //! use eree_core::store::SeasonStore;
-//! use eree_core::{MechanismKind, PrivacyParams, ReleaseRequest};
+//! use eree_core::{MechanismKind, PrivacyParams, ReleaseRequest, Snapshot, TabulationCache};
 //! use lodes::{Generator, GeneratorConfig};
 //! use tabulate::{workload1, workload3};
 //!
@@ -68,13 +72,14 @@
 //! let _ = std::fs::remove_dir_all(&dir);
 //!
 //! // First run: killed (here: stopped) after one release.
+//! let data = Snapshot::of(&dataset);
 //! let mut store = SeasonStore::create(&dir, PrivacyParams::pure(0.1, 10.0)).unwrap();
-//! store.run(&dataset, &season[..1]).unwrap();
+//! store.run(data, &season[..1], &mut TabulationCache::new()).unwrap();
 //! drop(store);
 //!
 //! // Resume: only the second release executes; ε is not re-spent.
 //! let mut store = SeasonStore::open(&dir).unwrap();
-//! let report = store.run(&dataset, &season).unwrap();
+//! let report = store.run(data, &season, &mut TabulationCache::new()).unwrap();
 //! assert_eq!(report.resumed_from, 1);
 //! assert_eq!(report.executed, 1);
 //! assert!(store.ledger().remaining_epsilon() < 1e-9);
@@ -83,7 +88,9 @@
 
 use crate::accountant::{Ledger, LedgerEntry};
 use crate::definitions::PrivacyParams;
-use crate::engine::{ReleaseArtifact, ReleaseEngine, ReleaseRequest, TabulationCache};
+use crate::engine::{
+    ReleaseArtifact, ReleaseEngine, ReleaseRequest, Snapshot, TabulationCache, TruthSource,
+};
 use crate::error::EngineError;
 use crate::metrics::MetricsRegistry;
 use lodes::Dataset;
@@ -208,8 +215,9 @@ pub enum StoreError {
         /// The directory.
         path: PathBuf,
     },
-    /// The engine refused a request during [`SeasonStore::run`] (over
-    /// budget or invalid); nothing was recorded for it.
+    /// The engine refused a request during [`SeasonStore::run`] or
+    /// [`SeasonStore::admit`] (over budget or invalid); nothing was
+    /// recorded for it.
     Refused {
         /// Index of the refused request in the season plan.
         index: usize,
@@ -501,9 +509,10 @@ fn pid_is_alive(pid: u32) -> bool {
 
 /// The season manifest: identifies the directory as a store, pins the
 /// budget the ledger must carry, and — once the first [`SeasonStore::run`]
-/// has seen the confidential database — pins the dataset fingerprint so a
-/// season can never silently resume against different data.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// or [`SeasonStore::admit`] has seen the confidential database — pins the
+/// dataset fingerprint so a season can never silently resume against
+/// different data.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SeasonManifest {
     format: u32,
     budget: PrivacyParams,
@@ -515,26 +524,6 @@ struct SeasonManifest {
     /// its unspent budget was refunded to the agency cap, so no further
     /// charge may ever be recorded.
     closed: bool,
-}
-
-impl serde::Deserialize for SeasonManifest {
-    /// Hand-written so manifests from before the close-season protocol
-    /// (no `closed` field) keep deserializing: a season that predates
-    /// closure is by definition not closed.
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            format: u32::from_value(serde::get_field(v, "format")?)?,
-            budget: PrivacyParams::from_value(serde::get_field(v, "budget")?)?,
-            dataset_digest: match v.get("dataset_digest") {
-                None | Some(serde::Value::Null) => None,
-                Some(value) => Some(u64::from_value(value)?),
-            },
-            closed: match v.get("closed") {
-                None | Some(serde::Value::Null) => false,
-                Some(value) => bool::from_value(value)?,
-            },
-        })
-    }
 }
 
 /// What one [`SeasonStore::run`] call did.
@@ -549,9 +538,8 @@ pub struct SeasonReport {
     /// Requests served from a shared in-memory tabulation instead.
     pub tabulation_hits: u64,
     /// Requests served from a persistent truth store (digest-verified
-    /// load, zero recomputation). Always 0 for [`SeasonStore::run`], which
-    /// uses an in-memory cache; [`run_cached`](SeasonStore::run_cached)
-    /// with a store-backed cache — e.g. through an
+    /// load, zero recomputation). Always 0 with a memory-only cache; a
+    /// store-backed cache — e.g. through an
     /// [`AgencyStore`](crate::agency::AgencyStore) — reports them here.
     pub tabulation_disk_hits: u64,
 }
@@ -809,7 +797,7 @@ impl SeasonStore {
     }
 
     /// The dataset fingerprint this season is pinned to (`None` until the
-    /// first [`run`](Self::run) binds one).
+    /// first [`run`](Self::run) or [`admit`](Self::admit) binds one).
     pub fn dataset_digest(&self) -> Option<u64> {
         self.manifest.dataset_digest
     }
@@ -821,8 +809,9 @@ impl SeasonStore {
     }
 
     /// Seal the season: durably mark it closed, after which
-    /// [`record`](Self::record) and every `run` variant refuse with
-    /// [`StoreError::SeasonClosed`]. Idempotent. This is phase two of the
+    /// [`record`](Self::record), [`run`](Self::run) and
+    /// [`admit`](Self::admit) refuse with [`StoreError::SeasonClosed`].
+    /// Idempotent. This is phase two of the
     /// agency's close-season protocol — callers must have durably frozen
     /// the refund (the meta-ledger's close-begin) *first*, so a crash
     /// between that record and this seal rolls forward instead of losing
@@ -951,105 +940,28 @@ impl SeasonStore {
     /// already-persisted prefix is verified request-by-request — each
     /// stored artifact's provenance must equal what the corresponding
     /// request would produce — so a store can never be silently resumed
-    /// under a different plan; and the season's first `run` binds a
-    /// [`dataset_digest`] into the manifest, so it can never be silently
-    /// resumed against a *different database* either. Remaining requests
-    /// then execute on a [`ReleaseEngine`] over the restored ledger,
-    /// sharing truth tabulations (and one columnar tabulation index of
-    /// the dataset) through a [`TabulationCache`].
+    /// under a different plan; and the season's first run or admission
+    /// binds the snapshot's [`dataset_digest`] into the manifest, so it
+    /// can never be silently resumed against a *different database*
+    /// either. Remaining requests are then admitted as by
+    /// [`admit`](Self::admit), on one [`ReleaseEngine`] over the restored
+    /// ledger, sharing truth tabulations (and one columnar tabulation
+    /// index of the dataset) through `cache`. A cache backed by a
+    /// persistent truth store (`TabulationCache::with_store`) lets a
+    /// resumed season, or a sibling season sharing a `(spec, filter)`,
+    /// reuse digest-verified truths from disk instead of re-tabulating.
     ///
-    /// A refused request (over budget, invalid parameters) aborts the run
-    /// with [`StoreError::Refused`] and records nothing for it: the season
+    /// A refused request (over budget, invalid parameters, a flow request
+    /// on a snapshot without a before quarter) aborts the run with
+    /// [`StoreError::Refused`] and records nothing for it: the season
     /// plan needs revising, and the store stays consistent and resumable.
     pub fn run(
         &mut self,
-        dataset: &Dataset,
-        requests: &[ReleaseRequest],
-    ) -> Result<SeasonReport, StoreError> {
-        self.run_cached(dataset, requests, &mut TabulationCache::new())
-    }
-
-    /// [`run`](Self::run) over a caller-owned [`TabulationCache`] — the
-    /// agency path: a cache backed by a persistent truth store
-    /// (`TabulationCache::with_store`) lets a resumed season, or a sibling
-    /// season sharing a `(spec, filter)`, reuse digest-verified truths
-    /// from disk instead of re-tabulating. The cache must belong to this
-    /// season's dataset.
-    pub fn run_cached(
-        &mut self,
-        dataset: &Dataset,
+        data: Snapshot<'_>,
         requests: &[ReleaseRequest],
         cache: &mut TabulationCache,
     ) -> Result<SeasonReport, StoreError> {
-        self.run_cached_with_digest(dataset, dataset_digest(dataset), requests, cache)
-    }
-
-    /// [`run_cached`](Self::run_cached) with the dataset's digest already
-    /// in hand — drivers that computed it for their own pins (the agency
-    /// layer, the release service's per-season workers) pass it through
-    /// so one run costs exactly one full-dataset scan, not three. The
-    /// digest must be [`dataset_digest`]`(dataset)`; handing a digest of
-    /// different data voids every pin this store enforces.
-    pub fn run_cached_with_digest(
-        &mut self,
-        dataset: &Dataset,
-        digest: u64,
-        requests: &[ReleaseRequest],
-        cache: &mut TabulationCache,
-    ) -> Result<SeasonReport, StoreError> {
-        self.run_panel_cached_with_digest(None, dataset, digest, requests, cache)
-    }
-
-    /// [`run_cached_with_digest`](Self::run_cached_with_digest) for a
-    /// season that publishes one quarter of a panel: `before` supplies the
-    /// previous quarter's snapshot (and its [`dataset_digest`]), which
-    /// [`RequestKind::Flows`](crate::engine::RequestKind) requests
-    /// tabulate against. Level requests see only `dataset` — the season
-    /// stays pinned to its own quarter's digest exactly as before; flow
-    /// truths are content-addressed by the pair digest instead.
-    ///
-    /// A flow request in a plan run without a `before` snapshot (the base
-    /// quarter, or a non-panel season) is refused as
-    /// [`StoreError::Refused`] without recording or charging anything.
-    pub fn run_panel_cached_with_digest(
-        &mut self,
-        before: Option<(&Dataset, u64)>,
-        dataset: &Dataset,
-        digest: u64,
-        requests: &[ReleaseRequest],
-        cache: &mut TabulationCache,
-    ) -> Result<SeasonReport, StoreError> {
-        if self.manifest.closed {
-            return Err(StoreError::SeasonClosed {
-                name: self.season_name(),
-            });
-        }
-        // Re-check a store-backed cache against *this* dataset on every
-        // run — and hand the digest over, so the cache never pays for a
-        // second full-dataset scan of its own.
-        cache
-            .verify_dataset_digest(digest)
-            .map_err(|e| StoreError::Inconsistent {
-                detail: e.to_string(),
-            })?;
-        if let Some((_, before_digest)) = before {
-            cache.set_flow_pair_digest(dataset_pair_digest(before_digest, digest));
-        }
-        match self.manifest.dataset_digest {
-            Some(bound) if bound != digest => {
-                return Err(StoreError::Inconsistent {
-                    detail: format!(
-                        "season is bound to dataset {bound:016x} but was asked to run \
-                         against dataset {digest:016x} — refusing to mix databases"
-                    ),
-                });
-            }
-            Some(_) => {}
-            None => {
-                self.manifest.dataset_digest = Some(digest);
-                write_json_atomic(&self.root.join(MANIFEST_FILE), &self.manifest)?;
-            }
-        }
+        self.bind(data)?;
         if requests.len() < self.completed.len() {
             return Err(StoreError::Inconsistent {
                 detail: format!(
@@ -1078,26 +990,8 @@ impl SeasonStore {
         }
         let resumed_from = self.completed.len();
         let mut engine = self.engine();
-        for (i, request) in requests.iter().enumerate().skip(resumed_from) {
-            let outcome = if request.kind() == crate::engine::RequestKind::Flows {
-                match before {
-                    Some((before_dataset, _)) => {
-                        engine.execute_flows_cached(before_dataset, dataset, request, cache)
-                    }
-                    None => Err(crate::error::EngineError::Flow {
-                        detail: "season has no before-quarter snapshot — flow requests \
-                                 need a panel season past its base quarter",
-                    }),
-                }
-            } else {
-                engine.execute_cached(dataset, request, cache)
-            };
-            let artifact = outcome.map_err(|e| StoreError::Refused {
-                index: i,
-                description: request.description(),
-                source: e,
-            })?;
-            self.record(engine.ledger(), &artifact)?;
+        for request in &requests[resumed_from..] {
+            self.admit_on(&mut engine, data, request, cache)?;
         }
         let stats = engine.tabulation_stats();
         Ok(SeasonReport {
@@ -1107,6 +1001,69 @@ impl SeasonStore {
             tabulation_hits: stats.hits,
             tabulation_disk_hits: stats.disk_hits,
         })
+    }
+
+    /// Admit one new release: refuse a closed season, bind (or check) the
+    /// manifest's dataset pin, execute `request` against `data` through
+    /// `cache` on this season's ledger, and [`record`](Self::record) the
+    /// artifact — returning exactly the artifact that was recorded.
+    ///
+    /// A refused request is [`StoreError::Refused`]: nothing is charged or
+    /// recorded.
+    pub fn admit(
+        &mut self,
+        data: Snapshot<'_>,
+        request: &ReleaseRequest,
+        cache: &mut TabulationCache,
+    ) -> Result<ReleaseArtifact, StoreError> {
+        self.bind(data)?;
+        let mut engine = self.engine();
+        self.admit_on(&mut engine, data, request, cache)
+    }
+
+    /// Refuse a closed season, then bind the manifest's dataset pin to
+    /// `data` on first use, or refuse a snapshot other than the pinned
+    /// one.
+    fn bind(&mut self, data: Snapshot<'_>) -> Result<(), StoreError> {
+        if self.manifest.closed {
+            return Err(StoreError::SeasonClosed {
+                name: self.season_name(),
+            });
+        }
+        let digest = data.digest();
+        match self.manifest.dataset_digest {
+            Some(bound) if bound != digest => Err(StoreError::Inconsistent {
+                detail: format!(
+                    "season is bound to dataset {bound:016x} but was asked to run \
+                     against dataset {digest:016x} — refusing to mix databases"
+                ),
+            }),
+            Some(_) => Ok(()),
+            None => {
+                self.manifest.dataset_digest = Some(digest);
+                write_json_atomic(&self.root.join(MANIFEST_FILE), &self.manifest)
+            }
+        }
+    }
+
+    /// Execute one request on `engine` (this season's ledger) and record
+    /// it — the one admission body `run` and `admit` share.
+    fn admit_on(
+        &mut self,
+        engine: &mut ReleaseEngine,
+        data: Snapshot<'_>,
+        request: &ReleaseRequest,
+        cache: &mut TabulationCache,
+    ) -> Result<ReleaseArtifact, StoreError> {
+        let artifact = engine
+            .execute(request, TruthSource::Tabulate { data, cache })
+            .map_err(|source| StoreError::Refused {
+                index: self.completed.len(),
+                description: request.description(),
+                source,
+            })?;
+        self.record(engine.ledger(), &artifact)?;
+        Ok(artifact)
     }
 }
 
@@ -1169,11 +1126,12 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// every workplace's attributes, every worker's attributes, and the job
 /// edge list, folded in table order.
 ///
-/// [`SeasonStore::run`] binds this into the manifest on a season's first
-/// run and refuses any later run against a database that hashes
-/// differently — a resumed season's remaining releases must come from the
-/// same data as its persisted ones. One linear pass over the dataset per
-/// `run` call (cheap next to a single tabulation).
+/// [`SeasonStore::run`] and [`SeasonStore::admit`] bind this into the
+/// manifest on a season's first release and refuse any later one against
+/// a database that hashes differently — a resumed season's remaining
+/// releases must come from the same data as its persisted ones. One
+/// linear pass over the dataset per [`Snapshot::of`] (cheap next to a
+/// single tabulation).
 pub fn dataset_digest(dataset: &Dataset) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |word: u64| {
@@ -1466,14 +1424,16 @@ mod tests {
         let dir = tmp_dir("out-of-step");
         let dataset = Generator::new(GeneratorConfig::test_small(5)).generate();
         let mut store = SeasonStore::create(&dir, PrivacyParams::pure(0.1, 4.0)).unwrap();
+        let data = Snapshot::of(&dataset);
+        let execute = |engine: &mut ReleaseEngine, cache: &mut TabulationCache, seed| {
+            engine
+                .execute(&request(seed, 1.0), TruthSource::Tabulate { data, cache })
+                .unwrap()
+        };
         let mut engine = store.engine();
         let mut cache = TabulationCache::new();
-        let a1 = engine
-            .execute_cached(&dataset, &request(1, 1.0), &mut cache)
-            .unwrap();
-        let a2 = engine
-            .execute_cached(&dataset, &request(2, 1.0), &mut cache)
-            .unwrap();
+        let a1 = execute(&mut engine, &mut cache, 1);
+        let a2 = execute(&mut engine, &mut cache, 2);
         // Two charges but the store saw neither: entry count is off by 2.
         assert!(matches!(
             store.record(engine.ledger(), &a2),
@@ -1496,10 +1456,7 @@ mod tests {
         ));
         // Recording in order works.
         let mut engine = store.engine();
-        let mut cache = TabulationCache::new();
-        let b1 = engine
-            .execute_cached(&dataset, &request(1, 1.0), &mut cache)
-            .unwrap();
+        let b1 = execute(&mut engine, &mut TabulationCache::new(), 1);
         assert_eq!(b1, a1);
         store.record(engine.ledger(), &b1).unwrap();
         assert_eq!(store.completed(), 1);

@@ -20,7 +20,7 @@ pub mod flows;
 pub mod table1;
 pub mod table2;
 
-use eree_core::engine::{ArtifactPayload, FlowRelease, ReleaseEngine, ReleaseRequest};
+use eree_core::engine::{ArtifactPayload, FlowRelease, ReleaseEngine, ReleaseRequest, TruthSource};
 use eree_core::{Ledger, MechanismKind, PrivacyParams};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -106,7 +106,7 @@ pub fn release_flow_cells(
         delta: plan.cost.delta,
     }));
     let artifact = engine
-        .execute_flows_precomputed(truth, &request)
+        .execute(&request, TruthSource::Flows(truth))
         .expect("exact ledger covers the request");
     match artifact.payload {
         ArtifactPayload::Flows(cells) => Some(cells),

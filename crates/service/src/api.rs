@@ -172,7 +172,7 @@ pub struct ReleaseStatusView {
 
 /// `GET /audit` response body: the agency's budget ledger, season by
 /// season, plus the service's cache and tabulation counters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AuditView {
     /// The agency's global `(α, ε[, δ])` cap.
     pub cap: PrivacyParams,
@@ -203,28 +203,4 @@ pub struct AuditView {
     /// budget gauges, cache and service counters, latency histograms) —
     /// the same payload `GET /metrics` returns.
     pub metrics: MetricsSnapshot,
-}
-
-impl Deserialize for AuditView {
-    /// Hand-written for wire compatibility: `metrics` postdates the first
-    /// audit payloads, so a pre-metrics audit JSON reads with an empty
-    /// snapshot instead of refusing.
-    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
-        Ok(Self {
-            cap: Deserialize::from_value(serde::get_field(v, "cap")?)?,
-            reserved_epsilon: Deserialize::from_value(serde::get_field(v, "reserved_epsilon")?)?,
-            remaining_epsilon: Deserialize::from_value(serde::get_field(v, "remaining_epsilon")?)?,
-            refunded_epsilon: Deserialize::from_value(serde::get_field(v, "refunded_epsilon")?)?,
-            spent_epsilon: Deserialize::from_value(serde::get_field(v, "spent_epsilon")?)?,
-            seasons: Deserialize::from_value(serde::get_field(v, "seasons")?)?,
-            releases: Deserialize::from_value(serde::get_field(v, "releases")?)?,
-            cache_hits: Deserialize::from_value(serde::get_field(v, "cache_hits")?)?,
-            cache_entries: Deserialize::from_value(serde::get_field(v, "cache_entries")?)?,
-            tabulations: Deserialize::from_value(serde::get_field(v, "tabulations")?)?,
-            metrics: match v.get("metrics") {
-                None | Some(serde::Value::Null) => MetricsSnapshot::default(),
-                Some(value) => MetricsSnapshot::from_value(value)?,
-            },
-        })
-    }
 }

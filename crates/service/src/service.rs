@@ -10,7 +10,7 @@
 //!                 └──────────────────────────┬────────────────────────┘
 //!                                            │ per-season mpsc queue
 //!                 ┌────────────────── season worker (owns the lease) ─┐
-//!                 │ plan += request → SeasonStore::run_cached…        │
+//!                 │ SeasonStore::admit(snapshot, request)             │
 //!                 │   → ledger charge → artifact persisted            │
 //!                 │   → public cache save → registry: complete        │
 //!                 └───────────────────────────────────────────────────┘
@@ -66,7 +66,7 @@ use crate::http::{Handler, HttpServer, Request, Response};
 use eree_core::agency::{panel_quarter_seed, AgencyStore, SeasonSummary};
 use eree_core::definitions::PrivacyParams;
 use eree_core::engine::{
-    ReleaseArtifact, ReleaseRequest, RequestKind, TabulationCache, TabulationStats,
+    ReleaseArtifact, ReleaseRequest, RequestKind, Snapshot, TabulationCache, TabulationStats,
 };
 use eree_core::metrics::{MetricsRegistry, MetricsSnapshot, SeasonQueue};
 use eree_core::public_cache::{ReleaseCache, ReleaseKey};
@@ -207,12 +207,6 @@ struct QuartersFile {
     bindings: Vec<QuarterBinding>,
 }
 
-/// A season's live audit view, maintained by its worker.
-struct SeasonView {
-    summary: SeasonSummary,
-    stats: TabulationStats,
-}
-
 enum Job {
     Release { id: u64, request: ReleaseRequest },
     Shutdown,
@@ -221,7 +215,8 @@ enum Job {
 struct SeasonWorker {
     tx: mpsc::Sender<Job>,
     join: JoinHandle<()>,
-    view: Arc<Mutex<SeasonView>>,
+    /// The season's live audit summary, maintained by its worker.
+    view: Arc<Mutex<SeasonSummary>>,
     /// Jobs enqueued but not yet executed — the season's live queue
     /// depth, reported per season by `GET /metrics`.
     pending: Arc<AtomicU64>,
@@ -242,6 +237,10 @@ impl Quarter {
         self.index
             .get_or_init(|| DatasetIndex::build_auto(&self.dataset))
             .clone()
+    }
+
+    fn snapshot(&self) -> Snapshot<'_> {
+        Snapshot::with_digest(&self.dataset, self.digest)
     }
 }
 
@@ -265,7 +264,6 @@ struct Shared {
     /// the audit view stays exact between retirement and respawn.
     retired: Mutex<BTreeMap<String, SeasonSummary>>,
     registry: Mutex<Vec<ReleaseRecord>>,
-    cache_hits: AtomicU64,
     /// The agency's live metrics registry (the same `Arc` every season
     /// store and engine records into), plus the service-side counters.
     /// Readable without the agency lock.
@@ -355,7 +353,6 @@ impl ReleaseService {
             workers: Mutex::new(BTreeMap::new()),
             retired: Mutex::new(BTreeMap::new()),
             registry: Mutex::new(registry),
-            cache_hits: AtomicU64::new(0),
             metrics,
             idle_timeout: config.idle_timeout,
         });
@@ -594,7 +591,6 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
         seed,
     };
     if let Some(artifact) = shared.cache.load(&key) {
-        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
         shared.metrics.caches.public_hits.inc();
         let id = push_record(
             shared,
@@ -760,17 +756,12 @@ fn audit(shared: &Arc<Shared>) -> Response {
     let workers = shared.workers.lock().expect("workers lock poisoned");
     let retired = shared.retired.lock().expect("retired views poisoned");
     let mut seasons = Vec::new();
-    let mut stats = TabulationStats::default();
     for reservation in agency.meta_ledger().reservations() {
         match workers.get(&reservation.name) {
             // A live worker's view is fresher than the agency's (the
             // worker owns the season store; the agency read it at open).
             Some(worker) => {
-                let view = worker.view.lock().expect("season view poisoned");
-                seasons.push(view.summary.clone());
-                stats.computed += view.stats.computed;
-                stats.hits += view.stats.hits;
-                stats.disk_hits += view.stats.disk_hits;
+                seasons.push(worker.view.lock().expect("season view poisoned").clone());
             }
             // A retired worker left its final summary behind. The
             // meta-ledger stays authoritative for closure: a worker that
@@ -811,6 +802,15 @@ fn audit(shared: &Arc<Shared>) -> Response {
         .expect("registry lock poisoned")
         .len() as u64;
     let metrics = snapshot_with_queues(&agency, &workers);
+    // The counters come from the registry every worker records into, so
+    // they stay cumulative when a worker retires.
+    let caches = &metrics.caches;
+    let tabulations = TabulationStats {
+        computed: caches.truth_computed,
+        hits: caches.truth_memory_hits,
+        disk_hits: caches.truth_disk_hits,
+    };
+    let cache_hits = caches.public_hits;
     let view = AuditView {
         cap: *agency.cap(),
         reserved_epsilon: agency.meta_ledger().reserved_epsilon(),
@@ -819,9 +819,9 @@ fn audit(shared: &Arc<Shared>) -> Response {
         spent_epsilon: seasons.iter().map(|s| s.spent_epsilon).sum(),
         seasons,
         releases,
-        cache_hits: shared.cache_hits.load(Ordering::Relaxed),
+        cache_hits,
         cache_entries: shared.cache.len() as u64,
-        tabulations: stats,
+        tabulations,
         metrics,
     };
     json_ok(200, &view)
@@ -1012,9 +1012,8 @@ fn write_json_file<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), St
     eree_core::store::write_json_atomic(path, value)
 }
 
-/// Open season `name` (claiming its write lease), rebuild its plan from
-/// persisted provenance, and start its worker thread. Called under the
-/// `agency` and `workers` locks.
+/// Open season `name` (claiming its write lease) and start its worker
+/// thread. Called under the `agency` and `workers` locks.
 fn spawn_worker(
     shared: &Arc<Shared>,
     agency: &AgencyStore,
@@ -1035,22 +1034,14 @@ fn spawn_worker(
             });
         }
     }
-    let plan: Vec<ReleaseRequest> = store
-        .releases()
-        .iter()
-        .map(|release| ReleaseRequest::from_provenance(&release.request))
-        .collect();
-    let view = Arc::new(Mutex::new(SeasonView {
-        summary: SeasonSummary {
-            name: name.to_string(),
-            budget: *store.ledger().budget(),
-            spent_epsilon: store.ledger().spent_epsilon(),
-            spent_delta: store.ledger().spent_delta(),
-            completed: store.completed(),
-            materialized: true,
-            closed: store.is_closed(),
-        },
-        stats: TabulationStats::default(),
+    let view = Arc::new(Mutex::new(SeasonSummary {
+        name: name.to_string(),
+        budget: *store.ledger().budget(),
+        spent_epsilon: store.ledger().spent_epsilon(),
+        spent_delta: store.ledger().spent_delta(),
+        completed: store.completed(),
+        materialized: true,
+        closed: store.is_closed(),
     }));
     // The worker replaces any retired-state summary for this season.
     shared
@@ -1068,7 +1059,6 @@ fn spawn_worker(
         name: name.to_string(),
         quarter,
         store,
-        plan,
         cache,
         view: Arc::clone(&view),
         pending: Arc::clone(&pending),
@@ -1083,98 +1073,58 @@ fn spawn_worker(
 }
 
 /// Everything one season worker owns: the [`SeasonStore`] (and with it
-/// the season's write lease), the replayed plan, and the tabulation
-/// cache shared with the quarter.
+/// the season's write lease) and the tabulation cache shared with the
+/// quarter.
 struct WorkerCtx {
     shared: Arc<Shared>,
     name: String,
     quarter: usize,
     store: SeasonStore,
-    plan: Vec<ReleaseRequest>,
     cache: TabulationCache,
-    view: Arc<Mutex<SeasonView>>,
+    view: Arc<Mutex<SeasonSummary>>,
     /// Shared with the [`SeasonWorker`] handle: enqueued-but-unexecuted
     /// jobs, decremented after each release resolves.
     pending: Arc<AtomicU64>,
 }
 
 impl WorkerCtx {
-    /// Execute one queued release and record the outcome.
+    /// Admit one queued release and publish what the season recorded.
     fn run_release(&mut self, id: u64, request: ReleaseRequest) {
-        self.plan.push(request);
-        let quarter = &self.shared.quarters[self.quarter];
-        let before = (self.quarter > 0).then(|| {
-            let b = &self.shared.quarters[self.quarter - 1];
-            (b.dataset.as_ref(), b.digest)
-        });
-        let result = self.store.run_panel_cached_with_digest(
-            before,
-            &quarter.dataset,
-            quarter.digest,
-            &self.plan,
-            &mut self.cache,
-        );
-        match result {
-            Ok(report) => {
-                match self.store.load_artifact(self.store.completed() - 1) {
-                    Ok(artifact) => {
-                        let artifact = Arc::new(artifact);
-                        // Publish to the released-artifact cache under
-                        // the digest that keys this release: the pair
-                        // digest for flows, the quarter's otherwise.
-                        // Every release has a cache identity, so the
-                        // key always exists; a cache-write failure is
-                        // only a lost optimization, never a lost release.
-                        let digest = if artifact.request.kind == RequestKind::Flows {
-                            dataset_pair_digest(
-                                self.shared.quarters[self.quarter - 1].digest,
-                                quarter.digest,
-                            )
-                        } else {
-                            quarter.digest
-                        };
-                        if let Some(key) = ReleaseKey::of(&artifact.request, digest) {
-                            let _ = self.shared.cache.save(&key, &artifact);
-                        }
-                        set_state(
-                            &self.shared,
-                            id,
-                            ReleaseState::Complete {
-                                artifact,
-                                cached: false,
-                            },
-                        )
-                    }
-                    Err(e) => set_state(
-                        &self.shared,
-                        id,
-                        ReleaseState::Failed {
-                            error: format!("release persisted but failed to load back: {e}"),
-                        },
-                    ),
+        let quarters = &self.shared.quarters;
+        let data = match self.quarter.checked_sub(1) {
+            Some(before) => quarters[self.quarter]
+                .snapshot()
+                .after(quarters[before].snapshot()),
+            None => quarters[self.quarter].snapshot(),
+        };
+        let state = match self.store.admit(data, &request, &mut self.cache) {
+            Ok(artifact) => {
+                // Publish to the released-artifact cache under the digest
+                // that keys this release: the pair digest for flows, the
+                // quarter's otherwise. A cache-write failure is only a
+                // lost optimization, never a lost release.
+                let digest = if artifact.request.kind == RequestKind::Flows {
+                    data.pair_digest()
+                } else {
+                    Some(data.digest())
+                };
+                if let Some(key) = digest.and_then(|d| ReleaseKey::of(&artifact.request, d)) {
+                    let _ = self.shared.cache.save(&key, &artifact);
                 }
-                let mut v = self.view.lock().expect("season view poisoned");
-                v.stats.computed += report.tabulations_computed;
-                v.stats.hits += report.tabulation_hits;
-                v.stats.disk_hits += report.tabulation_disk_hits;
+                ReleaseState::Complete {
+                    artifact: Arc::new(artifact),
+                    cached: false,
+                }
             }
-            Err(e) => {
-                // The refusal recorded nothing: keep the plan in lockstep
-                // with the store.
-                self.plan.pop();
-                set_state(
-                    &self.shared,
-                    id,
-                    ReleaseState::Failed {
-                        error: e.to_string(),
-                    },
-                );
-            }
-        }
+            Err(e) => ReleaseState::Failed {
+                error: e.to_string(),
+            },
+        };
+        set_state(&self.shared, id, state);
         let mut v = self.view.lock().expect("season view poisoned");
-        v.summary.spent_epsilon = self.store.ledger().spent_epsilon();
-        v.summary.spent_delta = self.store.ledger().spent_delta();
-        v.summary.completed = self.store.completed();
+        v.spent_epsilon = self.store.ledger().spent_epsilon();
+        v.spent_delta = self.store.ledger().spent_delta();
+        v.completed = self.store.completed();
     }
 }
 
@@ -1209,12 +1159,7 @@ fn season_worker(mut ctx: WorkerCtx, rx: mpsc::Receiver<Job>) {
                             // lock, so no submission can race a respawn
                             // against a held lease — drop the season
                             // store, releasing the season's write lease.
-                            let summary = ctx
-                                .view
-                                .lock()
-                                .expect("season view poisoned")
-                                .summary
-                                .clone();
+                            let summary = ctx.view.lock().expect("season view poisoned").clone();
                             shared
                                 .retired
                                 .lock()

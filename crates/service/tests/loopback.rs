@@ -196,8 +196,8 @@ fn concurrent_tenants_share_one_agency_under_the_cap() {
         .expect("repeat after restart");
     assert!(hit.cached, "the public cache is durable too");
 
-    // A season resumes: the worker rebuilds its plan from persisted
-    // provenance and appends release #4 on top of the replayed three.
+    // A season resumes: the respawned worker reopens the season store
+    // and admits release #4 on top of the replayed three.
     let fresh = client
         .submit("tenant-a", &submission(county_by_sector(), 0.2, 0xA9))
         .expect("new release after restart");

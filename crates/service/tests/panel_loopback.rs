@@ -224,6 +224,13 @@ fn idle_season_workers_retire_and_release_their_leases() {
     let done = client.wait_for(receipt.id, WAIT).expect("release runs");
     assert_eq!(done.status, "complete", "error: {:?}", done.error);
     assert_eq!(service.live_workers(), 1);
+    let repeat = client
+        .submit("s", &submission(RequestKind::Marginal, 0.25, 3))
+        .expect("repeat submit");
+    assert!(repeat.cached, "an identical request is a public-cache hit");
+    let live = client.audit().expect("audit with a live worker");
+    assert_eq!(live.tabulations.computed, 1);
+    assert_eq!(live.cache_hits, 1);
 
     // Idle long enough and the worker retires, dropping the season store
     // and with it the season's on-disk write lease.
@@ -236,18 +243,22 @@ fn idle_season_workers_retire_and_release_their_leases() {
     }
     assert!(!lease.exists(), "retirement releases the season lease");
 
-    // The audit view stays exact while the season has no worker.
+    // The audit view stays exact while the season has no worker, and its
+    // counters are cumulative: they do not drop when the worker that
+    // counted them retires.
     let audit = client.audit().expect("audit with retired worker");
     let season = &audit.seasons[0];
     assert_eq!(season.completed, 1);
     assert!((season.spent_epsilon - 0.25).abs() < 1e-9);
+    assert_eq!(audit.tabulations, live.tabulations);
+    assert_eq!(audit.cache_hits, live.cache_hits);
 
     // The registry still serves the completed release.
     let view = client.release(receipt.id).expect("status after retirement");
     assert_eq!(view.status, "complete");
 
     // A new submission transparently respawns the worker on the same
-    // season, which resumes from its persisted plan.
+    // season, which admits it on top of the persisted release.
     let fresh = client
         .submit("s", &submission(RequestKind::Marginal, 0.25, 4))
         .expect("respawn submit");

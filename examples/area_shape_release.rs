@@ -53,12 +53,12 @@ fn main() {
     let truth = compute_marginal(&dataset, &workload3());
     let mut engine = ReleaseEngine::new(PrivacyParams::approximate(0.1, 16.0, 0.05));
     let artifact = engine
-        .execute_precomputed(
-            &truth,
+        .execute(
             &ReleaseRequest::shapes(workload3())
                 .mechanism(MechanismKind::SmoothLaplace)
                 .budget(PrivacyParams::approximate(0.1, 16.0, 0.05))
                 .seed(7),
+            TruthSource::Marginal(&truth),
         )
         .expect("valid parameters");
     let shapes = artifact.shapes().expect("shapes payload");

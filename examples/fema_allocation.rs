@@ -46,7 +46,7 @@ fn main() {
                 .mechanism(mechanism)
                 .budget(budget)
                 .seed(7);
-            match engine.execute_precomputed(&truth, &request) {
+            match engine.execute(&request, TruthSource::Marginal(&truth)) {
                 Ok(artifact) => println!(
                     "{:<28} {:>13.0}$",
                     label,

@@ -84,15 +84,15 @@ fn main() {
     // sub-population was ranked.
     let filter = ranking2_expr();
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
+    let request = ReleaseRequest::marginal(spec.clone())
+        .mechanism(MechanismKind::SmoothGamma)
+        .budget(PrivacyParams::pure(0.1, 4.0))
+        .filter_expr(filter.clone())
+        .seed(11);
+    let data = Snapshot::of(&dataset);
+    let cache = &mut TabulationCache::new();
     let artifact = engine
-        .execute(
-            &dataset,
-            &ReleaseRequest::marginal(spec.clone())
-                .mechanism(MechanismKind::SmoothGamma)
-                .budget(PrivacyParams::pure(0.1, 4.0))
-                .filter_expr(filter.clone())
-                .seed(11),
-        )
+        .execute(&request, TruthSource::Tabulate { data, cache })
         .expect("valid filtered request");
     let filtered_truth = compute_marginal_expr(&dataset, &spec, &filter);
     let f_keys: Vec<CellKey> = filtered_truth.iter().map(|(k, _)| k).collect();

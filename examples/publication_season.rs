@@ -65,6 +65,7 @@ fn main() {
     let dataset = Generator::new(GeneratorConfig::test_small(77)).generate();
     let budget = PrivacyParams::approximate(0.1, 12.0, 0.05);
     let plan = season_plan();
+    let data = Snapshot::of(&dataset);
 
     let base = std::env::temp_dir().join("eree-publication-season");
     let interrupted_dir = base.join("interrupted");
@@ -73,7 +74,9 @@ fn main() {
 
     // --- Reference: the season, uninterrupted. ---
     let mut oneshot = SeasonStore::create(&oneshot_dir, budget).unwrap();
-    let report = oneshot.run(&dataset, &plan).unwrap();
+    let report = oneshot
+        .run(data, &plan, &mut TabulationCache::new())
+        .unwrap();
     println!(
         "one-shot run:  executed {} releases, {} tabulations ({} served from cache)",
         report.executed, report.tabulations_computed, report.tabulation_hits
@@ -81,7 +84,9 @@ fn main() {
 
     // --- The same season, killed after two releases. ---
     let mut store = SeasonStore::create(&interrupted_dir, budget).unwrap();
-    store.run(&dataset, &plan[..2]).unwrap();
+    store
+        .run(data, &plan[..2], &mut TabulationCache::new())
+        .unwrap();
     println!(
         "interrupted:   {} of {} releases persisted, eps spent {:.2} — process dies here",
         store.completed(),
@@ -92,7 +97,7 @@ fn main() {
 
     // --- A fresh process resumes from disk. ---
     let mut store = SeasonStore::open(&interrupted_dir).unwrap();
-    let report = store.run(&dataset, &plan).unwrap();
+    let report = store.run(data, &plan, &mut TabulationCache::new()).unwrap();
     println!(
         "resumed:       skipped {} persisted releases, executed the remaining {}",
         report.resumed_from, report.executed

@@ -85,15 +85,15 @@ fn main() {
     //    equal filters share one tabulation.
     let filter = ranking2_expr(); // female x bachelor's degree or higher
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
+    let request = ReleaseRequest::marginal(workload1())
+        .mechanism(MechanismKind::SmoothGamma)
+        .budget(PrivacyParams::pure(0.1, 2.0))
+        .filter_expr(filter.clone())
+        .seed(42);
+    let data = Snapshot::of(&dataset);
+    let cache = &mut TabulationCache::new();
     let artifact = engine
-        .execute(
-            &dataset,
-            &ReleaseRequest::marginal(workload1())
-                .mechanism(MechanismKind::SmoothGamma)
-                .budget(PrivacyParams::pure(0.1, 2.0))
-                .filter_expr(filter.clone())
-                .seed(42),
-        )
+        .execute(&request, TruthSource::Tabulate { data, cache })
         .expect("valid filtered request");
     println!(
         "\nfiltered release ({} cells, weak regime): filter digest {} recorded in provenance",

@@ -77,12 +77,12 @@ fn main() {
     // ---- The same attacks against a formally private release -------------
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
     let private = engine
-        .execute_precomputed(
-            &w1_truth,
+        .execute(
             &ReleaseRequest::marginal(workload1())
                 .mechanism(MechanismKind::SmoothGamma)
                 .budget(PrivacyParams::pure(0.1, 2.0))
                 .seed(3),
+            TruthSource::Marginal(&w1_truth),
         )
         .unwrap();
     let private_total = private.cells().expect("marginal payload")[&victim_key];

@@ -35,8 +35,13 @@
 //! session budget, describe releases with the
 //! [`ReleaseRequest`](eree_core::engine::ReleaseRequest) builder, and get
 //! back serializable [`ReleaseArtifact`](eree_core::engine::ReleaseArtifact)s.
+//! [`ReleaseEngine::execute`](eree_core::engine::ReleaseEngine::execute)
+//! admits one release against a
+//! [`TruthSource`](eree_core::engine::TruthSource) — typically a
+//! [`Snapshot`](eree_core::engine::Snapshot) of the data, tabulated
+//! through a [`TabulationCache`](eree_core::engine::TabulationCache).
 //! The engine validates every request against the remaining budget
-//! *before* sampling; a refused request spends nothing.
+//! *before* tabulating or sampling; a refused request spends nothing.
 //!
 //! ```
 //! use eree::prelude::*;
@@ -49,14 +54,15 @@
 //!
 //! // Release the place x industry x ownership marginal with provable
 //! // (alpha = 0.1, epsilon = 2) ER-EE privacy via Smooth Gamma.
+//! let request = ReleaseRequest::marginal(workload1())
+//!     .mechanism(MechanismKind::SmoothGamma)
+//!     .budget(PrivacyParams::pure(0.1, 2.0))
+//!     .seed(42);
+//! // The cache keeps the tabulation for later releases of the same data.
+//! let mut cache = TabulationCache::new();
+//! let data = Snapshot::of(&dataset);
 //! let artifact = engine
-//!     .execute(
-//!         &dataset,
-//!         &ReleaseRequest::marginal(workload1())
-//!             .mechanism(MechanismKind::SmoothGamma)
-//!             .budget(PrivacyParams::pure(0.1, 2.0))
-//!             .seed(42),
-//!     )
+//!     .execute(&request, TruthSource::Tabulate { data, cache: &mut cache })
 //!     .unwrap();
 //! assert!(artifact.cells().unwrap().len() > 0);
 //! // Half the session budget remains for later releases.
@@ -79,7 +85,7 @@ pub mod prelude {
         FamilySnapshot, FilterExpr, FilterId, FlowRelease, Ledger, MechanismKind, MetaLedger,
         MetricsRegistry, MetricsSnapshot, PrivacyParams, ReleaseArtifact, ReleaseCost,
         ReleaseEngine, ReleaseRequest, RequestKind, SeasonReport, SeasonStore, SeasonSummary,
-        StoreError, TabulationCache, TabulationStats, TruthStore,
+        Snapshot, StoreError, TabulationCache, TabulationStats, TruthSource, TruthStore,
     };
     pub use eree_service::{Client, ReleaseService, ReleaseSubmission, ServiceConfig};
     pub use lodes::{
@@ -102,14 +108,14 @@ mod tests {
         let dataset = Generator::new(GeneratorConfig::test_small(1)).generate();
         let truth = compute_marginal(&dataset, &workload1());
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
+        let request = ReleaseRequest::marginal(workload1())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 2.0))
+            .seed(5);
+        let data = Snapshot::of(&dataset);
+        let cache = &mut TabulationCache::new();
         let artifact = engine
-            .execute(
-                &dataset,
-                &ReleaseRequest::marginal(workload1())
-                    .mechanism(MechanismKind::LogLaplace)
-                    .budget(PrivacyParams::pure(0.1, 2.0))
-                    .seed(5),
-            )
+            .execute(&request, TruthSource::Tabulate { data, cache })
             .unwrap();
         assert!(artifact.l1_error_against(&truth).unwrap() > 0.0);
     }

@@ -29,11 +29,14 @@ fn engine_release(
     let mut engine = ReleaseEngine::new(budget);
     let artifact = engine
         .execute(
-            dataset,
             &ReleaseRequest::marginal(spec.clone())
                 .mechanism(mechanism)
                 .budget(budget)
                 .seed(seed),
+            TruthSource::Tabulate {
+                data: Snapshot::of(dataset),
+                cache: &mut TabulationCache::new(),
+            },
         )
         .unwrap();
     match artifact.payload {

@@ -56,11 +56,14 @@ fn weak_release_costs_match_domain_size() {
     let mut engine = ReleaseEngine::new(PrivacyParams::approximate(0.1, 8.0, 0.08));
     let artifact = engine
         .execute(
-            &d,
             &ReleaseRequest::marginal(workload3())
                 .mechanism(MechanismKind::SmoothLaplace)
                 .budget(PrivacyParams::approximate(0.1, 8.0, 0.08))
                 .seed(9),
+            TruthSource::Tabulate {
+                data: Snapshot::of(&d),
+                cache: &mut TabulationCache::new(),
+            },
         )
         .unwrap();
     assert_eq!(artifact.regime, NeighborKind::Weak);
@@ -75,12 +78,15 @@ fn filtered_release_is_weak_but_parallel() {
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
     let artifact = engine
         .execute(
-            &d,
             &ReleaseRequest::marginal(workload1())
                 .mechanism(MechanismKind::SmoothGamma)
                 .budget(PrivacyParams::pure(0.1, 2.0))
                 .filter_expr(ranking2_expr())
                 .seed(12),
+            TruthSource::Tabulate {
+                data: Snapshot::of(&d),
+                cache: &mut TabulationCache::new(),
+            },
         )
         .unwrap();
     // Worker-predicate filter forces the weak regime...
@@ -144,11 +150,14 @@ fn sdl_and_private_releases_share_support() {
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
     let artifact = engine
         .execute(
-            &d,
             &ReleaseRequest::marginal(spec.clone())
                 .mechanism(MechanismKind::SmoothGamma)
                 .budget(PrivacyParams::pure(0.1, 2.0))
                 .seed(1),
+            TruthSource::Tabulate {
+                data: Snapshot::of(&d),
+                cache: &mut TabulationCache::new(),
+            },
         )
         .unwrap();
     let sdl_keys: Vec<_> = sdl.published.keys().collect();

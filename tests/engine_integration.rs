@@ -10,17 +10,22 @@ fn dataset() -> Dataset {
 #[test]
 fn rejection_ordering_consumes_no_budget() {
     let d = dataset();
+    let data = Snapshot::of(&d);
+    let mut cache = TabulationCache::new();
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
 
     // A request that fails mechanism validation: nothing spent, nothing
     // recorded.
     let err = engine
         .execute(
-            &d,
             &ReleaseRequest::marginal(workload1())
                 .mechanism(MechanismKind::SmoothGamma)
                 .budget(PrivacyParams::pure(0.1, 0.3))
                 .seed(1),
+            TruthSource::Tabulate {
+                data,
+                cache: &mut cache,
+            },
         )
         .unwrap_err();
     assert!(matches!(err, EngineError::InvalidParameters { .. }));
@@ -30,11 +35,14 @@ fn rejection_ordering_consumes_no_budget() {
     // A request that overdraws: rejected before sampling, nothing spent.
     let err = engine
         .execute(
-            &d,
             &ReleaseRequest::marginal(workload1())
                 .mechanism(MechanismKind::SmoothGamma)
                 .budget(PrivacyParams::pure(0.1, 5.0))
                 .seed(2),
+            TruthSource::Tabulate {
+                data,
+                cache: &mut cache,
+            },
         )
         .unwrap_err();
     assert!(matches!(err, EngineError::Budget(_)));
@@ -42,18 +50,28 @@ fn rejection_ordering_consumes_no_budget() {
 
     // An under-specified request is caught before everything else.
     let err = engine
-        .execute(&d, &ReleaseRequest::marginal(workload1()).seed(3))
+        .execute(
+            &ReleaseRequest::marginal(workload1()).seed(3),
+            TruthSource::Tabulate {
+                data,
+                cache: &mut cache,
+            },
+        )
         .unwrap_err();
     assert!(matches!(err, EngineError::IncompleteRequest { .. }));
+    assert!(cache.is_empty(), "no refusal reached the tabulation cache");
 
     // The budget is still fully available for a valid request.
     assert!(engine
         .execute(
-            &d,
             &ReleaseRequest::marginal(workload1())
                 .mechanism(MechanismKind::SmoothGamma)
                 .budget(PrivacyParams::pure(0.1, 4.0))
                 .seed(4),
+            TruthSource::Tabulate {
+                data,
+                cache: &mut cache
+            },
         )
         .is_ok());
     assert!(engine.ledger().remaining_epsilon() < 1e-9);
@@ -159,7 +177,15 @@ fn indexed_artifacts_bit_identical_to_legacy_tabulation() {
         let a = via_legacy
             .execute_precomputed(&legacy_truth, &request(77))
             .unwrap();
-        let b = via_index.execute(&d, &request(77)).unwrap();
+        let b = via_index
+            .execute(
+                &request(77),
+                TruthSource::Tabulate {
+                    data: Snapshot::of(&d),
+                    cache: &mut TabulationCache::new(),
+                },
+            )
+            .unwrap();
         assert_eq!(a, b, "threads={threads}");
     }
     // Filtered releases agree too (weak-regime single-query workload):
@@ -176,7 +202,15 @@ fn indexed_artifacts_bit_identical_to_legacy_tabulation() {
     let a = via_legacy
         .execute_precomputed(&filtered_truth, &filtered_request)
         .unwrap();
-    let b = via_index.execute(&d, &filtered_request).unwrap();
+    let b = via_index
+        .execute(
+            &filtered_request,
+            TruthSource::Tabulate {
+                data: Snapshot::of(&d),
+                cache: &mut TabulationCache::new(),
+            },
+        )
+        .unwrap();
     assert_eq!(a, b);
 }
 
@@ -190,11 +224,14 @@ fn production_artifacts_carry_no_truth_digest() {
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
     let artifact = engine
         .execute(
-            &d,
             &ReleaseRequest::marginal(workload1())
                 .mechanism(MechanismKind::SmoothGamma)
                 .budget(PrivacyParams::pure(0.1, 2.0))
                 .seed(31),
+            TruthSource::Tabulate {
+                data: Snapshot::of(&d),
+                cache: &mut TabulationCache::new(),
+            },
         )
         .unwrap();
     assert_eq!(artifact.truth_digest, None);

@@ -62,11 +62,14 @@ fn release_surfaces_structured_errors() {
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.2, 2.0));
     let err = engine
         .execute(
-            &d,
             &ReleaseRequest::marginal(workload3())
                 .mechanism(MechanismKind::SmoothGamma)
                 .budget(PrivacyParams::pure(0.2, 2.0))
                 .seed(1),
+            TruthSource::Tabulate {
+                data: Snapshot::of(&d),
+                cache: &mut TabulationCache::new(),
+            },
         )
         .unwrap_err();
     match err {

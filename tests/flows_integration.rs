@@ -36,7 +36,7 @@ fn release_flows(truth: &FlowMarginal, epsilon: f64, seed: u64) -> BTreeMap<Cell
         delta: plan.cost.delta,
     }));
     let artifact = engine
-        .execute_flows_precomputed(truth, &request)
+        .execute(&request, TruthSource::Flows(truth))
         .expect("exact ledger covers the request");
     match artifact.payload {
         ArtifactPayload::Flows(flows) => flows,

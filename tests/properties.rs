@@ -356,7 +356,7 @@ proptest! {
                 .budget_per_cell(PrivacyParams::pure(0.1, 1.0))
                 .seed(seed);
             let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 3.0));
-            engine.execute_flows_precomputed(truth, &request).expect("budget covers one release")
+            engine.execute(&request, TruthSource::Flows(truth)).expect("budget covers one release")
         };
         let a1 = serde_json::to_string(&release(&m)).unwrap();
         let a2 = serde_json::to_string(&release(&contiguous)).unwrap();

@@ -3,9 +3,12 @@
 //! tampered, inconsistent, or re-planned stores.
 
 use eree::prelude::*;
-use lodes::Dataset;
+use eree_core::{ReleaseCache, ReleaseKey};
+use lodes::{Dataset, DatasetPanel, PanelConfig};
+use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("store-resume-{name}"));
@@ -15,6 +18,16 @@ fn test_dir(name: &str) -> PathBuf {
 
 fn dataset() -> Dataset {
     Generator::new(GeneratorConfig::test_small(41)).generate()
+}
+
+/// Run (or resume) `plan` on `store` over `d` through a fresh
+/// memory-only tabulation cache.
+fn run(
+    store: &mut SeasonStore,
+    d: &Dataset,
+    plan: &[ReleaseRequest],
+) -> Result<SeasonReport, StoreError> {
+    store.run(Snapshot::of(d), plan, &mut TabulationCache::new())
 }
 
 fn budget() -> PrivacyParams {
@@ -67,7 +80,7 @@ fn interrupted_season_resumes_bit_identically() {
     // Reference: uninterrupted season.
     let full_dir = test_dir("bitident-full");
     let mut full = SeasonStore::create(&full_dir, budget()).unwrap();
-    let report = full.run(&d, &plan).unwrap();
+    let report = run(&mut full, &d, &plan).unwrap();
     assert_eq!(report.executed, 3);
     assert_eq!(report.tabulations_computed, 2, "W1 shared, W3 computed");
     assert_eq!(report.tabulation_hits, 1);
@@ -75,13 +88,13 @@ fn interrupted_season_resumes_bit_identically() {
     // Killed after one release, then resumed by a fresh process.
     let cut_dir = test_dir("bitident-cut");
     let mut cut = SeasonStore::create(&cut_dir, budget()).unwrap();
-    cut.run(&d, &plan[..1]).unwrap();
+    run(&mut cut, &d, &plan[..1]).unwrap();
     assert_eq!(cut.completed(), 1);
     drop(cut); // the kill
 
     let mut resumed = SeasonStore::open(&cut_dir).unwrap();
     assert_eq!(resumed.completed(), 1);
-    let report = resumed.run(&d, &plan).unwrap();
+    let report = run(&mut resumed, &d, &plan).unwrap();
     assert_eq!(report.resumed_from, 1);
     assert_eq!(report.executed, 2);
 
@@ -110,7 +123,7 @@ fn corrupted_or_tampered_stores_refuse_to_open() {
     let plan = plan();
     let dir = test_dir("tampered");
     let mut store = SeasonStore::create(&dir, budget()).unwrap();
-    store.run(&d, &plan[..2]).unwrap();
+    run(&mut store, &d, &plan[..2]).unwrap();
     drop(store);
     let ledger_path = dir.join("ledger.json");
     let pristine = fs::read_to_string(&ledger_path).unwrap();
@@ -153,7 +166,7 @@ fn artifact_gaps_and_strays_are_refused() {
     let d = dataset();
     let dir = test_dir("gaps");
     let mut store = SeasonStore::create(&dir, budget()).unwrap();
-    store.run(&d, &plan()[..2]).unwrap();
+    run(&mut store, &d, &plan()[..2]).unwrap();
     drop(store);
 
     // Deleting the first artifact leaves a gap: 000001.json without
@@ -193,13 +206,13 @@ fn crash_between_artifact_and_ledger_snapshot_rolls_forward() {
     // Reference store: both releases fully recorded.
     let ref_dir = test_dir("crashwin-ref");
     let mut reference = SeasonStore::create(&ref_dir, budget()).unwrap();
-    reference.run(&d, &plan[..2]).unwrap();
+    run(&mut reference, &d, &plan[..2]).unwrap();
 
     // Crashed store: artifact 1 landed but its ledger snapshot did not
     // (the artifact-first write protocol's only in-between state).
     let crash_dir = test_dir("crashwin");
     let mut crashed = SeasonStore::create(&crash_dir, budget()).unwrap();
-    crashed.run(&d, &plan[..1]).unwrap();
+    run(&mut crashed, &d, &plan[..1]).unwrap();
     drop(crashed);
     fs::copy(
         ref_dir.join("artifacts").join("000001.json"),
@@ -220,7 +233,7 @@ fn crash_between_artifact_and_ledger_snapshot_rolls_forward() {
         fs::read(ref_dir.join("ledger.json")).unwrap()
     );
     // The season then resumes as if the crash never happened.
-    let report = repaired.run(&d, &plan).unwrap();
+    let report = run(&mut repaired, &d, &plan).unwrap();
     assert_eq!(report.resumed_from, 2);
     assert_eq!(report.executed, 1);
     fs::remove_dir_all(ref_dir).unwrap();
@@ -231,13 +244,13 @@ fn crash_between_artifact_and_ledger_snapshot_rolls_forward() {
     // half-applied roll-forward).
     let bad_dir = test_dir("crashwin-bad");
     let mut bad = SeasonStore::create(&bad_dir, budget()).unwrap();
-    bad.run(&d, &plan[..2]).unwrap();
+    run(&mut bad, &d, &plan[..2]).unwrap();
     drop(bad);
     // Simulate the crash window (delete the newest ledger entry by
     // restoring the 1-release snapshot)…
     let one_dir = test_dir("crashwin-bad-one");
     let mut one = SeasonStore::create(&one_dir, budget()).unwrap();
-    one.run(&d, &plan[..1]).unwrap();
+    run(&mut one, &d, &plan[..1]).unwrap();
     drop(one);
     fs::copy(one_dir.join("ledger.json"), bad_dir.join("ledger.json")).unwrap();
     // …and corrupt artifact 0's recorded cost so verification must fail.
@@ -266,7 +279,7 @@ fn resuming_under_a_different_plan_is_refused() {
     let plan = plan();
     let dir = test_dir("replanned");
     let mut store = SeasonStore::create(&dir, budget()).unwrap();
-    store.run(&d, &plan[..1]).unwrap();
+    run(&mut store, &d, &plan[..1]).unwrap();
 
     // Same description, different seed: the persisted artifact's
     // provenance no longer matches the plan's first request.
@@ -277,18 +290,18 @@ fn resuming_under_a_different_plan_is_refused() {
         .describe("R0: workload1 smooth-gamma")
         .seed(999);
     assert!(matches!(
-        store.run(&d, &reseeded),
+        run(&mut store, &d, &reseeded),
         Err(StoreError::Inconsistent { .. })
     ));
 
     // A plan shorter than what is already persisted is refused too.
     assert!(matches!(
-        store.run(&d, &[]),
+        run(&mut store, &d, &[]),
         Err(StoreError::Inconsistent { .. })
     ));
 
     // The original plan still resumes.
-    let report = store.run(&d, &plan).unwrap();
+    let report = run(&mut store, &d, &plan).unwrap();
     assert_eq!(report.resumed_from, 1);
     assert_eq!(report.executed, 2);
     fs::remove_dir_all(dir).unwrap();
@@ -321,17 +334,17 @@ fn ast_filtered_season_resumes_bit_identically() {
     // Reference: uninterrupted season.
     let full_dir = test_dir("ast-full");
     let mut full = SeasonStore::create(&full_dir, budget()).unwrap();
-    full.run(&d, &plan).unwrap();
+    run(&mut full, &d, &plan).unwrap();
     drop(full);
 
     // Killed after the unfiltered release, resumed by a fresh process
     // with a *separately constructed* (but structurally equal) filter.
     let cut_dir = test_dir("ast-cut");
     let mut cut = SeasonStore::create(&cut_dir, budget()).unwrap();
-    cut.run(&d, &plan[..1]).unwrap();
+    run(&mut cut, &d, &plan[..1]).unwrap();
     drop(cut);
     let mut cut = SeasonStore::open(&cut_dir).unwrap();
-    let report = cut.run(&d, &filtered_plan(ranking2_expr())).unwrap();
+    let report = run(&mut cut, &d, &filtered_plan(ranking2_expr())).unwrap();
     assert_eq!((report.resumed_from, report.executed), (1, 1));
 
     // Every persisted byte agrees with the uninterrupted run.
@@ -351,7 +364,7 @@ fn resuming_with_a_changed_filter_digest_is_refused() {
     let d = dataset();
     let dir = test_dir("refiltered");
     let mut store = SeasonStore::create(&dir, budget()).unwrap();
-    store.run(&d, &filtered_plan(ranking2_expr())).unwrap();
+    run(&mut store, &d, &filtered_plan(ranking2_expr())).unwrap();
     drop(store);
 
     // Same plan shape, same descriptions and seeds — but the filter now
@@ -360,7 +373,7 @@ fn resuming_with_a_changed_filter_digest_is_refused() {
     let changed = FilterExpr::sex(lodes::Sex::Female);
     assert_ne!(changed.id(), ranking2_expr().id());
     let mut store = SeasonStore::open(&dir).unwrap();
-    match store.run(&d, &filtered_plan(changed)) {
+    match run(&mut store, &d, &filtered_plan(changed)) {
         Err(StoreError::Inconsistent { detail }) => {
             assert!(detail.contains("digest"), "unexpected detail: {detail}");
         }
@@ -375,7 +388,7 @@ fn resuming_with_a_changed_filter_digest_is_refused() {
         .describe("F1: workload1 sub-population")
         .seed(2);
     assert!(matches!(
-        store.run(&d, &unfiltered),
+        run(&mut store, &d, &unfiltered),
         Err(StoreError::Inconsistent { .. })
     ));
 
@@ -383,15 +396,15 @@ fn resuming_with_a_changed_filter_digest_is_refused() {
     // matches a filtered plan.
     let unf_dir = test_dir("refiltered-unfiltered");
     let mut unfiltered_store = SeasonStore::create(&unf_dir, budget()).unwrap();
-    unfiltered_store.run(&d, &unfiltered).unwrap();
+    run(&mut unfiltered_store, &d, &unfiltered).unwrap();
     assert!(matches!(
-        unfiltered_store.run(&d, &filtered_plan(ranking2_expr())),
+        run(&mut unfiltered_store, &d, &filtered_plan(ranking2_expr())),
         Err(StoreError::Inconsistent { .. })
     ));
     fs::remove_dir_all(unf_dir).unwrap();
 
     // The original filter still resumes.
-    let report = store.run(&d, &filtered_plan(ranking2_expr())).unwrap();
+    let report = run(&mut store, &d, &filtered_plan(ranking2_expr())).unwrap();
     assert_eq!((report.resumed_from, report.executed), (2, 0));
     fs::remove_dir_all(dir).unwrap();
 }
@@ -523,7 +536,7 @@ fn resuming_against_a_different_dataset_is_refused() {
     let plan = plan();
     let dir = test_dir("redatasetted");
     let mut store = SeasonStore::create(&dir, budget()).unwrap();
-    store.run(&d, &plan[..1]).unwrap();
+    run(&mut store, &d, &plan[..1]).unwrap();
     drop(store);
 
     // Same plan, different confidential database: the digest bound by the
@@ -531,13 +544,13 @@ fn resuming_against_a_different_dataset_is_refused() {
     let other = Generator::new(GeneratorConfig::test_small(42)).generate();
     let mut store = SeasonStore::open(&dir).unwrap();
     assert!(matches!(
-        store.run(&other, &plan),
+        run(&mut store, &other, &plan),
         Err(StoreError::Inconsistent { .. })
     ));
     assert_eq!(store.completed(), 1, "refusal must not execute anything");
 
     // The original dataset still resumes.
-    let report = store.run(&d, &plan).unwrap();
+    let report = run(&mut store, &d, &plan).unwrap();
     assert_eq!(report.resumed_from, 1);
     assert_eq!(report.executed, 2);
     fs::remove_dir_all(dir).unwrap();
@@ -552,7 +565,7 @@ fn overdrawn_plans_abort_cleanly_and_stay_resumable() {
     let mut store = SeasonStore::create(&dir, tight).unwrap();
 
     // R0 (2.0) and R1 (1.0) fit; R2 (8.0) overdraws and aborts the run.
-    let err = store.run(&d, &plan).unwrap_err();
+    let err = run(&mut store, &d, &plan).unwrap_err();
     match err {
         StoreError::Refused { index, .. } => assert_eq!(index, 2),
         other => panic!("expected Refused, got {other}"),
@@ -573,8 +586,146 @@ fn overdrawn_plans_abort_cleanly_and_stay_resumable() {
             .describe("R2: workload3 at the remaining eps")
             .seed(3),
     );
-    let report = store.run(&d, &replanned).unwrap();
+    let report = run(&mut store, &d, &replanned).unwrap();
     assert_eq!(report.executed, 1);
     assert!(store.ledger().remaining_epsilon() < 1e-9);
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// A two-quarter panel: quarter 1 is the level snapshot, and the pair is
+/// what flow requests tabulate.
+fn quarter_pair() -> &'static DatasetPanel {
+    static PANEL: OnceLock<DatasetPanel> = OnceLock::new();
+    PANEL.get_or_init(|| {
+        DatasetPanel::generate(
+            &GeneratorConfig::test_small(41),
+            &PanelConfig {
+                quarters: 2,
+                growth_sigma: 0.1,
+                death_rate: 0.05,
+                seed: 9,
+            },
+        )
+    })
+}
+
+fn pair_snapshot(panel: &DatasetPanel) -> Snapshot<'_> {
+    Snapshot::of(panel.quarter(1)).after(Snapshot::of(panel.quarter(0)))
+}
+
+/// Every number an artifact publishes.
+fn released_numbers(artifact: &ReleaseArtifact) -> Vec<f64> {
+    match &artifact.payload {
+        ArtifactPayload::Cells(cells) => cells.values().copied().collect(),
+        ArtifactPayload::Shapes(shapes) => shapes
+            .iter()
+            .flat_map(|s| s.fractions.iter().chain(&s.sub_counts).chain([&s.total]))
+            .copied()
+            .collect(),
+        ArtifactPayload::Flows(flows) => flows
+            .values()
+            .flat_map(|f| [f.beginning, f.job_creation, f.job_destruction, f.ending])
+            .collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Log-Laplace perturbs in log space, so a small per-cell ε overflows
+    /// `exp` to `+∞`. The engine saturates every released number at
+    /// `±f64::MAX` (post-processing, so it costs no privacy), so whatever
+    /// the engine admits and charges also persists: the artifact `admit`
+    /// returns reads back from disk as byte-identical JSON. The smooth
+    /// mechanisms' validity floors keep their per-cell ε (and so their
+    /// noise) bounded; for them the case checks the persist path alone.
+    #[test]
+    fn admitted_releases_are_finite_and_persist_byte_identically(
+        kind in 0u8..3,
+        mechanism in 0u8..3,
+        tiny in 1e-6f64..1e-3,
+        integerize in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let request = match kind {
+            0 => ReleaseRequest::marginal(workload3()),
+            1 => ReleaseRequest::shapes(workload3()),
+            _ => ReleaseRequest::flows(workload1()),
+        };
+        let (mechanism, per_cell) = match mechanism {
+            0 => (MechanismKind::LogLaplace, PrivacyParams::pure(0.1, tiny)),
+            // 5·ln(1.1) ≈ 0.477 is Smooth Gamma's floor.
+            1 => (MechanismKind::SmoothGamma, PrivacyParams::pure(0.1, 0.5 + tiny)),
+            // 2·ln(1e6)·ln(1.1) ≈ 2.63 is Smooth Laplace's floor at δ = 1e-6.
+            _ => (
+                MechanismKind::SmoothLaplace,
+                PrivacyParams::approximate(0.1, 2.7 + tiny, 1e-6),
+            ),
+        };
+        let request = request
+            .mechanism(mechanism)
+            .budget_per_cell(per_cell)
+            .integerize(integerize)
+            .seed(seed);
+        let dir = test_dir("finite-artifacts");
+        let mut store =
+            SeasonStore::create(&dir, PrivacyParams::approximate(0.1, 100.0, 0.01)).unwrap();
+        let admitted = store
+            .admit(pair_snapshot(quarter_pair()), &request, &mut TabulationCache::new())
+            .unwrap();
+        let numbers = released_numbers(&admitted);
+        prop_assert!(!numbers.is_empty());
+        prop_assert!(numbers.iter().all(|v| v.is_finite()), "a non-finite value was released");
+        let stored = store.load_artifact(0).unwrap();
+        prop_assert_eq!(
+            serde_json::to_string(&stored).unwrap(),
+            serde_json::to_string(&admitted).unwrap()
+        );
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The release service serves the artifact `admit` returns, and a client
+/// checks the served bytes against the public cache's content digest. So
+/// the returned artifact, its stored copy and its public-cache entry must
+/// all serialize to the same bytes.
+#[test]
+fn admitted_stored_and_cached_artifacts_share_one_content_digest() {
+    let data = pair_snapshot(quarter_pair());
+    let dir = test_dir("served-bytes");
+    let mut store = SeasonStore::create(dir.join("season"), budget()).unwrap();
+    let public = ReleaseCache::open(dir.join("public")).unwrap();
+    let mut cache = TabulationCache::new();
+    let requests = [
+        ReleaseRequest::marginal(workload1())
+            .mechanism(MechanismKind::SmoothGamma)
+            .budget(PrivacyParams::pure(0.1, 2.0))
+            .filter_expr(ranking2_expr())
+            .seed(1),
+        ReleaseRequest::shapes(workload3())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 4.0))
+            .seed(2),
+        ReleaseRequest::flows(workload1())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 3.0))
+            .seed(3),
+    ];
+    for request in &requests {
+        let admitted = store.admit(data, request, &mut cache).unwrap();
+        let stored = store.load_artifact(store.completed() - 1).unwrap();
+        let digest = match request.kind() {
+            RequestKind::Flows => data.pair_digest().unwrap(),
+            _ => data.digest(),
+        };
+        let key = ReleaseKey::of(&admitted.request, digest).unwrap();
+        public.save(&key, &admitted).unwrap();
+        let cached = public.load(&key).unwrap();
+        let served = ReleaseCache::artifact_digest(&admitted);
+        assert_eq!(ReleaseCache::artifact_digest(&stored), served);
+        assert_eq!(ReleaseCache::artifact_digest(&cached), served);
+    }
+    drop(store);
     fs::remove_dir_all(dir).unwrap();
 }
