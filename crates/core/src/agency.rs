@@ -145,11 +145,6 @@ const TRUTHS_DIR: &str = "truths";
 const PUBLIC_DIR: &str = "public";
 /// Agency write-lease file name.
 const LEASE_FILE: &str = "agency.lock";
-/// Durable cumulative-metrics snapshot file name under the agency
-/// directory. Written at season-commit points (create / run / close /
-/// open); best-effort on read — a missing or corrupt snapshot never
-/// refuses the agency, it only loses volatile counter tails.
-const METRICS_FILE: &str = "metrics.json";
 
 /// The request families in [`crate::metrics::FAMILY_LABELS`] order, so
 /// replay tallies land in the same slots the live registry uses.
@@ -245,8 +240,8 @@ pub struct AgencyStore {
     seasons: Vec<SeasonSummary>,
     /// The agency-wide live metrics registry: shared (`Arc`) with every
     /// season store, engine, truth store, and cache handle this agency
-    /// hands out, and flushed durably to [`METRICS_FILE`] at
-    /// season-commit points.
+    /// hands out. It lives as long as this handle; `open` rebuilds its
+    /// ledger-derived values.
     metrics: Arc<MetricsRegistry>,
     /// Write lease on the agency directory: the meta-ledger and manifest
     /// have exactly one writer per agency at a time. Released on drop.
@@ -305,16 +300,14 @@ impl AgencyStore {
         // (AlreadyExists) — unrecoverable without manual deletion.
         write_json_atomic(&root.join(META_LEDGER_FILE), &meta)?;
         write_json_atomic(&manifest_path, &manifest)?;
-        let agency = Self {
+        Ok(Self {
             root,
             manifest,
             meta,
             seasons: Vec::new(),
             metrics: Arc::new(MetricsRegistry::new()),
             _lease: lease,
-        };
-        agency.flush_metrics()?;
-        Ok(agency)
+        })
     }
 
     /// Reload a persisted agency, verifying everything it governs:
@@ -397,8 +390,8 @@ impl AgencyStore {
         let mut bound_digest = manifest.dataset_digest;
         // Per-family `(accepted, Σε, Σδ)` replay tallies over every
         // persisted release, accumulated in release order — the same
-        // naive summation order the live registry uses, so a restored
-        // snapshot reconciles bit-exactly with live accumulation.
+        // naive summation order the live registry uses, so the reopened
+        // registry reconciles bit-exactly with live accumulation.
         let mut tallies = [(0u64, 0.0f64, 0.0f64); 3];
         for reservation in meta.reservations() {
             let season_dir = seasons_dir.join(&reservation.name);
@@ -505,33 +498,24 @@ impl AgencyStore {
                 summary.closed = true;
             }
         }
-        // Restore the durable counter snapshot (best-effort: the metrics
-        // file predates nothing the agency's correctness depends on), then
-        // overwrite every replay-derived value from the stores just
-        // verified — accepted totals and family ε/δ spend come from the
-        // durable releases themselves, so they are exact across any crash,
-        // while volatile counters (denials, cache hits, latency) resume
-        // from the last flush.
+        // A fresh registry: accepted totals and family ε/δ spend come from
+        // the durable releases just verified, so they are exact across any
+        // crash; every other counter starts at zero with this process.
         let metrics = Arc::new(MetricsRegistry::new());
-        if let Ok(snapshot) = read_json::<MetricsSnapshot>(&root.join(METRICS_FILE)) {
-            metrics.restore(&snapshot);
-        }
         for (slot, &kind) in FAMILY_KINDS.iter().enumerate() {
             let family = metrics.family(kind);
             family.accepted_total.set(tallies[slot].0);
             family.epsilon_spent.set(tallies[slot].1);
             family.delta_spent.set(tallies[slot].2);
         }
-        let agency = Self {
+        Ok(Self {
             root,
             manifest,
             meta,
             seasons,
             metrics,
             _lease: lease,
-        };
-        agency.flush_metrics()?;
-        Ok(agency)
+        })
     }
 
     /// [`open`](Self::open) if `root` holds an agency (whose cap must
@@ -747,7 +731,6 @@ impl AgencyStore {
             let mut store = SeasonStore::create(&season_dir, budget)?;
             store.set_metrics(self.metrics());
             self.upsert_summary(name, &store);
-            self.flush_metrics()?;
             return Ok(store);
         }
         // Reservation-first write protocol: the meta-ledger admits (and
@@ -765,7 +748,6 @@ impl AgencyStore {
         let mut store = SeasonStore::create(&season_dir, budget)?;
         store.set_metrics(self.metrics());
         self.upsert_summary(name, &store);
-        self.flush_metrics()?;
         Ok(store)
     }
 
@@ -917,7 +899,7 @@ impl AgencyStore {
     /// The season-run body both modes share: open the season, refuse a
     /// closed one, bind the agency to `pin`, run the plan through a cache
     /// over the shared truth store pinned to `data`'s dataset, then
-    /// refresh the audit view and flush the metrics.
+    /// refresh the audit view.
     fn run_snapshot(
         &mut self,
         name: &str,
@@ -944,12 +926,7 @@ impl AgencyStore {
         // season store reflects exactly what was durably persisted (and
         // charged) before the refusal, and that spend is real.
         self.upsert_summary(name, &season);
-        // Flush the counters the run accumulated. On the error path the
-        // original refusal outranks a metrics-flush failure.
-        match self.flush_metrics() {
-            Ok(()) => result,
-            Err(flush_error) => result.and(Err(flush_error)),
-        }
+        result
     }
 
     /// Close season `name`: durably refund its unspent remainder to the
@@ -1046,10 +1023,6 @@ impl AgencyStore {
         if let Some(summary) = self.seasons.iter_mut().find(|s| s.name == name) {
             summary.closed = true;
         }
-        // Close is a season-commit point: the refund just moved the
-        // budget gauges, and the durable counter snapshot should carry
-        // every denial and cache hit recorded up to the seal.
-        self.flush_metrics()?;
         Ok(ClosureReceipt {
             name: name.to_string(),
             refund_epsilon,
@@ -1073,38 +1046,16 @@ impl AgencyStore {
 
     /// A point-in-time [`MetricsSnapshot`] with the budget gauges
     /// refreshed from the meta-ledger first, so the snapshot's ε
-    /// accounting always matches [`Self::meta_ledger`] bit-exactly.
+    /// accounting always matches [`Self::meta_ledger`] bit-exactly. The
+    /// gauges are convenience mirrors of the ledger, overwritten (never
+    /// accumulated) here, their only reader.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.refresh_budget_gauges();
-        self.metrics.snapshot()
-    }
-
-    /// Refresh the registry's budget gauges from the authoritative
-    /// meta-ledger. Gauges are convenience mirrors — the ledger replay is
-    /// the source of truth, so they are overwritten (never accumulated)
-    /// right before every snapshot and flush.
-    fn refresh_budget_gauges(&self) {
-        self.metrics.epsilon_cap.set(self.meta.cap().epsilon);
-        self.metrics
-            .epsilon_reserved
-            .set(self.meta.reserved_epsilon());
-        self.metrics
-            .epsilon_remaining
-            .set(self.meta.remaining_epsilon());
-        self.metrics
-            .epsilon_refunded
-            .set(self.meta.refunded_epsilon());
-    }
-
-    /// Durably persist the cumulative counters to [`METRICS_FILE`]
-    /// through the chaos-counted atomic write path. Called at
-    /// season-commit points (create / open / run / close); the flush
-    /// counter increments first so the written snapshot accounts for its
-    /// own flush.
-    fn flush_metrics(&self) -> Result<(), StoreError> {
-        self.refresh_budget_gauges();
-        self.metrics.flushes.inc();
-        write_json_atomic(&self.root.join(METRICS_FILE), &self.metrics.snapshot())
+        let metrics = &self.metrics;
+        metrics.epsilon_cap.set(self.meta.cap().epsilon);
+        metrics.epsilon_reserved.set(self.meta.reserved_epsilon());
+        metrics.epsilon_remaining.set(self.meta.remaining_epsilon());
+        metrics.epsilon_refunded.set(self.meta.refunded_epsilon());
+        metrics.snapshot()
     }
 
     /// Total δ refunded to the cap by sealed season closures.

@@ -1,21 +1,18 @@
 //! Structured metrics: a dependency-light registry of counters, gauges,
 //! and fixed-bucket latency histograms, with serde-serializable snapshot
-//! types and durable cumulative counters.
+//! types.
 //!
-//! The registry answers the operator question ROADMAP item 5 poses: how
-//! much of the scarce resource — the agency's ε cap — has been spent,
-//! refused, refunded, and cached away, *live*, without replaying ledgers
-//! by hand. Three layers feed one [`MetricsRegistry`]:
+//! The registry answers the operator question of how much of the scarce
+//! resource — the agency's ε cap — has been spent, refused, refunded,
+//! and cached away, *live*, without replaying ledgers by hand. Three
+//! layers feed one [`MetricsRegistry`]:
 //!
 //! * the [`ReleaseEngine`](crate::engine::ReleaseEngine) records
 //!   admissions, denials (by [`LedgerError`] reason), per-family ε/δ
 //!   spend, execution latency, and tabulation-cache sources;
-//! * the [`AgencyStore`](crate::agency::AgencyStore) owns the registry,
-//!   keeps the budget gauges reconciled against its
-//!   [`MetaLedger`](crate::accountant::MetaLedger), and persists a
-//!   durable snapshot (`metrics.json`, written through the same atomic
-//!   `cfs` path as every other durable file — so the chaos sweep counts
-//!   and faults its syscall boundaries automatically);
+//! * the [`AgencyStore`](crate::agency::AgencyStore) owns the registry
+//!   and keeps the budget gauges reconciled against its
+//!   [`MetaLedger`](crate::accountant::MetaLedger);
 //! * the service layer (`eree_service`) adds HTTP status classes, worker
 //!   lifecycle, queue depth, and public-cache hit counters, and exposes
 //!   the whole snapshot over `GET /metrics`.
@@ -28,34 +25,29 @@
 //!
 //! # Crash-exactness contract
 //!
-//! Two classes of values live in the registry, with different durability:
+//! `accepted_total`, per-family ε/δ spend, and the budget gauges are
+//! recomputed from durable, replay-verified state (persisted releases and
+//! ledgers) every time an agency opens, so they are *exact* across any
+//! crash; the chaos sweep asserts this at every syscall boundary. Every
+//! other value counts from the registry's creation and lives only as
+//! long as the process: [`MetricsSnapshot::created`] marks that start,
+//! and the OpenMetrics exposition repeats it as each counter's
+//! `_created` sample, so a scraper sees the reset.
 //!
-//! * **Replay-derived** — `accepted_total`, per-family ε/δ spend, and the
-//!   budget gauges are recomputed from durable, replay-verified state
-//!   (persisted releases and ledgers) every time an agency opens. They
-//!   are *exact* across any crash: a counter update that never reached
-//!   `metrics.json` is reconstructed from the release records, and a
-//!   flushed counter whose release was rolled back is overwritten. The
-//!   chaos sweep asserts this at every syscall boundary.
-//! * **Volatile-cumulative** — denials, cache hits, self-heals, latency,
-//!   and service counters spend nothing and leave no ledger trace; they
-//!   are persisted cumulatively at season-commit points and restored on
-//!   open, best-effort across a crash (at worst the tail since the last
-//!   flush is lost — never double-counted, because restore *sets* rather
-//!   than adds).
-//!
-//! Latency histograms cover the single-release execution paths (the
-//! season and service path); batch
+//! The family latency histogram times the whole
+//! [`execute`](crate::engine::ReleaseEngine::execute) call of an
+//! admitted release (validate, get the truth, charge, sample); batch
 //! [`execute_all`](crate::engine::ReleaseEngine::execute_all) records
 //! admissions and denials only.
 
 use crate::accountant::LedgerError;
 use crate::engine::RequestKind;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Format tag of the serialized [`MetricsSnapshot`].
-pub const SNAPSHOT_FORMAT: u32 = 1;
+pub const SNAPSHOT_FORMAT: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Primitives
@@ -63,8 +55,9 @@ pub const SNAPSHOT_FORMAT: u32 = 1;
 
 /// A monotonic event counter: relaxed atomic increments, lock-free reads.
 ///
-/// [`Counter::set`] exists for restore/reconcile only — instrumentation
-/// sites must only ever [`inc`](Counter::inc) or [`add`](Counter::add).
+/// [`Counter::set`] exists for replay reconciliation only —
+/// instrumentation sites must only ever [`inc`](Counter::inc) or
+/// [`add`](Counter::add).
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -89,7 +82,7 @@ impl Counter {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Overwrite the count (snapshot restore and replay reconciliation).
+    /// Overwrite the count (replay reconciliation on open).
     pub fn set(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
     }
@@ -185,20 +178,6 @@ impl LatencyHistogram {
             counts: self.buckets.iter().map(Counter::get).collect(),
         }
     }
-
-    /// Overwrite the histogram from a snapshot (restore on open). Bucket
-    /// counts restore positionally only when the snapshot's bounds match
-    /// the compiled [`LATENCY_BUCKETS_US`]; otherwise only the count and
-    /// sum survive (bounds changed between versions).
-    pub fn restore(&self, snap: &LatencySnapshot) {
-        self.count.set(snap.count);
-        self.sum_micros.set(snap.sum_micros);
-        let bounds_match =
-            snap.le_micros == LATENCY_BUCKETS_US && snap.counts.len() == self.buckets.len();
-        for (slot, bucket) in self.buckets.iter().enumerate() {
-            bucket.set(if bounds_match { snap.counts[slot] } else { 0 });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -278,7 +257,8 @@ pub struct FamilyMetrics {
     pub epsilon_spent: Gauge,
     /// δ actually charged by this family's admitted releases.
     pub delta_spent: Gauge,
-    /// Execution latency of single-release paths.
+    /// Wall time of each admitted release's whole
+    /// [`execute`](crate::engine::ReleaseEngine::execute) call.
     pub latency: LatencyHistogram,
     denied_by_reason: [Counter; DENY_REASONS.len()],
 }
@@ -296,11 +276,6 @@ impl FamilyMetrics {
     pub fn record_denied(&self, reason: &str) {
         self.denied_total.inc();
         self.denied_by_reason[reason_slot(reason)].inc();
-    }
-
-    /// Denials recorded under `reason`.
-    pub fn denied_for(&self, reason: &str) -> u64 {
-        self.denied_by_reason[reason_slot(reason)].get()
     }
 
     fn snapshot(&self, family: &str, epsilon_remaining: f64) -> FamilySnapshot {
@@ -321,23 +296,6 @@ impl FamilyMetrics {
             delta_spent: self.delta_spent.get(),
             epsilon_remaining,
             latency: self.latency.snapshot(),
-        }
-    }
-
-    fn restore(&self, snap: &FamilySnapshot) {
-        self.accepted_total.set(snap.accepted_total);
-        self.denied_total.set(snap.denied_total);
-        self.epsilon_spent.set(snap.epsilon_spent);
-        self.delta_spent.set(snap.delta_spent);
-        self.latency.restore(&snap.latency);
-        for (slot, &reason) in DENY_REASONS.iter().enumerate() {
-            let denied = snap
-                .denied_by_reason
-                .iter()
-                .find(|rc| rc.reason == reason)
-                .map(|rc| rc.denied)
-                .unwrap_or(0);
-            self.denied_by_reason[slot].set(denied);
         }
     }
 }
@@ -384,7 +342,7 @@ pub struct ServiceCounters {
 /// The process-wide metrics registry for one agency: family counters,
 /// budget gauges, cache and service counters. Shared by `Arc` between
 /// the agency store, its engines, and the service frontend.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
     /// Agency ε cap (the meta-ledger's global budget).
     pub epsilon_cap: Gauge,
@@ -398,15 +356,33 @@ pub struct MetricsRegistry {
     pub caches: CacheCounters,
     /// Service-layer counters.
     pub service: ServiceCounters,
-    /// Durable snapshot flushes (`metrics.json` writes).
-    pub flushes: Counter,
     families: [FamilyMetrics; FAMILY_LABELS.len()],
+    /// When this registry was created, in seconds since the Unix epoch:
+    /// the start of every count that is not rebuilt from the ledgers.
+    created: f64,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
+    /// An empty registry, stamped with the current time.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            epsilon_cap: Gauge::new(),
+            epsilon_reserved: Gauge::new(),
+            epsilon_remaining: Gauge::new(),
+            epsilon_refunded: Gauge::new(),
+            caches: CacheCounters::default(),
+            service: ServiceCounters::default(),
+            families: Default::default(),
+            created: SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0.0, |since| since.as_secs_f64()),
+        }
     }
 
     /// The live counters for `kind`'s family.
@@ -456,54 +432,8 @@ impl MetricsRegistry {
                 queue_depth: enqueued.saturating_sub(executed),
                 season_queues: Vec::new(),
             },
-            flushes: self.flushes.get(),
+            created: self.created,
         }
-    }
-
-    /// Overwrite the registry from a durable snapshot (restore on open).
-    /// Families match by label, denial reasons by slug — a snapshot from
-    /// an older vocabulary restores what it knows and zeroes the rest.
-    /// The replay-derived values restored here (accepted totals, ε
-    /// gauges) are expected to be immediately re-reconciled by the
-    /// caller against the durable ledgers.
-    pub fn restore(&self, snap: &MetricsSnapshot) {
-        self.epsilon_cap.set(snap.epsilon_cap);
-        self.epsilon_reserved.set(snap.epsilon_reserved);
-        self.epsilon_remaining.set(snap.epsilon_remaining);
-        self.epsilon_refunded.set(snap.epsilon_refunded);
-        for (&label, family) in FAMILY_LABELS.iter().zip(&self.families) {
-            match snap.families.iter().find(|f| f.family == label) {
-                Some(fs) => family.restore(fs),
-                None => family.restore(&FamilySnapshot::empty(label)),
-            }
-        }
-        self.caches
-            .truth_memory_hits
-            .set(snap.caches.truth_memory_hits);
-        self.caches.truth_disk_hits.set(snap.caches.truth_disk_hits);
-        self.caches.truth_computed.set(snap.caches.truth_computed);
-        self.caches
-            .truth_self_heals
-            .set(snap.caches.truth_self_heals);
-        self.caches.public_hits.set(snap.caches.public_hits);
-        self.caches.public_misses.set(snap.caches.public_misses);
-        self.caches
-            .public_self_heals
-            .set(snap.caches.public_self_heals);
-        self.service.http_2xx.set(snap.service.http_2xx);
-        self.service.http_4xx.set(snap.service.http_4xx);
-        self.service.http_5xx.set(snap.service.http_5xx);
-        self.service.worker_spawns.set(snap.service.worker_spawns);
-        self.service
-            .worker_retirements
-            .set(snap.service.worker_retirements);
-        self.service
-            .releases_enqueued
-            .set(snap.service.releases_enqueued);
-        self.service
-            .releases_executed
-            .set(snap.service.releases_executed);
-        self.flushes.set(snap.flushes);
     }
 }
 
@@ -512,8 +442,8 @@ impl MetricsRegistry {
 // ---------------------------------------------------------------------------
 
 /// The canonical serializable metrics snapshot: the one shape behind
-/// `GET /metrics`, the durable `metrics.json`, and `AuditView.metrics`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// `GET /metrics` and `AuditView.metrics`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Snapshot format tag ([`SNAPSHOT_FORMAT`]).
     pub format: u32,
@@ -533,14 +463,9 @@ pub struct MetricsSnapshot {
     pub caches: CacheSnapshot,
     /// Service-layer counters.
     pub service: ServiceSnapshot,
-    /// Durable snapshot flushes so far.
-    pub flushes: u64,
-}
-
-impl Default for MetricsSnapshot {
-    fn default() -> Self {
-        MetricsRegistry::new().snapshot()
-    }
+    /// When the registry was created, in seconds since the Unix epoch.
+    /// Every value not rebuilt from the ledgers counts from here.
+    pub created: f64,
 }
 
 /// The `Content-Type` of an OpenMetrics text exposition, as scrapers
@@ -573,16 +498,25 @@ impl MetricsSnapshot {
     /// `family="..."`, denials additionally `reason="..."`), cache and
     /// service counters, and per-season queue-depth gauges. Latency
     /// buckets keep their native microsecond bounds (`le` in µs); the
-    /// trailing overflow slot becomes the `+Inf` bucket.
+    /// trailing overflow slot becomes the `+Inf` bucket. Every counter
+    /// and histogram series ends with one `_created` sample, the
+    /// snapshot's [`created`](Self::created) time.
     pub fn to_openmetrics(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
+        let created = self.created;
 
         let gauge = |out: &mut String, name: &str, help: &str, value: f64| {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {value}");
         };
+        // One counter series: its `_total` sample, then its `_created`.
+        let series = |out: &mut String, name: &str, labels: &str, value: u64| {
+            let _ = writeln!(out, "{name}_total{labels} {value}");
+            let _ = writeln!(out, "{name}_created{labels} {created}");
+        };
+        let family = |f: &FamilySnapshot| format!("{{family=\"{}\"}}", escape_label(&f.family));
         gauge(
             &mut out,
             "eree_epsilon_cap",
@@ -617,22 +551,17 @@ impl MetricsSnapshot {
         out.push_str("# HELP eree_releases_accepted Releases admitted, by family.\n");
         out.push_str("# TYPE eree_releases_accepted counter\n");
         for f in &self.families {
-            let _ = writeln!(
-                out,
-                "eree_releases_accepted_total{{family=\"{}\"}} {}",
-                escape_label(&f.family),
-                f.accepted_total
+            series(
+                &mut out,
+                "eree_releases_accepted",
+                &family(f),
+                f.accepted_total,
             );
         }
         out.push_str("# HELP eree_releases_denied Releases refused, by family.\n");
         out.push_str("# TYPE eree_releases_denied counter\n");
         for f in &self.families {
-            let _ = writeln!(
-                out,
-                "eree_releases_denied_total{{family=\"{}\"}} {}",
-                escape_label(&f.family),
-                f.denied_total
-            );
+            series(&mut out, "eree_releases_denied", &family(f), f.denied_total);
         }
         out.push_str(
             "# HELP eree_releases_denied_by_reason Releases refused, by family and reason.\n",
@@ -640,12 +569,16 @@ impl MetricsSnapshot {
         out.push_str("# TYPE eree_releases_denied_by_reason counter\n");
         for f in &self.families {
             for r in &f.denied_by_reason {
-                let _ = writeln!(
-                    out,
-                    "eree_releases_denied_by_reason_total{{family=\"{}\",reason=\"{}\"}} {}",
+                let labels = format!(
+                    "{{family=\"{}\",reason=\"{}\"}}",
                     escape_label(&f.family),
-                    escape_label(&r.reason),
-                    r.denied
+                    escape_label(&r.reason)
+                );
+                series(
+                    &mut out,
+                    "eree_releases_denied_by_reason",
+                    &labels,
+                    r.denied,
                 );
             }
         }
@@ -671,7 +604,8 @@ impl MetricsSnapshot {
         }
 
         out.push_str(
-            "# HELP eree_release_latency_micros Release execution latency, microseconds.\n",
+            "# HELP eree_release_latency_micros Wall time of each admitted release's whole \
+             execute call (validate, get the truth, charge, sample), microseconds.\n",
         );
         out.push_str("# TYPE eree_release_latency_micros histogram\n");
         for f in &self.families {
@@ -699,12 +633,16 @@ impl MetricsSnapshot {
                 "eree_release_latency_micros_count{{family=\"{family}\"}} {}",
                 f.latency.count
             );
+            let _ = writeln!(
+                out,
+                "eree_release_latency_micros_created{{family=\"{family}\"}} {created}"
+            );
         }
 
         let counter = |out: &mut String, name: &str, help: &str, value: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name}_total {value}");
+            series(out, name, "", value);
         };
         let c = &self.caches;
         counter(
@@ -758,9 +696,11 @@ impl MetricsSnapshot {
             ("4xx", s.http_4xx),
             ("5xx", s.http_5xx),
         ] {
-            let _ = writeln!(
-                out,
-                "eree_http_responses_total{{class=\"{class}\"}} {value}"
+            series(
+                &mut out,
+                "eree_http_responses",
+                &format!("{{class=\"{class}\"}}"),
+                value,
             );
         }
         counter(
@@ -803,12 +743,6 @@ impl MetricsSnapshot {
                 q.depth
             );
         }
-        counter(
-            &mut out,
-            "eree_snapshot_flushes",
-            "Durable metrics snapshot flushes.",
-            self.flushes,
-        );
 
         out.push_str("# EOF\n");
         out
@@ -816,7 +750,7 @@ impl MetricsSnapshot {
 }
 
 /// One release family's counters inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FamilySnapshot {
     /// Family label (an entry of [`FAMILY_LABELS`]).
     pub family: String,
@@ -832,18 +766,12 @@ pub struct FamilySnapshot {
     pub delta_spent: f64,
     /// Agency ε headroom visible to this family (shared, not per-family).
     pub epsilon_remaining: f64,
-    /// Execution-latency histogram.
+    /// Wall time of each admitted release's whole `execute` call.
     pub latency: LatencySnapshot,
 }
 
-impl FamilySnapshot {
-    fn empty(family: &str) -> Self {
-        FamilyMetrics::default().snapshot(family, 0.0)
-    }
-}
-
 /// A denial count under one reason slug.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReasonCount {
     /// The reason slug (an entry of [`DENY_REASONS`]).
     pub reason: String,
@@ -852,7 +780,7 @@ pub struct ReasonCount {
 }
 
 /// Serializable cache-effectiveness counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// Tabulations served from the in-memory cache.
     pub truth_memory_hits: u64,
@@ -871,7 +799,7 @@ pub struct CacheSnapshot {
 }
 
 /// Serializable service-layer counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSnapshot {
     /// Responses with a 2xx status.
     pub http_2xx: u64,
@@ -894,7 +822,7 @@ pub struct ServiceSnapshot {
 }
 
 /// One live season worker's queue depth.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeasonQueue {
     /// The season name.
     pub season: String,
@@ -904,7 +832,7 @@ pub struct SeasonQueue {
 
 /// A serializable latency histogram: per-bucket counts aligned with
 /// `le_micros` bounds, plus one trailing overflow bucket.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencySnapshot {
     /// Total observations.
     pub count: u64,
@@ -914,113 +842,6 @@ pub struct LatencySnapshot {
     pub le_micros: Vec<u64>,
     /// Per-bucket counts: one per bound, plus a trailing overflow slot.
     pub counts: Vec<u64>,
-}
-
-// ---------------------------------------------------------------------------
-// Lenient deserialization (back-compat)
-// ---------------------------------------------------------------------------
-//
-// Every snapshot type deserializes leniently: a missing or null field
-// reads as its default. This is what lets (a) pre-metrics audit JSON
-// (`AuditView` without a `metrics` field) keep deserializing, and (b) a
-// `metrics.json` written by an older vocabulary restore what it can.
-
-fn field_or<T: Deserialize>(v: &Value, name: &str, default: T) -> Result<T, DeError> {
-    match v.get(name) {
-        None | Some(Value::Null) => Ok(default),
-        Some(value) => T::from_value(value),
-    }
-}
-
-impl Deserialize for MetricsSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            format: field_or(v, "format", SNAPSHOT_FORMAT)?,
-            epsilon_cap: field_or(v, "epsilon_cap", 0.0)?,
-            epsilon_reserved: field_or(v, "epsilon_reserved", 0.0)?,
-            epsilon_spent: field_or(v, "epsilon_spent", 0.0)?,
-            epsilon_remaining: field_or(v, "epsilon_remaining", 0.0)?,
-            epsilon_refunded: field_or(v, "epsilon_refunded", 0.0)?,
-            families: field_or(v, "families", Self::default().families)?,
-            caches: field_or(v, "caches", CacheSnapshot::default())?,
-            service: field_or(v, "service", ServiceSnapshot::default())?,
-            flushes: field_or(v, "flushes", 0)?,
-        })
-    }
-}
-
-impl Deserialize for FamilySnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            family: field_or(v, "family", String::new())?,
-            accepted_total: field_or(v, "accepted_total", 0)?,
-            denied_total: field_or(v, "denied_total", 0)?,
-            denied_by_reason: field_or(v, "denied_by_reason", Vec::new())?,
-            epsilon_spent: field_or(v, "epsilon_spent", 0.0)?,
-            delta_spent: field_or(v, "delta_spent", 0.0)?,
-            epsilon_remaining: field_or(v, "epsilon_remaining", 0.0)?,
-            latency: field_or(v, "latency", LatencySnapshot::default())?,
-        })
-    }
-}
-
-impl Deserialize for ReasonCount {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            reason: field_or(v, "reason", String::new())?,
-            denied: field_or(v, "denied", 0)?,
-        })
-    }
-}
-
-impl Deserialize for CacheSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            truth_memory_hits: field_or(v, "truth_memory_hits", 0)?,
-            truth_disk_hits: field_or(v, "truth_disk_hits", 0)?,
-            truth_computed: field_or(v, "truth_computed", 0)?,
-            truth_self_heals: field_or(v, "truth_self_heals", 0)?,
-            public_hits: field_or(v, "public_hits", 0)?,
-            public_misses: field_or(v, "public_misses", 0)?,
-            public_self_heals: field_or(v, "public_self_heals", 0)?,
-        })
-    }
-}
-
-impl Deserialize for ServiceSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            http_2xx: field_or(v, "http_2xx", 0)?,
-            http_4xx: field_or(v, "http_4xx", 0)?,
-            http_5xx: field_or(v, "http_5xx", 0)?,
-            worker_spawns: field_or(v, "worker_spawns", 0)?,
-            worker_retirements: field_or(v, "worker_retirements", 0)?,
-            releases_enqueued: field_or(v, "releases_enqueued", 0)?,
-            releases_executed: field_or(v, "releases_executed", 0)?,
-            queue_depth: field_or(v, "queue_depth", 0)?,
-            season_queues: field_or(v, "season_queues", Vec::new())?,
-        })
-    }
-}
-
-impl Deserialize for SeasonQueue {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            season: field_or(v, "season", String::new())?,
-            depth: field_or(v, "depth", 0)?,
-        })
-    }
-}
-
-impl Deserialize for LatencySnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            count: field_or(v, "count", 0)?,
-            sum_micros: field_or(v, "sum_micros", 0)?,
-            le_micros: field_or(v, "le_micros", Vec::new())?,
-            counts: field_or(v, "counts", Vec::new())?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1120,7 +941,6 @@ mod tests {
         reg.service.http_2xx.add(9);
         reg.service.releases_enqueued.add(4);
         reg.service.releases_executed.add(3);
-        reg.flushes.add(2);
         reg
     }
 
@@ -1132,53 +952,6 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap, "snapshot must round-trip bit-exactly");
-    }
-
-    #[test]
-    fn metrics_restore_then_snapshot_is_identity() {
-        let snap = populated().snapshot();
-        let fresh = MetricsRegistry::new();
-        fresh.restore(&snap);
-        assert_eq!(fresh.snapshot(), snap);
-        // Reason-indexed counts survive the name-keyed restore.
-        assert_eq!(
-            fresh
-                .family(RequestKind::Marginal)
-                .denied_for("epsilon_exhausted"),
-            1
-        );
-    }
-
-    #[test]
-    fn metrics_snapshot_deserializes_leniently_for_back_compat() {
-        // Pre-metrics JSON: an empty object is a default snapshot.
-        let empty: MetricsSnapshot = serde_json::from_str("{}").unwrap();
-        assert_eq!(empty, MetricsSnapshot::default());
-        assert_eq!(empty.families.len(), FAMILY_LABELS.len());
-        // Partial JSON: unknown-to-us fields beyond the vocabulary are
-        // ignored, known ones land, missing ones default.
-        let partial: MetricsSnapshot = serde_json::from_str(
-            r#"{"epsilon_cap": 4.0, "families": [{"family": "marginal", "accepted_total": 7}],
-                "future_field": true}"#,
-        )
-        .unwrap();
-        assert_eq!(partial.epsilon_cap, 4.0);
-        assert_eq!(partial.families[0].accepted_total, 7);
-        assert_eq!(partial.families[0].denied_total, 0);
-        // An old-vocabulary snapshot restores what it names.
-        let reg = MetricsRegistry::new();
-        reg.family(RequestKind::Marginal).record_denied("whatever");
-        reg.restore(&partial);
-        assert_eq!(
-            reg.family(RequestKind::Marginal).accepted_total.get(),
-            7,
-            "named family restores"
-        );
-        assert_eq!(
-            reg.family(RequestKind::Marginal).denied_total.get(),
-            0,
-            "restore sets, never adds"
-        );
     }
 
     #[test]
@@ -1199,18 +972,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn metrics_latency_restore_discards_mismatched_bucket_bounds() {
-        let h = LatencyHistogram::new();
-        h.observe_micros(10);
-        let mut snap = h.snapshot();
-        snap.le_micros[0] += 1; // a different compiled vocabulary
-        let fresh = LatencyHistogram::new();
-        fresh.restore(&snap);
-        let restored = fresh.snapshot();
-        assert_eq!(restored.count, 1, "count and sum always survive");
-        assert_eq!(restored.sum_micros, 10);
-        assert_eq!(restored.counts.iter().sum::<u64>(), 0, "counts do not");
+    /// Every counter and histogram series in an exposition (`name` plus
+    /// labels, from the `# TYPE` lines and the `_total` / `_count`
+    /// samples), each with the values of its `_created` samples.
+    fn created_by_series(text: &str) -> Vec<(String, Vec<f64>)> {
+        let samples: Vec<(&str, &str)> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.rsplit_once(' ').expect("value present"))
+            .collect();
+        let mut series = Vec::new();
+        for family in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+            let (name, suffix) = match family.split_once(' ') {
+                Some((name, "counter")) => (name, "_total"),
+                Some((name, "histogram")) => (name, "_count"),
+                _ => continue,
+            };
+            for (key, _) in &samples {
+                let Some(labels) = key.strip_prefix(&format!("{name}{suffix}")) else {
+                    continue;
+                };
+                let created_key = format!("{name}_created{labels}");
+                let created = samples
+                    .iter()
+                    .filter(|(k, _)| *k == created_key)
+                    .map(|(_, v)| v.parse().expect("created is a float"))
+                    .collect();
+                series.push((format!("{name}{labels}"), created));
+            }
+        }
+        series
     }
 
     #[test]
@@ -1221,6 +1012,9 @@ mod tests {
         fam.accepted_total.inc();
         fam.latency.observe_micros(10);
         fam.latency.observe_micros(u64::MAX); // overflow bucket
+        fam.record_denied("epsilon_exhausted");
+        reg.family(RequestKind::Flows)
+            .record_denied(REASON_REQUEST_INVALID);
         let mut snap = reg.snapshot();
         snap.service.season_queues.push(SeasonQueue {
             season: "q\"1\\\n".to_string(),
@@ -1255,5 +1049,21 @@ mod tests {
             let value = line.rsplit_once(' ').expect("value present").1;
             assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
         }
+
+        // Every counter and histogram series has exactly one `_created`
+        // sample, the registry's creation time, and nothing else has one.
+        assert!(snap.created > 0.0, "the registry stamps its creation");
+        let series = created_by_series(&text);
+        // 3 families × (accepted, denied, latency) + 2 reasons + 7 cache
+        // + 3 HTTP classes + 4 worker and queue counters.
+        assert_eq!(series.len(), 9 + 2 + 7 + 3 + 4, "{series:?}");
+        for (name, created) in &series {
+            assert_eq!(created, &[snap.created], "{name}");
+        }
+        let created_samples = text
+            .lines()
+            .filter(|l| !l.starts_with('#') && l.contains("_created"))
+            .count();
+        assert_eq!(created_samples, series.len());
     }
 }

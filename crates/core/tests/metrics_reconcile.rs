@@ -5,21 +5,22 @@
 //! releases (over-budget or α-mismatched), audited closes (refunds), and
 //! full agency reopens:
 //!
-//! * per family, `accepted_total + denied_total` equals the submissions
-//!   that reached the engine, and the per-reason denial counts sum to
+//! * per family, `accepted_total` counts every admitted release since
+//!   the agency was created, and `denied_total` counts exactly the
+//!   refusals since the last open; the per-reason denial counts sum to
 //!   `denied_total`;
-//! * after a reopen, every budget gauge is **bit-identical** to the
+//! * after every reopen, every budget gauge is **bit-identical** to the
 //!   meta-ledger replay value, and every family's `accepted_total` /
 //!   `epsilon_spent` / `delta_spent` is bit-identical to a tally over
 //!   the durably persisted releases in replay order;
-//! * volatile counters (denials) survive the reopen too, because every
-//!   `run_season` flushes the durable snapshot.
+//! * denials live for the process: a reopen counts them from zero.
 
 use eree_core::agency::AgencyStore;
 use eree_core::metrics::{FamilySnapshot, MetricsSnapshot};
 use eree_core::{MechanismKind, PrivacyParams, ReleaseRequest, RequestKind, StoreError};
 use lodes::{Generator, GeneratorConfig};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,8 +64,8 @@ fn family<'a>(snapshot: &'a MetricsSnapshot, label: &str) -> &'a FamilySnapshot 
 
 /// Per-family `(accepted, Σε, Σδ)` tallied from the durably persisted
 /// releases, in the same order `AgencyStore::open` replays them
-/// (reservation order, then release order) — the reference the restored
-/// snapshot must match bit-for-bit.
+/// (reservation order, then release order) — the reference a reopened
+/// agency's snapshot must match bit-for-bit.
 fn replay_tally(agency: &AgencyStore) -> [(u64, f64, f64); 3] {
     let mut tallies = [(0u64, 0.0f64, 0.0f64); 3];
     let names: Vec<String> = agency
@@ -92,6 +93,47 @@ fn replay_tally(agency: &AgencyStore) -> [(u64, f64, f64); 3] {
     tallies
 }
 
+/// The values a reopened agency rebuilds from its ledgers, checked bit for
+/// bit: the budget gauges against the meta-ledger replay, and each
+/// family's accepted total and ε/δ spend against the persisted releases.
+fn check_replay_derived(
+    agency: &AgencyStore,
+    cap: PrivacyParams,
+    accepted: &[u64; 3],
+) -> Result<(), TestCaseError> {
+    let snapshot = agency.metrics_snapshot();
+    let meta = agency.meta_ledger();
+    prop_assert_eq!(snapshot.epsilon_cap.to_bits(), cap.epsilon.to_bits());
+    prop_assert_eq!(
+        snapshot.epsilon_reserved.to_bits(),
+        meta.reserved_epsilon().to_bits()
+    );
+    prop_assert_eq!(
+        snapshot.epsilon_remaining.to_bits(),
+        meta.remaining_epsilon().to_bits()
+    );
+    prop_assert_eq!(
+        snapshot.epsilon_refunded.to_bits(),
+        meta.refunded_epsilon().to_bits()
+    );
+    let tallies = replay_tally(agency);
+    for (slot, label) in ["marginal", "shapes", "flows"].iter().enumerate() {
+        let fam = family(&snapshot, label);
+        prop_assert_eq!(fam.accepted_total, accepted[slot]);
+        prop_assert_eq!(fam.accepted_total, tallies[slot].0);
+        prop_assert_eq!(fam.epsilon_spent.to_bits(), tallies[slot].1.to_bits());
+        prop_assert_eq!(fam.delta_spent.to_bits(), tallies[slot].2.to_bits());
+    }
+    // The roll-up gauge is the family sum, in family order.
+    let rollup: f64 = ["marginal", "shapes", "flows"]
+        .iter()
+        .fold(0.0, |acc, label| {
+            acc + family(&snapshot, label).epsilon_spent
+        });
+    prop_assert_eq!(snapshot.epsilon_spent.to_bits(), rollup.to_bits());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -117,10 +159,10 @@ proptest! {
         // is popped back off.
         let mut plans: Vec<(String, Vec<ReleaseRequest>)> = Vec::new();
         let mut seed = 0u64;
-        // Test-side ground truth: per-family submissions that reached the
-        // engine, and how many of them were admitted.
-        let mut submitted = [0u64; 3];
+        // Test-side ground truth, per family: admissions since the agency
+        // was created, and refusals since it was last opened.
         let mut accepted = [0u64; 3];
+        let mut denied = [0u64; 3];
 
         for (i, &(kind, frac)) in ops.iter().enumerate() {
             match kind {
@@ -143,11 +185,11 @@ proptest! {
                         (frac * season.ledger().remaining_epsilon()).max(0.01)
                     };
                     seed += 1;
-                    submitted[0] += 1;
                     plans[slot].1.push(marginal(seed, 0.1, eps));
                     match agency.run_season(&name, &dataset, &plans[slot].1) {
                         Ok(_) => accepted[0] += 1,
                         Err(StoreError::Refused { .. }) => {
+                            denied[0] += 1;
                             plans[slot].1.pop();
                         }
                         Err(e) => panic!("unexpected store error: {e}"),
@@ -162,10 +204,10 @@ proptest! {
                         season.ledger().remaining_epsilon() * 2.0 + 1.0
                     };
                     seed += 1;
-                    submitted[0] += 1;
                     plans[slot].1.push(marginal(seed, 0.1, eps));
                     let result = agency.run_season(&name, &dataset, &plans[slot].1);
                     prop_assert!(matches!(result, Err(StoreError::Refused { .. })));
+                    denied[0] += 1;
                     plans[slot].1.pop();
                 }
                 // A denied marginal via α-mismatch against the season.
@@ -173,10 +215,10 @@ proptest! {
                     let slot = i % plans.len();
                     let name = plans[slot].0.clone();
                     seed += 1;
-                    submitted[0] += 1;
                     plans[slot].1.push(marginal(seed, 0.2, 0.01));
                     let result = agency.run_season(&name, &dataset, &plans[slot].1);
                     prop_assert!(matches!(result, Err(StoreError::Refused { .. })));
+                    denied[0] += 1;
                     plans[slot].1.pop();
                 }
                 // A shapes submission: admitted iff the season still has
@@ -185,11 +227,11 @@ proptest! {
                     let slot = i % plans.len();
                     let name = plans[slot].0.clone();
                     seed += 1;
-                    submitted[1] += 1;
                     plans[slot].1.push(shapes(seed));
                     match agency.run_season(&name, &dataset, &plans[slot].1) {
                         Ok(_) => accepted[1] += 1,
                         Err(StoreError::Refused { .. }) => {
+                            denied[1] += 1;
                             plans[slot].1.pop();
                         }
                         Err(e) => panic!("unexpected store error: {e}"),
@@ -204,56 +246,33 @@ proptest! {
                 _ => {
                     drop(agency);
                     agency = AgencyStore::open(&dir).unwrap();
+                    denied = [0; 3];
+                    check_replay_derived(&agency, cap, &accepted)?;
                 }
             }
-            // Accepted counts are integers and reconcile exactly, live,
-            // after every single operation.
+            // Admissions and denials are integers and reconcile exactly,
+            // live, after every single operation.
             let snapshot = agency.metrics_snapshot();
-            prop_assert_eq!(family(&snapshot, "marginal").accepted_total, accepted[0]);
-            prop_assert_eq!(family(&snapshot, "shapes").accepted_total, accepted[1]);
+            for (slot, label) in ["marginal", "shapes", "flows"].iter().enumerate() {
+                let fam = family(&snapshot, label);
+                prop_assert_eq!(fam.accepted_total, accepted[slot]);
+                prop_assert_eq!(fam.denied_total, denied[slot]);
+                let by_reason: u64 = fam.denied_by_reason.iter().map(|r| r.denied).sum();
+                prop_assert_eq!(by_reason, fam.denied_total);
+            }
         }
 
-        // Reopen from disk: everything below must hold on the restored
-        // snapshot, not just the live registry.
+        // Reopen from disk: the ledger-derived values are rebuilt bit for
+        // bit, and the denials count from zero again.
         drop(agency);
         let agency = AgencyStore::open(&dir).unwrap();
+        check_replay_derived(&agency, cap, &accepted)?;
         let snapshot = agency.metrics_snapshot();
-        let meta = agency.meta_ledger();
-
-        // Budget gauges mirror the meta-ledger replay bit-for-bit.
-        prop_assert_eq!(snapshot.epsilon_cap.to_bits(), cap.epsilon.to_bits());
-        prop_assert_eq!(
-            snapshot.epsilon_reserved.to_bits(),
-            meta.reserved_epsilon().to_bits()
-        );
-        prop_assert_eq!(
-            snapshot.epsilon_remaining.to_bits(),
-            meta.remaining_epsilon().to_bits()
-        );
-        prop_assert_eq!(
-            snapshot.epsilon_refunded.to_bits(),
-            meta.refunded_epsilon().to_bits()
-        );
-
-        // Per family: accepted/denied totals reconcile with submissions,
-        // per-reason counts sum to the denials, and the ε/δ spend is
-        // bit-identical to the replay tally over persisted releases.
-        let tallies = replay_tally(&agency);
-        for (slot, label) in ["marginal", "shapes", "flows"].iter().enumerate() {
+        for label in ["marginal", "shapes", "flows"] {
             let fam = family(&snapshot, label);
-            prop_assert_eq!(fam.accepted_total, accepted[slot]);
-            prop_assert_eq!(fam.accepted_total + fam.denied_total, submitted[slot]);
-            let by_reason: u64 = fam.denied_by_reason.iter().map(|r| r.denied).sum();
-            prop_assert_eq!(by_reason, fam.denied_total);
-            prop_assert_eq!(fam.accepted_total, tallies[slot].0);
-            prop_assert_eq!(fam.epsilon_spent.to_bits(), tallies[slot].1.to_bits());
-            prop_assert_eq!(fam.delta_spent.to_bits(), tallies[slot].2.to_bits());
+            prop_assert_eq!(fam.denied_total, 0);
+            prop_assert!(fam.denied_by_reason.is_empty());
         }
-        // The roll-up gauge is the family sum, in family order.
-        let rollup: f64 = ["marginal", "shapes", "flows"]
-            .iter()
-            .fold(0.0, |acc, label| acc + family(&snapshot, label).epsilon_spent);
-        prop_assert_eq!(snapshot.epsilon_spent.to_bits(), rollup.to_bits());
 
         // And the snapshot round-trips through its own JSON bit-exactly.
         let json = serde_json::to_string(&snapshot).unwrap();
@@ -261,4 +280,37 @@ proptest! {
         prop_assert_eq!(back, snapshot);
         fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Counters the ledgers do not carry live for the process: a reopened
+/// agency counts them from zero under a later creation stamp, and never
+/// reports a queued release the last process counted.
+#[test]
+fn reopened_agency_counts_volatile_metrics_from_zero() {
+    let dir = tmp_dir("volatile");
+    let mut agency = AgencyStore::create(&dir, PrivacyParams::pure(0.1, 4.0)).unwrap();
+    agency.metrics().service.releases_enqueued.inc();
+    agency
+        .create_season("s", PrivacyParams::pure(0.1, 1.0))
+        .unwrap();
+    let before = agency.metrics_snapshot();
+    assert_eq!(before.service.queue_depth, 1);
+    drop(agency);
+    let agency = AgencyStore::open(&dir).unwrap();
+    let after = agency.metrics_snapshot();
+    assert_eq!(after.service.queue_depth, 0, "no phantom queued release");
+    assert_eq!(after.service.releases_enqueued, 0);
+    assert!(
+        after.created > before.created,
+        "a reopen restarts the count"
+    );
+    let names: Vec<String> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        names.iter().all(|name| !name.contains("metrics")),
+        "no counter file in the agency directory: {names:?}"
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,11 +4,12 @@
 //! core layer's serializable vocabulary: [`MarginalSpec`] and
 //! [`FilterExpr`] give release submissions a fully declarative identity
 //! (so every service release is cacheable and resume-verifiable), and audit
-//! responses reuse [`SeasonSummary`] and [`TabulationStats`] verbatim so
-//! the HTTP audit view is exactly the library's.
+//! responses reuse [`SeasonSummary`] and [`MetricsSnapshot`] verbatim so
+//! the HTTP audit view is exactly the library's. Each counter appears on
+//! the wire once, in the snapshot.
 
 use eree_core::definitions::PrivacyParams;
-use eree_core::engine::{ReleaseArtifact, ReleaseRequest, RequestKind, TabulationStats};
+use eree_core::engine::{ReleaseArtifact, ReleaseRequest, RequestKind};
 use eree_core::mechanisms::MechanismKind;
 use eree_core::metrics::MetricsSnapshot;
 use eree_core::SeasonSummary;
@@ -171,7 +172,7 @@ pub struct ReleaseStatusView {
 }
 
 /// `GET /audit` response body: the agency's budget ledger, season by
-/// season, plus the service's cache and tabulation counters.
+/// season, plus the service's release registry size and metrics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AuditView {
     /// The agency's global `(α, ε[, δ])` cap.
@@ -189,18 +190,14 @@ pub struct AuditView {
     pub spent_epsilon: f64,
     /// Live per-season budget summaries, in reservation order.
     pub seasons: Vec<SeasonSummary>,
-    /// Releases the service has accepted (queued, completed, or failed —
-    /// including cache hits).
+    /// Releases in the service's persisted registry (queued, completed,
+    /// or failed — including cache hits).
     pub releases: u64,
-    /// How many of those were served from the public artifact cache.
-    pub cache_hits: u64,
     /// Artifacts currently in the public cache directory.
     pub cache_entries: u64,
-    /// Cumulative tabulation counters across every season worker:
-    /// `computed` full scans, in-memory `hits`, truth-store `disk_hits`.
-    pub tabulations: TabulationStats,
     /// The canonical structured snapshot (per-family admissions/denials,
-    /// budget gauges, cache and service counters, latency histograms) —
-    /// the same payload `GET /metrics` returns.
+    /// budget gauges, cache and service counters since the service
+    /// started, latency histograms) — the same payload `GET /metrics`
+    /// returns.
     pub metrics: MetricsSnapshot,
 }

@@ -16,7 +16,10 @@
 //! buffered), bodies at [`MAX_BODY_BYTES`], the whole request must
 //! arrive within one deadline (a client trickling bytes is answered 408
 //! when it passes), and the whole response must be written within
-//! another (a client that stops reading its response is dropped).
+//! another (a client that stops reading its response is dropped). A
+//! request is routed only once its head has ended with a blank line and
+//! its whole body has arrived: a connection that closes early is
+//! answered 400, never handled.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -185,8 +188,8 @@ fn read_error(error: io::Error, what: &str) -> Response {
 /// Read one head line (the request line or a header, newline included)
 /// through [`Read::take`], capped at what is left of the
 /// [`MAX_HEAD_BYTES`] budget: a line that reaches the cap without its
-/// newline is refused with 413 before another byte is buffered. A line
-/// cut short by the client closing is returned as read.
+/// newline is refused with 413 before another byte is buffered, and a
+/// line cut short by the end of the stream with 400.
 fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, Response> {
     let remaining = MAX_HEAD_BYTES - *head_bytes;
     let mut line = Vec::new();
@@ -195,21 +198,32 @@ fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<S
         .take(remaining as u64)
         .read_until(b'\n', &mut line)
         .map_err(|e| read_error(e, "unreadable request head"))?;
-    if line.len() == remaining && !line.ends_with(b"\n") {
-        return Err(Response::error(413, "request head too large"));
+    if !line.ends_with(b"\n") {
+        return Err(if line.len() == remaining {
+            Response::error(413, "request head too large")
+        } else {
+            Response::error(400, "request head cut short")
+        });
     }
     *head_bytes += line.len();
     String::from_utf8(line).map_err(|_| Response::error(400, "request head is not UTF-8"))
 }
 
-/// Read and parse one request off `stream` within [`READ_TIMEOUT`] of the
-/// first read. Errors are protocol-level (malformed request line,
-/// oversized head/body, deadline passed) and map to a 400/408/413
-/// response by the caller.
+/// Read one request off `stream` within [`READ_TIMEOUT`] of the first
+/// read.
 fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
-    let mut reader = BufReader::new(Deadline::after(stream, READ_TIMEOUT));
+    parse_request(&mut BufReader::new(Deadline::after(stream, READ_TIMEOUT)))
+}
+
+/// Parse one request off `reader`: the request line, headers up to a
+/// blank line, then exactly `Content-Length` body bytes. Reads at most
+/// [`MAX_HEAD_BYTES`] of head and [`MAX_BODY_BYTES`] of body through the
+/// buffer. An error is the response to send instead: 400 for a malformed
+/// or cut-short request, 413 for a head or declared body over its cap,
+/// 408 once a socket deadline passed.
+pub fn parse_request(reader: &mut impl BufRead) -> Result<Request, Response> {
     let mut head_bytes = 0usize;
-    let line = read_head_line(&mut reader, &mut head_bytes)?;
+    let line = read_head_line(reader, &mut head_bytes)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -227,12 +241,11 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
 
     let mut content_length = 0usize;
     loop {
-        let header = read_head_line(&mut reader, &mut head_bytes)?;
-        let header = header.trim_end();
-        if header.is_empty() {
+        let header = read_head_line(reader, &mut head_bytes)?;
+        if header == "\r\n" || header == "\n" {
             break;
         }
-        if let Some((name, value)) = header.split_once(':') {
+        if let Some((name, value)) = header.trim_end().split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
                 content_length = value
                     .trim()

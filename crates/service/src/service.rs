@@ -65,9 +65,7 @@ use crate::api::{
 use crate::http::{Handler, HttpServer, Request, Response};
 use eree_core::agency::{panel_quarter_seed, AgencyStore, SeasonSummary};
 use eree_core::definitions::PrivacyParams;
-use eree_core::engine::{
-    ReleaseArtifact, ReleaseRequest, RequestKind, Snapshot, TabulationCache, TabulationStats,
-};
+use eree_core::engine::{ReleaseArtifact, ReleaseRequest, RequestKind, Snapshot, TabulationCache};
 use eree_core::metrics::{MetricsRegistry, MetricsSnapshot, SeasonQueue};
 use eree_core::public_cache::{ReleaseCache, ReleaseKey};
 use eree_core::store::{
@@ -752,6 +750,9 @@ fn release_status(shared: &Arc<Shared>, id: &str) -> Response {
 }
 
 fn audit(shared: &Arc<Shared>) -> Response {
+    // A directory scan of the public cache: done before any lock, so a
+    // large cache never holds up the submissions waiting on `agency`.
+    let cache_entries = shared.cache.len() as u64;
     let agency = shared.agency.lock().expect("agency lock poisoned");
     let workers = shared.workers.lock().expect("workers lock poisoned");
     let retired = shared.retired.lock().expect("retired views poisoned");
@@ -802,15 +803,6 @@ fn audit(shared: &Arc<Shared>) -> Response {
         .expect("registry lock poisoned")
         .len() as u64;
     let metrics = snapshot_with_queues(&agency, &workers);
-    // The counters come from the registry every worker records into, so
-    // they stay cumulative when a worker retires.
-    let caches = &metrics.caches;
-    let tabulations = TabulationStats {
-        computed: caches.truth_computed,
-        hits: caches.truth_memory_hits,
-        disk_hits: caches.truth_disk_hits,
-    };
-    let cache_hits = caches.public_hits;
     let view = AuditView {
         cap: *agency.cap(),
         reserved_epsilon: agency.meta_ledger().reserved_epsilon(),
@@ -819,9 +811,7 @@ fn audit(shared: &Arc<Shared>) -> Response {
         spent_epsilon: seasons.iter().map(|s| s.spent_epsilon).sum(),
         seasons,
         releases,
-        cache_hits,
-        cache_entries: shared.cache.len() as u64,
-        tabulations,
+        cache_entries,
         metrics,
     };
     json_ok(200, &view)

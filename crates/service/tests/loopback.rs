@@ -123,9 +123,9 @@ fn concurrent_tenants_share_one_agency_under_the_cap() {
         assert_eq!(season.completed, 3);
     }
     let spent_before = audit.spent_epsilon;
-    let tabulations_before = audit.tabulations;
-    assert!(tabulations_before.computed > 0, "real tabulation happened");
-    assert_eq!(audit.cache_hits, 0);
+    let caches_before = audit.metrics.caches;
+    assert!(caches_before.truth_computed > 0, "real tabulation happened");
+    assert_eq!(caches_before.public_hits, 0);
     assert!(audit.cache_entries >= 6, "every release was published");
 
     // A release over the season's remaining budget fails cleanly — the
@@ -138,7 +138,7 @@ fn concurrent_tenants_share_one_agency_under_the_cap() {
     assert!(failed.error.is_some());
 
     // Repeat an identical request: answered from the public cache with
-    // zero additional ε and zero tabulation — TabulationStats unchanged.
+    // zero additional ε and zero tabulation — truth counters unchanged.
     let repeat = client
         .submit("tenant-a", &submission(county(), 0.25, 0xA0))
         .expect("repeat accepted");
@@ -164,16 +164,17 @@ fn concurrent_tenants_share_one_agency_under_the_cap() {
         audit_after.spent_epsilon, spent_before,
         "repeats spent zero ε"
     );
-    assert_eq!(audit_after.cache_hits, 2);
+    let caches_after = &audit_after.metrics.caches;
+    assert_eq!(caches_after.public_hits, 2);
     assert_eq!(
-        audit_after.tabulations.computed, tabulations_before.computed,
+        caches_after.truth_computed, caches_before.truth_computed,
         "repeats tabulated nothing"
     );
-    assert_eq!(audit_after.tabulations.hits, tabulations_before.hits);
     assert_eq!(
-        audit_after.tabulations.disk_hits,
-        tabulations_before.disk_hits
+        caches_after.truth_memory_hits,
+        caches_before.truth_memory_hits
     );
+    assert_eq!(caches_after.truth_disk_hits, caches_before.truth_disk_hits);
 
     service.shutdown();
 

@@ -1,7 +1,9 @@
 //! Loopback test for `GET /metrics`: admission and denial counters over
 //! HTTP, the zero-ε repeat path showing up as cache hits (and *only*
-//! cache hits — family ε-spend stays bit-identical), and the durable
-//! snapshot surviving a full service stop/start cycle.
+//! cache hits — family ε-spend stays bit-identical), and a full service
+//! stop/start cycle: the values the ledgers carry come back bit for bit,
+//! and every other counter starts again from zero under a later
+//! `created` stamp.
 
 use eree_core::definitions::PrivacyParams;
 use eree_core::engine::RequestKind;
@@ -75,7 +77,7 @@ fn drained(client: &Client) -> MetricsSnapshot {
 }
 
 #[test]
-fn metrics_endpoint_counts_admissions_and_survives_restart() {
+fn metrics_endpoint_counts_admissions_and_restarts_volatile_counters() {
     let dir = tmp_dir("restart");
     let cap = PrivacyParams::pure(ALPHA, 2.0);
     let service =
@@ -158,9 +160,9 @@ fn metrics_endpoint_counts_admissions_and_survives_restart() {
     let audit = client.audit().expect("audit");
     assert_eq!(audit.metrics.families, snapshot.families);
 
-    // Reaching a durable flush point (a season create) persists the
-    // volatile counters — denials and cache hits included — so the whole
-    // snapshot survives a stop/start cycle.
+    // Create a second season, then stop and start the service on the
+    // same agency. What the ledgers carry is rebuilt bit for bit; every
+    // other counter lives for the process and starts again from zero.
     client
         .create_season("s2", PrivacyParams::pure(ALPHA, 0.5))
         .expect("second season");
@@ -176,17 +178,32 @@ fn metrics_endpoint_counts_admissions_and_survives_restart() {
         marginal.accepted_total, 1,
         "admissions replayed exactly once"
     );
-    assert_eq!(marginal.denied_total, 1, "denials restored from the flush");
     assert_eq!(
         marginal.epsilon_spent.to_bits(),
         family(&before, "marginal").epsilon_spent.to_bits(),
         "replay-derived spend is bit-exact across restart"
     );
-    assert_eq!(after.caches.public_hits, 1, "cache hits restored");
     assert_eq!(
         after.epsilon_remaining.to_bits(),
         before.epsilon_remaining.to_bits()
     );
+    assert_eq!(marginal.denied_total, 0, "denials count from the start");
+    assert_eq!(
+        after.caches.public_hits, 0,
+        "cache hits count from the start"
+    );
+    assert!(
+        after.created > before.created,
+        "a restart shows as a later creation time"
+    );
+    // No phantom worker and no phantom queued release.
+    assert_eq!(
+        after.service.worker_spawns - after.service.worker_retirements,
+        service.live_workers() as u64,
+        "spawns − retirements is the live worker count: {:?}",
+        after.service
+    );
+    assert_eq!(after.service.queue_depth, 0);
 
     // Repeats stay free after the restart too: the durable public cache
     // answers, the hit counter moves, the spend still does not.
@@ -195,7 +212,7 @@ fn metrics_endpoint_counts_admissions_and_survives_restart() {
         .expect("repeat after restart");
     assert!(hit.cached, "the public cache is durable");
     let final_snapshot = drained(&client);
-    assert_eq!(final_snapshot.caches.public_hits, 2);
+    assert_eq!(final_snapshot.caches.public_hits, 1);
     assert_eq!(
         family(&final_snapshot, "marginal").epsilon_spent.to_bits(),
         family(&before, "marginal").epsilon_spent.to_bits()
@@ -286,6 +303,28 @@ fn openmetrics_exposition_mirrors_the_json_snapshot() {
         sample(&text, "eree_season_queue_depth{season=\"s\"}"),
         "eree_season_queue_depth{season=\"s\"} 0"
     );
+
+    // Every counter and histogram series carries one `_created` sample,
+    // the registry's creation time.
+    let samples: Vec<(&str, &str)> = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.rsplit_once(' ').expect("sample has a value"))
+        .collect();
+    let series = samples
+        .iter()
+        .filter(|(name, _)| {
+            name.contains("_total") || name.starts_with("eree_release_latency_micros_count")
+        })
+        .count();
+    let created: Vec<f64> = samples
+        .iter()
+        .filter(|(name, _)| name.contains("_created"))
+        .map(|(_, value)| value.parse().expect("created is a float"))
+        .collect();
+    assert!(series > 0);
+    assert_eq!(created.len(), series, "one _created per series");
+    assert!(created.iter().all(|&c| c == snapshot.created));
 
     // The default format is still JSON.
     let json_snapshot = client.metrics().expect("plain GET /metrics stays JSON");

@@ -148,7 +148,7 @@ fn quarterly_panel_over_http_under_one_cap() {
     assert!(repeat.cached, "identical flow request must be a cache hit");
     let audit = client.audit().expect("audit after repeat");
     assert_eq!(audit.spent_epsilon, spent_before, "repeats spend zero ε");
-    assert_eq!(audit.cache_hits, 1);
+    assert_eq!(audit.metrics.caches.public_hits, 1);
 
     let survivor = flow_ids[0];
     service.shutdown();
@@ -229,8 +229,8 @@ fn idle_season_workers_retire_and_release_their_leases() {
         .expect("repeat submit");
     assert!(repeat.cached, "an identical request is a public-cache hit");
     let live = client.audit().expect("audit with a live worker");
-    assert_eq!(live.tabulations.computed, 1);
-    assert_eq!(live.cache_hits, 1);
+    assert_eq!(live.metrics.caches.truth_computed, 1);
+    assert_eq!(live.metrics.caches.public_hits, 1);
 
     // Idle long enough and the worker retires, dropping the season store
     // and with it the season's on-disk write lease.
@@ -250,8 +250,7 @@ fn idle_season_workers_retire_and_release_their_leases() {
     let season = &audit.seasons[0];
     assert_eq!(season.completed, 1);
     assert!((season.spent_epsilon - 0.25).abs() < 1e-9);
-    assert_eq!(audit.tabulations, live.tabulations);
-    assert_eq!(audit.cache_hits, live.cache_hits);
+    assert_eq!(audit.metrics.caches, live.metrics.caches);
 
     // The registry still serves the completed release.
     let view = client.release(receipt.id).expect("status after retirement");

@@ -71,12 +71,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         repeat.cached,
         before.spent_epsilon,
         after.spent_epsilon,
-        before.tabulations.computed,
-        after.tabulations.computed,
+        before.metrics.caches.truth_computed,
+        after.metrics.caches.truth_computed,
     );
     assert!(repeat.cached, "repeat must be a cache hit");
     assert_eq!(before.spent_epsilon, after.spent_epsilon);
-    assert_eq!(before.tabulations.computed, after.tabulations.computed);
+    assert_eq!(
+        before.metrics.caches.truth_computed,
+        after.metrics.caches.truth_computed
+    );
 
     println!(
         "\naudit: cap eps={:.1}, reserved={:.1}, spent={:.2}, cache entries={}, cache hits={}",
@@ -84,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         after.reserved_epsilon,
         after.spent_epsilon,
         after.cache_entries,
-        after.cache_hits,
+        after.metrics.caches.public_hits,
     );
     for season in &after.seasons {
         println!(
@@ -109,11 +112,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         serde_json::from_str(&serde_json::to_string(&metrics)?)?;
     assert_eq!(roundtrip, metrics);
     println!(
-        "metrics: marginal accepted={} eps_spent={:.2}, public cache hits={}, flushes={}",
-        marginal.accepted_total,
-        marginal.epsilon_spent,
-        metrics.caches.public_hits,
-        metrics.flushes,
+        "metrics: marginal accepted={} eps_spent={:.2}, public cache hits={}",
+        marginal.accepted_total, marginal.epsilon_spent, metrics.caches.public_hits,
     );
 
     service.shutdown();
