@@ -19,7 +19,7 @@
 //! │   │   └── artifacts/000000.json …
 //! │   └── …
 //! ├── truths/            content-addressed truth store (shared,
-//! │   └── <key-digest>.json                             confidential)
+//! │   └── <key-digest>.truth                            confidential)
 //! ├── public/            content-addressed released-artifact cache
 //! │   └── <key-digest>.json                             (releasable)
 //! └── agency.lock        write lease (live-PID, reclaimed when stale)
@@ -1295,9 +1295,9 @@ mod tests {
         agency.run_season("a", &d, &[request(1, 2.0)]).unwrap();
         drop(agency);
         let ledger_path = dir.join("seasons").join("a").join("ledger.json");
-        let tampered = fs::read_to_string(&ledger_path)
-            .unwrap()
-            .replace("\"spent_epsilon\": 2.0", "\"spent_epsilon\": 0.5");
+        let original = fs::read_to_string(&ledger_path).unwrap();
+        let tampered = original.replace("\"spent_epsilon\":2.0", "\"spent_epsilon\":0.5");
+        assert_ne!(tampered, original);
         fs::write(&ledger_path, tampered).unwrap();
         assert!(AgencyStore::open(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();

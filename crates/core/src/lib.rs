@@ -125,7 +125,8 @@
 //!   persistence with verified, replay-based resume.
 //! * [`truths`] — the persistent, content-addressed store of tabulated
 //!   truth marginals (keyed by dataset digest + spec + normalized filter,
-//!   digest-verified on load) that seasons share.
+//!   stored as a sealed fixed-width cell run, digest-verified on load)
+//!   that seasons share.
 //! * [`public_cache`] — the *public* side of the same discipline: a
 //!   content-addressed cache of released artifacts, keyed by the full
 //!   release identity, from which repeat identical requests are served
@@ -190,7 +191,7 @@ pub use public_cache::{ReleaseCache, ReleaseKey};
 pub use shape::{ShapeError, ShapeRelease};
 pub use smooth::{smooth_sensitivity_count, AdmissibilityBudget};
 pub use store::{
-    dataset_digest, dataset_pair_digest, panel_digest, CompletedRelease, DirLease, SeasonReport,
-    SeasonStore, StoreError,
+    dataset_digest, dataset_pair_digest, panel_digest, ArtifactBody, CompletedRelease, DirLease,
+    SeasonReport, SeasonStore, StoreError,
 };
 pub use truths::TruthStore;

@@ -44,12 +44,24 @@
 //! recorded provenance, so a digest collision (or a tampered pairing of
 //! key and artifact) can alias nothing.
 //!
+//! # Layout
+//!
+//! An entry `<key-digest>.json` is one header line of compact JSON, then
+//! the artifact's body exactly as its season stored it — the canonical
+//! compact JSON of an [`ArtifactBody`], serialized once per release:
+//!
+//! ```text
+//! {"format":3,"key":{…},"content_digest":…}\n
+//! {"request":{…},"cost":{…},…}              the artifact body, no newline
+//! ```
+//!
 //! # Integrity
 //!
 //! Same discipline as the truth store: atomic writes, and loads verify
-//! format, structural key equality, key-vs-provenance agreement, and a
-//! recorded content digest that must reproduce from the stored artifact.
-//! Any failure reads as a **miss** — the caller re-executes the release
+//! format, structural key equality, the recorded content digest over the
+//! stored body bytes (before the body is parsed), and key-vs-provenance
+//! agreement. A load never serializes the artifact again. Any failure
+//! reads as a **miss** — the caller re-executes the release
 //! (deterministically identical, though re-charged) and the rewrite
 //! repairs the file. A corrupt cache can cost budget; it can never serve
 //! garbage.
@@ -58,7 +70,9 @@ use crate::definitions::PrivacyParams;
 use crate::engine::{ReleaseArtifact, RequestKind, RequestProvenance};
 use crate::mechanisms::MechanismKind;
 use crate::metrics::MetricsRegistry;
-use crate::store::{fnv1a_bytes, read_json, write_json_atomic, StoreError};
+use crate::store::{
+    fnv1a_bytes, header_line, split_header_line, write_bytes_atomic, ArtifactBody, StoreError,
+};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -68,8 +82,10 @@ use tabulate::{FilterExpr, MarginalSpec};
 /// change invalidates (rather than misreads) old entries.
 /// Version 2: provenance no longer carries the closure-era `filtered`
 /// flag, so a version-1 file (which may record `filtered: true` with no
-/// expression) is a miss, never an unfiltered hit.
-const CACHE_FORMAT_VERSION: u32 = 2;
+/// expression) is a miss, never an unfiltered hit. Version 3: a header
+/// line, then the artifact body's bytes (see the [module docs](self)); a
+/// version-2 file, one JSON document, has no header line and is a miss.
+const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// The full identity of one released artifact — everything its bits are a
 /// deterministic function of. See the [module docs](self) for why the
@@ -120,14 +136,13 @@ impl ReleaseKey {
     }
 }
 
-/// The on-disk form of one cached release: the full identity key, the
-/// artifact, and the artifact's content digest.
+/// The header line of one cached release: the full identity key and the
+/// content digest of the body bytes that follow it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct CacheFile {
+struct CacheHeader {
     format: u32,
     key: ReleaseKey,
     content_digest: u64,
-    artifact: ReleaseArtifact,
 }
 
 /// A directory of content-addressed released artifacts — the public side
@@ -181,40 +196,39 @@ impl ReleaseCache {
             .join(format!("{:016x}.json", Self::key_digest(key)))
     }
 
-    /// Content digest of an artifact: FNV-1a over its canonical JSON.
-    /// (The vendored serde emits fields in declaration order, so the JSON
-    /// form is canonical by construction.)
+    /// Content digest of an artifact: FNV-1a over its canonical JSON, the
+    /// [`ArtifactBody::digest`] of its one encoding. (The vendored serde
+    /// emits fields in declaration order, so the JSON form is canonical by
+    /// construction.)
     pub fn artifact_digest(artifact: &ReleaseArtifact) -> u64 {
-        let json = serde_json::to_string(artifact).expect("artifact serialization is infallible");
-        fnv1a_bytes(json.as_bytes())
+        ArtifactBody::encode(artifact)
+            .expect("artifact serialization is infallible")
+            .digest()
     }
 
     /// Load the cached artifact for `key`, or `None` when it is absent or
-    /// fails any verification (format, structural key equality, key vs
-    /// artifact provenance, content digest). A failed verification reads
-    /// as a miss so the caller re-executes and overwrites the bad file —
-    /// self-healing, never garbage-serving.
+    /// fails any verification (format, structural key equality, content
+    /// digest over the stored body, key vs artifact provenance). A failed
+    /// verification reads as a miss so the caller re-executes and
+    /// overwrites the bad file — self-healing, never garbage-serving.
     pub fn load(&self, key: &ReleaseKey) -> Option<ReleaseArtifact> {
-        let path = self.path_for(key);
-        if !path.exists() {
-            return None;
-        }
+        let bytes = std::fs::read(self.path_for(key)).ok()?;
         let verified = (|| {
-            let file: CacheFile = read_json(&path).ok()?;
-            if file.format != CACHE_FORMAT_VERSION || &file.key != key {
+            let (header, body): (CacheHeader, _) = split_header_line(&bytes)?;
+            if header.format != CACHE_FORMAT_VERSION
+                || &header.key != key
+                || fnv1a_bytes(body) != header.content_digest
+            {
                 return None;
             }
+            let artifact: ReleaseArtifact =
+                serde_json::from_str(std::str::from_utf8(body).ok()?).ok()?;
             // The stored key and the stored artifact must describe the
             // same release: a tampered pairing (right key, wrong
             // artifact) fails here even with a self-consistent content
             // digest.
-            if ReleaseKey::of(&file.artifact.request, key.dataset_digest).as_ref() != Some(key) {
-                return None;
-            }
-            if Self::artifact_digest(&file.artifact) != file.content_digest {
-                return None;
-            }
-            Some(file.artifact)
+            (ReleaseKey::of(&artifact.request, key.dataset_digest).as_ref() == Some(key))
+                .then_some(artifact)
         })();
         if verified.is_none() {
             if let Some(registry) = &self.metrics {
@@ -224,31 +238,44 @@ impl ReleaseCache {
         verified
     }
 
-    /// Persist `artifact` under `key` atomically (temp + rename). An
-    /// existing file at the same address is replaced — a released
-    /// artifact is a pure function of its key, so a replacement can only
-    /// repair a corrupt file.
+    /// Persist `artifact` under `key` atomically (temp + rename): encode
+    /// it once and [`save_body`](Self::save_body). An existing file at the
+    /// same address is replaced — a released artifact is a pure function
+    /// of its key, so a replacement can only repair a corrupt file.
     ///
     /// Refuses (as [`StoreError::Inconsistent`]) an artifact whose own
     /// provenance does not reproduce `key`: the cache only ever pairs a
     /// key with the artifact it identifies.
     pub fn save(&self, key: &ReleaseKey, artifact: &ReleaseArtifact) -> Result<(), StoreError> {
-        if ReleaseKey::of(&artifact.request, key.dataset_digest).as_ref() != Some(key) {
+        let body = ArtifactBody::encode(artifact).map_err(|e| StoreError::Corrupt {
+            path: self.path_for(key),
+            detail: format!("serialization failed: {e}"),
+        })?;
+        self.save_body(key, &body)
+    }
+
+    /// Persist an already-encoded release under `key`: its header line,
+    /// then `body`'s bytes as they are — the same bytes its season stored.
+    /// Refuses a body whose provenance does not reproduce `key`, like
+    /// [`save`](Self::save).
+    pub fn save_body(&self, key: &ReleaseKey, body: &ArtifactBody) -> Result<(), StoreError> {
+        let request = &body.release().request;
+        if ReleaseKey::of(request, key.dataset_digest).as_ref() != Some(key) {
             return Err(StoreError::Inconsistent {
                 detail: format!(
                     "released-artifact cache refused a save: the artifact's provenance ({}) \
                      does not reproduce the supplied key",
-                    artifact.request.description
+                    request.description
                 ),
             });
         }
-        let file = CacheFile {
+        let mut bytes = header_line(&CacheHeader {
             format: CACHE_FORMAT_VERSION,
             key: key.clone(),
-            content_digest: Self::artifact_digest(artifact),
-            artifact: artifact.clone(),
-        };
-        write_json_atomic(&self.path_for(key), &file)
+            content_digest: body.digest(),
+        });
+        bytes.extend_from_slice(body.json().as_bytes());
+        write_bytes_atomic(&self.path_for(key), &bytes)
     }
 
     /// Number of cached artifacts currently in the directory.
@@ -345,23 +372,17 @@ mod tests {
         cache.save(&key, &artifact).unwrap();
         assert_eq!(cache.load(&key).unwrap(), artifact);
 
-        // A tampered payload value breaks the content digest.
-        let json = fs::read_to_string(&path).unwrap();
-        let digest_field = format!(
-            "\"content_digest\": {}",
-            ReleaseCache::artifact_digest(&artifact)
-        );
-        let tampered = json.replacen(
-            &digest_field,
-            &format!(
-                "\"content_digest\": {}",
-                ReleaseCache::artifact_digest(&artifact) ^ 1
-            ),
-            1,
-        );
-        assert_ne!(tampered, json);
-        fs::write(&path, tampered).unwrap();
-        assert!(cache.load(&key).is_none());
+        // A header must be the canonical encoding: `2e0` parses to the
+        // key's own 2.0 but is a miss. A float past f64's range (`1e999`
+        // parses to infinity) cannot be re-encoded: a miss, not a panic.
+        let entry = fs::read_to_string(&path).unwrap();
+        for respelled in ["2e0", "1e999"] {
+            let tampered =
+                entry.replacen("\"epsilon\":2.0", &format!("\"epsilon\":{respelled}"), 1);
+            assert_ne!(tampered, entry);
+            fs::write(&path, tampered).unwrap();
+            assert!(cache.load(&key).is_none());
+        }
 
         // Pairing the key with a different release's artifact is refused
         // on save and (if forged on disk) on load.
@@ -370,6 +391,15 @@ mod tests {
             cache.save(&key, &other_artifact),
             Err(StoreError::Inconsistent { .. })
         ));
+        let other = ArtifactBody::encode(&other_artifact).unwrap();
+        let mut forged = header_line(&CacheHeader {
+            format: CACHE_FORMAT_VERSION,
+            key: key.clone(),
+            content_digest: other.digest(),
+        });
+        forged.extend_from_slice(other.json().as_bytes());
+        fs::write(&path, forged).unwrap();
+        assert!(cache.load(&key).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

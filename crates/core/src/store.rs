@@ -7,8 +7,9 @@
 //! partway; what must never happen on restart is a request being noised
 //! (and its ε spent) twice. The [`SeasonStore`] makes a season durable:
 //!
-//! * every completed [`ReleaseArtifact`] is written to its own JSON file
-//!   under `<season>/artifacts/`, atomically (temp file + rename);
+//! * every completed [`ReleaseArtifact`] is written to its own file under
+//!   `<season>/artifacts/`, atomically (temp file + rename), as its
+//!   [`ArtifactBody`]: the canonical compact JSON, serialized once;
 //! * after each artifact, the ledger snapshot in `<season>/ledger.json` is
 //!   refreshed the same way;
 //! * [`SeasonStore::open`] reloads both, **replaying** the ledger entries
@@ -565,6 +566,52 @@ impl CompletedRelease {
     }
 }
 
+/// A release's one canonical encoding: the compact JSON of its artifact
+/// and that JSON's FNV-1a digest — the artifact's content digest, the
+/// value [`ReleaseCache::artifact_digest`](crate::public_cache::ReleaseCache::artifact_digest)
+/// computes — with the provenance and cost the stores check it against.
+///
+/// A release is serialized and hashed once, into one of these; the season
+/// body ([`SeasonStore::admit`]) and the public-cache entry
+/// ([`ReleaseCache::save_body`](crate::public_cache::ReleaseCache::save_body))
+/// both write these same bytes. The fields are private so the bytes, the
+/// digest and the summary always describe one artifact.
+#[derive(Debug)]
+pub struct ArtifactBody {
+    json: String,
+    digest: u64,
+    release: CompletedRelease,
+}
+
+impl ArtifactBody {
+    /// Serialize `artifact` to its canonical compact JSON and digest it.
+    /// Fails only on a value JSON cannot hold (a non-finite float, which
+    /// the engine's post-processing never releases).
+    pub fn encode(artifact: &ReleaseArtifact) -> Result<Self, serde_json::Error> {
+        let json = serde_json::to_string(artifact)?;
+        Ok(Self {
+            digest: fnv1a_bytes(json.as_bytes()),
+            json,
+            release: CompletedRelease::of(artifact),
+        })
+    }
+
+    /// The canonical compact JSON of the artifact.
+    pub fn json(&self) -> &str {
+        &self.json
+    }
+
+    /// FNV-1a over [`json`](Self::json): the artifact's content digest.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// The encoded artifact's provenance and cost.
+    pub fn release(&self) -> &CompletedRelease {
+        &self.release
+    }
+}
+
 /// A durable publication season: ledger snapshot + artifact files under
 /// one directory. See the [module docs](self) for the layout and crash
 /// protocol.
@@ -887,6 +934,21 @@ impl SeasonStore {
         ledger: &Ledger,
         artifact: &ReleaseArtifact,
     ) -> Result<(), StoreError> {
+        let body = self.encode(artifact)?;
+        self.record_body(ledger, &body)
+    }
+
+    /// Encode `artifact` as the season's next body.
+    fn encode(&self, artifact: &ReleaseArtifact) -> Result<ArtifactBody, StoreError> {
+        ArtifactBody::encode(artifact).map_err(|e| StoreError::Corrupt {
+            path: artifact_file(&self.root.join(ARTIFACTS_DIR), self.completed.len()),
+            detail: format!("serialization failed: {e}"),
+        })
+    }
+
+    /// [`record`](Self::record) of an already-encoded release: its bytes
+    /// become the artifact file verbatim.
+    fn record_body(&mut self, ledger: &Ledger, body: &ArtifactBody) -> Result<(), StoreError> {
         if self.manifest.closed {
             return Err(StoreError::SeasonClosed {
                 name: self.season_name(),
@@ -909,9 +971,10 @@ impl SeasonStore {
         // Mirror open()'s entry-vs-artifact checks exactly: anything
         // record() admits must be reopenable.
         let entry = ledger.entries().last().expect("len >= 1");
-        if entry.epsilon.to_bits() != artifact.cost.epsilon.to_bits()
-            || entry.delta.to_bits() != artifact.cost.delta.to_bits()
-            || entry.description != artifact.request.description
+        let release = body.release();
+        if entry.epsilon.to_bits() != release.cost.epsilon.to_bits()
+            || entry.delta.to_bits() != release.cost.delta.to_bits()
+            || entry.description != release.request.description
         {
             return Err(StoreError::Inconsistent {
                 detail: format!(
@@ -920,16 +983,16 @@ impl SeasonStore {
                     entry.description,
                     entry.epsilon,
                     entry.delta,
-                    artifact.request.description,
-                    artifact.cost.epsilon,
-                    artifact.cost.delta
+                    release.request.description,
+                    release.cost.epsilon,
+                    release.cost.delta
                 ),
             });
         }
         let path = artifact_file(&self.root.join(ARTIFACTS_DIR), self.completed.len());
-        write_json_atomic(&path, artifact)?;
+        write_bytes_atomic(&path, body.json().as_bytes())?;
         write_json_atomic(&self.root.join(LEDGER_FILE), ledger)?;
-        self.completed.push(CompletedRelease::of(artifact));
+        self.completed.push(release.clone());
         self.ledger = ledger.clone();
         Ok(())
     }
@@ -1006,7 +1069,9 @@ impl SeasonStore {
     /// Admit one new release: refuse a closed season, bind (or check) the
     /// manifest's dataset pin, execute `request` against `data` through
     /// `cache` on this season's ledger, and [`record`](Self::record) the
-    /// artifact — returning exactly the artifact that was recorded.
+    /// artifact — returning exactly the artifact that was recorded, with
+    /// the encoded body written as its artifact file (for a caller that
+    /// publishes the same bytes elsewhere without serializing again).
     ///
     /// A refused request is [`StoreError::Refused`]: nothing is charged or
     /// recorded.
@@ -1015,7 +1080,7 @@ impl SeasonStore {
         data: Snapshot<'_>,
         request: &ReleaseRequest,
         cache: &mut TabulationCache,
-    ) -> Result<ReleaseArtifact, StoreError> {
+    ) -> Result<(ReleaseArtifact, ArtifactBody), StoreError> {
         self.bind(data)?;
         let mut engine = self.engine();
         self.admit_on(&mut engine, data, request, cache)
@@ -1046,15 +1111,16 @@ impl SeasonStore {
         }
     }
 
-    /// Execute one request on `engine` (this season's ledger) and record
-    /// it — the one admission body `run` and `admit` share.
+    /// Execute one request on `engine` (this season's ledger), encode it
+    /// once and record that body — the one admission body `run` and
+    /// `admit` share.
     fn admit_on(
         &mut self,
         engine: &mut ReleaseEngine,
         data: Snapshot<'_>,
         request: &ReleaseRequest,
         cache: &mut TabulationCache,
-    ) -> Result<ReleaseArtifact, StoreError> {
+    ) -> Result<(ReleaseArtifact, ArtifactBody), StoreError> {
         let artifact = engine
             .execute(request, TruthSource::Tabulate { data, cache })
             .map_err(|source| StoreError::Refused {
@@ -1062,8 +1128,9 @@ impl SeasonStore {
                 description: request.description(),
                 source,
             })?;
-        self.record(engine.ledger(), &artifact)?;
-        Ok(artifact)
+        let body = self.encode(&artifact)?;
+        self.record_body(engine.ledger(), &body)?;
+        Ok((artifact, body))
     }
 }
 
@@ -1205,22 +1272,30 @@ pub fn panel_digest(quarter_digests: &[u64]) -> u64 {
     hash
 }
 
-/// Write `value` as pretty JSON via a temp file + rename, fsyncing the
-/// temp file before the rename and the parent directory after it, so a
-/// crash (or power loss) leaves either the old file or the new one — never
-/// a torn write — and the artifact-first ordering [`SeasonStore::record`]
-/// relies on survives to disk in order.
+/// Write `value` as compact JSON through the workspace's one durable
+/// write (temp file + fsync + rename + directory fsync; never in place).
+/// Every reader parses compact and pretty layouts alike, so a file
+/// written by an older build still opens.
+pub fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), StoreError> {
+    let json = serde_json::to_string(value).map_err(|e| StoreError::Corrupt {
+        path: path.to_path_buf(),
+        detail: format!("serialization failed: {e}"),
+    })?;
+    write_bytes_atomic(path, json.as_bytes())
+}
+
+/// Write `bytes` via a temp file + rename, fsyncing the temp file before
+/// the rename and the parent directory after it, so a crash (or power
+/// loss) leaves either the old file or the new one — never a torn write —
+/// and the artifact-first ordering [`SeasonStore::record`] relies on
+/// survives to disk in order. Nothing is ever written in place.
 ///
 /// This is the workspace's one durable-write primitive: the season and
 /// agency stores, the truth store, the public artifact cache, and the
 /// release service's registries all persist through it, so the chaos
 /// harness (the `chaos` feature) can fault every durable write in the
 /// system by instrumenting exactly this path.
-pub fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), StoreError> {
-    let json = serde_json::to_string_pretty(value).map_err(|e| StoreError::Corrupt {
-        path: path.to_path_buf(),
-        detail: format!("serialization failed: {e}"),
-    })?;
+pub(crate) fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     // The temp name must be unique per writer: concurrent writers of the
     // same target (two season workers persisting the same truth identity)
     // would otherwise share one temp file, and whoever renames second
@@ -1241,7 +1316,7 @@ pub fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), Sto
         source,
     };
     let mut file = cfs::file_create(&tmp).map_err(io_err)?;
-    cfs::write_all(&mut file, &tmp, json.as_bytes()).map_err(io_err)?;
+    cfs::write_all(&mut file, &tmp, bytes).map_err(io_err)?;
     cfs::sync_all(&file, &tmp).map_err(io_err)?;
     drop(file);
     cfs::rename(&tmp, path).map_err(|source| StoreError::Io {
@@ -1262,12 +1337,12 @@ pub fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), Sto
 }
 
 /// Sweep `dir` (non-recursively) for `*.tmp` files orphaned by a crash
-/// mid-[`write_json_atomic`] (or a failed lease reclaim): their renames
+/// mid-[`write_bytes_atomic`] (or a failed lease reclaim): their renames
 /// never happened, so they were never part of any store. Best-effort by
 /// design — a sweep failure must never refuse an open — and callers hold
 /// the directory's write lease, so no live writer's in-flight temp file
 /// can be swept (a writer's temp exists only while the lease holder is
-/// inside `write_json_atomic`).
+/// inside `write_bytes_atomic`).
 pub(crate) fn sweep_tmp_files(dir: &Path) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -1288,6 +1363,32 @@ pub(crate) fn read_json<T: Deserialize>(path: &Path) -> Result<T, StoreError> {
         path: path.to_path_buf(),
         detail: e.to_string(),
     })
+}
+
+/// A compact JSON header line: `header` serialized without whitespace and
+/// terminated by `\n`. Compact JSON holds no raw newline (strings escape
+/// it), so the first `\n` of a file always ends its header; the truth
+/// store and the public cache put their payload after one.
+pub(crate) fn header_line<H: Serialize>(header: &H) -> Vec<u8> {
+    let mut line = serde_json::to_string(header)
+        .expect("header serialization is infallible")
+        .into_bytes();
+    line.push(b'\n');
+    line
+}
+
+/// Split a file written as [`header_line`] + payload back into its parsed
+/// header and the payload bytes; `None` when there is no header line, it
+/// does not parse as `H`, or it is not exactly `H`'s canonical encoding —
+/// so no byte of a header can change unnoticed, not even to an
+/// equivalent spelling (`2e0` for `2.0`).
+pub(crate) fn split_header_line<H: Serialize + Deserialize>(bytes: &[u8]) -> Option<(H, &[u8])> {
+    let end = bytes.iter().position(|&b| b == b'\n')?;
+    let line = std::str::from_utf8(&bytes[..end]).ok()?;
+    let header = serde_json::from_str(line).ok()?;
+    // A parsed header can hold a float JSON cannot write back (`1e999`
+    // parses to infinity), so a failed re-encoding is a refusal too.
+    (serde_json::to_string(&header).ok()? == line).then_some((header, &bytes[end + 1..]))
 }
 
 /// Scan the artifacts directory, returning how many artifacts it holds.

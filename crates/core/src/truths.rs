@@ -19,60 +19,203 @@
 //! identity — the full key is stored *inside* the file and compared
 //! structurally on every load, so a digest collision can alias nothing.
 //!
+//! # Layout
+//!
+//! A truth is written once, compactly, as `<key-digest>.truth`:
+//!
+//! ```text
+//! {"format":2,"kind":…,"source_digest":…,"spec":…,"schema":…,"filter":…,"cells":N,"content_digest":…}\n
+//! N fixed-width little-endian cells, strictly ascending by key:
+//!   level  key u64 · count u64 · establishments u32 · max_establishment u32     24 bytes
+//!   flows  key u64 · B, E, JC, JD u64 · their four maxima u32                   56 bytes
+//! the seal: FNV-1a over every byte above, u64 little-endian
+//! ```
+//!
+//! The header is one line of compact JSON; `source_digest` is the dataset
+//! digest of a level truth and the pair digest of a flow truth.
+//!
 //! # Integrity
 //!
 //! Files are written atomically (temp + rename, fsynced) and verified on
-//! load: format version, dataset digest, structural key equality, the
-//! marginal's own invariants (strict key order, in-domain keys, nonzero
-//! counts — re-checked by `Marginal`'s deserializer), and a recorded
+//! load: the seal first, before anything is decoded; then the format
+//! version, the kind, the source digest, structural key equality, the
+//! cell count against the run's length, the marginal's own invariants
+//! (strict key order, in-domain keys, nonzero counts — re-checked by
+//! [`Marginal::from_cells`] and [`FlowMarginal::from_cells`], the same
+//! constructors their JSON deserializers use), and a recorded
 //! [`content digest`](Marginal::content_digest) that must reproduce from
-//! the loaded cells. Any failure makes the load a miss: the truth is
+//! the decoded cells. Any failure makes the load a miss: the truth is
 //! recomputed from the index and the file rewritten — self-healing, and
 //! always correct, because the store is a cache of a pure function, never
-//! the source of record. (Like the season store, the directory is trusted
-//! infrastructure: the digest defends against corruption and drift, not
-//! against an adversary who can rewrite the file *and* its digest.)
+//! the source of record. A format-1 (JSON) truth fails the seal, so it
+//! reads as a miss too and is never misread. (Like the season store, the
+//! directory is trusted infrastructure: the seal and digests defend
+//! against corruption and drift, not against an adversary who can rewrite
+//! a file *and* its digests.)
 
 use crate::metrics::MetricsRegistry;
-use crate::store::{read_json, write_json_atomic, StoreError};
-use serde::{Deserialize, Serialize};
+use crate::store::{fnv1a_bytes, header_line, split_header_line, write_bytes_atomic, StoreError};
+use serde::{DeError, Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tabulate::{FilterExpr, FlowMarginal, Marginal, MarginalSpec};
+use tabulate::{
+    CellKey, CellSchema, CellStats, FilterExpr, FlowMarginal, FlowStats, Marginal, MarginalSpec,
+};
 
-/// Truth-file format version, recorded in every file so a future layout
-/// change invalidates (rather than misreads) old truths.
-const TRUTH_FORMAT_VERSION: u32 = 1;
+/// Truth-file format version, recorded in every header so a future layout
+/// change invalidates (rather than misreads) old truths. Version 2: the
+/// header line, fixed-width cell run and seal of the [module docs](self);
+/// version 1 was one JSON document.
+const TRUTH_FORMAT_VERSION: u32 = 2;
 
-/// The on-disk form of one persisted truth: the full identity key, the
-/// serialized marginal, and its content digest.
+/// File-name extension of a persisted truth.
+const TRUTH_EXTENSION: &str = "truth";
+
+/// Bytes of the trailing seal.
+const SEAL_BYTES: usize = 8;
+
+/// The header line of one persisted truth: the full identity key, the
+/// schema the cell keys decode under, and what the cell run must hold.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct TruthFile {
+struct TruthHeader {
     format: u32,
-    dataset_digest: u64,
+    /// Which cell layout follows: [`TruthCells::KIND`].
+    kind: String,
+    /// The dataset digest of a level truth, the pair digest of a flow
+    /// truth.
+    source_digest: u64,
     spec: MarginalSpec,
+    schema: CellSchema,
     /// The normalized filter expression, `None` for unfiltered truths.
     filter: Option<FilterExpr>,
+    /// Number of cells in the run.
+    cells: u64,
     content_digest: u64,
-    marginal: Marginal,
 }
 
-/// The on-disk form of one persisted *flow* truth. Flow truths are
-/// functions of a `(before, after)` snapshot **pair**, so they are
-/// addressed by the pair's digest
-/// ([`dataset_pair_digest`](crate::store::dataset_pair_digest)) rather
-/// than the store handle's single-dataset pin — any handle over a shared
-/// `truths/` directory can serve them, and the pair digest inside the file
-/// is verified on every load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct FlowTruthFile {
-    format: u32,
-    pair_digest: u64,
-    spec: MarginalSpec,
-    /// The normalized filter expression, `None` for unfiltered truths.
-    filter: Option<FilterExpr>,
-    content_digest: u64,
-    flows: FlowMarginal,
+/// A tabulated truth as the store encodes it: the schema, cell count and
+/// content digest its header records, and one fixed-width little-endian
+/// cell layout.
+trait TruthCells: Sized {
+    /// The header's `kind`, so a level run is never decoded as flows.
+    const KIND: &'static str;
+    /// Bytes per encoded cell.
+    const WIDTH: usize;
+
+    fn schema(&self) -> &CellSchema;
+    fn num_cells(&self) -> usize;
+    fn content_digest(&self) -> u64;
+    /// Append every cell, in key order, as `WIDTH` bytes each.
+    fn encode_cells(&self, out: &mut Vec<u8>);
+    /// Decode a run of `WIDTH`-byte cells and validate the result through
+    /// the type's one validating constructor.
+    fn decode(spec: MarginalSpec, schema: CellSchema, run: &[u8]) -> Result<Self, DeError>;
+}
+
+/// The little-endian `u64` at byte offset `at` of one encoded cell.
+fn le_u64(cell: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(cell[at..at + 8].try_into().expect("8-byte field"))
+}
+
+/// The little-endian `u32` at byte offset `at` of one encoded cell.
+fn le_u32(cell: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(cell[at..at + 4].try_into().expect("4-byte field"))
+}
+
+impl TruthCells for Marginal {
+    const KIND: &'static str = "level";
+    const WIDTH: usize = 24;
+
+    fn schema(&self) -> &CellSchema {
+        Marginal::schema(self)
+    }
+    fn num_cells(&self) -> usize {
+        Marginal::num_cells(self)
+    }
+    fn content_digest(&self) -> u64 {
+        Marginal::content_digest(self)
+    }
+
+    fn encode_cells(&self, out: &mut Vec<u8>) {
+        for (key, stats) in self.iter() {
+            out.extend_from_slice(&key.0.to_le_bytes());
+            out.extend_from_slice(&stats.count.to_le_bytes());
+            out.extend_from_slice(&stats.establishments.to_le_bytes());
+            out.extend_from_slice(&stats.max_establishment.to_le_bytes());
+        }
+    }
+
+    fn decode(spec: MarginalSpec, schema: CellSchema, run: &[u8]) -> Result<Self, DeError> {
+        let cells = run
+            .chunks_exact(Self::WIDTH)
+            .map(|cell| {
+                let stats = CellStats {
+                    count: le_u64(cell, 8),
+                    establishments: le_u32(cell, 16),
+                    max_establishment: le_u32(cell, 20),
+                };
+                (CellKey(le_u64(cell, 0)), stats)
+            })
+            .collect();
+        Marginal::from_cells(spec, schema, cells)
+    }
+}
+
+impl TruthCells for FlowMarginal {
+    const KIND: &'static str = "flows";
+    const WIDTH: usize = 56;
+
+    fn schema(&self) -> &CellSchema {
+        FlowMarginal::schema(self)
+    }
+    fn num_cells(&self) -> usize {
+        FlowMarginal::num_cells(self)
+    }
+    fn content_digest(&self) -> u64 {
+        FlowMarginal::content_digest(self)
+    }
+
+    fn encode_cells(&self, out: &mut Vec<u8>) {
+        for (key, s) in self.iter() {
+            for word in [
+                key.0,
+                s.beginning,
+                s.ending,
+                s.job_creation,
+                s.job_destruction,
+            ] {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+            for max in [
+                s.max_beginning,
+                s.max_ending,
+                s.max_creation,
+                s.max_destruction,
+            ] {
+                out.extend_from_slice(&max.to_le_bytes());
+            }
+        }
+    }
+
+    fn decode(spec: MarginalSpec, schema: CellSchema, run: &[u8]) -> Result<Self, DeError> {
+        let cells = run
+            .chunks_exact(Self::WIDTH)
+            .map(|cell| {
+                let stats = FlowStats {
+                    beginning: le_u64(cell, 8),
+                    ending: le_u64(cell, 16),
+                    job_creation: le_u64(cell, 24),
+                    job_destruction: le_u64(cell, 32),
+                    max_beginning: le_u32(cell, 40),
+                    max_ending: le_u32(cell, 44),
+                    max_creation: le_u32(cell, 48),
+                    max_destruction: le_u32(cell, 52),
+                };
+                (CellKey(le_u64(cell, 0)), stats)
+            })
+            .collect();
+        FlowMarginal::from_cells(spec, schema, cells)
+    }
 }
 
 /// A directory of content-addressed truth marginals, pinned to one
@@ -111,14 +254,6 @@ impl TruthStore {
         self
     }
 
-    /// Count one truth file that existed but failed verification — the
-    /// caller recomputes and overwrites it (the self-heal path).
-    fn note_self_heal(&self) {
-        if let Some(registry) = &self.metrics {
-            registry.caches.truth_self_heals.inc();
-        }
-    }
-
     /// The digest of the dataset this handle serves truths for.
     pub fn dataset_digest(&self) -> u64 {
         self.dataset_digest
@@ -139,46 +274,30 @@ impl TruthStore {
             filter.map(FilterExpr::normalized),
         );
         let json = serde_json::to_string(&key).expect("key serialization is infallible");
-        crate::store::fnv1a_bytes(json.as_bytes())
+        fnv1a_bytes(json.as_bytes())
     }
 
     fn path_for(&self, spec: &MarginalSpec, filter: Option<&FilterExpr>) -> PathBuf {
+        self.file_named(self.key_digest(spec, filter))
+    }
+
+    fn file_named(&self, key_digest: u64) -> PathBuf {
         self.dir
-            .join(format!("{:016x}.json", self.key_digest(spec, filter)))
+            .join(format!("{key_digest:016x}.{TRUTH_EXTENSION}"))
     }
 
     /// Load the persisted truth for `(spec, filter)`, or `None` when it is
-    /// absent or fails any verification (format, dataset digest,
+    /// absent or fails any verification (seal, format, dataset digest,
     /// structural key equality, marginal invariants, content digest) — a
     /// failed verification reads as a miss so the caller recomputes and
     /// overwrites the bad file.
     pub fn load(&self, spec: &MarginalSpec, filter: Option<&FilterExpr>) -> Option<Marginal> {
-        let path = self.path_for(spec, filter);
-        if !path.exists() {
-            return None;
-        }
-        let verified = (|| {
-            let file: TruthFile = read_json(&path).ok()?;
-            if file.format != TRUTH_FORMAT_VERSION || file.dataset_digest != self.dataset_digest {
-                return None;
-            }
-            if &file.spec != spec || file.marginal.spec() != spec {
-                return None;
-            }
-            match (&file.filter, filter) {
-                (None, None) => {}
-                (Some(stored), Some(requested)) if *stored == requested.normalized() => {}
-                _ => return None,
-            }
-            if file.marginal.content_digest() != file.content_digest {
-                return None;
-            }
-            Some(file.marginal)
-        })();
-        if verified.is_none() {
-            self.note_self_heal();
-        }
-        verified
+        self.read(
+            &self.path_for(spec, filter),
+            self.dataset_digest,
+            spec,
+            filter,
+        )
     }
 
     /// Persist the truth for `(spec, filter)` atomically (temp + rename).
@@ -191,15 +310,10 @@ impl TruthStore {
         filter: Option<&FilterExpr>,
         marginal: &Marginal,
     ) -> Result<(), StoreError> {
-        let file = TruthFile {
-            format: TRUTH_FORMAT_VERSION,
-            dataset_digest: self.dataset_digest,
-            spec: spec.clone(),
-            filter: filter.map(FilterExpr::normalized),
-            content_digest: marginal.content_digest(),
-            marginal: marginal.clone(),
-        };
-        write_json_atomic(&self.path_for(spec, filter), &file)
+        write_bytes_atomic(
+            &self.path_for(spec, filter),
+            &encode(self.dataset_digest, spec, filter, marginal),
+        )
     }
 
     /// The content address of a flow truth: FNV-1a over the canonical
@@ -219,7 +333,7 @@ impl TruthStore {
             filter.map(FilterExpr::normalized),
         );
         let json = serde_json::to_string(&key).expect("key serialization is infallible");
-        crate::store::fnv1a_bytes(json.as_bytes())
+        fnv1a_bytes(json.as_bytes())
     }
 
     fn flow_path_for(
@@ -228,16 +342,13 @@ impl TruthStore {
         spec: &MarginalSpec,
         filter: Option<&FilterExpr>,
     ) -> PathBuf {
-        self.dir.join(format!(
-            "{:016x}.json",
-            self.flow_key_digest(pair_digest, spec, filter)
-        ))
+        self.file_named(self.flow_key_digest(pair_digest, spec, filter))
     }
 
     /// Load the persisted flow truth for `(pair, spec, filter)`, or `None`
-    /// when absent or failing any verification (format, pair digest,
-    /// structural key equality, the flow marginal's own invariants —
-    /// re-checked by its deserializer — and the recorded
+    /// when absent or failing any verification (seal, format, pair
+    /// digest, structural key equality, the flow marginal's own
+    /// invariants, and the recorded
     /// [`content digest`](FlowMarginal::content_digest)). A failed
     /// verification reads as a miss, so the caller recomputes and repairs.
     pub fn load_flows(
@@ -246,32 +357,12 @@ impl TruthStore {
         spec: &MarginalSpec,
         filter: Option<&FilterExpr>,
     ) -> Option<FlowMarginal> {
-        let path = self.flow_path_for(pair_digest, spec, filter);
-        if !path.exists() {
-            return None;
-        }
-        let verified = (|| {
-            let file: FlowTruthFile = read_json(&path).ok()?;
-            if file.format != TRUTH_FORMAT_VERSION || file.pair_digest != pair_digest {
-                return None;
-            }
-            if &file.spec != spec || file.flows.spec() != spec {
-                return None;
-            }
-            match (&file.filter, filter) {
-                (None, None) => {}
-                (Some(stored), Some(requested)) if *stored == requested.normalized() => {}
-                _ => return None,
-            }
-            if file.flows.content_digest() != file.content_digest {
-                return None;
-            }
-            Some(file.flows)
-        })();
-        if verified.is_none() {
-            self.note_self_heal();
-        }
-        verified
+        self.read(
+            &self.flow_path_for(pair_digest, spec, filter),
+            pair_digest,
+            spec,
+            filter,
+        )
     }
 
     /// Persist the flow truth for `(pair, spec, filter)` atomically.
@@ -282,15 +373,29 @@ impl TruthStore {
         filter: Option<&FilterExpr>,
         flows: &FlowMarginal,
     ) -> Result<(), StoreError> {
-        let file = FlowTruthFile {
-            format: TRUTH_FORMAT_VERSION,
-            pair_digest,
-            spec: spec.clone(),
-            filter: filter.map(FilterExpr::normalized),
-            content_digest: flows.content_digest(),
-            flows: flows.clone(),
-        };
-        write_json_atomic(&self.flow_path_for(pair_digest, spec, filter), &file)
+        write_bytes_atomic(
+            &self.flow_path_for(pair_digest, spec, filter),
+            &encode(pair_digest, spec, filter, flows),
+        )
+    }
+
+    /// Read and verify the truth at `path`, counting a file that exists
+    /// but fails verification as a self-heal.
+    fn read<T: TruthCells>(
+        &self,
+        path: &Path,
+        source_digest: u64,
+        spec: &MarginalSpec,
+        filter: Option<&FilterExpr>,
+    ) -> Option<T> {
+        let bytes = std::fs::read(path).ok()?;
+        let verified = decode(&bytes, source_digest, spec, filter);
+        if verified.is_none() {
+            if let Some(registry) = &self.metrics {
+                registry.caches.truth_self_heals.inc();
+            }
+        }
+        verified
     }
 
     /// Number of truth files currently in the directory (all datasets).
@@ -299,7 +404,11 @@ impl TruthStore {
             .map(|entries| {
                 entries
                     .filter_map(Result::ok)
-                    .filter(|e| e.file_name().to_string_lossy().ends_with(".json"))
+                    .filter(|e| {
+                        Path::new(&e.file_name())
+                            .extension()
+                            .is_some_and(|ext| ext == TRUTH_EXTENSION)
+                    })
                     .count()
             })
             .unwrap_or(0)
@@ -309,6 +418,63 @@ impl TruthStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// The file bytes of `truth` under its identity: header line, cell run,
+/// seal.
+fn encode<T: TruthCells>(
+    source_digest: u64,
+    spec: &MarginalSpec,
+    filter: Option<&FilterExpr>,
+    truth: &T,
+) -> Vec<u8> {
+    let mut bytes = header_line(&TruthHeader {
+        format: TRUTH_FORMAT_VERSION,
+        kind: T::KIND.to_string(),
+        source_digest,
+        spec: spec.clone(),
+        schema: truth.schema().clone(),
+        filter: filter.map(FilterExpr::normalized),
+        cells: truth.num_cells() as u64,
+        content_digest: truth.content_digest(),
+    });
+    bytes.reserve(truth.num_cells() * T::WIDTH + SEAL_BYTES);
+    truth.encode_cells(&mut bytes);
+    let seal = fnv1a_bytes(&bytes);
+    bytes.extend_from_slice(&seal.to_le_bytes());
+    bytes
+}
+
+/// Verify and decode a truth file's bytes against the identity the caller
+/// asked for; `None` on any failure.
+fn decode<T: TruthCells>(
+    bytes: &[u8],
+    source_digest: u64,
+    spec: &MarginalSpec,
+    filter: Option<&FilterExpr>,
+) -> Option<T> {
+    let (sealed, seal) = bytes.split_at(bytes.len().checked_sub(SEAL_BYTES)?);
+    if fnv1a_bytes(sealed).to_le_bytes() != seal {
+        return None;
+    }
+    let (header, run): (TruthHeader, _) = split_header_line(sealed)?;
+    if header.format != TRUTH_FORMAT_VERSION
+        || header.kind != T::KIND
+        || header.source_digest != source_digest
+        || &header.spec != spec
+    {
+        return None;
+    }
+    match (&header.filter, filter) {
+        (None, None) => {}
+        (Some(stored), Some(requested)) if *stored == requested.normalized() => {}
+        _ => return None,
+    }
+    if usize::try_from(header.cells).ok()?.checked_mul(T::WIDTH)? != run.len() {
+        return None;
+    }
+    let truth = T::decode(header.spec, header.schema, run).ok()?;
+    (truth.content_digest() == header.content_digest).then_some(truth)
 }
 
 #[cfg(test)]
@@ -393,50 +559,62 @@ mod tests {
         // Flow and level addresses never collide: the level slot for the
         // same spec is still empty.
         assert!(store.load(&spec, None).is_none());
-        // Tampering the recorded digest reads as a miss and self-heals.
-        let path = store.flow_path_for(pair, &spec, None);
-        let json = fs::read_to_string(&path).unwrap();
-        let tampered = json.replacen(
-            &format!("\"content_digest\": {}", flows.content_digest()),
-            &format!("\"content_digest\": {}", flows.content_digest() ^ 1),
-            1,
-        );
-        assert_ne!(tampered, json);
-        fs::write(&path, &tampered).unwrap();
-        assert!(store.load_flows(pair, &spec, None).is_none());
-        store.save_flows(pair, &spec, None, &flows).unwrap();
-        assert_eq!(store.load_flows(pair, &spec, None).unwrap(), flows);
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The file's bytes with the trailing seal recomputed: a forged file
+    /// the seal alone cannot tell from a written one.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes.truncate(bytes.len() - SEAL_BYTES);
+        let seal = fnv1a_bytes(&bytes);
+        bytes.extend_from_slice(&seal.to_le_bytes());
+        bytes
+    }
+
+    /// The seal catches damage (see the corruption property in
+    /// `tests/store_resume.rs`); these files carry a valid seal, so the
+    /// checks behind it must refuse them.
     #[test]
     fn corrupt_or_tampered_truths_read_as_miss() {
         let dir = tmp_dir("tamper");
         let d = Generator::new(GeneratorConfig::test_small(13)).generate();
-        let store = TruthStore::open(&dir, dataset_digest(&d)).unwrap();
+        let registry = Arc::new(MetricsRegistry::new());
+        let store = TruthStore::open(&dir, dataset_digest(&d))
+            .unwrap()
+            .with_metrics(Arc::clone(&registry));
         let truth = compute_marginal(&d, &workload1());
         store.save(&workload1(), None, &truth).unwrap();
         let path = store.path_for(&workload1(), None);
+        let written = fs::read(&path).unwrap();
+        let (mut header, run): (TruthHeader, _) = split_header_line(&written).unwrap();
+        let header_len = written.len() - run.len();
 
-        // Tamper the recorded digest: the loaded cells no longer reproduce
-        // it (equivalently: any cell edit breaks the digest the other way).
-        let json = fs::read_to_string(&path).unwrap();
-        let recorded = format!("\"content_digest\": {}", truth.content_digest());
-        let tampered = json.replacen(
-            &recorded,
-            &format!("\"content_digest\": {}", truth.content_digest() ^ 1),
-            1,
-        );
-        assert_ne!(tampered, json);
-        fs::write(&path, &tampered).unwrap();
+        // A recorded content digest the cells do not reproduce.
+        header.content_digest ^= 1;
+        let mut forged = header_line(&header);
+        forged.extend_from_slice(run);
+        fs::write(&path, resealed(forged)).unwrap();
         assert!(store.load(&workload1(), None).is_none());
 
-        // Outright garbage also reads as a miss.
-        fs::write(&path, "{not json").unwrap();
+        // A zero-count cell: `Marginal::from_cells` refuses it.
+        let mut forged = written.clone();
+        forged[header_len + 8..header_len + 16].fill(0);
+        fs::write(&path, resealed(forged)).unwrap();
         assert!(store.load(&workload1(), None).is_none());
+
+        // A level truth copied to a flow address never decodes as flows.
+        let digest = store.dataset_digest();
+        fs::write(store.flow_path_for(digest, &workload1(), None), &written).unwrap();
+        assert!(store.load_flows(digest, &workload1(), None).is_none());
+
+        // Outright garbage reads as a miss.
+        fs::write(&path, "{not a truth").unwrap();
+        assert!(store.load(&workload1(), None).is_none());
+        assert_eq!(registry.caches.truth_self_heals.get(), 4);
 
         // Recompute-and-save repairs the address.
         store.save(&workload1(), None, &truth).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), written);
         assert_eq!(store.load(&workload1(), None).unwrap(), truth);
         fs::remove_dir_all(&dir).unwrap();
     }

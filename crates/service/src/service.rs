@@ -1088,18 +1088,19 @@ impl WorkerCtx {
             None => quarters[self.quarter].snapshot(),
         };
         let state = match self.store.admit(data, &request, &mut self.cache) {
-            Ok(artifact) => {
-                // Publish to the released-artifact cache under the digest
-                // that keys this release: the pair digest for flows, the
-                // quarter's otherwise. A cache-write failure is only a
-                // lost optimization, never a lost release.
+            Ok((artifact, body)) => {
+                // Publish the body the season just stored to the
+                // released-artifact cache, under the digest that keys
+                // this release: the pair digest for flows, the quarter's
+                // otherwise. A cache-write failure is only a lost
+                // optimization, never a lost release.
                 let digest = if artifact.request.kind == RequestKind::Flows {
                     data.pair_digest()
                 } else {
                     Some(data.digest())
                 };
                 if let Some(key) = digest.and_then(|d| ReleaseKey::of(&artifact.request, d)) {
-                    let _ = self.shared.cache.save(&key, &artifact);
+                    let _ = self.shared.cache.save_body(&key, &body);
                 }
                 ReleaseState::Complete {
                     artifact: Arc::new(artifact),

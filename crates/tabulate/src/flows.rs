@@ -126,6 +126,88 @@ impl FlowMarginal {
         }
     }
 
+    /// Assemble a flow marginal from cells read back from outside the
+    /// program (a persisted flow truth in either of its encodings),
+    /// re-validating every invariant the flow evaluator guarantees by
+    /// construction: workplace-only spec, schema attributes equal to the
+    /// spec's, strictly ascending in-domain keys, no dead cells, the
+    /// accounting identity `E − B = JC − JD` per cell, and per-statistic
+    /// maxima that are positive exactly when their statistic is and never
+    /// exceed it.
+    pub fn from_cells(
+        spec: MarginalSpec,
+        schema: CellSchema,
+        cells: Vec<(CellKey, FlowStats)>,
+    ) -> Result<Self, DeError> {
+        if spec.has_worker_attrs() {
+            return Err(DeError::new(
+                "flow marginal spec must not include worker attributes",
+            ));
+        }
+        let spec_attrs: Vec<Attr> = spec.attrs().collect();
+        if schema.attrs() != spec_attrs.as_slice() {
+            return Err(DeError::new(
+                "flow marginal schema attributes disagree with its spec",
+            ));
+        }
+        if !cells.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(DeError::new(
+                "flow marginal cells are not strictly sorted by key",
+            ));
+        }
+        let domain = schema.domain_size();
+        for &(key, s) in &cells {
+            if key.0 >= domain {
+                return Err(DeError::new(format!(
+                    "flow cell key {} outside schema domain {domain}",
+                    key.0
+                )));
+            }
+            if s.beginning == 0 && s.ending == 0 {
+                return Err(DeError::new("dead cell in flow marginal snapshot"));
+            }
+            let net = s.ending as i128 - s.beginning as i128;
+            let gross = s.job_creation as i128 - s.job_destruction as i128;
+            if net != gross {
+                return Err(DeError::new(format!(
+                    "flow cell {} violates E - B = JC - JD ({net} vs {gross})",
+                    key.0
+                )));
+            }
+            // Each maximum is one establishment's contribution to its
+            // statistic: bounded by the statistic's total and positive
+            // exactly when the total is.
+            let pairs = [
+                (s.max_beginning, s.beginning, "beginning"),
+                (s.max_ending, s.ending, "ending"),
+                (s.max_creation, s.job_creation, "creation"),
+                (s.max_destruction, s.job_destruction, "destruction"),
+            ];
+            for (max, total, what) in pairs {
+                if max as u64 > total || (max == 0) != (total == 0) {
+                    return Err(DeError::new(format!(
+                        "impossible {what} stats in flow cell {} (total {total}, max {max})",
+                        key.0
+                    )));
+                }
+            }
+            // Creation is a sum of per-establishment gains, each bounded
+            // by that establishment's after-size; destruction likewise by
+            // the before-size.
+            if s.job_creation > s.ending || s.job_destruction > s.beginning {
+                return Err(DeError::new(format!(
+                    "flow cell {} has gross flows exceeding employment",
+                    key.0
+                )));
+            }
+        }
+        Ok(Self {
+            spec,
+            schema,
+            cells,
+        })
+    }
+
     /// The query specification (workplace attributes only).
     pub fn spec(&self) -> &MarginalSpec {
         &self.spec
@@ -199,7 +281,8 @@ impl FlowMarginal {
 }
 
 /// The stable serialized form: spec, schema, and the sorted cell run —
-/// totals are derived, never trusted from a snapshot.
+/// totals are derived, never trusted from a snapshot. Deserializing goes
+/// through [`FlowMarginal::from_cells`].
 impl Serialize for FlowMarginal {
     fn to_value(&self) -> Value {
         Value::Map(vec![
@@ -211,82 +294,12 @@ impl Serialize for FlowMarginal {
 }
 
 impl Deserialize for FlowMarginal {
-    /// Reconstruct from the serialized form, re-validating every invariant
-    /// the flow evaluator guarantees by construction: workplace-only spec,
-    /// strictly ascending in-domain keys, no dead cells, the accounting
-    /// identity `E − B = JC − JD` per cell, and per-statistic maxima that
-    /// are positive exactly when their statistic is and never exceed it.
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let spec = MarginalSpec::from_value(get_field(v, "spec")?)?;
-        let schema = CellSchema::from_value(get_field(v, "schema")?)?;
-        let cells = Vec::<(CellKey, FlowStats)>::from_value(get_field(v, "cells")?)?;
-        if spec.has_worker_attrs() {
-            return Err(DeError::new(
-                "flow marginal spec must not include worker attributes",
-            ));
-        }
-        let spec_attrs: Vec<Attr> = spec.attrs().collect();
-        if schema.attrs() != spec_attrs.as_slice() {
-            return Err(DeError::new(
-                "flow marginal schema attributes disagree with its spec",
-            ));
-        }
-        if !cells.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(DeError::new(
-                "flow marginal cells are not strictly sorted by key",
-            ));
-        }
-        let domain = schema.domain_size();
-        for &(key, s) in &cells {
-            if key.0 >= domain {
-                return Err(DeError::new(format!(
-                    "flow cell key {} outside schema domain {domain}",
-                    key.0
-                )));
-            }
-            if s.beginning == 0 && s.ending == 0 {
-                return Err(DeError::new("dead cell in flow marginal snapshot"));
-            }
-            let net = s.ending as i128 - s.beginning as i128;
-            let gross = s.job_creation as i128 - s.job_destruction as i128;
-            if net != gross {
-                return Err(DeError::new(format!(
-                    "flow cell {} violates E - B = JC - JD ({net} vs {gross})",
-                    key.0
-                )));
-            }
-            // Each maximum is one establishment's contribution to its
-            // statistic: bounded by the statistic's total and positive
-            // exactly when the total is.
-            let pairs = [
-                (s.max_beginning, s.beginning, "beginning"),
-                (s.max_ending, s.ending, "ending"),
-                (s.max_creation, s.job_creation, "creation"),
-                (s.max_destruction, s.job_destruction, "destruction"),
-            ];
-            for (max, total, what) in pairs {
-                if max as u64 > total || (max == 0) != (total == 0) {
-                    return Err(DeError::new(format!(
-                        "impossible {what} stats in flow cell {} (total {total}, max {max})",
-                        key.0
-                    )));
-                }
-            }
-            // Creation is a sum of per-establishment gains, each bounded
-            // by that establishment's after-size; destruction likewise by
-            // the before-size.
-            if s.job_creation > s.ending || s.job_destruction > s.beginning {
-                return Err(DeError::new(format!(
-                    "flow cell {} has gross flows exceeding employment",
-                    key.0
-                )));
-            }
-        }
-        Ok(Self {
-            spec,
-            schema,
-            cells,
-        })
+        Self::from_cells(
+            MarginalSpec::from_value(get_field(v, "spec")?)?,
+            CellSchema::from_value(get_field(v, "schema")?)?,
+            Vec::<(CellKey, FlowStats)>::from_value(get_field(v, "cells")?)?,
+        )
     }
 }
 

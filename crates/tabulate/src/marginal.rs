@@ -75,6 +75,72 @@ impl Marginal {
         }
     }
 
+    /// Assemble a marginal from cells read back from outside the program
+    /// (a persisted truth in either of its encodings), re-validating every
+    /// invariant the tabulation engine guarantees by construction: the
+    /// schema's attributes are the spec's, the cell run is strictly
+    /// ascending by key, every key lies inside the schema's domain, and
+    /// every cell's stats are possible (a nonzero count, at least one
+    /// establishment, neither count nor `x_v` above the cell's count).
+    /// A snapshot violating
+    /// any of these is refused — a persisted truth is untrusted input until
+    /// it proves itself. The total is derived, never trusted.
+    pub fn from_cells(
+        spec: MarginalSpec,
+        schema: CellSchema,
+        cells: Vec<(CellKey, CellStats)>,
+    ) -> Result<Self, DeError> {
+        let spec_attrs: Vec<Attr> = spec.attrs().collect();
+        if schema.attrs() != spec_attrs.as_slice() {
+            return Err(DeError::new(
+                "marginal schema attributes disagree with its spec",
+            ));
+        }
+        if !cells.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(DeError::new(
+                "marginal cells are not strictly sorted by key",
+            ));
+        }
+        let domain = schema.domain_size();
+        let mut total: u64 = 0;
+        for &(key, stats) in &cells {
+            if key.0 >= domain {
+                return Err(DeError::new(format!(
+                    "cell key {} outside schema domain {domain}",
+                    key.0
+                )));
+            }
+            if stats.count == 0 {
+                return Err(DeError::new("zero-count cell in marginal snapshot"));
+            }
+            // Per-cell stats invariants the evaluator guarantees: every
+            // stored cell has at least one contributing establishment,
+            // and neither the establishment count nor x_v (the largest
+            // single-establishment contribution, which drives smooth
+            // sensitivity) can exceed the cell's total count.
+            if stats.establishments == 0
+                || stats.max_establishment == 0
+                || stats.establishments as u64 > stats.count
+                || stats.max_establishment as u64 > stats.count
+            {
+                return Err(DeError::new(format!(
+                    "impossible cell stats in marginal snapshot (count {}, establishments {}, \
+                     max_establishment {})",
+                    stats.count, stats.establishments, stats.max_establishment
+                )));
+            }
+            total = total
+                .checked_add(stats.count)
+                .ok_or_else(|| DeError::new("marginal total overflows u64"))?;
+        }
+        Ok(Self {
+            spec,
+            schema,
+            cells,
+            total,
+        })
+    }
+
     /// The query specification.
     pub fn spec(&self) -> &MarginalSpec {
         &self.spec
@@ -190,8 +256,9 @@ impl Marginal {
 }
 
 /// The stable serialized form of a marginal: spec, schema (attributes +
-/// cardinalities), and the sorted cell run. The total is derived on load,
-/// never trusted from the snapshot.
+/// cardinalities), and the sorted cell run. Deserializing goes through
+/// [`Marginal::from_cells`], so the total is derived on load, never
+/// trusted from the snapshot.
 impl Serialize for Marginal {
     fn to_value(&self) -> Value {
         Value::Map(vec![
@@ -203,65 +270,12 @@ impl Serialize for Marginal {
 }
 
 impl Deserialize for Marginal {
-    /// Reconstruct from the serialized form, re-validating every invariant
-    /// the tabulation engine guarantees by construction: the cell run must
-    /// be strictly ascending by key, every key must lie inside the
-    /// schema's domain, and only nonzero cells may be stored. A snapshot
-    /// violating any of these is refused — a persisted truth is untrusted
-    /// input until it proves itself.
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let spec = MarginalSpec::from_value(get_field(v, "spec")?)?;
-        let schema = CellSchema::from_value(get_field(v, "schema")?)?;
-        let cells = Vec::<(CellKey, CellStats)>::from_value(get_field(v, "cells")?)?;
-        let spec_attrs: Vec<Attr> = spec.attrs().collect();
-        if schema.attrs() != spec_attrs.as_slice() {
-            return Err(DeError::new(
-                "marginal schema attributes disagree with its spec",
-            ));
-        }
-        if !cells.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(DeError::new(
-                "marginal cells are not strictly sorted by key",
-            ));
-        }
-        let domain = schema.domain_size();
-        let mut total: u64 = 0;
-        for &(key, stats) in &cells {
-            if key.0 >= domain {
-                return Err(DeError::new(format!(
-                    "cell key {} outside schema domain {domain}",
-                    key.0
-                )));
-            }
-            if stats.count == 0 {
-                return Err(DeError::new("zero-count cell in marginal snapshot"));
-            }
-            // Per-cell stats invariants the evaluator guarantees: every
-            // stored cell has at least one contributing establishment,
-            // and neither the establishment count nor x_v (the largest
-            // single-establishment contribution, which drives smooth
-            // sensitivity) can exceed the cell's total count.
-            if stats.establishments == 0
-                || stats.max_establishment == 0
-                || stats.establishments as u64 > stats.count
-                || stats.max_establishment as u64 > stats.count
-            {
-                return Err(DeError::new(format!(
-                    "impossible cell stats in marginal snapshot (count {}, establishments {}, \
-                     max_establishment {})",
-                    stats.count, stats.establishments, stats.max_establishment
-                )));
-            }
-            total = total
-                .checked_add(stats.count)
-                .ok_or_else(|| DeError::new("marginal total overflows u64"))?;
-        }
-        Ok(Self {
-            spec,
-            schema,
-            cells,
-            total,
-        })
+        Self::from_cells(
+            MarginalSpec::from_value(get_field(v, "spec")?)?,
+            CellSchema::from_value(get_field(v, "schema")?)?,
+            Vec::<(CellKey, CellStats)>::from_value(get_field(v, "cells")?)?,
+        )
     }
 }
 

@@ -177,9 +177,9 @@ fn main() {
         .join("seasons")
         .join("annual")
         .join("ledger.json");
-    let tampered = fs::read_to_string(&ledger_path)
-        .unwrap()
-        .replace("\"spent_epsilon\": 3.0", "\"spent_epsilon\": 0.5");
+    let original = fs::read_to_string(&ledger_path).unwrap();
+    let tampered = original.replace("\"spent_epsilon\":3.0", "\"spent_epsilon\":0.5");
+    assert_ne!(tampered, original, "the tamper must change the ledger");
     fs::write(&ledger_path, tampered).unwrap();
     match AgencyStore::open(&killed_dir) {
         Err(e) => println!("tampered:   agency refused to open — {e}"),

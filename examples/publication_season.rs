@@ -118,14 +118,18 @@ fn main() {
         a.len()
     );
 
-    // --- A tampered ledger cannot resume. ---
+    // --- A tampered ledger cannot resume. (Drop the live handle first:
+    // its write lease would otherwise refuse the reopen before
+    // verification even looks at the ledger.) ---
+    drop(store);
     let ledger_path = interrupted_dir.join("ledger.json");
-    let tampered = fs::read_to_string(&ledger_path)
-        .unwrap()
-        .replace("\"spent_epsilon\": 12.0", "\"spent_epsilon\": 1.0");
+    let original = fs::read_to_string(&ledger_path).unwrap();
+    let tampered = original.replace("\"spent_epsilon\":12.0", "\"spent_epsilon\":1.0");
+    assert_ne!(tampered, original, "the tamper must change the ledger");
     fs::write(&ledger_path, tampered).unwrap();
     match SeasonStore::open(&interrupted_dir) {
-        Err(e) => println!("tampered:      refused to resume — {e}"),
+        Err(e @ StoreError::Corrupt { .. }) => println!("tampered:      refused to resume — {e}"),
+        Err(e) => panic!("tampered ledger refused for another reason: {e}"),
         Ok(_) => panic!("tampered ledger must not open"),
     }
 

@@ -150,12 +150,12 @@ proptest! {
             .join(format!("s{victim}"))
             .join("ledger.json");
         let original = fs::read_to_string(&ledger_path).unwrap();
-        let spent = format!("\"spent_epsilon\": {:?}", 1.5f64);
+        let spent = format!("\"spent_epsilon\":{:?}", 1.5f64);
         let tampered = match mode {
             // Deflate the recorded spend (claim budget back).
-            0 => original.replace(&spent, "\"spent_epsilon\": 0.25"),
+            0 => original.replace(&spent, "\"spent_epsilon\":0.25"),
             // Inflate the season's budget beyond its reservation.
-            1 => original.replacen("\"epsilon\": 3.0", "\"epsilon\": 7.0", 1),
+            1 => original.replacen("\"epsilon\":3.0", "\"epsilon\":7.0", 1),
             // Truncate: not even parseable.
             _ => original[..original.len() / 2].to_string(),
         };

@@ -225,7 +225,7 @@ fn tampering_either_ledger_level_refuses_open() {
     // Season ledger: claim less spend than the artifacts charged.
     let season_ledger = dir.join("seasons").join("a").join("ledger.json");
     let original = fs::read_to_string(&season_ledger).unwrap();
-    let tampered = original.replace("\"spent_epsilon\": 4.0", "\"spent_epsilon\": 1.0");
+    let tampered = original.replace("\"spent_epsilon\":4.0", "\"spent_epsilon\":1.0");
     assert_ne!(tampered, original);
     fs::write(&season_ledger, &tampered).unwrap();
     assert!(AgencyStore::open(&dir).is_err());
@@ -235,7 +235,7 @@ fn tampering_either_ledger_level_refuses_open() {
     // Meta-ledger: shrink a recorded reservation so the totals lie.
     let meta_path = dir.join("meta_ledger.json");
     let original = fs::read_to_string(&meta_path).unwrap();
-    let tampered = original.replace("\"reserved_epsilon\": 4.0", "\"reserved_epsilon\": 1.0");
+    let tampered = original.replace("\"reserved_epsilon\":4.0", "\"reserved_epsilon\":1.0");
     assert_ne!(tampered, original);
     fs::write(&meta_path, &tampered).unwrap();
     assert!(AgencyStore::open(&dir).is_err());

@@ -8,7 +8,7 @@ use lodes::{Dataset, DatasetPanel, PanelConfig};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("store-resume-{name}"));
@@ -137,7 +137,7 @@ fn corrupted_or_tampered_stores_refuse_to_open() {
 
     // Understated spend (trying to resume with more budget than is left):
     // the replay cross-check inside ledger deserialization refuses.
-    let tampered = pristine.replace("\"spent_epsilon\": 3.0", "\"spent_epsilon\": 1.0");
+    let tampered = pristine.replace("\"spent_epsilon\":3.0", "\"spent_epsilon\":1.0");
     assert_ne!(tampered, pristine);
     fs::write(&ledger_path, &tampered).unwrap();
     assert!(matches!(
@@ -146,7 +146,7 @@ fn corrupted_or_tampered_stores_refuse_to_open() {
     ));
 
     // Inflated budget: the ledger no longer matches the season manifest.
-    let tampered = pristine.replacen("\"epsilon\": 11.0", "\"epsilon\": 100.0", 1);
+    let tampered = pristine.replacen("\"epsilon\":11.0", "\"epsilon\":100.0", 1);
     assert_ne!(tampered, pristine);
     fs::write(&ledger_path, &tampered).unwrap();
     assert!(matches!(
@@ -256,7 +256,7 @@ fn crash_between_artifact_and_ledger_snapshot_rolls_forward() {
     // …and corrupt artifact 0's recorded cost so verification must fail.
     let artifact0 = bad_dir.join("artifacts").join("000000.json");
     let text = fs::read_to_string(&artifact0).unwrap();
-    let tampered = text.replace("\"epsilon\": 2.0", "\"epsilon\": 0.25");
+    let tampered = text.replace("\"epsilon\":2.0", "\"epsilon\":0.25");
     assert_ne!(tampered, text);
     fs::write(&artifact0, tampered).unwrap();
     let ledger_before = fs::read(bad_dir.join("ledger.json")).unwrap();
@@ -455,7 +455,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// closure-era `filtered` flag) are refused, never misread: the derived
 /// provenance deserializer ignores unknown fields, so a format-1 closure
 /// release (`filtered: true`, `filter: null`) would otherwise load as an
-/// unfiltered one.
+/// unfiltered one. A JSON truth (truth format 1) and a one-document cache
+/// entry (cache format 2) read as misses too, and count as self-heals.
 #[test]
 fn format1_stores_and_cache_files_are_refused() {
     let d = dataset();
@@ -497,36 +498,80 @@ fn format1_stores_and_cache_files_are_refused() {
     unsupported(SeasonStore::open(&season_dir).map(drop));
     unsupported(AgencyStore::open(&dir).map(drop));
 
-    // A public-cache file as format 1 wrote it, content digest included.
-    let registry = std::sync::Arc::new(MetricsRegistry::new());
-    let cache = eree_core::ReleaseCache::open(dir.join("public"))
+    // A truth as format 1 wrote it: one JSON document, here at the
+    // address the format-2 truth occupies.
+    let registry = Arc::new(MetricsRegistry::new());
+    let digest = eree_core::dataset_digest(&d);
+    let truths = TruthStore::open(dir.join("truths"), digest)
         .unwrap()
         .with_metrics(registry.clone());
-    let key = eree_core::ReleaseKey::of(&filtered.request, eree_core::dataset_digest(&d)).unwrap();
+    let (spec, expr) = (workload1(), ranking2_expr());
+    let truth = truths
+        .load(&spec, Some(&expr))
+        .expect("the season persisted its truth");
+    let truth_path = dir.join("truths").join(format!(
+        "{:016x}.truth",
+        truths.key_digest(&spec, Some(&expr))
+    ));
+    let format1_truth = serde::Value::Map(vec![
+        ("format".to_string(), serde::Value::U64(1)),
+        ("dataset_digest".to_string(), serde::Value::U64(digest)),
+        ("spec".to_string(), serde_json::to_value(&spec)),
+        (
+            "filter".to_string(),
+            serde_json::to_value(&Some(expr.normalized())),
+        ),
+        (
+            "content_digest".to_string(),
+            serde::Value::U64(truth.content_digest()),
+        ),
+        ("marginal".to_string(), serde_json::to_value(&truth)),
+    ]);
+    write_value(&truth_path, &format1_truth);
+    assert!(
+        truths.load(&spec, Some(&expr)).is_none(),
+        "a format-1 truth is a miss"
+    );
+    assert_eq!(registry.caches.truth_self_heals.get(), 1);
+
+    // Public-cache entries as formats 1 and 2 wrote them: one JSON
+    // document holding the key, the content digest and the artifact,
+    // with a digest the artifact reproduces.
+    let cache = ReleaseCache::open(dir.join("public"))
+        .unwrap()
+        .with_metrics(registry.clone());
+    let key = ReleaseKey::of(&filtered.request, digest).unwrap();
     cache.save(&key, &filtered).unwrap();
     assert_eq!(cache.load(&key).as_ref(), Some(&filtered));
-    let path = fs::read_dir(dir.join("public"))
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .find(|path| path.extension().is_some_and(|ext| ext == "json"))
-        .unwrap();
-    let mut file = read_value(&path);
-    let digest_of =
-        |artifact: &serde::Value| fnv1a(serde_json::to_string(artifact).unwrap().as_bytes());
-    let stored_digest = field_mut(&mut file, "content_digest").clone();
+    let path = dir
+        .join("public")
+        .join(format!("{:016x}.json", ReleaseCache::key_digest(&key)));
+    let old_entry = |format: u64, artifact: serde::Value| {
+        let content_digest = fnv1a(serde_json::to_string(&artifact).unwrap().as_bytes());
+        serde::Value::Map(vec![
+            ("format".to_string(), serde::Value::U64(format)),
+            ("key".to_string(), serde_json::to_value(&key)),
+            (
+                "content_digest".to_string(),
+                serde::Value::U64(content_digest),
+            ),
+            ("artifact".to_string(), artifact),
+        ])
+    };
+    let format2 = old_entry(2, serde_json::to_value(&filtered));
     assert_eq!(
-        stored_digest,
-        serde::Value::U64(digest_of(field_mut(&mut file, "artifact"))),
+        format2.get("content_digest"),
+        Some(&serde::Value::U64(ReleaseCache::artifact_digest(&filtered))),
         "the rewrite must reproduce the cache's own digest"
     );
-    *field_mut(&mut file, "format") = serde::Value::U64(1);
-    let artifact = field_mut(&mut file, "artifact");
-    to_format1_provenance(field_mut(artifact, "request"), false);
-    let format1_digest = digest_of(artifact);
-    *field_mut(&mut file, "content_digest") = serde::Value::U64(format1_digest);
-    write_value(&path, &file);
-    assert!(cache.load(&key).is_none(), "a format-1 file is a miss");
+    write_value(&path, &format2);
+    assert!(cache.load(&key).is_none(), "a format-2 file is a miss");
     assert_eq!(registry.caches.public_self_heals.get(), 1);
+    let mut format1_artifact = serde_json::to_value(&filtered);
+    to_format1_provenance(field_mut(&mut format1_artifact, "request"), false);
+    write_value(&path, &old_entry(1, format1_artifact));
+    assert!(cache.load(&key).is_none(), "a format-1 file is a miss");
+    assert_eq!(registry.caches.public_self_heals.get(), 2);
     fs::remove_dir_all(dir).unwrap();
 }
 
@@ -670,7 +715,7 @@ proptest! {
         let dir = test_dir("finite-artifacts");
         let mut store =
             SeasonStore::create(&dir, PrivacyParams::approximate(0.1, 100.0, 0.01)).unwrap();
-        let admitted = store
+        let (admitted, _) = store
             .admit(pair_snapshot(quarter_pair()), &request, &mut TabulationCache::new())
             .unwrap();
         let numbers = released_numbers(&admitted);
@@ -688,8 +733,9 @@ proptest! {
 
 /// The release service serves the artifact `admit` returns, and a client
 /// checks the served bytes against the public cache's content digest. So
-/// the returned artifact, its stored copy and its public-cache entry must
-/// all serialize to the same bytes.
+/// each release has one canonical body — the compact JSON of the artifact
+/// `admit` returns — which is byte for byte the season's artifact file and
+/// the public entry's body, and whose FNV-1a is the content digest.
 #[test]
 fn admitted_stored_and_cached_artifacts_share_one_content_digest() {
     let data = pair_snapshot(quarter_pair());
@@ -713,19 +759,169 @@ fn admitted_stored_and_cached_artifacts_share_one_content_digest() {
             .seed(3),
     ];
     for request in &requests {
-        let admitted = store.admit(data, request, &mut cache).unwrap();
-        let stored = store.load_artifact(store.completed() - 1).unwrap();
+        let (admitted, body) = store.admit(data, request, &mut cache).unwrap();
+        let index = store.completed() - 1;
+        let canonical = serde_json::to_string(&admitted).unwrap();
+        let served = ReleaseCache::artifact_digest(&admitted);
+        assert_eq!(body.json(), canonical);
+        assert_eq!(body.digest(), served);
+        assert_eq!(fnv1a(canonical.as_bytes()), served);
+
+        let season_body = fs::read(
+            dir.join("season")
+                .join("artifacts")
+                .join(format!("{index:06}.json")),
+        )
+        .unwrap();
+        assert_eq!(
+            season_body,
+            canonical.as_bytes(),
+            "the season body is the canonical compact JSON"
+        );
+
+        // The public entry stores the same bytes after its header line,
+        // whether written from the admitted body (the service's path) or
+        // from the artifact.
         let digest = match request.kind() {
             RequestKind::Flows => data.pair_digest().unwrap(),
             _ => data.digest(),
         };
         let key = ReleaseKey::of(&admitted.request, digest).unwrap();
+        let entry_path = dir
+            .join("public")
+            .join(format!("{:016x}.json", ReleaseCache::key_digest(&key)));
+        public.save_body(&key, &body).unwrap();
+        let entry = fs::read(&entry_path).unwrap();
+        let header_end = entry.iter().position(|&b| b == b'\n').unwrap();
+        assert_eq!(
+            &entry[header_end + 1..],
+            canonical.as_bytes(),
+            "the public entry's body is the canonical compact JSON"
+        );
         public.save(&key, &admitted).unwrap();
+        assert_eq!(fs::read(&entry_path).unwrap(), entry);
+
+        let stored = store.load_artifact(index).unwrap();
         let cached = public.load(&key).unwrap();
-        let served = ReleaseCache::artifact_digest(&admitted);
         assert_eq!(ReleaseCache::artifact_digest(&stored), served);
         assert_eq!(ReleaseCache::artifact_digest(&cached), served);
     }
     drop(store);
     fs::remove_dir_all(dir).unwrap();
+}
+
+/// What the corruption property damages: a level truth, a flow truth and
+/// a released artifact with its public-cache key.
+struct Persisted {
+    level: Marginal,
+    flows: FlowMarginal,
+    artifact: ReleaseArtifact,
+    key: ReleaseKey,
+}
+
+fn persisted() -> &'static Persisted {
+    static PERSISTED: OnceLock<Persisted> = OnceLock::new();
+    PERSISTED.get_or_init(|| {
+        let panel = quarter_pair();
+        let data = pair_snapshot(panel);
+        let request = ReleaseRequest::marginal(workload1())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 2.0))
+            .filter_expr(ranking2_expr())
+            .seed(5);
+        let artifact = ReleaseEngine::new(budget())
+            .execute(
+                &request,
+                TruthSource::Tabulate {
+                    data,
+                    cache: &mut TabulationCache::new(),
+                },
+            )
+            .unwrap();
+        Persisted {
+            level: compute_marginal(panel.quarter(1), &workload3()),
+            flows: compute_flows(panel.quarter(0), panel.quarter(1), &workload1()),
+            key: ReleaseKey::of(&artifact.request, data.digest()).unwrap(),
+            artifact,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A truth file is sealed by FNV-1a over all its bytes; a public-cache
+    /// entry's body by its content digest, under a header line that must
+    /// be canonical. So one flipped byte, a truncation at any offset or
+    /// one appended byte reads as a miss and counts one self-heal of that
+    /// store, and a re-save makes the address load again. Offsets are
+    /// drawn from the whole file, its first 256 bytes (the header) or its
+    /// last 16 (a truth's seal), so each part is hit.
+    #[test]
+    fn damaged_truths_and_cache_entries_read_as_misses_and_heal(
+        target in 0u8..3,
+        damage in 0u8..3,
+        region in 0u8..3,
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let p = persisted();
+        let dir = test_dir("damaged");
+        let registry = Arc::new(MetricsRegistry::new());
+        let truths = TruthStore::open(dir.join("truths"), p.key.dataset_digest)
+            .unwrap()
+            .with_metrics(registry.clone());
+        let public = ReleaseCache::open(dir.join("public"))
+            .unwrap()
+            .with_metrics(registry.clone());
+        let pair = 7;
+        let save = || {
+            let saved = match target {
+                0 => truths.save(&workload3(), None, &p.level),
+                1 => truths.save_flows(pair, &workload1(), None, &p.flows),
+                _ => public.save(&p.key, &p.artifact),
+            };
+            saved.unwrap();
+        };
+        let load = || match target {
+            0 => truths.load(&workload3(), None).map(|t| t == p.level),
+            1 => truths.load_flows(pair, &workload1(), None).map(|f| f == p.flows),
+            _ => public.load(&p.key).map(|a| a == p.artifact),
+        };
+        let heals = || {
+            (
+                registry.caches.truth_self_heals.get(),
+                registry.caches.public_self_heals.get(),
+            )
+        };
+        save();
+        prop_assert_eq!(load(), Some(true));
+        let sub = if target < 2 { "truths" } else { "public" };
+        let path = fs::read_dir(dir.join(sub))
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let mut bytes = fs::read(&path).unwrap();
+        let len = bytes.len() as u64;
+        let offset = match region {
+            0 => at % len,
+            1 => at % len.min(256),
+            _ => len - 1 - at % len.min(16),
+        } as usize;
+        match damage {
+            0 => bytes[offset] ^= mask,
+            1 => bytes.truncate(offset),
+            _ => bytes.push(mask),
+        }
+        fs::write(&path, &bytes).unwrap();
+        prop_assert_eq!(load(), None);
+        let healed = if target < 2 { (1, 0) } else { (0, 1) };
+        prop_assert_eq!(heals(), healed);
+        save();
+        prop_assert_eq!(load(), Some(true));
+        prop_assert_eq!(heals(), healed);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
