@@ -53,11 +53,19 @@
 //! the meta-ledger snapshot deserializes by replaying its reservations
 //! against the cap; every season directory must hold a reservation; every
 //! reserved season that exists is opened through the full
-//! [`SeasonStore::open`] verification (ledger replay, artifact/entry
-//! agreement, crash-window repair) and must carry exactly its reserved
-//! budget; and every season must be pinned to the agency's dataset.
-//! Tampering any one season's ledger snapshot therefore makes the whole
-//! agency refuse to open.
+//! [`SeasonStore::open`] verification (ledger replay, commit-record/entry
+//! agreement, artifact files one per record, crash-window repair) and
+//! must carry exactly its reserved budget; and every season must be
+//! pinned to the agency's dataset. Tampering any one season's ledger
+//! snapshot therefore makes the whole agency refuse to open. The metrics
+//! registry's replay tallies (accepted releases, ε/δ spend per family)
+//! come from the same commit records, so open reads no artifact body and
+//! costs O(releases), not O(bytes released).
+//!
+//! A body is checked when it is read instead: through
+//! [`SeasonStore::load_artifact`], or as raw bytes through
+//! [`ReleaseBodies`], which checks FNV-1a against the recorded content
+//! digest. [`SeasonStore::verify_bodies`] is the full-scan audit.
 //!
 //! # Shared truths
 //!
@@ -117,10 +125,10 @@ use crate::accountant::MetaLedger;
 use crate::definitions::PrivacyParams;
 use crate::engine::{ReleaseRequest, RequestKind, Snapshot, TabulationCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::public_cache::ReleaseCache;
+use crate::public_cache::{ReleaseCache, ReleaseKey};
 use crate::store::{
-    cfs, dataset_digest, panel_digest, read_json, sweep_tmp_files, write_json_atomic, DirLease,
-    SeasonReport, SeasonStore, StoreError,
+    cfs, dataset_digest, panel_digest, read_json, season_body, sweep_tmp_files, write_json_atomic,
+    DirLease, SeasonReport, SeasonStore, StoreError,
 };
 use crate::truths::TruthStore;
 use lodes::{Dataset, DatasetPanel};
@@ -230,6 +238,49 @@ pub struct ClosureReceipt {
     pub remaining_epsilon: f64,
 }
 
+/// Where a published release's canonical body is stored.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BodySite {
+    /// Artifact `index` of season `season`: the body of a release the
+    /// agency admitted.
+    Season {
+        /// The season's name.
+        season: String,
+        /// The release's index in the season.
+        index: usize,
+    },
+    /// The public-cache entry of a key: the body a cache hit answers.
+    Public(ReleaseKey),
+}
+
+/// Digest-checked reads of published bodies, by [`BodySite`]: the one
+/// place that knows both file layouts, so a server holding only sites and
+/// digests never builds a path. Cheap to clone and holds no lease — every
+/// durable write is temp + rename, so a read sees a whole old file or a
+/// whole new one, never a torn one.
+#[derive(Debug, Clone)]
+pub struct ReleaseBodies {
+    seasons: PathBuf,
+    cache: ReleaseCache,
+}
+
+impl ReleaseBodies {
+    /// The body at `site`, provided it hashes (FNV-1a) to `digest` — the
+    /// content digest recorded when the release completed. The bytes are
+    /// checked, not parsed: a season body must hash to `digest`, a public
+    /// entry must pass [`ReleaseCache::read_body`]. A missing body is
+    /// [`StoreError::Io`], a mismatched one [`StoreError::Corrupt`].
+    pub fn read(&self, site: &BodySite, digest: u64) -> Result<Vec<u8>, StoreError> {
+        match site {
+            BodySite::Season { season, index } => {
+                AgencyStore::validate_name(season)?;
+                season_body(&self.seasons.join(season), *index, digest)
+            }
+            BodySite::Public(key) => self.cache.read_body(key, digest),
+        }
+    }
+}
+
 /// A durable multi-season agency: meta-ledger + season stores + shared
 /// truth store under one directory. See the [module docs](self).
 #[derive(Debug)]
@@ -319,8 +370,8 @@ impl AgencyStore {
     ///    with no reservation would be privacy loss outside the
     ///    meta-ledger);
     /// 4. every reserved season that exists passes the full
-    ///    [`SeasonStore::open`] verification and carries exactly its
-    ///    reserved budget;
+    ///    [`SeasonStore::open`] verification (which checks commit records
+    ///    and reads no body) and carries exactly its reserved budget;
     /// 5. every materialized season is pinned to the agency's dataset (a
     ///    season bound before the agency was binds the agency, provided
     ///    all seasons agree).
@@ -389,7 +440,7 @@ impl AgencyStore {
         let mut seasons = Vec::with_capacity(meta.reservations().len());
         let mut bound_digest = manifest.dataset_digest;
         // Per-family `(accepted, Σε, Σδ)` replay tallies over every
-        // persisted release, accumulated in release order — the same
+        // commit record, accumulated in release order — the same
         // naive summation order the live registry uses, so the reopened
         // registry reconciles bit-exactly with live accumulation.
         let mut tallies = [(0u64, 0.0f64, 0.0f64); 3];
@@ -644,6 +695,15 @@ impl AgencyStore {
     /// of every cache key.
     pub fn release_cache(&self) -> Result<ReleaseCache, StoreError> {
         Ok(ReleaseCache::open(self.root.join(PUBLIC_DIR))?.with_metrics(self.metrics()))
+    }
+
+    /// Digest-checked reads of this agency's published bodies, season
+    /// artifacts and public entries alike (see [`ReleaseBodies`]).
+    pub fn release_bodies(&self) -> Result<ReleaseBodies, StoreError> {
+        Ok(ReleaseBodies {
+            seasons: self.root.join(SEASONS_DIR),
+            cache: self.release_cache()?,
+        })
     }
 
     /// Pin the agency to the dataset fingerprinted by `digest`, durably,

@@ -166,7 +166,9 @@ pub use accountant::{
     BudgetAccount, Ledger, LedgerEntry, LedgerError, MetaEvent, MetaLedger, ReleaseCost,
     SeasonClosure, SeasonReservation, LEDGER_REL_TOL,
 };
-pub use agency::{panel_quarter_seed, AgencyStore, ClosureReceipt, SeasonSummary};
+pub use agency::{
+    panel_quarter_seed, AgencyStore, BodySite, ClosureReceipt, ReleaseBodies, SeasonSummary,
+};
 pub use definitions::{
     min_epsilon_smooth_gamma, min_epsilon_smooth_laplace, requirement_matrix, PrivacyMethod,
     PrivacyParams, Requirement, Satisfaction,

@@ -65,6 +65,11 @@
 //! (deterministically identical, though re-charged) and the rewrite
 //! repairs the file. A corrupt cache can cost budget; it can never serve
 //! garbage.
+//!
+//! A server that answers a hit later, from a digest instead of a parsed
+//! artifact, records [`ReleaseCache::verified_digest`] (the full check
+//! above) and serves [`ReleaseCache::read_body`]: the body bytes, checked
+//! — header, key and FNV-1a against that digest — but never parsed.
 
 use crate::definitions::PrivacyParams;
 use crate::engine::{ReleaseArtifact, RequestKind, RequestProvenance};
@@ -151,9 +156,9 @@ struct CacheHeader {
 pub struct ReleaseCache {
     dir: PathBuf,
     /// Registry corrupt-entry discards (self-heals) are counted into.
-    /// Hit/miss counters stay with the serving layer — `load` is also
-    /// the verification path of registry rehydration, which must not
-    /// inflate them.
+    /// Hit/miss counters stay with the serving layer, which alone knows
+    /// whether a lookup answered a request (a layer replay or an audit
+    /// must not inflate them).
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -212,15 +217,21 @@ impl ReleaseCache {
     /// verification reads as a miss so the caller re-executes and
     /// overwrites the bad file — self-healing, never garbage-serving.
     pub fn load(&self, key: &ReleaseKey) -> Option<ReleaseArtifact> {
+        self.load_entry(key).map(|(artifact, _)| artifact)
+    }
+
+    /// Verify the entry for `key` exactly as [`load`](Self::load) does
+    /// (one parse) and return its content digest — what a server that
+    /// keeps digests instead of artifacts records for a cache hit, to
+    /// serve it later through [`read_body`](Self::read_body).
+    pub fn verified_digest(&self, key: &ReleaseKey) -> Option<u64> {
+        self.load_entry(key).map(|(_, digest)| digest)
+    }
+
+    fn load_entry(&self, key: &ReleaseKey) -> Option<(ReleaseArtifact, u64)> {
         let bytes = std::fs::read(self.path_for(key)).ok()?;
         let verified = (|| {
-            let (header, body): (CacheHeader, _) = split_header_line(&bytes)?;
-            if header.format != CACHE_FORMAT_VERSION
-                || &header.key != key
-                || fnv1a_bytes(body) != header.content_digest
-            {
-                return None;
-            }
+            let (digest, body) = split_entry(key, &bytes)?;
             let artifact: ReleaseArtifact =
                 serde_json::from_str(std::str::from_utf8(body).ok()?).ok()?;
             // The stored key and the stored artifact must describe the
@@ -228,7 +239,7 @@ impl ReleaseCache {
             // artifact) fails here even with a self-consistent content
             // digest.
             (ReleaseKey::of(&artifact.request, key.dataset_digest).as_ref() == Some(key))
-                .then_some(artifact)
+                .then_some((artifact, digest))
         })();
         if verified.is_none() {
             if let Some(registry) = &self.metrics {
@@ -236,6 +247,35 @@ impl ReleaseCache {
             }
         }
         verified
+    }
+
+    /// The body bytes of the entry for `key`, checked without a parse: the
+    /// header must be canonical, of this format and for `key`, and the
+    /// body must hash to `digest` — the content digest recorded when the
+    /// entry was [verified](Self::verified_digest). Anything else is
+    /// [`StoreError::Corrupt`] (a missing entry, [`StoreError::Io`]). A
+    /// failed read changes nothing and counts no self-heal: the entry is
+    /// rewritten only by the next miss of its key.
+    pub fn read_body(&self, key: &ReleaseKey, digest: u64) -> Result<Vec<u8>, StoreError> {
+        let path = self.path_for(key);
+        let mut bytes = std::fs::read(&path).map_err(|source| StoreError::Io {
+            path: path.clone(),
+            source,
+        })?;
+        let start = match split_entry(key, &bytes) {
+            Some((found, body)) if found == digest => bytes.len() - body.len(),
+            _ => {
+                return Err(StoreError::Corrupt {
+                    path,
+                    detail: format!(
+                        "the public entry is not a canonical entry of this key whose body \
+                         hashes to the recorded content digest {digest:016x}"
+                    ),
+                })
+            }
+        };
+        bytes.drain(..start);
+        Ok(bytes)
     }
 
     /// Persist `artifact` under `key` atomically (temp + rename): encode
@@ -296,6 +336,17 @@ impl ReleaseCache {
     }
 }
 
+/// The content digest and body of an entry read for `key`, when its
+/// header is canonical, of this format and for `key`, and the body hashes
+/// to the header's content digest.
+fn split_entry<'a>(key: &ReleaseKey, bytes: &'a [u8]) -> Option<(u64, &'a [u8])> {
+    let (header, body): (CacheHeader, _) = split_header_line(bytes)?;
+    (header.format == CACHE_FORMAT_VERSION
+        && &header.key == key
+        && fnv1a_bytes(body) == header.content_digest)
+        .then_some((header.content_digest, body))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,6 +404,46 @@ mod tests {
         let mut relabeled = artifact.request.clone();
         relabeled.description = "some other label".to_string();
         assert_eq!(ReleaseKey::of(&relabeled, digest).unwrap(), key);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_body_serves_the_checked_body_bytes() {
+        let dir = tmp_dir("read-body");
+        let registry = Arc::new(MetricsRegistry::new());
+        let cache = ReleaseCache::open(&dir)
+            .unwrap()
+            .with_metrics(registry.clone());
+        let (digest, artifact) = release(11);
+        let key = ReleaseKey::of(&artifact.request, digest).unwrap();
+        let body = ArtifactBody::encode(&artifact).unwrap();
+        assert!(matches!(
+            cache.read_body(&key, body.digest()),
+            Err(StoreError::Io { .. })
+        ));
+        cache.save(&key, &artifact).unwrap();
+        assert_eq!(cache.verified_digest(&key), Some(body.digest()));
+        assert_eq!(
+            cache.read_body(&key, body.digest()).unwrap(),
+            body.json().as_bytes()
+        );
+        // Another digest than the one recorded, or a damaged body, is
+        // refused; a read counts no self-heal and rewrites nothing.
+        assert!(matches!(
+            cache.read_body(&key, body.digest() ^ 1),
+            Err(StoreError::Corrupt { .. })
+        ));
+        let path = cache.path_for(&key);
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            cache.read_body(&key, body.digest()),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert_eq!(registry.caches.public_self_heals.get(), 0);
+        assert_eq!(fs::read(&path).unwrap(), bytes);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,14 +10,22 @@
 //! * every completed [`ReleaseArtifact`] is written to its own file under
 //!   `<season>/artifacts/`, atomically (temp file + rename), as its
 //!   [`ArtifactBody`]: the canonical compact JSON, serialized once;
-//! * after each artifact, the ledger snapshot in `<season>/ledger.json` is
-//!   refreshed the same way;
-//! * [`SeasonStore::open`] reloads both, **replaying** the ledger entries
+//! * after each artifact, `<season>/ledger.json` is refreshed the same
+//!   way: the ledger snapshot plus one **commit record** per entry — the
+//!   body's content digest, provenance and cost ([`CompletedRelease`]);
+//! * [`SeasonStore::open`] reloads the ledger, **replaying** its entries
 //!   through the same compensated budget arithmetic the live
 //!   [`Ledger::charge`] uses, and refuses a store whose entries overdraw
-//!   the budget, whose artifacts disagree with its entries, or whose files
-//!   are corrupt — a tampered snapshot can never resume with more budget
-//!   than was actually left;
+//!   the budget, whose commit records disagree with its entries, whose
+//!   artifact files do not line up with its records, or whose files are
+//!   corrupt — a tampered snapshot can never resume with more budget than
+//!   was actually left. Open reads no body: the commit records stand for
+//!   them, so it costs O(releases), not O(bytes released);
+//! * a body is checked when it is read: [`SeasonStore::load_artifact`]
+//!   checks the bytes' FNV-1a against the commit record before parsing,
+//!   then the parsed provenance and cost against it, and
+//!   [`SeasonStore::verify_bodies`] runs that check over every body — the
+//!   full-scan audit that keeps the old open-time check available;
 //! * every open store holds an exclusive **write lease** (`season.lock`,
 //!   a [`DirLease`]): the whole protocol assumes one writer per season
 //!   directory, so a second concurrent writer is refused with
@@ -29,8 +37,8 @@
 //! behind its artifacts; [`SeasonStore::open`] detects exactly that state
 //! and rolls the ledger forward from the artifact's recorded
 //! [`cost`](ReleaseArtifact::cost) (which is bit-for-bit what the engine
-//! charged). Any other disagreement is refused as
-//! [`StoreError::Inconsistent`].
+//! charged) — the one body open parses. Any other disagreement is refused
+//! as [`StoreError::Inconsistent`].
 //!
 //! # Resuming a season
 //!
@@ -95,7 +103,7 @@ use crate::engine::{
 use crate::error::EngineError;
 use crate::metrics::MetricsRegistry;
 use lodes::Dataset;
-use serde::{Deserialize, Serialize};
+use serde::{get_field, DeError, Deserialize, Serialize, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -105,8 +113,10 @@ use std::sync::Arc;
 /// artifact provenance no longer carries the closure-era `filtered`
 /// flag, so a version-1 season (whose artifacts may record
 /// `filtered: true` with no expression) is refused, not misread as
-/// unfiltered.
-const FORMAT_VERSION: u32 = 2;
+/// unfiltered. Version 3: `ledger.json` carries one commit record per
+/// entry, which open checks instead of the bodies; a version-2 ledger has
+/// none, so a version-2 season is refused like a version-1 one.
+const FORMAT_VERSION: u32 = 3;
 
 /// Manifest file name under the season directory.
 const MANIFEST_FILE: &str = "season.json";
@@ -545,41 +555,47 @@ pub struct SeasonReport {
     pub tabulation_disk_hits: u64,
 }
 
-/// The in-memory summary of one persisted release: what was asked and
-/// what it cost. The payload (published cells) stays on disk — a season
-/// holds the full artifact in memory only while writing or verifying it,
-/// so resident state is O(releases), not O(total published cells).
-#[derive(Debug, Clone, PartialEq)]
+/// One persisted release's **commit record**: what was asked, what it
+/// cost, and the content digest of its body. `ledger.json` holds one per
+/// ledger entry, so [`SeasonStore::open`] checks a season without reading
+/// a body, and every body read checks the bytes against it. The payload
+/// (published cells) stays on disk, so resident state is O(releases), not
+/// O(total published cells).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompletedRelease {
     /// The persisted artifact's request provenance.
     pub request: crate::engine::RequestProvenance,
     /// The cost its release charged the ledger.
     pub cost: crate::accountant::ReleaseCost,
+    /// FNV-1a over the body's bytes: its [`ArtifactBody::digest`].
+    pub digest: u64,
 }
 
 impl CompletedRelease {
-    fn of(artifact: &ReleaseArtifact) -> Self {
+    fn of(artifact: &ReleaseArtifact, digest: u64) -> Self {
         Self {
             request: artifact.request.clone(),
             cost: artifact.cost,
+            digest,
         }
     }
 }
 
 /// A release's one canonical encoding: the compact JSON of its artifact
-/// and that JSON's FNV-1a digest — the artifact's content digest, the
-/// value [`ReleaseCache::artifact_digest`](crate::public_cache::ReleaseCache::artifact_digest)
-/// computes — with the provenance and cost the stores check it against.
+/// and its commit record — that JSON's FNV-1a digest (the artifact's
+/// content digest, the value
+/// [`ReleaseCache::artifact_digest`](crate::public_cache::ReleaseCache::artifact_digest)
+/// computes) with the provenance and cost the stores check it against.
 ///
 /// A release is serialized and hashed once, into one of these; the season
 /// body ([`SeasonStore::admit`]) and the public-cache entry
 /// ([`ReleaseCache::save_body`](crate::public_cache::ReleaseCache::save_body))
-/// both write these same bytes. The fields are private so the bytes, the
-/// digest and the summary always describe one artifact.
+/// both write these same bytes, and the season's ledger records this
+/// commit record. The fields are private so the bytes and the record
+/// always describe one artifact.
 #[derive(Debug)]
 pub struct ArtifactBody {
     json: String,
-    digest: u64,
     release: CompletedRelease,
 }
 
@@ -590,9 +606,8 @@ impl ArtifactBody {
     pub fn encode(artifact: &ReleaseArtifact) -> Result<Self, serde_json::Error> {
         let json = serde_json::to_string(artifact)?;
         Ok(Self {
-            digest: fnv1a_bytes(json.as_bytes()),
+            release: CompletedRelease::of(artifact, fnv1a_bytes(json.as_bytes())),
             json,
-            release: CompletedRelease::of(artifact),
         })
     }
 
@@ -603,10 +618,10 @@ impl ArtifactBody {
 
     /// FNV-1a over [`json`](Self::json): the artifact's content digest.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.release.digest
     }
 
-    /// The encoded artifact's provenance and cost.
+    /// The encoded artifact's commit record: provenance, cost and digest.
     pub fn release(&self) -> &CompletedRelease {
         &self.release
     }
@@ -667,7 +682,7 @@ impl SeasonStore {
         // it vouches for must already exist. A crash between the two
         // leaves a manifest-less directory that a re-issued `create`
         // simply finishes.
-        write_json_atomic(&root.join(LEDGER_FILE), &ledger)?;
+        write_ledger(&root, &ledger, &[])?;
         write_json_atomic(&manifest_path, &manifest)?;
         Ok(Self {
             root,
@@ -679,22 +694,26 @@ impl SeasonStore {
         })
     }
 
-    /// Reload a persisted season, verifying it end to end:
+    /// Reload a persisted season, verifying it end to end without reading
+    /// a body:
     ///
     /// 1. the manifest parses and its format is supported;
     /// 2. the ledger snapshot parses, and its entries **replay** within the
     ///    budget (the deserializer re-runs the compensated arithmetic and
     ///    cross-checks the recorded totals);
     /// 3. the ledger's budget matches the manifest's;
-    /// 4. artifact files are contiguous (`000000.json … N.json`, no gaps)
-    ///    and each parses;
-    /// 5. artifact `i`'s recorded cost and description agree bit-for-bit
-    ///    with ledger entry `i`.
+    /// 4. the ledger holds one commit record per entry, and record `i`'s
+    ///    cost and description agree bit-for-bit with entry `i`;
+    /// 5. artifact files are contiguous (`000000.json … N.json`, no gaps),
+    ///    one per commit record.
     ///
     /// The one tolerated asymmetry is the crash window of the
     /// artifact-first write protocol: exactly one more artifact than
-    /// ledger entries, repaired by rolling the ledger forward from that
-    /// artifact's recorded cost.
+    /// commit records, repaired by parsing that artifact, digesting its
+    /// bytes and rolling the ledger forward from its recorded cost. A
+    /// refused open changes nothing. Bodies are checked when they are
+    /// read ([`load_artifact`](Self::load_artifact)), or all at once by
+    /// [`verify_bodies`](Self::verify_bodies).
     pub fn open(root: impl AsRef<Path>) -> Result<Self, StoreError> {
         let root = root.as_ref().to_path_buf();
         let manifest_path = root.join(MANIFEST_FILE);
@@ -721,7 +740,7 @@ impl SeasonStore {
             });
         }
         let ledger_path = root.join(LEDGER_FILE);
-        let mut ledger: Ledger = read_json(&ledger_path)?;
+        let (mut ledger, mut completed) = read_ledger(&ledger_path)?;
         if ledger.budget() != &manifest.budget {
             return Err(StoreError::Inconsistent {
                 detail: format!(
@@ -731,18 +750,31 @@ impl SeasonStore {
                 ),
             });
         }
+        if completed.len() != ledger.entries().len() {
+            return Err(StoreError::Inconsistent {
+                detail: format!(
+                    "{} ledger entries vs {} commit records",
+                    ledger.entries().len(),
+                    completed.len()
+                ),
+            });
+        }
+        for (i, (entry, release)) in ledger.entries().iter().zip(&completed).enumerate() {
+            check_commit(i, entry, release)?;
+        }
         let artifacts_dir = root.join(ARTIFACTS_DIR);
         let artifact_count = scan_artifact_files(&artifacts_dir)?;
 
         // Crash window: the last artifact landed but its ledger snapshot
         // did not. Roll forward from the artifact's recorded cost — the
         // exact value the engine charged — through the same replay
-        // arithmetic. The repaired snapshot is persisted only after the
-        // whole store verifies: a refused open never modifies the store.
-        let mut rolled_forward: Option<ReleaseArtifact> = None;
-        if ledger.entries().len() + 1 == artifact_count {
-            let last: ReleaseArtifact =
-                read_json(&artifact_file(&artifacts_dir, artifact_count - 1))?;
+        // arithmetic, with the commit record `record` would have written.
+        // Everything else has verified by now, and the repaired snapshot
+        // is written last: a refused open never modifies the store.
+        if artifact_count == completed.len() + 1 {
+            let path = artifact_file(&artifacts_dir, completed.len());
+            let bytes = read_bytes(&path)?;
+            let last: ReleaseArtifact = parse_json(&path, &bytes)?;
             let mut entries = ledger.entries().to_vec();
             entries.push(LedgerEntry {
                 description: last.request.description.clone(),
@@ -754,47 +786,16 @@ impl SeasonStore {
                     detail: format!("rolling the ledger forward over the last artifact: {e}"),
                 }
             })?;
-            rolled_forward = Some(last);
-        } else if ledger.entries().len() != artifact_count {
+            completed.push(CompletedRelease::of(&last, fnv1a_bytes(&bytes)));
+            write_ledger(&root, &ledger, &completed)?;
+        } else if artifact_count != completed.len() {
             return Err(StoreError::Inconsistent {
                 detail: format!(
-                    "{} ledger entries vs {artifact_count} artifacts \
-                     (only artifacts = entries + 1 is repairable)",
-                    ledger.entries().len(),
+                    "{} commit records vs {artifact_count} artifacts \
+                     (only artifacts = records + 1 is repairable)",
+                    completed.len(),
                 ),
             });
-        }
-
-        // Verify artifact-by-artifact (one in memory at a time), keeping
-        // only the provenance + cost summary of each. The rolled-forward
-        // artifact was already parsed above; don't read it twice.
-        let mut completed = Vec::with_capacity(artifact_count);
-        for (i, entry) in ledger.entries().iter().enumerate() {
-            let artifact: ReleaseArtifact = match &rolled_forward {
-                Some(last) if i + 1 == artifact_count => last.clone(),
-                _ => read_json(&artifact_file(&artifacts_dir, i))?,
-            };
-            if entry.epsilon.to_bits() != artifact.cost.epsilon.to_bits()
-                || entry.delta.to_bits() != artifact.cost.delta.to_bits()
-                || entry.description != artifact.request.description
-            {
-                return Err(StoreError::Inconsistent {
-                    detail: format!(
-                        "ledger entry {i} ({}, eps {}, delta {}) disagrees with artifact {i} \
-                         ({}, eps {}, delta {})",
-                        entry.description,
-                        entry.epsilon,
-                        entry.delta,
-                        artifact.request.description,
-                        artifact.cost.epsilon,
-                        artifact.cost.delta
-                    ),
-                });
-            }
-            completed.push(CompletedRelease::of(&artifact));
-        }
-        if rolled_forward.is_some() {
-            write_json_atomic(&ledger_path, &ledger)?;
         }
         Ok(Self {
             root,
@@ -879,24 +880,48 @@ impl SeasonStore {
         &self.ledger
     }
 
-    /// Provenance + cost of every persisted release, in publication order
+    /// The commit record of every persisted release, in publication order
     /// (the audit view; payloads stay on disk — see
     /// [`load_artifact`](Self::load_artifact)).
     pub fn releases(&self) -> &[CompletedRelease] {
         &self.completed
     }
 
-    /// Load the full artifact of release `index` from disk.
+    /// Load the full artifact of release `index` from disk, checked
+    /// against its commit record: the bytes' FNV-1a before the parse,
+    /// then the parsed provenance and cost. A body that fails either is
+    /// [`StoreError::Corrupt`].
     pub fn load_artifact(&self, index: usize) -> Result<ReleaseArtifact, StoreError> {
-        if index >= self.completed.len() {
+        let Some(release) = self.completed.get(index) else {
             return Err(StoreError::Inconsistent {
                 detail: format!(
                     "artifact index {index} out of range ({} completed)",
                     self.completed.len()
                 ),
             });
+        };
+        let path = artifact_file(&self.root.join(ARTIFACTS_DIR), index);
+        let artifact: ReleaseArtifact = parse_json(&path, &read_body(&path, release.digest)?)?;
+        if CompletedRelease::of(&artifact, release.digest) != *release {
+            return Err(StoreError::Corrupt {
+                path,
+                detail: format!(
+                    "the body's provenance or cost differs from commit record {index} ({})",
+                    release.request.description
+                ),
+            });
         }
-        read_json(&artifact_file(&self.root.join(ARTIFACTS_DIR), index))
+        Ok(artifact)
+    }
+
+    /// The full-scan audit: [`load_artifact`](Self::load_artifact) every
+    /// body, returning the index and refusal of each one that fails, in
+    /// index order — empty when every body matches its commit record:
+    /// the body check [`open`](Self::open) leaves to reads, run over all.
+    pub fn verify_bodies(&self) -> Vec<(usize, StoreError)> {
+        (0..self.completed.len())
+            .filter_map(|index| self.load_artifact(index).err().map(|e| (index, e)))
+            .collect()
     }
 
     /// How many releases this season has completed.
@@ -923,7 +948,7 @@ impl SeasonStore {
     }
 
     /// Persist one completed release: the artifact file first (atomic),
-    /// then the ledger snapshot.
+    /// then the ledger snapshot with the release's commit record.
     ///
     /// `ledger` must be the charging engine's ledger *after* this release:
     /// exactly one entry beyond the store's, matching the artifact's cost.
@@ -947,7 +972,8 @@ impl SeasonStore {
     }
 
     /// [`record`](Self::record) of an already-encoded release: its bytes
-    /// become the artifact file verbatim.
+    /// become the artifact file verbatim, and its commit record the
+    /// ledger's newest.
     fn record_body(&mut self, ledger: &Ledger, body: &ArtifactBody) -> Result<(), StoreError> {
         if self.manifest.closed {
             return Err(StoreError::SeasonClosed {
@@ -968,31 +994,21 @@ impl SeasonStore {
                 ),
             });
         }
-        // Mirror open()'s entry-vs-artifact checks exactly: anything
-        // record() admits must be reopenable.
-        let entry = ledger.entries().last().expect("len >= 1");
+        // Mirror open()'s entry-vs-record check exactly: anything record()
+        // admits must be reopenable.
         let release = body.release();
-        if entry.epsilon.to_bits() != release.cost.epsilon.to_bits()
-            || entry.delta.to_bits() != release.cost.delta.to_bits()
-            || entry.description != release.request.description
-        {
-            return Err(StoreError::Inconsistent {
-                detail: format!(
-                    "ledger's newest entry ({}, eps {}, delta {}) is not the artifact's \
-                     charge ({}, eps {}, delta {})",
-                    entry.description,
-                    entry.epsilon,
-                    entry.delta,
-                    release.request.description,
-                    release.cost.epsilon,
-                    release.cost.delta
-                ),
-            });
-        }
+        check_commit(
+            self.completed.len(),
+            ledger.entries().last().expect("len >= 1"),
+            release,
+        )?;
         let path = artifact_file(&self.root.join(ARTIFACTS_DIR), self.completed.len());
         write_bytes_atomic(&path, body.json().as_bytes())?;
-        write_json_atomic(&self.root.join(LEDGER_FILE), ledger)?;
         self.completed.push(release.clone());
+        if let Err(e) = write_ledger(&self.root, ledger, &self.completed) {
+            self.completed.pop();
+            return Err(e);
+        }
         self.ledger = ledger.clone();
         Ok(())
     }
@@ -1137,6 +1153,92 @@ impl SeasonStore {
 /// The canonical path of artifact `index`.
 fn artifact_file(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("{index:06}.json"))
+}
+
+/// Check commit record `index` against ledger entry `index`, bit for bit:
+/// the record must carry exactly the cost the entry charged, under the
+/// entry's description.
+fn check_commit(
+    index: usize,
+    entry: &LedgerEntry,
+    release: &CompletedRelease,
+) -> Result<(), StoreError> {
+    if entry.epsilon.to_bits() != release.cost.epsilon.to_bits()
+        || entry.delta.to_bits() != release.cost.delta.to_bits()
+        || entry.description != release.request.description
+    {
+        return Err(StoreError::Inconsistent {
+            detail: format!(
+                "ledger entry {index} ({}, eps {}, delta {}) disagrees with commit record \
+                 {index} ({}, eps {}, delta {})",
+                entry.description,
+                entry.epsilon,
+                entry.delta,
+                release.request.description,
+                release.cost.epsilon,
+                release.cost.delta
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Write `ledger.json`: the ledger snapshot's fields, then `commits`, one
+/// commit record per entry.
+fn write_ledger(
+    root: &Path,
+    ledger: &Ledger,
+    commits: &[CompletedRelease],
+) -> Result<(), StoreError> {
+    let Value::Map(mut fields) = ledger.to_value() else {
+        unreachable!("a ledger serializes to an object");
+    };
+    fields.push(("commits".to_string(), commits.to_value()));
+    write_json_atomic(&root.join(LEDGER_FILE), &Value::Map(fields))
+}
+
+/// Read `ledger.json`: the ledger, deserialized by replay, and its commit
+/// records.
+fn read_ledger(path: &Path) -> Result<(Ledger, Vec<CompletedRelease>), StoreError> {
+    let value: Value = read_json(path)?;
+    let corrupt = |e: DeError| StoreError::Corrupt {
+        path: path.to_path_buf(),
+        detail: e.to_string(),
+    };
+    let ledger = Ledger::from_value(&value).map_err(corrupt)?;
+    let commits = get_field(&value, "commits")
+        .and_then(Vec::<CompletedRelease>::from_value)
+        .map_err(corrupt)?;
+    Ok((ledger, commits))
+}
+
+/// Read the body of artifact `index` under `season_dir`, checked against
+/// its commit record's `digest` (see [`read_body`]) — the read path a
+/// server that keeps only commit records serves from.
+pub(crate) fn season_body(
+    season_dir: &Path,
+    index: usize,
+    digest: u64,
+) -> Result<Vec<u8>, StoreError> {
+    read_body(
+        &artifact_file(&season_dir.join(ARTIFACTS_DIR), index),
+        digest,
+    )
+}
+
+/// Read the body at `path` and check its FNV-1a against `digest`: a body
+/// that does not hash to its record is [`StoreError::Corrupt`] before
+/// anything parses it.
+fn read_body(path: &Path, digest: u64) -> Result<Vec<u8>, StoreError> {
+    let bytes = read_bytes(path)?;
+    let found = fnv1a_bytes(&bytes);
+    if found != digest {
+        return Err(StoreError::Corrupt {
+            path: path.to_path_buf(),
+            detail: format!("content digest {found:016x} is not the recorded {digest:016x}"),
+        });
+    }
+    Ok(bytes)
 }
 
 /// Does a persisted release's provenance match what the resume plan's
@@ -1355,14 +1457,24 @@ pub(crate) fn sweep_tmp_files(dir: &Path) {
 }
 
 pub(crate) fn read_json<T: Deserialize>(path: &Path) -> Result<T, StoreError> {
-    let text = fs::read_to_string(path).map_err(|source| StoreError::Io {
+    parse_json(path, &read_bytes(path)?)
+}
+
+fn read_bytes(path: &Path) -> Result<Vec<u8>, StoreError> {
+    fs::read(path).map_err(|source| StoreError::Io {
         path: path.to_path_buf(),
         source,
-    })?;
-    serde_json::from_str(&text).map_err(|e| StoreError::Corrupt {
-        path: path.to_path_buf(),
-        detail: e.to_string(),
     })
+}
+
+/// Parse `bytes`, read from `path`, as JSON.
+fn parse_json<T: Deserialize>(path: &Path, bytes: &[u8]) -> Result<T, StoreError> {
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string());
+    text.and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+        .map_err(|detail| StoreError::Corrupt {
+            path: path.to_path_buf(),
+            detail,
+        })
 }
 
 /// A compact JSON header line: `header` serialized without whitespace and

@@ -16,6 +16,8 @@
 //! * it opens cleanly, repairing whatever the fault left behind:
 //!   half-written temp files, stale leases, an artifact ahead of its
 //!   ledger, a refund frozen between close-begin and close-seal;
+//! * every season body matches its commit record
+//!   (`SeasonStore::verify_bodies`);
 //! * replayed budget totals equal the fault-free baseline — never above
 //!   the cap, never missing an admitted charge, refund credited exactly
 //!   once;
@@ -138,6 +140,16 @@ fn inspect(root: &Path) -> EndState {
         .expect("dataset is bound")
         .len();
     let cache_entries = agency.release_cache().expect("cache opens").len();
+    // Open checks commit records, not bodies: read every body against its
+    // record too (`SeasonStore::verify_bodies`, the full-scan audit).
+    let failed = agency
+        .open_season(SEASON)
+        .expect("the recovered season opens")
+        .verify_bodies();
+    assert!(
+        failed.is_empty(),
+        "bodies fail their commit records: {failed:?}"
+    );
     let mut artifacts = BTreeMap::new();
     let artifacts_dir = root.join("seasons").join(SEASON).join("artifacts");
     for entry in fs::read_dir(&artifacts_dir)

@@ -200,4 +200,18 @@ pub struct AuditView {
     /// started, latency histograms) — the same payload `GET /metrics`
     /// returns.
     pub metrics: MetricsSnapshot,
+    /// `GET /audit?deep=1` only: every completed release's body read and
+    /// checked. The plain audit reads no body and leaves this `null`.
+    pub bodies: Option<BodyAudit>,
+}
+
+/// The body check of `GET /audit?deep=1`: every completed release's body
+/// read and checked against its content digest, exactly as
+/// `GET /releases/{id}` reads it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BodyAudit {
+    /// Completed releases whose body was read.
+    pub checked: u64,
+    /// Ids whose body is missing or fails its content digest, ascending.
+    pub failed: Vec<u64>,
 }

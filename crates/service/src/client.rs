@@ -211,6 +211,12 @@ impl Client {
         self.get(&format!("/releases/{id}"))
     }
 
+    /// `GET /releases/{id}` as the service wrote it: the view's JSON,
+    /// unparsed, with the stored artifact body as its last field.
+    pub fn release_json(&self, id: u64) -> Result<String, ClientError> {
+        self.get_text(&format!("/releases/{id}"))
+    }
+
     /// Poll `GET /releases/{id}` until it leaves `"queued"` or `timeout`
     /// elapses.
     pub fn wait_for(&self, id: u64, timeout: Duration) -> Result<ReleaseStatusView, ClientError> {
@@ -234,6 +240,13 @@ impl Client {
         self.get("/audit")
     }
 
+    /// `GET /audit?deep=1`: the audit plus
+    /// [`bodies`](AuditView::bodies) — every completed release's body read
+    /// and checked against its content digest.
+    pub fn audit_deep(&self) -> Result<AuditView, ClientError> {
+        self.get("/audit?deep=1")
+    }
+
     /// `GET /metrics`: the canonical structured counters snapshot —
     /// per-family admissions/denials, budget gauges, cache hit counters,
     /// latency histograms, and live per-season queue depths.
@@ -244,8 +257,12 @@ impl Client {
     /// `GET /metrics?format=openmetrics`: the same snapshot in the
     /// OpenMetrics (Prometheus) text exposition format, returned raw.
     pub fn metrics_text(&self) -> Result<String, ClientError> {
+        self.get_text("/metrics?format=openmetrics")
+    }
+
+    fn get_text(&self, path: &str) -> Result<String, ClientError> {
         self.with_attempts(|| {
-            let (status, body) = self.call("GET", "/metrics?format=openmetrics", None)?;
+            let (status, body) = self.call("GET", path, None)?;
             if (200..300).contains(&status) {
                 Ok(body)
             } else {

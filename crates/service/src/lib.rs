@@ -38,7 +38,8 @@ pub mod http;
 pub mod service;
 
 pub use api::{
-    AuditView, ReleaseStatusView, ReleaseSubmission, SeasonCreate, SeasonCreated, SubmitReceipt,
+    AuditView, BodyAudit, ReleaseStatusView, ReleaseSubmission, SeasonCreate, SeasonCreated,
+    SubmitReceipt,
 };
 pub use client::{Client, ClientError, RetryPolicy};
 pub use service::{ReleaseService, ServiceConfig, ServiceError};

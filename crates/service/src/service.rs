@@ -14,7 +14,8 @@
 //!                 │   → ledger charge → artifact persisted            │
 //!                 │   → public cache save → registry: complete        │
 //!                 └───────────────────────────────────────────────────┘
-//! tenant ── GET /releases/{id} ── registry ──► queued | complete | failed
+//! tenant ── GET /releases/{id} ── registry (body site, digest)
+//!                                 ── read body, check FNV-1a ──► queued | complete | failed
 //! ```
 //!
 //! # Concurrency model
@@ -33,9 +34,17 @@
 //! duplicate tabulation work. Every admission decision is durable before
 //! it is acknowledged: a completed release is an artifact + ledger
 //! snapshot on disk, and the release-id registry itself is persisted to
-//! `releases.json`, so `GET /releases/{id}` survives a restart (completed
-//! artifacts rehydrate from the public cache; releases that were still
-//! queued report as failed).
+//! `releases.json`, so `GET /releases/{id}` survives a restart. The
+//! registry keeps no artifact: a completed record holds its body's
+//! content digest and where the body lives — its season's artifact file
+//! for an admitted release, its public-cache entry for a cache hit — so a
+//! start reads one small file and no body. A GET reads the body outside
+//! the registry lock, checks its FNV-1a against the recorded digest and
+//! splices the bytes into the view as its last field (`artifact`),
+//! without parsing or serializing them; a missing or mismatched body
+//! answers `failed`. Releases that were still queued at a restart report
+//! as failed. `GET /audit?deep=1` runs that read over every completed
+//! release.
 //!
 //! # Quarterly-panel mode
 //!
@@ -60,12 +69,13 @@
 //! season ledger and, transitively, under the agency cap.
 
 use crate::api::{
-    AuditView, ReleaseStatusView, ReleaseSubmission, SeasonCreate, SeasonCreated, SubmitReceipt,
+    AuditView, BodyAudit, ReleaseStatusView, ReleaseSubmission, SeasonCreate, SeasonCreated,
+    SubmitReceipt,
 };
 use crate::http::{Handler, HttpServer, Request, Response};
-use eree_core::agency::{panel_quarter_seed, AgencyStore, SeasonSummary};
+use eree_core::agency::{panel_quarter_seed, AgencyStore, BodySite, ReleaseBodies, SeasonSummary};
 use eree_core::definitions::PrivacyParams;
-use eree_core::engine::{ReleaseArtifact, ReleaseRequest, RequestKind, Snapshot, TabulationCache};
+use eree_core::engine::{ReleaseRequest, RequestKind, Snapshot, TabulationCache};
 use eree_core::metrics::{MetricsRegistry, MetricsSnapshot, SeasonQueue};
 use eree_core::public_cache::{ReleaseCache, ReleaseKey};
 use eree_core::store::{
@@ -83,9 +93,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tabulate::{DatasetIndex, FilterExpr};
 
-/// Format version of the service's own persisted files (`releases.json`,
-/// `panel_quarters.json`).
-const SERVICE_FORMAT_VERSION: u32 = 1;
+/// Format version of the persisted release-id registry (`releases.json`).
+/// Version 2: a completed record carries its body's content digest and,
+/// for an admitted release, the body's index in its season, so a start
+/// reads no artifact. A file of any other format refuses the start.
+const REGISTRY_FORMAT_VERSION: u32 = 2;
+/// Format version of the persisted season → quarter bindings
+/// (`panel_quarters.json`).
+const QUARTERS_FORMAT_VERSION: u32 = 1;
 /// Persistent release-id registry file under the service root.
 const REGISTRY_FILE: &str = "releases.json";
 /// Persistent season → panel-quarter bindings under the service root.
@@ -154,11 +169,14 @@ impl From<std::io::Error> for ServiceError {
 }
 
 /// Where one accepted release currently stands.
+#[derive(Clone)]
 enum ReleaseState {
     Queued,
+    /// Done: its body is stored at `site` and hashes to `digest`. A cache
+    /// hit's site is its public entry.
     Complete {
-        artifact: Arc<ReleaseArtifact>,
-        cached: bool,
+        site: BodySite,
+        digest: u64,
     },
     Failed {
         error: String,
@@ -168,8 +186,8 @@ enum ReleaseState {
 struct ReleaseRecord {
     season: String,
     /// The release's full public identity, known at admission (every
-    /// service release is declarative). Used to rehydrate completed
-    /// artifacts from the public cache after a restart.
+    /// service release is declarative). A cache hit's body is the public
+    /// entry of this key.
     key: Option<ReleaseKey>,
     state: ReleaseState,
 }
@@ -182,6 +200,11 @@ struct PersistedRecord {
     cached: bool,
     error: Option<String>,
     key: Option<ReleaseKey>,
+    /// A completed release's content digest.
+    digest: Option<u64>,
+    /// An admitted release's index in `season`, where its body is; `None`
+    /// for a cache hit, whose body is the public entry of `key`.
+    index: Option<u64>,
 }
 
 /// The persisted registry file.
@@ -256,6 +279,7 @@ struct Shared {
     quarters_path: PathBuf,
     registry_path: PathBuf,
     cache: ReleaseCache,
+    bodies: ReleaseBodies,
     agency: Mutex<AgencyStore>,
     workers: Mutex<BTreeMap<String, SeasonWorker>>,
     /// Final audit summaries of seasons whose idle workers retired, so
@@ -338,7 +362,8 @@ impl ReleaseService {
             BTreeMap::new()
         };
         let registry_path = root.join(REGISTRY_FILE);
-        let registry = load_registry(&registry_path, &cache);
+        let registry = load_registry(&registry_path)?;
+        let bodies = agency.release_bodies()?;
         let metrics = agency.metrics();
         let shared = Arc::new(Shared {
             quarters,
@@ -347,6 +372,7 @@ impl ReleaseService {
             quarters_path,
             registry_path,
             cache,
+            bodies,
             agency: Mutex::new(agency),
             workers: Mutex::new(BTreeMap::new()),
             retired: Mutex::new(BTreeMap::new()),
@@ -424,7 +450,7 @@ fn route_inner(shared: &Arc<Shared>, request: &Request) -> Response {
         ("POST", ["seasons", name, "releases"]) => submit_release(shared, name, &request.body),
         ("POST", ["seasons", name, "close"]) => close_season(shared, name),
         ("GET", ["releases", id]) => release_status(shared, id),
-        ("GET", ["audit"]) => audit(shared),
+        ("GET", ["audit"]) => audit(shared, request),
         ("GET", ["metrics"]) => metrics_view(shared, request),
         _ => Response::error(404, "no such route"),
     }
@@ -588,16 +614,18 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
         integerized: submission.integerize,
         seed,
     };
-    if let Some(artifact) = shared.cache.load(&key) {
+    // The entry is fully verified (one parse) and its digest recorded; a
+    // GET then serves its bytes checked against that digest.
+    if let Some(digest) = shared.cache.verified_digest(&key) {
         shared.metrics.caches.public_hits.inc();
         let id = push_record(
             shared,
             ReleaseRecord {
                 season: String::new(),
-                key: Some(key),
+                key: Some(key.clone()),
                 state: ReleaseState::Complete {
-                    artifact: Arc::new(artifact),
-                    cached: true,
+                    site: BodySite::Public(key),
+                    digest,
                 },
             },
         );
@@ -716,43 +744,82 @@ fn release_status(shared: &Arc<Shared>, id: &str) -> Response {
     let Ok(id) = id.parse::<u64>() else {
         return Response::error(400, "release id must be an integer");
     };
-    let registry = shared.registry.lock().expect("registry lock poisoned");
-    let Some(record) = registry.get(id as usize) else {
-        return Response::error(404, &format!("no release with id {id}"));
+    // Copy the record under the registry lock; read its body outside it.
+    let (season, state) = {
+        let registry = shared.registry.lock().expect("registry lock poisoned");
+        let Some(record) = registry.get(id as usize) else {
+            return Response::error(404, &format!("no release with id {id}"));
+        };
+        (record.season.clone(), record.state.clone())
     };
-    let view = match &record.state {
-        ReleaseState::Queued => ReleaseStatusView {
-            id,
-            season: record.season.clone(),
-            status: "queued".to_string(),
-            cached: false,
-            error: None,
-            artifact: None,
-        },
-        ReleaseState::Complete { artifact, cached } => ReleaseStatusView {
-            id,
-            season: record.season.clone(),
-            status: "complete".to_string(),
-            cached: *cached,
-            error: None,
-            artifact: Some(artifact.as_ref().clone()),
-        },
-        ReleaseState::Failed { error } => ReleaseStatusView {
-            id,
-            season: record.season.clone(),
-            status: "failed".to_string(),
-            cached: false,
-            error: Some(error.clone()),
-            artifact: None,
-        },
+    let mut view = ReleaseStatusView {
+        id,
+        season,
+        status: "queued".to_string(),
+        cached: false,
+        error: None,
+        artifact: None,
     };
-    json_ok(200, &view)
+    let mut body = None;
+    match state {
+        ReleaseState::Queued => {}
+        ReleaseState::Complete { site, digest } => match read_body(shared, &site, digest) {
+            Ok(bytes) => {
+                view.status = "complete".to_string();
+                view.cached = matches!(site, BodySite::Public(_));
+                body = Some(bytes);
+            }
+            Err(error) => {
+                view.status = "failed".to_string();
+                view.error = Some(error);
+            }
+        },
+        ReleaseState::Failed { error } => {
+            view.status = "failed".to_string();
+            view.error = Some(error);
+        }
+    }
+    let json = serde_json::to_string(&view).expect("response serialization is infallible");
+    match body {
+        Some(body) => Response::json(200, with_artifact(&json, &body)),
+        None => Response::json(200, json),
+    }
 }
 
-fn audit(shared: &Arc<Shared>) -> Response {
-    // A directory scan of the public cache: done before any lock, so a
-    // large cache never holds up the submissions waiting on `agency`.
+/// A completed release's body, read at `site` and checked against its
+/// content digest — the one read path of GET and the deep audit. The
+/// error names the failed check; a failed read changes nothing.
+fn read_body(shared: &Shared, site: &BodySite, digest: u64) -> Result<String, String> {
+    let bytes = shared.bodies.read(site, digest).map_err(|e| {
+        format!("the released body is missing or fails its content-digest check: {e}")
+    })?;
+    String::from_utf8(bytes).map_err(|e| format!("the released body is not UTF-8 JSON: {e}"))
+}
+
+/// `view_json`, a serialized [`ReleaseStatusView`] whose `artifact` is
+/// `null`, with `body` — an artifact's canonical JSON — as its `artifact`.
+/// `artifact` is the view's last field and the JSON writer emits a nested
+/// value exactly as it emits it alone, so the result is byte for byte the
+/// view serialized with that artifact, without parsing or serializing it.
+fn with_artifact(view_json: &str, body: &str) -> String {
+    let head = view_json
+        .strip_suffix("null}")
+        .expect("`artifact` is the view's last field");
+    [head, body, "}"].concat()
+}
+
+/// `GET /audit` (`?deep=1` adds [`BodyAudit`]).
+fn audit(shared: &Arc<Shared>, request: &Request) -> Response {
+    let deep = match request.query_param("deep") {
+        None | Some("0") => false,
+        Some("1") => true,
+        Some(other) => return Response::error(400, &format!("deep must be 0 or 1, not {other:?}")),
+    };
+    // A directory scan of the public cache and, when asked, a read of
+    // every completed body: both done before any lock, so neither ever
+    // holds up the submissions waiting on `agency`.
     let cache_entries = shared.cache.len() as u64;
+    let bodies = deep.then(|| audit_bodies(shared));
     let agency = shared.agency.lock().expect("agency lock poisoned");
     let workers = shared.workers.lock().expect("workers lock poisoned");
     let retired = shared.retired.lock().expect("retired views poisoned");
@@ -813,8 +880,33 @@ fn audit(shared: &Arc<Shared>) -> Response {
         releases,
         cache_entries,
         metrics,
+        bodies,
     };
     json_ok(200, &view)
+}
+
+/// Read and check every completed release's body through the GET read
+/// path; the registry lock is held only to copy the sites.
+fn audit_bodies(shared: &Shared) -> BodyAudit {
+    let completed: Vec<(u64, BodySite, u64)> = {
+        let registry = shared.registry.lock().expect("registry lock poisoned");
+        registry
+            .iter()
+            .enumerate()
+            .filter_map(|(id, record)| match &record.state {
+                ReleaseState::Complete { site, digest } => Some((id as u64, site.clone(), *digest)),
+                _ => None,
+            })
+            .collect()
+    };
+    BodyAudit {
+        checked: completed.len() as u64,
+        failed: completed
+            .into_iter()
+            .filter(|(_, site, digest)| read_body(shared, site, *digest).is_err())
+            .map(|(id, ..)| id)
+            .collect(),
+    }
 }
 
 /// `GET /metrics`: the agency's canonical [`MetricsSnapshot`] with the
@@ -878,56 +970,91 @@ fn set_state(shared: &Shared, id: u64, state: ReleaseState) {
 /// admission is already durable in the season store and public cache).
 fn persist_registry(shared: &Shared, registry: &[ReleaseRecord]) {
     let file = RegistryFile {
-        format: SERVICE_FORMAT_VERSION,
+        format: REGISTRY_FORMAT_VERSION,
         records: registry
             .iter()
-            .map(|r| PersistedRecord {
-                season: r.season.clone(),
-                status: match &r.state {
-                    ReleaseState::Queued => "queued",
-                    ReleaseState::Complete { .. } => "complete",
-                    ReleaseState::Failed { .. } => "failed",
+            .map(|r| {
+                let (status, error, site, digest) = match &r.state {
+                    ReleaseState::Queued => ("queued", None, None, None),
+                    ReleaseState::Complete { site, digest } => {
+                        ("complete", None, Some(site), Some(*digest))
+                    }
+                    ReleaseState::Failed { error } => ("failed", Some(error.clone()), None, None),
+                };
+                PersistedRecord {
+                    season: r.season.clone(),
+                    status: status.to_string(),
+                    cached: matches!(site, Some(BodySite::Public(_))),
+                    error,
+                    key: r.key.clone(),
+                    digest,
+                    index: match site {
+                        Some(BodySite::Season { index, .. }) => Some(*index as u64),
+                        _ => None,
+                    },
                 }
-                .to_string(),
-                cached: matches!(&r.state, ReleaseState::Complete { cached: true, .. }),
-                error: match &r.state {
-                    ReleaseState::Failed { error } => Some(error.clone()),
-                    _ => None,
-                },
-                key: r.key.clone(),
             })
             .collect(),
     };
     let _ = write_json_file(&shared.registry_path, &file);
 }
 
-/// Rehydrate the release-id registry from `releases.json`: completed
-/// releases reload their artifacts from the public cache (every service
-/// release is declarative, so the key always exists); releases that were
-/// still queued at the crash report as failed — their queue was memory.
-fn load_registry(path: &Path, cache: &ReleaseCache) -> Vec<ReleaseRecord> {
-    let Ok(json) = std::fs::read_to_string(path) else {
-        return Vec::new();
+/// Rehydrate the release-id registry from `releases.json`, reading no
+/// artifact: a completed record keeps its content digest and its body's
+/// site (its season's artifact `index`, or for a cache hit the public
+/// entry of its key); releases that were still queued at the crash report
+/// as failed — their queue was memory. A missing file is an empty
+/// registry. A file that does not parse as this format refuses the start:
+/// an empty registry would reissue id 0 and overwrite the old records, so
+/// an old id would answer a different release.
+fn load_registry(path: &Path) -> Result<Vec<ReleaseRecord>, ServiceError> {
+    let json = match std::fs::read_to_string(path) {
+        Ok(json) => json,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(source) => {
+            return Err(ServiceError::Store(StoreError::Io {
+                path: path.to_path_buf(),
+                source,
+            }))
+        }
     };
-    let Ok(file) = serde_json::from_str::<RegistryFile>(&json) else {
-        return Vec::new();
+    let refuse = |detail: String| {
+        ServiceError::Store(StoreError::Corrupt {
+            path: path.to_path_buf(),
+            detail,
+        })
     };
-    if file.format != SERVICE_FORMAT_VERSION {
-        return Vec::new();
+    // The format first, so an older layout is named as such rather than
+    // as whichever field it lacks.
+    let value: serde::Value = serde_json::from_str(&json).map_err(|e| refuse(e.to_string()))?;
+    let format = serde::get_field(&value, "format")
+        .and_then(u32::from_value)
+        .map_err(|e| refuse(e.to_string()))?;
+    if format != REGISTRY_FORMAT_VERSION {
+        return Err(refuse(format!(
+            "unsupported registry format {format} (this build reads {REGISTRY_FORMAT_VERSION})"
+        )));
     }
+    let file = RegistryFile::from_value(&value).map_err(|e| refuse(e.to_string()))?;
     file.records
         .into_iter()
-        .map(|r| {
+        .enumerate()
+        .map(|(id, r)| {
             let state = match r.status.as_str() {
-                "complete" => match r.key.as_ref().and_then(|k| cache.load(k)) {
-                    Some(artifact) => ReleaseState::Complete {
-                        artifact: Arc::new(artifact),
-                        cached: r.cached,
-                    },
-                    None => ReleaseState::Failed {
-                        error: "released artifact is no longer in the public cache".to_string(),
-                    },
-                },
+                "complete" => {
+                    let site = match (r.cached, r.index, &r.key) {
+                        (false, Some(index), _) => BodySite::Season {
+                            season: r.season.clone(),
+                            index: index as usize,
+                        },
+                        (true, None, Some(key)) => BodySite::Public(key.clone()),
+                        _ => return Err(refuse(format!("record {id} does not locate its body"))),
+                    };
+                    let digest = r
+                        .digest
+                        .ok_or_else(|| refuse(format!("record {id} has no content digest")))?;
+                    ReleaseState::Complete { site, digest }
+                }
                 "failed" => ReleaseState::Failed {
                     error: r.error.unwrap_or_else(|| "unrecorded failure".to_string()),
                 },
@@ -935,11 +1062,11 @@ fn load_registry(path: &Path, cache: &ReleaseCache) -> Vec<ReleaseRecord> {
                     error: "the service restarted before this queued release ran".to_string(),
                 },
             };
-            ReleaseRecord {
+            Ok(ReleaseRecord {
                 season: r.season,
                 key: r.key,
                 state,
-            }
+            })
         })
         .collect()
 }
@@ -947,7 +1074,7 @@ fn load_registry(path: &Path, cache: &ReleaseCache) -> Vec<ReleaseRecord> {
 /// Persist the season → quarter bindings under the quarter-map lock.
 fn persist_quarter_map(shared: &Shared, map: &BTreeMap<String, usize>) {
     let file = QuartersFile {
-        format: SERVICE_FORMAT_VERSION,
+        format: QUARTERS_FORMAT_VERSION,
         bindings: map
             .iter()
             .map(|(season, &quarter)| QuarterBinding {
@@ -974,7 +1101,7 @@ fn load_quarter_map(path: &Path, quarters: usize) -> Result<BTreeMap<String, usi
             ),
         })
     })?;
-    if file.format != SERVICE_FORMAT_VERSION {
+    if file.format != QUARTERS_FORMAT_VERSION {
         return Err(ServiceError::Store(StoreError::Inconsistent {
             detail: format!("panel season bindings have format {}", file.format),
         }));
@@ -1088,23 +1215,28 @@ impl WorkerCtx {
             None => quarters[self.quarter].snapshot(),
         };
         let state = match self.store.admit(data, &request, &mut self.cache) {
-            Ok((artifact, body)) => {
+            Ok((_, body)) => {
                 // Publish the body the season just stored to the
                 // released-artifact cache, under the digest that keys
                 // this release: the pair digest for flows, the quarter's
                 // otherwise. A cache-write failure is only a lost
-                // optimization, never a lost release.
-                let digest = if artifact.request.kind == RequestKind::Flows {
+                // optimization, never a lost release: the registry serves
+                // the season's own copy.
+                let request = &body.release().request;
+                let digest = if request.kind == RequestKind::Flows {
                     data.pair_digest()
                 } else {
                     Some(data.digest())
                 };
-                if let Some(key) = digest.and_then(|d| ReleaseKey::of(&artifact.request, d)) {
+                if let Some(key) = digest.and_then(|d| ReleaseKey::of(request, d)) {
                     let _ = self.shared.cache.save_body(&key, &body);
                 }
                 ReleaseState::Complete {
-                    artifact: Arc::new(artifact),
-                    cached: false,
+                    site: BodySite::Season {
+                        season: self.name.clone(),
+                        index: self.store.completed() - 1,
+                    },
+                    digest: body.digest(),
                 }
             }
             Err(e) => ReleaseState::Failed {

@@ -155,14 +155,14 @@ fn quarterly_panel_over_http_under_one_cap() {
 
     // Restart: the release-id registry is persistent, so the completed
     // flow release is still addressable by its old id — artifact and all
-    // (rehydrated from the public cache). The season → quarter bindings
+    // (read from its season's stored body). The season → quarter bindings
     // are persistent too: a new submission to q3 needs no re-binding.
     let service = ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap))
         .expect("panel service restarts");
     let client = Client::new(service.addr());
     let view = client.release(survivor).expect("old id survives restart");
     assert_eq!(view.status, "complete");
-    assert!(view.artifact.is_some(), "artifact rehydrated from cache");
+    assert!(view.artifact.is_some(), "artifact served after restart");
     let fresh = client
         .submit("q3", &submission(RequestKind::Marginal, 0.4, 77))
         .expect("binding survived restart");

@@ -1,0 +1,281 @@
+//! Restart and read paths of the release service: the registry keeps
+//! content digests and body sites, not artifacts, so a start reads no
+//! body and `GET /releases/{id}` serves the stored bytes, checked against
+//! the recorded digest. Pins the served bytes, the deep audit, and the
+//! refusal of a registry the service cannot read.
+
+use eree_core::agency::AgencyStore;
+use eree_core::definitions::PrivacyParams;
+use eree_core::engine::RequestKind;
+use eree_core::mechanisms::MechanismKind;
+use eree_core::StoreError;
+use eree_service::{
+    AuditView, BodyAudit, Client, ReleaseService, ReleaseStatusView, ReleaseSubmission,
+    ServiceConfig, ServiceError,
+};
+use lodes::{Dataset, Generator, GeneratorConfig};
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+use tabulate::{MarginalSpec, WorkerAttr, WorkplaceAttr};
+
+const ALPHA: f64 = 0.1;
+const WAIT: Duration = Duration::from_secs(60);
+
+fn tmp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("eree-service-restart-{name}"));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+fn dataset() -> Dataset {
+    Generator::new(GeneratorConfig::test_small(61)).generate()
+}
+
+fn cap() -> PrivacyParams {
+    PrivacyParams::pure(ALPHA, 4.0)
+}
+
+fn submission(seed: u64) -> ReleaseSubmission {
+    ReleaseSubmission {
+        kind: RequestKind::Marginal,
+        spec: MarginalSpec::new(vec![WorkplaceAttr::County], vec![WorkerAttr::Age]),
+        mechanism: MechanismKind::LogLaplace,
+        budget: PrivacyParams::pure(ALPHA, 0.5),
+        budget_is_per_cell: false,
+        filter: None,
+        integerize: false,
+        seed,
+        description: None,
+    }
+}
+
+fn start(dir: &Path) -> ReleaseService {
+    ReleaseService::start(dir, dataset(), ServiceConfig::new(cap())).expect("service starts")
+}
+
+/// Start a service on a fresh `dir`, create season `s`, and complete one
+/// admitted release per seed; returns the release ids.
+fn populate(dir: &Path, seeds: &[u64]) -> Vec<u64> {
+    let service = start(dir);
+    let client = Client::new(service.addr());
+    client
+        .create_season("s", PrivacyParams::pure(ALPHA, 2.0))
+        .expect("season fits under the cap");
+    let ids = seeds
+        .iter()
+        .map(|&seed| {
+            let receipt = client.submit("s", &submission(seed)).expect("submitted");
+            let done = client.wait_for(receipt.id, WAIT).expect("finishes");
+            assert_eq!(done.status, "complete", "error: {:?}", done.error);
+            receipt.id
+        })
+        .collect();
+    service.shutdown();
+    ids
+}
+
+/// The view `GET /releases/{id}` must write: the typed view of the
+/// artifact `load_artifact` reads back, serialized.
+fn expected_view(id: u64, season: &str, cached: bool, dir: &Path, index: usize) -> String {
+    let agency = AgencyStore::open(dir).expect("agency opens");
+    let artifact = agency
+        .open_season("s")
+        .expect("season opens")
+        .load_artifact(index)
+        .expect("the body reads back");
+    serde_json::to_string(&ReleaseStatusView {
+        id,
+        season: season.to_string(),
+        status: "complete".to_string(),
+        cached,
+        error: None,
+        artifact: Some(artifact),
+    })
+    .unwrap()
+}
+
+#[test]
+fn served_bytes_are_the_stored_body_before_and_after_a_restart() {
+    let dir = tmp_dir("served-bytes");
+    let admitted = populate(&dir, &[7])[0];
+    let service = start(&dir);
+    let client = Client::new(service.addr());
+    let hit = client
+        .submit("s", &submission(7))
+        .expect("repeat submitted");
+    assert!(hit.cached, "an identical request is a cache hit");
+    let before = [
+        client.release_json(admitted).unwrap(),
+        client.release_json(hit.id).unwrap(),
+    ];
+    service.shutdown();
+
+    let expected = [
+        expected_view(admitted, "s", false, &dir, 0),
+        expected_view(hit.id, "", true, &dir, 0),
+    ];
+    assert_eq!(before, expected, "served before the restart");
+    for view in &expected {
+        // The shape the benchmark parses: `status` in the first 512
+        // bytes, the artifact last.
+        assert!(view[..512].contains(r#""status":"complete""#));
+        let at = view.find(r#""artifact":"#).unwrap();
+        assert!(view[at..].starts_with(r#""artifact":{"request":"#));
+        assert!(view.ends_with("}}"));
+    }
+
+    let service = start(&dir);
+    let client = Client::new(service.addr());
+    let after = [
+        client.release_json(admitted).unwrap(),
+        client.release_json(hit.id).unwrap(),
+    ];
+    assert_eq!(after, expected, "served after the restart");
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The plain audit fields a body check cannot change.
+fn ledger_view(audit: &AuditView) -> (f64, u64, u64, String) {
+    (
+        audit.spent_epsilon,
+        audit.releases,
+        audit.cache_entries,
+        serde_json::to_string(&audit.seasons).unwrap(),
+    )
+}
+
+#[test]
+fn deep_audit_names_a_damaged_body_that_start_does_not_read() {
+    let dir = tmp_dir("deep-audit");
+    let ids = populate(&dir, &[11, 12]);
+    let service = start(&dir);
+    let client = Client::new(service.addr());
+    let plain = client.audit().unwrap();
+    assert_eq!(plain.bodies, None, "the plain audit reads no body");
+    let deep = client.audit_deep().unwrap();
+    assert_eq!(
+        deep.bodies,
+        Some(BodyAudit {
+            checked: 2,
+            failed: vec![]
+        })
+    );
+    service.shutdown();
+
+    // Flip one byte of the second release's season body.
+    let body = dir
+        .join("seasons")
+        .join("s")
+        .join("artifacts")
+        .join("000001.json");
+    let mut bytes = fs::read(&body).unwrap();
+    let last = bytes.len() - 3;
+    bytes[last] ^= 0x01;
+    fs::write(&body, &bytes).unwrap();
+    let registry = fs::read(dir.join("releases.json")).unwrap();
+
+    let service = start(&dir);
+    let client = Client::new(service.addr());
+    let damaged = client.audit().unwrap();
+    assert_eq!(ledger_view(&damaged), ledger_view(&plain));
+    assert_eq!(damaged.bodies, None);
+    assert_eq!(
+        client.audit_deep().unwrap().bodies,
+        Some(BodyAudit {
+            checked: 2,
+            failed: vec![ids[1]]
+        })
+    );
+    let view = client.release(ids[1]).unwrap();
+    assert_eq!(view.status, "failed");
+    assert!(view.artifact.is_none());
+    let error = view.error.unwrap();
+    assert!(error.contains("content-digest"), "{error}");
+    assert_eq!(client.release(ids[0]).unwrap().status, "complete");
+    service.shutdown();
+    assert_eq!(
+        fs::read(dir.join("releases.json")).unwrap(),
+        registry,
+        "reads and audits never rewrite the registry"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn refused(dir: &Path) -> String {
+    match ReleaseService::start(dir, dataset(), ServiceConfig::new(cap())) {
+        Err(ServiceError::Store(StoreError::Corrupt { detail, .. })) => detail,
+        Err(other) => panic!("expected a corrupt-registry refusal, got {other}"),
+        Ok(service) => {
+            service.shutdown();
+            panic!("a start on an unreadable registry must be refused")
+        }
+    }
+}
+
+#[test]
+fn an_unreadable_registry_refuses_the_start() {
+    let dir = tmp_dir("registry");
+    let ids = populate(&dir, &[21]);
+    let path = dir.join("releases.json");
+    let original = fs::read_to_string(&path).unwrap();
+
+    // Garbled, an unknown format, and the format-1 layout (records with
+    // no digest or index) are each refused, and the file is left alone —
+    // an empty registry would reissue id 0 over the old records.
+    let format1 = as_format1(&original);
+    for (file, needle) in [
+        (original[..original.len() / 2].to_string(), ""),
+        (
+            original.replace(r#""format":2"#, r#""format":99"#),
+            "unsupported registry format 99",
+        ),
+        (format1, "unsupported registry format 1"),
+    ] {
+        fs::write(&path, &file).unwrap();
+        let detail = refused(&dir);
+        assert!(detail.contains(needle), "{detail}");
+        assert_eq!(fs::read_to_string(&path).unwrap(), file);
+    }
+
+    // A missing file is an empty registry.
+    fs::remove_file(&path).unwrap();
+    let service = start(&dir);
+    let client = Client::new(service.addr());
+    assert!(client.release(ids[0]).is_err(), "no records after a reset");
+    service.shutdown();
+
+    fs::write(&path, &original).unwrap();
+    let service = start(&dir);
+    let client = Client::new(service.addr());
+    assert_eq!(client.release(ids[0]).unwrap().status, "complete");
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `registry` in the format-1 layout: the same records without `digest`
+/// and `index`.
+fn as_format1(registry: &str) -> String {
+    let mut value: serde::Value = serde_json::from_str(registry).unwrap();
+    let serde::Value::Map(fields) = &mut value else {
+        panic!("a registry is an object")
+    };
+    for (name, field) in fields {
+        match (name.as_str(), field) {
+            ("format", format) => *format = serde::Value::U64(1),
+            ("records", serde::Value::Seq(records)) => {
+                for record in records {
+                    let serde::Value::Map(fields) = record else {
+                        panic!("a record is an object")
+                    };
+                    let before = fields.len();
+                    fields.retain(|(name, _)| name != "digest" && name != "index");
+                    assert_eq!(fields.len(), before - 2);
+                }
+            }
+            _ => {}
+        }
+    }
+    serde_json::to_string(&value).unwrap()
+}

@@ -1,13 +1,17 @@
 //! The release service end to end on loopback: start the HTTP frontend
 //! over a fresh agency, serve two tenants, demonstrate the zero-ε public
-//! cache on a repeat request, and print the audit trail.
+//! cache on a repeat request, print the audit trail, then restart on the
+//! same directory and check that every release reads back unchanged and
+//! that the deep audit finds every stored body intact.
 //!
 //! ```text
 //! cargo run --release --example release_service
 //! ```
 
 use eree::prelude::*;
-use eree_core::engine::RequestKind;
+use eree_core::engine::{ReleaseArtifact, RequestKind};
+use eree_core::ReleaseCache;
+use eree_service::BodyAudit;
 use std::time::Duration;
 
 fn submission(spec: MarginalSpec, epsilon: f64, seed: u64) -> ReleaseSubmission {
@@ -32,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // many tenants over HTTP.
     let dataset = Generator::new(GeneratorConfig::test_small(7)).generate();
     let cap = PrivacyParams::pure(0.1, 2.0);
-    let service = ReleaseService::start(&dir, dataset, ServiceConfig::new(cap))?;
+    let service = ReleaseService::start(&dir, dataset.clone(), ServiceConfig::new(cap))?;
     let client = Client::new(service.addr());
     println!("release service listening on http://{}", service.addr());
 
@@ -49,8 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Each tenant releases the county x age marginal under its own
     // budget and seed.
     let spec = MarginalSpec::new(vec![WorkplaceAttr::County], vec![WorkerAttr::Age]);
+    let mut ids = Vec::new();
     for (season, seed) in [("census-q1", 41), ("bls-q1", 42)] {
         let receipt = client.submit(season, &submission(spec.clone(), 0.3, seed))?;
+        ids.push(receipt.id);
         let done = client.wait_for(receipt.id, Duration::from_secs(60))?;
         println!(
             "{season}: release {} is {} (cached: {})",
@@ -75,6 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         after.metrics.caches.truth_computed,
     );
     assert!(repeat.cached, "repeat must be a cache hit");
+    ids.push(repeat.id);
     assert_eq!(before.spent_epsilon, after.spent_epsilon);
     assert_eq!(
         before.metrics.caches.truth_computed,
@@ -116,8 +123,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         marginal.accepted_total, marginal.epsilon_spent, metrics.caches.public_hits,
     );
 
+    // Restart on the same directory. The registry keeps each release's
+    // content digest and where its body lives, so the start reads no body;
+    // every id then answers the same artifact bytes, and the deep audit
+    // reads and checks every stored body.
+    let digests = artifact_digests(&client, &ids)?;
+    service.shutdown();
+    println!("\nservice drained, leases released, agency directory intact");
+    let service = ReleaseService::start(&dir, dataset, ServiceConfig::new(cap))?;
+    let client = Client::new(service.addr());
+    assert_eq!(artifact_digests(&client, &ids)?, digests);
+    let deep = client.audit_deep()?;
+    assert_eq!(
+        deep.bodies,
+        Some(BodyAudit {
+            checked: ids.len() as u64,
+            failed: vec![],
+        })
+    );
+    println!(
+        "restarted: {} release(s) read back with unchanged digests; deep audit checked {} bodies, \
+         none failed",
+        ids.len(),
+        ids.len()
+    );
+
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-    println!("\nservice drained, leases released, agency directory intact");
     Ok(())
+}
+
+/// The content digest of each release's served artifact.
+fn artifact_digests(client: &Client, ids: &[u64]) -> Result<Vec<u64>, Box<dyn std::error::Error>> {
+    ids.iter()
+        .map(|&id| {
+            let view = client.release(id)?;
+            let artifact: ReleaseArtifact = view
+                .artifact
+                .ok_or_else(|| format!("release {id} is {}: {:?}", view.status, view.error))?;
+            Ok(ReleaseCache::artifact_digest(&artifact))
+        })
+        .collect()
 }

@@ -154,6 +154,19 @@ fn corrupted_or_tampered_stores_refuse_to_open() {
         Err(StoreError::Inconsistent { .. })
     ));
 
+    // A commit record that disagrees with its ledger entry: the record's
+    // description is the last occurrence (entries precede commits).
+    let at = pristine.rfind("R1: workload1 log-laplace").unwrap();
+    let mut tampered = pristine.clone();
+    tampered.replace_range(at..at + 2, "R9");
+    fs::write(&ledger_path, &tampered).unwrap();
+    match SeasonStore::open(&dir) {
+        Err(StoreError::Inconsistent { detail }) => {
+            assert!(detail.contains("commit record 1"), "{detail}")
+        }
+        other => panic!("expected a record/entry refusal, got {other:?}"),
+    }
+
     // Restored pristine state opens again.
     fs::write(&ledger_path, &pristine).unwrap();
     let store = SeasonStore::open(&dir).unwrap();
@@ -236,41 +249,106 @@ fn crash_between_artifact_and_ledger_snapshot_rolls_forward() {
     let report = run(&mut repaired, &d, &plan).unwrap();
     assert_eq!(report.resumed_from, 2);
     assert_eq!(report.executed, 1);
-    fs::remove_dir_all(ref_dir).unwrap();
     fs::remove_dir_all(crash_dir).unwrap();
 
-    // A crash-window store whose artifacts ALSO disagree with the ledger
-    // is refused — and the refused open leaves every byte untouched (no
-    // half-applied roll-forward).
+    // A crash-window store whose last body cannot roll forward — its
+    // cost overdraws the season's budget — is refused, and the refused
+    // open leaves every byte untouched (no half-applied roll-forward).
+    // Body 1 comes from a season with room for it: R0 (2.0) and R1 (1.0)
+    // overdraw a 2.5 budget.
     let bad_dir = test_dir("crashwin-bad");
-    let mut bad = SeasonStore::create(&bad_dir, budget()).unwrap();
-    run(&mut bad, &d, &plan[..2]).unwrap();
+    let mut bad = SeasonStore::create(&bad_dir, PrivacyParams::pure(0.1, 2.5)).unwrap();
+    run(&mut bad, &d, &plan[..1]).unwrap();
     drop(bad);
-    // Simulate the crash window (delete the newest ledger entry by
-    // restoring the 1-release snapshot)…
-    let one_dir = test_dir("crashwin-bad-one");
-    let mut one = SeasonStore::create(&one_dir, budget()).unwrap();
-    run(&mut one, &d, &plan[..1]).unwrap();
-    drop(one);
-    fs::copy(one_dir.join("ledger.json"), bad_dir.join("ledger.json")).unwrap();
-    // …and corrupt artifact 0's recorded cost so verification must fail.
-    let artifact0 = bad_dir.join("artifacts").join("000000.json");
-    let text = fs::read_to_string(&artifact0).unwrap();
-    let tampered = text.replace("\"epsilon\":2.0", "\"epsilon\":0.25");
-    assert_ne!(tampered, text);
-    fs::write(&artifact0, tampered).unwrap();
+    fs::copy(
+        ref_dir.join("artifacts").join("000001.json"),
+        bad_dir.join("artifacts").join("000001.json"),
+    )
+    .unwrap();
     let ledger_before = fs::read(bad_dir.join("ledger.json")).unwrap();
-    assert!(matches!(
-        SeasonStore::open(&bad_dir),
-        Err(StoreError::Inconsistent { .. })
-    ));
+    match SeasonStore::open(&bad_dir) {
+        Err(StoreError::Inconsistent { detail }) => {
+            assert!(detail.contains("rolling the ledger forward"), "{detail}")
+        }
+        other => panic!("expected an overdraw refusal, got {other:?}"),
+    }
     assert_eq!(
         fs::read(bad_dir.join("ledger.json")).unwrap(),
         ledger_before,
         "a refused open must not modify the store"
     );
-    fs::remove_dir_all(one_dir).unwrap();
+    fs::remove_dir_all(ref_dir).unwrap();
     fs::remove_dir_all(bad_dir).unwrap();
+}
+
+/// Open checks commit records and reads no body; a body is checked when
+/// it is read. So a season with a tampered body — here artifact 0's
+/// recorded cost — opens, and the body then fails `load_artifact` and the
+/// `verify_bodies` audit, which name it.
+#[test]
+fn tampered_bodies_fail_their_read_and_the_audit_not_open() {
+    let d = dataset();
+    let dir = test_dir("tampered-body");
+    let mut store = SeasonStore::create(&dir, budget()).unwrap();
+    run(&mut store, &d, &plan()[..2]).unwrap();
+    assert!(store.verify_bodies().is_empty());
+    drop(store);
+    let artifact0 = dir.join("artifacts").join("000000.json");
+    let text = fs::read_to_string(&artifact0).unwrap();
+    let tampered = text.replace("\"epsilon\":2.0", "\"epsilon\":0.25");
+    assert_ne!(tampered, text);
+    fs::write(&artifact0, &tampered).unwrap();
+    let ledger_before = fs::read(dir.join("ledger.json")).unwrap();
+
+    let store = SeasonStore::open(&dir).expect("open reads no body");
+    assert_eq!(store.completed(), 2);
+    assert!(matches!(
+        store.load_artifact(0),
+        Err(StoreError::Corrupt { .. })
+    ));
+    store
+        .load_artifact(1)
+        .expect("an untouched body still reads");
+    let failed: Vec<usize> = store.verify_bodies().into_iter().map(|(i, _)| i).collect();
+    assert_eq!(failed, [0]);
+    assert_eq!(
+        fs::read(dir.join("ledger.json")).unwrap(),
+        ledger_before,
+        "reads and audits never write"
+    );
+
+    // A body whose bytes match its record's digest but whose record was
+    // rewritten to match a forged body is still caught: the parsed
+    // provenance and cost must equal the record.
+    drop(store);
+    fs::write(&artifact0, &text).unwrap();
+    let ledger = fs::read_to_string(dir.join("ledger.json")).unwrap();
+    let forged_digest = fnv1a(tampered.as_bytes());
+    let value: serde::Value = serde_json::from_str(&ledger).unwrap();
+    let commits = value.get("commits").unwrap();
+    let serde::Value::Seq(records) = commits else {
+        panic!("commit records are a list")
+    };
+    let Some(serde::Value::U64(digest0)) = records[0].get("digest") else {
+        panic!("a commit record holds its digest")
+    };
+    let forged = ledger.replacen(
+        &format!("\"digest\":{digest0}"),
+        &format!("\"digest\":{forged_digest}"),
+        1,
+    );
+    assert_ne!(forged, ledger);
+    fs::write(dir.join("ledger.json"), forged).unwrap();
+    fs::write(&artifact0, &tampered).unwrap();
+    let store = SeasonStore::open(&dir).unwrap();
+    match store.load_artifact(0) {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("commit record 0"), "{detail}")
+        }
+        other => panic!("expected a provenance/cost refusal, got {other:?}"),
+    }
+    drop(store);
+    fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
@@ -452,7 +530,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Stores and cache files written in format 1 (provenance with the
-/// closure-era `filtered` flag) are refused, never misread: the derived
+/// closure-era `filtered` flag), and format-2 seasons, are refused, never
+/// misread: the derived
 /// provenance deserializer ignores unknown fields, so a format-1 closure
 /// release (`filtered: true`, `filter: null`) would otherwise load as an
 /// unfiltered one. A JSON truth (truth format 1) and a one-document cache
@@ -497,6 +576,20 @@ fn format1_stores_and_cache_files_are_refused() {
     };
     unsupported(SeasonStore::open(&season_dir).map(drop));
     unsupported(AgencyStore::open(&dir).map(drop));
+
+    // A format-2 season (no commit records in its ledger) is refused the
+    // same way.
+    *field_mut(&mut value, "format") = serde::Value::U64(2);
+    write_value(&manifest, &value);
+    match SeasonStore::open(&season_dir).map(drop) {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(
+                detail.contains("unsupported store format 2"),
+                "unexpected detail: {detail}"
+            );
+        }
+        other => panic!("expected an unsupported-format refusal, got {other:?}"),
+    }
 
     // A truth as format 1 wrote it: one JSON document, here at the
     // address the format-2 truth occupies.
@@ -801,6 +894,7 @@ fn admitted_stored_and_cached_artifacts_share_one_content_digest() {
         public.save(&key, &admitted).unwrap();
         assert_eq!(fs::read(&entry_path).unwrap(), entry);
 
+        assert_eq!(store.releases()[index].digest, served, "the commit record");
         let stored = store.load_artifact(index).unwrap();
         let cached = public.load(&key).unwrap();
         assert_eq!(ReleaseCache::artifact_digest(&stored), served);
@@ -922,6 +1016,74 @@ proptest! {
         save();
         prop_assert_eq!(load(), Some(true));
         prop_assert_eq!(heals(), healed);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A one-release season, recorded once; each case below damages a copy.
+fn pristine_season() -> &'static Path {
+    static SEASON: OnceLock<PathBuf> = OnceLock::new();
+    SEASON.get_or_init(|| {
+        let dir = test_dir("damaged-body-pristine");
+        let mut store = SeasonStore::create(&dir, budget()).unwrap();
+        let request = ReleaseRequest::marginal(workload1())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 2.0))
+            .filter_expr(ranking2_expr())
+            .seed(5);
+        store
+            .admit(
+                pair_snapshot(quarter_pair()),
+                &request,
+                &mut TabulationCache::new(),
+            )
+            .unwrap();
+        dir
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Open checks commit records and reads no body, so a season body with
+    /// one flipped byte, truncated at any offset or with one byte appended
+    /// still opens; reading it is `Corrupt`, and `verify_bodies` names it.
+    /// Offsets are drawn from the whole body, its first 256 bytes (the
+    /// provenance and cost) or its last 16 (the cells), so a flipped digit
+    /// in a cell — which still parses, with cost and description intact —
+    /// is caught too.
+    #[test]
+    fn damaged_season_bodies_fail_their_read_not_open(
+        damage in 0u8..3,
+        region in 0u8..3,
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let pristine = pristine_season();
+        let dir = test_dir("damaged-body");
+        fs::create_dir_all(dir.join("artifacts")).unwrap();
+        for name in ["season.json", "ledger.json", "artifacts/000000.json"] {
+            fs::copy(pristine.join(name), dir.join(name)).unwrap();
+        }
+        let path = dir.join("artifacts").join("000000.json");
+        let mut bytes = fs::read(&path).unwrap();
+        let len = bytes.len() as u64;
+        let offset = match region {
+            0 => at % len,
+            1 => at % len.min(256),
+            _ => len - 1 - at % len.min(16),
+        } as usize;
+        match damage {
+            0 => bytes[offset] ^= mask,
+            1 => bytes.truncate(offset),
+            _ => bytes.push(mask),
+        }
+        fs::write(&path, &bytes).unwrap();
+        let store = SeasonStore::open(&dir).unwrap();
+        prop_assert!(matches!(store.load_artifact(0), Err(StoreError::Corrupt { .. })));
+        let failed: Vec<usize> = store.verify_bodies().into_iter().map(|(i, _)| i).collect();
+        prop_assert_eq!(failed, vec![0]);
+        drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }
 }
