@@ -23,8 +23,9 @@
 //!   fail-closed admission rule (relative one-shot tolerance, NaN and
 //!   negative charges refused outright).
 //! * [`Ledger`] — a season-level account: every release charges it, every
-//!   charge is recorded as a [`LedgerEntry`], and snapshots deserialize by
-//!   *replaying* the entries through the same arithmetic.
+//!   charge is recorded as a [`LedgerEntry`], and a persisted season is
+//!   rebuilt by *replaying* its charges through the same arithmetic
+//!   ([`Ledger::replay`]).
 //! * [`MetaLedger`] — the agency-level account above the seasons: a global
 //!   privacy-loss cap (the social choice of Abowd & Schmutte, 2018) from
 //!   which every season's *whole budget* is reserved up front. A season's
@@ -279,7 +280,7 @@ impl std::fmt::Display for LedgerError {
 impl std::error::Error for LedgerError {}
 
 /// One recorded charge.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LedgerEntry {
     /// Free-form description of the release.
     pub description: String,
@@ -468,12 +469,13 @@ impl BudgetAccount {
 
 /// A cumulative privacy-loss ledger with a hard total budget.
 ///
-/// The ledger serializes to JSON (budget + entries + spent totals) and
-/// deserializes by *replaying* the entries through the same compensated
-/// budget arithmetic, refusing snapshots whose entries overdraw the budget
-/// or whose recorded totals disagree with the replay — a tampered or
-/// corrupted snapshot cannot be used to resume a season with more budget
-/// than was actually left.
+/// A ledger is never stored as such: a season store persists its budget,
+/// its spent totals and one commit record per charge, and rebuilds the
+/// ledger by [*replaying*](Self::replay) the records' costs through the
+/// same compensated budget arithmetic — refusing records that overdraw
+/// the budget and recorded totals that disagree with the replay, so a
+/// tampered or corrupted file cannot resume a season with more budget
+/// than was actually left (see [`crate::store`]).
 ///
 /// ```
 /// use eree_core::{Ledger, PrivacyParams, ReleaseCost};
@@ -589,45 +591,6 @@ impl Ledger {
     }
 }
 
-impl Serialize for Ledger {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("budget".to_string(), self.account.budget().to_value()),
-            ("entries".to_string(), self.entries.to_value()),
-            ("spent_epsilon".to_string(), self.spent_epsilon().to_value()),
-            ("spent_delta".to_string(), self.spent_delta().to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Ledger {
-    /// Deserialize by replay: the spent totals are *recomputed* from the
-    /// entries (never trusted from the snapshot) and then cross-checked
-    /// against the recorded totals. Either an overdraft or a totals
-    /// mismatch makes the whole snapshot unusable.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let budget = PrivacyParams::from_value(get_field(v, "budget")?)?;
-        let entries = Vec::<LedgerEntry>::from_value(get_field(v, "entries")?)?;
-        let ledger = Ledger::replay(budget, &entries)
-            .map_err(|e| DeError::new(format!("budget-inconsistent ledger snapshot: {e}")))?;
-        let recorded_epsilon = f64::from_value(get_field(v, "spent_epsilon")?)?;
-        let recorded_delta = f64::from_value(get_field(v, "spent_delta")?)?;
-        // The replay is deterministic, and the vendored JSON writer prints
-        // f64 with shortest-round-trip precision, so an untouched snapshot
-        // reproduces its totals bit-for-bit; any slack here would be a
-        // tampering allowance, not a robustness feature.
-        if recorded_epsilon != ledger.spent_epsilon() || recorded_delta != ledger.spent_delta() {
-            return Err(DeError::new(format!(
-                "ledger snapshot totals (eps {recorded_epsilon}, delta {recorded_delta}) \
-                 disagree with entry replay (eps {}, delta {})",
-                ledger.spent_epsilon(),
-                ledger.spent_delta()
-            )));
-        }
-        Ok(ledger)
-    }
-}
-
 /// One season's budget reservation in a [`MetaLedger`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeasonReservation {
@@ -738,9 +701,9 @@ pub struct SeasonClosure {
 /// own [`Ledger`] then enforces the reserved budget charge-by-charge with
 /// the same [`BudgetAccount`] arithmetic.
 ///
-/// Like [`Ledger`], a `MetaLedger` deserializes by *replaying* its
-/// reservations and cross-checking the recorded totals, so a tampered
-/// snapshot cannot resume an agency with more cap than was actually left.
+/// A `MetaLedger` deserializes by *replaying* its event log and
+/// cross-checking the recorded totals, so a tampered snapshot cannot
+/// resume an agency with more cap than was actually left.
 ///
 /// ```
 /// use eree_core::{MetaLedger, PrivacyParams};
@@ -950,22 +913,6 @@ impl MetaLedger {
         Ok(())
     }
 
-    /// Rebuild a meta-ledger by replaying recorded reservations against
-    /// `cap` with exactly the arithmetic [`reserve`](Self::reserve) uses —
-    /// the agency resume path for histories without closures. Fails if any
-    /// reservation is duplicated, α-inconsistent, or would overdraw the
-    /// cap.
-    pub fn replay(
-        cap: PrivacyParams,
-        reservations: &[SeasonReservation],
-    ) -> Result<Self, LedgerError> {
-        let mut meta = MetaLedger::new(cap);
-        for r in reservations {
-            meta.reserve(r.name.clone(), r.budget)?;
-        }
-        Ok(meta)
-    }
-
     /// Rebuild a meta-ledger by replaying a full chronological event log
     /// against `cap`, with exactly the arithmetic the live mutators use.
     /// Order matters: a reservation recorded after a sealed closure may
@@ -1007,20 +954,13 @@ impl Serialize for MetaLedger {
 impl Deserialize for MetaLedger {
     /// Deserialize by replay: reserved totals are recomputed from the
     /// event log (never trusted from the snapshot) and cross-checked
-    /// against the recorded totals, exactly like [`Ledger`]'s
-    /// deserializer. Snapshots from before the event log (a bare
-    /// `reservations` list, no `events` field) still deserialize: the
-    /// reservations replay as a closure-free history.
+    /// against the recorded totals. A snapshot without an event log is
+    /// refused.
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let cap = PrivacyParams::from_value(get_field(v, "cap")?)?;
-        let meta = if v.get("events").is_some() {
-            let events = Vec::<MetaEvent>::from_value(get_field(v, "events")?)?;
-            MetaLedger::replay_events(cap, &events)
-        } else {
-            let reservations = Vec::<SeasonReservation>::from_value(get_field(v, "reservations")?)?;
-            MetaLedger::replay(cap, &reservations)
-        }
-        .map_err(|e| DeError::new(format!("cap-inconsistent meta-ledger snapshot: {e}")))?;
+        let events = Vec::<MetaEvent>::from_value(get_field(v, "events")?)?;
+        let meta = MetaLedger::replay_events(cap, &events)
+            .map_err(|e| DeError::new(format!("cap-inconsistent meta-ledger snapshot: {e}")))?;
         let recorded_epsilon = f64::from_value(get_field(v, "reserved_epsilon")?)?;
         let recorded_delta = f64::from_value(get_field(v, "reserved_delta")?)?;
         if recorded_epsilon != meta.reserved_epsilon() || recorded_delta != meta.reserved_delta() {
@@ -1218,49 +1158,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_json_roundtrip_preserves_state() {
-        let mut ledger = Ledger::new(PrivacyParams::approximate(0.1, 4.0, 0.01));
-        let params = PrivacyParams::approximate(0.1, 1.1, 0.003);
-        let cost = ReleaseCost::for_marginal(&workload1(), &params, NeighborKind::Weak);
-        ledger.charge("q1", &params, &cost).unwrap();
-        ledger.charge("q2", &params, &cost).unwrap();
-
-        let json = serde_json::to_string_pretty(&ledger).unwrap();
-        let back: Ledger = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.budget(), ledger.budget());
-        assert_eq!(back.entries().len(), 2);
-        assert_eq!(back.spent_epsilon(), ledger.spent_epsilon());
-        assert_eq!(back.spent_delta(), ledger.spent_delta());
-        assert_eq!(back.remaining_epsilon(), ledger.remaining_epsilon());
-        // The restored ledger keeps enforcing: a 3rd+4th charge exhausts,
-        // a 5th is refused, exactly as on the original.
-        let mut back = back;
-        back.charge("q3", &params, &cost).unwrap();
-        assert!(back.charge("q4", &params, &cost).is_err());
-    }
-
-    #[test]
-    fn deserialization_refuses_overdrawn_snapshots() {
-        let mut ledger = Ledger::new(PrivacyParams::pure(0.1, 2.0));
-        let params = PrivacyParams::pure(0.1, 2.0);
-        let cost = ReleaseCost::for_marginal(&workload1(), &params, NeighborKind::Strong);
-        ledger.charge("all of it", &params, &cost).unwrap();
-        let json = serde_json::to_string(&ledger).unwrap();
-
-        // Shrink the budget below the recorded spend: replay must refuse.
-        // (The budget object serializes first, so the first "epsilon" hit
-        // is the budget's, not an entry's.)
-        let tampered = json.replacen("\"epsilon\":2.0", "\"epsilon\":1.0", 1);
-        assert_ne!(tampered, json, "tampering must hit the budget field");
-        assert!(serde_json::from_str::<Ledger>(&tampered).is_err());
-
-        // Fudge the recorded totals: replay cross-check must refuse.
-        let tampered = json.replace("\"spent_epsilon\":2.0", "\"spent_epsilon\":0.5");
-        assert_ne!(tampered, json);
-        assert!(serde_json::from_str::<Ledger>(&tampered).is_err());
-    }
-
-    #[test]
     fn replay_matches_live_charging() {
         let mut live = Ledger::new(PrivacyParams::pure(0.1, 4.0));
         let params = PrivacyParams::pure(0.1, 0.3);
@@ -1341,9 +1238,10 @@ mod tests {
             live.reserve(format!("s{i}"), PrivacyParams::pure(0.1, 0.3))
                 .unwrap();
         }
-        let replayed = MetaLedger::replay(*live.cap(), live.reservations()).unwrap();
+        let replayed = MetaLedger::replay_events(*live.cap(), live.events()).unwrap();
         assert_eq!(replayed.reserved_epsilon(), live.reserved_epsilon());
         assert_eq!(replayed.remaining_epsilon(), live.remaining_epsilon());
+        assert_eq!(replayed.reservations(), live.reservations());
     }
 
     #[test]
@@ -1458,7 +1356,8 @@ mod tests {
         assert_eq!(back.reserved_epsilon(), meta.reserved_epsilon());
         assert_eq!(back.refunded_epsilon(), meta.refunded_epsilon());
 
-        // Pre-event-log snapshots (bare `reservations`) still load.
+        // A pre-event-log snapshot (bare `reservations`, no `events`) is
+        // refused: no build writes that layout any more.
         let legacy = r#"{
             "cap": {"alpha": 0.1, "epsilon": 8.0, "delta": 0.0},
             "reservations": [
@@ -1467,10 +1366,8 @@ mod tests {
             "reserved_epsilon": 5.0,
             "reserved_delta": 0.0
         }"#;
-        let back: MetaLedger = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.reservations().len(), 1);
-        assert!(back.closures().is_empty());
-        assert!((back.remaining_epsilon() - 3.0).abs() < 1e-12);
+        let refused = serde_json::from_str::<MetaLedger>(legacy).unwrap_err();
+        assert!(refused.to_string().contains("`events`"), "{refused}");
     }
 
     #[test]

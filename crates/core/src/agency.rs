@@ -11,11 +11,11 @@
 //! ```text
 //! <agency>/
 //! ├── agency.json        manifest: format, cap, dataset digest
-//! ├── meta_ledger.json   MetaLedger snapshot: cap + season reservations
+//! ├── meta_ledger.json   MetaLedger snapshot: cap + reserve/close event log
 //! ├── seasons/
 //! │   ├── <name>/        one SeasonStore per season
 //! │   │   ├── season.json
-//! │   │   ├── ledger.json
+//! │   │   ├── ledger.json      budget + spent totals + commit records
 //! │   │   └── artifacts/000000.json …
 //! │   └── …
 //! ├── truths/            content-addressed truth store (shared,
@@ -50,14 +50,16 @@
 //! # Verification on open
 //!
 //! [`AgencyStore::open`] replays and cross-checks everything it governs:
-//! the meta-ledger snapshot deserializes by replaying its reservations
+//! the meta-ledger snapshot deserializes by replaying its event log
 //! against the cap; every season directory must hold a reservation; every
 //! reserved season that exists is opened through the full
-//! [`SeasonStore::open`] verification (ledger replay, commit-record/entry
-//! agreement, artifact files one per record, crash-window repair) and
-//! must carry exactly its reserved budget; and every season must be
-//! pinned to the agency's dataset. Tampering any one season's ledger
-//! snapshot therefore makes the whole agency refuse to open. The metrics
+//! [`SeasonStore::open`] verification (the ledger rebuilt by replaying its
+//! commit records, totals checked against the replay, artifact files one
+//! per record, crash-window repair) and must carry exactly its reserved
+//! budget; and every season must be pinned to the agency's dataset.
+//! Tampering any one season's `ledger.json` therefore makes the whole
+//! agency refuse to open. [`AgencyStore::seasons`] then holds one
+//! [`SeasonSummary`] per reservation, materialized or not. The metrics
 //! registry's replay tallies (accepted releases, ε/δ spend per family)
 //! come from the same commit records, so open reads no artifact body and
 //! costs O(releases), not O(bytes released).
@@ -121,7 +123,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::accountant::MetaLedger;
+use crate::accountant::{MetaLedger, SeasonReservation};
 use crate::definitions::PrivacyParams;
 use crate::engine::{ReleaseRequest, RequestKind, Snapshot, TabulationCache};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -132,7 +134,7 @@ use crate::store::{
 };
 use crate::truths::TruthStore;
 use lodes::{Dataset, DatasetPanel};
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -169,7 +171,7 @@ const FAMILY_KINDS: [RequestKind; 3] = [
 /// confidential data — pins its fingerprint: the [`dataset_digest`] of
 /// the one snapshot for a single-snapshot agency, the [`panel_digest`]
 /// over every quarter for a panel agency.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct AgencyManifest {
     format: u32,
     cap: PrivacyParams,
@@ -179,26 +181,11 @@ struct AgencyManifest {
     panel: bool,
 }
 
-impl Deserialize for AgencyManifest {
-    /// Hand-written for compatibility: `panel` postdates the first agency
-    /// stores, so a manifest without the field reads as a single-snapshot
-    /// agency rather than refusing to open.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            format: u32::from_value(get_field(v, "format")?)?,
-            cap: PrivacyParams::from_value(get_field(v, "cap")?)?,
-            dataset_digest: Option::<u64>::from_value(get_field(v, "dataset_digest")?)?,
-            panel: match get_field(v, "panel") {
-                Ok(value) => bool::from_value(value)?,
-                Err(_) => false,
-            },
-        })
-    }
-}
-
 /// The audit view of one governed season, refreshed on
 /// [`AgencyStore::open`] and after every [`AgencyStore::run_season`].
-/// Serializable so budget-audit endpoints can publish it as-is.
+/// Serializable so budget-audit endpoints can publish it as-is; code
+/// that holds a season's store itself (like the release service's season
+/// workers) refreshes its own copy with [`SeasonSummary::of`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeasonSummary {
     /// The season's name (its directory name under `seasons/`).
@@ -218,6 +205,35 @@ pub struct SeasonSummary {
     /// Whether the season has been closed: its unspent remainder was
     /// refunded to the cap and no further release is admitted.
     pub closed: bool,
+}
+
+impl SeasonSummary {
+    /// The summary of materialized season `name`, read from its store.
+    pub fn of(name: &str, season: &SeasonStore) -> Self {
+        Self {
+            name: name.to_string(),
+            budget: *season.ledger().budget(),
+            spent_epsilon: season.ledger().spent_epsilon(),
+            spent_delta: season.ledger().spent_delta(),
+            completed: season.completed(),
+            materialized: true,
+            closed: season.is_closed(),
+        }
+    }
+
+    /// The summary of a reservation whose season directory does not exist
+    /// (the crash window of [`AgencyStore::create_season`]): nothing spent.
+    fn unmaterialized(reservation: &SeasonReservation, closed: bool) -> Self {
+        Self {
+            name: reservation.name.clone(),
+            budget: reservation.budget,
+            spent_epsilon: 0.0,
+            spent_delta: 0.0,
+            completed: 0,
+            materialized: false,
+            closed,
+        }
+    }
 }
 
 /// What [`AgencyStore::close_season`] accomplished: the refund credited
@@ -450,17 +466,10 @@ impl AgencyStore {
             // directory left by a crash before the manifest landed is
             // still the repairable create window.
             if !SeasonStore::exists_at(&season_dir) {
-                seasons.push(SeasonSummary {
-                    name: reservation.name.clone(),
-                    budget: reservation.budget,
-                    spent_epsilon: 0.0,
-                    spent_delta: 0.0,
-                    completed: 0,
-                    materialized: false,
-                    closed: meta
-                        .closure(&reservation.name)
-                        .is_some_and(|closure| closure.sealed),
-                });
+                let closed = meta
+                    .closure(&reservation.name)
+                    .is_some_and(|closure| closure.sealed);
+                seasons.push(SeasonSummary::unmaterialized(reservation, closed));
                 continue;
             }
             let season = SeasonStore::open(&season_dir)?;
@@ -507,15 +516,7 @@ impl AgencyStore {
                 tallies[slot].1 += release.cost.epsilon;
                 tallies[slot].2 += release.cost.delta;
             }
-            seasons.push(SeasonSummary {
-                name: reservation.name.clone(),
-                budget: reservation.budget,
-                spent_epsilon: season.ledger().spent_epsilon(),
-                spent_delta: season.ledger().spent_delta(),
-                completed: season.completed(),
-                materialized: true,
-                closed: season.is_closed(),
-            });
+            seasons.push(SeasonSummary::of(&reservation.name, &season));
         }
         if bound_digest != manifest.dataset_digest {
             manifest.dataset_digest = bound_digest;
@@ -805,6 +806,11 @@ impl AgencyStore {
             })?;
         write_json_atomic(&self.root.join(META_LEDGER_FILE), &meta)?;
         self.meta = meta;
+        // The reservation is durable: the audit view covers it from here,
+        // even if the directory below never appears.
+        let reservation = self.meta.reservation(name).expect("reserved just above");
+        self.seasons
+            .push(SeasonSummary::unmaterialized(reservation, false));
         let mut store = SeasonStore::create(&season_dir, budget)?;
         store.set_metrics(self.metrics());
         self.upsert_summary(name, &store);
@@ -813,15 +819,7 @@ impl AgencyStore {
 
     /// Refresh the audit view of one season from its live store.
     fn upsert_summary(&mut self, name: &str, season: &SeasonStore) {
-        let summary = SeasonSummary {
-            name: name.to_string(),
-            budget: *season.ledger().budget(),
-            spent_epsilon: season.ledger().spent_epsilon(),
-            spent_delta: season.ledger().spent_delta(),
-            completed: season.completed(),
-            materialized: true,
-            closed: season.is_closed(),
-        };
+        let summary = SeasonSummary::of(name, season);
         match self.seasons.iter_mut().find(|s| s.name == name) {
             Some(existing) => *existing = summary,
             None => self.seasons.push(summary),
@@ -1134,8 +1132,8 @@ fn mode_label(panel: bool) -> &'static str {
 }
 
 /// Derive the noise seed a request uses at `quarter` of a panel: two
-/// SplitMix64 rounds over the request's own seed and the quarter index
-/// (the same derivation style as the engine's per-cell seeds).
+/// SplitMix64 rounds over the request's own seed and the quarter index —
+/// the engine's per-cell seed derivation, with the quarter as the key.
 ///
 /// This is the consistent-over-time seeding rule in one function — a pure
 /// function of `(base, quarter)`, so a request's noise at a quarter is
@@ -1145,16 +1143,7 @@ fn mode_label(panel: bool) -> &'static str {
 /// *ending* quarter `q`: the flow and the quarter-`q` level release it
 /// reconciles against draw from the same per-quarter stream family.
 pub fn panel_quarter_seed(base: u64, quarter: usize) -> u64 {
-    let mut state = base ^ (quarter as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut step = || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    step();
-    step()
+    crate::engine::cell_seed(base, quarter as u64)
 }
 
 #[cfg(test)]
@@ -1287,6 +1276,35 @@ mod tests {
         drop(agency);
         let agency = AgencyStore::open(&dir).unwrap();
         drop(agency);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn layouts_no_build_writes_are_refused_naming_the_file() {
+        let dir = tmp_dir("old-layouts");
+        drop(AgencyStore::create(&dir, PrivacyParams::pure(0.1, 8.0)).unwrap());
+        let refused = |file: &str, json: &str| {
+            let path = dir.join(file);
+            let pristine = fs::read(&path).unwrap();
+            fs::write(&path, json).unwrap();
+            match AgencyStore::open(&dir) {
+                Err(StoreError::Corrupt { path: named, .. }) => assert_eq!(named, path),
+                other => panic!("expected {file} to be refused as corrupt, got {other:?}"),
+            }
+            fs::write(&path, pristine).unwrap();
+        };
+        // A meta-ledger from before the event log: bare reservations.
+        refused(
+            META_LEDGER_FILE,
+            r#"{"cap":{"alpha":0.1,"epsilon":8.0,"delta":0.0},"reservations":[],
+                "reserved_epsilon":0.0,"reserved_delta":0.0}"#,
+        );
+        // A manifest from before panel agencies: no `panel` field.
+        refused(
+            MANIFEST_FILE,
+            r#"{"format":1,"cap":{"alpha":0.1,"epsilon":8.0,"delta":0.0},"dataset_digest":null}"#,
+        );
+        drop(AgencyStore::open(&dir).unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -99,7 +99,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tabulate::{
-    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Kernel, Marginal,
+    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Fnv1a, Kernel, Marginal,
     MarginalSpec,
 };
 
@@ -461,21 +461,15 @@ pub struct TruthDigest {
 impl TruthDigest {
     /// Digest a marginal.
     pub fn of(truth: &Marginal) -> Self {
-        let mut checksum: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |word: u64| {
-            for byte in word.to_le_bytes() {
-                checksum ^= byte as u64;
-                checksum = checksum.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut checksum = Fnv1a::new();
         for (key, stats) in truth.iter() {
-            fold(key.0);
-            fold(stats.count);
+            checksum.word(key.0);
+            checksum.word(stats.count);
         }
         Self {
             num_cells: truth.num_cells(),
             total_count: truth.total(),
-            checksum,
+            checksum: checksum.finish(),
         }
     }
 
@@ -1253,7 +1247,9 @@ fn denial_reason(error: &EngineError) -> &'static str {
 
 /// Derive the independent noise seed of one cell from the request seed:
 /// two SplitMix64 rounds over the key so neighbouring keys decorrelate.
-fn cell_seed(base: u64, key: u64) -> u64 {
+/// A panel request's per-quarter seed is the same derivation over the
+/// quarter index ([`panel_quarter_seed`](crate::agency::panel_quarter_seed)).
+pub(crate) fn cell_seed(base: u64, key: u64) -> u64 {
     let mut state = base ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut step = || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

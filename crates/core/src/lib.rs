@@ -45,11 +45,12 @@
 //! A season — an agency's ordered plan of releases spending one
 //! season-long budget — outlives any single process. The
 //! [`store::SeasonStore`] makes it durable: every artifact is persisted
-//! as JSON (atomically, artifact first) together with a [`Ledger`]
-//! snapshot, and [`store::SeasonStore::open`] restores the ledger by
-//! *replaying* its entries through the same compensated budget
-//! arithmetic [`Ledger::charge`] uses, refusing corrupted or
-//! budget-inconsistent stores outright. Killing a season run and
+//! as JSON (atomically, artifact first) together with its commit record
+//! (cost, provenance, content digest) in the season's ledger file, and
+//! [`store::SeasonStore::open`] rebuilds the [`Ledger`] by *replaying*
+//! those records through the same compensated budget arithmetic
+//! [`Ledger::charge`] uses, refusing corrupted or budget-inconsistent
+//! stores outright. Killing a season run and
 //! resuming it re-spends nothing and reproduces the remaining artifacts
 //! bit-for-bit (noise streams derive from `(request seed, cell key)`):
 //!

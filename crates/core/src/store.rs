@@ -11,14 +11,15 @@
 //!   `<season>/artifacts/`, atomically (temp file + rename), as its
 //!   [`ArtifactBody`]: the canonical compact JSON, serialized once;
 //! * after each artifact, `<season>/ledger.json` is refreshed the same
-//!   way: the ledger snapshot plus one **commit record** per entry — the
-//!   body's content digest, provenance and cost ([`CompletedRelease`]);
-//! * [`SeasonStore::open`] reloads the ledger, **replaying** its entries
-//!   through the same compensated budget arithmetic the live
-//!   [`Ledger::charge`] uses, and refuses a store whose entries overdraw
-//!   the budget, whose commit records disagree with its entries, whose
-//!   artifact files do not line up with its records, or whose files are
-//!   corrupt — a tampered snapshot can never resume with more budget than
+//!   way: the season budget, the spent totals, and one **commit record**
+//!   per release — the body's content digest, provenance and cost
+//!   ([`CompletedRelease`]). Each charge is stored once, as its record;
+//! * [`SeasonStore::open`] rebuilds the [`Ledger`] by **replaying** the
+//!   commit records' costs through the same compensated budget arithmetic
+//!   the live [`Ledger::charge`] uses, and refuses a store whose records
+//!   overdraw the budget, whose recorded totals differ from the replay,
+//!   whose artifact files do not line up with its records, or whose files
+//!   are corrupt — a tampered file can never resume with more budget than
 //!   was actually left. Open reads no body: the commit records stand for
 //!   them, so it costs O(releases), not O(bytes released);
 //! * a body is checked when it is read: [`SeasonStore::load_artifact`]
@@ -95,7 +96,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::accountant::{Ledger, LedgerEntry};
+use crate::accountant::{Ledger, LedgerEntry, LedgerError};
 use crate::definitions::PrivacyParams;
 use crate::engine::{
     ReleaseArtifact, ReleaseEngine, ReleaseRequest, Snapshot, TabulationCache, TruthSource,
@@ -103,10 +104,11 @@ use crate::engine::{
 use crate::error::EngineError;
 use crate::metrics::MetricsRegistry;
 use lodes::Dataset;
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tabulate::Fnv1a;
 
 /// Store format version, recorded in the season manifest so a layout
 /// change refuses (or migrates) old directories explicitly. Version 2:
@@ -115,8 +117,10 @@ use std::sync::Arc;
 /// `filtered: true` with no expression) is refused, not misread as
 /// unfiltered. Version 3: `ledger.json` carries one commit record per
 /// entry, which open checks instead of the bodies; a version-2 ledger has
-/// none, so a version-2 season is refused like a version-1 one.
-const FORMAT_VERSION: u32 = 3;
+/// none, so a version-2 season is refused like a version-1 one. Version
+/// 4: `ledger.json` is the budget, the spent totals and the commit
+/// records, with no separate entry list; older seasons are refused.
+const FORMAT_VERSION: u32 = 4;
 
 /// Manifest file name under the season directory.
 const MANIFEST_FILE: &str = "season.json";
@@ -557,8 +561,9 @@ pub struct SeasonReport {
 
 /// One persisted release's **commit record**: what was asked, what it
 /// cost, and the content digest of its body. `ledger.json` holds one per
-/// ledger entry, so [`SeasonStore::open`] checks a season without reading
-/// a body, and every body read checks the bytes against it. The payload
+/// release — the season's charges are these records — so
+/// [`SeasonStore::open`] rebuilds the ledger without reading a body, and
+/// every body read checks the bytes against it. The payload
 /// (published cells) stays on disk, so resident state is O(releases), not
 /// O(total published cells).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -698,13 +703,12 @@ impl SeasonStore {
     /// a body:
     ///
     /// 1. the manifest parses and its format is supported;
-    /// 2. the ledger snapshot parses, and its entries **replay** within the
-    ///    budget (the deserializer re-runs the compensated arithmetic and
-    ///    cross-checks the recorded totals);
+    /// 2. `ledger.json` parses, its commit records **replay** within its
+    ///    budget (each record's description and cost charged through the
+    ///    compensated arithmetic of [`Ledger::charge`]), and the replayed
+    ///    totals equal the recorded ones;
     /// 3. the ledger's budget matches the manifest's;
-    /// 4. the ledger holds one commit record per entry, and record `i`'s
-    ///    cost and description agree bit-for-bit with entry `i`;
-    /// 5. artifact files are contiguous (`000000.json … N.json`, no gaps),
+    /// 4. artifact files are contiguous (`000000.json … N.json`, no gaps),
     ///    one per commit record.
     ///
     /// The one tolerated asymmetry is the crash window of the
@@ -750,18 +754,6 @@ impl SeasonStore {
                 ),
             });
         }
-        if completed.len() != ledger.entries().len() {
-            return Err(StoreError::Inconsistent {
-                detail: format!(
-                    "{} ledger entries vs {} commit records",
-                    ledger.entries().len(),
-                    completed.len()
-                ),
-            });
-        }
-        for (i, (entry, release)) in ledger.entries().iter().zip(&completed).enumerate() {
-            check_commit(i, entry, release)?;
-        }
         let artifacts_dir = root.join(ARTIFACTS_DIR);
         let artifact_count = scan_artifact_files(&artifacts_dir)?;
 
@@ -775,18 +767,10 @@ impl SeasonStore {
             let path = artifact_file(&artifacts_dir, completed.len());
             let bytes = read_bytes(&path)?;
             let last: ReleaseArtifact = parse_json(&path, &bytes)?;
-            let mut entries = ledger.entries().to_vec();
-            entries.push(LedgerEntry {
-                description: last.request.description.clone(),
-                epsilon: last.cost.epsilon,
-                delta: last.cost.delta,
-            });
-            ledger = Ledger::replay(manifest.budget, &entries).map_err(|e| {
-                StoreError::Inconsistent {
-                    detail: format!("rolling the ledger forward over the last artifact: {e}"),
-                }
-            })?;
             completed.push(CompletedRelease::of(&last, fnv1a_bytes(&bytes)));
+            ledger = replay(manifest.budget, &completed).map_err(|e| StoreError::Inconsistent {
+                detail: format!("rolling the ledger forward over the last artifact: {e}"),
+            })?;
             write_ledger(&root, &ledger, &completed)?;
         } else if artifact_count != completed.len() {
             return Err(StoreError::Inconsistent {
@@ -994,14 +978,29 @@ impl SeasonStore {
                 ),
             });
         }
-        // Mirror open()'s entry-vs-record check exactly: anything record()
-        // admits must be reopenable.
+        // Open replays the commit records, so the charge behind the
+        // ledger's new totals must be exactly this body's record, bit for
+        // bit: anything record() admits must be reopenable.
         let release = body.release();
-        check_commit(
-            self.completed.len(),
-            ledger.entries().last().expect("len >= 1"),
-            release,
-        )?;
+        let entry = ledger.entries().last().expect("len >= 1");
+        if entry.epsilon.to_bits() != release.cost.epsilon.to_bits()
+            || entry.delta.to_bits() != release.cost.delta.to_bits()
+            || entry.description != release.request.description
+        {
+            return Err(StoreError::Inconsistent {
+                detail: format!(
+                    "the recording ledger's newest charge ({}, eps {}, delta {}) is not \
+                     commit record {} ({}, eps {}, delta {})",
+                    entry.description,
+                    entry.epsilon,
+                    entry.delta,
+                    self.completed.len(),
+                    release.request.description,
+                    release.cost.epsilon,
+                    release.cost.delta
+                ),
+            });
+        }
         let path = artifact_file(&self.root.join(ARTIFACTS_DIR), self.completed.len());
         write_bytes_atomic(&path, body.json().as_bytes())?;
         self.completed.push(release.clone());
@@ -1155,61 +1154,73 @@ fn artifact_file(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("{index:06}.json"))
 }
 
-/// Check commit record `index` against ledger entry `index`, bit for bit:
-/// the record must carry exactly the cost the entry charged, under the
-/// entry's description.
-fn check_commit(
-    index: usize,
-    entry: &LedgerEntry,
-    release: &CompletedRelease,
-) -> Result<(), StoreError> {
-    if entry.epsilon.to_bits() != release.cost.epsilon.to_bits()
-        || entry.delta.to_bits() != release.cost.delta.to_bits()
-        || entry.description != release.request.description
-    {
-        return Err(StoreError::Inconsistent {
-            detail: format!(
-                "ledger entry {index} ({}, eps {}, delta {}) disagrees with commit record \
-                 {index} ({}, eps {}, delta {})",
-                entry.description,
-                entry.epsilon,
-                entry.delta,
-                release.request.description,
-                release.cost.epsilon,
-                release.cost.delta
-            ),
-        });
-    }
-    Ok(())
+/// `ledger.json`: the season budget, the spent totals, and the commit
+/// records in release order — the one stored copy of each charge.
+#[derive(Debug, Serialize, Deserialize)]
+struct LedgerFile {
+    budget: PrivacyParams,
+    spent_epsilon: f64,
+    spent_delta: f64,
+    commits: Vec<CompletedRelease>,
 }
 
-/// Write `ledger.json`: the ledger snapshot's fields, then `commits`, one
-/// commit record per entry.
+/// Write `ledger.json`: `ledger`'s budget and spent totals, then
+/// `commits`, one commit record per release.
 fn write_ledger(
     root: &Path,
     ledger: &Ledger,
     commits: &[CompletedRelease],
 ) -> Result<(), StoreError> {
-    let Value::Map(mut fields) = ledger.to_value() else {
-        unreachable!("a ledger serializes to an object");
+    let file = LedgerFile {
+        budget: *ledger.budget(),
+        spent_epsilon: ledger.spent_epsilon(),
+        spent_delta: ledger.spent_delta(),
+        commits: commits.to_vec(),
     };
-    fields.push(("commits".to_string(), commits.to_value()));
-    write_json_atomic(&root.join(LEDGER_FILE), &Value::Map(fields))
+    write_json_atomic(&root.join(LEDGER_FILE), &file)
 }
 
-/// Read `ledger.json`: the ledger, deserialized by replay, and its commit
-/// records.
+/// Read `ledger.json`: rebuild the ledger by replaying its commit records
+/// under its budget, and refuse the file as [`StoreError::Corrupt`] when
+/// they overdraw the budget or the replayed totals are not the recorded
+/// ones.
 fn read_ledger(path: &Path) -> Result<(Ledger, Vec<CompletedRelease>), StoreError> {
-    let value: Value = read_json(path)?;
-    let corrupt = |e: DeError| StoreError::Corrupt {
+    let file: LedgerFile = read_json(path)?;
+    let corrupt = |detail: String| StoreError::Corrupt {
         path: path.to_path_buf(),
-        detail: e.to_string(),
+        detail,
     };
-    let ledger = Ledger::from_value(&value).map_err(corrupt)?;
-    let commits = get_field(&value, "commits")
-        .and_then(Vec::<CompletedRelease>::from_value)
-        .map_err(corrupt)?;
-    Ok((ledger, commits))
+    let ledger = replay(file.budget, &file.commits)
+        .map_err(|e| corrupt(format!("budget-inconsistent ledger: {e}")))?;
+    // The replay is deterministic, and the JSON writer prints f64 with
+    // shortest-round-trip precision, so an untouched file reproduces its
+    // totals bit for bit; any slack here would be a tampering allowance.
+    if file.spent_epsilon != ledger.spent_epsilon() || file.spent_delta != ledger.spent_delta() {
+        return Err(corrupt(format!(
+            "recorded totals (eps {}, delta {}) disagree with the commit records' replay \
+             (eps {}, delta {})",
+            file.spent_epsilon,
+            file.spent_delta,
+            ledger.spent_epsilon(),
+            ledger.spent_delta()
+        )));
+    }
+    Ok((ledger, file.commits))
+}
+
+/// Rebuild a season's ledger from its commit records: each charges its
+/// description and cost under `budget`, in order, through
+/// [`Ledger::replay`].
+fn replay(budget: PrivacyParams, commits: &[CompletedRelease]) -> Result<Ledger, LedgerError> {
+    let entries: Vec<LedgerEntry> = commits
+        .iter()
+        .map(|commit| LedgerEntry {
+            description: commit.request.description.clone(),
+            epsilon: commit.cost.epsilon,
+            delta: commit.cost.delta,
+        })
+        .collect();
+    Ledger::replay(budget, &entries)
 }
 
 /// Read the body of artifact `index` under `season_dir`, checked against
@@ -1278,17 +1289,13 @@ fn provenance_matches(
     Ok(())
 }
 
-/// FNV-1a over a byte string — the workspace's one content-address hash
-/// (dataset digests, truth-store keys, released-artifact cache keys all
-/// fold through it). A digest only ever *names* things; every store that
-/// uses one re-verifies the full key structurally on load.
+/// FNV-1a ([`Fnv1a`], the workspace's one content-address hash) over a
+/// byte string: truth seals, truth-store keys, released-body digests and
+/// cache keys.
 pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    let mut hash = Fnv1a::new();
+    hash.bytes(bytes);
+    hash.finish()
 }
 
 /// A stable FNV-1a fingerprint of the confidential database: table sizes,
@@ -1302,27 +1309,21 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// linear pass over the dataset per [`Snapshot::of`] (cheap next to a
 /// single tabulation).
 pub fn dataset_digest(dataset: &Dataset) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    fold(dataset.num_workplaces() as u64);
-    fold(dataset.num_workers() as u64);
-    fold(dataset.num_jobs() as u64);
+    let mut hash = Fnv1a::new();
+    hash.word(dataset.num_workplaces() as u64);
+    hash.word(dataset.num_workers() as u64);
+    hash.word(dataset.num_jobs() as u64);
     for wp in dataset.workplaces() {
-        fold(
+        hash.word(
             (wp.state.0 as u64)
                 | ((wp.county.0 as u64) << 16)
                 | ((wp.naics.index() as u64) << 32)
                 | ((wp.ownership.index() as u64) << 40),
         );
-        fold((wp.place.0 as u64) | ((wp.block.0 as u64) << 32));
+        hash.word((wp.place.0 as u64) | ((wp.block.0 as u64) << 32));
     }
     for w in dataset.workers() {
-        fold(
+        hash.word(
             (w.sex.index() as u64)
                 | ((w.age.index() as u64) << 8)
                 | ((w.race.index() as u64) << 16)
@@ -1331,9 +1332,9 @@ pub fn dataset_digest(dataset: &Dataset) -> u64 {
         );
     }
     for job in dataset.jobs() {
-        fold((job.worker.0 as u64) | ((job.workplace.0 as u64) << 32));
+        hash.word((job.worker.0 as u64) | ((job.workplace.0 as u64) << 32));
     }
-    hash
+    hash.finish()
 }
 
 /// The content address of an ordered `(before, after)` dataset pair — the
@@ -1343,14 +1344,10 @@ pub fn dataset_digest(dataset: &Dataset) -> u64 {
 /// destruction in the reverse direction), so swapping the arguments
 /// yields a different address.
 pub fn dataset_pair_digest(before: u64, after: u64) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in [before, after] {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
+    let mut hash = Fnv1a::new();
+    hash.word(before);
+    hash.word(after);
+    hash.finish()
 }
 
 /// The content address of a whole quarterly panel: FNV-1a over the
@@ -1360,18 +1357,12 @@ pub fn dataset_pair_digest(before: u64, after: u64) -> u64 {
 /// agency against a panel with any quarter changed, added, or reordered
 /// is refused.
 pub fn panel_digest(quarter_digests: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    fold(quarter_digests.len() as u64);
+    let mut hash = Fnv1a::new();
+    hash.word(quarter_digests.len() as u64);
     for &digest in quarter_digests {
-        fold(digest);
+        hash.word(digest);
     }
-    hash
+    hash.finish()
 }
 
 /// Write `value` as compact JSON through the workspace's one durable
@@ -1674,5 +1665,41 @@ mod tests {
         store.record(engine.ledger(), &b1).unwrap();
         assert_eq!(store.completed(), 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Known answers for every FNV-1a and SplitMix64 the stores and the
+    /// engine derive: these values name stored files, cache entries and
+    /// noise streams, so a change to any of them would orphan every
+    /// persisted truth, body and cache entry (or change released noise).
+    #[test]
+    fn content_addresses_and_seeds_match_known_answers() {
+        use crate::agency::panel_quarter_seed;
+        use crate::engine::TruthDigest;
+        use lodes::{DatasetPanel, PanelConfig};
+        use tabulate::{compute_flows, compute_marginal, ranking2_expr, workload3};
+        let panel = DatasetPanel::generate(
+            &GeneratorConfig::test_small(5),
+            &PanelConfig {
+                quarters: 2,
+                growth_sigma: 0.1,
+                death_rate: 0.05,
+                seed: 9,
+            },
+        );
+        let (before, after) = (
+            dataset_digest(panel.quarter(0)),
+            dataset_digest(panel.quarter(1)),
+        );
+        let level = compute_marginal(panel.quarter(1), &workload3());
+        let flows = compute_flows(panel.quarter(0), panel.quarter(1), &workload1());
+        assert_eq!(after, 0xca5a_752f_d7eb_8b2e);
+        assert_eq!(dataset_pair_digest(before, after), 0x7223_fd7e_87c3_444c);
+        assert_eq!(panel_digest(&[before, after]), 0xb9ce_239b_4be6_b392);
+        assert_eq!(ranking2_expr().id().0, 0x54cc_e40f_eff4_ae61);
+        assert_eq!(level.content_digest(), 0xfb54_4b81_66ef_0719);
+        assert_eq!(flows.content_digest(), 0x0ceb_64f5_38e8_03a1);
+        assert_eq!(TruthDigest::of(&level).checksum, 0xb7ea_e669_9653_346b);
+        assert_eq!(fnv1a_bytes(b"eree"), 0xb200_5260_6faa_ffc4);
+        assert_eq!(panel_quarter_seed(7, 3), 0x90df_7bd8_aeb7_7931);
     }
 }

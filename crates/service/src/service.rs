@@ -36,15 +36,27 @@
 //! snapshot on disk, and the release-id registry itself is persisted to
 //! `releases.json`, so `GET /releases/{id}` survives a restart. The
 //! registry keeps no artifact: a completed record holds its body's
-//! content digest and where the body lives — its season's artifact file
-//! for an admitted release, its public-cache entry for a cache hit — so a
-//! start reads one small file and no body. A GET reads the body outside
+//! content digest and where the body lives — its season and index for an
+//! admitted release, its public-cache key for a cache hit — so a start
+//! reads one small file and no body. A GET reads the body outside
 //! the registry lock, checks its FNV-1a against the recorded digest and
 //! splices the bytes into the view as its last field (`artifact`),
 //! without parsing or serializing them; a missing or mismatched body
 //! answers `failed`. Releases that were still queued at a restart report
 //! as failed. `GET /audit?deep=1` runs that read over every completed
 //! release.
+//!
+//! The service keeps one [`SeasonSummary`] per reserved season, seeded at
+//! start from [`AgencyStore::seasons`] and replaced whole by whoever last
+//! changed the season: `POST /seasons`, the season's worker (when it
+//! spawns, from the store it opens, and after each release) and a close.
+//! `GET /audit` lists them in reservation order as they stand.
+//!
+//! Locks, where several are held, are taken in the order `agency` →
+//! `workers` → `registry`. `seasons` and `quarter_map` are leaf locks:
+//! nothing else is taken while one is held. A worker takes `workers` only
+//! to retire itself, and otherwise only `registry` and `seasons`, so it can
+//! never deadlock against the HTTP side.
 //!
 //! # Quarterly-panel mode
 //!
@@ -79,11 +91,11 @@ use eree_core::engine::{ReleaseRequest, RequestKind, Snapshot, TabulationCache};
 use eree_core::metrics::{MetricsRegistry, MetricsSnapshot, SeasonQueue};
 use eree_core::public_cache::{ReleaseCache, ReleaseKey};
 use eree_core::store::{
-    dataset_digest, dataset_pair_digest, panel_digest, SeasonStore, StoreError,
+    dataset_digest, dataset_pair_digest, panel_digest, write_json_atomic, SeasonStore, StoreError,
 };
 use eree_core::truths::TruthStore;
 use lodes::{Dataset, DatasetPanel};
-use serde::{Deserialize, Serialize};
+use serde::{get_field, DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -96,8 +108,10 @@ use tabulate::{DatasetIndex, FilterExpr};
 /// Format version of the persisted release-id registry (`releases.json`).
 /// Version 2: a completed record carries its body's content digest and,
 /// for an admitted release, the body's index in its season, so a start
-/// reads no artifact. A file of any other format refuses the start.
-const REGISTRY_FORMAT_VERSION: u32 = 2;
+/// reads no artifact. Version 3: a record holds only what locates its
+/// body — an admitted release no key, a cache hit no season and no
+/// `cached` flag. A file of any other format refuses the start.
+const REGISTRY_FORMAT_VERSION: u32 = 3;
 /// Format version of the persisted season → quarter bindings
 /// (`panel_quarters.json`).
 const QUARTERS_FORMAT_VERSION: u32 = 1;
@@ -183,35 +197,84 @@ enum ReleaseState {
     },
 }
 
+/// One release id: the season it was submitted to (empty for a cache
+/// hit) and where it stands.
 struct ReleaseRecord {
     season: String,
-    /// The release's full public identity, known at admission (every
-    /// service release is declarative). A cache hit's body is the public
-    /// entry of this key.
-    key: Option<ReleaseKey>,
     state: ReleaseState,
 }
 
-/// One record of the persisted registry (`releases.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PersistedRecord {
-    season: String,
-    status: String,
-    cached: bool,
-    error: Option<String>,
-    key: Option<ReleaseKey>,
-    /// A completed release's content digest.
-    digest: Option<u64>,
-    /// An admitted release's index in `season`, where its body is; `None`
-    /// for a cache hit, whose body is the public entry of `key`.
-    index: Option<u64>,
+/// A record as `releases.json` stores it: `season` and `status`, then
+/// what the status needs — an admitted release's content `digest` and
+/// body `index` in its season; a cache hit's `digest` and public-cache
+/// `key`, and no season; a failure's `error`. A record is a cache hit
+/// exactly when it carries a key.
+impl Serialize for ReleaseRecord {
+    fn to_value(&self) -> Value {
+        let field = |name: &str, value: Value| (name.to_string(), value);
+        let season = field("season", self.season.to_value());
+        let status = |status: &str| field("status", status.to_value());
+        Value::Map(match &self.state {
+            ReleaseState::Queued => vec![season, status("queued")],
+            ReleaseState::Complete {
+                site: BodySite::Season { index, .. },
+                digest,
+            } => vec![
+                season,
+                status("complete"),
+                field("digest", digest.to_value()),
+                field("index", index.to_value()),
+            ],
+            ReleaseState::Complete {
+                site: BodySite::Public(key),
+                digest,
+            } => vec![
+                status("complete"),
+                field("digest", digest.to_value()),
+                field("key", key.to_value()),
+            ],
+            ReleaseState::Failed { error } => {
+                vec![season, status("failed"), field("error", error.to_value())]
+            }
+        })
+    }
 }
 
-/// The persisted registry file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RegistryFile {
+impl Deserialize for ReleaseRecord {
+    /// The writer's inverse, except that a release still queued when the
+    /// file was written reads as failed: its queue was memory.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let season = v.get("season").map(String::from_value).transpose()?;
+        let season = season.unwrap_or_default();
+        let state = match String::from_value(get_field(v, "status")?)?.as_str() {
+            "complete" => ReleaseState::Complete {
+                digest: u64::from_value(get_field(v, "digest")?)?,
+                site: match (v.get("index"), v.get("key")) {
+                    (Some(index), None) => BodySite::Season {
+                        season: season.clone(),
+                        index: usize::from_value(index)?,
+                    },
+                    (None, Some(key)) => BodySite::Public(ReleaseKey::from_value(key)?),
+                    _ => return Err(DeError::new("a complete record needs `index` or `key`")),
+                },
+            },
+            "failed" => ReleaseState::Failed {
+                error: String::from_value(get_field(v, "error")?)?,
+            },
+            _ => ReleaseState::Failed {
+                error: "the service restarted before this queued release ran".to_string(),
+            },
+        };
+        Ok(Self { season, state })
+    }
+}
+
+/// The release-id registry: record `i` is release id `i`. Persisted whole
+/// as `releases.json` after every change.
+#[derive(Serialize, Deserialize)]
+struct Registry {
     format: u32,
-    records: Vec<PersistedRecord>,
+    records: Vec<ReleaseRecord>,
 }
 
 /// One season → quarter binding of a panel service.
@@ -236,8 +299,6 @@ enum Job {
 struct SeasonWorker {
     tx: mpsc::Sender<Job>,
     join: JoinHandle<()>,
-    /// The season's live audit summary, maintained by its worker.
-    view: Arc<Mutex<SeasonSummary>>,
     /// Jobs enqueued but not yet executed — the season's live queue
     /// depth, reported per season by `GET /metrics`.
     pending: Arc<AtomicU64>,
@@ -265,13 +326,9 @@ impl Quarter {
     }
 }
 
-/// State shared by the HTTP pool and every season worker.
-///
-/// Lock order (where multiple are held): `agency` → `workers` →
-/// `retired` → `registry` → a season `view`; `quarter_map` is only ever
-/// held alone or directly under `agency`. Workers take `workers` only to
-/// retire themselves (then `retired`), and otherwise only `registry` and
-/// their own `view`, so they can never deadlock against the HTTP side.
+/// State shared by the HTTP pool and every season worker. Lock order:
+/// `agency` → `workers` → `registry`; `seasons` and `quarter_map` are
+/// leaf locks (see the [module docs](self)).
 struct Shared {
     quarters: Vec<Quarter>,
     panel: bool,
@@ -282,10 +339,9 @@ struct Shared {
     bodies: ReleaseBodies,
     agency: Mutex<AgencyStore>,
     workers: Mutex<BTreeMap<String, SeasonWorker>>,
-    /// Final audit summaries of seasons whose idle workers retired, so
-    /// the audit view stays exact between retirement and respawn.
-    retired: Mutex<BTreeMap<String, SeasonSummary>>,
-    registry: Mutex<Vec<ReleaseRecord>>,
+    /// One audit summary per reserved season, as it stands now.
+    seasons: Mutex<BTreeMap<String, SeasonSummary>>,
+    registry: Mutex<Registry>,
     /// The agency's live metrics registry (the same `Arc` every season
     /// store and engine records into), plus the service-side counters.
     /// Readable without the agency lock.
@@ -365,6 +421,11 @@ impl ReleaseService {
         let registry = load_registry(&registry_path)?;
         let bodies = agency.release_bodies()?;
         let metrics = agency.metrics();
+        let seasons = agency
+            .seasons()
+            .iter()
+            .map(|summary| (summary.name.clone(), summary.clone()))
+            .collect();
         let shared = Arc::new(Shared {
             quarters,
             panel,
@@ -375,7 +436,7 @@ impl ReleaseService {
             bodies,
             agency: Mutex::new(agency),
             workers: Mutex::new(BTreeMap::new()),
-            retired: Mutex::new(BTreeMap::new()),
+            seasons: Mutex::new(seasons),
             registry: Mutex::new(registry),
             metrics,
             idle_timeout: config.idle_timeout,
@@ -519,6 +580,7 @@ fn create_season(shared: &Arc<Shared>, body: &str) -> Response {
         // Drop the returned store immediately: its write lease must be
         // free for the season's worker to claim on first submission.
         Ok(store) => {
+            set_summary(shared, SeasonSummary::of(&create.name, &store));
             drop(store);
             if let Some(q) = quarter {
                 let mut map = shared.quarter_map.lock().expect("quarter map poisoned");
@@ -534,7 +596,17 @@ fn create_season(shared: &Arc<Shared>, body: &str) -> Response {
                 },
             )
         }
-        Err(e) => store_error(&e),
+        Err(e) => {
+            // A reservation that landed before the failure is a season
+            // too: the agency's summary covers it (not materialized).
+            if let Some(summary) = agency.seasons().iter().find(|s| s.name == create.name) {
+                let mut seasons = shared.seasons.lock().expect("seasons lock poisoned");
+                seasons
+                    .entry(create.name)
+                    .or_insert_with(|| summary.clone());
+            }
+            store_error(&e)
+        }
     }
 }
 
@@ -622,7 +694,6 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
             shared,
             ReleaseRecord {
                 season: String::new(),
-                key: Some(key.clone()),
                 state: ReleaseState::Complete {
                     site: BodySite::Public(key),
                     digest,
@@ -666,7 +737,6 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
         shared,
         ReleaseRecord {
             season: name.to_string(),
-            key: Some(key),
             state: ReleaseState::Queued,
         },
     );
@@ -725,14 +795,9 @@ fn close_season(shared: &Arc<Shared>, name: &str) -> Response {
     }
     match agency.close_season(name) {
         Ok(receipt) => {
-            // Leave the sealed summary as the season's retired view so
-            // the audit reports it closed with its spend final.
-            if let Some(summary) = agency.seasons().iter().find(|s| s.name == name).cloned() {
-                shared
-                    .retired
-                    .lock()
-                    .expect("retired views poisoned")
-                    .insert(name.to_string(), summary);
+            // The agency's summary is the sealed season, its spend final.
+            if let Some(summary) = agency.seasons().iter().find(|s| s.name == name) {
+                set_summary(shared, summary.clone());
             }
             json_ok(200, &receipt)
         }
@@ -747,7 +812,7 @@ fn release_status(shared: &Arc<Shared>, id: &str) -> Response {
     // Copy the record under the registry lock; read its body outside it.
     let (season, state) = {
         let registry = shared.registry.lock().expect("registry lock poisoned");
-        let Some(record) = registry.get(id as usize) else {
+        let Some(record) = registry.records.get(id as usize) else {
             return Response::error(404, &format!("no release with id {id}"));
         };
         (record.season.clone(), record.state.clone())
@@ -822,53 +887,21 @@ fn audit(shared: &Arc<Shared>, request: &Request) -> Response {
     let bodies = deep.then(|| audit_bodies(shared));
     let agency = shared.agency.lock().expect("agency lock poisoned");
     let workers = shared.workers.lock().expect("workers lock poisoned");
-    let retired = shared.retired.lock().expect("retired views poisoned");
-    let mut seasons = Vec::new();
-    for reservation in agency.meta_ledger().reservations() {
-        match workers.get(&reservation.name) {
-            // A live worker's view is fresher than the agency's (the
-            // worker owns the season store; the agency read it at open).
-            Some(worker) => {
-                seasons.push(worker.view.lock().expect("season view poisoned").clone());
-            }
-            // A retired worker left its final summary behind. The
-            // meta-ledger stays authoritative for closure: a worker that
-            // retired while a close raced in may have recorded a
-            // pre-close view.
-            None => match retired.get(&reservation.name) {
-                Some(summary) => {
-                    let mut summary = summary.clone();
-                    summary.closed = summary.closed
-                        || agency
-                            .meta_ledger()
-                            .closure(&reservation.name)
-                            .is_some_and(|c| c.sealed);
-                    seasons.push(summary);
-                }
-                None => seasons.push(
-                    agency
-                        .seasons()
-                        .iter()
-                        .find(|s| s.name == reservation.name)
-                        .cloned()
-                        .unwrap_or(SeasonSummary {
-                            name: reservation.name.clone(),
-                            budget: reservation.budget,
-                            spent_epsilon: 0.0,
-                            spent_delta: 0.0,
-                            completed: 0,
-                            materialized: false,
-                            closed: false,
-                        }),
-                ),
-            },
-        }
-    }
     let releases = shared
         .registry
         .lock()
         .expect("registry lock poisoned")
+        .records
         .len() as u64;
+    let seasons: Vec<SeasonSummary> = {
+        let seasons = shared.seasons.lock().expect("seasons lock poisoned");
+        agency
+            .meta_ledger()
+            .reservations()
+            .iter()
+            .filter_map(|reservation| seasons.get(&reservation.name).cloned())
+            .collect()
+    };
     let metrics = snapshot_with_queues(&agency, &workers);
     let view = AuditView {
         cap: *agency.cap(),
@@ -891,6 +924,7 @@ fn audit_bodies(shared: &Shared) -> BodyAudit {
     let completed: Vec<(u64, BodySite, u64)> = {
         let registry = shared.registry.lock().expect("registry lock poisoned");
         registry
+            .records
             .iter()
             .enumerate()
             .filter_map(|(id, record)| match &record.state {
@@ -952,65 +986,48 @@ fn snapshot_with_queues(
 /// Append a record to the registry and persist it. Returns the new id.
 fn push_record(shared: &Shared, record: ReleaseRecord) -> u64 {
     let mut registry = shared.registry.lock().expect("registry lock poisoned");
-    registry.push(record);
+    registry.records.push(record);
     persist_registry(shared, &registry);
-    (registry.len() - 1) as u64
+    (registry.records.len() - 1) as u64
 }
 
 fn set_state(shared: &Shared, id: u64, state: ReleaseState) {
     let mut registry = shared.registry.lock().expect("registry lock poisoned");
-    if let Some(record) = registry.get_mut(id as usize) {
+    if let Some(record) = registry.records.get_mut(id as usize) {
         record.state = state;
         persist_registry(shared, &registry);
     }
 }
 
-/// Rewrite the persistent registry under the registry lock. Best-effort:
-/// a failed write loses only restart visibility, never a release (every
-/// admission is already durable in the season store and public cache).
-fn persist_registry(shared: &Shared, registry: &[ReleaseRecord]) {
-    let file = RegistryFile {
-        format: REGISTRY_FORMAT_VERSION,
-        records: registry
-            .iter()
-            .map(|r| {
-                let (status, error, site, digest) = match &r.state {
-                    ReleaseState::Queued => ("queued", None, None, None),
-                    ReleaseState::Complete { site, digest } => {
-                        ("complete", None, Some(site), Some(*digest))
-                    }
-                    ReleaseState::Failed { error } => ("failed", Some(error.clone()), None, None),
-                };
-                PersistedRecord {
-                    season: r.season.clone(),
-                    status: status.to_string(),
-                    cached: matches!(site, Some(BodySite::Public(_))),
-                    error,
-                    key: r.key.clone(),
-                    digest,
-                    index: match site {
-                        Some(BodySite::Season { index, .. }) => Some(*index as u64),
-                        _ => None,
-                    },
-                }
-            })
-            .collect(),
-    };
-    let _ = write_json_file(&shared.registry_path, &file);
+/// Rewrite the persistent registry under the registry lock, through the
+/// core store's fsynced temp + rename (whose temp files the agency's
+/// open-time sweep clears). Best-effort: a failed write loses only
+/// restart visibility, never a release (every admission is already
+/// durable in the season store and public cache).
+fn persist_registry(shared: &Shared, registry: &Registry) {
+    let _ = write_json_atomic(&shared.registry_path, registry);
+}
+
+/// Replace season `summary.name`'s audit summary.
+fn set_summary(shared: &Shared, summary: SeasonSummary) {
+    let mut seasons = shared.seasons.lock().expect("seasons lock poisoned");
+    seasons.insert(summary.name.clone(), summary);
 }
 
 /// Rehydrate the release-id registry from `releases.json`, reading no
-/// artifact: a completed record keeps its content digest and its body's
-/// site (its season's artifact `index`, or for a cache hit the public
-/// entry of its key); releases that were still queued at the crash report
-/// as failed — their queue was memory. A missing file is an empty
+/// artifact (see [`ReleaseRecord`]'s layout). A missing file is an empty
 /// registry. A file that does not parse as this format refuses the start:
 /// an empty registry would reissue id 0 and overwrite the old records, so
 /// an old id would answer a different release.
-fn load_registry(path: &Path) -> Result<Vec<ReleaseRecord>, ServiceError> {
+fn load_registry(path: &Path) -> Result<Registry, ServiceError> {
     let json = match std::fs::read_to_string(path) {
         Ok(json) => json,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Ok(Registry {
+                format: REGISTRY_FORMAT_VERSION,
+                records: Vec::new(),
+            })
+        }
         Err(source) => {
             return Err(ServiceError::Store(StoreError::Io {
                 path: path.to_path_buf(),
@@ -1026,8 +1043,8 @@ fn load_registry(path: &Path) -> Result<Vec<ReleaseRecord>, ServiceError> {
     };
     // The format first, so an older layout is named as such rather than
     // as whichever field it lacks.
-    let value: serde::Value = serde_json::from_str(&json).map_err(|e| refuse(e.to_string()))?;
-    let format = serde::get_field(&value, "format")
+    let value: Value = serde_json::from_str(&json).map_err(|e| refuse(e.to_string()))?;
+    let format = get_field(&value, "format")
         .and_then(u32::from_value)
         .map_err(|e| refuse(e.to_string()))?;
     if format != REGISTRY_FORMAT_VERSION {
@@ -1035,40 +1052,7 @@ fn load_registry(path: &Path) -> Result<Vec<ReleaseRecord>, ServiceError> {
             "unsupported registry format {format} (this build reads {REGISTRY_FORMAT_VERSION})"
         )));
     }
-    let file = RegistryFile::from_value(&value).map_err(|e| refuse(e.to_string()))?;
-    file.records
-        .into_iter()
-        .enumerate()
-        .map(|(id, r)| {
-            let state = match r.status.as_str() {
-                "complete" => {
-                    let site = match (r.cached, r.index, &r.key) {
-                        (false, Some(index), _) => BodySite::Season {
-                            season: r.season.clone(),
-                            index: index as usize,
-                        },
-                        (true, None, Some(key)) => BodySite::Public(key.clone()),
-                        _ => return Err(refuse(format!("record {id} does not locate its body"))),
-                    };
-                    let digest = r
-                        .digest
-                        .ok_or_else(|| refuse(format!("record {id} has no content digest")))?;
-                    ReleaseState::Complete { site, digest }
-                }
-                "failed" => ReleaseState::Failed {
-                    error: r.error.unwrap_or_else(|| "unrecorded failure".to_string()),
-                },
-                _ => ReleaseState::Failed {
-                    error: "the service restarted before this queued release ran".to_string(),
-                },
-            };
-            Ok(ReleaseRecord {
-                season: r.season,
-                key: r.key,
-                state,
-            })
-        })
-        .collect()
+    Registry::from_value(&value).map_err(|e| refuse(e.to_string()))
 }
 
 /// Persist the season → quarter bindings under the quarter-map lock.
@@ -1083,15 +1067,24 @@ fn persist_quarter_map(shared: &Shared, map: &BTreeMap<String, usize>) {
             })
             .collect(),
     };
-    let _ = write_json_file(&shared.quarters_path, &file);
+    let _ = write_json_atomic(&shared.quarters_path, &file);
 }
 
 /// Load the season → quarter bindings, refusing out-of-range quarters
-/// (the panel shrank, or the file belongs to a different panel).
+/// (the panel shrank, or the file belongs to a different panel). A
+/// missing file binds nothing; any other read failure refuses the start,
+/// since starting unbound would let the next `POST /seasons` overwrite
+/// every lost binding for good.
 fn load_quarter_map(path: &Path, quarters: usize) -> Result<BTreeMap<String, usize>, ServiceError> {
     let json = match std::fs::read_to_string(path) {
         Ok(json) => json,
-        Err(_) => return Ok(BTreeMap::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
+        Err(source) => {
+            return Err(ServiceError::Store(StoreError::Io {
+                path: path.to_path_buf(),
+                source,
+            }))
+        }
     };
     let file: QuartersFile = serde_json::from_str(&json).map_err(|e| {
         ServiceError::Store(StoreError::Inconsistent {
@@ -1121,14 +1114,6 @@ fn load_quarter_map(path: &Path, quarters: usize) -> Result<BTreeMap<String, usi
     Ok(map)
 }
 
-/// Durable JSON persistence for the service's own registries: the core
-/// store's fsynced write-temp-then-rename, whose temp naming the agency's
-/// open-time sweep recognizes — a crashed service leaves no stray temp
-/// files the next open cannot clean up.
-fn write_json_file<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), StoreError> {
-    eree_core::store::write_json_atomic(path, value)
-}
-
 /// Open season `name` (claiming its write lease) and start its worker
 /// thread. Called under the `agency` and `workers` locks.
 fn spawn_worker(
@@ -1151,21 +1136,7 @@ fn spawn_worker(
             });
         }
     }
-    let view = Arc::new(Mutex::new(SeasonSummary {
-        name: name.to_string(),
-        budget: *store.ledger().budget(),
-        spent_epsilon: store.ledger().spent_epsilon(),
-        spent_delta: store.ledger().spent_delta(),
-        completed: store.completed(),
-        materialized: true,
-        closed: store.is_closed(),
-    }));
-    // The worker replaces any retired-state summary for this season.
-    shared
-        .retired
-        .lock()
-        .expect("retired views poisoned")
-        .remove(name);
+    set_summary(shared, SeasonSummary::of(name, &store));
     let q = &shared.quarters[quarter];
     let cache = TabulationCache::with_store(q.truths.clone()).with_shared_index(q.index());
     let (tx, rx) = mpsc::channel::<Job>();
@@ -1177,16 +1148,10 @@ fn spawn_worker(
         quarter,
         store,
         cache,
-        view: Arc::clone(&view),
         pending: Arc::clone(&pending),
     };
     let join = std::thread::spawn(move || season_worker(ctx, rx));
-    Ok(SeasonWorker {
-        tx,
-        join,
-        view,
-        pending,
-    })
+    Ok(SeasonWorker { tx, join, pending })
 }
 
 /// Everything one season worker owns: the [`SeasonStore`] (and with it
@@ -1198,7 +1163,6 @@ struct WorkerCtx {
     quarter: usize,
     store: SeasonStore,
     cache: TabulationCache,
-    view: Arc<Mutex<SeasonSummary>>,
     /// Shared with the [`SeasonWorker`] handle: enqueued-but-unexecuted
     /// jobs, decremented after each release resolves.
     pending: Arc<AtomicU64>,
@@ -1244,10 +1208,7 @@ impl WorkerCtx {
             },
         };
         set_state(&self.shared, id, state);
-        let mut v = self.view.lock().expect("season view poisoned");
-        v.spent_epsilon = self.store.ledger().spent_epsilon();
-        v.spent_delta = self.store.ledger().spent_delta();
-        v.completed = self.store.completed();
+        set_summary(&self.shared, SeasonSummary::of(&self.name, &self.store));
     }
 }
 
@@ -1277,17 +1238,11 @@ fn season_worker(mut ctx: WorkerCtx, rx: mpsc::Receiver<Job>) {
                             job
                         }
                         Err(_) => {
-                            // Retire. Leave the final audit summary
-                            // behind, then — still under the workers
-                            // lock, so no submission can race a respawn
-                            // against a held lease — drop the season
-                            // store, releasing the season's write lease.
-                            let summary = ctx.view.lock().expect("season view poisoned").clone();
-                            shared
-                                .retired
-                                .lock()
-                                .expect("retired views poisoned")
-                                .insert(ctx.name.clone(), summary);
+                            // Retire: still under the workers lock, so no
+                            // submission can race a respawn against a
+                            // held lease, drop the season store,
+                            // releasing the season's write lease. Its
+                            // summary stays as the last release left it.
                             workers.remove(&ctx.name);
                             drop(ctx);
                             shared.metrics.service.worker_retirements.inc();

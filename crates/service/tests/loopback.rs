@@ -1,7 +1,8 @@
 //! Loopback integration test for the release service: concurrent tenants
 //! over one agency, cap enforcement end to end, the public cache's
-//! zero-ε repeat path, the agency write lease, and durable replay across
-//! a stop/start cycle.
+//! zero-ε repeat path, the agency write lease, durable replay across a
+//! stop/start cycle, and the audit's season summaries against the agency
+//! reopened from disk.
 
 use eree_core::agency::AgencyStore;
 use eree_core::definitions::PrivacyParams;
@@ -12,7 +13,7 @@ use eree_service::{Client, ReleaseService, ReleaseSubmission, ServiceConfig};
 use lodes::{Dataset, Generator, GeneratorConfig};
 use std::fs;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tabulate::{MarginalSpec, WorkerAttr, WorkplaceAttr};
 
 const ALPHA: f64 = 0.1;
@@ -260,5 +261,76 @@ fn bad_requests_never_reach_the_ledger() {
     let audit = client.audit().expect("audit");
     assert_eq!(audit.spent_epsilon, 0.0, "nothing was ever charged");
     service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The service keeps one summary per season, set by whoever last changed
+/// the season. Across every way a season can stand — never used, served
+/// by a live worker, retired idle, closed after retiring, closed with its
+/// worker live — the last audit is exactly what the agency reads back
+/// from disk once the service is gone.
+#[test]
+fn audit_seasons_match_a_reopened_agency() {
+    let dir = tmp_dir("audit-vs-reopen");
+    let config = ServiceConfig {
+        idle_timeout: Some(Duration::from_millis(1500)),
+        ..ServiceConfig::new(PrivacyParams::pure(ALPHA, 4.0))
+    };
+    let service = ReleaseService::start(&dir, dataset(), config).expect("service starts");
+    let client = Client::new(service.addr());
+    for name in ["unused", "live", "retired", "closed-retired", "closed-live"] {
+        client
+            .create_season(name, PrivacyParams::pure(ALPHA, 0.5))
+            .expect("season fits under the cap");
+    }
+    let release = |season: &str, seed: u64| {
+        let receipt = client
+            .submit(season, &submission(county(), 0.2, seed))
+            .expect("submitted");
+        let done = client.wait_for(receipt.id, WAIT).expect("finishes");
+        assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    };
+
+    release("retired", 1);
+    release("closed-retired", 2);
+    let deadline = Instant::now() + WAIT;
+    while service.live_workers() > 0 {
+        assert!(Instant::now() < deadline, "workers never retired");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    client.close_season("closed-retired").expect("closes");
+
+    release("live", 3);
+    release("live", 4);
+    release("closed-live", 5);
+    assert_eq!(service.live_workers(), 2);
+    client.close_season("closed-live").expect("closes");
+    assert_eq!(service.live_workers(), 1, "the close stopped its worker");
+
+    let audit = client.audit().expect("audit");
+    service.shutdown();
+
+    let agency = AgencyStore::open(&dir).expect("agency reopens");
+    assert_eq!(agency.seasons(), audit.seasons.as_slice());
+    for (reopened, audited) in agency.seasons().iter().zip(&audit.seasons) {
+        assert_eq!(
+            reopened.spent_epsilon.to_bits(),
+            audited.spent_epsilon.to_bits()
+        );
+        assert_eq!(
+            reopened.spent_delta.to_bits(),
+            audited.spent_delta.to_bits()
+        );
+    }
+    let closed: Vec<&str> = audit
+        .seasons
+        .iter()
+        .filter(|s| s.closed)
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(closed, ["closed-retired", "closed-live"]);
+    let completed: Vec<usize> = audit.seasons.iter().map(|s| s.completed).collect();
+    assert_eq!(completed, [0, 2, 1, 1, 1]);
+    drop(agency);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,16 @@
 //! Loopback integration tests for the service's quarterly-panel mode and
 //! its operational satellites: flow + level releases over HTTP from one
 //! multi-year cap, the persistent release-id registry across a restart,
-//! and idle-season worker retirement releasing the season write lease.
+//! the refusal of unreadable season → quarter bindings, and idle-season
+//! worker retirement releasing the season write lease.
 
 use eree_core::definitions::PrivacyParams;
 use eree_core::engine::RequestKind;
 use eree_core::mechanisms::MechanismKind;
-use eree_service::{Client, ClientError, ReleaseService, ReleaseSubmission, ServiceConfig};
+use eree_core::StoreError;
+use eree_service::{
+    Client, ClientError, ReleaseService, ReleaseSubmission, ServiceConfig, ServiceError,
+};
 use lodes::{DatasetPanel, GeneratorConfig, PanelConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -268,6 +272,50 @@ fn idle_season_workers_retire_and_release_their_leases() {
     let audit = client.audit().expect("audit after respawn");
     assert_eq!(audit.seasons[0].completed, 2);
 
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The season → quarter bindings cannot be rebuilt once lost: a season
+/// that exists cannot be created again. So a bindings file that exists
+/// but cannot be read refuses the start, rather than starting with no
+/// season bound and letting the next `POST /seasons` overwrite it.
+#[test]
+fn an_unreadable_quarter_map_refuses_the_start() {
+    let dir = tmp_dir("quarter-map");
+    let cap = PrivacyParams::pure(ALPHA, 10.0);
+    let service = ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap))
+        .expect("panel service starts");
+    let client = Client::new(service.addr());
+    client
+        .create_panel_season("q1", PrivacyParams::pure(ALPHA, 1.0), 1)
+        .expect("season binds quarter 1");
+    service.shutdown();
+
+    let bindings = dir.join("panel_quarters.json");
+    let saved = fs::read(&bindings).unwrap();
+    fs::remove_file(&bindings).unwrap();
+    fs::create_dir(&bindings).unwrap();
+    match ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap)) {
+        Err(ServiceError::Store(StoreError::Io { path, .. })) => assert_eq!(path, bindings),
+        Err(other) => panic!("expected an I/O refusal naming the bindings, got {other}"),
+        Ok(service) => {
+            service.shutdown();
+            panic!("a start with unreadable bindings must be refused")
+        }
+    }
+
+    // Restored, the bindings serve again.
+    fs::remove_dir(&bindings).unwrap();
+    fs::write(&bindings, saved).unwrap();
+    let service = ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap))
+        .expect("panel service starts");
+    let client = Client::new(service.addr());
+    let receipt = client
+        .submit("q1", &submission(RequestKind::Marginal, 0.25, 1))
+        .expect("the bound season takes releases");
+    let done = client.wait_for(receipt.id, WAIT).expect("finishes");
+    assert_eq!(done.status, "complete", "error: {:?}", done.error);
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

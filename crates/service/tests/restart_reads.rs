@@ -8,7 +8,8 @@ use eree_core::agency::AgencyStore;
 use eree_core::definitions::PrivacyParams;
 use eree_core::engine::RequestKind;
 use eree_core::mechanisms::MechanismKind;
-use eree_core::StoreError;
+use eree_core::store::dataset_digest;
+use eree_core::{ReleaseKey, StoreError};
 use eree_service::{
     AuditView, BodyAudit, Client, ReleaseService, ReleaseStatusView, ReleaseSubmission,
     ServiceConfig, ServiceError,
@@ -75,6 +76,17 @@ fn populate(dir: &Path, seeds: &[u64]) -> Vec<u64> {
     ids
 }
 
+/// The public-cache key of `submission(7)`, the cache hit's release.
+fn hit_key(dir: &Path) -> ReleaseKey {
+    let agency = AgencyStore::open(dir).expect("agency opens");
+    let artifact = agency
+        .open_season("s")
+        .expect("season opens")
+        .load_artifact(0)
+        .expect("the body reads back");
+    ReleaseKey::of(&artifact.request, dataset_digest(&dataset())).expect("a declarative release")
+}
+
 /// The view `GET /releases/{id}` must write: the typed view of the
 /// artifact `load_artifact` reads back, serialized.
 fn expected_view(id: u64, season: &str, cached: bool, dir: &Path, index: usize) -> String {
@@ -116,6 +128,26 @@ fn served_bytes_are_the_stored_body_before_and_after_a_restart() {
         expected_view(hit.id, "", true, &dir, 0),
     ];
     assert_eq!(before, expected, "served before the restart");
+
+    // Each record holds only what locates its body: an admitted release
+    // its season and index, a cache hit its public key.
+    let registry: serde::Value =
+        serde_json::from_str(&fs::read_to_string(dir.join("releases.json")).unwrap()).unwrap();
+    let Some(serde::Value::Seq(records)) = registry.get("records") else {
+        panic!("a registry holds a list of records")
+    };
+    let names = |id: u64| -> Vec<String> {
+        let serde::Value::Map(fields) = &records[id as usize] else {
+            panic!("a record is an object")
+        };
+        fields.iter().map(|(name, _)| name.clone()).collect()
+    };
+    assert_eq!(names(admitted), ["season", "status", "digest", "index"]);
+    assert_eq!(names(hit.id), ["status", "digest", "key"]);
+    assert_eq!(
+        records[hit.id as usize].get("key"),
+        Some(&serde_json::to_value(&hit_key(&dir)))
+    );
     for view in &expected {
         // The shape the benchmark parses: `status` in the first 512
         // bytes, the artifact last.
@@ -221,17 +253,17 @@ fn an_unreadable_registry_refuses_the_start() {
     let path = dir.join("releases.json");
     let original = fs::read_to_string(&path).unwrap();
 
-    // Garbled, an unknown format, and the format-1 layout (records with
-    // no digest or index) are each refused, and the file is left alone —
-    // an empty registry would reissue id 0 over the old records.
-    let format1 = as_format1(&original);
+    // Garbled, an unknown format, and the format-1 and format-2 layouts
+    // are each refused, and the file is left alone — an empty registry
+    // would reissue id 0 over the old records.
     for (file, needle) in [
         (original[..original.len() / 2].to_string(), ""),
         (
-            original.replace(r#""format":2"#, r#""format":99"#),
+            original.replace(r#""format":3"#, r#""format":99"#),
             "unsupported registry format 99",
         ),
-        (format1, "unsupported registry format 1"),
+        (in_old_layout(&original, 1), "unsupported registry format 1"),
+        (in_old_layout(&original, 2), "unsupported registry format 2"),
     ] {
         fs::write(&path, &file).unwrap();
         let detail = refused(&dir);
@@ -254,24 +286,28 @@ fn an_unreadable_registry_refuses_the_start() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `registry` in the format-1 layout: the same records without `digest`
-/// and `index`.
-fn as_format1(registry: &str) -> String {
+/// `registry`'s records in an older layout: format 2 gave every record a
+/// `cached` flag and nullable `error` and `key`; format 1 had no `digest`
+/// or `index` besides.
+fn in_old_layout(registry: &str, format: u64) -> String {
     let mut value: serde::Value = serde_json::from_str(registry).unwrap();
     let serde::Value::Map(fields) = &mut value else {
         panic!("a registry is an object")
     };
     for (name, field) in fields {
         match (name.as_str(), field) {
-            ("format", format) => *format = serde::Value::U64(1),
+            ("format", old) => *old = serde::Value::U64(format),
             ("records", serde::Value::Seq(records)) => {
                 for record in records {
                     let serde::Value::Map(fields) = record else {
                         panic!("a record is an object")
                     };
-                    let before = fields.len();
-                    fields.retain(|(name, _)| name != "digest" && name != "index");
-                    assert_eq!(fields.len(), before - 2);
+                    fields.push(("cached".to_string(), serde::Value::Bool(false)));
+                    fields.push(("error".to_string(), serde::Value::Null));
+                    fields.push(("key".to_string(), serde::Value::Null));
+                    if format == 1 {
+                        fields.retain(|(name, _)| name != "digest" && name != "index");
+                    }
                 }
             }
             _ => {}

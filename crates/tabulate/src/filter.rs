@@ -324,70 +324,64 @@ impl FilterExpr {
 
     /// The expression's stable content digest; see [`FilterId`].
     pub fn id(&self) -> FilterId {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut hash = crate::Fnv1a::new();
         self.fold(&mut hash);
-        FilterId(hash)
+        FilterId(hash.finish())
     }
 
     /// Fold the tree into the FNV-1a state. Membership sets are
     /// canonicalized inline (a small scratch copy per `In` leaf), so the
     /// digest equals the [`normalized`](Self::normalized) form's without
     /// cloning the whole tree.
-    fn fold(&self, hash: &mut u64) {
-        fn word(hash: &mut u64, w: u64) {
-            for byte in w.to_le_bytes() {
-                *hash ^= byte as u64;
-                *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
+    fn fold(&self, hash: &mut crate::Fnv1a) {
         match self {
-            FilterExpr::All => word(hash, 0),
+            FilterExpr::All => hash.word(0),
             FilterExpr::WorkerCmp(attr, cmp, value) => {
-                word(hash, 1);
-                word(hash, worker_attr_tag(*attr));
-                word(hash, cmp.tag());
-                word(hash, *value as u64);
+                hash.word(1);
+                hash.word(worker_attr_tag(*attr));
+                hash.word(cmp.tag());
+                hash.word(*value as u64);
             }
             FilterExpr::WorkerIn(attr, values) => {
-                word(hash, 2);
-                word(hash, worker_attr_tag(*attr));
+                hash.word(2);
+                hash.word(worker_attr_tag(*attr));
                 let canonical = canonical_set(values.iter().copied());
-                word(hash, canonical.len() as u64);
+                hash.word(canonical.len() as u64);
                 for v in canonical {
-                    word(hash, v as u64);
+                    hash.word(v as u64);
                 }
             }
             FilterExpr::WorkplaceCmp(attr, cmp, value) => {
-                word(hash, 3);
-                word(hash, workplace_attr_tag(*attr));
-                word(hash, cmp.tag());
-                word(hash, *value as u64);
+                hash.word(3);
+                hash.word(workplace_attr_tag(*attr));
+                hash.word(cmp.tag());
+                hash.word(*value as u64);
             }
             FilterExpr::WorkplaceIn(attr, values) => {
-                word(hash, 4);
-                word(hash, workplace_attr_tag(*attr));
+                hash.word(4);
+                hash.word(workplace_attr_tag(*attr));
                 let canonical = canonical_set(values.iter().copied());
-                word(hash, canonical.len() as u64);
+                hash.word(canonical.len() as u64);
                 for v in canonical {
-                    word(hash, v as u64);
+                    hash.word(v as u64);
                 }
             }
             FilterExpr::And(ops) => {
-                word(hash, 5);
-                word(hash, ops.len() as u64);
+                hash.word(5);
+                hash.word(ops.len() as u64);
                 for op in ops {
                     op.fold(hash);
                 }
             }
             FilterExpr::Or(ops) => {
-                word(hash, 6);
-                word(hash, ops.len() as u64);
+                hash.word(6);
+                hash.word(ops.len() as u64);
                 for op in ops {
                     op.fold(hash);
                 }
             }
             FilterExpr::Not(op) => {
-                word(hash, 7);
+                hash.word(7);
                 op.fold(hash);
             }
         }

@@ -259,24 +259,18 @@ impl FlowMarginal {
     /// specs) mean bit-identical statistics, and the persistent truth
     /// store refuses loads that no longer reproduce it.
     pub fn content_digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        fold(self.cells.len() as u64);
+        let mut hash = crate::Fnv1a::new();
+        hash.word(self.cells.len() as u64);
         for &(key, stats) in &self.cells {
-            fold(key.0);
-            fold(stats.beginning);
-            fold(stats.ending);
-            fold(stats.job_creation);
-            fold(stats.job_destruction);
-            fold((stats.max_beginning as u64) | ((stats.max_ending as u64) << 32));
-            fold((stats.max_creation as u64) | ((stats.max_destruction as u64) << 32));
+            hash.word(key.0);
+            hash.word(stats.beginning);
+            hash.word(stats.ending);
+            hash.word(stats.job_creation);
+            hash.word(stats.job_destruction);
+            hash.word((stats.max_beginning as u64) | ((stats.max_ending as u64) << 32));
+            hash.word((stats.max_creation as u64) | ((stats.max_destruction as u64) << 32));
         }
-        hash
+        hash.finish()
     }
 }
 

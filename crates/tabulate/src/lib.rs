@@ -46,6 +46,7 @@ pub mod cell;
 pub mod engine;
 pub mod filter;
 pub mod flows;
+pub mod fnv;
 pub mod index;
 pub mod kernel;
 pub mod marginal;
@@ -63,6 +64,7 @@ pub use filter::{Cmp, CompiledFilter, FilterExpr, FilterId};
 #[cfg(feature = "reference")]
 pub use flows::compute_flows_legacy;
 pub use flows::{compute_flows, FlowMarginal, FlowStats};
+pub use fnv::Fnv1a;
 pub use index::TabulationIndex;
 pub use kernel::{simd_available, Kernel};
 pub use marginal::{CellStats, Marginal};

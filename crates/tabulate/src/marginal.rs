@@ -187,20 +187,14 @@ impl Marginal {
     /// records this digest next to the serialized cells and refuses loads
     /// that no longer reproduce it.
     pub fn content_digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        fold(self.cells.len() as u64);
+        let mut hash = crate::Fnv1a::new();
+        hash.word(self.cells.len() as u64);
         for &(key, stats) in &self.cells {
-            fold(key.0);
-            fold(stats.count);
-            fold((stats.establishments as u64) | ((stats.max_establishment as u64) << 32));
+            hash.word(key.0);
+            hash.word(stats.count);
+            hash.word((stats.establishments as u64) | ((stats.max_establishment as u64) << 32));
         }
-        hash
+        hash.finish()
     }
 
     /// Restrict to cells where each listed worker attribute takes the given

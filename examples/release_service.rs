@@ -1,8 +1,9 @@
 //! The release service end to end on loopback: start the HTTP frontend
 //! over a fresh agency, serve two tenants, demonstrate the zero-ε public
 //! cache on a repeat request, print the audit trail, then restart on the
-//! same directory and check that every release reads back unchanged and
-//! that the deep audit finds every stored body intact.
+//! same directory and check that every release reads back unchanged, that
+//! the deep audit finds every stored body intact, and that the agency
+//! reopened after shutdown reports the same seasons as the last audit.
 //!
 //! ```text
 //! cargo run --release --example release_service
@@ -148,7 +149,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ids.len()
     );
 
+    // The service keeps one summary per season; once it is gone, the
+    // agency reopened from disk reports exactly what its last audit did.
     service.shutdown();
+    let agency = AgencyStore::open(&dir)?;
+    assert_eq!(agency.seasons(), deep.seasons.as_slice());
+    println!(
+        "reopened agency: {} season summaries equal the final audit's",
+        agency.seasons().len()
+    );
+    drop(agency);
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

@@ -154,18 +154,21 @@ fn corrupted_or_tampered_stores_refuse_to_open() {
         Err(StoreError::Inconsistent { .. })
     ));
 
-    // A commit record that disagrees with its ledger entry: the record's
-    // description is the last occurrence (entries precede commits).
-    let at = pristine.rfind("R1: workload1 log-laplace").unwrap();
+    // A commit record's description is the charge's only copy: renamed,
+    // the season still replays and opens, and the record then disagrees
+    // with its body when the body is read.
+    let at = pristine.find("R1: workload1 log-laplace").unwrap();
     let mut tampered = pristine.clone();
     tampered.replace_range(at..at + 2, "R9");
     fs::write(&ledger_path, &tampered).unwrap();
-    match SeasonStore::open(&dir) {
-        Err(StoreError::Inconsistent { detail }) => {
+    let store = SeasonStore::open(&dir).expect("a renamed charge still replays");
+    match store.load_artifact(1) {
+        Err(StoreError::Corrupt { detail, .. }) => {
             assert!(detail.contains("commit record 1"), "{detail}")
         }
-        other => panic!("expected a record/entry refusal, got {other:?}"),
+        other => panic!("expected a record/body refusal, got {other:?}"),
     }
+    drop(store);
 
     // Restored pristine state opens again.
     fs::write(&ledger_path, &pristine).unwrap();
@@ -279,6 +282,129 @@ fn crash_between_artifact_and_ledger_snapshot_rolls_forward() {
     );
     fs::remove_dir_all(ref_dir).unwrap();
     fs::remove_dir_all(bad_dir).unwrap();
+}
+
+/// Every file of a season directory, in path order.
+fn season_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files = vec![
+        (
+            "season.json".to_string(),
+            fs::read(dir.join("season.json")).unwrap(),
+        ),
+        (
+            "ledger.json".to_string(),
+            fs::read(dir.join("ledger.json")).unwrap(),
+        ),
+    ];
+    files.extend(sorted_files(&dir.join("artifacts")));
+    files
+}
+
+/// `ledger.json` is the season budget, the spent totals and the commit
+/// records — each charge stored once. Open rebuilds the ledger by
+/// replaying the records' costs under the budget and checks the recorded
+/// totals against the replay, so each single-value fault below refuses
+/// the open and leaves every byte as it was; a renamed charge replays,
+/// and its body read is what refuses it. An untouched file reopens to the
+/// ledger the season charged, which keeps enforcing its budget.
+#[test]
+fn single_value_ledger_faults_are_refused() {
+    let d = dataset();
+    let plan = plan();
+    let dir = test_dir("ledger-faults");
+    let mut store = SeasonStore::create(&dir, budget()).unwrap();
+    run(&mut store, &d, &plan[..2]).unwrap();
+    let live = store.ledger().clone();
+    drop(store);
+    let ledger_path = dir.join("ledger.json");
+    let pristine = read_value(&ledger_path);
+    let serde::Value::Map(fields) = &pristine else {
+        panic!("a ledger file is an object")
+    };
+    let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["budget", "spent_epsilon", "spent_delta", "commits"]);
+
+    let reopened = SeasonStore::open(&dir).unwrap();
+    let ledger = reopened.ledger();
+    assert_eq!(ledger.budget(), live.budget());
+    assert_eq!(ledger.entries().len(), 2);
+    assert_eq!(
+        ledger.spent_epsilon().to_bits(),
+        live.spent_epsilon().to_bits()
+    );
+    assert_eq!(ledger.spent_delta().to_bits(), live.spent_delta().to_bits());
+    assert_eq!(ledger.remaining_epsilon(), 8.0);
+    let mut engine = reopened.engine();
+    let overdraw = ReleaseRequest::marginal(workload3())
+        .mechanism(MechanismKind::LogLaplace)
+        .budget(PrivacyParams::pure(0.1, 8.5))
+        .seed(4);
+    let data = TruthSource::Tabulate {
+        data: Snapshot::of(&d),
+        cache: &mut TabulationCache::new(),
+    };
+    assert!(engine.execute(&overdraw, data).is_err(), "8.5 > the 8 left");
+    drop(reopened);
+
+    fn commit_epsilon(ledger: &mut serde::Value) -> &mut serde::Value {
+        field_mut(field_mut(commit_mut(ledger, 1), "cost"), "epsilon")
+    }
+    fn budget_epsilon(ledger: &mut serde::Value) -> &mut serde::Value {
+        field_mut(field_mut(ledger, "budget"), "epsilon")
+    }
+    /// Damages one value of a parsed `ledger.json`.
+    type Fault = fn(&mut serde::Value);
+    let faults: [(&str, Fault); 5] = [
+        ("a commit's cost alone", |v| {
+            *commit_epsilon(v) = serde::Value::F64(1.5)
+        }),
+        ("the recorded total alone", |v| {
+            *field_mut(v, "spent_epsilon") = serde::Value::F64(2.5)
+        }),
+        ("a cost raised past the budget, totals to match", |v| {
+            *commit_epsilon(v) = serde::Value::F64(20.0);
+            *field_mut(v, "spent_epsilon") = serde::Value::F64(22.0);
+        }),
+        ("the budget raised alone", |v| {
+            *budget_epsilon(v) = serde::Value::F64(12.0)
+        }),
+        ("the budget cut below the spend alone", |v| {
+            *budget_epsilon(v) = serde::Value::F64(2.5)
+        }),
+    ];
+    for (fault, apply) in faults {
+        let mut tampered = pristine.clone();
+        apply(&mut tampered);
+        write_value(&ledger_path, &tampered);
+        let before = season_files(&dir);
+        match SeasonStore::open(&dir) {
+            Err(StoreError::Corrupt { .. } | StoreError::Inconsistent { .. }) => {}
+            other => panic!("{fault}: expected a refusal, got {other:?}"),
+        }
+        assert_eq!(
+            season_files(&dir),
+            before,
+            "{fault}: a refused open writes nothing"
+        );
+    }
+
+    // A renamed charge: the replay is unchanged, so the season opens, and
+    // the record no longer describes its body.
+    let mut renamed = pristine.clone();
+    *field_mut(
+        field_mut(commit_mut(&mut renamed, 1), "request"),
+        "description",
+    ) = serde::Value::Str("R9: renamed".to_string());
+    write_value(&ledger_path, &renamed);
+    let store = SeasonStore::open(&dir).expect("a renamed charge replays");
+    assert!(matches!(
+        store.load_artifact(1),
+        Err(StoreError::Corrupt { .. })
+    ));
+    let failed: Vec<usize> = store.verify_bodies().into_iter().map(|(i, _)| i).collect();
+    assert_eq!(failed, [1]);
+    drop(store);
+    fs::remove_dir_all(dir).unwrap();
 }
 
 /// Open checks commit records and reads no body; a body is checked when
@@ -499,6 +625,14 @@ fn field_mut<'a>(value: &'a mut serde::Value, name: &str) -> &'a mut serde::Valu
         .1
 }
 
+/// Commit record `index` of a parsed `ledger.json`.
+fn commit_mut(ledger: &mut serde::Value, index: usize) -> &mut serde::Value {
+    let serde::Value::Seq(commits) = field_mut(ledger, "commits") else {
+        panic!("commit records are a list")
+    };
+    &mut commits[index]
+}
+
 fn read_value(path: &Path) -> serde::Value {
     serde_json::from_str(&fs::read_to_string(path).unwrap()).unwrap()
 }
@@ -530,8 +664,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Stores and cache files written in format 1 (provenance with the
-/// closure-era `filtered` flag), and format-2 seasons, are refused, never
-/// misread: the derived
+/// closure-era `filtered` flag), and format-2 and format-3 seasons, are
+/// refused, never misread: the derived
 /// provenance deserializer ignores unknown fields, so a format-1 closure
 /// release (`filtered: true`, `filter: null`) would otherwise load as an
 /// unfiltered one. A JSON truth (truth format 1) and a one-document cache
@@ -577,18 +711,21 @@ fn format1_stores_and_cache_files_are_refused() {
     unsupported(SeasonStore::open(&season_dir).map(drop));
     unsupported(AgencyStore::open(&dir).map(drop));
 
-    // A format-2 season (no commit records in its ledger) is refused the
-    // same way.
-    *field_mut(&mut value, "format") = serde::Value::U64(2);
-    write_value(&manifest, &value);
-    match SeasonStore::open(&season_dir).map(drop) {
-        Err(StoreError::Corrupt { detail, .. }) => {
-            assert!(
-                detail.contains("unsupported store format 2"),
-                "unexpected detail: {detail}"
-            );
+    // A format-2 season (no commit records in its ledger) and a format-3
+    // one (ledger entries beside the commit records) are refused the same
+    // way.
+    for format in [2, 3] {
+        *field_mut(&mut value, "format") = serde::Value::U64(format);
+        write_value(&manifest, &value);
+        match SeasonStore::open(&season_dir).map(drop) {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert!(
+                    detail.contains(&format!("unsupported store format {format}")),
+                    "unexpected detail: {detail}"
+                );
+            }
+            other => panic!("expected an unsupported-format refusal, got {other:?}"),
         }
-        other => panic!("expected an unsupported-format refusal, got {other:?}"),
     }
 
     // A truth as format 1 wrote it: one JSON document, here at the
