@@ -205,6 +205,10 @@ pub struct SeasonSummary {
     /// Whether the season has been closed: its unspent remainder was
     /// refunded to the cap and no further release is admitted.
     pub closed: bool,
+    /// The dataset the season is pinned to
+    /// ([`SeasonStore::dataset_digest`]): for a panel season, its
+    /// quarter's. `None` while unmaterialized or not yet pinned.
+    pub dataset_digest: Option<u64>,
 }
 
 impl SeasonSummary {
@@ -218,6 +222,7 @@ impl SeasonSummary {
             completed: season.completed(),
             materialized: true,
             closed: season.is_closed(),
+            dataset_digest: season.dataset_digest(),
         }
     }
 
@@ -232,6 +237,7 @@ impl SeasonSummary {
             completed: 0,
             materialized: false,
             closed,
+            dataset_digest: None,
         }
     }
 }
@@ -670,15 +676,6 @@ impl AgencyStore {
         self.seasons.iter().map(|s| s.spent_epsilon).sum()
     }
 
-    /// The agency-wide persistent truth store, pinned to the agency's
-    /// dataset. `None` until a dataset is bound.
-    pub fn truth_store(&self) -> Result<Option<TruthStore>, StoreError> {
-        match self.manifest.dataset_digest {
-            Some(digest) => Ok(Some(self.truth_store_pinned(digest)?)),
-            None => Ok(None),
-        }
-    }
-
     /// A handle over the agency's shared `truths/` directory pinned to
     /// `digest`. Panel drivers use this to open one handle per quarter —
     /// the level truth keys fold the pin, so the quarters' truths coexist
@@ -759,10 +756,40 @@ impl AgencyStore {
     /// name, or mismatch the cap's α. Re-issuing after a crash that left
     /// the reservation without a directory materializes the season
     /// (`budget` must equal the reservation).
+    ///
+    /// The season is unpinned: its first run binds it to its dataset.
     pub fn create_season(
         &mut self,
         name: &str,
         budget: PrivacyParams,
+    ) -> Result<SeasonStore, StoreError> {
+        self.create_season_with(name, budget, None)
+    }
+
+    /// [`create_season`](Self::create_season) of a season pinned to the
+    /// dataset fingerprinted by `dataset_digest`: the one manifest write
+    /// that commits the season carries the pin, so the season's data is on
+    /// record before its first release. A panel season pins its quarter's
+    /// [`dataset_digest`]. A single-snapshot agency refuses, before
+    /// anything is written, any pin but its own bound dataset, which
+    /// [`open`](Self::open) holds every season to. Re-issuing after the
+    /// crash window materializes the season with this call's pin.
+    pub fn create_season_pinned(
+        &mut self,
+        name: &str,
+        budget: PrivacyParams,
+        dataset_digest: u64,
+    ) -> Result<SeasonStore, StoreError> {
+        self.create_season_with(name, budget, Some(dataset_digest))
+    }
+
+    /// The body of [`create_season`](Self::create_season) and
+    /// [`create_season_pinned`](Self::create_season_pinned).
+    fn create_season_with(
+        &mut self,
+        name: &str,
+        budget: PrivacyParams,
+        pin: Option<u64>,
     ) -> Result<SeasonStore, StoreError> {
         Self::validate_name(name)?;
         // A closed name never comes back — not even the unmaterialized
@@ -770,6 +797,17 @@ impl AgencyStore {
         if self.meta.closure(name).is_some() {
             return Err(StoreError::SeasonClosed {
                 name: name.to_string(),
+            });
+        }
+        // `open` holds every season of a single-snapshot agency to the
+        // agency's dataset: refuse another pin before anything is written.
+        let bound = self.manifest.dataset_digest;
+        if pin.is_some() && !self.manifest.panel && pin != bound {
+            return Err(StoreError::Inconsistent {
+                detail: format!(
+                    "season `{name}` cannot pin dataset {pin:016x?}: the agency is bound to \
+                     {bound:016x?}"
+                ),
             });
         }
         let season_dir = self.season_dir(name);
@@ -789,29 +827,26 @@ impl AgencyStore {
                     ),
                 });
             }
-            let mut store = SeasonStore::create(&season_dir, budget)?;
-            store.set_metrics(self.metrics());
-            self.upsert_summary(name, &store);
-            return Ok(store);
+        } else {
+            // Reservation-first write protocol: the meta-ledger admits
+            // (and durably records) the whole season budget before the
+            // season exists, so a crash can strand held budget but never
+            // unseen spending capacity.
+            let mut meta = self.meta.clone();
+            meta.reserve(name, budget)
+                .map_err(|source| StoreError::AgencyBudget {
+                    season: name.to_string(),
+                    source,
+                })?;
+            write_json_atomic(&self.root.join(META_LEDGER_FILE), &meta)?;
+            self.meta = meta;
+            // The reservation is durable: the audit view covers it from
+            // here, even if the directory below never appears.
+            let reservation = self.meta.reservation(name).expect("reserved just above");
+            self.seasons
+                .push(SeasonSummary::unmaterialized(reservation, false));
         }
-        // Reservation-first write protocol: the meta-ledger admits (and
-        // durably records) the whole season budget before the season
-        // exists, so a crash can strand held budget but never unseen
-        // spending capacity.
-        let mut meta = self.meta.clone();
-        meta.reserve(name, budget)
-            .map_err(|source| StoreError::AgencyBudget {
-                season: name.to_string(),
-                source,
-            })?;
-        write_json_atomic(&self.root.join(META_LEDGER_FILE), &meta)?;
-        self.meta = meta;
-        // The reservation is durable: the audit view covers it from here,
-        // even if the directory below never appears.
-        let reservation = self.meta.reservation(name).expect("reserved just above");
-        self.seasons
-            .push(SeasonSummary::unmaterialized(reservation, false));
-        let mut store = SeasonStore::create(&season_dir, budget)?;
+        let mut store = SeasonStore::create_pinned(&season_dir, budget, pin)?;
         store.set_metrics(self.metrics());
         self.upsert_summary(name, &store);
         Ok(store)
@@ -1263,6 +1298,41 @@ mod tests {
     }
 
     #[test]
+    fn a_single_snapshot_agency_pins_seasons_to_its_own_dataset_only() {
+        let dir = tmp_dir("pinned");
+        let digest = dataset_digest(&dataset());
+        let budget = PrivacyParams::pure(0.1, 1.0);
+        let mut agency = AgencyStore::create(&dir, PrivacyParams::pure(0.1, 4.0)).unwrap();
+        let meta = fs::read(dir.join(META_LEDGER_FILE)).unwrap();
+        // Unbound, or bound to another dataset: `open` would refuse the
+        // pin, so nothing is reserved or created.
+        for bind in [false, true] {
+            if bind {
+                agency.bind_dataset(digest ^ 1).unwrap();
+            }
+            assert!(matches!(
+                agency.create_season_pinned("s", budget, digest),
+                Err(StoreError::Inconsistent { .. })
+            ));
+            assert_eq!(fs::read(dir.join(META_LEDGER_FILE)).unwrap(), meta);
+            assert!(!dir.join("seasons").join("s").exists());
+        }
+        drop(agency);
+        fs::remove_dir_all(&dir).unwrap();
+
+        let mut agency = AgencyStore::create(&dir, PrivacyParams::pure(0.1, 4.0)).unwrap();
+        agency.bind_dataset(digest).unwrap();
+        let season = agency.create_season_pinned("s", budget, digest).unwrap();
+        assert_eq!(season.dataset_digest(), Some(digest));
+        drop(season);
+        assert_eq!(agency.seasons()[0].dataset_digest, Some(digest));
+        let reopened = agency.seasons().to_vec();
+        drop(agency);
+        assert_eq!(AgencyStore::open(&dir).unwrap().seasons(), reopened);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn second_concurrent_agency_writer_is_refused() {
         let dir = tmp_dir("agency-lease");
         let agency = AgencyStore::create(&dir, PrivacyParams::pure(0.1, 4.0)).unwrap();
@@ -1407,7 +1477,7 @@ mod tests {
         assert_eq!(report.resumed_from, 1);
         assert_eq!(report.executed, 1);
         assert_eq!(report.tabulations_computed, 1);
-        let truths = agency.truth_store().unwrap().expect("dataset bound");
+        let truths = agency.truth_store_pinned(dataset_digest(&d)).unwrap();
         assert_eq!(truths.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }

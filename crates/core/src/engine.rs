@@ -27,9 +27,7 @@
 //! * [`ReleaseArtifact`] — the durable, serde-serializable output:
 //!   published cells (or shapes), the neighbor regime, the
 //!   [`ReleaseCost`] charged, the mechanism name, the seed and request
-//!   provenance. Truth digests are only attached when the `eval-only`
-//!   feature is enabled (the evaluation harness needs them; a production
-//!   service must not emit them).
+//!   provenance.
 //!
 //! Determinism: per-cell noise streams are derived from
 //! `(request seed, cell key)` with a SplitMix64 mix, and tabulation's
@@ -99,7 +97,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tabulate::{
-    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Fnv1a, Kernel, Marginal,
+    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Kernel, Marginal,
     MarginalSpec,
 };
 
@@ -350,7 +348,10 @@ impl ReleaseRequest {
         })
     }
 
-    pub(crate) fn provenance(&self, plan: &ReleasePlan) -> RequestProvenance {
+    /// The provenance an artifact of this request records, under `plan`
+    /// (this request's [`plan`](Self::plan)): what
+    /// [`ReleaseKey::of`](crate::public_cache::ReleaseKey::of) keys it by.
+    pub fn provenance(&self, plan: &ReleasePlan) -> RequestProvenance {
         RequestProvenance {
             kind: self.kind,
             spec: self.spec.clone(),
@@ -447,43 +448,6 @@ pub enum ArtifactPayload {
     Flows(BTreeMap<CellKey, FlowRelease>),
 }
 
-/// A compact fingerprint of the underlying truth, for evaluation only.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TruthDigest {
-    /// Number of nonzero cells.
-    pub num_cells: usize,
-    /// Sum of all true counts.
-    pub total_count: u64,
-    /// FNV-1a over `(key, count)` pairs in key order.
-    pub checksum: u64,
-}
-
-impl TruthDigest {
-    /// Digest a marginal.
-    pub fn of(truth: &Marginal) -> Self {
-        let mut checksum = Fnv1a::new();
-        for (key, stats) in truth.iter() {
-            checksum.word(key.0);
-            checksum.word(stats.count);
-        }
-        Self {
-            num_cells: truth.num_cells(),
-            total_count: truth.total(),
-            checksum: checksum.finish(),
-        }
-    }
-
-    /// Digest a flow marginal (the checksum is its content digest; the
-    /// total is beginning-of-period employment).
-    pub fn of_flows(truth: &FlowMarginal) -> Self {
-        Self {
-            num_cells: truth.num_cells(),
-            total_count: truth.totals().beginning,
-            checksum: truth.content_digest(),
-        }
-    }
-}
-
 /// A completed, durable release: everything a downstream consumer (or
 /// auditor) needs, serializable to JSON and back losslessly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -498,9 +462,6 @@ pub struct ReleaseArtifact {
     pub mechanism_name: String,
     /// The released data.
     pub payload: ArtifactPayload,
-    /// Truth fingerprint — only populated when the crate is built with the
-    /// `eval-only` feature; a production release service never emits it.
-    pub truth_digest: Option<TruthDigest>,
 }
 
 impl ReleaseArtifact {
@@ -932,11 +893,6 @@ impl ReleaseEngine {
         &self.ledger
     }
 
-    /// Consume the engine, returning the ledger (for archival).
-    pub fn into_ledger(self) -> Ledger {
-        self.ledger
-    }
-
     /// Lifetime tabulation-cache counters: how many truths were actually
     /// computed vs served from a cache, across every tabulating call on
     /// this engine — [`execute_all`](Self::execute_all) batches and
@@ -1216,19 +1172,12 @@ impl ReleaseEngine {
                 threads,
             )),
         };
-        // Truth fingerprints exist only for the evaluation harness; a
-        // production build never computes or emits one.
-        let truth_digest = cfg!(feature = "eval-only").then(|| match truth {
-            Truth::Level(truth) => TruthDigest::of(truth),
-            Truth::Flows(truth) => TruthDigest::of_flows(truth),
-        });
         ReleaseArtifact {
             request: request.provenance(plan),
             regime: plan.regime,
             cost: plan.cost,
             mechanism_name: mechanism.name().to_string(),
             payload,
-            truth_digest,
         }
     }
 }
@@ -1899,7 +1848,6 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(flat, sharded);
-            assert_eq!(flat.truth_digest, sharded.truth_digest);
         }
     }
 
@@ -2070,25 +2018,6 @@ mod tests {
             err,
             EngineError::Shape(crate::shape::ShapeError::NoWorkerAttributes)
         );
-    }
-
-    #[cfg(feature = "eval-only")]
-    #[test]
-    fn truth_digest_present_under_eval_only() {
-        let d = dataset();
-        let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
-        let artifact = engine
-            .execute_on(
-                &d,
-                &ReleaseRequest::marginal(workload1())
-                    .mechanism(MechanismKind::SmoothGamma)
-                    .budget(PrivacyParams::pure(0.1, 2.0)),
-            )
-            .unwrap();
-        let digest = artifact.truth_digest.expect("digest under eval-only");
-        let truth = compute_marginal(&d, &workload1());
-        assert_eq!(digest, TruthDigest::of(&truth));
-        assert_eq!(digest.num_cells, truth.num_cells());
     }
 
     fn quarter_pair() -> (Dataset, Dataset) {

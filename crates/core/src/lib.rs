@@ -33,8 +33,6 @@
 //!     .unwrap();
 //! assert!((engine.ledger().remaining_epsilon() - 2.0).abs() < 1e-12);
 //! assert!(!artifact.cells().unwrap().is_empty());
-//! // Truth digests only exist under the opt-in `eval-only` feature.
-//! assert!(cfg!(feature = "eval-only") || artifact.truth_digest.is_none());
 //! ```
 //!
 //! Failures anywhere in the pipeline surface as the unified
@@ -176,7 +174,7 @@ pub use definitions::{
 };
 pub use engine::{
     ArtifactPayload, FlowRelease, ReleaseArtifact, ReleaseEngine, ReleaseRequest, RequestKind,
-    RequestProvenance, Snapshot, TabulationCache, TabulationStats, TruthDigest, TruthSource,
+    RequestProvenance, Snapshot, TabulationCache, TabulationStats, TruthSource,
 };
 pub use error::EngineError;
 pub use filter::{Cmp, CompiledFilter, FilterExpr, FilterId};

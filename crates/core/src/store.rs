@@ -532,7 +532,7 @@ struct SeasonManifest {
     format: u32,
     budget: PrivacyParams,
     /// [`dataset_digest`] of the season's database; `None` until the
-    /// first `run` binds it.
+    /// first `run` binds it, unless the season was created pinned.
     dataset_digest: Option<u64>,
     /// Whether the season has been closed (sealed by
     /// [`AgencyStore::close_season`](crate::agency::AgencyStore::close_season)):
@@ -663,6 +663,17 @@ impl SeasonStore {
     /// Start a fresh season under `root` (created if absent) with the
     /// given season budget. Refuses a directory that already holds one.
     pub fn create(root: impl AsRef<Path>, budget: PrivacyParams) -> Result<Self, StoreError> {
+        Self::create_pinned(root, budget, None)
+    }
+
+    /// [`create`](Self::create) with the manifest's dataset pin set to
+    /// `dataset_digest` in the same write that commits the season, so a
+    /// pinned season is bound to its data from its first byte on.
+    pub(crate) fn create_pinned(
+        root: impl AsRef<Path>,
+        budget: PrivacyParams,
+        dataset_digest: Option<u64>,
+    ) -> Result<Self, StoreError> {
         let root = root.as_ref().to_path_buf();
         let manifest_path = root.join(MANIFEST_FILE);
         if manifest_path.exists() {
@@ -678,7 +689,7 @@ impl SeasonStore {
         let manifest = SeasonManifest {
             format: FORMAT_VERSION,
             budget,
-            dataset_digest: None,
+            dataset_digest,
             closed: false,
         };
         let ledger = Ledger::new(budget);
@@ -828,8 +839,10 @@ impl SeasonStore {
             .unwrap_or_else(|| self.root.display().to_string())
     }
 
-    /// The dataset fingerprint this season is pinned to (`None` until the
-    /// first [`run`](Self::run) or [`admit`](Self::admit) binds one).
+    /// The dataset fingerprint this season is pinned to: set at creation
+    /// by [`AgencyStore::create_season_pinned`](crate::agency::AgencyStore::create_season_pinned),
+    /// otherwise `None` until the first [`run`](Self::run) or
+    /// [`admit`](Self::admit) binds one.
     pub fn dataset_digest(&self) -> Option<u64> {
         self.manifest.dataset_digest
     }
@@ -1674,7 +1687,6 @@ mod tests {
     #[test]
     fn content_addresses_and_seeds_match_known_answers() {
         use crate::agency::panel_quarter_seed;
-        use crate::engine::TruthDigest;
         use lodes::{DatasetPanel, PanelConfig};
         use tabulate::{compute_flows, compute_marginal, ranking2_expr, workload3};
         let panel = DatasetPanel::generate(
@@ -1698,7 +1710,6 @@ mod tests {
         assert_eq!(ranking2_expr().id().0, 0x54cc_e40f_eff4_ae61);
         assert_eq!(level.content_digest(), 0xfb54_4b81_66ef_0719);
         assert_eq!(flows.content_digest(), 0x0ceb_64f5_38e8_03a1);
-        assert_eq!(TruthDigest::of(&level).checksum, 0xb7ea_e669_9653_346b);
         assert_eq!(fnv1a_bytes(b"eree"), 0xb200_5260_6faa_ffc4);
         assert_eq!(panel_quarter_seed(7, 3), 0x90df_7bd8_aeb7_7931);
     }

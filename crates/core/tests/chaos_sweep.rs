@@ -135,9 +135,8 @@ fn inspect(root: &Path) -> EndState {
         "spent ε exceeds the cap"
     );
     let truth_entries = agency
-        .truth_store()
+        .truth_store_pinned(agency.dataset_digest().expect("dataset is bound"))
         .expect("truth store opens")
-        .expect("dataset is bound")
         .len();
     let cache_entries = agency.release_cache().expect("cache opens").len();
     // Open checks commit records, not bodies: read every body against its

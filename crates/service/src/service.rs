@@ -53,17 +53,20 @@
 //! `GET /audit` lists them in reservation order as they stand.
 //!
 //! Locks, where several are held, are taken in the order `agency` →
-//! `workers` → `registry`. `seasons` and `quarter_map` are leaf locks:
-//! nothing else is taken while one is held. A worker takes `workers` only
-//! to retire itself, and otherwise only `registry` and `seasons`, so it can
-//! never deadlock against the HTTP side.
+//! `workers` → `registry`. `seasons` is the one leaf lock: nothing else
+//! is taken while it is held. A worker takes `workers` only to retire
+//! itself, and otherwise only `registry` and `seasons`, so it can never
+//! deadlock against the HTTP side.
 //!
 //! # Quarterly-panel mode
 //!
 //! [`ReleaseService::start_panel`] serves a whole [`DatasetPanel`]: each
-//! season binds one quarter at creation (`SeasonCreate::quarter`,
-//! persisted to `panel_quarters.json`), submissions have their seed
-//! rewritten by the consistent-over-time rule
+//! season binds one quarter at creation (`SeasonCreate::quarter`). The
+//! binding is the season's dataset pin, written into its manifest by the
+//! write that creates it ([`AgencyStore::create_season_pinned`]); a
+//! submission finds its quarter by the pin in the season's summary, and
+//! the service stores nothing of its own about a season. Submissions
+//! have their seed rewritten by the consistent-over-time rule
 //! ([`panel_quarter_seed`]) before anything — including the cache key —
 //! is computed, and `Flows` submissions tabulate the season's
 //! `(q-1, q)` dataset pair (refused on quarter 0 and on single-snapshot
@@ -103,7 +106,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tabulate::{DatasetIndex, FilterExpr};
+use tabulate::DatasetIndex;
 
 /// Format version of the persisted release-id registry (`releases.json`).
 /// Version 2: a completed record carries its body's content digest and,
@@ -112,13 +115,11 @@ use tabulate::{DatasetIndex, FilterExpr};
 /// body — an admitted release no key, a cache hit no season and no
 /// `cached` flag. A file of any other format refuses the start.
 const REGISTRY_FORMAT_VERSION: u32 = 3;
-/// Format version of the persisted season → quarter bindings
-/// (`panel_quarters.json`).
-const QUARTERS_FORMAT_VERSION: u32 = 1;
 /// Persistent release-id registry file under the service root.
 const REGISTRY_FILE: &str = "releases.json";
-/// Persistent season → panel-quarter bindings under the service root.
-const QUARTERS_FILE: &str = "panel_quarters.json";
+/// The season → quarter bindings older builds kept beside the registry.
+/// No build writes it now: a season's quarter is its dataset pin.
+const LEFTOVER_QUARTERS_FILE: &str = "panel_quarters.json";
 
 /// Service startup configuration.
 #[derive(Debug, Clone)]
@@ -277,20 +278,6 @@ struct Registry {
     records: Vec<ReleaseRecord>,
 }
 
-/// One season → quarter binding of a panel service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct QuarterBinding {
-    season: String,
-    quarter: u64,
-}
-
-/// The persisted season → quarter bindings (`panel_quarters.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct QuartersFile {
-    format: u32,
-    bindings: Vec<QuarterBinding>,
-}
-
 enum Job {
     Release { id: u64, request: ReleaseRequest },
     Shutdown,
@@ -327,13 +314,11 @@ impl Quarter {
 }
 
 /// State shared by the HTTP pool and every season worker. Lock order:
-/// `agency` → `workers` → `registry`; `seasons` and `quarter_map` are
-/// leaf locks (see the [module docs](self)).
+/// `agency` → `workers` → `registry`; `seasons` is the leaf lock (see the
+/// [module docs](self)).
 struct Shared {
     quarters: Vec<Quarter>,
     panel: bool,
-    quarter_map: Mutex<BTreeMap<String, usize>>,
-    quarters_path: PathBuf,
     registry_path: PathBuf,
     cache: ReleaseCache,
     bodies: ReleaseBodies,
@@ -382,12 +367,26 @@ impl ReleaseService {
     /// creation, level releases draw on their quarter's snapshot, and
     /// flow releases tabulate the season's `(q-1, q)` pair — all from
     /// one `MetaLedger` cap. See the [module docs](self).
+    ///
+    /// A `panel_quarters.json` left by an older build refuses the start,
+    /// before anything is opened or written: that build's seasons that
+    /// never released are bound only there, and starting would unbind
+    /// them.
     pub fn start_panel(
         root: impl AsRef<Path>,
         panel: DatasetPanel,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
         let root = root.as_ref();
+        let leftover = root.join(LEFTOVER_QUARTERS_FILE);
+        if leftover.exists() {
+            return Err(ServiceError::Store(StoreError::Corrupt {
+                path: leftover,
+                detail: "season → quarter bindings of an older build; this build binds a \
+                         season by its dataset pin and reads no bindings file"
+                    .to_string(),
+            }));
+        }
         let mut agency = AgencyStore::open_or_create_panel(root, config.cap)?;
         let digests: Vec<u64> = panel.snapshots().iter().map(dataset_digest).collect();
         agency.bind_dataset(panel_digest(&digests))?;
@@ -411,12 +410,6 @@ impl ReleaseService {
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
         let cache = agency.release_cache()?;
-        let quarters_path = root.join(QUARTERS_FILE);
-        let quarter_map = if panel {
-            load_quarter_map(&quarters_path, quarters.len())?
-        } else {
-            BTreeMap::new()
-        };
         let registry_path = root.join(REGISTRY_FILE);
         let registry = load_registry(&registry_path)?;
         let bodies = agency.release_bodies()?;
@@ -429,8 +422,6 @@ impl ReleaseService {
         let shared = Arc::new(Shared {
             quarters,
             panel,
-            quarter_map: Mutex::new(quarter_map),
-            quarters_path,
             registry_path,
             cache,
             bodies,
@@ -548,8 +539,9 @@ fn create_season(shared: &Arc<Shared>, body: &str) -> Response {
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    // Panel services bind every season to a quarter at creation; the
-    // binding is part of the season's identity and persists.
+    // Panel services bind every season to a quarter at creation: the
+    // season is created pinned to that quarter's dataset, and the pin is
+    // the binding. A single-snapshot season pins the one snapshot.
     let quarter = match (shared.panel, create.quarter) {
         (true, None) => {
             return Response::error(
@@ -566,27 +558,23 @@ fn create_season(shared: &Arc<Shared>, body: &str) -> Response {
                 ),
             )
         }
-        (true, Some(q)) => Some(q as usize),
+        (true, Some(q)) => q as usize,
         (false, Some(_)) => {
             return Response::error(
                 400,
                 "this service serves a single snapshot: seasons take no `quarter`",
             )
         }
-        (false, None) => None,
+        (false, None) => 0,
     };
+    let digest = shared.quarters[quarter].digest;
     let mut agency = shared.agency.lock().expect("agency lock poisoned");
-    match agency.create_season(&create.name, create.budget) {
+    match agency.create_season_pinned(&create.name, create.budget, digest) {
         // Drop the returned store immediately: its write lease must be
         // free for the season's worker to claim on first submission.
         Ok(store) => {
             set_summary(shared, SeasonSummary::of(&create.name, &store));
             drop(store);
-            if let Some(q) = quarter {
-                let mut map = shared.quarter_map.lock().expect("quarter map poisoned");
-                map.insert(create.name.clone(), q);
-                persist_quarter_map(shared, &map);
-            }
             json_ok(
                 200,
                 &SeasonCreated {
@@ -635,14 +623,15 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
     // happens HERE, before the cache key — so level-vs-change coherence
     // and cacheability agree for every path into the pipeline.
     let (quarter, seed, key_digest) = if shared.panel {
-        let bound = {
-            let map = shared.quarter_map.lock().expect("quarter map poisoned");
-            map.get(name).copied()
+        let pin = {
+            let seasons = shared.seasons.lock().expect("seasons lock poisoned");
+            seasons.get(name).and_then(|season| season.dataset_digest)
         };
-        let Some(q) = bound else {
+        let Some(q) = pin.and_then(|pin| shared.quarters.iter().position(|q| q.digest == pin))
+        else {
             return Response::error(
                 404,
-                &format!("no season named `{name}` bound to a panel quarter"),
+                &format!("no season named `{name}` bound to a quarter of this panel"),
             );
         };
         if is_flows && q == 0 {
@@ -669,37 +658,31 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
     let request = submission.to_request().seed(seed);
     // Validate the rest up front: an unpriceable request 400s here and
     // never reaches a queue (or the ledger).
-    if let Err(e) = request.plan() {
-        return Response::error(400, &format!("invalid release request: {e}"));
-    }
+    let plan = match request.plan() {
+        Ok(plan) => plan,
+        Err(e) => return Response::error(400, &format!("invalid release request: {e}")),
+    };
     // The release's full public identity — checked against the cache
     // BEFORE any worker is resolved. A hit is answered from released
     // bits alone: zero ε, zero tabulation, nothing confidential touched.
-    let key = ReleaseKey {
-        dataset_digest: key_digest,
-        kind: submission.kind,
-        spec: submission.spec.clone(),
-        mechanism: submission.mechanism,
-        budget: submission.budget,
-        budget_is_per_cell: submission.budget_is_per_cell,
-        filter: submission.filter.as_ref().map(FilterExpr::normalized),
-        integerized: submission.integerize,
-        seed,
-    };
+    // The worker saves under the key of the same provenance.
+    let key = ReleaseKey::of(&request.provenance(&plan), key_digest)
+        .expect("every release has a declarative cache identity");
     // The entry is fully verified (one parse) and its digest recorded; a
     // GET then serves its bytes checked against that digest.
     if let Some(digest) = shared.cache.verified_digest(&key) {
-        shared.metrics.caches.public_hits.inc();
-        let id = push_record(
-            shared,
-            ReleaseRecord {
-                season: String::new(),
-                state: ReleaseState::Complete {
-                    site: BodySite::Public(key),
-                    digest,
-                },
+        let record = ReleaseRecord {
+            season: String::new(),
+            state: ReleaseState::Complete {
+                site: BodySite::Public(key),
+                digest,
             },
-        );
+        };
+        let id = match push_record(shared, record) {
+            Ok(id) => id,
+            Err(refusal) => return refusal,
+        };
+        shared.metrics.caches.public_hits.inc();
         return json_ok(
             200,
             &SubmitReceipt {
@@ -733,13 +716,14 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
         }
     }
     let worker = workers.get(name).expect("inserted just above");
-    let id = push_record(
-        shared,
-        ReleaseRecord {
-            season: name.to_string(),
-            state: ReleaseState::Queued,
-        },
-    );
+    let record = ReleaseRecord {
+        season: name.to_string(),
+        state: ReleaseState::Queued,
+    };
+    let id = match push_record(shared, record) {
+        Ok(id) => id,
+        Err(refusal) => return refusal,
+    };
     // Enqueue accounting before the send: the worker may dequeue (and
     // decrement) the instant the job lands.
     worker.pending.fetch_add(1, Ordering::Relaxed);
@@ -983,29 +967,36 @@ fn snapshot_with_queues(
     snapshot
 }
 
-/// Append a record to the registry and persist it. Returns the new id.
-fn push_record(shared: &Shared, record: ReleaseRecord) -> u64 {
+/// Append a record to the registry and persist it (the core store's
+/// fsynced temp + rename, whose temp files the agency's open-time sweep
+/// clears), returning the new id. An id is handed out only once its
+/// record is durable: when the write fails, the record is dropped and the
+/// answer is a 500 naming the registry file, because a restart would
+/// issue the same id again to another release.
+fn push_record(shared: &Shared, record: ReleaseRecord) -> Result<u64, Response> {
     let mut registry = shared.registry.lock().expect("registry lock poisoned");
     registry.records.push(record);
-    persist_registry(shared, &registry);
-    (registry.records.len() - 1) as u64
+    if let Err(e) = write_json_atomic(&shared.registry_path, &*registry) {
+        registry.records.pop();
+        let path = shared.registry_path.display();
+        return Err(Response::error(
+            500,
+            &format!("the release was not recorded in {path}: {e}"),
+        ));
+    }
+    Ok((registry.records.len() - 1) as u64)
 }
 
+/// Move release `id` to `state` and rewrite the registry. Best-effort: the
+/// release itself is already durable in its season (or the public cache),
+/// and a completion the file lost reads as failed after a restart, as a
+/// release still queued at a restart does.
 fn set_state(shared: &Shared, id: u64, state: ReleaseState) {
     let mut registry = shared.registry.lock().expect("registry lock poisoned");
     if let Some(record) = registry.records.get_mut(id as usize) {
         record.state = state;
-        persist_registry(shared, &registry);
+        let _ = write_json_atomic(&shared.registry_path, &*registry);
     }
-}
-
-/// Rewrite the persistent registry under the registry lock, through the
-/// core store's fsynced temp + rename (whose temp files the agency's
-/// open-time sweep clears). Best-effort: a failed write loses only
-/// restart visibility, never a release (every admission is already
-/// durable in the season store and public cache).
-fn persist_registry(shared: &Shared, registry: &Registry) {
-    let _ = write_json_atomic(&shared.registry_path, registry);
 }
 
 /// Replace season `summary.name`'s audit summary.
@@ -1055,65 +1046,6 @@ fn load_registry(path: &Path) -> Result<Registry, ServiceError> {
     Registry::from_value(&value).map_err(|e| refuse(e.to_string()))
 }
 
-/// Persist the season → quarter bindings under the quarter-map lock.
-fn persist_quarter_map(shared: &Shared, map: &BTreeMap<String, usize>) {
-    let file = QuartersFile {
-        format: QUARTERS_FORMAT_VERSION,
-        bindings: map
-            .iter()
-            .map(|(season, &quarter)| QuarterBinding {
-                season: season.clone(),
-                quarter: quarter as u64,
-            })
-            .collect(),
-    };
-    let _ = write_json_atomic(&shared.quarters_path, &file);
-}
-
-/// Load the season → quarter bindings, refusing out-of-range quarters
-/// (the panel shrank, or the file belongs to a different panel). A
-/// missing file binds nothing; any other read failure refuses the start,
-/// since starting unbound would let the next `POST /seasons` overwrite
-/// every lost binding for good.
-fn load_quarter_map(path: &Path, quarters: usize) -> Result<BTreeMap<String, usize>, ServiceError> {
-    let json = match std::fs::read_to_string(path) {
-        Ok(json) => json,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(source) => {
-            return Err(ServiceError::Store(StoreError::Io {
-                path: path.to_path_buf(),
-                source,
-            }))
-        }
-    };
-    let file: QuartersFile = serde_json::from_str(&json).map_err(|e| {
-        ServiceError::Store(StoreError::Inconsistent {
-            detail: format!(
-                "unreadable panel season bindings at {}: {e}",
-                path.display()
-            ),
-        })
-    })?;
-    if file.format != QUARTERS_FORMAT_VERSION {
-        return Err(ServiceError::Store(StoreError::Inconsistent {
-            detail: format!("panel season bindings have format {}", file.format),
-        }));
-    }
-    let mut map = BTreeMap::new();
-    for binding in file.bindings {
-        if binding.quarter as usize >= quarters {
-            return Err(ServiceError::Store(StoreError::Inconsistent {
-                detail: format!(
-                    "season `{}` is bound to quarter {} but the panel has {} quarters",
-                    binding.season, binding.quarter, quarters
-                ),
-            }));
-        }
-        map.insert(binding.season, binding.quarter as usize);
-    }
-    Ok(map)
-}
-
 /// Open season `name` (claiming its write lease) and start its worker
 /// thread. Called under the `agency` and `workers` locks.
 fn spawn_worker(
@@ -1123,19 +1055,6 @@ fn spawn_worker(
     quarter: usize,
 ) -> Result<SeasonWorker, StoreError> {
     let store = agency.open_season(name)?;
-    // A panel season that has already run is pinned to its quarter's
-    // snapshot; a binding that disagrees (edited bindings file, wrong
-    // panel) must be refused before the worker charges anything.
-    if let Some(pinned) = store.dataset_digest() {
-        if shared.panel && pinned != shared.quarters[quarter].digest {
-            return Err(StoreError::Inconsistent {
-                detail: format!(
-                    "season `{name}` is pinned to a snapshot other than its bound quarter \
-                     {quarter}"
-                ),
-            });
-        }
-    }
     set_summary(shared, SeasonSummary::of(name, &store));
     let q = &shared.quarters[quarter];
     let cache = TabulationCache::with_store(q.truths.clone()).with_shared_index(q.index());

@@ -219,6 +219,26 @@ fn metrics_endpoint_counts_admissions_and_restarts_volatile_counters() {
     );
     assert_eq!(family(&final_snapshot, "marginal").accepted_total, 1);
 
+    // A shapes release and a per-cell-budget release repeat as hits too:
+    // the submit path and the worker key a release by one provenance.
+    let mut shapes = submission(county_by_age(), 0.2, 9);
+    shapes.kind = RequestKind::Shapes;
+    let mut per_cell = submission(county(), 0.1, 10);
+    per_cell.budget_is_per_cell = true;
+    for repeatable in [shapes, per_cell] {
+        let receipt = client.submit("s2", &repeatable).expect("submitted");
+        assert!(!receipt.cached);
+        let done = client.wait_for(receipt.id, WAIT).expect("finishes");
+        assert_eq!(done.status, "complete", "error: {:?}", done.error);
+        let repeat = client.submit("s2", &repeatable).expect("repeat");
+        assert!(
+            repeat.cached,
+            "a {:?} repeat is a cache hit",
+            repeatable.kind
+        );
+    }
+    assert_eq!(drained(&client).caches.public_hits, 3);
+
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

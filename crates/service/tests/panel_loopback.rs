@@ -1,20 +1,23 @@
 //! Loopback integration tests for the service's quarterly-panel mode and
 //! its operational satellites: flow + level releases over HTTP from one
 //! multi-year cap, the persistent release-id registry across a restart,
-//! the refusal of unreadable season → quarter bindings, and idle-season
-//! worker retirement releasing the season write lease.
+//! a season bound to its quarter by its own manifest's dataset pin, the
+//! refusal of an older build's season → quarter bindings file, and
+//! idle-season worker retirement releasing the season write lease.
 
+use eree_core::agency::AgencyStore;
 use eree_core::definitions::PrivacyParams;
 use eree_core::engine::RequestKind;
 use eree_core::mechanisms::MechanismKind;
+use eree_core::store::dataset_digest;
 use eree_core::StoreError;
 use eree_service::{
     Client, ClientError, ReleaseService, ReleaseSubmission, ServiceConfig, ServiceError,
 };
 use lodes::{DatasetPanel, GeneratorConfig, PanelConfig};
 use std::fs;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant, SystemTime};
 use tabulate::{MarginalSpec, WorkplaceAttr};
 
 const ALPHA: f64 = 0.1;
@@ -276,12 +279,87 @@ fn idle_season_workers_retire_and_release_their_leases() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The season → quarter bindings cannot be rebuilt once lost: a season
-/// that exists cannot be created again. So a bindings file that exists
-/// but cannot be read refuses the start, rather than starting with no
-/// season bound and letting the next `POST /seasons` overwrite it.
+/// The dataset digest season `name`'s manifest pins, read from its
+/// `season.json`.
+fn manifest_pin(dir: &Path, name: &str) -> Option<u64> {
+    let path = dir.join("seasons").join(name).join("season.json");
+    let manifest: serde::Value = serde_json::from_str(&fs::read_to_string(path).unwrap()).unwrap();
+    match manifest.get("dataset_digest") {
+        Some(serde::Value::U64(digest)) => Some(*digest),
+        _ => None,
+    }
+}
+
+/// Submit a level and a flow release to `season` and wait for both.
+fn level_and_flow_complete(client: &Client, season: &str, seed: u64) {
+    for kind in [RequestKind::Marginal, RequestKind::Flows] {
+        let receipt = client
+            .submit(season, &submission(kind, 0.25, seed))
+            .expect("the bound season takes releases");
+        let done = client.wait_for(receipt.id, WAIT).expect("finishes");
+        assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    }
+}
+
+/// A season's quarter is its dataset pin, written by the one manifest
+/// write that creates the season: no file of the service's own need
+/// survive for the season to stay bound.
 #[test]
-fn an_unreadable_quarter_map_refuses_the_start() {
+fn a_panel_season_is_bound_by_its_own_manifest() {
+    let dir = tmp_dir("own-manifest");
+    let cap = PrivacyParams::pure(ALPHA, 10.0);
+    let panel = panel();
+    let service = ReleaseService::start_panel(&dir, panel.clone(), ServiceConfig::new(cap))
+        .expect("panel service starts");
+    let client = Client::new(service.addr());
+    client
+        .create_panel_season("q1", PrivacyParams::pure(ALPHA, 2.0), 1)
+        .expect("season binds quarter 1");
+    assert_eq!(
+        manifest_pin(&dir, "q1"),
+        Some(dataset_digest(panel.quarter(1))),
+        "the season pins its quarter before its first release"
+    );
+    service.shutdown();
+
+    let _ = fs::remove_file(dir.join("panel_quarters.json"));
+    let service = ReleaseService::start_panel(&dir, panel, ServiceConfig::new(cap))
+        .expect("panel service restarts");
+    let client = Client::new(service.addr());
+    level_and_flow_complete(&client, "q1", 1);
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir`, with its bytes and modification time.
+fn snapshot_tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>, SystemTime)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in fs::read_dir(&next).unwrap() {
+            let path = entry.unwrap().path();
+            let meta = fs::metadata(&path).unwrap();
+            if meta.is_dir() {
+                pending.push(path);
+            } else {
+                files.push((
+                    path.clone(),
+                    fs::read(&path).unwrap(),
+                    meta.modified().unwrap(),
+                ));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// An older build bound panel seasons in `panel_quarters.json`, and its
+/// seasons that never released are bound nowhere else. A start that finds
+/// that path — a file or a directory — is refused naming it, and changes
+/// nothing under the agency directory.
+#[test]
+fn a_leftover_quarter_map_refuses_the_start() {
     let dir = tmp_dir("quarter-map");
     let cap = PrivacyParams::pure(ALPHA, 10.0);
     let service = ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap))
@@ -292,22 +370,38 @@ fn an_unreadable_quarter_map_refuses_the_start() {
         .expect("season binds quarter 1");
     service.shutdown();
 
-    let bindings = dir.join("panel_quarters.json");
-    let saved = fs::read(&bindings).unwrap();
-    fs::remove_file(&bindings).unwrap();
-    fs::create_dir(&bindings).unwrap();
-    match ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap)) {
-        Err(ServiceError::Store(StoreError::Io { path, .. })) => assert_eq!(path, bindings),
-        Err(other) => panic!("expected an I/O refusal naming the bindings, got {other}"),
-        Ok(service) => {
-            service.shutdown();
-            panic!("a start with unreadable bindings must be refused")
+    let leftover = dir.join("panel_quarters.json");
+    let old_bindings = r#"{"format":1,"bindings":[{"season":"q1","quarter":1}]}"#;
+    for as_dir in [false, true] {
+        if as_dir {
+            fs::create_dir(&leftover).unwrap();
+        } else {
+            fs::write(&leftover, old_bindings).unwrap();
+        }
+        let before = snapshot_tree(&dir);
+        match ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap)) {
+            Err(ServiceError::Store(StoreError::Corrupt { path, .. })) => {
+                assert_eq!(path, leftover)
+            }
+            Err(other) => panic!("expected a refusal naming the bindings file, got {other}"),
+            Ok(service) => {
+                service.shutdown();
+                panic!("a start beside a leftover bindings file must be refused")
+            }
+        }
+        assert_eq!(
+            snapshot_tree(&dir),
+            before,
+            "a refused start changes nothing"
+        );
+        if as_dir {
+            fs::remove_dir(&leftover).unwrap();
+        } else {
+            fs::remove_file(&leftover).unwrap();
         }
     }
 
-    // Restored, the bindings serve again.
-    fs::remove_dir(&bindings).unwrap();
-    fs::write(&bindings, saved).unwrap();
+    // Removed, the season serves by its own pin.
     let service = ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap))
         .expect("panel service starts");
     let client = Client::new(service.addr());
@@ -316,6 +410,81 @@ fn an_unreadable_quarter_map_refuses_the_start() {
         .expect("the bound season takes releases");
     let done = client.wait_for(receipt.id, WAIT).expect("finishes");
     assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A panel season whose pin names no quarter of the served panel is not
+/// bound to one: its submissions answer 404 naming it, before the cache
+/// or a worker is touched, and nothing is spent.
+#[test]
+fn a_season_pinned_to_no_quarter_of_the_panel_is_refused() {
+    let dir = tmp_dir("foreign-pin");
+    let cap = PrivacyParams::pure(ALPHA, 10.0);
+    let mut agency = AgencyStore::create_panel(&dir, cap).expect("panel agency");
+    agency
+        .create_season_pinned("stray", PrivacyParams::pure(ALPHA, 1.0), 0xf0f0_f0f0)
+        .expect("a panel season may pin any quarter's digest");
+    drop(agency);
+
+    let service = ReleaseService::start_panel(&dir, panel(), ServiceConfig::new(cap))
+        .expect("panel service starts");
+    let client = Client::new(service.addr());
+    for kind in [RequestKind::Marginal, RequestKind::Flows] {
+        match client.submit("stray", &submission(kind, 0.25, 1)) {
+            Err(ClientError::Api { status, message }) => {
+                assert_eq!(status, 404);
+                assert!(message.contains("`stray`"), "{message}");
+            }
+            other => panic!("expected a 404 naming the season, got {other:?}"),
+        }
+    }
+    let audit = client.audit().expect("audit");
+    assert_eq!(audit.spent_epsilon, 0.0);
+    assert_eq!(audit.releases, 0);
+    assert_eq!(audit.metrics.service.worker_spawns, 0);
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The creation crash window: the reservation is durable, the season
+/// directory never appeared. Re-posting the season with its budget and
+/// quarter materializes it pinned to that quarter, and it serves.
+#[test]
+fn a_reposted_crash_window_season_is_materialized_pinned() {
+    let dir = tmp_dir("crash-window");
+    let cap = PrivacyParams::pure(ALPHA, 10.0);
+    let panel = panel();
+    let budget = PrivacyParams::pure(ALPHA, 2.0);
+    let service = ReleaseService::start_panel(&dir, panel.clone(), ServiceConfig::new(cap))
+        .expect("panel service starts");
+    Client::new(service.addr())
+        .create_panel_season("q2", budget, 2)
+        .expect("season binds quarter 2");
+    service.shutdown();
+    fs::remove_dir_all(dir.join("seasons").join("q2")).unwrap();
+
+    let service = ReleaseService::start_panel(&dir, panel.clone(), ServiceConfig::new(cap))
+        .expect("panel service restarts");
+    let client = Client::new(service.addr());
+    let audit = client.audit().expect("audit");
+    assert!(!audit.seasons[0].materialized);
+    assert_eq!(audit.seasons[0].dataset_digest, None);
+    assert_eq!(
+        api_status(client.submit("q2", &submission(RequestKind::Marginal, 0.25, 1))),
+        404,
+        "an unmaterialized season is bound to no quarter"
+    );
+    client
+        .create_panel_season("q2", budget, 2)
+        .expect("re-posting materializes the reservation");
+    let pin = Some(dataset_digest(panel.quarter(2)));
+    assert_eq!(manifest_pin(&dir, "q2"), pin);
+    assert_eq!(
+        client.audit().expect("audit").seasons[0].dataset_digest,
+        pin
+    );
+    level_and_flow_complete(&client, "q2", 2);
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,9 @@
 //! Restart and read paths of the release service: the registry keeps
 //! content digests and body sites, not artifacts, so a start reads no
 //! body and `GET /releases/{id}` serves the stored bytes, checked against
-//! the recorded digest. Pins the served bytes, the deep audit, and the
-//! refusal of a registry the service cannot read.
+//! the recorded digest. Pins the served bytes, the deep audit, the
+//! refusal of a registry the service cannot read, and that an id is
+//! handed out only once its record is durable.
 
 use eree_core::agency::AgencyStore;
 use eree_core::definitions::PrivacyParams;
@@ -11,8 +12,8 @@ use eree_core::mechanisms::MechanismKind;
 use eree_core::store::dataset_digest;
 use eree_core::{ReleaseKey, StoreError};
 use eree_service::{
-    AuditView, BodyAudit, Client, ReleaseService, ReleaseStatusView, ReleaseSubmission,
-    ServiceConfig, ServiceError,
+    AuditView, BodyAudit, Client, ClientError, ReleaseService, ReleaseStatusView,
+    ReleaseSubmission, ServiceConfig, ServiceError,
 };
 use lodes::{Dataset, Generator, GeneratorConfig};
 use std::fs;
@@ -282,6 +283,67 @@ fn an_unreadable_registry_refuses_the_start() {
     let service = start(&dir);
     let client = Client::new(service.addr());
     assert_eq!(client.release(ids[0]).unwrap().status, "complete");
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// While the registry cannot be written, a submission — a cache hit or a
+/// miss — is refused with a 500 naming the registry file and takes no id:
+/// an id whose record was lost would be issued again after a restart, and
+/// then answer another release.
+#[test]
+fn a_release_id_is_handed_out_only_once_its_record_is_durable() {
+    let dir = tmp_dir("durable-ids");
+    let service = start(&dir);
+    let client = Client::new(service.addr());
+    client
+        .create_season("s", PrivacyParams::pure(ALPHA, 2.0))
+        .expect("season fits under the cap");
+    let first = client.submit("s", &submission(1)).expect("submitted");
+    let done = client.wait_for(first.id, WAIT).expect("finishes");
+    assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    let before = client.audit().unwrap();
+
+    // Block the registry: a non-empty directory where its file goes.
+    let path = dir.join("releases.json");
+    let saved = fs::read(&path).unwrap();
+    fs::remove_file(&path).unwrap();
+    fs::create_dir(&path).unwrap();
+    fs::write(path.join("blocker"), b"").unwrap();
+    for seed in [1, 2] {
+        match client.submit("s", &submission(seed)) {
+            Err(ClientError::Api { status, message }) => {
+                assert_eq!(status, 500);
+                assert!(message.contains("releases.json"), "{message}");
+            }
+            other => panic!("an id that cannot be recorded must not be handed out: {other:?}"),
+        }
+    }
+    let blocked = client.audit().unwrap();
+    assert_eq!(blocked.releases, before.releases);
+    assert_eq!(blocked.spent_epsilon, before.spent_epsilon);
+    let (was, now) = (&before.metrics, &blocked.metrics);
+    assert_eq!(now.caches.public_hits, was.caches.public_hits);
+    assert_eq!(now.service.releases_enqueued, was.service.releases_enqueued);
+    assert_eq!(now.service.http_5xx, was.service.http_5xx + 2);
+    service.shutdown();
+
+    // Unblocked and restarted, every id handed out answers its own
+    // release.
+    fs::remove_dir_all(&path).unwrap();
+    fs::write(&path, saved).unwrap();
+    let service = start(&dir);
+    let client = Client::new(service.addr());
+    let next = client.submit("s", &submission(3)).expect("submitted");
+    let done = client.wait_for(next.id, WAIT).expect("finishes");
+    assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    for (id, seed) in [(first.id, 1), (next.id, 3)] {
+        let view = client.release(id).unwrap();
+        assert_eq!(
+            view.artifact.expect("a complete release").request.seed,
+            seed
+        );
+    }
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

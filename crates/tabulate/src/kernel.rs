@@ -19,19 +19,18 @@
 //! and scalar paths are **bit-identical by construction** — the dispatch
 //! choice can never change a released cell.
 //!
-//! The AVX2 paths are compiled behind the default-on `simd` feature on
-//! `x86_64` and selected at runtime via `is_x86_feature_detected!`; every
-//! other configuration (feature off, non-x86, no AVX2 at runtime) takes
-//! the scalar fallback. [`Kernel::Scalar`] forces the fallback even when
-//! AVX2 is available — the property tests and the benchmark use it to
-//! compare the two paths on the same machine.
+//! The AVX2 paths are compiled on `x86_64` and selected at runtime via
+//! `is_x86_feature_detected!`; every other configuration (non-x86, no
+//! AVX2 at runtime) takes the scalar fallback. [`Kernel::Scalar`] forces
+//! the fallback even when AVX2 is available — the property tests and the
+//! benchmark use it to compare the two paths on the same machine.
 
 /// Which key-kernel implementation a tabulation should use.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Kernel {
     /// Use the widest instruction set available at runtime (AVX2 when the
-    /// `simd` feature is on, the CPU supports it, and the target is
-    /// `x86_64`; the scalar path otherwise).
+    /// target is `x86_64` and the CPU supports it; the scalar path
+    /// otherwise).
     #[default]
     Auto,
     /// Force the scalar path. Results are bit-identical to [`Kernel::Auto`]
@@ -48,15 +47,15 @@ impl Kernel {
     }
 }
 
-/// True when the AVX2 kernels are compiled in *and* the running CPU
-/// supports them.
+/// True when the AVX2 kernels are compiled in (an `x86_64` target) *and*
+/// the running CPU supports them.
 #[inline]
 pub fn simd_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -76,7 +75,7 @@ pub(crate) fn worker_subkeys(
     out: &mut [u16],
     kernel: Kernel,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if kernel.resolves_to_simd() {
         // SAFETY: `resolves_to_simd` verified AVX2 support at runtime.
         unsafe { worker_subkeys_avx2(cols, strides, start, out) };
@@ -101,7 +100,7 @@ fn worker_subkeys_scalar(cols: &[&[u8]], strides: &[u16], start: usize, out: &mu
 /// chunk is widened to two `u16x16` lanes (`vpmovzxbw`), multiplied by the
 /// splatted stride (`vpmullw`), and accumulated — the exact `u16`
 /// arithmetic of the scalar recurrence, 16 lanes at a time.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn worker_subkeys_avx2(cols: &[&[u8]], strides: &[u16], start: usize, out: &mut [u16]) {
     use core::arch::x86_64::*;
@@ -145,7 +144,7 @@ pub(crate) fn establishment_keys(
     out: &mut [u64],
     kernel: Kernel,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if kernel.resolves_to_simd() {
         // SAFETY: `resolves_to_simd` verified AVX2 support at runtime.
         unsafe { establishment_keys_avx2(cols, strides, start, out) };
@@ -171,7 +170,7 @@ fn establishment_keys_scalar(cols: &[&[u32]], strides: &[u64], start: usize, out
 /// `code·lo32(stride) + (code·hi32(stride)) << 32`, both exact under
 /// `vpmuludq` because every partial product is bounded by the full key,
 /// which the schema proved fits `u64`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn establishment_keys_avx2(cols: &[&[u32]], strides: &[u64], start: usize, out: &mut [u64]) {
     use core::arch::x86_64::*;
@@ -263,8 +262,8 @@ mod tests {
     #[test]
     fn kernel_choice_reports_dispatch() {
         assert!(!Kernel::Scalar.resolves_to_simd());
-        // On an AVX2 machine with the feature on, Auto must take the SIMD
-        // path; elsewhere both choices collapse to scalar.
+        // On an AVX2 machine Auto must take the SIMD path; elsewhere both
+        // choices collapse to scalar.
         assert_eq!(Kernel::Auto.resolves_to_simd(), simd_available());
     }
 }

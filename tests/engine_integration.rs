@@ -216,10 +216,8 @@ fn indexed_artifacts_bit_identical_to_legacy_tabulation() {
 
 #[test]
 fn production_artifacts_carry_no_truth_digest() {
-    // Nothing in the default workspace build enables eree_core's
-    // `eval-only` feature, so artifacts from the facade must NOT embed
-    // truth digests (they fingerprint the unnoised data). The digest
-    // path is covered by `cargo test -p eree_core --features eval-only`.
+    // A truth digest fingerprints the unnoised data: a released artifact
+    // carries none, not even as a null field.
     let d = dataset();
     let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0));
     let artifact = engine
@@ -234,8 +232,6 @@ fn production_artifacts_carry_no_truth_digest() {
             },
         )
         .unwrap();
-    assert_eq!(artifact.truth_digest, None);
-    // And the serialized artifact doesn't smuggle it either.
     let json = serde_json::to_string(&artifact).unwrap();
-    assert!(json.contains("\"truth_digest\":null"));
+    assert!(!json.contains("truth_digest"));
 }

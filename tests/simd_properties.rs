@@ -5,9 +5,8 @@
 //! kernels must agree **bit-for-bit** with the scalar kernel, for
 //! marginals and flows alike.
 //!
-//! With the `simd` feature off (or on non-AVX2 hardware) `Kernel::Auto`
-//! resolves to the scalar kernel and these properties hold trivially;
-//! the CI matrix runs both legs.
+//! On non-AVX2 hardware `Kernel::Auto` resolves to the scalar kernel and
+//! these properties hold trivially.
 
 use eree::prelude::*;
 use lodes::{DatasetPanel, PanelConfig};
