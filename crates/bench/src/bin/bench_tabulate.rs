@@ -17,8 +17,9 @@
 //! `--national JOBS` additionally streams a ~`JOBS`-job
 //! `GeneratorConfig::national` universe into a per-state index, checks
 //! every thread count's result against the scalar 1-thread result, and
-//! records the build cost, peak RSS, kernel A/B, and thread-scaling
-//! curve in a `national` section.
+//! records the build cost, peak RSS, kernel A/B, thread-scaling curve
+//! and dataset digest cost in a `national` section. Both levels record
+//! `dataset_digest_ms`, the digest a service start pays.
 //!
 //! `--check-against` is the CI delta guard: after writing the fresh
 //! results, the Workload 1 single-threaded speedup is compared against the
@@ -31,6 +32,7 @@
 //! The output schema (field-by-field) and the 1-core dev-container
 //! caveat are documented in the `bench` crate's rustdoc (`crates/bench`).
 
+use eree_core::store::dataset_digest;
 use eval::runner::EvalScale;
 use lodes::{Dataset, DatasetPanel, Generator, GeneratorConfig, PanelConfig};
 use std::time::Instant;
@@ -285,6 +287,14 @@ fn bench_national(target_jobs: usize, iters: usize, threads: usize) -> String {
         results.push(r);
     }
 
+    // The start cost at this scale: the flat universe a service would
+    // be handed, generated only now so the peak-RSS reading above stays
+    // the streaming build's.
+    let flat = generator.generate();
+    let (digest_ms, _) = time_best(iters, || dataset_digest(&flat));
+    drop(flat);
+    eprintln!("national: dataset digest {digest_ms:.1} ms");
+
     let scaling: Vec<String> = results
         .iter()
         .map(|r| {
@@ -304,13 +314,14 @@ fn bench_national(target_jobs: usize, iters: usize, threads: usize) -> String {
         })
         .collect();
     format!(
-        "  \"national\": {{\n    \"jobs\": {},\n    \"establishments\": {},\n    \"shards\": {},\n    \"simd\": {},\n    \"stream_build_ms\": {:.3},\n    \"peak_rss_mb\": {:.1},\n    \"scaling\": [\n{}\n    ]\n  }}",
+        "  \"national\": {{\n    \"jobs\": {},\n    \"establishments\": {},\n    \"shards\": {},\n    \"simd\": {},\n    \"stream_build_ms\": {:.3},\n    \"peak_rss_mb\": {:.1},\n    \"dataset_digest_ms\": {:.3},\n    \"scaling\": [\n{}\n    ]\n  }}",
         index.num_workers(),
         index.num_establishments(),
         index.num_shards(),
         simd_available(),
         stream_build_ms,
         rss,
+        digest_ms,
         scaling.join(",\n")
     )
 }
@@ -417,6 +428,8 @@ fn main() {
     let (build_ms, index) = time_best(iters, || {
         DatasetIndex::build_with_threshold(&dataset, usize::MAX)
     });
+    let (digest_ms, _) = time_best(iters, || dataset_digest(&dataset));
+    eprintln!("index build {build_ms:.3} ms | dataset digest {digest_ms:.3} ms");
 
     // The full-attribute (workload3-class) spec: all establishment
     // attributes crossed with every worker attribute.
@@ -486,7 +499,7 @@ fn main() {
         .collect();
     let national_section = national_json.map(|n| format!(",\n{n}")).unwrap_or_default();
     let json = format!(
-        "{{\n  \"bench\": \"tabulate_old_vs_new\",\n  \"scale\": \"{:?}\",\n  \"jobs\": {},\n  \"establishments\": {},\n  \"threads\": {},\n  \"iters\": {},\n  \"simd\": {},\n  \"index_build_ms\": {:.3},\n  \"specs\": [\n{}\n  ]{}\n}}\n",
+        "{{\n  \"bench\": \"tabulate_old_vs_new\",\n  \"scale\": \"{:?}\",\n  \"jobs\": {},\n  \"establishments\": {},\n  \"threads\": {},\n  \"iters\": {},\n  \"simd\": {},\n  \"index_build_ms\": {:.3},\n  \"dataset_digest_ms\": {:.3},\n  \"specs\": [\n{}\n  ]{}\n}}\n",
         scale,
         dataset.num_jobs(),
         dataset.num_workplaces(),
@@ -494,6 +507,7 @@ fn main() {
         iters,
         simd_available(),
         build_ms,
+        digest_ms,
         spec_json.join(",\n"),
         national_section
     );

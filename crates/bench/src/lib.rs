@@ -44,6 +44,7 @@
 //! | `threads` | hardware threads used for the `_mt` rows |
 //! | `iters` | best-of-N iteration count |
 //! | `index_build_ms` | one-time one-shard [`DatasetIndex`](tabulate::DatasetIndex) build cost |
+//! | `dataset_digest_ms` | [`dataset_digest`](eree_core::store::dataset_digest) of the dataset: the digest an agency or service start pays, threaded over the host |
 //! | `simd` | whether the AVX2 kernels were available at run time |
 //! | `specs[].spec` | marginal spec name (`workload1`, `workload3`, full-attribute) |
 //! | `specs[].cells` | nonzero cells tabulated |
@@ -66,6 +67,7 @@
 //! | `national.simd` | AVX2 availability during the run |
 //! | `national.stream_build_ms` | streaming generate-and-index wall time |
 //! | `national.peak_rss_mb` | `VmHWM` after the build — the bounded-RSS claim, measured |
+//! | `national.dataset_digest_ms` | [`dataset_digest`](eree_core::store::dataset_digest) of the same universe, generated flat after the peak-RSS reading |
 //! | `national.scaling[].spec` / `.cells` | workload tabulated against the sharded index |
 //! | `national.scaling[].scalar_1t_ms` / `.simd_speedup_1t` | kernel A/B at national scale |
 //! | `national.scaling[].threads_ms[]` | `{threads, ms}` curve, doubling thread counts up to the host |

@@ -139,8 +139,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Agency store format version, recorded in the manifest.
-const FORMAT_VERSION: u32 = 1;
+/// Agency store format version, recorded in the manifest. Version 2: the
+/// dataset pin is [`dataset_digest`] v2 (laned, chunked), and the truth
+/// addresses and release-cache keys under the agency are named by it. A
+/// version-1 agency is refused as an unsupported format before its pin is
+/// compared, never as a wrong dataset.
+const FORMAT_VERSION: u32 = 2;
 
 /// Manifest file name under the agency directory.
 const MANIFEST_FILE: &str = "agency.json";
@@ -1189,7 +1193,8 @@ mod tests {
     use tabulate::{workload1, workload3};
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eree-agency-unit-{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("eree-agency-unit-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -38,7 +38,9 @@
 //! Tabulation runs on a columnar employer-grouped
 //! [`DatasetIndex`] — built **once per
 //! dataset**: `execute_all` builds it per batch, [`TabulationCache`]
-//! (used by `SeasonStore::{run, admit}`) holds it for a whole season.
+//! (used by `SeasonStore::{run, admit}`) builds it on its first
+//! tabulation and holds it for a whole season, in a slot several caches
+//! of one dataset can share.
 //! Within a batch or cache, each distinct `(MarginalSpec, normalized filter)` is
 //! tabulated once (the [`FilterId`] digest is the filter's compact
 //! fingerprint), so structurally equal expressions share even when
@@ -94,7 +96,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tabulate::{
     CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Kernel, Marginal,
@@ -525,7 +527,9 @@ pub struct Snapshot<'a> {
 }
 
 impl<'a> Snapshot<'a> {
-    /// `dataset`, digested here (one linear scan).
+    /// `dataset`, digested here: one pass of
+    /// [`dataset_digest`](crate::store::dataset_digest), its chunks
+    /// hashed on up to every core.
     pub fn of(dataset: &'a Dataset) -> Self {
         Self::with_digest(dataset, crate::store::dataset_digest(dataset))
     }
@@ -645,7 +649,9 @@ enum TabulationSource {
 /// Tabulation is the engine's dominant cost for large universes; a batch
 /// (or a resumed publication season) whose requests share a marginal
 /// should pay it once — and every request, shared marginal or not, should
-/// share one CSR index of the dataset, built lazily on the first miss.
+/// share one CSR index of the dataset, built by the first request that
+/// misses both the memory tier and the truth store, so a cache that only
+/// ever serves stored truths never builds one.
 /// The cache is owned by the *caller* (or created per
 /// [`ReleaseEngine::execute_all`] batch) rather than stored inside the
 /// engine, because cached truths (and the index) are only valid for one
@@ -666,7 +672,9 @@ enum TabulationSource {
 /// snapshot's pair digest.
 #[derive(Default)]
 pub struct TabulationCache {
-    index: Option<DatasetIndex>,
+    /// The index slot, filled by the first tabulation of whichever cache
+    /// sharing it gets there first.
+    index: Arc<OnceLock<DatasetIndex>>,
     /// The *before* quarter's index for flow tabulations; the main
     /// `index` is the after side.
     before_index: Option<DatasetIndex>,
@@ -695,15 +703,17 @@ impl TabulationCache {
         }
     }
 
-    /// Seed the cache with an already built index instead of building one
-    /// lazily on the first miss. A multi-tenant frontend builds the index
-    /// **once** at startup and hands a clone (a [`DatasetIndex`] clone is
-    /// a pointer copy) to every per-season cache, so N
-    /// concurrent seasons share one image of the dataset instead of
-    /// paying N builds. The index must have been built from the dataset
-    /// this cache will serve.
-    pub fn with_shared_index(mut self, index: DatasetIndex) -> Self {
-        self.index = Some(index);
+    /// Share an index slot with other caches of the same dataset instead
+    /// of owning one. A multi-tenant frontend keeps one slot per dataset
+    /// and hands it to every per-season cache: the first cache whose
+    /// request misses both tiers builds the index into it, on its own
+    /// thread, and every other cache (a concurrent one waits for that
+    /// build) tabulates over the same image. A slot that is already
+    /// full — `Arc::new(OnceLock::from(index))` — is never rebuilt. The
+    /// index must be (or be built) from the dataset this cache will
+    /// serve.
+    pub fn with_shared_index(mut self, index: Arc<OnceLock<DatasetIndex>>) -> Self {
+        self.index = index;
         self
     }
 
@@ -774,10 +784,10 @@ impl TabulationCache {
             self.entries.insert(key, truth.clone());
             return Ok((truth, TabulationSource::Disk));
         }
+        // Both tiers missed: only now is the index worth building.
         let index = self
             .index
-            .get_or_insert_with(|| DatasetIndex::build_auto(data.dataset))
-            .clone();
+            .get_or_init(|| DatasetIndex::build_auto(data.dataset));
         let persist_failed = |e: StoreError| EngineError::TruthStore {
             detail: format!("persisting freshly computed truth failed: {e}"),
         };
@@ -792,7 +802,7 @@ impl TabulationCache {
                     .before_index
                     .get_or_insert_with(|| index.build_like(before));
                 let truth = Arc::new(before_index.flows(
-                    &index,
+                    index,
                     spec,
                     filter,
                     before_index.effective_shards(threads),
@@ -1824,9 +1834,11 @@ mod tests {
         assert!(!flat_index.is_per_state());
         assert!(sharded_index.is_per_state());
         let mut flat_engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
-        let mut flat_cache = TabulationCache::new().with_shared_index(flat_index);
+        let mut flat_cache =
+            TabulationCache::new().with_shared_index(Arc::new(OnceLock::from(flat_index)));
         let mut sharded_engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
-        let mut sharded_cache = TabulationCache::new().with_shared_index(sharded_index);
+        let mut sharded_cache =
+            TabulationCache::new().with_shared_index(Arc::new(OnceLock::from(sharded_index)));
         let data = Snapshot::of(&d);
         for request in &requests {
             let flat = flat_engine
@@ -1849,6 +1861,66 @@ mod tests {
                 .unwrap();
             assert_eq!(flat, sharded);
         }
+    }
+
+    /// A shared index slot is filled only by a request that misses both
+    /// the memory tier and the truth store, and then serves every cache
+    /// sharing it without another build.
+    #[test]
+    fn shared_index_slot_is_filled_only_by_a_tabulation() {
+        let d = dataset();
+        let data = Snapshot::of(&d);
+        let dir = std::env::temp_dir().join(format!(
+            "eree-engine-unit-index-slot-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let truths = || crate::truths::TruthStore::open(&dir, data.digest()).unwrap();
+        let request = |spec, seed| {
+            ReleaseRequest::marginal(spec)
+                .mechanism(MechanismKind::LogLaplace)
+                .budget(PrivacyParams::pure(0.1, 1.0))
+                .seed(seed)
+        };
+        let (stored, fresh) = (request(workload1(), 1), request(workload3(), 2));
+        let release = |cache: &mut TabulationCache, request: &ReleaseRequest| {
+            let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 4.0));
+            let artifact = engine
+                .execute(request, TruthSource::Tabulate { data, cache })
+                .unwrap();
+            (
+                serde_json::to_string(&artifact).unwrap(),
+                engine.tabulation_stats(),
+            )
+        };
+        // `stored`'s truth is on disk before the shared slot exists.
+        release(&mut TabulationCache::with_store(truths()), &stored);
+
+        let slot = Arc::new(OnceLock::new());
+        let mut cache = TabulationCache::with_store(truths()).with_shared_index(Arc::clone(&slot));
+        let (_, stats) = release(&mut cache, &stored);
+        assert_eq!((stats.disk_hits, stats.computed), (1, 0));
+        assert!(slot.get().is_none(), "a truth-disk hit builds no index");
+        let (_, stats) = release(&mut cache, &stored);
+        assert_eq!((stats.hits, stats.computed), (1, 0));
+        assert!(slot.get().is_none(), "a memory hit builds no index");
+        let (first, stats) = release(&mut cache, &fresh);
+        assert_eq!(stats.computed, 1);
+        let built: *const DatasetIndex = slot.get().expect("the first miss fills the slot");
+
+        // A second cache on the slot tabulates over the same build.
+        let mut sibling = TabulationCache::new().with_shared_index(Arc::clone(&slot));
+        let (second, stats) = release(&mut sibling, &fresh);
+        assert_eq!(stats.computed, 1);
+        assert!(std::ptr::eq(slot.get().unwrap(), built));
+
+        // Both release the bytes a cache handed a prebuilt index does.
+        let prebuilt = Arc::new(OnceLock::from(DatasetIndex::build_auto(&d)));
+        let mut handed = TabulationCache::new().with_shared_index(prebuilt);
+        let (expected, _) = release(&mut handed, &fresh);
+        assert_eq!(first, expected);
+        assert_eq!(second, expected);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2208,7 +2280,10 @@ mod tests {
     #[test]
     fn store_backed_flow_cache_serves_disk_hits_across_caches() {
         let (before, after) = quarter_pair();
-        let dir = std::env::temp_dir().join("eree-engine-unit-flow-disk-hits");
+        let dir = std::env::temp_dir().join(format!(
+            "eree-engine-unit-flow-disk-hits-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let digest = crate::store::dataset_digest(&after);
         let budget = PrivacyParams::approximate(0.1, 12.0, 0.12);

@@ -357,7 +357,8 @@ mod tests {
     use tabulate::workload1;
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eree-public-cache-{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("eree-public-cache-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -51,9 +51,10 @@
 //! sub-population definition changed is refused — then executes
 //! only the remainder through a [`ReleaseEngine`] opened on the restored
 //! ledger, sharing tabulations via a [`TabulationCache`] — which also
-//! builds the dataset's columnar `DatasetIndex` exactly once,
-//! so a resumed season re-tabulates over the shared CSR index instead of
-//! from scratch. [`SeasonStore::admit`] records one new release on top of
+//! builds the dataset's columnar `DatasetIndex` at most once, on its
+//! first tabulation, so a resumed season re-tabulates over the shared CSR
+//! index instead of from scratch, and one whose truths are all stored
+//! builds none. [`SeasonStore::admit`] records one new release on top of
 //! whatever the season holds and returns the artifact it recorded — the
 //! path of a driver that receives releases one at a time, like the
 //! release service's season workers. Because per-cell noise streams
@@ -103,7 +104,7 @@ use crate::engine::{
 };
 use crate::error::EngineError;
 use crate::metrics::MetricsRegistry;
-use lodes::Dataset;
+use lodes::{Dataset, Job, Worker, Workplace};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -120,7 +121,11 @@ use tabulate::Fnv1a;
 /// none, so a version-2 season is refused like a version-1 one. Version
 /// 4: `ledger.json` is the budget, the spent totals and the commit
 /// records, with no separate entry list; older seasons are refused.
-const FORMAT_VERSION: u32 = 4;
+/// Version 5: the dataset pin is [`dataset_digest`] v2 (laned, chunked),
+/// so a version-4 pin names the same data by another value; a version-4
+/// season is refused as an unsupported format before its pin is
+/// compared, never as a wrong dataset.
+const FORMAT_VERSION: u32 = 5;
 
 /// Manifest file name under the season directory.
 const MANIFEST_FILE: &str = "season.json";
@@ -1311,41 +1316,147 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     hash.finish()
 }
 
-/// A stable FNV-1a fingerprint of the confidential database: table sizes,
-/// every workplace's attributes, every worker's attributes, and the job
-/// edge list, folded in table order.
+/// Records per chunk of [`dataset_digest`]: part of the digest's
+/// definition, not a setting.
+const DIGEST_CHUNK: usize = 1 << 16;
+/// Interleaved FNV-1a lanes per chunk of [`dataset_digest`].
+const DIGEST_LANES: usize = 4;
+
+/// The content address of the confidential database (digest v2): a
+/// stable FNV-1a fingerprint of every workplace, worker and job. It is
+/// defined as follows, and its value never depends on the thread count.
+///
+/// 1. **Words.** Each record is read as 64-bit words, and every word is
+///    hashed as its eight little-endian bytes by FNV-1a ([`Fnv1a`]):
+///    - a workplace is two words, `state | county << 16 | naics << 32 |
+///      ownership << 40` and `place | block << 32`;
+///    - a worker is one word, `sex | age << 8 | race << 16 |
+///      ethnicity << 24 | education << 32`;
+///    - a job is one word, `worker | workplace << 32`.
+///
+///    Ids are their dense numbers, categories their `index()`.
+/// 2. **Chunks.** Each table (workplaces, workers, jobs) is cut in
+///    record order into chunks of 2¹⁶ records; a table's last chunk may
+///    be shorter, and an empty table has none.
+/// 3. **Lanes.** A chunk is hashed on four FNV-1a lanes, each starting
+///    from the offset basis: word *i* of the chunk (counting from 0, two
+///    per workplace) goes to lane *i* mod 4. The chunk digest is FNV-1a
+///    over the four lane hashes as words, lane 0 first.
+/// 4. **Fold.** The digest is FNV-1a over the three table sizes
+///    (workplaces, workers, jobs) as words, then every chunk digest in
+///    (table, chunk) order.
+///
+/// Chunks are hashed on up to
+/// [`available_parallelism`](std::thread::available_parallelism) scoped
+/// threads (never more than there are chunks) and folded in order
+/// afterwards. Four independent lanes keep four multiplies in flight
+/// where one serial FNV-1a waits on each in turn.
 ///
 /// [`SeasonStore::run`] and [`SeasonStore::admit`] bind this into the
 /// manifest on a season's first release and refuse any later one against
 /// a database that hashes differently — a resumed season's remaining
-/// releases must come from the same data as its persisted ones. One
-/// linear pass over the dataset per [`Snapshot::of`] (cheap next to a
-/// single tabulation).
+/// releases must come from the same data as its persisted ones. The
+/// agency pin, the season pins, truth addresses and release-cache keys
+/// are all named by it, so the agency and season formats change with it.
 pub fn dataset_digest(dataset: &Dataset) -> u64 {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    dataset_digest_on(dataset, threads)
+}
+
+/// [`dataset_digest`] with its chunks hashed on up to `threads` scoped
+/// threads; every thread count gives the same value.
+pub(crate) fn dataset_digest_on(dataset: &Dataset, threads: usize) -> u64 {
+    let chunks: Vec<DigestChunk<'_>> = dataset
+        .workplaces()
+        .chunks(DIGEST_CHUNK)
+        .map(DigestChunk::Workplaces)
+        .chain(
+            dataset
+                .workers()
+                .chunks(DIGEST_CHUNK)
+                .map(DigestChunk::Workers),
+        )
+        .chain(dataset.jobs().chunks(DIGEST_CHUNK).map(DigestChunk::Jobs))
+        .collect();
+    let threads = threads.clamp(1, chunks.len().max(1));
+    let digests: Vec<u64> = if threads == 1 {
+        chunks.iter().map(DigestChunk::digest).collect()
+    } else {
+        let per_thread = chunks.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .chunks(per_thread)
+                .map(|group| {
+                    scope.spawn(move || group.iter().map(DigestChunk::digest).collect::<Vec<_>>())
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().expect("a digest thread panicked"))
+                .collect()
+        })
+    };
     let mut hash = Fnv1a::new();
     hash.word(dataset.num_workplaces() as u64);
     hash.word(dataset.num_workers() as u64);
     hash.word(dataset.num_jobs() as u64);
-    for wp in dataset.workplaces() {
-        hash.word(
-            (wp.state.0 as u64)
-                | ((wp.county.0 as u64) << 16)
-                | ((wp.naics.index() as u64) << 32)
-                | ((wp.ownership.index() as u64) << 40),
-        );
-        hash.word((wp.place.0 as u64) | ((wp.block.0 as u64) << 32));
+    for digest in digests {
+        hash.word(digest);
     }
-    for w in dataset.workers() {
-        hash.word(
-            (w.sex.index() as u64)
-                | ((w.age.index() as u64) << 8)
-                | ((w.race.index() as u64) << 16)
-                | ((w.ethnicity.index() as u64) << 24)
-                | ((w.education.index() as u64) << 32),
-        );
+    hash.finish()
+}
+
+/// One chunk of one table, as [`dataset_digest`] cuts them.
+#[derive(Clone, Copy)]
+enum DigestChunk<'a> {
+    Workplaces(&'a [Workplace]),
+    Workers(&'a [Worker]),
+    Jobs(&'a [Job]),
+}
+
+impl DigestChunk<'_> {
+    fn digest(&self) -> u64 {
+        match *self {
+            DigestChunk::Workplaces(records) => lanes_digest(records.iter().flat_map(|wp| {
+                [
+                    (wp.state.0 as u64)
+                        | ((wp.county.0 as u64) << 16)
+                        | ((wp.naics.index() as u64) << 32)
+                        | ((wp.ownership.index() as u64) << 40),
+                    (wp.place.0 as u64) | ((wp.block.0 as u64) << 32),
+                ]
+            })),
+            DigestChunk::Workers(records) => lanes_digest(records.iter().map(|w| {
+                (w.sex.index() as u64)
+                    | ((w.age.index() as u64) << 8)
+                    | ((w.race.index() as u64) << 16)
+                    | ((w.ethnicity.index() as u64) << 24)
+                    | ((w.education.index() as u64) << 32)
+            })),
+            DigestChunk::Jobs(records) => lanes_digest(
+                records
+                    .iter()
+                    .map(|job| (job.worker.0 as u64) | ((job.workplace.0 as u64) << 32)),
+            ),
+        }
     }
-    for job in dataset.jobs() {
-        hash.word((job.worker.0 as u64) | ((job.workplace.0 as u64) << 32));
+}
+
+/// A chunk digest: word *i* on lane *i* mod [`DIGEST_LANES`], then the
+/// lane hashes folded in lane order.
+fn lanes_digest(mut words: impl Iterator<Item = u64>) -> u64 {
+    let mut lanes = [Fnv1a::new(); DIGEST_LANES];
+    'words: loop {
+        for lane in &mut lanes {
+            let Some(word) = words.next() else {
+                break 'words;
+            };
+            lane.word(word);
+        }
+    }
+    let mut hash = Fnv1a::new();
+    for lane in lanes {
+        hash.word(lane.finish());
     }
     hash.finish()
 }
@@ -1422,13 +1533,23 @@ pub(crate) fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreE
         source,
     };
     let mut file = cfs::file_create(&tmp).map_err(io_err)?;
-    cfs::write_all(&mut file, &tmp, bytes).map_err(io_err)?;
-    cfs::sync_all(&file, &tmp).map_err(io_err)?;
+    // A failed step removes its temp file (best-effort, outside the
+    // chaos boundaries) before reporting. A kill never gets here: its
+    // temp file stays for the next open's sweep.
+    let written = cfs::write_all(&mut file, &tmp, bytes)
+        .and_then(|()| cfs::sync_all(&file, &tmp))
+        .map_err(io_err);
     drop(file);
-    cfs::rename(&tmp, path).map_err(|source| StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
+    let renamed = written.and_then(|()| {
+        cfs::rename(&tmp, path).map_err(|source| StoreError::Io {
+            path: path.to_path_buf(),
+            source,
+        })
+    });
+    if renamed.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    renamed?;
     if let Some(parent) = path.parent() {
         let dir = fs::File::open(parent).map_err(|source| StoreError::Io {
             path: parent.to_path_buf(),
@@ -1562,7 +1683,8 @@ mod tests {
     use tabulate::workload1;
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eree-store-unit-{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("eree-store-unit-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -1680,6 +1802,152 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// [`dataset_digest`] restated from its doc comment, single-threaded:
+    /// each table's whole word stream, cut into chunks of 2¹⁶ records,
+    /// each chunk hashed lane by lane.
+    fn reference_digest(d: &Dataset) -> u64 {
+        let fnv = |words: &[u64]| {
+            let mut hash = Fnv1a::new();
+            words.iter().for_each(|&word| hash.word(word));
+            hash.finish()
+        };
+        let tables: [(usize, Vec<u64>); 3] = [
+            (
+                2,
+                d.workplaces()
+                    .iter()
+                    .flat_map(|wp| {
+                        [
+                            wp.state.0 as u64
+                                | (wp.county.0 as u64) << 16
+                                | (wp.naics.index() as u64) << 32
+                                | (wp.ownership.index() as u64) << 40,
+                            wp.place.0 as u64 | (wp.block.0 as u64) << 32,
+                        ]
+                    })
+                    .collect(),
+            ),
+            (
+                1,
+                d.workers()
+                    .iter()
+                    .map(|w| {
+                        w.sex.index() as u64
+                            | (w.age.index() as u64) << 8
+                            | (w.race.index() as u64) << 16
+                            | (w.ethnicity.index() as u64) << 24
+                            | (w.education.index() as u64) << 32
+                    })
+                    .collect(),
+            ),
+            (
+                1,
+                d.jobs()
+                    .iter()
+                    .map(|job| job.worker.0 as u64 | (job.workplace.0 as u64) << 32)
+                    .collect(),
+            ),
+        ];
+        let mut top = vec![
+            d.num_workplaces() as u64,
+            d.num_workers() as u64,
+            d.num_jobs() as u64,
+        ];
+        for (words_per_record, words) in &tables {
+            for chunk in words.chunks(words_per_record << 16) {
+                let lanes: Vec<u64> = (0..4)
+                    .map(|lane| {
+                        fnv(&chunk
+                            .iter()
+                            .skip(lane)
+                            .step_by(4)
+                            .copied()
+                            .collect::<Vec<_>>())
+                    })
+                    .collect();
+                top.push(fnv(&lanes));
+            }
+        }
+        fnv(&top)
+    }
+
+    #[test]
+    fn dataset_digest_is_its_definition_at_any_thread_count() {
+        let d = Generator::new(GeneratorConfig {
+            target_establishments: 10_000,
+            ..GeneratorConfig::test_small(13)
+        })
+        .generate();
+        assert!(
+            d.num_jobs() > 2 * DIGEST_CHUNK,
+            "three worker and job chunks"
+        );
+        let digest = dataset_digest(&d);
+        assert_eq!(digest, reference_digest(&d));
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(dataset_digest_on(&d, threads), digest, "{threads} threads");
+        }
+
+        // One changed field anywhere — a worker attribute, a job edge, a
+        // workplace field — changes the digest.
+        type Edit = fn(&mut Workplace, &mut Worker, &mut Job, usize);
+        fn next<T: Copy>(all: &[T], index: usize) -> T {
+            all[(index + 1) % all.len()]
+        }
+        let edits: [(&str, Edit); 13] = [
+            ("worker sex", |_, w, _, _| {
+                w.sex = next(&lodes::Sex::ALL, w.sex.index())
+            }),
+            ("worker age", |_, w, _, _| {
+                w.age = next(&lodes::AgeGroup::ALL, w.age.index())
+            }),
+            ("worker race", |_, w, _, _| {
+                w.race = next(&lodes::Race::ALL, w.race.index())
+            }),
+            ("worker ethnicity", |_, w, _, _| {
+                w.ethnicity = next(&lodes::Ethnicity::ALL, w.ethnicity.index())
+            }),
+            ("worker education", |_, w, _, _| {
+                w.education = next(&lodes::Education::ALL, w.education.index())
+            }),
+            ("job workplace", |_, _, job, workplaces| {
+                job.workplace.0 = (job.workplace.0 + 1) % workplaces as u32
+            }),
+            ("workplace state", |wp, _, _, _| wp.state.0 ^= 1),
+            ("workplace county", |wp, _, _, _| wp.county.0 ^= 1),
+            ("workplace naics", |wp, _, _, _| {
+                wp.naics = next(&lodes::NaicsSector::ALL, wp.naics.index())
+            }),
+            ("workplace ownership", |wp, _, _, _| {
+                wp.ownership = next(&lodes::Ownership::ALL, wp.ownership.index())
+            }),
+            ("workplace place", |wp, _, _, _| wp.place.0 ^= 1),
+            ("workplace block", |wp, _, _, _| wp.block.0 ^= 1),
+            ("nothing", |_, _, _, _| {}),
+        ];
+        for (name, edit) in edits {
+            let (mut workplaces, mut workers, mut jobs) = (
+                d.workplaces().to_vec(),
+                d.workers().to_vec(),
+                d.jobs().to_vec(),
+            );
+            // One record in each table, each in a chunk past the first.
+            let (wp, w, job) = (workplaces.len() / 2, 2 * DIGEST_CHUNK + 5, DIGEST_CHUNK + 7);
+            edit(
+                &mut workplaces[wp],
+                &mut workers[w],
+                &mut jobs[job],
+                d.num_workplaces(),
+            );
+            let edited = Dataset::new(d.geography().clone(), workplaces, workers, jobs);
+            assert_eq!(
+                dataset_digest(&edited) == digest,
+                name == "nothing",
+                "editing the {name}"
+            );
+        }
+    }
+
     /// Known answers for every FNV-1a and SplitMix64 the stores and the
     /// engine derive: these values name stored files, cache entries and
     /// noise streams, so a change to any of them would orphan every
@@ -1704,9 +1972,17 @@ mod tests {
         );
         let level = compute_marginal(panel.quarter(1), &workload3());
         let flows = compute_flows(panel.quarter(0), panel.quarter(1), &workload1());
-        assert_eq!(after, 0xca5a_752f_d7eb_8b2e);
-        assert_eq!(dataset_pair_digest(before, after), 0x7223_fd7e_87c3_444c);
-        assert_eq!(panel_digest(&[before, after]), 0xb9ce_239b_4be6_b392);
+        // The dataset values are digest v2's, and its definition agrees.
+        assert_eq!(
+            (before, after),
+            (
+                reference_digest(panel.quarter(0)),
+                reference_digest(panel.quarter(1))
+            )
+        );
+        assert_eq!(after, 0xc8ce_0692_e723_4cce);
+        assert_eq!(dataset_pair_digest(before, after), 0x5b75_cc7d_a03c_ddf6);
+        assert_eq!(panel_digest(&[before, after]), 0xf6a1_6933_b353_1578);
         assert_eq!(ranking2_expr().id().0, 0x54cc_e40f_eff4_ae61);
         assert_eq!(level.content_digest(), 0xfb54_4b81_66ef_0719);
         assert_eq!(flows.content_digest(), 0x0ceb_64f5_38e8_03a1);

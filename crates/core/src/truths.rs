@@ -486,7 +486,8 @@ mod tests {
     use tabulate::{compute_marginal, compute_marginal_expr, workload1, workload3};
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("eree-truths-unit-{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("eree-truths-unit-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -155,7 +155,10 @@ mod tests {
 
     #[test]
     fn run_or_resume_shares_truths_and_is_idempotent() {
-        let dir = std::env::temp_dir().join("eree-eval-agency-idempotent");
+        let dir = std::env::temp_dir().join(format!(
+            "eree-eval-agency-idempotent-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let dataset = Generator::new(GeneratorConfig::test_small(3)).generate();
         let (first, agency) = run_or_resume(&dir, &dataset).unwrap();

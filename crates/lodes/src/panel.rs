@@ -117,6 +117,11 @@ impl DatasetPanel {
         &self.snapshots
     }
 
+    /// The snapshots, quarter 0 first, moved out of the panel.
+    pub fn into_snapshots(self) -> Vec<Dataset> {
+        self.snapshots
+    }
+
     /// True quarterly growth rate of one establishment between consecutive
     /// quarters, `size(q+1)/size(q)`; `None` if the establishment is dead
     /// in either quarter.

@@ -11,6 +11,7 @@
 //!                                            │ per-season mpsc queue
 //!                 ┌────────────────── season worker (owns the lease) ─┐
 //!                 │ SeasonStore::admit(snapshot, request)             │
+//!                 │   → truth: memory → disk → tabulate (index slot)  │
 //!                 │   → ledger charge → artifact persisted            │
 //!                 │   → public cache save → registry: complete        │
 //!                 └───────────────────────────────────────────────────┘
@@ -28,10 +29,14 @@
 //! one season serialize through its worker's queue (season ledgers are
 //! strictly ordered objects; there is no correct concurrent charge),
 //! while different seasons run fully in parallel. Workers for the same
-//! quarter share one [`DatasetIndex`] (built lazily per quarter;
-//! one shard per state automatically at national scale) and
-//! the agency's persistent truth store, so concurrent tenants never
-//! duplicate tabulation work. Every admission decision is durable before
+//! quarter share one [`DatasetIndex`] slot (one shard per state
+//! automatically at national scale) and the agency's persistent truth
+//! store, so concurrent tenants never duplicate tabulation work. The
+//! index is built by a quarter's first tabulation, on that season's
+//! worker thread with no lock held; a release served from memory or from
+//! the truth store never builds it, and the HTTP side never builds an
+//! index. A start pays for one [`dataset_digest`] per quarter, hashed on
+//! every core, and reads no body. Every admission decision is durable before
 //! it is acknowledged: a completed release is an artifact + ledger
 //! snapshot on disk, and the release-id registry itself is persisted to
 //! `releases.json`, so `GET /releases/{id}` survives a restart. The
@@ -291,23 +296,19 @@ struct SeasonWorker {
     pending: Arc<AtomicU64>,
 }
 
-/// One quarter of the served data: the snapshot, its digest, a lazily
-/// built shared tabulation index, and a truth-store handle pinned to the
+/// One quarter of the served data: the snapshot, its digest, the slot of
+/// its shared tabulation index, and a truth-store handle pinned to the
 /// quarter. A single-snapshot service is the one-quarter special case.
 struct Quarter {
     dataset: Arc<Dataset>,
     digest: u64,
-    index: OnceLock<DatasetIndex>,
+    /// Filled by the first release of any of the quarter's seasons that
+    /// tabulates, on that season's worker thread.
+    index: Arc<OnceLock<DatasetIndex>>,
     truths: TruthStore,
 }
 
 impl Quarter {
-    fn index(&self) -> DatasetIndex {
-        self.index
-            .get_or_init(|| DatasetIndex::build_auto(&self.dataset))
-            .clone()
-    }
-
     fn snapshot(&self) -> Snapshot<'_> {
         Snapshot::with_digest(&self.dataset, self.digest)
     }
@@ -356,7 +357,7 @@ impl ReleaseService {
         let quarters = vec![Quarter {
             dataset: Arc::new(dataset),
             digest,
-            index: OnceLock::new(),
+            index: Arc::default(),
             truths: agency.truth_store_pinned(digest)?,
         }];
         Self::serve(root, agency, quarters, false, config)
@@ -390,12 +391,12 @@ impl ReleaseService {
         let mut agency = AgencyStore::open_or_create_panel(root, config.cap)?;
         let digests: Vec<u64> = panel.snapshots().iter().map(dataset_digest).collect();
         agency.bind_dataset(panel_digest(&digests))?;
-        let mut quarters = Vec::with_capacity(panel.quarters());
-        for (snapshot, &digest) in panel.snapshots().iter().zip(&digests) {
+        let mut quarters = Vec::with_capacity(digests.len());
+        for (snapshot, digest) in panel.into_snapshots().into_iter().zip(digests) {
             quarters.push(Quarter {
-                dataset: Arc::new(snapshot.clone()),
+                dataset: Arc::new(snapshot),
                 digest,
-                index: OnceLock::new(),
+                index: Arc::default(),
                 truths: agency.truth_store_pinned(digest)?,
             });
         }
@@ -1057,7 +1058,8 @@ fn spawn_worker(
     let store = agency.open_season(name)?;
     set_summary(shared, SeasonSummary::of(name, &store));
     let q = &shared.quarters[quarter];
-    let cache = TabulationCache::with_store(q.truths.clone()).with_shared_index(q.index());
+    let cache =
+        TabulationCache::with_store(q.truths.clone()).with_shared_index(Arc::clone(&q.index));
     let (tx, rx) = mpsc::channel::<Job>();
     let pending = Arc::new(AtomicU64::new(0));
     shared.metrics.service.worker_spawns.inc();

@@ -20,7 +20,7 @@ const ALPHA: f64 = 0.1;
 const WAIT: Duration = Duration::from_secs(60);
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eree-service-it-{name}"));
+    let dir = std::env::temp_dir().join(format!("eree-service-it-{}-{name}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }

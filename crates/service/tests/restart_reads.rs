@@ -25,7 +25,10 @@ const ALPHA: f64 = 0.1;
 const WAIT: Duration = Duration::from_secs(60);
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eree-service-restart-{name}"));
+    let dir = std::env::temp_dir().join(format!(
+        "eree-service-restart-{}-{name}",
+        std::process::id()
+    ));
     let _ = fs::remove_dir_all(&dir);
     dir
 }
@@ -319,6 +322,15 @@ fn a_release_id_is_handed_out_only_once_its_record_is_durable() {
             other => panic!("an id that cannot be recorded must not be handed out: {other:?}"),
         }
     }
+    let leftover: Vec<_> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("releases.json.") && name.ends_with(".tmp"))
+        .collect();
+    assert!(
+        leftover.is_empty(),
+        "a refused write leaves no temp file: {leftover:?}"
+    );
     let blocked = client.audit().unwrap();
     assert_eq!(blocked.releases, before.releases);
     assert_eq!(blocked.spent_epsilon, before.spent_epsilon);

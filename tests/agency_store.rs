@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use tabulate::ranking2_expr;
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eree-agency-it-{name}"));
+    let dir = std::env::temp_dir().join(format!("eree-agency-it-{}-{name}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }

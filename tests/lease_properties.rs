@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::thread;
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eree-lease-props-{name}"));
+    let dir = std::env::temp_dir().join(format!("eree-lease-props-{}-{name}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir

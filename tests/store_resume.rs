@@ -11,7 +11,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 fn test_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("store-resume-{name}"));
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("store-resume-{}-{name}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }
@@ -282,6 +283,24 @@ fn crash_between_artifact_and_ledger_snapshot_rolls_forward() {
     );
     fs::remove_dir_all(ref_dir).unwrap();
     fs::remove_dir_all(bad_dir).unwrap();
+}
+
+/// Every file under `dir`, recursively, in path order.
+fn tree_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in fs::read_dir(next).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                files.push((path.clone(), fs::read(&path).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
 }
 
 /// Every file of a season directory, in path order.
@@ -664,8 +683,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Stores and cache files written in format 1 (provenance with the
-/// closure-era `filtered` flag), and format-2 and format-3 seasons, are
-/// refused, never misread: the derived
+/// closure-era `filtered` flag), format-2 to format-4 seasons and a
+/// format-1 agency are refused, never misread: the derived
 /// provenance deserializer ignores unknown fields, so a format-1 closure
 /// release (`filtered: true`, `filter: null`) would otherwise load as an
 /// unfiltered one. A JSON truth (truth format 1) and a one-document cache
@@ -684,6 +703,46 @@ fn format1_stores_and_cache_files_are_refused() {
     let season_dir = dir.join("seasons").join("a");
     let filtered = agency.open_season("a").unwrap().load_artifact(1).unwrap();
     drop(agency);
+
+    // A format-4 season and a format-1 agency pinned their dataset by the
+    // older digest, so their pins name the same data by another value.
+    // Each is refused as an unsupported format naming its file, before
+    // anything is written — never as a wrong dataset.
+    let refused =
+        |file: &Path, store: &str, format: u64, open: &dyn Fn() -> Result<(), StoreError>| {
+            let pristine = fs::read(file).unwrap();
+            let mut value = read_value(file);
+            *field_mut(&mut value, "format") = serde::Value::U64(format);
+            let pin = field_mut(&mut value, "dataset_digest");
+            let serde::Value::U64(digest) = *pin else {
+                panic!("{} is pinned", file.display())
+            };
+            *pin = serde::Value::U64(!digest);
+            write_value(file, &value);
+            let before = tree_files(&dir);
+            match open() {
+                Err(StoreError::Corrupt { path, detail }) => {
+                    assert_eq!(path, file);
+                    let expected = format!("unsupported {store} format {format}");
+                    assert!(detail.contains(&expected), "unexpected detail: {detail}");
+                }
+                other => panic!("expected an unsupported-format refusal, got {other:?}"),
+            }
+            assert_eq!(tree_files(&dir), before, "a refused open writes nothing");
+            fs::write(file, pristine).unwrap();
+        };
+    let season_manifest = season_dir.join("season.json");
+    let agency_manifest = dir.join("agency.json");
+    refused(&season_manifest, "store", 4, &|| {
+        SeasonStore::open(&season_dir).map(drop)
+    });
+    refused(&season_manifest, "store", 4, &|| {
+        AgencyStore::open(&dir).map(drop)
+    });
+    refused(&agency_manifest, "agency", 1, &|| {
+        AgencyStore::open(&dir).map(drop)
+    });
+    drop(AgencyStore::open(&dir).expect("the restored stores open"));
 
     // The season as format 1 wrote it: every filtered release a closure
     // release.

@@ -44,7 +44,7 @@ fn sdl_panel_leaks_exact_growth_rates() {
 #[test]
 fn private_panel_resists_growth_attack_within_budget() {
     let p = panel();
-    let dir = std::env::temp_dir().join("eree-timeseries-it-panel");
+    let dir = std::env::temp_dir().join(format!("eree-timeseries-it-panel-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let annual = PrivacyParams::approximate(0.1, 6.0, 0.05);
     let per_quarter = PrivacyParams::approximate(0.1, 2.0, 0.015);
