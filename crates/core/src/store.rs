@@ -807,30 +807,6 @@ impl SeasonStore {
         })
     }
 
-    /// [`open`](Self::open) if `root` holds a season (whose budget must
-    /// equal `budget`), else [`create`](Self::create).
-    pub fn open_or_create(
-        root: impl AsRef<Path>,
-        budget: PrivacyParams,
-    ) -> Result<Self, StoreError> {
-        let root = root.as_ref();
-        if root.join(MANIFEST_FILE).exists() {
-            let store = Self::open(root)?;
-            if store.ledger.budget() != &budget {
-                return Err(StoreError::Inconsistent {
-                    detail: format!(
-                        "existing season budget {:?} differs from requested {:?}",
-                        store.ledger.budget(),
-                        budget
-                    ),
-                });
-            }
-            Ok(store)
-        } else {
-            Self::create(root, budget)
-        }
-    }
-
     /// The season directory.
     pub fn root(&self) -> &Path {
         &self.root

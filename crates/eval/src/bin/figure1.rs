@@ -4,39 +4,11 @@
 //! (set `EREE_SCALE=small|default|paper` to change the universe size).
 
 use eval::experiments::figure1;
-use eval::report::{pivot_markdown, results_dir, to_csv, write_results, Point};
-use eval::runner::{EvalScale, ExperimentContext, TrialSpec};
+use eval::report::results_dir;
+use eval::runner::{ExperimentContext, TrialSpec};
 
 fn main() {
-    let scale = EvalScale::from_env();
-    eprintln!("figure1: building context at {scale:?} scale...");
-    let ctx = ExperimentContext::new(scale);
-    eprintln!(
-        "figure1: dataset has {} jobs / {} establishments; {} W1 cells",
-        ctx.dataset.num_jobs(),
-        ctx.dataset.num_workplaces(),
-        ctx.sdl_w1.truth.num_cells()
-    );
-    let trials = TrialSpec::default();
-    let rows = figure1::run(&ctx, &trials);
-
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.l1_ratio,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "Figure 1: L1 error ratio, place x industry x ownership (vs SDL)",
-        "L1 ratio",
-        &points,
-    );
-    let csv = to_csv("l1_ratio", &points);
-    let printed =
-        write_results(&results_dir(), "figure1", &md, &csv, &rows).expect("write results");
-    println!("{printed}");
+    let ctx = ExperimentContext::from_env("figure1");
+    let md = figure1::write(&ctx, &TrialSpec::default(), &results_dir()).expect("write results");
+    println!("{md}");
 }

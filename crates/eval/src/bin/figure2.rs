@@ -4,33 +4,11 @@
 //! Usage: `cargo run -p eval --release --bin figure2`
 
 use eval::experiments::figure2;
-use eval::report::{pivot_markdown, results_dir, to_csv, write_results, Point};
-use eval::runner::{EvalScale, ExperimentContext, TrialSpec};
+use eval::report::results_dir;
+use eval::runner::{ExperimentContext, TrialSpec};
 
 fn main() {
-    let scale = EvalScale::from_env();
-    eprintln!("figure2: building context at {scale:?} scale...");
-    let ctx = ExperimentContext::new(scale);
-    let trials = TrialSpec::default();
-    let rows = figure2::run(&ctx, &trials);
-
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.spearman,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "Figure 2: Spearman correlation of employment-count ranking (vs SDL ordering)",
-        "rho",
-        &points,
-    );
-    let csv = to_csv("spearman", &points);
-    let printed =
-        write_results(&results_dir(), "figure2", &md, &csv, &rows).expect("write results");
-    println!("{printed}");
+    let ctx = ExperimentContext::from_env("figure2");
+    let md = figure2::write(&ctx, &TrialSpec::default(), &results_dir()).expect("write results");
+    println!("{md}");
 }

@@ -4,37 +4,11 @@
 //! Usage: `cargo run -p eval --release --bin figure3`
 
 use eval::experiments::figure3;
-use eval::report::{pivot_markdown, results_dir, to_csv, write_results, Point};
-use eval::runner::{EvalScale, ExperimentContext, TrialSpec};
+use eval::report::results_dir;
+use eval::runner::{ExperimentContext, TrialSpec};
 
 fn main() {
-    let scale = EvalScale::from_env();
-    eprintln!("figure3: building context at {scale:?} scale...");
-    let ctx = ExperimentContext::new(scale);
-    eprintln!(
-        "figure3: W3 marginal has {} cells",
-        ctx.sdl_w3.truth.num_cells()
-    );
-    let trials = TrialSpec::default();
-    let rows = figure3::run(&ctx, &trials);
-
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.l1_ratio,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "Figure 3: L1 error ratio for single (sex x education) queries (vs SDL)",
-        "L1 ratio",
-        &points,
-    );
-    let csv = to_csv("l1_ratio", &points);
-    let printed =
-        write_results(&results_dir(), "figure3", &md, &csv, &rows).expect("write results");
-    println!("{printed}");
+    let ctx = ExperimentContext::from_env("figure3");
+    let md = figure3::write(&ctx, &TrialSpec::default(), &results_dir()).expect("write results");
+    println!("{md}");
 }

@@ -5,33 +5,11 @@
 //! Usage: `cargo run -p eval --release --bin figure4`
 
 use eval::experiments::figure4;
-use eval::report::{pivot_markdown, results_dir, to_csv, write_results, Point};
-use eval::runner::{EvalScale, ExperimentContext, TrialSpec};
+use eval::report::results_dir;
+use eval::runner::{ExperimentContext, TrialSpec};
 
 fn main() {
-    let scale = EvalScale::from_env();
-    eprintln!("figure4: building context at {scale:?} scale...");
-    let ctx = ExperimentContext::new(scale);
-    let trials = TrialSpec::default();
-    let rows = figure4::run(&ctx, &trials);
-
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.l1_ratio,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "Figure 4: L1 error ratio for the full (sex x education) marginal (vs SDL)",
-        "L1 ratio",
-        &points,
-    );
-    let csv = to_csv("l1_ratio", &points);
-    let printed =
-        write_results(&results_dir(), "figure4", &md, &csv, &rows).expect("write results");
-    println!("{printed}");
+    let ctx = ExperimentContext::from_env("figure4");
+    let md = figure4::write(&ctx, &TrialSpec::default(), &results_dir()).expect("write results");
+    println!("{md}");
 }

@@ -3,173 +3,16 @@
 //! Usage: `cargo run -p eval --release --bin run_all`
 //! (set `EREE_SCALE=small` for a fast smoke regeneration).
 
-use eval::experiments::{figure1, figure2, figure3, figure4, figure5, flows, table1, table2};
-use eval::report::{pivot_markdown, results_dir, to_csv, write_results, Point};
-use eval::runner::{EvalScale, ExperimentContext, TrialSpec};
-use std::fmt::Write as _;
+use eval::experiments::write_all;
+use eval::report::results_dir;
+use eval::runner::{ExperimentContext, TrialSpec};
 use std::time::Instant;
 
 fn main() {
-    let scale = EvalScale::from_env();
     let start = Instant::now();
-    eprintln!("run_all: building context at {scale:?} scale...");
-    let ctx = ExperimentContext::new(scale);
-    eprintln!(
-        "run_all: {} jobs / {} establishments ({:.1?})",
-        ctx.dataset.num_jobs(),
-        ctx.dataset.num_workplaces(),
-        start.elapsed()
-    );
-    let trials = TrialSpec::default();
+    let ctx = ExperimentContext::from_env("run_all");
     let dir = results_dir();
-
-    // Figure 1.
-    let t = Instant::now();
-    let rows = figure1::run(&ctx, &trials);
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.l1_ratio,
-        })
-        .collect();
-    let md = pivot_markdown("Figure 1: L1 error ratio (W1 vs SDL)", "L1 ratio", &points);
-    write_results(&dir, "figure1", &md, &to_csv("l1_ratio", &points), &rows).unwrap();
-    eprintln!("run_all: figure1 done ({:.1?})", t.elapsed());
-
-    // Figure 2.
-    let t = Instant::now();
-    let rows = figure2::run(&ctx, &trials);
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.spearman,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "Figure 2: Ranking 1 Spearman (vs SDL ordering)",
-        "rho",
-        &points,
-    );
-    write_results(&dir, "figure2", &md, &to_csv("spearman", &points), &rows).unwrap();
-    eprintln!("run_all: figure2 done ({:.1?})", t.elapsed());
-
-    // Figure 3.
-    let t = Instant::now();
-    let rows = figure3::run(&ctx, &trials);
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.l1_ratio,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "Figure 3: single (sex x education) query L1 ratio (vs SDL)",
-        "L1 ratio",
-        &points,
-    );
-    write_results(&dir, "figure3", &md, &to_csv("l1_ratio", &points), &rows).unwrap();
-    eprintln!("run_all: figure3 done ({:.1?})", t.elapsed());
-
-    // Figure 4.
-    let t = Instant::now();
-    let rows = figure4::run(&ctx, &trials);
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.l1_ratio,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "Figure 4: full (sex x education) marginal L1 ratio (vs SDL)",
-        "L1 ratio",
-        &points,
-    );
-    write_results(&dir, "figure4", &md, &to_csv("l1_ratio", &points), &rows).unwrap();
-    eprintln!("run_all: figure4 done ({:.1?})", t.elapsed());
-
-    // Figure 5.
-    let t = Instant::now();
-    let rows = figure5::run(&ctx, &trials);
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.stratum.clone(),
-            value: r.spearman,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "Figure 5: Ranking 2 Spearman (vs SDL ordering)",
-        "rho",
-        &points,
-    );
-    write_results(&dir, "figure5", &md, &to_csv("spearman", &points), &rows).unwrap();
-    eprintln!("run_all: figure5 done ({:.1?})", t.elapsed());
-
-    // QWI flows: engine-released B/JC/JD over a two-quarter panel.
-    let t = Instant::now();
-    let rows = flows::run(&ctx, &trials);
-    let points: Vec<Point> = rows
-        .iter()
-        .map(|r| Point {
-            series: r.series.clone(),
-            alpha: r.alpha,
-            epsilon: r.epsilon,
-            stratum: r.statistic.clone(),
-            value: r.rel_l1,
-        })
-        .collect();
-    let md = pivot_markdown(
-        "QWI flows: B/JC/JD relative L1 error (engine flow releases)",
-        "rel L1",
-        &points,
-    );
-    write_results(&dir, "flows", &md, &to_csv("rel_l1", &points), &rows).unwrap();
-    eprintln!("run_all: flows done ({:.1?})", t.elapsed());
-
-    // Tables.
-    let rows = table1::run();
-    let mut md = String::from(
-        "# Table 1\n\n| Name | Individuals | Emp. Size | Emp. Shape |\n|---|---|---|---|\n",
-    );
-    for r in &rows {
-        let _ = writeln!(
-            md,
-            "| {} | {} | {} | {} |",
-            r.method, r.individuals, r.employer_size, r.employer_shape
-        );
-    }
-    write_results(&dir, "table1", &md, "", &rows).unwrap();
-
-    let rows = table2::run();
-    let mut md =
-        String::from("# Table 2\n\n| delta | alpha | eps_min | eps (paper) |\n|---|---|---|---|\n");
-    for r in &rows {
-        let _ = writeln!(
-            md,
-            "| {} | {} | {:.3} | {} |",
-            r.delta, r.alpha, r.epsilon_min, r.paper_epsilon
-        );
-    }
-    write_results(&dir, "table2", &md, "", &rows).unwrap();
+    write_all(&ctx, &TrialSpec::default(), &dir).expect("write results");
 
     // Publication agency: execute (or resume) the canonical two-season
     // release program under a persistent AgencyStore — one global ε cap
@@ -210,7 +53,8 @@ fn main() {
         dir.display()
     );
     println!(
-        "Regenerated figures 1-5 and tables 1-2 under {} at {scale:?} scale.",
-        dir.display()
+        "Regenerated figures 1-5 and tables 1-2 under {} at {:?} scale.",
+        dir.display(),
+        ctx.scale
     );
 }

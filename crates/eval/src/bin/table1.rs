@@ -4,44 +4,8 @@
 //! Usage: `cargo run -p eval --release --bin table1`
 
 use eval::experiments::table1;
-use eval::report::{results_dir, write_results};
-use std::fmt::Write as _;
+use eval::report::results_dir;
 
 fn main() {
-    let rows = table1::run();
-    let mut md = String::from(
-        "# Table 1: Privacy definitions and requirements they satisfy\n\n\
-         | Name | Individuals | Emp. Size | Emp. Shape |\n|---|---|---|---|\n",
-    );
-    for r in &rows {
-        let _ = writeln!(
-            md,
-            "| {} | {} | {} | {} |",
-            r.method, r.individuals, r.employer_size, r.employer_shape
-        );
-    }
-    md.push_str("\n`Yes*` = requirement satisfied under weak adversaries.\n");
-
-    md.push_str("\n## Numeric spot-verification\n\n");
-    let mut all_ok = true;
-    for (claim, ok) in table1::verify() {
-        let _ = writeln!(md, "- [{}] {claim}", if ok { "x" } else { " " });
-        all_ok &= ok;
-    }
-    assert!(table1::matches_paper(), "matrix deviates from the paper");
-    assert!(all_ok, "a verification claim failed");
-
-    let mut csv = String::from("method,individuals,employer_size,employer_shape\n");
-    for r in &rows {
-        let _ = writeln!(
-            csv,
-            "{},{},{},{}",
-            r.method.replace(',', ";"),
-            r.individuals,
-            r.employer_size,
-            r.employer_shape
-        );
-    }
-    let printed = write_results(&results_dir(), "table1", &md, &csv, &rows).expect("write");
-    println!("{printed}");
+    println!("{}", table1::write(&results_dir()).expect("write results"));
 }

@@ -4,37 +4,8 @@
 //! Usage: `cargo run -p eval --release --bin table2`
 
 use eval::experiments::table2;
-use eval::report::{results_dir, write_results};
-use std::fmt::Write as _;
+use eval::report::results_dir;
 
 fn main() {
-    let rows = table2::run();
-    let mut md = String::from(
-        "# Table 2: Minimum epsilon given alpha and delta (Smooth Laplace validity)\n\n\
-         | delta | alpha | eps_min (constraint: 2 ln(1/delta) ln(1+alpha)) | eps (paper) |\n\
-         |---|---|---|---|\n",
-    );
-    for r in &rows {
-        let _ = writeln!(
-            md,
-            "| {} | {} | {:.3} | {} |",
-            r.delta, r.alpha, r.epsilon_min, r.paper_epsilon
-        );
-    }
-    md.push_str(
-        "\nSee DESIGN.md section 6: the constraint-derived values match the paper's \
-         delta = 5e-4 column for alpha in {.01, .10}; the delta = .05 column of the \
-         paper appears to use a different convention.\n",
-    );
-
-    let mut csv = String::from("delta,alpha,epsilon_min,paper_epsilon\n");
-    for r in &rows {
-        let _ = writeln!(
-            csv,
-            "{},{},{},{}",
-            r.delta, r.alpha, r.epsilon_min, r.paper_epsilon
-        );
-    }
-    let printed = write_results(&results_dir(), "table2", &md, &csv, &rows).expect("write");
-    println!("{printed}");
+    println!("{}", table2::write(&results_dir()).expect("write results"));
 }

@@ -5,6 +5,7 @@
 
 use super::{grid_params, plottable, release_cells, Series};
 use crate::metrics::{l1_error, l1_error_over};
+use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
 use graphdp::TruncatedTabulation;
@@ -12,6 +13,8 @@ use lodes::PlaceSizeClass;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::io;
+use std::path::Path;
 use tabulate::stratify_by_place_size;
 
 /// One plotted point of Figure 1.
@@ -141,6 +144,19 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure1Row> {
     }
 
     rows
+}
+
+/// Run Figure 1 and write it as `figure1.{md,csv,json}` under `dir`.
+/// Returns the markdown.
+pub fn write(ctx: &ExperimentContext, trials: &TrialSpec, dir: &Path) -> io::Result<String> {
+    write_pivoted(
+        dir,
+        "figure1",
+        "Figure 1: L1 error ratio, place x industry x ownership (vs SDL)",
+        ("L1 ratio", "l1_ratio"),
+        &run(ctx, trials),
+        |r| Point::new(&r.series, r.alpha, r.epsilon, &r.stratum, r.l1_ratio),
+    )
 }
 
 #[cfg(test)]

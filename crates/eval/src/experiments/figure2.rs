@@ -5,6 +5,7 @@
 
 use super::{grid_params, plottable, release_cells, Series};
 use crate::metrics::spearman;
+use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
 use graphdp::TruncatedTabulation;
@@ -12,6 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
 use tabulate::{stratify_by_place_size, CellKey};
 
 /// One plotted point of Figure 2.
@@ -142,6 +145,19 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure2Row> {
     }
 
     rows
+}
+
+/// Run Figure 2 and write it as `figure2.{md,csv,json}` under `dir`.
+/// Returns the markdown.
+pub fn write(ctx: &ExperimentContext, trials: &TrialSpec, dir: &Path) -> io::Result<String> {
+    write_pivoted(
+        dir,
+        "figure2",
+        "Figure 2: Spearman correlation of employment-count ranking (vs SDL ordering)",
+        ("rho", "spearman"),
+        &run(ctx, trials),
+        |r| Point::new(&r.series, r.alpha, r.epsilon, &r.stratum, r.spearman),
+    )
 }
 
 #[cfg(test)]

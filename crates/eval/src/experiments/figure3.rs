@@ -9,10 +9,13 @@
 
 use super::{grid_params, plottable, release_cells, Series};
 use crate::metrics::{l1_error, l1_error_over};
+use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
 use lodes::PlaceSizeClass;
 use serde::{Deserialize, Serialize};
+use std::io;
+use std::path::Path;
 use tabulate::stratify_by_place_size;
 
 /// One plotted point of Figure 3.
@@ -83,6 +86,19 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure3Row> {
         }
     }
     rows
+}
+
+/// Run Figure 3 and write it as `figure3.{md,csv,json}` under `dir`.
+/// Returns the markdown.
+pub fn write(ctx: &ExperimentContext, trials: &TrialSpec, dir: &Path) -> io::Result<String> {
+    write_pivoted(
+        dir,
+        "figure3",
+        "Figure 3: L1 error ratio for single (sex x education) queries (vs SDL)",
+        ("L1 ratio", "l1_ratio"),
+        &run(ctx, trials),
+        |r| Point::new(&r.series, r.alpha, r.epsilon, &r.stratum, r.l1_ratio),
+    )
 }
 
 #[cfg(test)]

@@ -10,12 +10,15 @@
 
 use super::{grid_params, plottable, release_cells, Series};
 use crate::metrics::{l1_error, l1_error_over};
+use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::accountant::ReleaseCost;
 use eree_core::neighbors::NeighborKind;
 use eree_core::{MechanismKind, PrivacyParams};
 use lodes::PlaceSizeClass;
 use serde::{Deserialize, Serialize};
+use std::io;
+use std::path::Path;
 use tabulate::{stratify_by_place_size, workload3};
 
 /// One plotted point of Figure 4.
@@ -101,6 +104,19 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure4Row> {
         }
     }
     rows
+}
+
+/// Run Figure 4 and write it as `figure4.{md,csv,json}` under `dir`.
+/// Returns the markdown.
+pub fn write(ctx: &ExperimentContext, trials: &TrialSpec, dir: &Path) -> io::Result<String> {
+    write_pivoted(
+        dir,
+        "figure4",
+        "Figure 4: L1 error ratio for the full (sex x education) marginal (vs SDL)",
+        ("L1 ratio", "l1_ratio"),
+        &run(ctx, trials),
+        |r| Point::new(&r.series, r.alpha, r.epsilon, &r.stratum, r.l1_ratio),
+    )
 }
 
 #[cfg(test)]

@@ -9,11 +9,14 @@
 
 use super::{grid_params, plottable, release_cells, Series};
 use crate::metrics::spearman;
+use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
 use sdl::{SdlConfig, SdlPublisher};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
 use tabulate::{ranking2_expr, stratify_by_place_size, workload1, CellKey, Kernel};
 
 /// One plotted point of Figure 5.
@@ -104,6 +107,19 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure5Row> {
         }
     }
     rows
+}
+
+/// Run Figure 5 and write it as `figure5.{md,csv,json}` under `dir`.
+/// Returns the markdown.
+pub fn write(ctx: &ExperimentContext, trials: &TrialSpec, dir: &Path) -> io::Result<String> {
+    write_pivoted(
+        dir,
+        "figure5",
+        "Figure 5: Spearman correlation, females with college degree ranking (vs SDL ordering)",
+        ("rho", "spearman"),
+        &run(ctx, trials),
+        |r| Point::new(&r.series, r.alpha, r.epsilon, &r.stratum, r.spearman),
+    )
 }
 
 #[cfg(test)]

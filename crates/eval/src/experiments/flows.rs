@@ -13,11 +13,14 @@
 //! concentrated.
 
 use super::{grid_params, plottable, release_flow_cells, Series};
+use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
 use lodes::{DatasetPanel, PanelConfig};
 use serde::{Deserialize, Serialize};
-use tabulate::{compute_flows, workload1, FlowMarginal};
+use std::io;
+use std::path::Path;
+use tabulate::{compute_flows, workload1};
 
 /// One plotted point of the flows exhibit.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -99,10 +102,17 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<FlowsRow> {
     rows
 }
 
-/// Sanity anchor exposed for tests: the truth the experiment releases.
-pub fn truth(ctx: &ExperimentContext) -> FlowMarginal {
-    let panel = panel(ctx);
-    compute_flows(panel.quarter(0), panel.quarter(1), &workload1())
+/// Run the flows experiment and write it as `flows.{md,csv,json}` under `dir`.
+/// Returns the markdown.
+pub fn write(ctx: &ExperimentContext, trials: &TrialSpec, dir: &Path) -> io::Result<String> {
+    write_pivoted(
+        dir,
+        "flows",
+        "QWI flows: B/JC/JD relative L1 error (engine flow releases)",
+        ("rel L1", "rel_l1"),
+        &run(ctx, trials),
+        |r| Point::new(&r.series, r.alpha, r.epsilon, &r.statistic, r.rel_l1),
+    )
 }
 
 #[cfg(test)]

@@ -1,5 +1,12 @@
 //! One module per paper exhibit.
 //!
+//! Each module's `run` computes the exhibit's rows, and its `write` runs,
+//! renders and writes it under a results directory (`<name>.md`,
+//! `<name>.csv`, `<name>.json`), returning the markdown. Both entry points
+//! go through `write`: the exhibit binaries (every exhibit but `flows` has
+//! one) and [`write_all`], which the `run_all` binary calls, so the two
+//! write the same bytes.
+//!
 //! | Module | Paper exhibit | Workload |
 //! |---|---|---|
 //! | [`figure1`] | Fig. 1 + Finding 6 | W1 L1 error ratio vs SDL (incl. Truncated Laplace) |
@@ -20,11 +27,27 @@ pub mod flows;
 pub mod table1;
 pub mod table2;
 
+use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::engine::{ArtifactPayload, FlowRelease, ReleaseEngine, ReleaseRequest, TruthSource};
 use eree_core::{Ledger, MechanismKind, PrivacyParams};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
 use tabulate::{CellKey, FlowMarginal, Marginal};
+
+/// Write every exhibit under `dir` through its module's `write`.
+pub fn write_all(ctx: &ExperimentContext, trials: &TrialSpec, dir: &Path) -> io::Result<()> {
+    figure1::write(ctx, trials, dir)?;
+    figure2::write(ctx, trials, dir)?;
+    figure3::write(ctx, trials, dir)?;
+    figure4::write(ctx, trials, dir)?;
+    figure5::write(ctx, trials, dir)?;
+    flows::write(ctx, trials, dir)?;
+    table1::write(dir)?;
+    table2::write(dir)?;
+    Ok(())
+}
 
 /// A mechanism series in a figure: the three ER-EE mechanisms, or a
 /// Truncated Laplace baseline at a given θ.

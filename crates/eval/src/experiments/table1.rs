@@ -11,8 +11,12 @@
 //! * the ER-EE mechanisms satisfy all three requirements — via the
 //!   Bayes-factor checks of `eree_core::pufferfish`.
 
-use eree_core::definitions::{requirement_matrix, PrivacyMethod, Requirement, Satisfaction};
+use crate::report::write_results;
+use eree_core::definitions::{requirement_matrix, Requirement};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
+use std::io;
+use std::path::Path;
 
 /// One row of the rendered Table 1.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -121,19 +125,45 @@ pub fn matches_paper() -> bool {
             })
 }
 
-/// The satisfaction level of one matrix entry (re-exported convenience for
-/// the binary).
-pub fn entry(method: PrivacyMethod, requirement: Requirement) -> Satisfaction {
-    requirement_matrix()
-        .into_iter()
-        .find(|(m, _)| *m == method)
-        .and_then(|(_, cells)| {
-            cells
-                .iter()
-                .find(|(r, _)| *r == requirement)
-                .map(|(_, s)| *s)
-        })
-        .expect("matrix covers all pairs")
+/// Render Table 1 with its spot-verification and write it as
+/// `table1.{md,csv,json}` under `dir`; returns the markdown.
+///
+/// # Panics
+/// Panics if the matrix deviates from the paper or a verification claim
+/// fails.
+pub fn write(dir: &Path) -> io::Result<String> {
+    let rows = run();
+    let mut md = String::from(
+        "# Table 1: Privacy definitions and requirements they satisfy\n\n\
+         | Name | Individuals | Emp. Size | Emp. Shape |\n|---|---|---|---|\n",
+    );
+    let mut csv = String::from("method,individuals,employer_size,employer_shape\n");
+    for r in &rows {
+        let _ = writeln!(
+            md,
+            "| {} | {} | {} | {} |",
+            r.method, r.individuals, r.employer_size, r.employer_shape
+        );
+        let _ = writeln!(
+            csv,
+            "{},{},{},{}",
+            r.method.replace(',', ";"),
+            r.individuals,
+            r.employer_size,
+            r.employer_shape
+        );
+    }
+    md.push_str("\n`Yes*` = requirement satisfied under weak adversaries.\n");
+
+    md.push_str("\n## Numeric spot-verification\n\n");
+    let mut all_ok = true;
+    for (claim, ok) in verify() {
+        let _ = writeln!(md, "- [{}] {claim}", if ok { "x" } else { " " });
+        all_ok &= ok;
+    }
+    assert!(matches_paper(), "matrix deviates from the paper");
+    assert!(all_ok, "a verification claim failed");
+    write_results(dir, "table1", &md, &csv, &rows)
 }
 
 #[cfg(test)]
@@ -150,17 +180,5 @@ mod tests {
         for (claim, ok) in verify() {
             assert!(ok, "failed claim: {claim}");
         }
-    }
-
-    #[test]
-    fn entry_lookup() {
-        assert_eq!(
-            entry(PrivacyMethod::InputNoiseInfusion, Requirement::Individuals),
-            Satisfaction::No
-        );
-        assert_eq!(
-            entry(PrivacyMethod::WeakEreePrivacy, Requirement::EmployerSize),
-            Satisfaction::WeakAdversariesOnly
-        );
     }
 }

@@ -9,8 +9,12 @@
 //! convention). Both are emitted so EXPERIMENTS.md can show them side by
 //! side.
 
+use crate::report::write_results;
 use eree_core::definitions::min_epsilon_smooth_laplace;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
+use std::io;
+use std::path::Path;
 
 /// One row of the regenerated Table 2.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,6 +50,36 @@ pub fn run() -> Vec<Table2Row> {
             paper_epsilon,
         })
         .collect()
+}
+
+/// Regenerate Table 2 and write it as `table2.{md,csv,json}` under `dir`;
+/// returns the markdown.
+pub fn write(dir: &Path) -> io::Result<String> {
+    let rows = run();
+    let mut md = String::from(
+        "# Table 2: Minimum epsilon given alpha and delta (Smooth Laplace validity)\n\n\
+         | delta | alpha | eps_min (constraint: 2 ln(1/delta) ln(1+alpha)) | eps (paper) |\n\
+         |---|---|---|---|\n",
+    );
+    let mut csv = String::from("delta,alpha,epsilon_min,paper_epsilon\n");
+    for r in &rows {
+        let _ = writeln!(
+            md,
+            "| {} | {} | {:.3} | {} |",
+            r.delta, r.alpha, r.epsilon_min, r.paper_epsilon
+        );
+        let _ = writeln!(
+            csv,
+            "{},{},{},{}",
+            r.delta, r.alpha, r.epsilon_min, r.paper_epsilon
+        );
+    }
+    md.push_str(
+        "\nSee DESIGN.md section 6: the constraint-derived values match the paper's \
+         delta = 5e-4 column for alpha in {.01, .10}; the delta = .05 column of the \
+         paper appears to use a different convention.\n",
+    );
+    write_results(dir, "table2", &md, &csv, &rows)
 }
 
 #[cfg(test)]

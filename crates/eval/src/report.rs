@@ -1,9 +1,10 @@
 //! Markdown / CSV / JSON rendering of experiment results.
 //!
-//! Each figure binary calls [`write_results`] to drop three files under
-//! `results/` (`<name>.md`, `<name>.csv`, `<name>.json`) and prints the
-//! markdown to stdout. Series are pivoted the way the paper plots them:
-//! one row per (series, α), one column per ε.
+//! Each exhibit module's `write` drops three files under `results/`
+//! (`<name>.md`, `<name>.csv`, `<name>.json`) through [`write_results`] and
+//! returns the markdown, which the exhibit's binary prints. The figures and
+//! the flows exhibit go through [`write_pivoted`], which pivots their rows
+//! the way the paper plots them: one row per (series, α), one column per ε.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -24,6 +25,19 @@ pub struct Point {
     pub stratum: String,
     /// The plotted value (L1 ratio or Spearman ρ).
     pub value: f64,
+}
+
+impl Point {
+    /// The point of `series` at (α, ε) in `stratum`.
+    pub fn new(series: &str, alpha: f64, epsilon: f64, stratum: &str, value: f64) -> Self {
+        Self {
+            series: series.to_string(),
+            alpha,
+            epsilon,
+            stratum: stratum.to_string(),
+            value,
+        }
+    }
 }
 
 /// Pivot points into one markdown table per stratum: rows are
@@ -115,7 +129,7 @@ pub fn results_dir() -> PathBuf {
 
 /// Write `<name>.md`, `<name>.csv`, and `<name>.json` under `dir`, and
 /// return the markdown for printing.
-pub fn write_results<T: Serialize>(
+pub fn write_results<T: Serialize + ?Sized>(
     dir: &Path,
     name: &str,
     markdown: &str,
@@ -128,6 +142,23 @@ pub fn write_results<T: Serialize>(
     let json = serde_json::to_string_pretty(raw).expect("results serialize");
     fs::write(dir.join(format!("{name}.json")), json)?;
     Ok(markdown.to_string())
+}
+
+/// Write a plotted exhibit's `rows` as `name` under `dir`, and return the
+/// markdown: each row becomes one [`Point`] through `point`, pivoted under
+/// `title` with values headed `value_name` in the markdown and `column`
+/// in the CSV; the JSON holds the rows themselves.
+pub fn write_pivoted<R: Serialize>(
+    dir: &Path,
+    name: &str,
+    title: &str,
+    (value_name, column): (&str, &str),
+    rows: &[R],
+    point: impl Fn(&R) -> Point,
+) -> std::io::Result<String> {
+    let points: Vec<Point> = rows.iter().map(point).collect();
+    let markdown = pivot_markdown(title, value_name, &points);
+    write_results(dir, name, &markdown, &to_csv(column, &points), rows)
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 use lodes::{Dataset, Generator, GeneratorConfig};
 use sdl::{SdlConfig, SdlPublisher, SdlRelease};
 use serde::{Deserialize, Serialize};
-use tabulate::{workload1, workload3, DatasetIndex, MarginalSpec};
+use std::time::Instant;
+use tabulate::{workload1, workload3, DatasetIndex};
 
 /// Universe scale for experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,40 +80,6 @@ impl TrialSpec {
         let total: f64 = (0..self.trials).map(|i| f(self.seed(i))).sum();
         total / self.trials as f64
     }
-
-    /// Average a per-trial statistic with trials executed on worker
-    /// threads. Per-trial values are collected into a seed-ordered vector
-    /// and summed sequentially, so the result is bit-identical to
-    /// [`TrialSpec::average`] regardless of scheduling.
-    pub fn average_parallel<F>(&self, f: F) -> f64
-    where
-        F: Fn(u64) -> f64 + Sync,
-    {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.trials.max(1));
-        if threads <= 1 || self.trials <= 1 {
-            let total: f64 = (0..self.trials).map(|i| f(self.seed(i))).sum();
-            return total / self.trials as f64;
-        }
-        let mut values = vec![0.0f64; self.trials];
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let values_mutex = std::sync::Mutex::new(&mut values);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= self.trials {
-                        break;
-                    }
-                    let v = f(self.seed(i));
-                    values_mutex.lock().expect("trial collection")[i] = v;
-                });
-            }
-        });
-        values.iter().sum::<f64>() / self.trials as f64
-    }
 }
 
 /// Everything the figures share: the dataset, the workload marginals'
@@ -137,6 +104,23 @@ impl ExperimentContext {
         Self::with_seed(scale, 0xEEE5_2017)
     }
 
+    /// Build the context at the `EREE_SCALE` scale
+    /// ([`EvalScale::from_env`]), logging its size to stderr under
+    /// `label` — the setup every exhibit binary starts with.
+    pub fn from_env(label: &str) -> Self {
+        let scale = EvalScale::from_env();
+        let start = Instant::now();
+        eprintln!("{label}: building context at {scale:?} scale...");
+        let ctx = Self::new(scale);
+        eprintln!(
+            "{label}: {} jobs / {} establishments ({:.1?})",
+            ctx.dataset.num_jobs(),
+            ctx.dataset.num_workplaces(),
+            start.elapsed()
+        );
+        ctx
+    }
+
     /// Build with an explicit data seed (exposed so tests can vary data).
     pub fn with_seed(scale: EvalScale, seed: u64) -> Self {
         let dataset = Generator::new(scale.generator_config(seed)).generate();
@@ -151,15 +135,6 @@ impl ExperimentContext {
             sdl_w3,
             scale,
         }
-    }
-
-    /// SDL release of an arbitrary spec (for workloads beyond W1/W3).
-    pub fn sdl_release(&self, spec: &MarginalSpec) -> SdlRelease {
-        SdlPublisher::new(&self.dataset, SdlConfig::default()).publish_on(
-            &self.index,
-            &self.dataset,
-            spec,
-        )
     }
 
     /// The ε grid of Figures 1–3 and 5.
@@ -194,19 +169,6 @@ mod tests {
         assert_eq!(seeds, vec![100, 101, 102, 103, 104]);
         let avg = spec.average(|s| s as f64);
         assert!((avg - 102.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_average_is_bit_identical_to_sequential() {
-        let spec = TrialSpec {
-            trials: 17,
-            base_seed: 999,
-        };
-        // A nontrivial deterministic function of the seed.
-        let f = |s: u64| ((s as f64).sin() * 1e6).fract() + s as f64 * 0.5;
-        let sequential = spec.average(f);
-        let parallel = spec.average_parallel(f);
-        assert_eq!(sequential.to_bits(), parallel.to_bits());
     }
 
     #[test]

@@ -284,7 +284,13 @@ struct Registry {
 }
 
 enum Job {
-    Release { id: u64, request: ReleaseRequest },
+    /// Admit `request` and publish its body under `key`, the key its
+    /// submission computed and looked up.
+    Release {
+        id: u64,
+        request: ReleaseRequest,
+        key: Box<ReleaseKey>,
+    },
     Shutdown,
 }
 
@@ -666,7 +672,7 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
     // The release's full public identity — checked against the cache
     // BEFORE any worker is resolved. A hit is answered from released
     // bits alone: zero ε, zero tabulation, nothing confidential touched.
-    // The worker saves under the key of the same provenance.
+    // The worker publishes under this same key.
     let key = ReleaseKey::of(&request.provenance(&plan), key_digest)
         .expect("every release has a declarative cache identity");
     // The entry is fully verified (one parse) and its digest recorded; a
@@ -729,7 +735,12 @@ fn submit_release(shared: &Arc<Shared>, name: &str, body: &str) -> Response {
     // decrement) the instant the job lands.
     worker.pending.fetch_add(1, Ordering::Relaxed);
     shared.metrics.service.releases_enqueued.inc();
-    if worker.tx.send(Job::Release { id, request }).is_err() {
+    let job = Job::Release {
+        id,
+        request,
+        key: Box::new(key),
+    };
+    if worker.tx.send(job).is_err() {
         // The job never reached the queue: resolve it terminally so the
         // enqueued/executed pair stays balanced.
         worker.pending.fetch_sub(1, Ordering::Relaxed);
@@ -1090,8 +1101,9 @@ struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    /// Admit one queued release and publish what the season recorded.
-    fn run_release(&mut self, id: u64, request: ReleaseRequest) {
+    /// Admit one queued release and publish what the season recorded
+    /// under `key`.
+    fn run_release(&mut self, id: u64, request: ReleaseRequest, key: &ReleaseKey) {
         let quarters = &self.shared.quarters;
         let data = match self.quarter.checked_sub(1) {
             Some(before) => quarters[self.quarter]
@@ -1102,20 +1114,12 @@ impl WorkerCtx {
         let state = match self.store.admit(data, &request, &mut self.cache) {
             Ok((_, body)) => {
                 // Publish the body the season just stored to the
-                // released-artifact cache, under the digest that keys
-                // this release: the pair digest for flows, the quarter's
-                // otherwise. A cache-write failure is only a lost
-                // optimization, never a lost release: the registry serves
-                // the season's own copy.
-                let request = &body.release().request;
-                let digest = if request.kind == RequestKind::Flows {
-                    data.pair_digest()
-                } else {
-                    Some(data.digest())
-                };
-                if let Some(key) = digest.and_then(|d| ReleaseKey::of(request, d)) {
-                    let _ = self.shared.cache.save_body(&key, &body);
-                }
+                // released-artifact cache, under the key the submission
+                // looked up (`save_body` refuses a body whose provenance
+                // does not reproduce it). A cache-write failure is only a
+                // lost optimization, never a lost release: the registry
+                // serves the season's own copy.
+                let _ = self.shared.cache.save_body(key, &body);
                 ReleaseState::Complete {
                     site: BodySite::Season {
                         season: self.name.clone(),
@@ -1175,8 +1179,8 @@ fn season_worker(mut ctx: WorkerCtx, rx: mpsc::Receiver<Job>) {
         };
         match job {
             Job::Shutdown => break,
-            Job::Release { id, request } => {
-                ctx.run_release(id, request);
+            Job::Release { id, request, key } => {
+                ctx.run_release(id, request, &key);
                 ctx.pending.fetch_sub(1, Ordering::Relaxed);
                 ctx.shared.metrics.service.releases_executed.inc();
             }

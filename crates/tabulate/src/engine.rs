@@ -57,7 +57,9 @@ use crate::cell::CellSchema;
 use crate::filter::{CompiledFilter, FilterExpr};
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, worker_subkeys, Kernel};
-use crate::marginal::{CellStats, Marginal};
+#[cfg(any(doc, feature = "reference"))]
+use crate::marginal::CellStats;
+use crate::marginal::Marginal;
 use crate::region::DatasetIndex;
 use lodes::Dataset;
 #[cfg(feature = "reference")]
@@ -330,34 +332,35 @@ pub(crate) fn sort_run_by_key<T: Copy>(run: &mut Vec<T>, max_key: u64, key_of: i
     }
 }
 
-/// Deterministic k-way merge of per-shard sorted runs, aggregating every
-/// `(cell, establishment)` contribution with the same key into one
-/// [`CellStats`].
-pub(crate) fn merge_runs(runs: Vec<Vec<(u64, u32)>>) -> Vec<(CellKey, CellStats)> {
+/// Deterministic k-way merge of per-shard runs, each sorted by `key_of`
+/// (see [`sort_run_by_key`]): every `(cell, establishment)` contribution
+/// with the same key folds into one `S`, from `S::default()`, via `fold`.
+/// Cell tabulations fold into [`CellStats`], flow tabulations into
+/// [`FlowStats`](crate::flows::FlowStats); both folds are commutative sums
+/// and maxima, so the order equal keys arrive in never changes the result.
+pub(crate) fn merge_runs<T, S: Default>(
+    runs: Vec<Vec<T>>,
+    key_of: impl Fn(&T) -> u64,
+    fold: impl Fn(&mut S, &T),
+) -> Vec<(CellKey, S)> {
     let mut pos = vec![0usize; runs.len()];
-    let mut out: Vec<(CellKey, CellStats)> =
-        Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
     loop {
         let mut min_key: Option<u64> = None;
         for (run, &p) in runs.iter().zip(&pos) {
-            if let Some(&(key, _)) = run.get(p) {
+            if let Some(t) = run.get(p) {
+                let key = key_of(t);
                 min_key = Some(min_key.map_or(key, |m: u64| m.min(key)));
             }
         }
         let Some(key) = min_key else { break };
-        let mut stats = CellStats {
-            count: 0,
-            establishments: 0,
-            max_establishment: 0,
-        };
+        let mut stats = S::default();
         for (run, p) in runs.iter().zip(&mut pos) {
-            while let Some(&(k, contribution)) = run.get(*p) {
-                if k != key {
+            while let Some(t) = run.get(*p) {
+                if key_of(t) != key {
                     break;
                 }
-                stats.count += contribution as u64;
-                stats.establishments += 1;
-                stats.max_establishment = stats.max_establishment.max(contribution);
+                fold(&mut stats, t);
                 *p += 1;
             }
         }

@@ -76,7 +76,7 @@ impl FlowStats {
 
     /// Fold one establishment's `(before, after)` pair into the cell.
     #[inline]
-    fn absorb(&mut self, b: u32, e: u32) {
+    pub(crate) fn absorb(&mut self, b: u32, e: u32) {
         self.beginning += b as u64;
         self.ending += e as u64;
         let creation = e.saturating_sub(b);
@@ -415,36 +415,6 @@ fn side_count(index: &TabulationIndex, e: usize, filter: Option<&CompiledFilter>
             .filter(|w| f.matches(w))
             .count() as u32,
     }
-}
-
-/// Deterministic k-way merge of per-shard sorted runs: every
-/// `(cell, establishment)` contribution with the same key folds into one
-/// [`FlowStats`] via commutative sums and maxima.
-pub(crate) fn merge_flow_runs(runs: Vec<Vec<(u64, u32, u32)>>) -> Vec<(CellKey, FlowStats)> {
-    let mut pos = vec![0usize; runs.len()];
-    let mut out: Vec<(CellKey, FlowStats)> =
-        Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
-    loop {
-        let mut min_key: Option<u64> = None;
-        for (run, &p) in runs.iter().zip(&pos) {
-            if let Some(&(key, _, _)) = run.get(p) {
-                min_key = Some(min_key.map_or(key, |m: u64| m.min(key)));
-            }
-        }
-        let Some(key) = min_key else { break };
-        let mut stats = FlowStats::default();
-        for (run, p) in runs.iter().zip(&mut pos) {
-            while let Some(&(k, b, e)) = run.get(*p) {
-                if k != key {
-                    break;
-                }
-                stats.absorb(b, e);
-                *p += 1;
-            }
-        }
-        out.push((CellKey(key), stats));
-    }
-    out
 }
 
 /// The pre-index flow evaluator: one pass over the workplace table using

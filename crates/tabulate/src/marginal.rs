@@ -6,7 +6,7 @@ use serde::{get_field, DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Per-cell statistics of a marginal query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellStats {
     /// The true count `q_V(D, v)`.
     pub count: u64,
@@ -15,6 +15,16 @@ pub struct CellStats {
     /// `x_v`: the largest contribution of any single establishment — the
     /// driver of smooth sensitivity (Lemma 8.5).
     pub max_establishment: u32,
+}
+
+impl CellStats {
+    /// Fold one establishment's contribution into the cell.
+    #[inline]
+    pub(crate) fn absorb(&mut self, contribution: u32) {
+        self.count += contribution as u64;
+        self.establishments += 1;
+        self.max_establishment = self.max_establishment.max(contribution);
+    }
 }
 
 /// A materialized marginal: nonzero cells with stats, plus the schema needed

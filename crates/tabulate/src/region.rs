@@ -20,10 +20,10 @@
 //! `threads` into `(shard, establishment window)` tasks in proportion to
 //! shard worker counts, run the tasks on at most `threads` scoped threads
 //! (see `group_tasks`), and combine every task's key-sorted run with the
-//! engine's deterministic k-way merge (`crate::engine::merge_runs` /
-//! `crate::flows::merge_flow_runs`). With one shard the tasks are exactly
-//! the worker-balanced [`TabulationIndex::shard_bounds`] windows, one
-//! thread each.
+//! engine's one deterministic k-way merge (`crate::engine::merge_runs`,
+//! folding into `CellStats` or `FlowStats`). With one shard the tasks are
+//! exactly the worker-balanced [`TabulationIndex::shard_bounds`] windows,
+//! one thread each.
 //!
 //! Two invariants make every result **bit-identical** across layouts and
 //! thread counts:
@@ -47,10 +47,10 @@ use crate::attr::MarginalSpec;
 use crate::cell::CellSchema;
 use crate::engine::{merge_runs, tabulate_shard, ShardPlan};
 use crate::filter::{CompiledFilter, FilterExpr};
-use crate::flows::{flow_shard, merge_flow_runs, FlowMarginal, FlowPlan};
+use crate::flows::{flow_shard, FlowMarginal, FlowPlan, FlowStats};
 use crate::index::{cards_from_geography, schema_from_cards, IndexBuilder, TabulationIndex};
 use crate::kernel::Kernel;
-use crate::marginal::Marginal;
+use crate::marginal::{CellStats, Marginal};
 use lodes::{Dataset, Geography, Worker, WorkerId, Workplace};
 use std::sync::Arc;
 
@@ -224,7 +224,12 @@ impl DatasetIndex {
         let runs = self.run_tasks(threads, |shard, lo, hi| {
             tabulate_shard(&plans[shard], lo, hi)
         });
-        Marginal::from_sorted(spec.clone(), schema, merge_runs(runs))
+        let cells = merge_runs(
+            runs,
+            |&(key, _)| key,
+            |s: &mut CellStats, &(_, c)| s.absorb(c),
+        );
+        Marginal::from_sorted(spec.clone(), schema, cells)
     }
 
     /// [`marginal`](Self::marginal) with a required filter and
@@ -283,7 +288,12 @@ impl DatasetIndex {
             })
             .collect();
         let runs = self.run_tasks(threads, |shard, lo, hi| flow_shard(&plans[shard], lo, hi));
-        FlowMarginal::from_sorted(spec.clone(), schema, merge_flow_runs(runs))
+        let cells = merge_runs(
+            runs,
+            |&(key, _, _)| key,
+            |s: &mut FlowStats, &(_, b, e)| s.absorb(b, e),
+        );
+        FlowMarginal::from_sorted(spec.clone(), schema, cells)
     }
 
     /// `filter` compiled against every shard, in shard order.

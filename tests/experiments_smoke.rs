@@ -2,8 +2,13 @@
 //! small scale with a couple of trials and check structural properties of
 //! the regenerated series.
 
-use eval::experiments::{figure1, figure2, figure3, figure4, figure5, table1, table2};
+use eval::experiments::{
+    figure1, figure2, figure3, figure4, figure5, flows, table1, table2, write_all,
+};
 use eval::runner::{EvalScale, ExperimentContext, TrialSpec};
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 fn ctx_and_trials() -> (ExperimentContext, TrialSpec) {
     (
@@ -107,4 +112,64 @@ fn deterministic_experiment_replay() {
         assert_eq!(x.series, y.series);
         assert_eq!(x.l1_ratio, y.l1_ratio);
     }
+}
+
+/// Every file directly under `dir`, by name.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn write_all_writes_what_each_exhibit_writes() {
+    // `run_all` writes through `write_all` and each exhibit binary through
+    // its module's `write`: both must leave the same bytes.
+    let (ctx, trials) = ctx_and_trials();
+    let dir = |which: &str| -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("eree_exhibits_{which}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    };
+    let (all, each) = (dir("all"), dir("each"));
+
+    write_all(&ctx, &trials, &all).unwrap();
+    figure1::write(&ctx, &trials, &each).unwrap();
+    figure2::write(&ctx, &trials, &each).unwrap();
+    figure3::write(&ctx, &trials, &each).unwrap();
+    figure4::write(&ctx, &trials, &each).unwrap();
+    figure5::write(&ctx, &trials, &each).unwrap();
+    flows::write(&ctx, &trials, &each).unwrap();
+    let table1_md = table1::write(&each).unwrap();
+    table2::write(&each).unwrap();
+
+    let (written, by_exhibit) = (files(&all), files(&each));
+    assert_eq!(written.len(), 24, "{:?}", written.keys());
+    assert!(
+        written.keys().eq(by_exhibit.keys()),
+        "{:?}",
+        by_exhibit.keys()
+    );
+    for (name, bytes) in &written {
+        assert!(
+            *bytes == by_exhibit[name],
+            "{name} differs between the writes"
+        );
+    }
+    assert!(table1_md.contains("## Numeric spot-verification"));
+    assert_eq!(written["table1.md"], table1_md.as_bytes());
+    for csv in ["table1.csv", "table2.csv"] {
+        assert!(!written[csv].is_empty(), "{csv} is empty");
+    }
+    for name in ["flows.md", "flows.csv", "flows.json"] {
+        assert!(written.contains_key(name), "missing {name}");
+    }
+    fs::remove_dir_all(&all).unwrap();
+    fs::remove_dir_all(&each).unwrap();
 }
