@@ -20,10 +20,13 @@
 //! │   └── …
 //! ├── truths/            content-addressed truth store (shared,
 //! │   └── <key-digest>.truth                            confidential)
-//! ├── public/            content-addressed released-artifact cache
-//! │   └── <key-digest>.json                             (releasable)
-//! └── agency.lock        write lease (live-PID, reclaimed when stale)
+//! └── public/            content-addressed released-artifact cache
+//!     └── <key-digest>.json                             (releasable)
 //! ```
+//!
+//! An open [`AgencyStore`] holds the agency directory's write lease, and
+//! each open season its own directory's (a [`DirLease`]: a kernel lock on
+//! the directory, dropped with its holder, so no file records it).
 //!
 //! # Budget hierarchy
 //!
@@ -157,8 +160,6 @@ const TRUTHS_DIR: &str = "truths";
 /// Released-artifact cache subdirectory name — everything under it sits on
 /// the **public** side of the release barrier.
 const PUBLIC_DIR: &str = "public";
-/// Agency write-lease file name.
-const LEASE_FILE: &str = "agency.lock";
 
 /// The request families in [`crate::metrics::FAMILY_LABELS`] order, so
 /// replay tallies land in the same slots the live registry uses.
@@ -361,7 +362,7 @@ impl AgencyStore {
         }
         // Lease before the manifest: from the moment this directory can be
         // recognized as an agency, it has exactly one writer.
-        let lease = DirLease::acquire(root.join(LEASE_FILE))?;
+        let lease = DirLease::acquire(&root)?;
         let manifest = AgencyManifest {
             format: FORMAT_VERSION,
             cap,
@@ -411,9 +412,8 @@ impl AgencyStore {
             return Err(StoreError::NotAStore { path: root });
         }
         // One writer per agency: a second live opener is refused with
-        // [`StoreError::Locked`] before any verification work; a lease
-        // left by a dead process is reclaimed.
-        let lease = DirLease::acquire(root.join(LEASE_FILE))?;
+        // [`StoreError::Locked`] before any verification work.
+        let lease = DirLease::acquire(&root)?;
         // Clear temp files orphaned by a crash mid-write. Safe only under
         // the lease (a live writer's in-flight temp must survive); the
         // season and artifact directories sweep their own on
@@ -1344,7 +1344,7 @@ mod tests {
         // The directory is write-leased while a handle lives…
         assert!(matches!(
             AgencyStore::open(&dir),
-            Err(StoreError::Locked { holder_pid, .. }) if holder_pid == std::process::id()
+            Err(StoreError::Locked { path }) if path == dir
         ));
         // …and the public artifact cache exists from birth.
         assert!(agency.release_cache().unwrap().is_empty());

@@ -2,10 +2,10 @@
 //! default-off `chaos` cargo feature).
 //!
 //! Every durable filesystem mutation in the store/agency/truth/cache
-//! layers funnels through thin wrappers that call [`hit`] immediately
-//! before the real syscall. With no plan armed, [`hit`] is a no-op (and
-//! without the feature, the wrappers compile down to the bare syscalls).
-//! A chaos sweep then works in two passes:
+//! layers, and every write-lease lock, funnels through thin wrappers that
+//! call [`hit`] immediately before the real syscall. With no plan armed,
+//! [`hit`] is a no-op (and without the feature, the wrappers compile down
+//! to the bare syscalls). A chaos sweep then works in two passes:
 //!
 //! 1. **Count** ([`arm_count`]): run the scenario once, fault-free, and
 //!    learn how many syscall boundaries it crosses — the denominator that
@@ -14,20 +14,18 @@
 //!    injecting at exactly the `k`-th boundary either an I/O error
 //!    ([`FaultMode::Error`] — the syscall fails, destructors still run)
 //!    or a kill ([`FaultMode::Kill`] — the "process" dies on the spot:
-//!    an unwind carrying [`ChaosKill`] that skips lease cleanup, exactly
-//!    like `kill -9` leaving the lease file behind).
+//!    an unwind carrying [`ChaosKill`]).
 //!
-//! Kills also need a believable process identity: a store killed by the
-//! sweep must reopen *in the same test process* and still exercise the
-//! stale-lease reclaim path. [`set_lease_pid`] makes leases record a fake
-//! PID instead of the real one, and a kill marks that PID dead, so the
-//! reopened store sees a lease held by a provably dead process.
+//! A kill's unwind closes every handle the scenario held, and with it
+//! every write lease: a lease is a kernel lock on an open directory
+//! handle, which the kernel drops on `kill -9` too. So a store killed by
+//! the sweep reopens *in the same test process* exactly as it would in
+//! the next real process, with nothing to reclaim.
 //!
 //! All state is thread-local: the sweep driver is single-threaded, and
 //! the engine's tabulation worker threads never touch the filesystem.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
@@ -45,8 +43,7 @@ pub enum FaultMode {
     /// "full disk / flaky device" shape of fault.
     Error,
     /// The process "dies" at the boundary: an unwinding panic carrying
-    /// [`ChaosKill`] that suppresses lease cleanup and marks the current
-    /// fake lease PID dead — the `kill -9` shape of fault.
+    /// [`ChaosKill`] — the `kill -9` shape of fault.
     Kill,
 }
 
@@ -59,9 +56,6 @@ struct State {
     counter: u64,
     tripped: bool,
     sites: Vec<String>,
-    crashed: bool,
-    lease_pid: Option<u32>,
-    dead_pids: HashSet<u32>,
 }
 
 thread_local! {
@@ -122,69 +116,6 @@ pub fn disarm() -> ChaosReport {
     })
 }
 
-/// Is the thread currently unwinding (or left) a simulated kill? While
-/// true, `DirLease` skips its drop-time cleanup — a killed process never
-/// removes its own lease file.
-pub fn crashed() -> bool {
-    STATE.with(|s| s.borrow().crashed)
-}
-
-/// Acknowledge a simulated kill: the driver calls this after catching
-/// [`ChaosKill`], before reopening stores as the "next" process.
-pub fn clear_crashed() {
-    STATE.with(|s| s.borrow_mut().crashed = false);
-}
-
-/// Make subsequently acquired leases record `pid` instead of the real
-/// process id — the identity of the simulated process. The PID reads as
-/// alive until a kill (or [`mark_pid_dead`]) declares it dead.
-pub fn set_lease_pid(pid: u32) {
-    STATE.with(|s| {
-        let mut s = s.borrow_mut();
-        s.lease_pid = Some(pid);
-        s.dead_pids.remove(&pid);
-    });
-}
-
-/// Stop overriding the lease PID: leases record the real process id
-/// again.
-pub fn clear_lease_pid() {
-    STATE.with(|s| s.borrow_mut().lease_pid = None);
-}
-
-/// Declare `pid` dead, so a lease recording it reads as stale and gets
-/// reclaimed.
-pub fn mark_pid_dead(pid: u32) {
-    STATE.with(|s| {
-        let mut s = s.borrow_mut();
-        if s.lease_pid == Some(pid) {
-            s.lease_pid = None;
-        }
-        s.dead_pids.insert(pid);
-    });
-}
-
-/// The PID leases should record right now, if overridden.
-pub(crate) fn lease_pid_override() -> Option<u32> {
-    STATE.with(|s| s.borrow().lease_pid)
-}
-
-/// Chaos's verdict on whether `pid` is alive, if it has one: dead if
-/// declared dead, alive if it is the current simulated identity, and no
-/// opinion (fall through to the real check) otherwise.
-pub(crate) fn pid_alive_override(pid: u32) -> Option<bool> {
-    STATE.with(|s| {
-        let s = s.borrow();
-        if s.dead_pids.contains(&pid) {
-            Some(false)
-        } else if s.lease_pid == Some(pid) {
-            Some(true)
-        } else {
-            None
-        }
-    })
-}
-
 /// One syscall boundary: called by the `cfs` wrappers immediately before
 /// the real filesystem mutation. Counts the boundary and, if it is the
 /// armed target, injects the armed fault.
@@ -217,12 +148,6 @@ pub(crate) fn hit(op: &str, path: &Path) -> io::Result<()> {
                     )));
                 }
                 FaultMode::Kill => {
-                    s.crashed = true;
-                    // The dying "process" takes its identity with it: its
-                    // leases must read as stale on reopen.
-                    if let Some(pid) = s.lease_pid.take() {
-                        s.dead_pids.insert(pid);
-                    }
                     // Stop injecting while destructors unwind.
                     s.armed = false;
                     return Ok(true);

@@ -27,11 +27,12 @@
 //!   then the parsed provenance and cost against it, and
 //!   [`SeasonStore::verify_bodies`] runs that check over every body — the
 //!   full-scan audit that keeps the old open-time check available;
-//! * every open store holds an exclusive **write lease** (`season.lock`,
-//!   a [`DirLease`]): the whole protocol assumes one writer per season
-//!   directory, so a second concurrent writer is refused with
-//!   [`StoreError::Locked`] instead of silently risking corruption, and a
-//!   stale lease left by a dead process is reclaimed automatically.
+//! * every open store holds an exclusive **write lease** on its directory
+//!   (a [`DirLease`]: a kernel lock on an open handle to the directory):
+//!   the whole protocol assumes one writer per season directory, so a
+//!   second concurrent writer is refused with [`StoreError::Locked`]
+//!   instead of silently risking corruption. The kernel drops the lock
+//!   with its holder, so a killed writer leaves nothing to reclaim.
 //!
 //! The write protocol is artifact-first. A crash in the window between an
 //! artifact landing and its ledger snapshot leaves the store one entry
@@ -133,17 +134,16 @@ const MANIFEST_FILE: &str = "season.json";
 const LEDGER_FILE: &str = "ledger.json";
 /// Artifact subdirectory name under the season directory.
 const ARTIFACTS_DIR: &str = "artifacts";
-/// Write-lease file name under the season directory.
-const LEASE_FILE: &str = "season.lock";
 
 /// Chaos-aware filesystem wrappers.
 ///
 /// Every durable mutation the store layers perform — temp-file create,
-/// write, fsync, rename, directory create, repair/sweep removal — goes
-/// through these, so the default-off `chaos` feature can count every
-/// syscall boundary and inject an error or a kill at any one of them
-/// (see [`crate::chaos`]). Without the feature each wrapper is exactly
-/// its `std::fs` counterpart: the `hit` probe compiles to nothing.
+/// write, fsync, rename, directory create, repair/sweep removal — and
+/// every write-lease lock goes through these, so the default-off `chaos`
+/// feature can count every syscall boundary and inject an error or a
+/// kill at any one of them (see [`crate::chaos`]). Without the feature
+/// each wrapper is exactly its `std::fs` counterpart: the `hit` probe
+/// compiles to nothing.
 pub(crate) mod cfs {
     use std::fs;
     use std::io;
@@ -175,13 +175,14 @@ pub(crate) mod cfs {
         fs::remove_file(path)
     }
 
-    /// `O_EXCL` create — the lease-acquisition primitive.
-    pub fn create_new(path: &Path) -> io::Result<fs::File> {
-        hit("create_new", path)?;
-        fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(path)
+    /// Open directory `path` and take a non-blocking exclusive lock on
+    /// the handle — the write-lease primitive. A lock another open handle
+    /// holds fails with [`io::ErrorKind::WouldBlock`].
+    pub fn lock_dir(path: &Path) -> io::Result<fs::File> {
+        hit("lock", path)?;
+        let dir = fs::File::open(path)?;
+        dir.try_lock()?;
+        Ok(dir)
     }
 
     pub fn file_create(path: &Path) -> io::Result<fs::File> {
@@ -256,16 +257,13 @@ pub enum StoreError {
         /// The meta-ledger's refusal.
         source: crate::accountant::LedgerError,
     },
-    /// Another live process (or another handle in this process) holds the
-    /// store's write lease. Two concurrent writers against one season
-    /// directory would race the artifact-first protocol into corruption,
-    /// so the second acquirer is refused loudly instead. Stale leases —
-    /// whose holder PID no longer exists — are reclaimed automatically.
+    /// Another open handle — in another process or in this one — holds
+    /// the store directory's write lease. Two concurrent writers against
+    /// one season directory would race the artifact-first protocol into
+    /// corruption, so the second acquirer is refused loudly instead.
     Locked {
-        /// The lease file.
+        /// The store directory.
         path: PathBuf,
-        /// PID recorded in the live lease.
-        holder_pid: u32,
     },
     /// A charge-bearing operation against a season that has been closed:
     /// its unspent remainder was refunded to the agency cap, so admitting
@@ -307,10 +305,10 @@ impl std::fmt::Display for StoreError {
             StoreError::AgencyBudget { season, source } => {
                 write!(f, "agency meta-ledger refused season `{season}`: {source}")
             }
-            StoreError::Locked { path, holder_pid } => {
+            StoreError::Locked { path } => {
                 write!(
                     f,
-                    "store is write-locked by live process {holder_pid} (lease {})",
+                    "store {} is write-locked by another open handle",
                     path.display()
                 )
             }
@@ -336,194 +334,47 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// The on-disk form of a write lease: who holds the directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct LeaseFile {
-    pid: u32,
-}
-
-/// An exclusive write lease on a store directory, embodied as a lease
-/// file created with `O_EXCL` semantics and removed on [`Drop`].
+/// An exclusive write lease on a store directory: a non-blocking
+/// exclusive lock on an open handle to the directory itself, held for the
+/// lease's life.
 ///
 /// The season store's crash protocol (artifact-first atomic writes,
 /// replay-verified open) assumes **one writer at a time** per directory;
 /// a second concurrent writer could interleave `ledger.json` renames and
 /// leave a store that verifies but under-reports spending. The lease
 /// makes that assumption explicit and enforced: acquiring a directory
-/// that a *live* process already holds fails with [`StoreError::Locked`],
-/// while a stale lease — its recorded PID no longer running — is
-/// reclaimed automatically, so a crashed season never needs manual
-/// cleanup before resuming.
+/// that another open handle holds — in another process or in this one —
+/// fails with [`StoreError::Locked`]. The kernel keeps the lock with the
+/// handle and drops it when the handle's last descriptor closes: on drop,
+/// on exit, or when the holder is killed. So the lease writes no file,
+/// and a crashed season resumes with nothing to clean up.
 ///
-/// Liveness is judged by `/proc/<pid>` on Linux; on platforms without
-/// `/proc` the holder is conservatively presumed alive (a stale lease
-/// then needs manual removal — fail-closed, never fail-open).
+/// The lock is on the directory, not on a file inside it: every atomic
+/// write already opens the directory to fsync it, so the lease asks
+/// nothing more of the platform. A lock file would either reopen an inode
+/// race when unlinked on release, or, kept on disk, be hard-linked into
+/// copies of the store, which would then share one lock.
 #[derive(Debug)]
 pub struct DirLease {
-    path: PathBuf,
+    _handle: fs::File,
 }
 
 impl DirLease {
-    /// Acquire the lease file at `path`, reclaiming it first if its
-    /// recorded holder is provably dead.
-    pub fn acquire(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let lease = LeaseFile { pid: lease_pid() };
-        let json = serde_json::to_string_pretty(&lease).expect("lease serialization is infallible");
-        // Bounded retry: between observing a dead holder and reclaiming,
-        // another acquirer may win the exclusive create; re-examine rather
-        // than spin forever.
-        for _ in 0..4 {
-            match cfs::create_new(&path) {
-                Ok(mut file) => {
-                    cfs::write_all(&mut file, &path, json.as_bytes())
-                        .and_then(|()| cfs::sync_all(&file, &path))
-                        .map_err(|source| StoreError::Io {
-                            path: path.clone(),
-                            source,
-                        })?;
-                    return Ok(Self { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    match read_json::<LeaseFile>(&path) {
-                        Ok(holder) if pid_is_alive(holder.pid) => {
-                            return Err(StoreError::Locked {
-                                path,
-                                holder_pid: holder.pid,
-                            });
-                        }
-                        // Dead holder, or a torn/vanished lease file (the
-                        // holder died mid-write, or released between our
-                        // create and read): stale either way. Reclaim —
-                        // serialized through the reclaim marker — and
-                        // retry the exclusive create.
-                        Ok(_) | Err(_) => Self::reclaim_stale(&path),
-                    }
-                }
-                Err(source) => return Err(StoreError::Io { path, source }),
-            }
+    /// Take the write lease on directory `dir`, or refuse with
+    /// [`StoreError::Locked`] (naming `dir`) if another open handle holds
+    /// it.
+    pub fn acquire(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        let dir = dir.as_ref();
+        match cfs::lock_dir(dir) {
+            Ok(handle) => Ok(Self { _handle: handle }),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Err(StoreError::Locked {
+                path: dir.to_path_buf(),
+            }),
+            Err(source) => Err(StoreError::Io {
+                path: dir.to_path_buf(),
+                source,
+            }),
         }
-        Err(StoreError::Inconsistent {
-            detail: format!(
-                "lease {} could not be acquired after repeated reclaim attempts",
-                path.display()
-            ),
-        })
-    }
-
-    /// Remove a lease file judged stale, without ever racing another
-    /// acquirer into removing a *live* lease.
-    ///
-    /// A remove-in-place reclaim has a classic TOCTOU hole: racer B reads
-    /// the stale lease, racer A reclaims it and writes its own live
-    /// lease, then B's remove deletes A's lease — and the next exclusive
-    /// create admits a second writer. Reclaim therefore serializes
-    /// through an `O_EXCL` *reclaim marker* (`<lease>.reclaim`): only the
-    /// marker holder may remove the lease, and it re-verifies under the
-    /// marker that the lease is still stale — `create_new` never replaces
-    /// an existing file, so a lease that still parses to a dead PID under
-    /// the marker cannot be a racer's fresh live lease. A marker left by
-    /// a holder that died mid-reclaim is itself judged by PID liveness
-    /// and cleared. Failures here are deliberately swallowed: reclaim is
-    /// best-effort, and the caller's bounded acquire loop re-judges the
-    /// world on every iteration.
-    fn reclaim_stale(path: &Path) {
-        let marker = path.with_file_name(format!(
-            "{}.reclaim",
-            path.file_name()
-                .map(|n| n.to_string_lossy())
-                .unwrap_or_default()
-        ));
-        match cfs::create_new(&marker) {
-            Ok(mut file) => {
-                let claim = serde_json::to_string_pretty(&LeaseFile { pid: lease_pid() })
-                    .expect("lease serialization is infallible");
-                let _ = cfs::write_all(&mut file, &marker, claim.as_bytes());
-                // Re-judge under the marker: remove only what is still
-                // provably stale. A torn read could be a live acquirer
-                // between its exclusive create and its first write, so
-                // give it one grace period to finish before treating the
-                // tear as a crashed writer's leavings.
-                let still_stale = match read_json::<LeaseFile>(path) {
-                    Ok(holder) => !pid_is_alive(holder.pid),
-                    Err(_) => {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        match read_json::<LeaseFile>(path) {
-                            Ok(holder) => !pid_is_alive(holder.pid),
-                            Err(_) => true,
-                        }
-                    }
-                };
-                if still_stale {
-                    let _ = cfs::remove_file(path);
-                }
-                let _ = cfs::remove_file(&marker);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                // Another reclaimer holds the marker: clear it if its
-                // holder died mid-reclaim, otherwise give way and let the
-                // acquire loop re-judge.
-                match read_json::<LeaseFile>(&marker) {
-                    Ok(holder) if pid_is_alive(holder.pid) => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Ok(_) | Err(_) => {
-                        let _ = cfs::remove_file(&marker);
-                    }
-                }
-            }
-            Err(_) => {}
-        }
-    }
-
-    /// The lease file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for DirLease {
-    fn drop(&mut self) {
-        // A simulated kill means this "process" is dead: it never runs
-        // its own cleanup, exactly like a real SIGKILL. The lease file
-        // stays behind for the next opener's stale-reclaim path.
-        #[cfg(feature = "chaos")]
-        if crate::chaos::crashed() {
-            return;
-        }
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// The PID recorded into acquired leases: the real process id, unless the
-/// chaos layer is simulating another process identity.
-fn lease_pid() -> u32 {
-    #[cfg(feature = "chaos")]
-    if let Some(pid) = crate::chaos::lease_pid_override() {
-        return pid;
-    }
-    std::process::id()
-}
-
-/// Is the process with this PID still running?
-///
-/// The current process always reads as alive (so a second handle inside
-/// one process is correctly refused). Elsewhere, `/proc/<pid>` decides on
-/// Linux; platforms without `/proc` presume alive — conservative, since a
-/// false "alive" can only refuse a writer, never admit two. The chaos
-/// layer may override the verdict for its simulated process identities.
-fn pid_is_alive(pid: u32) -> bool {
-    #[cfg(feature = "chaos")]
-    if let Some(alive) = crate::chaos::pid_alive_override(pid) {
-        return alive;
-    }
-    if pid == std::process::id() {
-        return true;
-    }
-    if cfg!(target_os = "linux") {
-        Path::new("/proc").join(pid.to_string()).exists()
-    } else {
-        true
     }
 }
 
@@ -647,7 +498,7 @@ pub struct SeasonStore {
     ledger: Ledger,
     completed: Vec<CompletedRelease>,
     /// Exclusive write lease on the season directory, held for the
-    /// store's lifetime and released (the file removed) on drop.
+    /// store's lifetime and released on drop.
     _lease: DirLease,
     /// Registry the season's engines record into (set by the owning
     /// agency; `None` for standalone seasons). Runtime-only, never
@@ -690,7 +541,7 @@ impl SeasonStore {
         })?;
         // Lease before the manifest: once the directory is a season (the
         // manifest exists), it is never touched without the lease held.
-        let lease = DirLease::acquire(root.join(LEASE_FILE))?;
+        let lease = DirLease::acquire(&root)?;
         let manifest = SeasonManifest {
             format: FORMAT_VERSION,
             budget,
@@ -743,7 +594,7 @@ impl SeasonStore {
         // Exclusive writer from here on: verification reads (and the
         // crash-window repair write below) happen under the lease too, so
         // a concurrent writer can never shear the files being verified.
-        let lease = DirLease::acquire(root.join(LEASE_FILE))?;
+        let lease = DirLease::acquire(&root)?;
         // With the lease held, sweep temp files orphaned by a crashed
         // atomic write (their renames never happened, so they were never
         // part of the store). The artifacts directory is swept by
@@ -1540,12 +1391,11 @@ pub(crate) fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreE
 }
 
 /// Sweep `dir` (non-recursively) for `*.tmp` files orphaned by a crash
-/// mid-[`write_bytes_atomic`] (or a failed lease reclaim): their renames
-/// never happened, so they were never part of any store. Best-effort by
-/// design — a sweep failure must never refuse an open — and callers hold
-/// the directory's write lease, so no live writer's in-flight temp file
-/// can be swept (a writer's temp exists only while the lease holder is
-/// inside `write_bytes_atomic`).
+/// mid-[`write_bytes_atomic`]: their renames never happened, so they were
+/// never part of any store. Best-effort by design — a sweep failure must
+/// never refuse an open — and callers hold the directory's write lease,
+/// so no live writer's in-flight temp file can be swept (a writer's temp
+/// exists only while the lease holder is inside `write_bytes_atomic`).
 pub(crate) fn sweep_tmp_files(dir: &Path) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -1694,32 +1544,38 @@ mod tests {
         let dir = tmp_dir("lease");
         let budget = PrivacyParams::pure(0.1, 4.0);
         let store = SeasonStore::create(&dir, budget).unwrap();
+        let files = || {
+            let mut names: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let held = files();
         // A second writer on the same directory — same process counts —
-        // is refused with Locked while the first store lives.
+        // is refused with Locked, naming the directory, while the first
+        // store lives; the lease is a lock, so it writes no file.
         match SeasonStore::open(&dir) {
-            Err(StoreError::Locked { holder_pid, .. }) => {
-                assert_eq!(holder_pid, std::process::id());
-            }
+            Err(StoreError::Locked { path }) => assert_eq!(path, dir),
             other => panic!("expected Locked, got {other:?}"),
         }
         // Releasing the store (dropping it) releases the lease.
         drop(store);
-        assert!(!dir.join(LEASE_FILE).exists());
+        assert_eq!(files(), held);
         let store = SeasonStore::open(&dir).unwrap();
         drop(store);
-        // A stale lease from a dead process is reclaimed on open. PID 0 is
-        // the kernel's; no user process ever holds it.
-        fs::write(
-            dir.join(LEASE_FILE),
-            serde_json::to_string(&LeaseFile { pid: 0 }).unwrap(),
-        )
-        .unwrap();
-        let store = SeasonStore::open(&dir).unwrap();
-        drop(store);
-        // A torn (unparseable) lease file reads as stale too.
-        fs::write(dir.join(LEASE_FILE), "{not json").unwrap();
-        let store = SeasonStore::open(&dir).unwrap();
-        drop(store);
+        // A lease file an older build left behind — recording a dead PID,
+        // this process's own PID, or torn — is an ignored file.
+        for leftover in [
+            "{\"pid\": 0}",
+            &format!("{{\"pid\": {}}}", std::process::id()),
+            "{not",
+        ] {
+            fs::write(dir.join("season.lock"), leftover).unwrap();
+            let store = SeasonStore::open(&dir).unwrap();
+            drop(store);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

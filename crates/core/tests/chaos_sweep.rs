@@ -8,14 +8,15 @@
 //! boundaries it crosses (coverage is the counted denominator, not a
 //! hand-picked list). Pass two re-runs it once per boundary × fault mode:
 //! an injected I/O error (destructors run) and an injected kill (the
-//! process "dies" holding its leases, like `kill -9`).
+//! process "dies" mid-step, like `kill -9`; its unwind closes the handles
+//! it held, and with them its leases' locks, as the kernel does).
 //!
 //! After every fault, a recovery run — the "next process" — must complete
 //! the identical scenario, and the resulting store must satisfy:
 //!
 //! * it opens cleanly, repairing whatever the fault left behind:
-//!   half-written temp files, stale leases, an artifact ahead of its
-//!   ledger, a refund frozen between close-begin and close-seal;
+//!   half-written temp files, an artifact ahead of its ledger, a refund
+//!   frozen between close-begin and close-seal;
 //! * every season body matches its commit record
 //!   (`SeasonStore::verify_bodies`);
 //! * replayed budget totals equal the fault-free baseline — never above
@@ -24,7 +25,7 @@
 //! * every released artifact is bit-identical to the baseline's;
 //! * no orphaned `.tmp` file survives anywhere in the tree.
 
-use eree_core::chaos::{self, FaultMode};
+use eree_core::chaos::{self, ChaosKill, FaultMode};
 use eree_core::store::StoreError;
 use eree_core::{AgencyStore, MechanismKind, PrivacyParams, ReleaseKey, ReleaseRequest};
 use lodes::{Dataset, Generator, GeneratorConfig};
@@ -285,12 +286,23 @@ fn every_boundary_errors_and_kills_recover_to_the_baseline() {
         "000000.json",      // a persisted release artifact
         "truths/",          // persisted confidential truths
         "public/",          // released-artifact cache entries
-        "agency.lock",      // agency write lease
-        "season.lock",      // season write lease
     ] {
         assert!(
             census.sites.iter().any(|s| s.contains(needle)),
             "no syscall boundary touches {needle}; sites: {:?}",
+            census.sites
+        );
+    }
+    // Both write leases: the lock on the agency root and on the season's
+    // directory (a site is labeled with its path's last two components).
+    let root_name = base_root.file_name().unwrap().to_string_lossy();
+    for dir in [format!("/{root_name}"), format!("seasons/{SEASON}")] {
+        assert!(
+            census
+                .sites
+                .iter()
+                .any(|s| s.starts_with("lock:") && s.ends_with(&dir)),
+            "no write-lease lock on {dir}; sites: {:?}",
             census.sites
         );
     }
@@ -304,7 +316,7 @@ fn every_boundary_errors_and_kills_recover_to_the_baseline() {
         "rename:",
         "create_dir_all:",
         "create:",
-        "create_new:",
+        "lock:",
         "write:",
         "sync:",
     ] {
@@ -324,21 +336,18 @@ fn every_boundary_errors_and_kills_recover_to_the_baseline() {
         for (mode_ix, mode) in [FaultMode::Error, FaultMode::Kill].into_iter().enumerate() {
             let context = format!("boundary {k}/{boundaries} {mode:?}");
             let root = tmp_dir(&format!("k{k}-m{mode_ix}"));
-            // The faulted run gets a fake process identity so a kill can
-            // leave provably-dead leases behind inside this one test
-            // process.
-            let pid = 0x4000_0000 + (k as u32) * 2 + mode_ix as u32;
-            chaos::set_lease_pid(pid);
             chaos::arm(k, mode);
             let outcome = catch_unwind(AssertUnwindSafe(|| scenario(&root, &dataset)));
             let report = chaos::disarm();
-            chaos::clear_lease_pid();
             assert!(report.tripped, "{context}: the armed fault never fired");
             match (mode, &outcome) {
-                // A kill always unwinds out of the scenario, leaving the
-                // crashed flag set (leases stay behind).
+                // A kill always unwinds out of the scenario, carrying the
+                // injected kill (never another panic).
                 (FaultMode::Kill, Ok(_)) => panic!("{context}: scenario survived a kill"),
-                (FaultMode::Kill, Err(_)) => assert!(chaos::crashed()),
+                (FaultMode::Kill, Err(payload)) => assert!(
+                    payload.is::<ChaosKill>(),
+                    "{context}: the scenario panicked instead of dying"
+                ),
                 // An injected error must surface as a typed error (or be
                 // absorbed by a best-effort cleanup such as the tmp
                 // sweep) — never as a panic.
@@ -347,9 +356,8 @@ fn every_boundary_errors_and_kills_recover_to_the_baseline() {
                 }
                 (FaultMode::Error, Ok(_)) => {}
             }
-            chaos::clear_crashed();
-            // Recovery: a fresh "process" (real PID, no faults armed)
-            // re-runs the identical scenario to completion.
+            // Recovery: a fresh "process" (no faults armed) re-runs the
+            // identical scenario to completion.
             let recovered = scenario(&root, &dataset)
                 .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
             assert!(

@@ -3,19 +3,16 @@
 //! system — overall and stratified by place population — plus the
 //! Truncated Laplace series of Finding 6.
 
-use super::{grid_params, plottable, release_cells, Series};
-use crate::metrics::{l1_error, l1_error_over};
+use super::{grid_params, plottable, release_cells, L1Baseline, Series};
 use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
 use graphdp::TruncatedTabulation;
-use lodes::PlaceSizeClass;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
-use tabulate::stratify_by_place_size;
 
 /// One plotted point of Figure 1.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -36,62 +33,19 @@ pub struct Figure1Row {
 /// Run the Figure 1 experiment.
 pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure1Row> {
     let truth = &ctx.sdl_w1.truth;
-    let strata = stratify_by_place_size(truth, &ctx.dataset);
-
-    // SDL denominators: overall and per stratum.
-    let sdl_overall = l1_error(truth, &ctx.sdl_w1.published);
-    let sdl_by_stratum: Vec<(PlaceSizeClass, f64)> = strata
-        .iter()
-        .map(|(&class, keys)| (class, l1_error_over(truth, &ctx.sdl_w1.published, keys)))
-        .collect();
-
+    let baseline = L1Baseline::new(&ctx.sdl_w1, &ctx.dataset);
     let mut rows = Vec::new();
-    // Average per-trial errors (overall + strata) for one series point and
-    // append the resulting ratio rows.
-    #[allow(clippy::too_many_arguments)]
-    fn push_ratios<F>(
-        series: &Series,
-        alpha: f64,
-        epsilon: f64,
-        rows: &mut Vec<Figure1Row>,
-        trials: &TrialSpec,
-        truth: &tabulate::Marginal,
-        strata: &std::collections::BTreeMap<PlaceSizeClass, Vec<tabulate::CellKey>>,
-        sdl_overall: f64,
-        sdl_by_stratum: &[(PlaceSizeClass, f64)],
-        mut release: F,
-    ) where
-        F: FnMut(u64) -> std::collections::BTreeMap<tabulate::CellKey, f64>,
-    {
-        let mut acc_overall = 0.0;
-        let mut acc_strata = vec![0.0; sdl_by_stratum.len()];
-        for t in 0..trials.trials {
-            let published = release(trials.seed(t));
-            acc_overall += l1_error(truth, &published);
-            for (i, (class, _)) in sdl_by_stratum.iter().enumerate() {
-                acc_strata[i] += l1_error_over(truth, &published, &strata[class]);
-            }
+    let mut push = |series: Series, alpha: f64, epsilon: f64, ratios: Vec<(String, f64)>| {
+        for (stratum, l1_ratio) in ratios {
+            rows.push(Figure1Row {
+                series: series.label(),
+                alpha,
+                epsilon,
+                stratum,
+                l1_ratio,
+            });
         }
-        let n = trials.trials as f64;
-        rows.push(Figure1Row {
-            series: series.label(),
-            alpha,
-            epsilon,
-            stratum: "overall".to_string(),
-            l1_ratio: (acc_overall / n) / sdl_overall,
-        });
-        for (i, (class, sdl_err)) in sdl_by_stratum.iter().enumerate() {
-            if *sdl_err > 0.0 {
-                rows.push(Figure1Row {
-                    series: series.label(),
-                    alpha,
-                    epsilon,
-                    stratum: class.label().to_string(),
-                    l1_ratio: (acc_strata[i] / n) / sdl_err,
-                });
-            }
-        }
-    }
+    };
 
     // The three ER-EE mechanisms over the (α, ε) grid.
     for kind in MechanismKind::ALL {
@@ -101,21 +55,11 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure1Row> {
                     continue;
                 }
                 let params = grid_params(kind, alpha, epsilon, ExperimentContext::DELTA);
-                push_ratios(
-                    &Series::Mechanism(kind),
-                    alpha,
-                    epsilon,
-                    &mut rows,
-                    trials,
-                    truth,
-                    &strata,
-                    sdl_overall,
-                    &sdl_by_stratum,
-                    |seed| {
-                        release_cells(truth, kind, &params, seed)
-                            .expect("plottable() pre-checked validity")
-                    },
-                );
+                let ratios = baseline.ratios(trials, |seed| {
+                    release_cells(truth, kind, &params, seed)
+                        .expect("plottable() pre-checked validity")
+                });
+                push(Series::Mechanism(kind), alpha, epsilon, ratios);
             }
         }
     }
@@ -125,21 +69,11 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure1Row> {
     for &theta in &ExperimentContext::THETA_GRID {
         let tabulation = TruncatedTabulation::new(&ctx.dataset, &tabulate::workload1(), theta);
         for &epsilon in &ExperimentContext::EPSILON_GRID {
-            push_ratios(
-                &Series::TruncatedLaplace(theta),
-                0.0,
-                epsilon,
-                &mut rows,
-                trials,
-                truth,
-                &strata,
-                sdl_overall,
-                &sdl_by_stratum,
-                |seed| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    tabulation.release_counts(epsilon, &mut rng)
-                },
-            );
+            let ratios = baseline.ratios(trials, |seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                tabulation.release_counts(epsilon, &mut rng)
+            });
+            push(Series::TruncatedLaplace(theta), 0.0, epsilon, ratios);
         }
     }
 

@@ -3,8 +3,7 @@
 //! SDL system's published counts (Ranking 1), overall and by place-size
 //! stratum, plus the Truncated Laplace series.
 
-use super::{grid_params, plottable, release_cells, Series};
-use crate::metrics::spearman;
+use super::{grid_params, plottable, release_cells, RankingBaseline, Series};
 use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
@@ -12,10 +11,8 @@ use graphdp::TruncatedTabulation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use tabulate::{stratify_by_place_size, CellKey};
 
 /// One plotted point of Figure 2.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,74 +29,22 @@ pub struct Figure2Row {
     pub spearman: f64,
 }
 
-fn correlation_for(
-    sdl: &BTreeMap<CellKey, f64>,
-    ours: &BTreeMap<CellKey, f64>,
-    keys: &[CellKey],
-) -> Option<f64> {
-    let a: Vec<f64> = keys
-        .iter()
-        .map(|k| sdl.get(k).copied().unwrap_or(0.0))
-        .collect();
-    let b: Vec<f64> = keys
-        .iter()
-        .map(|k| ours.get(k).copied().unwrap_or(0.0))
-        .collect();
-    spearman(&a, &b)
-}
-
 /// Run the Figure 2 experiment.
 pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure2Row> {
     let truth = &ctx.sdl_w1.truth;
-    let strata = stratify_by_place_size(truth, &ctx.dataset);
-    let all_keys: Vec<CellKey> = truth.iter().map(|(k, _)| k).collect();
-
-    let mut panels: Vec<(String, Vec<CellKey>)> = vec![("overall".to_string(), all_keys)];
-    for (class, keys) in &strata {
-        if keys.len() >= 3 {
-            panels.push((class.label().to_string(), keys.clone()));
-        }
-    }
-
+    let baseline = RankingBaseline::new(truth, &ctx.sdl_w1.published, &ctx.dataset);
     let mut rows = Vec::new();
-    // Average per-trial Spearman correlations for one series point and
-    // append the resulting rows.
-    #[allow(clippy::too_many_arguments)]
-    fn push_correlations<F>(
-        series: &Series,
-        alpha: f64,
-        epsilon: f64,
-        rows: &mut Vec<Figure2Row>,
-        trials: &TrialSpec,
-        sdl: &BTreeMap<CellKey, f64>,
-        panels: &[(String, Vec<CellKey>)],
-        mut release: F,
-    ) where
-        F: FnMut(u64) -> BTreeMap<CellKey, f64>,
-    {
-        let mut acc = vec![0.0; panels.len()];
-        let mut counts = vec![0usize; panels.len()];
-        for t in 0..trials.trials {
-            let published = release(trials.seed(t));
-            for (i, (_, keys)) in panels.iter().enumerate() {
-                if let Some(rho) = correlation_for(sdl, &published, keys) {
-                    acc[i] += rho;
-                    counts[i] += 1;
-                }
-            }
+    let mut push = |series: Series, alpha: f64, epsilon: f64, correlations: Vec<(String, f64)>| {
+        for (stratum, spearman) in correlations {
+            rows.push(Figure2Row {
+                series: series.label(),
+                alpha,
+                epsilon,
+                stratum,
+                spearman,
+            });
         }
-        for (i, (label, _)) in panels.iter().enumerate() {
-            if counts[i] > 0 {
-                rows.push(Figure2Row {
-                    series: series.label(),
-                    alpha,
-                    epsilon,
-                    stratum: label.clone(),
-                    spearman: acc[i] / counts[i] as f64,
-                });
-            }
-        }
-    }
+    };
 
     for kind in MechanismKind::ALL {
         for &alpha in &ExperimentContext::ALPHA_GRID {
@@ -108,19 +53,11 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure2Row> {
                     continue;
                 }
                 let params = grid_params(kind, alpha, epsilon, ExperimentContext::DELTA);
-                push_correlations(
-                    &Series::Mechanism(kind),
-                    alpha,
-                    epsilon,
-                    &mut rows,
-                    trials,
-                    &ctx.sdl_w1.published,
-                    &panels,
-                    |seed| {
-                        release_cells(truth, kind, &params, seed)
-                            .expect("plottable() pre-checked validity")
-                    },
-                );
+                let correlations = baseline.correlations(trials, |seed| {
+                    release_cells(truth, kind, &params, seed)
+                        .expect("plottable() pre-checked validity")
+                });
+                push(Series::Mechanism(kind), alpha, epsilon, correlations);
             }
         }
     }
@@ -128,19 +65,11 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure2Row> {
     for &theta in &ExperimentContext::THETA_GRID {
         let tabulation = TruncatedTabulation::new(&ctx.dataset, &tabulate::workload1(), theta);
         for &epsilon in &ExperimentContext::EPSILON_GRID {
-            push_correlations(
-                &Series::TruncatedLaplace(theta),
-                0.0,
-                epsilon,
-                &mut rows,
-                trials,
-                &ctx.sdl_w1.published,
-                &panels,
-                |seed| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    tabulation.release_counts(epsilon, &mut rng)
-                },
-            );
+            let correlations = baseline.correlations(trials, |seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                tabulation.release_counts(epsilon, &mut rng)
+            });
+            push(Series::TruncatedLaplace(theta), 0.0, epsilon, correlations);
         }
     }
 

@@ -7,16 +7,13 @@
 //! (α,ε)-ER-EE privacy — so the mechanism is instantiated at the full
 //! per-query ε, with no sequential-composition multiplier.
 
-use super::{grid_params, plottable, release_cells, Series};
-use crate::metrics::{l1_error, l1_error_over};
+use super::{grid_params, plottable, release_cells, L1Baseline, Series};
 use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
-use lodes::PlaceSizeClass;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
-use tabulate::stratify_by_place_size;
 
 /// One plotted point of Figure 3.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -36,14 +33,7 @@ pub struct Figure3Row {
 /// Run the Figure 3 experiment.
 pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure3Row> {
     let truth = &ctx.sdl_w3.truth;
-    let strata = stratify_by_place_size(truth, &ctx.dataset);
-
-    let sdl_overall = l1_error(truth, &ctx.sdl_w3.published);
-    let sdl_by_stratum: Vec<(PlaceSizeClass, f64)> = strata
-        .iter()
-        .map(|(&class, keys)| (class, l1_error_over(truth, &ctx.sdl_w3.published, keys)))
-        .collect();
-
+    let baseline = L1Baseline::new(&ctx.sdl_w3, &ctx.dataset);
     let mut rows = Vec::new();
     for kind in MechanismKind::ALL {
         for &alpha in &ExperimentContext::ALPHA_GRID {
@@ -52,35 +42,18 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure3Row> {
                     continue;
                 }
                 let params = grid_params(kind, alpha, epsilon, ExperimentContext::DELTA);
-                let mut acc_overall = 0.0;
-                let mut acc_strata = vec![0.0; sdl_by_stratum.len()];
-                for t in 0..trials.trials {
-                    let published = release_cells(truth, kind, &params, trials.seed(t))
-                        .expect("plottable() pre-checked validity");
-                    acc_overall += l1_error(truth, &published);
-                    for (i, (class, _)) in sdl_by_stratum.iter().enumerate() {
-                        acc_strata[i] += l1_error_over(truth, &published, &strata[class]);
-                    }
-                }
-                let n = trials.trials as f64;
-                let series = Series::Mechanism(kind);
-                rows.push(Figure3Row {
-                    series: series.label(),
-                    alpha,
-                    epsilon,
-                    stratum: "overall".to_string(),
-                    l1_ratio: (acc_overall / n) / sdl_overall,
+                let ratios = baseline.ratios(trials, |seed| {
+                    release_cells(truth, kind, &params, seed)
+                        .expect("plottable() pre-checked validity")
                 });
-                for (i, (class, sdl_err)) in sdl_by_stratum.iter().enumerate() {
-                    if *sdl_err > 0.0 {
-                        rows.push(Figure3Row {
-                            series: series.label(),
-                            alpha,
-                            epsilon,
-                            stratum: class.label().to_string(),
-                            l1_ratio: (acc_strata[i] / n) / sdl_err,
-                        });
-                    }
+                for (stratum, l1_ratio) in ratios {
+                    rows.push(Figure3Row {
+                        series: Series::Mechanism(kind).label(),
+                        alpha,
+                        epsilon,
+                        stratum,
+                        l1_ratio,
+                    });
                 }
             }
         }

@@ -7,17 +7,15 @@
 //! privacy; each cell is a single query at the full per-query ε, and the
 //! cells parallel-compose across establishments (Thm 7.4).
 
-use super::{grid_params, plottable, release_cells, Series};
-use crate::metrics::spearman;
+use super::{grid_params, plottable, release_cells, RankingBaseline, Series};
 use crate::report::{write_pivoted, Point};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::MechanismKind;
 use sdl::{SdlConfig, SdlPublisher};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use tabulate::{ranking2_expr, stratify_by_place_size, workload1, CellKey, Kernel};
+use tabulate::{ranking2_expr, workload1, Kernel};
 
 /// One plotted point of Figure 5.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,14 +51,7 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure5Row> {
         &filter,
     );
 
-    let strata = stratify_by_place_size(&truth, &ctx.dataset);
-    let all_keys: Vec<CellKey> = truth.iter().map(|(k, _)| k).collect();
-    let mut panels: Vec<(String, Vec<CellKey>)> = vec![("overall".to_string(), all_keys)];
-    for (class, keys) in &strata {
-        if keys.len() >= 3 {
-            panels.push((class.label().to_string(), keys.clone()));
-        }
-    }
+    let baseline = RankingBaseline::new(&truth, &sdl.published, &ctx.dataset);
 
     let mut rows = Vec::new();
     for kind in MechanismKind::ALL {
@@ -70,38 +61,18 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure5Row> {
                     continue;
                 }
                 let params = grid_params(kind, alpha, epsilon, ExperimentContext::DELTA);
-                let mut acc = vec![0.0; panels.len()];
-                let mut counts = vec![0usize; panels.len()];
-                for t in 0..trials.trials {
-                    let published: BTreeMap<CellKey, f64> =
-                        release_cells(&truth, kind, &params, trials.seed(t))
-                            .expect("plottable() pre-checked validity");
-                    for (i, (_, keys)) in panels.iter().enumerate() {
-                        let a: Vec<f64> = keys
-                            .iter()
-                            .map(|k| sdl.published.get(k).copied().unwrap_or(0.0))
-                            .collect();
-                        let b: Vec<f64> = keys
-                            .iter()
-                            .map(|k| published.get(k).copied().unwrap_or(0.0))
-                            .collect();
-                        if let Some(rho) = spearman(&a, &b) {
-                            acc[i] += rho;
-                            counts[i] += 1;
-                        }
-                    }
-                }
-                let series = Series::Mechanism(kind);
-                for (i, (label, _)) in panels.iter().enumerate() {
-                    if counts[i] > 0 {
-                        rows.push(Figure5Row {
-                            series: series.label(),
-                            alpha,
-                            epsilon,
-                            stratum: label.clone(),
-                            spearman: acc[i] / counts[i] as f64,
-                        });
-                    }
+                let correlations = baseline.correlations(trials, |seed| {
+                    release_cells(&truth, kind, &params, seed)
+                        .expect("plottable() pre-checked validity")
+                });
+                for (stratum, spearman) in correlations {
+                    rows.push(Figure5Row {
+                        series: Series::Mechanism(kind).label(),
+                        alpha,
+                        epsilon,
+                        stratum,
+                        spearman,
+                    });
                 }
             }
         }

@@ -27,14 +27,17 @@ pub mod flows;
 pub mod table1;
 pub mod table2;
 
+use crate::metrics::{l1_error, l1_error_over, spearman};
 use crate::runner::{ExperimentContext, TrialSpec};
 use eree_core::engine::{ArtifactPayload, FlowRelease, ReleaseEngine, ReleaseRequest, TruthSource};
 use eree_core::{Ledger, MechanismKind, PrivacyParams};
+use lodes::Dataset;
+use sdl::SdlRelease;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use tabulate::{CellKey, FlowMarginal, Marginal};
+use tabulate::{stratify_by_place_size, CellKey, FlowMarginal, Marginal};
 
 /// Write every exhibit under `dir` through its module's `write`.
 pub fn write_all(ctx: &ExperimentContext, trials: &TrialSpec, dir: &Path) -> io::Result<()> {
@@ -66,6 +69,120 @@ impl Series {
             Series::Mechanism(kind) => kind.label().to_string(),
             Series::TruncatedLaplace(theta) => format!("Truncated Laplace (theta={theta})"),
         }
+    }
+}
+
+/// The SDL baseline of an L1-error-ratio figure (Figures 1, 3 and 4): the
+/// SDL release's total L1 error on every cell of its marginal and on each
+/// place-size stratum, the denominators of the plotted ratios.
+pub struct L1Baseline<'a> {
+    truth: &'a Marginal,
+    overall: f64,
+    /// Per stratum: its label, its cells and the SDL release's L1 error
+    /// on them.
+    strata: Vec<(&'static str, Vec<CellKey>, f64)>,
+}
+
+impl<'a> L1Baseline<'a> {
+    /// The baseline of `sdl`, stratified by the place sizes of `dataset`.
+    pub fn new(sdl: &'a SdlRelease, dataset: &Dataset) -> Self {
+        let truth = &sdl.truth;
+        let strata = stratify_by_place_size(truth, dataset)
+            .into_iter()
+            .map(|(class, keys)| {
+                let sdl_err = l1_error_over(truth, &sdl.published, &keys);
+                (class.label(), keys, sdl_err)
+            })
+            .collect();
+        Self {
+            truth,
+            overall: l1_error(truth, &sdl.published),
+            strata,
+        }
+    }
+
+    /// Average the total L1 error of `release` (called once per trial
+    /// seed) overall and on each stratum, and divide each average by the
+    /// SDL release's: `("overall", ratio)`, then `(stratum, ratio)` for
+    /// every stratum on which the SDL release has any error.
+    pub fn ratios<F>(&self, trials: &TrialSpec, mut release: F) -> Vec<(String, f64)>
+    where
+        F: FnMut(u64) -> BTreeMap<CellKey, f64>,
+    {
+        let mut acc_overall = 0.0;
+        let mut acc_strata = vec![0.0; self.strata.len()];
+        for t in 0..trials.trials {
+            let published = release(trials.seed(t));
+            acc_overall += l1_error(self.truth, &published);
+            for (acc, (_, keys, _)) in acc_strata.iter_mut().zip(&self.strata) {
+                *acc += l1_error_over(self.truth, &published, keys);
+            }
+        }
+        let n = trials.trials as f64;
+        let mut ratios = vec![("overall".to_string(), (acc_overall / n) / self.overall)];
+        for (acc, (label, _, sdl_err)) in acc_strata.iter().zip(&self.strata) {
+            if *sdl_err > 0.0 {
+                ratios.push((label.to_string(), (acc / n) / sdl_err));
+            }
+        }
+        ratios
+    }
+}
+
+/// The SDL ordering a ranking figure (Figures 2 and 5) compares against:
+/// the SDL release's published counts, and the panels they are ranked
+/// over — every cell (`"overall"`), then each place-size stratum with at
+/// least 3 cells.
+pub struct RankingBaseline<'a> {
+    sdl: &'a BTreeMap<CellKey, f64>,
+    panels: Vec<(String, Vec<CellKey>)>,
+}
+
+impl<'a> RankingBaseline<'a> {
+    /// The SDL ordering `sdl` of `truth`'s cells, stratified by the place
+    /// sizes of `dataset`.
+    pub fn new(truth: &Marginal, sdl: &'a BTreeMap<CellKey, f64>, dataset: &Dataset) -> Self {
+        let mut panels = vec![(
+            "overall".to_string(),
+            truth.iter().map(|(k, _)| k).collect(),
+        )];
+        for (class, keys) in stratify_by_place_size(truth, dataset) {
+            if keys.len() >= 3 {
+                panels.push((class.label().to_string(), keys));
+            }
+        }
+        Self { sdl, panels }
+    }
+
+    /// Average the Spearman correlation between `release` (called once per
+    /// trial seed) and the SDL ordering on each panel: `(panel, mean ρ)`
+    /// for every panel with at least one defined correlation.
+    pub fn correlations<F>(&self, trials: &TrialSpec, mut release: F) -> Vec<(String, f64)>
+    where
+        F: FnMut(u64) -> BTreeMap<CellKey, f64>,
+    {
+        let mut acc = vec![0.0; self.panels.len()];
+        let mut counts = vec![0usize; self.panels.len()];
+        for t in 0..trials.trials {
+            let published = release(trials.seed(t));
+            for (i, (_, keys)) in self.panels.iter().enumerate() {
+                let counts_of = |cells: &BTreeMap<CellKey, f64>| -> Vec<f64> {
+                    keys.iter()
+                        .map(|k| cells.get(k).copied().unwrap_or(0.0))
+                        .collect()
+                };
+                if let Some(rho) = spearman(&counts_of(self.sdl), &counts_of(&published)) {
+                    acc[i] += rho;
+                    counts[i] += 1;
+                }
+            }
+        }
+        self.panels
+            .iter()
+            .zip(acc.iter().zip(&counts))
+            .filter(|(_, (_, &count))| count > 0)
+            .map(|((label, _), (acc, &count))| (label.clone(), acc / count as f64))
+            .collect()
     }
 }
 

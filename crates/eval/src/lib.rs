@@ -23,7 +23,9 @@
 //!
 //! Scale control: the `EREE_SCALE` environment variable selects the
 //! synthetic universe (`small` ≈ 2 k establishments for smoke runs,
-//! `default` ≈ 60 k, `paper` ≈ 527 k matching the paper's sample).
+//! `default` ≈ 60 k, `paper` ≈ 527 k matching the paper's sample). Unset
+//! means `default`; any other value stops the binary with a message
+//! naming it ([`EvalScale::from_env`]).
 
 pub mod experiments;
 pub mod metrics;

@@ -24,14 +24,29 @@ pub enum EvalScale {
 }
 
 impl EvalScale {
-    /// Read from the `EREE_SCALE` environment variable
-    /// (`small`/`default`/`paper`), defaulting to `Default`.
-    pub fn from_env() -> Self {
-        match std::env::var("EREE_SCALE").as_deref() {
-            Ok("small") => EvalScale::Small,
-            Ok("paper") => EvalScale::Paper,
-            _ => EvalScale::Default,
+    /// The scale a value of `EREE_SCALE` names: `small`, `default` or
+    /// `paper`, and `Default` when it is unset (`None`). Any other value
+    /// is refused with a message naming it and the three accepted ones.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("default") => Ok(EvalScale::Default),
+            Some("small") => Ok(EvalScale::Small),
+            Some("paper") => Ok(EvalScale::Paper),
+            Some(other) => Err(format!(
+                "EREE_SCALE={other:?} is not a scale: use small, default or paper"
+            )),
         }
+    }
+
+    /// Read from the `EREE_SCALE` environment variable (see
+    /// [`parse`](Self::parse)). A value it refuses stops the process
+    /// with that message and exit status 2.
+    pub fn from_env() -> Self {
+        let value = std::env::var_os("EREE_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Self::parse(value.as_deref()).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
     }
 
     /// Generator configuration for this scale.
@@ -188,5 +203,18 @@ mod tests {
         // Not setting the variable in tests: default expected.
         std::env::remove_var("EREE_SCALE");
         assert_eq!(EvalScale::from_env(), EvalScale::Default);
+    }
+
+    #[test]
+    fn only_the_three_scale_names_are_accepted() {
+        assert_eq!(EvalScale::parse(None), Ok(EvalScale::Default));
+        assert_eq!(EvalScale::parse(Some("small")), Ok(EvalScale::Small));
+        assert_eq!(EvalScale::parse(Some("default")), Ok(EvalScale::Default));
+        assert_eq!(EvalScale::parse(Some("paper")), Ok(EvalScale::Paper));
+        for value in ["Small", "SMALL", "", "tiny", "paper "] {
+            let refused = EvalScale::parse(Some(value)).unwrap_err();
+            assert!(refused.contains(&format!("{value:?}")), "{refused}");
+            assert!(refused.contains("small, default or paper"), "{refused}");
+        }
     }
 }

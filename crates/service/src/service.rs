@@ -22,9 +22,9 @@
 //! # Concurrency model
 //!
 //! Every season gets exactly one **worker thread** owning its
-//! [`SeasonStore`] — and with it the season's on-disk write lease — until
-//! service shutdown or (with [`ServiceConfig::idle_timeout`] set) until
-//! the season has gone idle, at which point the worker retires and
+//! [`SeasonStore`] — and with it the season directory's write lease —
+//! until service shutdown or (with [`ServiceConfig::idle_timeout`] set)
+//! until the season has gone idle, at which point the worker retires and
 //! releases the lease; the next submission respawns it. Submissions to
 //! one season serialize through its worker's queue (season ledgers are
 //! strictly ordered objects; there is no correct concurrent charge),

@@ -62,9 +62,7 @@ fn concurrent_tenants_share_one_agency_under_the_cap() {
     // While the service runs, the agency directory is write-leased: a
     // second writer (library or service) is refused with a clear error.
     match AgencyStore::open(&dir) {
-        Err(StoreError::Locked { holder_pid, .. }) => {
-            assert_eq!(holder_pid, std::process::id(), "lease names the holder")
-        }
+        Err(StoreError::Locked { path }) => assert_eq!(path, dir, "refusal names the directory"),
         other => panic!("second writer must be refused, got {other:?}"),
     }
 

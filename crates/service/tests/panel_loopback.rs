@@ -9,7 +9,7 @@ use eree_core::agency::AgencyStore;
 use eree_core::definitions::PrivacyParams;
 use eree_core::engine::RequestKind;
 use eree_core::mechanisms::MechanismKind;
-use eree_core::store::dataset_digest;
+use eree_core::store::{dataset_digest, SeasonStore};
 use eree_core::StoreError;
 use eree_service::{
     Client, ClientError, ReleaseService, ReleaseSubmission, ServiceConfig, ServiceError,
@@ -240,15 +240,18 @@ fn idle_season_workers_retire_and_release_their_leases() {
     assert_eq!(live.metrics.caches.public_hits, 1);
 
     // Idle long enough and the worker retires, dropping the season store
-    // and with it the season's on-disk write lease.
-    let lease = dir.join("seasons").join("s").join("season.lock");
-    assert!(lease.exists(), "live worker holds the season lease");
+    // and with it the season directory's write lease.
+    let season_dir = dir.join("seasons").join("s");
+    assert!(
+        matches!(SeasonStore::open(&season_dir), Err(StoreError::Locked { path }) if path == season_dir),
+        "live worker holds the season lease"
+    );
     let deadline = Instant::now() + WAIT;
     while service.live_workers() > 0 {
         assert!(Instant::now() < deadline, "worker never retired");
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(!lease.exists(), "retirement releases the season lease");
+    drop(SeasonStore::open(&season_dir).expect("retirement releases the season lease"));
 
     // The audit view stays exact while the season has no worker, and its
     // counters are cumulative: they do not drop when the worker that
