@@ -1,9 +1,10 @@
 //! Sequential vs parallel `ReleaseEngine::execute_all` on a
-//! workload-sized batch: the engine's cross-request parallelism is the
-//! production scaling lever, and the outputs are bit-identical at any
-//! thread count, so this bench measures pure speedup. (On a single-core
-//! machine the two series read as parity — the parallel path degrades to
-//! sequential chunking, never worse.)
+//! workload-sized Small-scale batch. A batch is `execute` on each request
+//! in order over one `TabulationCache`, so the parallel series measures
+//! only the parallelism inside one release (tabulation shards, per-cell
+//! noise); the release service scales across seasons, one worker thread
+//! each. Outputs are bit-identical at any thread count. (On a single-core
+//! machine the two series read as parity.)
 
 use bench::bench_context;
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -20,10 +20,11 @@
 //!   remaining budget *before* any tabulation or sampling happens; a
 //!   rejected request consumes nothing. [`ReleaseEngine::execute`] admits
 //!   one release against a [`TruthSource`] — a [`Snapshot`] tabulated
-//!   through a [`TabulationCache`], or an already tabulated truth;
-//!   [`ReleaseEngine::execute_all`] runs a whole workload batch under the
-//!   same ledger (sequential composition, Thm 7.3), parallelizing
-//!   tabulation across requests and noising across cells.
+//!   through a [`TabulationCache`], or an already tabulated truth — and
+//!   parallelizes its tabulation across shards and its noising across
+//!   cells; [`ReleaseEngine::execute_all`] is `execute` over a whole
+//!   workload batch and one cache, in request order, under the same
+//!   ledger (sequential composition, Thm 7.3).
 //! * [`ReleaseArtifact`] — the durable, serde-serializable output:
 //!   published cells (or shapes), the neighbor regime, the
 //!   [`ReleaseCost`] charged, the mechanism name, the seed and request
@@ -37,14 +38,13 @@
 //!
 //! Tabulation runs on a columnar employer-grouped
 //! [`DatasetIndex`] — built **once per
-//! dataset**: `execute_all` builds it per batch, [`TabulationCache`]
-//! (used by `SeasonStore::{run, admit}`) builds it on its first
-//! tabulation and holds it for a whole season, in a slot several caches
-//! of one dataset can share.
-//! Within a batch or cache, each distinct `(MarginalSpec, normalized filter)` is
-//! tabulated once (the [`FilterId`] digest is the filter's compact
-//! fingerprint), so structurally equal expressions share even when
-//! constructed independently.
+//! dataset**: a [`TabulationCache`] (one per `execute_all` batch, one per
+//! season in `SeasonStore::{run, admit}`) builds it on its first
+//! tabulation and holds it, in a slot several caches of one dataset can
+//! share. Within a cache, each distinct `(MarginalSpec, normalized
+//! filter)` is tabulated once (the [`FilterId`] digest is the filter's
+//! compact fingerprint), so structurally equal expressions share even
+//! when constructed independently.
 //!
 //! ```
 //! use eree_core::engine::{ReleaseEngine, ReleaseRequest};
@@ -509,7 +509,8 @@ impl ReleaseArtifact {
     }
 }
 
-/// Execution order for batches and per-cell noising.
+/// Fewest cells (or shape groups) a release noises on more than one
+/// thread.
 const MIN_PARALLEL_CELLS: usize = 512;
 
 /// One confidential snapshot, as every admission layer hands it down: the
@@ -652,10 +653,9 @@ enum TabulationSource {
 /// share one CSR index of the dataset, built by the first request that
 /// misses both the memory tier and the truth store, so a cache that only
 /// ever serves stored truths never builds one.
-/// The cache is owned by the *caller* (or created per
-/// [`ReleaseEngine::execute_all`] batch) rather than stored inside the
-/// engine, because cached truths (and the index) are only valid for one
-/// dataset.
+/// The cache is owned by the *caller* ([`ReleaseEngine::execute_all`]
+/// makes one per batch) rather than stored inside the engine, because
+/// cached truths (and the index) are only valid for one dataset.
 ///
 /// A cache serves exactly one [`Snapshot`]: it remembers the digest of
 /// its truth store's pin (or of the first snapshot it tabulates), plus
@@ -904,9 +904,9 @@ impl ReleaseEngine {
     }
 
     /// Lifetime tabulation-cache counters: how many truths were actually
-    /// computed vs served from a cache, across every tabulating call on
-    /// this engine — [`execute_all`](Self::execute_all) batches and
-    /// [`execute`](Self::execute) over [`TruthSource::Tabulate`].
+    /// computed vs served from a cache, across every
+    /// [`execute`](Self::execute) over [`TruthSource::Tabulate`] on this
+    /// engine ([`execute_all`](Self::execute_all) batches included).
     pub fn tabulation_stats(&self) -> TabulationStats {
         self.tab_stats
     }
@@ -999,140 +999,35 @@ impl ReleaseEngine {
             TruthSource::Marginal(truth) => Truth::Level(truth),
             TruthSource::Flows(truth) => Truth::Flows(truth),
         };
-        self.charge(request, &plan)
+        self.ledger
+            .charge(request.description(), &plan.per_cell, &plan.cost)
             .expect("dry-run admitted this charge on identical ledger state");
-        Ok(self.sample(truth, request, &plan, self.threads))
+        Ok(self.sample(truth, request, &plan))
     }
 
-    /// Execute a whole workload batch under this engine's single ledger.
+    /// Execute a whole workload batch under this engine's single ledger:
+    /// [`execute`](Self::execute) on each request in order, tabulating
+    /// `dataset` through one [`TabulationCache`], so requests sharing a
+    /// `(spec, filter)` share one tabulation.
     ///
     /// Budget accounting is strictly sequential in request order
-    /// (sequential composition, Thm 7.3): each request is validated and
-    /// charged before the next, and a rejected request consumes nothing —
-    /// later requests still run if they fit the remaining budget.
-    /// Execution of the admitted requests (tabulation + noising) is
-    /// parallelized across requests; artifacts are returned in request
-    /// order and are bit-identical to sequential execution. Flow requests
-    /// need a before quarter a batch does not carry, so they are refused.
+    /// (sequential composition, Thm 7.3): a refused request consumes
+    /// nothing, and later requests still run if they fit the remaining
+    /// budget. Flow requests need a before quarter a batch does not
+    /// carry, so they are refused.
     pub fn execute_all(
         &mut self,
         dataset: &Dataset,
         requests: &[ReleaseRequest],
     ) -> Vec<Result<ReleaseArtifact, EngineError>> {
-        // Phase 1 (sequential): validate + charge in order. Admissions and
-        // denials are recorded per request; batch latency is not broken
-        // out per release (the histograms cover single-release paths).
-        let admitted: Vec<Result<ReleasePlan, EngineError>> = requests
+        let (data, mut cache) = (Snapshot::of(dataset), TabulationCache::new());
+        requests
             .iter()
             .map(|request| {
-                let outcome = (|| {
-                    if request.kind == RequestKind::Flows {
-                        return Err(EngineError::Flow {
-                            detail: "flow requests tabulate a (before, after) pair — execute \
-                                     them against a Snapshot that carries its before quarter",
-                        });
-                    }
-                    let plan = request.plan()?;
-                    self.charge(request, &plan)?;
-                    Ok(plan)
-                })();
-                if let Some(registry) = &self.metrics {
-                    let family = registry.family(request.kind());
-                    match &outcome {
-                        Ok(plan) => family.record_accepted(plan.cost.epsilon, plan.cost.delta),
-                        Err(error) => family.record_denied(denial_reason(error)),
-                    }
-                }
-                outcome
-            })
-            .collect();
-        // Phase 2 (parallel): run admitted requests. Leftover threads are
-        // shared out to each request's per-cell noising, so a batch of one
-        // big marginal parallelizes as well as a single `execute` call.
-        let jobs: Vec<(usize, &ReleaseRequest, ReleasePlan)> = admitted
-            .iter()
-            .enumerate()
-            .filter_map(|(i, outcome)| outcome.as_ref().ok().map(|plan| (i, &requests[i], *plan)))
-            .collect();
-        // Tabulate each distinct (spec, filter identity) exactly once over
-        // a single shared columnar index of the dataset, in parallel
-        // across the distinct keys (leftover threads shard each
-        // tabulation's establishment loop); requests sharing a marginal
-        // then sample from the shared truth. Keys (which clone and
-        // normalize the filter expression) are computed once per job.
-        let job_keys: Vec<TabulationKey> = jobs
-            .iter()
-            .map(|(_, request, _)| tabulation_key(request))
-            .collect();
-        let mut key_index: BTreeMap<&TabulationKey, usize> = BTreeMap::new();
-        let mut distinct: Vec<&ReleaseRequest> = Vec::new();
-        for ((_, request, _), key) in jobs.iter().zip(&job_keys) {
-            key_index.entry(key).or_insert_with(|| {
-                distinct.push(request);
-                distinct.len() - 1
-            });
-        }
-        let index = if distinct.is_empty() {
-            None
-        } else {
-            Some(DatasetIndex::build_auto(dataset))
-        };
-        let tab_inner = (self.threads / distinct.len().max(1)).max(1);
-        let truths: Vec<Arc<Marginal>> = par_map(
-            &distinct,
-            self.threads.min(distinct.len().max(1)),
-            |request| {
-                let index = index.as_ref().expect("index built for nonempty batch");
-                Arc::new(index.marginal(
-                    &request.spec,
-                    request.filter.as_ref(),
-                    index.effective_shards(tab_inner),
-                    Kernel::Auto,
-                ))
-            },
-        );
-        self.tab_stats.computed += distinct.len() as u64;
-        self.tab_stats.hits += (jobs.len() - distinct.len()) as u64;
-        if let Some(registry) = &self.metrics {
-            registry.caches.truth_computed.add(distinct.len() as u64);
-            registry
-                .caches
-                .truth_memory_hits
-                .add((jobs.len() - distinct.len()) as u64);
-        }
-        let tasks: Vec<(usize, &ReleaseRequest, ReleasePlan, Arc<Marginal>)> = jobs
-            .iter()
-            .zip(&job_keys)
-            .map(|(&(i, request, plan), key)| {
-                let truth = Arc::clone(&truths[key_index[key]]);
-                (i, request, plan, truth)
-            })
-            .collect();
-        let inner_threads = (self.threads / tasks.len().max(1)).max(1);
-        let artifacts = par_map(
-            &tasks,
-            self.threads.min(tasks.len().max(1)),
-            |(_, request, plan, truth)| {
-                self.sample(Truth::Level(truth), request, plan, inner_threads)
-            },
-        );
-        let mut by_index: BTreeMap<usize, ReleaseArtifact> =
-            jobs.iter().map(|(i, _, _)| *i).zip(artifacts).collect();
-        admitted
-            .into_iter()
-            .enumerate()
-            .map(|(i, outcome)| {
-                outcome.map(|_| by_index.remove(&i).expect("artifact for admitted request"))
+                let cache = &mut cache;
+                self.execute(request, TruthSource::Tabulate { data, cache })
             })
             .collect()
-    }
-
-    fn charge(&mut self, request: &ReleaseRequest, plan: &ReleasePlan) -> Result<(), EngineError> {
-        // The ledger re-checks budget arithmetic and α-consistency; it
-        // mutates nothing when it refuses.
-        self.ledger
-            .charge(request.description(), &plan.per_cell, &plan.cost)?;
-        Ok(())
     }
 
     /// Count one cached-tabulation source, mirrored into both the
@@ -1160,13 +1055,12 @@ impl ReleaseEngine {
         truth: Truth<'_>,
         request: &ReleaseRequest,
         plan: &ReleasePlan,
-        threads: usize,
     ) -> ReleaseArtifact {
         let mechanism = plan
             .mechanism
             .build(&plan.per_cell)
             .expect("plan() validated mechanism parameters");
-        let (seed, integerize) = (request.seed, request.integerize);
+        let (seed, integerize, threads) = (request.seed, request.integerize, self.threads);
         let payload = match truth {
             Truth::Level(truth) if request.kind == RequestKind::Shapes => ArtifactPayload::Shapes(
                 sample_shapes(truth, &*mechanism, seed, integerize, threads),
@@ -1647,6 +1541,136 @@ mod tests {
         let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 2.0)).with_parallelism(8);
         let single = engine.execute_on(&d, &requests[0]).unwrap();
         assert_eq!(&single, sequential[0].as_ref().unwrap());
+    }
+
+    /// A batch is [`ReleaseEngine::execute`] over one cache, request by
+    /// request: the same artifacts, ledger, tabulation counts, refusals
+    /// and metrics — one latency observation per admitted release
+    /// included.
+    #[test]
+    fn execute_all_is_execute_over_one_cache() {
+        let d = dataset();
+        let batch = [
+            ReleaseRequest::marginal(workload1())
+                .mechanism(MechanismKind::SmoothGamma)
+                .budget(PrivacyParams::pure(0.1, 2.0))
+                .seed(1),
+            // Shares the first request's marginal.
+            ReleaseRequest::marginal(workload1())
+                .mechanism(MechanismKind::LogLaplace)
+                .budget(PrivacyParams::pure(0.1, 1.0))
+                .seed(2),
+            ReleaseRequest::marginal(workload3())
+                .mechanism(MechanismKind::LogLaplace)
+                .budget(PrivacyParams::pure(0.1, 8.0))
+                .seed(3),
+            ReleaseRequest::shapes(workload3())
+                .mechanism(MechanismKind::SmoothLaplace)
+                .budget(PrivacyParams::approximate(0.1, 16.0, 0.05))
+                .seed(4),
+            // More than the 3.0 left: refused, nothing spent.
+            ReleaseRequest::marginal(workload1())
+                .mechanism(MechanismKind::SmoothGamma)
+                .budget(PrivacyParams::pure(0.1, 50.0))
+                .seed(5),
+            // A batch carries no before quarter.
+            flow_request(),
+        ];
+        let engine = |registry: &Arc<MetricsRegistry>| {
+            ReleaseEngine::new(PrivacyParams::approximate(0.1, 30.0, 0.1))
+                .with_metrics(Arc::clone(registry))
+        };
+        let (batch_metrics, loop_metrics) = (
+            Arc::new(MetricsRegistry::new()),
+            Arc::new(MetricsRegistry::new()),
+        );
+        let mut batched = engine(&batch_metrics);
+        let batch_outcomes = batched.execute_all(&d, &batch);
+        let mut looped = engine(&loop_metrics);
+        let mut cache = TabulationCache::new();
+        let data = Snapshot::of(&d);
+        let loop_outcomes: Vec<_> = batch
+            .iter()
+            .map(|request| {
+                looped.execute(
+                    request,
+                    TruthSource::Tabulate {
+                        data,
+                        cache: &mut cache,
+                    },
+                )
+            })
+            .collect();
+
+        // The same artifacts and the same refusals (by kind: a refusal's
+        // text may word the path it came through).
+        type Outcome<'a> = Result<&'a ReleaseArtifact, std::mem::Discriminant<EngineError>>;
+        fn outcomes(outcomes: &[Result<ReleaseArtifact, EngineError>]) -> Vec<Outcome<'_>> {
+            outcomes
+                .iter()
+                .map(|o| o.as_ref().map_err(std::mem::discriminant))
+                .collect()
+        }
+        assert_eq!(outcomes(&batch_outcomes), outcomes(&loop_outcomes));
+        assert_eq!(
+            batch_outcomes.iter().map(Result::is_ok).collect::<Vec<_>>(),
+            [true, true, true, true, false, false]
+        );
+        assert!(matches!(
+            batch_outcomes[4],
+            Err(EngineError::Budget(
+                crate::accountant::LedgerError::EpsilonExhausted { .. }
+            ))
+        ));
+        assert!(matches!(batch_outcomes[5], Err(EngineError::Flow { .. })));
+        let entries = |engine: &ReleaseEngine| -> Vec<(String, f64, f64)> {
+            engine
+                .ledger()
+                .entries()
+                .iter()
+                .map(|e| (e.description.clone(), e.epsilon, e.delta))
+                .collect()
+        };
+        assert_eq!(entries(&batched), entries(&looped));
+        assert_eq!(entries(&batched).len(), 4);
+        assert_eq!(batched.tabulation_stats(), looped.tabulation_stats());
+        assert_eq!(
+            batched.tabulation_stats(),
+            TabulationStats {
+                computed: 2,
+                hits: 2,
+                disk_hits: 0,
+            }
+        );
+
+        let (batch_snapshot, loop_snapshot) = (batch_metrics.snapshot(), loop_metrics.snapshot());
+        assert_eq!(batch_snapshot.caches, loop_snapshot.caches);
+        for (b, l) in batch_snapshot.families.iter().zip(&loop_snapshot.families) {
+            assert_eq!(b.family, l.family);
+            assert_eq!(
+                (b.accepted_total, b.denied_total, &b.denied_by_reason),
+                (l.accepted_total, l.denied_total, &l.denied_by_reason),
+                "{} counts",
+                b.family
+            );
+            assert_eq!(
+                (b.epsilon_spent, b.delta_spent),
+                (l.epsilon_spent, l.delta_spent)
+            );
+            for family in [b, l] {
+                assert_eq!(
+                    family.latency.count, family.accepted_total,
+                    "{}: one latency observation per admitted release",
+                    family.family
+                );
+            }
+        }
+        let accepted: Vec<u64> = batch_snapshot
+            .families
+            .iter()
+            .map(|f| f.accepted_total)
+            .collect();
+        assert_eq!(accepted, [3, 1, 0], "marginal, shapes, flows");
     }
 
     #[test]

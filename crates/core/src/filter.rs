@@ -16,11 +16,12 @@
 //!
 //! * **Shared tabulation.** Tabulating the confidential database is the
 //!   dominant cost at national scale. With a [`FilterExpr`], the
-//!   [`TabulationCache`](crate::engine::TabulationCache) and
+//!   [`TabulationCache`](crate::engine::TabulationCache) — one per
 //!   [`ReleaseEngine::execute_all`](crate::engine::ReleaseEngine::execute_all)
-//!   key on `(MarginalSpec, normalized FilterExpr)`: structurally equal
-//!   filters share one tabulation even when constructed independently —
-//!   in another function, another batch, or (once truths persist)
+//!   batch, or one per season — keys on `(MarginalSpec, normalized
+//!   FilterExpr)`: structurally equal filters share one tabulation even
+//!   when constructed independently — in another function, another
+//!   request of the batch, or (through the persistent truth store)
 //!   another process.
 //! * **Auditable provenance.** The serialized expression is embedded in
 //!   every [`ReleaseArtifact`](crate::engine::ReleaseArtifact), so an

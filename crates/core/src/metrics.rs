@@ -36,9 +36,10 @@
 //!
 //! The family latency histogram times the whole
 //! [`execute`](crate::engine::ReleaseEngine::execute) call of an
-//! admitted release (validate, get the truth, charge, sample); batch
-//! [`execute_all`](crate::engine::ReleaseEngine::execute_all) records
-//! admissions and denials only.
+//! admitted release (validate, get the truth, charge, sample). Every
+//! release is admitted through that call, a batch's
+//! [`execute_all`](crate::engine::ReleaseEngine::execute_all) included,
+//! so each admitted release adds exactly one observation.
 
 use crate::accountant::LedgerError;
 use crate::engine::RequestKind;

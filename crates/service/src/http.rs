@@ -5,9 +5,11 @@
 //! tiny, auditable slice of HTTP — not an async runtime. This module
 //! implements exactly that slice: parse one request (method, path,
 //! `Content-Length`-delimited body) off a connection, hand it to a
-//! router, write one response, close. Connections are distributed over a
-//! fixed pool of worker threads; the accept loop runs on its own thread
-//! and shuts down cooperatively.
+//! router, write one response, close. A fixed pool of worker threads
+//! each accept their own connections off the one listener, so the
+//! server holds no queue of its own: a connection no worker has taken
+//! yet waits in the kernel's listen backlog. Shutdown is cooperative:
+//! each worker leaves at its next accept.
 //!
 //! Hard limits keep a malicious or broken client from tying up a worker:
 //! the request line and headers together are capped at
@@ -24,7 +26,7 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -291,11 +293,14 @@ fn write_response(stream: &mut TcpStream, response: &Response) {
 /// The router signature: pure request → response.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// A running HTTP server: an accept thread feeding a fixed worker pool.
+/// How long [`HttpServer::shutdown`] waits on each wake-up connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// A running HTTP server: a fixed pool of threads, each accepting and
+/// serving its own connections.
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -306,50 +311,34 @@ impl HttpServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..threads.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let handler = Arc::clone(&handler);
-                std::thread::spawn(move || loop {
-                    // Hold the receiver lock only for the handoff, not for
-                    // the (potentially slow) connection handling.
-                    let stream = rx.lock().expect("pool receiver poisoned").recv();
-                    match stream {
-                        Ok(mut stream) => {
+        // Every handle exists before any thread starts, so a failed clone
+        // leaves no thread behind holding the port.
+        let listeners = (0..threads.max(1))
+            .map(|_| listener.try_clone())
+            .collect::<io::Result<Vec<_>>>()?;
+        let workers = listeners
+            .into_iter()
+            .map(|listener| {
+                let (stop, handler) = (Arc::clone(&stop), Arc::clone(&handler));
+                std::thread::spawn(move || {
+                    for stream in listener.incoming() {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        if let Ok(mut stream) = stream {
                             let response = match read_request(&mut stream) {
                                 Ok(request) => handler(&request),
                                 Err(error_response) => error_response,
                             };
                             write_response(&mut stream, &response);
                         }
-                        // Sender dropped: the accept loop exited.
-                        Err(_) => break,
                     }
                 })
             })
             .collect();
-        let accept = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        // A send can only fail after shutdown started.
-                        let _ = tx.send(stream);
-                    }
-                }
-                // `tx` drops here, draining the pool after queued
-                // connections are served.
-            })
-        };
         Ok(Self {
             addr,
             stop,
-            accept: Some(accept),
             workers,
         })
     }
@@ -359,17 +348,17 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stop accepting, serve everything already queued, and join every
-    /// thread. Idempotent.
+    /// Stop accepting, let each worker finish the connection it is
+    /// serving, and join every thread. Idempotent.
     pub fn shutdown(&mut self) {
-        if self.accept.is_none() {
+        if self.workers.is_empty() {
             return;
         }
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with one throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        // Each worker leaves at its next accept: one throwaway connection
+        // per worker wakes it.
+        for _ in &self.workers {
+            let _ = TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT);
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -498,6 +487,63 @@ mod tests {
         );
         drop(stalled);
         server.shutdown();
+    }
+
+    /// Two workers answer eight concurrent clients: while both workers
+    /// are held in the handler, the six clients no worker has taken yet
+    /// wait in the listen backlog. Then shutdown returns at once.
+    #[test]
+    fn four_times_more_concurrent_clients_than_workers_are_all_answered() {
+        let threads = 2;
+        let clients = 4 * threads;
+        // The handler waits on the gate, which stays closed until every
+        // client has connected and sent its request.
+        let gate = Arc::new(std::sync::RwLock::new(()));
+        let closed = gate.write().unwrap();
+        let handler: Handler = {
+            let gate = Arc::clone(&gate);
+            Arc::new(move |request: &Request| {
+                let _open = gate.read().unwrap();
+                Response::json(200, request.path.clone())
+            })
+        };
+        let mut server = HttpServer::serve("127.0.0.1:0", threads, handler).unwrap();
+        let (addr, sent) = (
+            server.addr(),
+            Arc::new(std::sync::Barrier::new(clients + 1)),
+        );
+        let clients: Vec<_> = (0..clients)
+            .map(|i| {
+                let sent = Arc::clone(&sent);
+                std::thread::spawn(move || {
+                    let mut client = TcpStream::connect(addr).unwrap();
+                    client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+                    let request = format!("GET /client-{i} HTTP/1.1\r\n\r\n");
+                    client.write_all(request.as_bytes()).unwrap();
+                    sent.wait();
+                    let mut response = String::new();
+                    let _ = client.read_to_string(&mut response);
+                    response
+                })
+            })
+            .collect();
+        sent.wait();
+        drop(closed);
+        for (i, client) in clients.into_iter().enumerate() {
+            let response = client.join().unwrap();
+            assert!(
+                response.starts_with("HTTP/1.1 200 ")
+                    && response.ends_with(&format!("/client-{i}")),
+                "client {i}: {response:?}"
+            );
+        }
+        let started = Instant::now();
+        server.shutdown();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "shutdown took {elapsed:?}"
+        );
     }
 
     /// A head that fits the budget exactly is still served.

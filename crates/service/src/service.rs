@@ -23,9 +23,10 @@
 //!
 //! Every season gets exactly one **worker thread** owning its
 //! [`SeasonStore`] — and with it the season directory's write lease —
-//! until service shutdown or (with [`ServiceConfig::idle_timeout`] set)
-//! until the season has gone idle, at which point the worker retires and
-//! releases the lease; the next submission respawns it. Submissions to
+//! until service shutdown or until the season has gone idle for
+//! [`ServiceConfig::idle_timeout`], at which point the worker retires,
+//! releasing the lease and the truths its tabulation cache holds; the
+//! next submission respawns it. Submissions to
 //! one season serialize through its worker's queue (season ledgers are
 //! strictly ordered objects; there is no correct concurrent charge),
 //! while different seasons run fully in parallel. Workers for the same
@@ -126,32 +127,36 @@ const REGISTRY_FILE: &str = "releases.json";
 /// No build writes it now: a season's quarter is its dataset pin.
 const LEFTOVER_QUARTERS_FILE: &str = "panel_quarters.json";
 
+/// HTTP pool size (season workers are separate, one per season).
+pub const HTTP_THREADS: usize = 4;
+/// How long a season's worker waits for a submission before it retires,
+/// unless [`ServiceConfig::idle_timeout`] says otherwise.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(10 * 60);
+
 /// Service startup configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bind address; `"127.0.0.1:0"` picks an ephemeral port.
     pub addr: String,
-    /// HTTP pool size (season workers are separate, one per season).
-    pub http_threads: usize,
     /// The agency's global `(α, ε[, δ])` cap — must match an existing
     /// agency directory's cap when reopening one.
     pub cap: PrivacyParams,
     /// Retire a season's worker thread — releasing the season's on-disk
-    /// write lease — after this long without a submission. `None` keeps
-    /// every worker alive until shutdown. A retired season respawns
+    /// write lease and the truths its tabulation cache holds — after this
+    /// long without a submission. A retired season respawns
     /// transparently on its next submission.
-    pub idle_timeout: Option<Duration>,
+    pub idle_timeout: Duration,
 }
 
 impl ServiceConfig {
-    /// Loopback on an ephemeral port, four HTTP threads, cap `cap`, no
-    /// idle-season timeout.
+    /// Loopback on an ephemeral port, cap `cap`, idle seasons retired
+    /// after [`IDLE_TIMEOUT`]. The HTTP pool always has [`HTTP_THREADS`]
+    /// threads.
     pub fn new(cap: PrivacyParams) -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            http_threads: 4,
             cap,
-            idle_timeout: None,
+            idle_timeout: IDLE_TIMEOUT,
         }
     }
 }
@@ -338,7 +343,7 @@ struct Shared {
     /// store and engine records into), plus the service-side counters.
     /// Readable without the agency lock.
     metrics: Arc<MetricsRegistry>,
-    idle_timeout: Option<Duration>,
+    idle_timeout: Duration,
 }
 
 /// The running multi-tenant release service. See the [module docs](self).
@@ -443,7 +448,7 @@ impl ReleaseService {
             let shared = Arc::clone(&shared);
             Arc::new(move |request: &Request| route(&shared, request))
         };
-        let http = HttpServer::serve(&config.addr, config.http_threads, handler)?;
+        let http = HttpServer::serve(&config.addr, HTTP_THREADS, handler)?;
         Ok(Self { shared, http })
     }
 
@@ -1138,44 +1143,37 @@ impl WorkerCtx {
 }
 
 /// The per-season worker loop: owns the [`SeasonStore`] (and its lease),
-/// executing queued releases strictly in order, until shutdown — or,
-/// with an idle timeout configured, until the season goes quiet, at
-/// which point the worker retires itself and releases the lease.
+/// executing queued releases strictly in order, until shutdown or until
+/// the season has been quiet for the idle timeout, at which point the
+/// worker retires itself, releasing the lease and its cached truths.
 fn season_worker(mut ctx: WorkerCtx, rx: mpsc::Receiver<Job>) {
-    let idle = ctx.shared.idle_timeout;
     loop {
-        let job = match idle {
-            None => match rx.recv() {
-                Ok(job) => job,
-                Err(_) => break,
-            },
-            Some(timeout) => match rx.recv_timeout(timeout) {
-                Ok(job) => job,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    let shared = Arc::clone(&ctx.shared);
-                    let mut workers = shared.workers.lock().expect("workers lock poisoned");
-                    // A submission can race the timeout: if one landed
-                    // while we were acquiring the lock, keep serving.
-                    match rx.try_recv() {
-                        Ok(job) => {
-                            drop(workers);
-                            job
-                        }
-                        Err(_) => {
-                            // Retire: still under the workers lock, so no
-                            // submission can race a respawn against a
-                            // held lease, drop the season store,
-                            // releasing the season's write lease. Its
-                            // summary stays as the last release left it.
-                            workers.remove(&ctx.name);
-                            drop(ctx);
-                            shared.metrics.service.worker_retirements.inc();
-                            return;
-                        }
+        let job = match rx.recv_timeout(ctx.shared.idle_timeout) {
+            Ok(job) => job,
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                let shared = Arc::clone(&ctx.shared);
+                let mut workers = shared.workers.lock().expect("workers lock poisoned");
+                // A submission can race the timeout: if one landed while
+                // we were acquiring the lock, keep serving.
+                match rx.try_recv() {
+                    Ok(job) => {
+                        drop(workers);
+                        job
+                    }
+                    Err(_) => {
+                        // Retire: still under the workers lock, so no
+                        // submission can race a respawn against a held
+                        // lease, drop the season store, releasing the
+                        // season's write lease. Its summary stays as the
+                        // last release left it.
+                        workers.remove(&ctx.name);
+                        drop(ctx);
+                        shared.metrics.service.worker_retirements.inc();
+                        return;
                     }
                 }
-            },
+            }
         };
         match job {
             Job::Shutdown => break,

@@ -271,7 +271,7 @@ fn bad_requests_never_reach_the_ledger() {
 fn audit_seasons_match_a_reopened_agency() {
     let dir = tmp_dir("audit-vs-reopen");
     let config = ServiceConfig {
-        idle_timeout: Some(Duration::from_millis(1500)),
+        idle_timeout: Duration::from_millis(1500),
         ..ServiceConfig::new(PrivacyParams::pure(ALPHA, 4.0))
     };
     let service = ReleaseService::start(&dir, dataset(), config).expect("service starts");

@@ -216,7 +216,7 @@ fn idle_season_workers_retire_and_release_their_leases() {
     let cap = PrivacyParams::pure(ALPHA, 2.0);
     let dataset = lodes::Generator::new(GeneratorConfig::test_small(55)).generate();
     let config = ServiceConfig {
-        idle_timeout: Some(Duration::from_millis(150)),
+        idle_timeout: Duration::from_millis(150),
         ..ServiceConfig::new(cap)
     };
     let service = ReleaseService::start(&dir, dataset, config).expect("service starts");
