@@ -38,9 +38,7 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("workload3_marginal_indexed", |b| {
         b.iter(|| black_box(marginal(&workload3(), 1)))
     });
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = tabulate::par::threads();
     group.bench_function("workload3_marginal_indexed_sharded", |b| {
         b.iter(|| black_box(marginal(&workload3(), threads)))
     });

@@ -414,9 +414,7 @@ fn main() {
     let scale = EvalScale::from_env();
     eprintln!("generating canonical eval dataset ({scale:?}) ...");
     let dataset = Generator::new(scale.generator_config(CANONICAL_SEED)).generate();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = tabulate::par::threads();
     eprintln!(
         "dataset: {} jobs, {} establishments; {threads} hardware threads; best of {iters} iters",
         dataset.num_jobs(),

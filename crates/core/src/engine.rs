@@ -22,7 +22,8 @@
 //!   one release against a [`TruthSource`] — a [`Snapshot`] tabulated
 //!   through a [`TabulationCache`], or an already tabulated truth — and
 //!   parallelizes its tabulation across shards and its noising across
-//!   cells; [`ReleaseEngine::execute_all`] is `execute` over a whole
+//!   cells, both through [`tabulate::par::map`], the workspace's one
+//!   fork-join; [`ReleaseEngine::execute_all`] is `execute` over a whole
 //!   workload batch and one cache, in request order, under the same
 //!   ledger (sequential composition, Thm 7.3).
 //! * [`ReleaseArtifact`] — the durable, serde-serializable output:
@@ -33,8 +34,8 @@
 //! Determinism: per-cell noise streams are derived from
 //! `(request seed, cell key)` with a SplitMix64 mix, and tabulation's
 //! sharded establishment loop merges sorted runs with commutative
-//! aggregates, so a fixed seed yields bit-identical artifacts regardless
-//! of how many worker threads participate in either phase.
+//! aggregates, so a fixed seed yields bit-identical artifacts however
+//! many `par::map` threads run either phase.
 //!
 //! Tabulation runs on a columnar employer-grouped
 //! [`DatasetIndex`] — built **once per
@@ -99,8 +100,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tabulate::{
-    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Kernel, Marginal,
-    MarginalSpec,
+    par, CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, Kernel, Marginal, MarginalSpec,
 };
 
 /// What kind of release a request describes.
@@ -870,12 +870,9 @@ impl ReleaseEngine {
 
     /// Open an engine over an existing ledger (e.g. resumed mid-season).
     pub fn with_ledger(ledger: Ledger) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         Self {
             ledger,
-            threads,
+            threads: par::threads(),
             tab_stats: TabulationStats::default(),
             metrics: None,
         }
@@ -1115,29 +1112,6 @@ pub(crate) fn cell_seed(base: u64, key: u64) -> u64 {
     step()
 }
 
-/// Deterministic parallel map preserving input order: contiguous chunks
-/// are mapped on scoped worker threads and re-concatenated in order.
-fn par_map<T: Sync, U: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<U> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|chunk_items| {
-                let f = &f;
-                scope.spawn(move || chunk_items.iter().map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("release worker panicked"));
-        }
-    });
-    out
-}
-
 /// Saturate a non-finite value at `±f64::MAX`; finite values pass
 /// through unchanged. JSON cannot carry `±∞`, so without this an admitted
 /// (and charged) release could not be persisted.
@@ -1159,6 +1133,32 @@ fn post_process(value: f64, integerize: bool) -> f64 {
     }
 }
 
+/// Map a release's cells (or shape groups) in order: through
+/// [`par::map`] on up to `threads` threads from [`MIN_PARALLEL_CELLS`]
+/// items up, inline below.
+fn gated_map<T: Sync, U: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let parallel = items.len() >= MIN_PARALLEL_CELLS;
+    par::map(items, if parallel { threads } else { 1 }, f)
+}
+
+/// The per-cell noise loop of level and flow releases: `release` noises
+/// each cell from its own stream, seeded with `cell_seed(seed, key)`, so
+/// the result is the same at any thread count.
+fn noise_cells<S: Sync, R: Send>(
+    cells: impl Iterator<Item = (CellKey, S)>,
+    seed: u64,
+    threads: usize,
+    release: impl Fn(&S, &mut StdRng) -> R + Sync,
+) -> BTreeMap<CellKey, R> {
+    let cells: Vec<(CellKey, S)> = cells.collect();
+    gated_map(&cells, threads, |(key, cell)| {
+        let mut rng = StdRng::seed_from_u64(cell_seed(seed, key.0));
+        (*key, release(cell, &mut rng))
+    })
+    .into_iter()
+    .collect()
+}
+
 fn sample_cells(
     truth: &Marginal,
     mechanism: &(dyn CountMechanism + Sync),
@@ -1166,23 +1166,12 @@ fn sample_cells(
     integerize: bool,
     threads: usize,
 ) -> BTreeMap<CellKey, f64> {
-    let cells: Vec<(CellKey, CellQuery)> = truth
+    let cells = truth
         .iter()
-        .map(|(key, stats)| (key, CellQuery::from_stats(stats)))
-        .collect();
-    let threads = if cells.len() < MIN_PARALLEL_CELLS {
-        1
-    } else {
-        threads
-    };
-    let released = par_map(&cells, threads, |(key, query)| {
-        let mut rng = StdRng::seed_from_u64(cell_seed(seed, key.0));
-        (
-            *key,
-            post_process(mechanism.release(query, &mut rng), integerize),
-        )
-    });
-    released.into_iter().collect()
+        .map(|(key, stats)| (key, CellQuery::from_stats(stats)));
+    noise_cells(cells, seed, threads, |query, rng| {
+        post_process(mechanism.release(query, rng), integerize)
+    })
 }
 
 /// Noise one flow cell's three *released* statistics — beginning `B`, job
@@ -1200,14 +1189,7 @@ fn sample_flow_cells(
     integerize: bool,
     threads: usize,
 ) -> BTreeMap<CellKey, FlowRelease> {
-    let cells: Vec<(CellKey, FlowStats)> = truth.iter().map(|(key, stats)| (key, *stats)).collect();
-    let threads = if cells.len() < MIN_PARALLEL_CELLS {
-        1
-    } else {
-        threads
-    };
-    let released = par_map(&cells, threads, |(key, stats)| {
-        let mut rng = StdRng::seed_from_u64(cell_seed(seed, key.0));
+    noise_cells(truth.iter(), seed, threads, |stats, rng| {
         // A zero-count statistic of an active cell still has x_v = 0;
         // the mechanisms need max(x_v, 1) just like Lemma 8.5's
         // max(x_v·α, 1) floor.
@@ -1216,22 +1198,18 @@ fn sample_flow_cells(
                 count,
                 max_establishment: max_establishment.max(1),
             };
-            post_process(mechanism.release(&query, &mut rng), integerize)
+            post_process(mechanism.release(&query, rng), integerize)
         };
         let beginning = release(stats.beginning, stats.max_beginning);
         let job_creation = release(stats.job_creation, stats.max_creation);
         let job_destruction = release(stats.job_destruction, stats.max_destruction);
-        (
-            *key,
-            FlowRelease {
-                beginning,
-                job_creation,
-                job_destruction,
-                ending: saturate(beginning + job_creation - job_destruction),
-            },
-        )
-    });
-    released.into_iter().collect()
+        FlowRelease {
+            beginning,
+            job_creation,
+            job_destruction,
+            ending: saturate(beginning + job_creation - job_destruction),
+        }
+    })
 }
 
 fn sample_shapes(
@@ -1241,43 +1219,27 @@ fn sample_shapes(
     integerize: bool,
     threads: usize,
 ) -> Vec<ShapeRelease> {
-    // One cell of the full marginal: (worker-class index, full packed key,
-    // query) — the full key pins the cell's independent noise stream.
-    type GroupedCell = (usize, u64, CellQuery);
+    // `CellSchema` packs worker attributes into a key's low mixed-radix
+    // digits, so `key / d` is the cell's workplace key and `key % d` its
+    // worker class. Group the marginal's cells by their workplace key.
     let d = truth.spec().worker_domain_size();
-    let schema = truth.schema();
-    let n_wp = truth.spec().workplace_attrs.len();
-    // Group the marginal's cells by their workplace part.
-    let mut groups: BTreeMap<u64, Vec<GroupedCell>> = BTreeMap::new();
+    let mut groups: BTreeMap<u64, Vec<(CellKey, CellQuery)>> = BTreeMap::new();
     for (key, stats) in truth.iter() {
-        let mut wp_key: u64 = 0;
-        for pos in 0..n_wp {
-            wp_key = wp_key * schema.cardinality_of(pos) + schema.value_of(key, pos) as u64;
-        }
-        let mut class_idx: u64 = 0;
-        for pos in n_wp..schema.attrs().len() {
-            class_idx = class_idx * schema.cardinality_of(pos) + schema.value_of(key, pos) as u64;
-        }
-        groups.entry(wp_key).or_default().push((
-            class_idx as usize,
-            key.0,
-            CellQuery::from_stats(stats),
-        ));
+        groups
+            .entry(key.0 / d as u64)
+            .or_default()
+            .push((key, CellQuery::from_stats(stats)));
     }
-    let group_list: Vec<(u64, Vec<GroupedCell>)> = groups.into_iter().collect();
-    let threads = if group_list.len() < MIN_PARALLEL_CELLS {
-        1
-    } else {
-        threads
-    };
-    par_map(&group_list, threads, |(wp_key, cells)| {
+    let groups: Vec<(u64, Vec<(CellKey, CellQuery)>)> = groups.into_iter().collect();
+    gated_map(&groups, threads, |(wp_key, cells)| {
         let mut sub_counts = vec![0.0; d];
-        for (class_idx, full_key, query) in cells {
+        for (key, query) in cells {
             // True-zero classes are not released (sparse-publication
-            // convention); their noisy value stays 0.
-            let mut rng = StdRng::seed_from_u64(cell_seed(seed, *full_key));
+            // convention); their noisy value stays 0. The full key pins
+            // the cell's independent noise stream.
+            let mut rng = StdRng::seed_from_u64(cell_seed(seed, key.0));
             let value = mechanism.release(query, &mut rng).max(0.0);
-            sub_counts[*class_idx] = post_process(value, integerize);
+            sub_counts[(key.0 % d as u64) as usize] = post_process(value, integerize);
         }
         // Derived from the saturated counts, and saturated the same way:
         // every count is finite and non-negative, so each fraction is too.

@@ -58,10 +58,11 @@
 //! builds none. [`SeasonStore::admit`] records one new release on top of
 //! whatever the season holds and returns the artifact it recorded — the
 //! path of a driver that receives releases one at a time, like the
-//! release service's season workers. Because per-cell noise streams
-//! derive from `(request seed, cell key)` and tabulation's sharded merge is
-//! order-insensitive, the artifacts a resumed run produces are
-//! bit-identical to an uninterrupted run's at any thread count.
+//! release service's season workers. Per-cell noise streams derive from
+//! `(request seed, cell key)`, tabulation's sharded merge is
+//! order-insensitive and [`dataset_digest`] folds its chunks in order, so
+//! the pins and artifacts a resumed run produces are bit-identical to an
+//! uninterrupted run's at any thread count of [`tabulate::par`].
 //!
 //! ```
 //! use eree_core::store::SeasonStore;
@@ -110,7 +111,7 @@ use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tabulate::Fnv1a;
+use tabulate::{par, Fnv1a};
 
 /// Store format version, recorded in the season manifest so a layout
 /// change refuses (or migrates) old directories explicitly. Version 2:
@@ -1173,11 +1174,10 @@ const DIGEST_LANES: usize = 4;
 ///    (workplaces, workers, jobs) as words, then every chunk digest in
 ///    (table, chunk) order.
 ///
-/// Chunks are hashed on up to
-/// [`available_parallelism`](std::thread::available_parallelism) scoped
-/// threads (never more than there are chunks) and folded in order
-/// afterwards. Four independent lanes keep four multiplies in flight
-/// where one serial FNV-1a waits on each in turn.
+/// Chunks are hashed on up to [`par::threads`] threads of [`par::map`]
+/// (never more than there are chunks) and folded in order afterwards.
+/// Four independent lanes keep four multiplies in flight where one
+/// serial FNV-1a waits on each in turn.
 ///
 /// [`SeasonStore::run`] and [`SeasonStore::admit`] bind this into the
 /// manifest on a season's first release and refuse any later one against
@@ -1186,12 +1186,11 @@ const DIGEST_LANES: usize = 4;
 /// agency pin, the season pins, truth addresses and release-cache keys
 /// are all named by it, so the agency and season formats change with it.
 pub fn dataset_digest(dataset: &Dataset) -> u64 {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    dataset_digest_on(dataset, threads)
+    dataset_digest_on(dataset, par::threads())
 }
 
-/// [`dataset_digest`] with its chunks hashed on up to `threads` scoped
-/// threads; every thread count gives the same value.
+/// [`dataset_digest`] with its chunks hashed on up to `threads` threads;
+/// every thread count gives the same value.
 pub(crate) fn dataset_digest_on(dataset: &Dataset, threads: usize) -> u64 {
     let chunks: Vec<DigestChunk<'_>> = dataset
         .workplaces()
@@ -1205,29 +1204,11 @@ pub(crate) fn dataset_digest_on(dataset: &Dataset, threads: usize) -> u64 {
         )
         .chain(dataset.jobs().chunks(DIGEST_CHUNK).map(DigestChunk::Jobs))
         .collect();
-    let threads = threads.clamp(1, chunks.len().max(1));
-    let digests: Vec<u64> = if threads == 1 {
-        chunks.iter().map(DigestChunk::digest).collect()
-    } else {
-        let per_thread = chunks.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .chunks(per_thread)
-                .map(|group| {
-                    scope.spawn(move || group.iter().map(DigestChunk::digest).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("a digest thread panicked"))
-                .collect()
-        })
-    };
     let mut hash = Fnv1a::new();
     hash.word(dataset.num_workplaces() as u64);
     hash.word(dataset.num_workers() as u64);
     hash.word(dataset.num_jobs() as u64);
-    for digest in digests {
+    for digest in par::map(&chunks, threads, DigestChunk::digest) {
         hash.word(digest);
     }
     hash.finish()

@@ -23,8 +23,9 @@
 //! pre-extracted attribute code columns), one shard for ordinary
 //! datasets and one per state at national scale. Its two evaluators,
 //! [`DatasetIndex::marginal`] and [`DatasetIndex::flows`], split the
-//! establishment loop into tasks run on at most `threads` scoped threads
-//! and merge the sorted per-task runs deterministically. The engine is
+//! establishment loop into tasks run on at most `threads` threads of the
+//! workspace's one fork-join ([`par::map`]) and merge the sorted
+//! per-task runs deterministically. The engine is
 //! deterministic: cells live in a `Vec` sorted by packed key, so
 //! iteration order (and therefore experiment output) is stable across
 //! runs *and* bit-identical at any thread count, in either layout.
@@ -50,6 +51,7 @@ pub mod fnv;
 pub mod index;
 pub mod kernel;
 pub mod marginal;
+pub mod par;
 pub mod region;
 pub mod strata;
 pub mod workload;

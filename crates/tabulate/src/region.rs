@@ -18,12 +18,13 @@
 //! Both layouts tabulate through one driver. [`DatasetIndex::marginal`]
 //! and [`DatasetIndex::flows`] compile the filter once per shard, split
 //! `threads` into `(shard, establishment window)` tasks in proportion to
-//! shard worker counts, run the tasks on at most `threads` scoped threads
-//! (see `group_tasks`), and combine every task's key-sorted run with the
-//! engine's one deterministic k-way merge (`crate::engine::merge_runs`,
-//! folding into `CellStats` or `FlowStats`). With one shard the tasks are
-//! exactly the worker-balanced [`TabulationIndex::shard_bounds`] windows,
-//! one thread each.
+//! shard worker counts, run the tasks on at most `threads` threads of the
+//! workspace's one fork-join, [`par::map`] (see `group_tasks`), and
+//! combine every task's key-sorted run with the engine's one
+//! deterministic k-way merge (`crate::engine::merge_runs`, folding into
+//! `CellStats` or `FlowStats`). With one shard the tasks are exactly the
+//! worker-balanced [`TabulationIndex::shard_bounds`] windows, one thread
+//! each.
 //!
 //! Two invariants make every result **bit-identical** across layouts and
 //! thread counts:
@@ -51,6 +52,7 @@ use crate::flows::{flow_shard, FlowMarginal, FlowPlan, FlowStats};
 use crate::index::{cards_from_geography, schema_from_cards, IndexBuilder, TabulationIndex};
 use crate::kernel::Kernel;
 use crate::marginal::{CellStats, Marginal};
+use crate::par;
 use lodes::{Dataset, Geography, Worker, WorkerId, Workplace};
 use std::sync::Arc;
 
@@ -221,7 +223,7 @@ impl DatasetIndex {
             .zip(&filters)
             .map(|(index, f)| ShardPlan::new(index, spec, &schema, f.as_ref(), kernel))
             .collect();
-        let runs = self.run_tasks(threads, |shard, lo, hi| {
+        let runs = self.run_tasks(threads, |(shard, lo, hi)| {
             tabulate_shard(&plans[shard], lo, hi)
         });
         let cells = merge_runs(
@@ -287,7 +289,7 @@ impl DatasetIndex {
                 FlowPlan::new(b, a, spec, &schema, bf.as_ref().zip(af.as_ref()), kernel)
             })
             .collect();
-        let runs = self.run_tasks(threads, |shard, lo, hi| flow_shard(&plans[shard], lo, hi));
+        let runs = self.run_tasks(threads, |(shard, lo, hi)| flow_shard(&plans[shard], lo, hi));
         let cells = merge_runs(
             runs,
             |&(key, _, _)| key,
@@ -322,45 +324,28 @@ impl DatasetIndex {
         tasks
     }
 
-    /// The one parallel driver: run `task(shard, lo, hi)` for every task
-    /// of [`plan_tasks`](Self::plan_tasks) on at most `threads` scoped
-    /// threads, grouped by [`group_tasks`], and return every result. The
-    /// result order follows the grouping; callers merge
+    /// The one parallel driver: run `task((shard, lo, hi))` for every
+    /// task of [`plan_tasks`](Self::plan_tasks), grouped by
+    /// [`group_tasks`], one [`par::map`] thread per group, and return
+    /// every result. The result order follows the grouping; callers merge
     /// order-insensitively.
     fn run_tasks<R: Send>(
         &self,
         threads: usize,
-        task: impl Fn(usize, usize, usize) -> R + Sync,
+        task: impl Fn((usize, usize, usize)) -> R + Sync,
     ) -> Vec<R> {
         let tasks = self.plan_tasks(threads);
         let weights: Vec<usize> = tasks
             .iter()
             .map(|&(shard, lo, hi)| self.shards[shard].workers_between(lo, hi))
             .collect();
-        let run_group = |group: Vec<usize>| -> Vec<R> {
-            group
-                .into_iter()
-                .map(|t| {
-                    let (shard, lo, hi) = tasks[t];
-                    task(shard, lo, hi)
-                })
-                .collect()
-        };
         let groups = group_tasks(&weights, threads);
-        if groups.len() <= 1 {
-            return groups.into_iter().flat_map(run_group).collect();
-        }
-        std::thread::scope(|scope| {
-            let run_group = &run_group;
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| scope.spawn(move || run_group(group)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("tabulation task panicked"))
-                .collect()
-        })
+        let run_group =
+            |group: &Vec<usize>| group.iter().map(|&t| task(tasks[t])).collect::<Vec<_>>();
+        par::map(&groups, groups.len(), run_group)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 }
 

@@ -154,6 +154,63 @@ fn execute_all_deterministic_for_any_thread_count() {
     assert_eq!(a, b);
 }
 
+/// The engine noises a release on one thread below 512 cells (or shape
+/// groups), and the `test_small` universes above stay under that gate.
+/// This universe passes it with both a shape and a flow release, so their
+/// multi-thread noise is compared against one thread: the serialized
+/// artifacts must be byte-identical.
+#[test]
+fn shape_and_flow_releases_past_the_parallel_gate_are_identical_at_any_thread_count() {
+    let panel = lodes::DatasetPanel::generate(
+        &GeneratorConfig {
+            places_per_county: 24,
+            target_establishments: 6_000,
+            ..GeneratorConfig::test_small(91)
+        },
+        &lodes::PanelConfig {
+            quarters: 2,
+            growth_sigma: 0.1,
+            death_rate: 0.05,
+            seed: 17,
+        },
+    );
+    let data = Snapshot::of(panel.quarter(1)).after(Snapshot::of(panel.quarter(0)));
+    let requests = [
+        ReleaseRequest::shapes(workload3())
+            .mechanism(MechanismKind::SmoothLaplace)
+            .budget(PrivacyParams::approximate(0.1, 16.0, 0.05))
+            .seed(31),
+        ReleaseRequest::flows(workload1())
+            .mechanism(MechanismKind::SmoothLaplace)
+            .budget_per_cell(PrivacyParams::approximate(0.1, 2.0, 0.05))
+            .seed(32),
+    ];
+    let run = |threads: usize| {
+        let mut engine = ReleaseEngine::new(PrivacyParams::approximate(0.1, 100.0, 0.5))
+            .with_parallelism(threads);
+        let mut cache = TabulationCache::new();
+        requests
+            .iter()
+            .map(|request| {
+                let cache = &mut cache;
+                engine
+                    .execute(request, TruthSource::Tabulate { data, cache })
+                    .unwrap()
+            })
+            .collect::<Vec<_>>()
+    };
+    let baseline = run(1);
+    let groups = baseline[0].shapes().unwrap().len();
+    let cells = baseline[1].flows().unwrap().len();
+    assert!(groups >= 512, "{groups} shape groups: under the gate");
+    assert!(cells >= 512, "{cells} flow cells: under the gate");
+    let expected = serde_json::to_string(&baseline).unwrap();
+    for threads in [2, 3, 8] {
+        let artifacts = serde_json::to_string(&run(threads)).unwrap();
+        assert!(artifacts == expected, "{threads} threads");
+    }
+}
+
 #[test]
 fn indexed_artifacts_bit_identical_to_legacy_tabulation() {
     // The CSR-index engine replaced the legacy per-worker tabulation
