@@ -103,6 +103,13 @@ use tabulate::{
     par, CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, Kernel, Marginal, MarginalSpec,
 };
 
+/// The deepest filter a request may carry, in [`FilterExpr::depth`]
+/// levels. A filter serializes to at most two JSON levels per level, and
+/// an artifact nests it a few levels inside its own document, so every
+/// artifact of an accepted request stays well inside the JSON parser's
+/// nesting limit (`serde_json::MAX_DEPTH`, 128) and reads back.
+pub const MAX_FILTER_DEPTH: usize = 32;
+
 /// What kind of release a request describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestKind {
@@ -311,6 +318,11 @@ impl ReleaseRequest {
                 detail: "flow specs are establishment-level and must not \
                          group by worker attributes",
             });
+        }
+        if let Some(depth) = self.filter.as_ref().map(FilterExpr::depth) {
+            if depth > MAX_FILTER_DEPTH {
+                return Err(EngineError::FilterTooDeep { depth });
+            }
         }
         let regime = self.regime();
         // Flow releases noise three statistics per cell (B, JC, JD; E is

@@ -71,6 +71,12 @@ pub enum EngineError {
         /// What went wrong.
         detail: &'static str,
     },
+    /// The request's filter nests deeper than
+    /// [`MAX_FILTER_DEPTH`](crate::engine::MAX_FILTER_DEPTH) levels.
+    FilterTooDeep {
+        /// The filter's [`depth`](tabulate::FilterExpr::depth).
+        depth: usize,
+    },
     /// The tabulation cache or its persistent truth store refused to
     /// cooperate: the cache serves a different dataset than the snapshot
     /// it was handed, or persisting a freshly computed truth failed. The
@@ -117,6 +123,11 @@ impl std::fmt::Display for EngineError {
             EngineError::Flow { detail } => {
                 write!(f, "flow release: {detail}")
             }
+            EngineError::FilterTooDeep { depth } => write!(
+                f,
+                "filter nests {depth} levels deep; at most {} are accepted",
+                crate::engine::MAX_FILTER_DEPTH
+            ),
             EngineError::TruthStore { detail } => {
                 write!(f, "persistent truth store: {detail}")
             }

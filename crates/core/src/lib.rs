@@ -112,9 +112,10 @@
 //! * [`accountant`] — sequential and parallel composition (Thms 7.3–7.5)
 //!   and the budget [`Ledger`] the engine enforces.
 //! * [`engine`] — the release engine: builder requests, ledger-enforced
-//!   single and batch execution (noising parallelized across
-//!   cells/requests, deterministic under any thread count), durable
-//!   artifacts, and the shared [`engine::TabulationCache`].
+//!   single and batch execution (a batch runs its requests in order;
+//!   noising is parallelized across cells, deterministic under any
+//!   thread count), durable artifacts, and the shared
+//!   [`engine::TabulationCache`].
 //! * [`filter`] — declarative sub-population filters ([`FilterExpr`]):
 //!   serializable ASTs over worker/workplace attributes with a stable
 //!   content digest ([`FilterId`]), so filtered requests share

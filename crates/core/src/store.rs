@@ -1571,6 +1571,50 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The deepest filter a request may carry writes an artifact that
+    /// reads back through both the season and the public cache; one level
+    /// deeper is refused before anything is charged.
+    #[test]
+    fn filters_at_the_depth_bound_read_back_and_deeper_ones_are_refused() {
+        use crate::engine::MAX_FILTER_DEPTH;
+        use crate::public_cache::{ReleaseCache, ReleaseKey};
+        use lodes::Sex;
+        use tabulate::FilterExpr;
+        let dir = tmp_dir("deep-filter");
+        let dataset = Generator::new(GeneratorConfig::test_small(5)).generate();
+        let data = Snapshot::of(&dataset);
+        // Nested `And`s: two JSON levels per level of depth, the deepest
+        // a filter of that depth serializes to.
+        let nested = |depth: usize| {
+            (1..depth).fold(FilterExpr::sex(Sex::Female), |inner, _| {
+                FilterExpr::sex(Sex::Female).and(inner)
+            })
+        };
+        assert_eq!(nested(MAX_FILTER_DEPTH).depth(), MAX_FILTER_DEPTH);
+        let mut store =
+            SeasonStore::create(dir.join("season"), PrivacyParams::pure(0.1, 4.0)).unwrap();
+        let mut cache = TabulationCache::new();
+        let deepest = request(1, 1.0).filter_expr(nested(MAX_FILTER_DEPTH));
+        let (artifact, _) = store.admit(data, &deepest, &mut cache).unwrap();
+        assert_eq!(store.load_artifact(0).unwrap(), artifact);
+        let key = ReleaseKey::of(&artifact.request, data.digest()).unwrap();
+        let public = ReleaseCache::open(dir.join("public")).unwrap();
+        public.save(&key, &artifact).unwrap();
+        assert_eq!(public.load(&key), Some(artifact));
+
+        let deeper = request(2, 1.0).filter_expr(nested(MAX_FILTER_DEPTH + 1));
+        match store.admit(data, &deeper, &mut cache) {
+            Err(StoreError::Refused {
+                source: EngineError::FilterTooDeep { depth },
+                ..
+            }) => assert_eq!(depth, MAX_FILTER_DEPTH + 1),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(store.completed(), 1);
+        assert_eq!(store.ledger().entries().len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn record_rejects_out_of_step_ledgers() {
         let dir = tmp_dir("out-of-step");
@@ -1801,5 +1845,25 @@ mod tests {
         assert_eq!(flows.content_digest(), 0x0ceb_64f5_38e8_03a1);
         assert_eq!(fnv1a_bytes(b"eree"), 0xb200_5260_6faa_ffc4);
         assert_eq!(panel_quarter_seed(7, 3), 0x90df_7bd8_aeb7_7931);
+        // The truth files' bytes: length and FNV-1a of what `save` and
+        // `save_flows` write for the two tables above.
+        let dir = tmp_dir("known-truths");
+        let truths = crate::truths::TruthStore::open(&dir, after).unwrap();
+        let pair = dataset_pair_digest(before, after);
+        truths.save(&workload3(), None, &level).unwrap();
+        truths.save_flows(pair, &workload1(), None, &flows).unwrap();
+        let file = |key_digest: u64| {
+            let bytes = fs::read(dir.join(format!("{key_digest:016x}.truth"))).unwrap();
+            (bytes.len(), fnv1a_bytes(&bytes))
+        };
+        assert_eq!(
+            file(truths.key_digest(&workload3(), None)),
+            (42_751, 0xc685_890e_ee73_42ed)
+        );
+        assert_eq!(
+            file(truths.flow_key_digest(pair, &workload1(), None)),
+            (17_182, 0x97f5_6c6d_0464_8436)
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

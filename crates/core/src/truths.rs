@@ -25,41 +25,46 @@
 //!
 //! ```text
 //! {"format":2,"kind":…,"source_digest":…,"spec":…,"schema":…,"filter":…,"cells":N,"content_digest":…}\n
-//! N fixed-width little-endian cells, strictly ascending by key:
-//!   level  key u64 · count u64 · establishments u32 · max_establishment u32     24 bytes
-//!   flows  key u64 · B, E, JC, JD u64 · their four maxima u32                   56 bytes
+//! N cells, strictly ascending by key, each its key and then its aggregate's
+//! digest words, every one a little-endian u64:
+//!   level  key · count · establishments | max_establishment << 32                24 bytes
+//!   flows  key · B · E · JC · JD · max_B | max_E << 32 · max_JC | max_JD << 32   56 bytes
 //! the seal: FNV-1a over every byte above, u64 little-endian
 //! ```
 //!
-//! The header is one line of compact JSON; `source_digest` is the dataset
-//! digest of a level truth and the pair digest of a flow truth.
+//! The header is one line of compact JSON; `kind` names the aggregate
+//! (`level` for [`CellStats`], `flows` for [`FlowStats`]), and
+//! `source_digest` is the dataset digest of a level truth and the pair
+//! digest of a flow truth. A cell is stored as the words the table's
+//! [`content digest`](Tabulation::content_digest) folds, so one encoder
+//! and one decoder serve every [`CellAggregate`].
 //!
 //! # Integrity
 //!
 //! Files are written atomically (temp + rename, fsynced) and verified on
 //! load: the seal first, before anything is decoded; then the format
 //! version, the kind, the source digest, structural key equality, the
-//! cell count against the run's length, the marginal's own invariants
-//! (strict key order, in-domain keys, nonzero counts — re-checked by
-//! [`Marginal::from_cells`] and [`FlowMarginal::from_cells`], the same
-//! constructors their JSON deserializers use), and a recorded
-//! [`content digest`](Marginal::content_digest) that must reproduce from
-//! the decoded cells. Any failure makes the load a miss: the truth is
-//! recomputed from the index and the file rewritten — self-healing, and
-//! always correct, because the store is a cache of a pure function, never
-//! the source of record. A format-1 (JSON) truth fails the seal, so it
-//! reads as a miss too and is never misread. (Like the season store, the
+//! cell count against the run's length, the table's own invariants
+//! (strict key order, in-domain keys, possible cell stats — re-checked by
+//! [`Tabulation::from_cells`], the same constructor its JSON deserializer
+//! uses), and a recorded [`content digest`](Tabulation::content_digest)
+//! that must reproduce from the decoded cells. Any failure makes the load
+//! a miss: the truth is recomputed from the index and the file rewritten —
+//! self-healing, and always correct, because the store is a cache of a
+//! pure function, never the source of record. A format-1 (JSON) truth
+//! fails the seal, so it reads as a miss too and is never misread. (Like the season store, the
 //! directory is trusted infrastructure: the seal and digests defend
 //! against corruption and drift, not against an adversary who can rewrite
 //! a file *and* its digests.)
 
 use crate::metrics::MetricsRegistry;
 use crate::store::{fnv1a_bytes, header_line, split_header_line, write_bytes_atomic, StoreError};
-use serde::{DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tabulate::{
-    CellKey, CellSchema, CellStats, FilterExpr, FlowMarginal, FlowStats, Marginal, MarginalSpec,
+    CellAggregate, CellKey, CellSchema, CellStats, FilterExpr, FlowMarginal, FlowStats, Marginal,
+    MarginalSpec, Tabulation,
 };
 
 /// Truth-file format version, recorded in every header so a future layout
@@ -79,7 +84,7 @@ const SEAL_BYTES: usize = 8;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct TruthHeader {
     format: u32,
-    /// Which cell layout follows: [`TruthCells::KIND`].
+    /// Which aggregate the cells hold: [`TruthKind::KIND`].
     kind: String,
     /// The dataset digest of a level truth, the pair digest of a flow
     /// truth.
@@ -93,129 +98,23 @@ struct TruthHeader {
     content_digest: u64,
 }
 
-/// A tabulated truth as the store encodes it: the schema, cell count and
-/// content digest its header records, and one fixed-width little-endian
-/// cell layout.
-trait TruthCells: Sized {
-    /// The header's `kind`, so a level run is never decoded as flows.
+/// The header's `kind` of a truth whose cells hold this aggregate, so a
+/// level run is never decoded as flows.
+trait TruthKind: CellAggregate {
     const KIND: &'static str;
-    /// Bytes per encoded cell.
-    const WIDTH: usize;
-
-    fn schema(&self) -> &CellSchema;
-    fn num_cells(&self) -> usize;
-    fn content_digest(&self) -> u64;
-    /// Append every cell, in key order, as `WIDTH` bytes each.
-    fn encode_cells(&self, out: &mut Vec<u8>);
-    /// Decode a run of `WIDTH`-byte cells and validate the result through
-    /// the type's one validating constructor.
-    fn decode(spec: MarginalSpec, schema: CellSchema, run: &[u8]) -> Result<Self, DeError>;
 }
 
-/// The little-endian `u64` at byte offset `at` of one encoded cell.
-fn le_u64(cell: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(cell[at..at + 8].try_into().expect("8-byte field"))
-}
-
-/// The little-endian `u32` at byte offset `at` of one encoded cell.
-fn le_u32(cell: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(cell[at..at + 4].try_into().expect("4-byte field"))
-}
-
-impl TruthCells for Marginal {
+impl TruthKind for CellStats {
     const KIND: &'static str = "level";
-    const WIDTH: usize = 24;
-
-    fn schema(&self) -> &CellSchema {
-        Marginal::schema(self)
-    }
-    fn num_cells(&self) -> usize {
-        Marginal::num_cells(self)
-    }
-    fn content_digest(&self) -> u64 {
-        Marginal::content_digest(self)
-    }
-
-    fn encode_cells(&self, out: &mut Vec<u8>) {
-        for (key, stats) in self.iter() {
-            out.extend_from_slice(&key.0.to_le_bytes());
-            out.extend_from_slice(&stats.count.to_le_bytes());
-            out.extend_from_slice(&stats.establishments.to_le_bytes());
-            out.extend_from_slice(&stats.max_establishment.to_le_bytes());
-        }
-    }
-
-    fn decode(spec: MarginalSpec, schema: CellSchema, run: &[u8]) -> Result<Self, DeError> {
-        let cells = run
-            .chunks_exact(Self::WIDTH)
-            .map(|cell| {
-                let stats = CellStats {
-                    count: le_u64(cell, 8),
-                    establishments: le_u32(cell, 16),
-                    max_establishment: le_u32(cell, 20),
-                };
-                (CellKey(le_u64(cell, 0)), stats)
-            })
-            .collect();
-        Marginal::from_cells(spec, schema, cells)
-    }
 }
 
-impl TruthCells for FlowMarginal {
+impl TruthKind for FlowStats {
     const KIND: &'static str = "flows";
-    const WIDTH: usize = 56;
+}
 
-    fn schema(&self) -> &CellSchema {
-        FlowMarginal::schema(self)
-    }
-    fn num_cells(&self) -> usize {
-        FlowMarginal::num_cells(self)
-    }
-    fn content_digest(&self) -> u64 {
-        FlowMarginal::content_digest(self)
-    }
-
-    fn encode_cells(&self, out: &mut Vec<u8>) {
-        for (key, s) in self.iter() {
-            for word in [
-                key.0,
-                s.beginning,
-                s.ending,
-                s.job_creation,
-                s.job_destruction,
-            ] {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
-            for max in [
-                s.max_beginning,
-                s.max_ending,
-                s.max_creation,
-                s.max_destruction,
-            ] {
-                out.extend_from_slice(&max.to_le_bytes());
-            }
-        }
-    }
-
-    fn decode(spec: MarginalSpec, schema: CellSchema, run: &[u8]) -> Result<Self, DeError> {
-        let cells = run
-            .chunks_exact(Self::WIDTH)
-            .map(|cell| {
-                let stats = FlowStats {
-                    beginning: le_u64(cell, 8),
-                    ending: le_u64(cell, 16),
-                    job_creation: le_u64(cell, 24),
-                    job_destruction: le_u64(cell, 32),
-                    max_beginning: le_u32(cell, 40),
-                    max_ending: le_u32(cell, 44),
-                    max_creation: le_u32(cell, 48),
-                    max_destruction: le_u32(cell, 52),
-                };
-                (CellKey(le_u64(cell, 0)), stats)
-            })
-            .collect();
-        FlowMarginal::from_cells(spec, schema, cells)
-    }
+/// Bytes per encoded cell of aggregate `S`: its key, then its digest words.
+const fn cell_bytes<S: CellAggregate>() -> usize {
+    8 * (1 + S::WORDS)
 }
 
 /// A directory of content-addressed truth marginals, pinned to one
@@ -349,7 +248,7 @@ impl TruthStore {
     /// when absent or failing any verification (seal, format, pair
     /// digest, structural key equality, the flow marginal's own
     /// invariants, and the recorded
-    /// [`content digest`](FlowMarginal::content_digest)). A failed
+    /// [`content digest`](Tabulation::content_digest)). A failed
     /// verification reads as a miss, so the caller recomputes and repairs.
     pub fn load_flows(
         &self,
@@ -381,13 +280,13 @@ impl TruthStore {
 
     /// Read and verify the truth at `path`, counting a file that exists
     /// but fails verification as a self-heal.
-    fn read<T: TruthCells>(
+    fn read<S: TruthKind>(
         &self,
         path: &Path,
         source_digest: u64,
         spec: &MarginalSpec,
         filter: Option<&FilterExpr>,
-    ) -> Option<T> {
+    ) -> Option<Tabulation<S>> {
         let bytes = std::fs::read(path).ok()?;
         let verified = decode(&bytes, source_digest, spec, filter);
         if verified.is_none() {
@@ -420,17 +319,17 @@ impl TruthStore {
     }
 }
 
-/// The file bytes of `truth` under its identity: header line, cell run,
-/// seal.
-fn encode<T: TruthCells>(
+/// The file bytes of `truth` under its identity: header line, then each
+/// cell's key and digest words (little-endian `u64`s), then the seal.
+fn encode<S: TruthKind>(
     source_digest: u64,
     spec: &MarginalSpec,
     filter: Option<&FilterExpr>,
-    truth: &T,
+    truth: &Tabulation<S>,
 ) -> Vec<u8> {
     let mut bytes = header_line(&TruthHeader {
         format: TRUTH_FORMAT_VERSION,
-        kind: T::KIND.to_string(),
+        kind: S::KIND.to_string(),
         source_digest,
         spec: spec.clone(),
         schema: truth.schema().clone(),
@@ -438,8 +337,13 @@ fn encode<T: TruthCells>(
         cells: truth.num_cells() as u64,
         content_digest: truth.content_digest(),
     });
-    bytes.reserve(truth.num_cells() * T::WIDTH + SEAL_BYTES);
-    truth.encode_cells(&mut bytes);
+    bytes.reserve(truth.num_cells() * cell_bytes::<S>() + SEAL_BYTES);
+    for (key, stats) in truth.iter() {
+        bytes.extend_from_slice(&key.0.to_le_bytes());
+        for word in stats.words() {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+    }
     let seal = fnv1a_bytes(&bytes);
     bytes.extend_from_slice(&seal.to_le_bytes());
     bytes
@@ -447,19 +351,19 @@ fn encode<T: TruthCells>(
 
 /// Verify and decode a truth file's bytes against the identity the caller
 /// asked for; `None` on any failure.
-fn decode<T: TruthCells>(
+fn decode<S: TruthKind>(
     bytes: &[u8],
     source_digest: u64,
     spec: &MarginalSpec,
     filter: Option<&FilterExpr>,
-) -> Option<T> {
+) -> Option<Tabulation<S>> {
     let (sealed, seal) = bytes.split_at(bytes.len().checked_sub(SEAL_BYTES)?);
     if fnv1a_bytes(sealed).to_le_bytes() != seal {
         return None;
     }
     let (header, run): (TruthHeader, _) = split_header_line(sealed)?;
     if header.format != TRUTH_FORMAT_VERSION
-        || header.kind != T::KIND
+        || header.kind != S::KIND
         || header.source_digest != source_digest
         || &header.spec != spec
     {
@@ -470,10 +374,26 @@ fn decode<T: TruthCells>(
         (Some(stored), Some(requested)) if *stored == requested.normalized() => {}
         _ => return None,
     }
-    if usize::try_from(header.cells).ok()?.checked_mul(T::WIDTH)? != run.len() {
+    if usize::try_from(header.cells)
+        .ok()?
+        .checked_mul(cell_bytes::<S>())?
+        != run.len()
+    {
         return None;
     }
-    let truth = T::decode(header.spec, header.schema, run).ok()?;
+    let cells = run
+        .chunks_exact(cell_bytes::<S>())
+        .map(|cell| {
+            // The cell's key and words, decoded on the stack.
+            let mut words = [0u64; 8];
+            const { assert!(S::WORDS < 8, "a cell's key and words fit the buffer") };
+            for (i, word) in words.iter_mut().enumerate().take(1 + S::WORDS) {
+                *word = u64::from_le_bytes(cell[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+            }
+            (CellKey(words[0]), S::from_words(&words[1..=S::WORDS]))
+        })
+        .collect();
+    let truth = Tabulation::from_cells(header.spec, header.schema, cells).ok()?;
     (truth.content_digest() == header.content_digest).then_some(truth)
 }
 

@@ -12,6 +12,8 @@ use eree_core::StoreError;
 use eree_service::{Client, ReleaseService, ReleaseSubmission, ServiceConfig};
 use lodes::{Dataset, Generator, GeneratorConfig};
 use std::fs;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tabulate::{MarginalSpec, WorkerAttr, WorkplaceAttr};
@@ -330,5 +332,61 @@ fn audit_seasons_match_a_reopened_agency() {
     let completed: Vec<usize> = audit.seasons.iter().map(|s| s.completed).collect();
     assert_eq!(completed, [0, 2, 1, 1, 1]);
     drop(agency);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One raw exchange: `POST path` carrying `body`, answered in full (the
+/// server closes each connection after its response).
+fn post_raw(addr: SocketAddr, path: &str, body: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    write!(
+        stream,
+        "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("request sent");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("response read");
+    response
+}
+
+/// A spec naming an attribute twice is refused at the boundary with 400,
+/// whether its key domain would overflow `u64` (16 × `Block`) or not
+/// (8 × `Block`), and the season it was sent to keeps serving.
+#[test]
+fn repeated_attribute_specs_are_refused_and_the_season_keeps_serving() {
+    let dir = tmp_dir("repeated-attribute");
+    let service = ReleaseService::start(
+        &dir,
+        dataset(),
+        ServiceConfig::new(PrivacyParams::pure(ALPHA, 2.0)),
+    )
+    .expect("service starts");
+    let client = Client::new(service.addr());
+    client
+        .create_season("s", PrivacyParams::pure(ALPHA, 1.0))
+        .expect("season fits under the cap");
+    let block = MarginalSpec::new(vec![WorkplaceAttr::Block], vec![]);
+    let json = serde_json::to_string(&submission(block, 0.25, 1)).unwrap();
+    for copies in [16, 8] {
+        let repeated = vec!["\"Block\""; copies].join(",");
+        let body = json.replace(
+            "\"workplace_attrs\":[\"Block\"]",
+            &format!("\"workplace_attrs\":[{repeated}]"),
+        );
+        assert_ne!(body, json);
+        let response = post_raw(service.addr(), "/seasons/s/releases", &body);
+        assert!(
+            response.starts_with("HTTP/1.1 400 "),
+            "{copies} copies: {response}"
+        );
+    }
+    let receipt = client
+        .submit("s", &submission(county(), 0.25, 2))
+        .expect("a valid release is accepted");
+    let done = client.wait_for(receipt.id, WAIT).expect("release finishes");
+    assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    assert_eq!(service.live_workers(), 1);
+    service.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

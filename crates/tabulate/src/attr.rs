@@ -10,7 +10,7 @@
 
 use lodes::NaicsSector;
 use lodes::{AgeGroup, Dataset, Education, Ethnicity, Ownership, Race, Sex, Worker, Workplace};
-use serde::{Deserialize, Serialize};
+use serde::{get_field, DeError, Deserialize, Serialize, Value};
 
 /// A workplace (establishment) attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -133,7 +133,7 @@ impl WorkerAttr {
 ///
 /// Ordered and hashable so specs can key caches (e.g. the release
 /// engine's tabulation cache) and sorted indexes.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct MarginalSpec {
     /// Workplace grouping attributes `V_W` (order defines key layout).
     pub workplace_attrs: Vec<WorkplaceAttr>,
@@ -142,28 +142,31 @@ pub struct MarginalSpec {
 }
 
 impl MarginalSpec {
-    /// Build a spec; duplicate attributes are rejected.
+    /// Build a spec.
+    ///
+    /// # Panics
+    /// Panics if an attribute is listed twice.
     pub fn new(workplace_attrs: Vec<WorkplaceAttr>, worker_attrs: Vec<WorkerAttr>) -> Self {
-        let mut wp = workplace_attrs.clone();
-        wp.sort_unstable();
-        wp.dedup();
-        assert_eq!(
-            wp.len(),
-            workplace_attrs.len(),
-            "duplicate workplace attribute in marginal spec"
-        );
-        let mut wk = worker_attrs.clone();
-        wk.sort_unstable();
-        wk.dedup();
-        assert_eq!(
-            wk.len(),
-            worker_attrs.len(),
-            "duplicate worker attribute in marginal spec"
-        );
-        Self {
+        Self::try_new(workplace_attrs, worker_attrs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The spec, or why it is refused: an attribute listed twice. The one
+    /// check behind [`new`](Self::new) and deserialization, so a spec
+    /// submitted from outside the program is refused the same way.
+    fn try_new(
+        workplace_attrs: Vec<WorkplaceAttr>,
+        worker_attrs: Vec<WorkerAttr>,
+    ) -> Result<Self, &'static str> {
+        if has_duplicate(&workplace_attrs) {
+            return Err("duplicate workplace attribute in marginal spec");
+        }
+        if has_duplicate(&worker_attrs) {
+            return Err("duplicate worker attribute in marginal spec");
+        }
+        Ok(Self {
             workplace_attrs,
             worker_attrs,
-        }
+        })
     }
 
     /// True when the marginal groups by at least one worker attribute —
@@ -207,6 +210,25 @@ impl MarginalSpec {
     }
 }
 
+/// The wire shape is the derived one; every spec read passes the checks
+/// of [`MarginalSpec::new`].
+impl Deserialize for MarginalSpec {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Self::try_new(
+            Vec::from_value(get_field(v, "workplace_attrs")?)?,
+            Vec::from_value(get_field(v, "worker_attrs")?)?,
+        )
+        .map_err(DeError::new)
+    }
+}
+
+/// Whether any value appears twice in `attrs`.
+fn has_duplicate<T: Ord + Clone>(attrs: &[T]) -> bool {
+    let mut sorted = attrs.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).any(|w| w[0] == w[1])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,5 +265,23 @@ mod tests {
     #[should_panic(expected = "duplicate workplace attribute")]
     fn rejects_duplicates() {
         MarginalSpec::new(vec![WorkplaceAttr::Place, WorkplaceAttr::Place], vec![]);
+    }
+
+    #[test]
+    fn deserialization_refuses_duplicates() {
+        let spec = MarginalSpec::new(vec![WorkplaceAttr::Block], vec![WorkerAttr::Sex]);
+        let json = serde_json::to_string(&spec).unwrap();
+        assert_eq!(
+            json,
+            r#"{"workplace_attrs":["Block"],"worker_attrs":["Sex"]}"#
+        );
+        assert_eq!(serde_json::from_str::<MarginalSpec>(&json).unwrap(), spec);
+        for duplicate in [
+            r#"{"workplace_attrs":["Block","Naics","Block"],"worker_attrs":[]}"#,
+            r#"{"workplace_attrs":[],"worker_attrs":["Sex","Sex"]}"#,
+        ] {
+            let refused = serde_json::from_str::<MarginalSpec>(duplicate).unwrap_err();
+            assert!(refused.to_string().contains("duplicate"), "{refused}");
+        }
     }
 }

@@ -453,7 +453,7 @@ where
         entry.max_establishment = entry.max_establishment.max(count);
     }
 
-    Marginal::new(spec.clone(), schema, cells)
+    Marginal::from_sorted(spec.clone(), schema, cells.into_iter().collect())
 }
 
 #[cfg(test)]

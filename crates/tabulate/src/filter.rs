@@ -3,14 +3,9 @@
 //! The paper's sub-population workloads (Ranking 2's "female workers with
 //! a bachelor's degree or higher", OnTheMap-style county × industry
 //! extracts) restrict the tabulated population by a predicate over the
-//! joined `WorkerFull` record. Before this module that predicate was an
-//! opaque Rust closure: two textually identical filters built in two
-//! places (or two processes) had no common identity, so tabulations could
-//! only be shared when callers happened to reuse one `Arc`, and a resumed
-//! publication season could verify nothing about a stored filter beyond a
-//! boolean flag.
-//!
-//! [`FilterExpr`] replaces the closure with *data*:
+//! joined `WorkerFull` record. [`FilterExpr`] is that predicate as
+//! *data*, so equal filters share one identity across places and
+//! processes:
 //!
 //! * **Leaves** compare one attribute of the joined record against a
 //!   constant — [`FilterExpr::WorkerCmp`] / [`FilterExpr::WorkplaceCmp`]
@@ -296,6 +291,18 @@ impl FilterExpr {
     #[allow(clippy::should_implement_trait)]
     pub fn not(self) -> Self {
         FilterExpr::Not(Box::new(self))
+    }
+
+    /// Levels of the expression tree: 1 for a leaf or [`All`](Self::All),
+    /// one more than the deepest operand for a combinator.
+    pub fn depth(&self) -> usize {
+        match self {
+            FilterExpr::And(ops) | FilterExpr::Or(ops) => {
+                1 + ops.iter().map(Self::depth).max().unwrap_or(0)
+            }
+            FilterExpr::Not(op) => 1 + op.depth(),
+            _ => 1,
+        }
     }
 
     // ---- identity ----

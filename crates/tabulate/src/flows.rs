@@ -20,6 +20,14 @@
 //! smooth-sensitivity machinery as level queries (the per-establishment
 //! flow contribution is itself bounded by the size change).
 //!
+//! A flow table, [`FlowMarginal`], is the one table type of
+//! [`crate::marginal`] with [`FlowStats`] cells: the same sorted run,
+//! accessors, validation, serde and content digest as a level
+//! [`Marginal`](crate::Marginal), keyed alike. What is particular to flows
+//! is `FlowStats`'s [`CellAggregate`] impl: its digest words, its per-cell
+//! checks (the accounting identity, the maxima) and its refusal of worker
+//! attributes.
+//!
 //! # Evaluation
 //!
 //! [`DatasetIndex::flows`] tabulates a **pair** of [`DatasetIndex`]es in
@@ -34,14 +42,15 @@
 //! engine-wide determinism guarantee extends to flows. Filtered flows
 //! count only matching workers on *both* sides of the pair.
 
-use crate::attr::{Attr, MarginalSpec};
+use crate::attr::MarginalSpec;
 use crate::cell::{CellKey, CellSchema};
 use crate::filter::CompiledFilter;
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, Kernel};
+use crate::marginal::{CellAggregate, Tabulation};
 use crate::region::DatasetIndex;
 use lodes::Dataset;
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 #[cfg(feature = "reference")]
 use std::collections::BTreeMap;
 
@@ -90,156 +99,93 @@ impl FlowStats {
     }
 }
 
-/// A materialized flow tabulation between two quarters.
-///
-/// Mirrors [`crate::Marginal`]: only active cells (nonzero `B` or `E`) are
-/// stored, in a `Vec` strictly sorted by packed key — the shape the
-/// sorted-run merge produces directly — with binary-search point lookups
-/// and ordered iteration. The spec and schema ride along so persisted
-/// flow truths are self-describing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowMarginal {
-    spec: MarginalSpec,
-    schema: CellSchema,
-    /// Active cells, strictly ascending by key.
-    cells: Vec<(CellKey, FlowStats)>,
+/// Six words: `B`, `E`, `JC`, `JD`, then the maxima two to a word, the
+/// first of each pair in the low half.
+impl CellAggregate for FlowStats {
+    const WORDS: usize = 6;
+
+    fn words(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.beginning,
+            self.ending,
+            self.job_creation,
+            self.job_destruction,
+            (self.max_beginning as u64) | ((self.max_ending as u64) << 32),
+            (self.max_creation as u64) | ((self.max_destruction as u64) << 32),
+        ]
+    }
+
+    fn from_words(words: &[u64]) -> Self {
+        Self {
+            beginning: words[0],
+            ending: words[1],
+            job_creation: words[2],
+            job_destruction: words[3],
+            max_beginning: words[4] as u32,
+            max_ending: (words[4] >> 32) as u32,
+            max_creation: words[5] as u32,
+            max_destruction: (words[5] >> 32) as u32,
+        }
+    }
+
+    /// A stored cell is active (nonzero `B` or `E`), keeps the accounting
+    /// identity `E − B = JC − JD`, has per-statistic maxima that are
+    /// positive exactly when their statistic is and never exceed it, and
+    /// gross flows bounded by employment.
+    fn check(&self) -> Result<(), String> {
+        if self.beginning == 0 && self.ending == 0 {
+            return Err("dead cell".into());
+        }
+        let net = self.ending as i128 - self.beginning as i128;
+        let gross = self.job_creation as i128 - self.job_destruction as i128;
+        if net != gross {
+            return Err(format!("violates E - B = JC - JD ({net} vs {gross})"));
+        }
+        // Each maximum is one establishment's contribution to its
+        // statistic: bounded by the statistic's total and positive
+        // exactly when the total is.
+        let pairs = [
+            (self.max_beginning, self.beginning, "beginning"),
+            (self.max_ending, self.ending, "ending"),
+            (self.max_creation, self.job_creation, "creation"),
+            (self.max_destruction, self.job_destruction, "destruction"),
+        ];
+        for (max, total, what) in pairs {
+            if max as u64 > total || (max == 0) != (total == 0) {
+                return Err(format!(
+                    "impossible {what} stats (total {total}, max {max})"
+                ));
+            }
+        }
+        // Creation is a sum of per-establishment gains, each bounded by
+        // that establishment's after-size; destruction likewise by the
+        // before-size.
+        if self.job_creation > self.ending || self.job_destruction > self.beginning {
+            return Err("gross flows exceed employment".into());
+        }
+        Ok(())
+    }
+
+    /// Flows are establishment-level: a flow spec groups by workplace
+    /// attributes only.
+    fn check_table(spec: &MarginalSpec, _: &[(CellKey, Self)]) -> Result<(), String> {
+        if spec.has_worker_attrs() {
+            return Err("flow marginal spec must not include worker attributes".into());
+        }
+        Ok(())
+    }
 }
 
+/// A materialized flow tabulation between two quarters: only active cells
+/// (nonzero `B` or `E`) are stored. Its keys are those of the level
+/// marginal of the same spec.
+pub type FlowMarginal = Tabulation<FlowStats>;
+
 impl FlowMarginal {
-    /// Assemble from an already-sorted cell run (the merge output).
-    ///
-    /// # Panics
-    /// Debug-asserts that keys are strictly ascending.
-    pub(crate) fn from_sorted(
-        spec: MarginalSpec,
-        schema: CellSchema,
-        cells: Vec<(CellKey, FlowStats)>,
-    ) -> Self {
-        debug_assert!(
-            cells.windows(2).all(|w| w[0].0 < w[1].0),
-            "flow cell run must be strictly sorted by key"
-        );
-        Self {
-            spec,
-            schema,
-            cells,
-        }
-    }
-
-    /// Assemble a flow marginal from cells read back from outside the
-    /// program (a persisted flow truth in either of its encodings),
-    /// re-validating every invariant the flow evaluator guarantees by
-    /// construction: workplace-only spec, schema attributes equal to the
-    /// spec's, strictly ascending in-domain keys, no dead cells, the
-    /// accounting identity `E − B = JC − JD` per cell, and per-statistic
-    /// maxima that are positive exactly when their statistic is and never
-    /// exceed it.
-    pub fn from_cells(
-        spec: MarginalSpec,
-        schema: CellSchema,
-        cells: Vec<(CellKey, FlowStats)>,
-    ) -> Result<Self, DeError> {
-        if spec.has_worker_attrs() {
-            return Err(DeError::new(
-                "flow marginal spec must not include worker attributes",
-            ));
-        }
-        let spec_attrs: Vec<Attr> = spec.attrs().collect();
-        if schema.attrs() != spec_attrs.as_slice() {
-            return Err(DeError::new(
-                "flow marginal schema attributes disagree with its spec",
-            ));
-        }
-        if !cells.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(DeError::new(
-                "flow marginal cells are not strictly sorted by key",
-            ));
-        }
-        let domain = schema.domain_size();
-        for &(key, s) in &cells {
-            if key.0 >= domain {
-                return Err(DeError::new(format!(
-                    "flow cell key {} outside schema domain {domain}",
-                    key.0
-                )));
-            }
-            if s.beginning == 0 && s.ending == 0 {
-                return Err(DeError::new("dead cell in flow marginal snapshot"));
-            }
-            let net = s.ending as i128 - s.beginning as i128;
-            let gross = s.job_creation as i128 - s.job_destruction as i128;
-            if net != gross {
-                return Err(DeError::new(format!(
-                    "flow cell {} violates E - B = JC - JD ({net} vs {gross})",
-                    key.0
-                )));
-            }
-            // Each maximum is one establishment's contribution to its
-            // statistic: bounded by the statistic's total and positive
-            // exactly when the total is.
-            let pairs = [
-                (s.max_beginning, s.beginning, "beginning"),
-                (s.max_ending, s.ending, "ending"),
-                (s.max_creation, s.job_creation, "creation"),
-                (s.max_destruction, s.job_destruction, "destruction"),
-            ];
-            for (max, total, what) in pairs {
-                if max as u64 > total || (max == 0) != (total == 0) {
-                    return Err(DeError::new(format!(
-                        "impossible {what} stats in flow cell {} (total {total}, max {max})",
-                        key.0
-                    )));
-                }
-            }
-            // Creation is a sum of per-establishment gains, each bounded
-            // by that establishment's after-size; destruction likewise by
-            // the before-size.
-            if s.job_creation > s.ending || s.job_destruction > s.beginning {
-                return Err(DeError::new(format!(
-                    "flow cell {} has gross flows exceeding employment",
-                    key.0
-                )));
-            }
-        }
-        Ok(Self {
-            spec,
-            schema,
-            cells,
-        })
-    }
-
-    /// The query specification (workplace attributes only).
-    pub fn spec(&self) -> &MarginalSpec {
-        &self.spec
-    }
-
-    /// The key schema (shared with level marginals of the same spec).
-    pub fn schema(&self) -> &CellSchema {
-        &self.schema
-    }
-
-    /// Number of cells with any activity.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Stats for one cell; `None` when the cell is dead in both quarters.
-    pub fn cell(&self, key: CellKey) -> Option<&FlowStats> {
-        self.cells
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|i| &self.cells[i].1)
-    }
-
-    /// Iterate over active cells in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (CellKey, &FlowStats)> {
-        self.cells.iter().map(|(k, v)| (*k, v))
-    }
-
     /// Aggregate totals across all cells.
     pub fn totals(&self) -> FlowStats {
         let mut out = FlowStats::default();
-        for (_, stats) in &self.cells {
+        for (_, stats) in self.iter() {
             out.beginning += stats.beginning;
             out.ending += stats.ending;
             out.job_creation += stats.job_creation;
@@ -250,50 +196,6 @@ impl FlowMarginal {
             out.max_destruction = out.max_destruction.max(stats.max_destruction);
         }
         out
-    }
-
-    /// A stable FNV-1a digest over every cell — key, the four flow
-    /// statistics, and their per-statistic maxima — folded in key order,
-    /// prefixed by the cell count. The flow analogue of
-    /// [`crate::Marginal::content_digest`]: equal digests (with equal
-    /// specs) mean bit-identical statistics, and the persistent truth
-    /// store refuses loads that no longer reproduce it.
-    pub fn content_digest(&self) -> u64 {
-        let mut hash = crate::Fnv1a::new();
-        hash.word(self.cells.len() as u64);
-        for &(key, stats) in &self.cells {
-            hash.word(key.0);
-            hash.word(stats.beginning);
-            hash.word(stats.ending);
-            hash.word(stats.job_creation);
-            hash.word(stats.job_destruction);
-            hash.word((stats.max_beginning as u64) | ((stats.max_ending as u64) << 32));
-            hash.word((stats.max_creation as u64) | ((stats.max_destruction as u64) << 32));
-        }
-        hash.finish()
-    }
-}
-
-/// The stable serialized form: spec, schema, and the sorted cell run —
-/// totals are derived, never trusted from a snapshot. Deserializing goes
-/// through [`FlowMarginal::from_cells`].
-impl Serialize for FlowMarginal {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            ("schema".to_string(), self.schema.to_value()),
-            ("cells".to_string(), self.cells.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FlowMarginal {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Self::from_cells(
-            MarginalSpec::from_value(get_field(v, "spec")?)?,
-            CellSchema::from_value(get_field(v, "schema")?)?,
-            Vec::<(CellKey, FlowStats)>::from_value(get_field(v, "cells")?)?,
-        )
     }
 }
 

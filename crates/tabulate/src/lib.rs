@@ -69,7 +69,7 @@ pub use flows::{compute_flows, FlowMarginal, FlowStats};
 pub use fnv::Fnv1a;
 pub use index::TabulationIndex;
 pub use kernel::{simd_available, Kernel};
-pub use marginal::{CellStats, Marginal};
+pub use marginal::{CellAggregate, CellStats, Marginal, Tabulation};
 pub use region::{DatasetIndex, RegionIndexBuilder};
 pub use strata::stratify_by_place_size;
 pub use workload::{ranking2_expr, ranking2_filter, workload1, workload2, workload3};

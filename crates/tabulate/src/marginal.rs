@@ -1,9 +1,38 @@
-//! Materialized marginal query results.
+//! Tabulated tables: the one sorted-cell table every tabulation produces.
+//!
+//! A [`Tabulation`] is a spec, the schema its keys decode under, and its
+//! nonzero cells, strictly ascending by packed key. What a cell holds is
+//! its [`CellAggregate`]: [`CellStats`] for a level marginal
+//! ([`Marginal`]), [`FlowStats`](crate::FlowStats) for job flows
+//! ([`FlowMarginal`](crate::FlowMarginal)). The aggregate's digest words
+//! define the table's [`content digest`](Tabulation::content_digest),
+//! and a persisted truth stores each cell as its key followed by those
+//! same words.
 
 use crate::attr::{Attr, MarginalSpec, WorkerAttr};
 use crate::cell::{CellKey, CellSchema};
 use serde::{get_field, DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
+
+/// What one cell of a [`Tabulation`] holds.
+pub trait CellAggregate: Copy {
+    /// Number of digest words per cell.
+    const WORDS: usize;
+
+    /// The cell's `WORDS` digest words, in order.
+    fn words(&self) -> impl IntoIterator<Item = u64>;
+
+    /// The cell whose digest words are `words` (exactly `WORDS` of them).
+    fn from_words(words: &[u64]) -> Self;
+
+    /// Refuse stats that no tabulation produces.
+    fn check(&self) -> Result<(), String>;
+
+    /// Refuse a table of these cells that no tabulation produces as a
+    /// whole: a spec the aggregate is never tabulated under, or cells whose
+    /// derived total overflows.
+    fn check_table(spec: &MarginalSpec, cells: &[(CellKey, Self)]) -> Result<(), String>;
+}
 
 /// Per-cell statistics of a marginal query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,42 +56,81 @@ impl CellStats {
     }
 }
 
-/// A materialized marginal: nonzero cells with stats, plus the schema needed
-/// to decode keys.
+/// Two words: the count, then the establishment count in the low and
+/// `x_v` in the high half.
+impl CellAggregate for CellStats {
+    const WORDS: usize = 2;
+
+    fn words(&self) -> impl IntoIterator<Item = u64> {
+        [
+            self.count,
+            (self.establishments as u64) | ((self.max_establishment as u64) << 32),
+        ]
+    }
+
+    fn from_words(words: &[u64]) -> Self {
+        Self {
+            count: words[0],
+            establishments: words[1] as u32,
+            max_establishment: (words[1] >> 32) as u32,
+        }
+    }
+
+    /// A stored cell has a nonzero count and at least one contributing
+    /// establishment, and neither the establishment count nor `x_v` can
+    /// exceed the count.
+    fn check(&self) -> Result<(), String> {
+        if self.count == 0 {
+            return Err("zero-count cell".into());
+        }
+        if self.establishments == 0
+            || self.max_establishment == 0
+            || self.establishments as u64 > self.count
+            || self.max_establishment as u64 > self.count
+        {
+            return Err(format!(
+                "impossible cell stats (count {}, establishments {}, max_establishment {})",
+                self.count, self.establishments, self.max_establishment
+            ));
+        }
+        Ok(())
+    }
+
+    /// The counts sum to the [`total`](Marginal::total), which must fit a
+    /// `u64`.
+    fn check_table(_: &MarginalSpec, cells: &[(CellKey, Self)]) -> Result<(), String> {
+        cells
+            .iter()
+            .try_fold(0u64, |total, (_, stats)| total.checked_add(stats.count))
+            .map(|_| ())
+            .ok_or_else(|| "marginal total overflows u64".into())
+    }
+}
+
+/// A materialized tabulation: nonzero cells with their aggregates, plus
+/// the spec and schema needed to decode keys.
 ///
 /// Only nonzero cells are stored. LODES publications release sparse tables
 /// (zeros are implicit and, under the current SDL, exact); the evaluation
 /// follows the paper in computing error over the published (nonzero) cells.
 ///
-/// Cells are held in a `Vec` sorted by packed key — the output shape the
-/// tabulation engine's sorted-run merge produces directly. Ordered
-/// iteration is identical to the former `BTreeMap` store; point lookups
-/// ([`cell`](Self::cell)) are a binary search; merges, scans, and
-/// serialization walk contiguous memory.
+/// Cells are held in a `Vec` strictly ascending by packed key — the
+/// output shape the tabulation engine's sorted-run merge produces
+/// directly. Point lookups ([`cell`](Self::cell)) are a binary search;
+/// merges, scans, and serialization walk contiguous memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Marginal {
+pub struct Tabulation<S> {
     spec: MarginalSpec,
     schema: CellSchema,
     /// Nonzero cells, strictly ascending by key.
-    cells: Vec<(CellKey, CellStats)>,
-    total: u64,
+    cells: Vec<(CellKey, S)>,
 }
 
-impl Marginal {
-    /// Assemble a marginal from parts (used by the legacy reference
-    /// engine, which only exists under the `reference` feature).
-    #[cfg(feature = "reference")]
-    pub(crate) fn new(
-        spec: MarginalSpec,
-        schema: CellSchema,
-        cells: BTreeMap<CellKey, CellStats>,
-    ) -> Self {
-        // BTreeMap iteration is ascending by key, so the collected Vec
-        // satisfies the sorted-store invariant by construction.
-        Self::from_sorted(spec, schema, cells.into_iter().collect())
-    }
+/// A level marginal: each cell's count and `x_v`.
+pub type Marginal = Tabulation<CellStats>;
 
-    /// Assemble a marginal from an already-sorted cell run (the tabulation
+impl<S: CellAggregate> Tabulation<S> {
+    /// Assemble a table from an already-sorted cell run (the tabulation
     /// engine's merge output).
     ///
     /// # Panics
@@ -70,84 +138,58 @@ impl Marginal {
     pub(crate) fn from_sorted(
         spec: MarginalSpec,
         schema: CellSchema,
-        cells: Vec<(CellKey, CellStats)>,
+        cells: Vec<(CellKey, S)>,
     ) -> Self {
         debug_assert!(
             cells.windows(2).all(|w| w[0].0 < w[1].0),
             "cell run must be strictly sorted by key"
         );
-        let total = cells.iter().map(|(_, c)| c.count).sum();
         Self {
             spec,
             schema,
             cells,
-            total,
         }
     }
 
-    /// Assemble a marginal from cells read back from outside the program
-    /// (a persisted truth in either of its encodings), re-validating every
+    /// Assemble a table from cells read back from outside the program (a
+    /// persisted truth in either of its encodings), re-validating every
     /// invariant the tabulation engine guarantees by construction: the
-    /// schema's attributes are the spec's, the cell run is strictly
-    /// ascending by key, every key lies inside the schema's domain, and
-    /// every cell's stats are possible (a nonzero count, at least one
-    /// establishment, neither count nor `x_v` above the cell's count).
-    /// A snapshot violating
-    /// any of these is refused — a persisted truth is untrusted input until
-    /// it proves itself. The total is derived, never trusted.
+    /// table passes its aggregate's
+    /// [`check_table`](CellAggregate::check_table), the schema's
+    /// attributes are the spec's, the cell run is strictly ascending by
+    /// key, every key lies inside the schema's domain, and every cell
+    /// passes its aggregate's [`check`](CellAggregate::check). A snapshot
+    /// violating any of these is refused — a persisted truth is untrusted
+    /// input until it proves itself.
     pub fn from_cells(
         spec: MarginalSpec,
         schema: CellSchema,
-        cells: Vec<(CellKey, CellStats)>,
+        cells: Vec<(CellKey, S)>,
     ) -> Result<Self, DeError> {
+        S::check_table(&spec, &cells).map_err(DeError::new)?;
         let spec_attrs: Vec<Attr> = spec.attrs().collect();
         if schema.attrs() != spec_attrs.as_slice() {
-            return Err(DeError::new(
-                "marginal schema attributes disagree with its spec",
-            ));
+            return Err(DeError::new("schema attributes disagree with the spec"));
         }
         if !cells.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(DeError::new(
-                "marginal cells are not strictly sorted by key",
-            ));
+            return Err(DeError::new("cells are not strictly sorted by key"));
         }
         let domain = schema.domain_size();
-        let mut total: u64 = 0;
-        for &(key, stats) in &cells {
+        for (key, stats) in &cells {
             if key.0 >= domain {
                 return Err(DeError::new(format!(
                     "cell key {} outside schema domain {domain}",
                     key.0
                 )));
             }
-            if stats.count == 0 {
-                return Err(DeError::new("zero-count cell in marginal snapshot"));
-            }
-            // Per-cell stats invariants the evaluator guarantees: every
-            // stored cell has at least one contributing establishment,
-            // and neither the establishment count nor x_v (the largest
-            // single-establishment contribution, which drives smooth
-            // sensitivity) can exceed the cell's total count.
-            if stats.establishments == 0
-                || stats.max_establishment == 0
-                || stats.establishments as u64 > stats.count
-                || stats.max_establishment as u64 > stats.count
-            {
-                return Err(DeError::new(format!(
-                    "impossible cell stats in marginal snapshot (count {}, establishments {}, \
-                     max_establishment {})",
-                    stats.count, stats.establishments, stats.max_establishment
-                )));
-            }
-            total = total
-                .checked_add(stats.count)
-                .ok_or_else(|| DeError::new("marginal total overflows u64"))?;
+            stats
+                .check()
+                .map_err(|e| DeError::new(format!("cell {}: {e}", key.0)))?;
         }
         Ok(Self {
             spec,
             schema,
             cells,
-            total,
         })
     }
 
@@ -166,14 +208,8 @@ impl Marginal {
         self.cells.len()
     }
 
-    /// Sum of all cell counts (equals the number of jobs matching the
-    /// marginal's implicit universe).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Stats for one cell; `None` when the true count is zero.
-    pub fn cell(&self, key: CellKey) -> Option<&CellStats> {
+    /// The aggregate of one cell; `None` when the cell is zero.
+    pub fn cell(&self, key: CellKey) -> Option<&S> {
         self.cells
             .binary_search_by_key(&key, |&(k, _)| k)
             .ok()
@@ -181,30 +217,39 @@ impl Marginal {
     }
 
     /// Iterate over nonzero cells in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (CellKey, &CellStats)> {
+    pub fn iter(&self) -> impl Iterator<Item = (CellKey, &S)> {
         self.cells.iter().map(|(k, v)| (*k, v))
+    }
+
+    /// A stable FNV-1a digest over every cell — its key, then its
+    /// aggregate's digest words — folded in key order, prefixed by the
+    /// cell count. Two tables with equal digests (and equal specs) carry
+    /// bit-identical published statistics; a persistent truth store
+    /// records this digest next to the stored cells and refuses loads
+    /// that no longer reproduce it.
+    pub fn content_digest(&self) -> u64 {
+        let mut hash = crate::Fnv1a::new();
+        hash.word(self.cells.len() as u64);
+        for (key, stats) in &self.cells {
+            hash.word(key.0);
+            for word in stats.words() {
+                hash.word(word);
+            }
+        }
+        hash.finish()
+    }
+}
+
+impl Marginal {
+    /// Sum of all cell counts (equals the number of jobs matching the
+    /// marginal's implicit universe).
+    pub fn total(&self) -> u64 {
+        self.cells.iter().map(|(_, c)| c.count).sum()
     }
 
     /// The count vector in key order (for error metrics).
     pub fn counts(&self) -> Vec<u64> {
         self.cells.iter().map(|(_, c)| c.count).collect()
-    }
-
-    /// A stable FNV-1a digest over every cell — key, count, contributing
-    /// establishments, and `x_v`, folded in key order, prefixed by the
-    /// cell count. Two marginals with equal digests (and equal specs)
-    /// carry bit-identical published statistics; a persistent truth store
-    /// records this digest next to the serialized cells and refuses loads
-    /// that no longer reproduce it.
-    pub fn content_digest(&self) -> u64 {
-        let mut hash = crate::Fnv1a::new();
-        hash.word(self.cells.len() as u64);
-        for &(key, stats) in &self.cells {
-            hash.word(key.0);
-            hash.word(stats.count);
-            hash.word((stats.establishments as u64) | ((stats.max_establishment as u64) << 32));
-        }
-        hash.finish()
     }
 
     /// Restrict to cells where each listed worker attribute takes the given
@@ -259,11 +304,10 @@ impl Marginal {
     }
 }
 
-/// The stable serialized form of a marginal: spec, schema (attributes +
+/// The stable serialized form of a table: spec, schema (attributes +
 /// cardinalities), and the sorted cell run. Deserializing goes through
-/// [`Marginal::from_cells`], so the total is derived on load, never
-/// trusted from the snapshot.
-impl Serialize for Marginal {
+/// [`Tabulation::from_cells`], so a snapshot is validated on load.
+impl<S: Serialize> Serialize for Tabulation<S> {
     fn to_value(&self) -> Value {
         Value::Map(vec![
             ("spec".to_string(), self.spec.to_value()),
@@ -273,12 +317,12 @@ impl Serialize for Marginal {
     }
 }
 
-impl Deserialize for Marginal {
+impl<S: CellAggregate + Deserialize> Deserialize for Tabulation<S> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Self::from_cells(
             MarginalSpec::from_value(get_field(v, "spec")?)?,
             CellSchema::from_value(get_field(v, "schema")?)?,
-            Vec::<(CellKey, CellStats)>::from_value(get_field(v, "cells")?)?,
+            Vec::<(CellKey, S)>::from_value(get_field(v, "cells")?)?,
         )
     }
 }
