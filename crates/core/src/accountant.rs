@@ -40,7 +40,7 @@
 
 use crate::definitions::PrivacyParams;
 use crate::neighbors::NeighborKind;
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
+use serde::{get_field, DeError, Deserialize, JsonWriter, Serialize, Value};
 use tabulate::MarginalSpec;
 
 /// The privacy-loss cost of releasing one marginal.
@@ -631,28 +631,30 @@ pub enum MetaEvent {
 }
 
 impl Serialize for MetaEvent {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
         match self {
-            MetaEvent::Reserve(r) => Value::Map(vec![
-                ("event".to_string(), Value::Str("reserve".to_string())),
-                ("name".to_string(), r.name.to_value()),
-                ("budget".to_string(), r.budget.to_value()),
-            ]),
+            MetaEvent::Reserve(r) => {
+                w.field("event", "reserve");
+                w.field("name", &r.name);
+                w.field("budget", &r.budget);
+            }
             MetaEvent::CloseBegin {
                 name,
                 refund_epsilon,
                 refund_delta,
-            } => Value::Map(vec![
-                ("event".to_string(), Value::Str("close_begin".to_string())),
-                ("name".to_string(), name.to_value()),
-                ("refund_epsilon".to_string(), refund_epsilon.to_value()),
-                ("refund_delta".to_string(), refund_delta.to_value()),
-            ]),
-            MetaEvent::CloseSeal { name } => Value::Map(vec![
-                ("event".to_string(), Value::Str("close_seal".to_string())),
-                ("name".to_string(), name.to_value()),
-            ]),
+            } => {
+                w.field("event", "close_begin");
+                w.field("name", name);
+                w.field("refund_epsilon", refund_epsilon);
+                w.field("refund_delta", refund_delta);
+            }
+            MetaEvent::CloseSeal { name } => {
+                w.field("event", "close_seal");
+                w.field("name", name);
+            }
         }
+        w.end_object();
     }
 }
 
@@ -935,19 +937,13 @@ impl MetaLedger {
 }
 
 impl Serialize for MetaLedger {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("cap".to_string(), self.cap().to_value()),
-            ("events".to_string(), self.events.to_value()),
-            (
-                "reserved_epsilon".to_string(),
-                self.reserved_epsilon().to_value(),
-            ),
-            (
-                "reserved_delta".to_string(),
-                self.reserved_delta().to_value(),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("cap", &self.cap());
+        w.field("events", &self.events);
+        w.field("reserved_epsilon", &self.reserved_epsilon());
+        w.field("reserved_delta", &self.reserved_delta());
+        w.end_object();
     }
 }
 

@@ -555,7 +555,7 @@ impl SeasonStore {
         // it vouches for must already exist. A crash between the two
         // leaves a manifest-less directory that a re-issued `create`
         // simply finishes.
-        write_ledger(&root, &ledger, &[])?;
+        write_ledger(&root, &ledger, &mut Vec::new())?;
         write_json_atomic(&manifest_path, &manifest)?;
         Ok(Self {
             root,
@@ -639,7 +639,7 @@ impl SeasonStore {
             ledger = replay(manifest.budget, &completed).map_err(|e| StoreError::Inconsistent {
                 detail: format!("rolling the ledger forward over the last artifact: {e}"),
             })?;
-            write_ledger(&root, &ledger, &completed)?;
+            write_ledger(&root, &ledger, &mut completed)?;
         } else if artifact_count != completed.len() {
             return Err(StoreError::Inconsistent {
                 detail: format!(
@@ -850,7 +850,7 @@ impl SeasonStore {
         let path = artifact_file(&self.root.join(ARTIFACTS_DIR), self.completed.len());
         write_bytes_atomic(&path, body.json().as_bytes())?;
         self.completed.push(release.clone());
-        if let Err(e) = write_ledger(&self.root, ledger, &self.completed) {
+        if let Err(e) = write_ledger(&self.root, ledger, &mut self.completed) {
             self.completed.pop();
             return Err(e);
         }
@@ -1011,19 +1011,22 @@ struct LedgerFile {
 }
 
 /// Write `ledger.json`: `ledger`'s budget and spent totals, then
-/// `commits`, one commit record per release.
+/// `commits`, one commit record per release. The records move into the
+/// file's value for the write and back out, so none is copied.
 fn write_ledger(
     root: &Path,
     ledger: &Ledger,
-    commits: &[CompletedRelease],
+    commits: &mut Vec<CompletedRelease>,
 ) -> Result<(), StoreError> {
     let file = LedgerFile {
         budget: *ledger.budget(),
         spent_epsilon: ledger.spent_epsilon(),
         spent_delta: ledger.spent_delta(),
-        commits: commits.to_vec(),
+        commits: std::mem::take(commits),
     };
-    write_json_atomic(&root.join(LEDGER_FILE), &file)
+    let written = write_json_atomic(&root.join(LEDGER_FILE), &file);
+    *commits = file.commits;
+    written
 }
 
 /// Read `ledger.json`: rebuild the ledger by replaying its commit records
@@ -1865,5 +1868,74 @@ mod tests {
             (17_182, 0x97f5_6c6d_0464_8436)
         );
         fs::remove_dir_all(&dir).unwrap();
+        // The JSON every release writes: length and FNV-1a of a body of
+        // each payload kind (the level one with cells saturated at
+        // ±f64::MAX, a negative zero, a subnormal and fractions), of the
+        // season's `ledger.json` once they are recorded, and of a
+        // `meta_ledger.json` holding every event kind.
+        use crate::engine::ArtifactPayload;
+        use crate::{FilterExpr, MetaLedger};
+        let season = tmp_dir("known-bodies");
+        let budget = PrivacyParams::approximate(0.1, 40.0, 0.2);
+        let mut store = SeasonStore::create(&season, budget).unwrap();
+        let mut engine = ReleaseEngine::new(budget);
+        let mut body = |request: ReleaseRequest, truth: TruthSource<'_>| {
+            let mut artifact = engine.execute(&request, truth).unwrap();
+            if let ArtifactPayload::Cells(cells) = &mut artifact.payload {
+                let edits = [f64::MAX, -f64::MAX, -0.0, 5e-324, 0.1, 1e16, -2.5e-7];
+                for (value, edit) in cells.values_mut().zip(edits) {
+                    *value = edit;
+                }
+            }
+            store.record(engine.ledger(), &artifact).unwrap();
+            let body = ArtifactBody::encode(&artifact).unwrap();
+            (body.json().len(), body.digest())
+        };
+        let cells = body(
+            ReleaseRequest::marginal(workload3())
+                .mechanism(MechanismKind::LogLaplace)
+                .budget(PrivacyParams::pure(0.1, 8.0))
+                .filter_expr(FilterExpr::sex(lodes::Sex::Female))
+                .describe("level \"q1\"\n\t\u{1}\u{e9}\u{1F600}")
+                .seed(12),
+            TruthSource::Marginal(&level),
+        );
+        let shapes = body(
+            ReleaseRequest::shapes(workload3())
+                .mechanism(MechanismKind::SmoothLaplace)
+                .budget(PrivacyParams::approximate(0.1, 16.0, 0.05))
+                .seed(13),
+            TruthSource::Marginal(&level),
+        );
+        let flow_body = body(
+            ReleaseRequest::flows(workload1())
+                .mechanism(MechanismKind::SmoothLaplace)
+                .budget(PrivacyParams::approximate(0.1, 6.0, 0.06))
+                .integerize(true)
+                .seed(77),
+            TruthSource::Flows(&flows),
+        );
+        assert_eq!(cells, (46_709, 0x4d5f_883d_e536_6922));
+        assert_eq!(shapes, (89_117, 0x271c_438c_3c66_5e34));
+        assert_eq!(flow_body, (24_869, 0x4fb0_5fd2_fc71_0aa5));
+        let ledger = fs::read(season.join(LEDGER_FILE)).unwrap();
+        assert_eq!(
+            (ledger.len(), fnv1a_bytes(&ledger)),
+            (1_411, 0x56ff_4800_1628_3d72)
+        );
+        fs::remove_dir_all(&season).unwrap();
+        let mut meta = MetaLedger::new(PrivacyParams::approximate(0.1, 16.0, 0.01));
+        meta.reserve("annual", PrivacyParams::approximate(0.1, 13.0, 0.004))
+            .unwrap();
+        meta.reserve("quarterly", PrivacyParams::pure(0.1, 3.0))
+            .unwrap();
+        meta.close_begin("quarterly", 0.1 + 0.2, 0.0).unwrap();
+        meta.close_seal("quarterly").unwrap();
+        // The bytes `write_json_atomic` writes as `meta_ledger.json`.
+        let meta = serde_json::to_string(&meta).unwrap();
+        assert_eq!(
+            (meta.len(), fnv1a_bytes(meta.as_bytes())),
+            (424, 0x7d76_1163_8779_d0e6)
+        );
     }
 }

@@ -48,7 +48,8 @@
 //! (strict key order, in-domain keys, possible cell stats — re-checked by
 //! [`Tabulation::from_cells`], the same constructor its JSON deserializer
 //! uses), and a recorded [`content digest`](Tabulation::content_digest)
-//! that must reproduce from the decoded cells. Any failure makes the load
+//! that must reproduce from the run the cells were decoded from (the
+//! seal's one pass over the run computes both). Any failure makes the load
 //! a miss: the truth is recomputed from the index and the file rewritten —
 //! self-healing, and always correct, because the store is a cache of a
 //! pure function, never the source of record. A format-1 (JSON) truth
@@ -63,8 +64,8 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tabulate::{
-    CellAggregate, CellKey, CellSchema, CellStats, FilterExpr, FlowMarginal, FlowStats, Marginal,
-    MarginalSpec, Tabulation,
+    CellAggregate, CellKey, CellSchema, CellStats, FilterExpr, FlowMarginal, FlowStats, Fnv1a,
+    Marginal, MarginalSpec, Tabulation,
 };
 
 /// Truth-file format version, recorded in every header so a future layout
@@ -358,7 +359,9 @@ fn decode<S: TruthKind>(
     filter: Option<&FilterExpr>,
 ) -> Option<Tabulation<S>> {
     let (sealed, seal) = bytes.split_at(bytes.len().checked_sub(SEAL_BYTES)?);
-    if fnv1a_bytes(sealed).to_le_bytes() != seal {
+    let run_start = sealed.iter().position(|&b| b == b'\n')? + 1;
+    let (sealed_digest, run_digest) = run_digests::<S>(&sealed[..run_start], &sealed[run_start..]);
+    if sealed_digest.to_le_bytes() != seal {
         return None;
     }
     let (header, run): (TruthHeader, _) = split_header_line(sealed)?;
@@ -394,7 +397,25 @@ fn decode<S: TruthKind>(
         })
         .collect();
     let truth = Tabulation::from_cells(header.spec, header.schema, cells).ok()?;
-    (truth.content_digest() == header.content_digest).then_some(truth)
+    (run_digest == header.content_digest).then_some(truth)
+}
+
+/// The seal over a truth file's `header` line and cell `run`, and the
+/// [`content digest`](Tabulation::content_digest) of the table the run
+/// encodes, in one pass over the run. A cell is stored as its key and
+/// digest words, so the run's bytes are exactly what the content digest
+/// folds after the cell count; the two FNV-1a states are independent, so
+/// their multiply chains overlap.
+fn run_digests<S: CellAggregate>(header: &[u8], run: &[u8]) -> (u64, u64) {
+    let mut sealed = Fnv1a::new();
+    sealed.bytes(header);
+    let mut table = Fnv1a::new();
+    table.word((run.len() / cell_bytes::<S>()) as u64);
+    for &byte in run {
+        sealed.bytes(&[byte]);
+        table.bytes(&[byte]);
+    }
+    (sealed.finish(), table.finish())
 }
 
 #[cfg(test)]
@@ -402,6 +423,7 @@ mod tests {
     use super::*;
     use crate::store::dataset_digest;
     use lodes::{Generator, GeneratorConfig, Sex};
+    use proptest::prelude::*;
     use std::fs;
     use tabulate::{compute_marginal, compute_marginal_expr, workload1, workload3};
 
@@ -538,5 +560,48 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), written);
         assert_eq!(store.load(&workload1(), None).unwrap(), truth);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The one pass over a saved truth's run yields the file's seal and
+    /// exactly the content digest of the table that loads from it.
+    #[test]
+    fn run_digests_are_the_seal_and_the_loaded_tables_content_digest() {
+        let dir = tmp_dir("run-digests");
+        let d = Generator::new(GeneratorConfig::test_small(15)).generate();
+        let store = TruthStore::open(&dir, dataset_digest(&d)).unwrap();
+        let truth = compute_marginal(&d, &workload3());
+        store.save(&workload3(), None, &truth).unwrap();
+        let bytes = fs::read(store.path_for(&workload3(), None)).unwrap();
+        let (sealed, seal) = bytes.split_at(bytes.len() - SEAL_BYTES);
+        let (_, run): (TruthHeader, _) = split_header_line(sealed).unwrap();
+        let header = &sealed[..sealed.len() - run.len()];
+        let loaded = store.load(&workload3(), None).unwrap();
+        assert_eq!(
+            run_digests::<CellStats>(header, run),
+            (
+                u64::from_le_bytes(seal.try_into().unwrap()),
+                loaded.content_digest()
+            )
+        );
+        assert_eq!(loaded.content_digest(), truth.content_digest());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Any digest words decode to a cell that gives the same words back,
+    /// so a cell run's bytes are the words its table's content digest
+    /// folds, whatever the run holds.
+    fn words_round_trip<S: CellAggregate>(words: &[u64]) -> Vec<u64> {
+        S::from_words(words).words().into_iter().collect()
+    }
+
+    proptest! {
+        #[test]
+        fn digest_words_round_trip_through_every_aggregate(
+            words in prop::collection::vec(any::<u64>(), FlowStats::WORDS..FlowStats::WORDS + 1),
+        ) {
+            let level = &words[..CellStats::WORDS];
+            prop_assert_eq!(words_round_trip::<CellStats>(level), level.to_vec());
+            prop_assert_eq!(words_round_trip::<FlowStats>(&words), words.clone());
+        }
     }
 }

@@ -104,7 +104,7 @@ use eree_core::store::{
 };
 use eree_core::truths::TruthStore;
 use lodes::{Dataset, DatasetPanel};
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
+use serde::{get_field, DeError, Deserialize, JsonWriter, Serialize, Value};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -221,33 +221,37 @@ struct ReleaseRecord {
 /// `key`, and no season; a failure's `error`. A record is a cache hit
 /// exactly when it carries a key.
 impl Serialize for ReleaseRecord {
-    fn to_value(&self) -> Value {
-        let field = |name: &str, value: Value| (name.to_string(), value);
-        let season = field("season", self.season.to_value());
-        let status = |status: &str| field("status", status.to_value());
-        Value::Map(match &self.state {
-            ReleaseState::Queued => vec![season, status("queued")],
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        match &self.state {
+            ReleaseState::Queued => {
+                w.field("season", &self.season);
+                w.field("status", "queued");
+            }
             ReleaseState::Complete {
                 site: BodySite::Season { index, .. },
                 digest,
-            } => vec![
-                season,
-                status("complete"),
-                field("digest", digest.to_value()),
-                field("index", index.to_value()),
-            ],
+            } => {
+                w.field("season", &self.season);
+                w.field("status", "complete");
+                w.field("digest", digest);
+                w.field("index", index);
+            }
             ReleaseState::Complete {
                 site: BodySite::Public(key),
                 digest,
-            } => vec![
-                status("complete"),
-                field("digest", digest.to_value()),
-                field("key", key.to_value()),
-            ],
-            ReleaseState::Failed { error } => {
-                vec![season, status("failed"), field("error", error.to_value())]
+            } => {
+                w.field("status", "complete");
+                w.field("digest", digest);
+                w.field("key", key);
             }
-        })
+            ReleaseState::Failed { error } => {
+                w.field("season", &self.season);
+                w.field("status", "failed");
+                w.field("error", error);
+            }
+        }
+        w.end_object();
     }
 }
 

@@ -9,7 +9,7 @@ use eree_core::definitions::PrivacyParams;
 use eree_core::engine::RequestKind;
 use eree_core::mechanisms::MechanismKind;
 use eree_core::StoreError;
-use eree_service::{Client, ReleaseService, ReleaseSubmission, ServiceConfig};
+use eree_service::{Client, ReleaseService, ReleaseSubmission, ServiceConfig, SubmitReceipt};
 use lodes::{Dataset, Generator, GeneratorConfig};
 use std::fs;
 use std::io::{Read, Write};
@@ -388,5 +388,44 @@ fn repeated_attribute_specs_are_refused_and_the_season_keeps_serving() {
     assert_eq!(done.status, "complete", "error: {:?}", done.error);
     assert_eq!(service.live_workers(), 1);
     service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A `description` whose character lies outside the Basic Multilingual
+/// Plane, sent as a JSON surrogate pair (how Python's default
+/// `json.dumps` writes 😀), is recorded as that one character: in the
+/// released artifact's provenance and in the season's ledger.
+#[test]
+fn surrogate_pair_descriptions_are_recorded_as_one_character() {
+    let dir = tmp_dir("surrogate-pair");
+    let service = ReleaseService::start(
+        &dir,
+        dataset(),
+        ServiceConfig::new(PrivacyParams::pure(ALPHA, 2.0)),
+    )
+    .expect("service starts");
+    let client = Client::new(service.addr());
+    client
+        .create_season("s", PrivacyParams::pure(ALPHA, 1.0))
+        .expect("season fits under the cap");
+    let mut release = submission(county(), 0.25, 3);
+    release.description = Some("jobs \u{1F600}".to_string());
+    let json = serde_json::to_string(&release).unwrap();
+    let body = json.replace('\u{1F600}', "\\ud83d\\ude00");
+    assert_ne!(body, json);
+    let response = post_raw(service.addr(), "/seasons/s/releases", &body);
+    assert!(response.starts_with("HTTP/1.1 202 "), "{response}");
+    let (_, receipt) = response.split_once("\r\n\r\n").expect("a body");
+    let receipt: SubmitReceipt = serde_json::from_str(receipt).expect("a receipt");
+    let done = client.wait_for(receipt.id, WAIT).expect("release finishes");
+    assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    let artifact = done.artifact.expect("a complete release has its artifact");
+    assert_eq!(artifact.request.description, "jobs \u{1F600}");
+    service.shutdown();
+    let ledger = fs::read_to_string(dir.join("seasons/s/ledger.json")).unwrap();
+    assert!(
+        ledger.contains("\"description\":\"jobs \u{1F600}\""),
+        "{ledger}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

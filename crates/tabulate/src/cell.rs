@@ -8,7 +8,7 @@
 
 use crate::attr::{Attr, MarginalSpec};
 use lodes::Dataset;
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
+use serde::{get_field, DeError, Deserialize, JsonWriter, Serialize, Value};
 
 /// A packed marginal-cell identifier. Ordering follows the packed integer,
 /// which is lexicographic in the spec's attribute order.
@@ -134,11 +134,11 @@ impl CellSchema {
 /// A schema serializes as its attribute list and cardinalities; strides and
 /// domain size are derived, never trusted from a snapshot.
 impl Serialize for CellSchema {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("attrs".to_string(), self.attrs.to_value()),
-            ("cardinalities".to_string(), self.cardinalities.to_value()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("attrs", &self.attrs);
+        w.field("cardinalities", &self.cardinalities);
+        w.end_object();
     }
 }
 

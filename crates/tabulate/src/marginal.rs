@@ -11,7 +11,7 @@
 
 use crate::attr::{Attr, MarginalSpec, WorkerAttr};
 use crate::cell::{CellKey, CellSchema};
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
+use serde::{get_field, DeError, Deserialize, JsonWriter, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// What one cell of a [`Tabulation`] holds.
@@ -308,12 +308,12 @@ impl Marginal {
 /// cardinalities), and the sorted cell run. Deserializing goes through
 /// [`Tabulation::from_cells`], so a snapshot is validated on load.
 impl<S: Serialize> Serialize for Tabulation<S> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            ("schema".to_string(), self.schema.to_value()),
-            ("cells".to_string(), self.cells.to_value()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("spec", &self.spec);
+        w.field("schema", &self.schema);
+        w.field("cells", &self.cells);
+        w.end_object();
     }
 }
 
