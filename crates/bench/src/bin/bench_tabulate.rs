@@ -4,11 +4,15 @@
 //!
 //! Writes `BENCH_tabulate.json` at the repo root (override with
 //! `--out <path>`), recording per-spec wall times and speedups plus the
-//! one-time index build cost. The spec list includes a `flows:` workload:
-//! the quarter-pair flow tabulation over a two-quarter panel, legacy
-//! `establishment_size` scan vs the CSR index pair. Exits nonzero
-//! (panics) if the two engines ever disagree on a single cell, so CI can
-//! run it as a correctness smoke as well as a perf probe.
+//! one-time index build cost. The spec list includes a `filtered:`
+//! workload — Workload 3 over the workers an age-group set ∧ a race set
+//! selects (about 40% of jobs, the shape of every release the release-path
+//! benchmark sends), legacy filtered per-worker loop vs the CSR index —
+//! and a `flows:` workload: the quarter-pair flow tabulation over a
+//! two-quarter panel, legacy `establishment_size` scan vs the CSR index
+//! pair. Exits nonzero (panics) if the two engines ever disagree on a
+//! single cell, so CI can run it as a correctness smoke as well as a
+//! perf probe.
 //!
 //! Usage: `cargo run --release -p bench --bin bench_tabulate --
 //! [--iters N] [--out PATH] [--national JOBS]
@@ -22,28 +26,47 @@
 //! `dataset_digest_ms`, the digest a service start pays.
 //!
 //! `--check-against` is the CI delta guard: after writing the fresh
-//! results, the Workload 1 single-threaded speedup is compared against the
-//! same field of the checked-in baseline file (which must come from the
-//! same scale), and the run exits nonzero if it regressed by more than
+//! results, the single-threaded speedups of Workload 1 and of the
+//! filtered Workload 3 row are compared against the same fields of the
+//! checked-in baseline file (which must come from the same scale), and
+//! the run exits nonzero if either regressed by more than
 //! `--max-regression` (default 0.20, i.e. >20%). Speedup is a *ratio* of
 //! two timings from the same run, so it is far more stable across runner
 //! hardware than absolute milliseconds.
 //!
-//! The output schema (field-by-field) and the 1-core dev-container
-//! caveat are documented in the `bench` crate's rustdoc (`crates/bench`).
+//! The output schema (field-by-field) is documented in the `bench`
+//! crate's rustdoc (`crates/bench`).
 
 use eree_core::store::dataset_digest;
 use eval::runner::EvalScale;
-use lodes::{Dataset, DatasetPanel, Generator, GeneratorConfig, PanelConfig};
+use lodes::{AgeGroup, Dataset, DatasetPanel, Generator, GeneratorConfig, PanelConfig, Race};
 use std::time::Instant;
 use tabulate::{
-    compute_flows_legacy, compute_marginal_legacy, simd_available, workload1, workload3,
-    DatasetIndex, FlowMarginal, Kernel, Marginal, MarginalSpec, RegionIndexBuilder, WorkerAttr,
-    WorkplaceAttr,
+    compute_flows_legacy, compute_marginal_filtered_legacy, compute_marginal_legacy,
+    simd_available, workload1, workload3, DatasetIndex, FilterExpr, FlowMarginal, Kernel, Marginal,
+    MarginalSpec, RegionIndexBuilder, WorkerAttr, WorkplaceAttr,
 };
 
 /// Canonical eval data seed (same as `ExperimentContext::new`).
 const CANONICAL_SEED: u64 = 0xEEE5_2017;
+
+/// Share of jobs the filtered row's filter must select: the band the
+/// release-path benchmark draws every filter from.
+const FILTER_SHARE: std::ops::Range<f64> = 0.35..0.45;
+
+/// The filtered row's filter, in the release-path benchmark's shape (an
+/// age-group set ∧ a race set): workers aged 35–64 who are White alone,
+/// about 40% of jobs by the generator's priors.
+fn benchmark_filter() -> FilterExpr {
+    FilterExpr::age_in([AgeGroup::A35_44, AgeGroup::A45_54, AgeGroup::A55_64]).and(
+        FilterExpr::WorkerIn(WorkerAttr::Race, vec![Race::White.index() as u32]),
+    )
+}
+
+/// The results-file name of Workload 3 under [`benchmark_filter`].
+fn filtered_name(spec: &MarginalSpec) -> String {
+    format!("filtered:{}", spec.name())
+}
 
 fn time_best<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
@@ -98,16 +121,26 @@ struct SpecResult {
     simd_speedup_1t: f64,
 }
 
+/// Old-vs-new timing of one spec, over the workers `filter` selects when
+/// there is one (the legacy column then runs the reference semantics,
+/// `FilterExpr::matches_record`, per worker).
 fn bench_spec(
     dataset: &Dataset,
     index: &DatasetIndex,
     spec: &MarginalSpec,
+    filter: Option<&FilterExpr>,
     iters: usize,
     threads: usize,
 ) -> SpecResult {
-    let (legacy_ms, legacy) = time_best(iters, || compute_marginal_legacy(dataset, spec));
-    let (scalar_1t_ms, scalar) = time_best(iters, || index.marginal(spec, None, 1, Kernel::Scalar));
-    let (indexed_ms, indexed) = time_best(iters, || index.marginal(spec, None, 1, Kernel::Auto));
+    let (legacy_ms, legacy) = time_best(iters, || match filter {
+        None => compute_marginal_legacy(dataset, spec),
+        Some(expr) => compute_marginal_filtered_legacy(dataset, spec, |w| {
+            expr.matches_record(w, dataset.workplace(dataset.employer_of(w.id)))
+        }),
+    });
+    let (scalar_1t_ms, scalar) =
+        time_best(iters, || index.marginal(spec, filter, 1, Kernel::Scalar));
+    let (indexed_ms, indexed) = time_best(iters, || index.marginal(spec, filter, 1, Kernel::Auto));
     // MT rows go through the same shard-count heuristic the release
     // engine applies: when the dataset is too small (or the host too
     // narrow) to pay for sharding, the 1-thread measurement IS the
@@ -117,13 +150,24 @@ fn bench_spec(
     let (indexed_mt_ms, indexed_mt) = if eff <= 1 {
         (indexed_ms, indexed.clone())
     } else {
-        time_best(iters, || index.marginal(spec, None, eff, Kernel::Auto))
+        time_best(iters, || index.marginal(spec, filter, eff, Kernel::Auto))
     };
-    assert_identical(&spec.name(), &legacy, &scalar);
-    assert_identical(&spec.name(), &legacy, &indexed);
-    assert_identical(&spec.name(), &legacy, &indexed_mt);
+    let name = match filter {
+        None => spec.name(),
+        Some(_) => filtered_name(spec),
+    };
+    assert_identical(&name, &legacy, &scalar);
+    assert_identical(&name, &legacy, &indexed);
+    assert_identical(&name, &legacy, &indexed_mt);
+    if filter.is_some() {
+        let share = legacy.total() as f64 / dataset.num_jobs() as f64;
+        assert!(
+            FILTER_SHARE.contains(&share),
+            "{name}: the filter selects {share:.3} of jobs, outside {FILTER_SHARE:?}"
+        );
+    }
     SpecResult {
-        name: spec.name(),
+        name,
         cells: legacy.num_cells(),
         legacy_ms,
         scalar_1t_ms,
@@ -445,10 +489,16 @@ fn main() {
             WorkerAttr::Education,
         ],
     );
-    let specs = [workload1(), workload3(), full_spec];
+    let filter = benchmark_filter();
+    let specs = [
+        (workload1(), None),
+        (workload3(), None),
+        (workload3(), Some(&filter)),
+        (full_spec, None),
+    ];
     let mut results = Vec::new();
-    for spec in &specs {
-        let r = bench_spec(&dataset, &index, spec, iters, threads);
+    for (spec, filter) in &specs {
+        let r = bench_spec(&dataset, &index, spec, *filter, iters, threads);
         eprintln!(
             "{:<55} legacy {:>9.3} ms | indexed(1t) {:>9.3} ms ({:>5.2}x) | indexed({}t) {:>9.3} ms ({:>5.2}x) | {} cells",
             r.name, r.legacy_ms, r.indexed_ms, r.speedup_1t, threads, r.indexed_mt_ms, r.speedup_mt, r.cells
@@ -512,8 +562,9 @@ fn main() {
     std::fs::write(&out, &json).expect("write BENCH_tabulate.json");
     eprintln!("wrote {out}");
 
-    // Delta guard: the Workload 1 single-threaded speedup must not have
-    // regressed by more than `max_regression` relative to the baseline.
+    // Delta guard: the single-threaded speedups of Workload 1 and of the
+    // filtered Workload 3 row must not have regressed by more than
+    // `max_regression` relative to the baseline.
     if let Some(baseline_path) = check_against {
         let baseline_json =
             std::fs::read_to_string(&baseline_path).expect("read baseline results file");
@@ -527,27 +578,30 @@ fn main() {
             "baseline {baseline_path} was generated at {baseline_scale:?} scale but this run \
              is {fresh_scale:?} — regenerate the baseline at the scale the guard runs at"
         );
-        let spec_name = workload1().name();
-        let baseline = speedup_1t(&baseline_json, &spec_name, &baseline_path);
-        let fresh = speedup_1t(&json, &spec_name, &out);
-        let floor = baseline * (1.0 - max_regression);
-        eprintln!(
-            "delta guard: workload1 speedup_1t fresh {fresh:.2}x vs baseline {baseline:.2}x \
-             (floor {floor:.2}x at {:.0}% allowed regression)",
-            max_regression * 100.0
-        );
-        assert!(
-            fresh >= floor,
-            "workload1 single-threaded speedup regressed more than {:.0}%: \
-             {fresh:.2}x vs baseline {baseline:.2}x (floor {floor:.2}x; baseline {baseline_path})",
-            max_regression * 100.0
-        );
+        for spec_name in [workload1().name(), filtered_name(&workload3())] {
+            let baseline = speedup_1t(&baseline_json, &spec_name, &baseline_path);
+            let fresh = speedup_1t(&json, &spec_name, &out);
+            let floor = baseline * (1.0 - max_regression);
+            eprintln!(
+                "delta guard: {spec_name} speedup_1t fresh {fresh:.2}x vs baseline \
+                 {baseline:.2}x (floor {floor:.2}x at {:.0}% allowed regression)",
+                max_regression * 100.0
+            );
+            assert!(
+                fresh >= floor,
+                "{spec_name} single-threaded speedup regressed more than {:.0}%: \
+                 {fresh:.2}x vs baseline {baseline:.2}x (floor {floor:.2}x; baseline \
+                 {baseline_path})",
+                max_regression * 100.0
+            );
+        }
 
         // National guard: when both runs carried the streaming national
         // workload, its workload1 SIMD speedup (a within-run ratio, so
         // portable across runner hardware) must not regress either. A
         // small-scale CI baseline without a `national` section skips
         // this leg — the CI baseline stays cheap by design.
+        let spec_name = workload1().name();
         if let (Some(base_n), Some(fresh_n)) = (
             national_simd_speedup(&baseline_json, &spec_name),
             national_simd_speedup(&json, &spec_name),

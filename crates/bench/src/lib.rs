@@ -26,8 +26,9 @@
 //! `BENCH_tabulate_ci.json` is a second checked-in baseline at **Small**
 //! scale, consumed by the CI delta guard: passing
 //! `--check-against <baseline>` makes the run exit nonzero when the
-//! Workload 1 `speedup_1t` regressed by more than `--max-regression`
-//! (default 0.20) relative to the baseline. The guard compares speedup
+//! `speedup_1t` of Workload 1 or of the `filtered:` Workload 3 row
+//! regressed by more than `--max-regression` (default 0.20) relative to
+//! the baseline. The guard compares speedup
 //! *ratios* (two timings from one run), not absolute milliseconds, so it
 //! travels across runner hardware; regenerate the CI baseline with
 //! `EREE_SCALE=small cargo run --release -p bench --bin bench_tabulate --
@@ -46,14 +47,19 @@
 //! | `index_build_ms` | one-time one-shard [`DatasetIndex`](tabulate::DatasetIndex) build cost |
 //! | `dataset_digest_ms` | [`dataset_digest`](eree_core::store::dataset_digest) of the dataset: the digest an agency or service start pays, threaded over the host |
 //! | `simd` | whether the AVX2 kernels were available at run time |
-//! | `specs[].spec` | marginal spec name (`workload1`, `workload3`, full-attribute) |
+//! | `specs[].spec` | marginal spec name (`workload1`, `workload3`, `filtered:` Workload 3, full-attribute, `flows:` Workload 1) |
 //! | `specs[].cells` | nonzero cells tabulated |
-//! | `specs[].legacy_ms` | legacy per-worker engine, single-threaded |
+//! | `specs[].legacy_ms` | legacy per-worker engine, single-threaded (for the `filtered:` row, `compute_marginal_filtered_legacy` evaluating `FilterExpr::matches_record` per worker) |
 //! | `specs[].scalar_1t_ms` | CSR engine, single-threaded, `Kernel::Scalar` forced |
 //! | `specs[].indexed_1t_ms` | CSR engine, single-threaded, `Kernel::Auto` (SIMD when available) |
 //! | `specs[].indexed_mt_ms` | CSR engine, sharded across `effective_shards(threads)` (reuses the 1T time when sharding cannot pay, so MT never reads worse than 1T) |
 //! | `specs[].speedup_1t` / `speedup_mt` | `legacy_ms` over the two indexed times |
-//! | `specs[].simd_speedup_1t` | `scalar_1t_ms / indexed_1t_ms` — the kernel A/B on one index |
+//! | `specs[].simd_speedup_1t` | `scalar_1t_ms / indexed_1t_ms` — the kernel A/B on one index; only establishment keys are vectorized, so it measures that kernel alone |
+//!
+//! The `filtered:` row is Workload 3 over the workers an age-group set ∧
+//! a race set selects (ages 35–64, White alone: about 40% of jobs, inside
+//! the 35–45% band every release of the release-path benchmark is drawn
+//! from); the run panics if the filter's share of jobs leaves that band.
 //!
 //! Passing `--national JOBS` appends a `national` section: a
 //! `GeneratorConfig::national` universe of roughly `JOBS` jobs is
@@ -78,12 +84,12 @@
 //! Small scale without `--national`, so this extra guard only arms on
 //! full regenerations).
 //!
-//! **Caveat (from ROADMAP):** the dev container is 1-core, so the
-//! checked-in `indexed_mt_ms` ≈ `indexed_1t_ms`, the national scaling
-//! curve has a single `threads = 1` point, and `engine_batch`'s
-//! sequential-vs-parallel comparison reads as parity there; multi-core
-//! CI runners show the real sharded speedup. Treat `speedup_1t` and
-//! `simd_speedup_1t` as the portable numbers.
+//! **Caveat:** `threads` is the host's `available_parallelism`, so
+//! `indexed_mt_ms` and the national scaling curve depend on the host (the
+//! checked-in files were written on 2 vCPUs, so their curves have points
+//! at 1 and 2 threads); on a 1-core host `indexed_mt_ms` equals
+//! `indexed_1t_ms` and the curve has a single point. Treat `speedup_1t`
+//! and `simd_speedup_1t` as the portable numbers.
 
 use eval::runner::{EvalScale, ExperimentContext, TrialSpec};
 

@@ -170,8 +170,8 @@ impl SdlPublisher {
         for worker in dataset.workers() {
             let wp = dataset.workplace(dataset.employer_of(worker.id));
             // Record semantics, not a compiled filter: a compiled filter
-            // resolves employers by index-local worker ids, which the
-            // per-state layout rebases.
+            // takes index-local establishment indexes, which the
+            // per-state layout renumbers shard by shard.
             if filter.is_some_and(|expr| !expr.matches_record(worker, wp)) {
                 continue;
             }

@@ -6,18 +6,19 @@
 //!
 //! 1. The workplace part of the cell key is encoded **once per
 //!    establishment** by accumulating the spec's workplace code columns
-//!    against the schema strides.
+//!    against the schema strides, a batch of establishments at a time,
+//!    by the [`crate::kernel`] establishment-key kernel (AVX2 when
+//!    available, scalar otherwise — selected at runtime, bit-identical by
+//!    construction).
 //! 2. Worker-attribute combinations within the establishment are counted
 //!    in a small **dense scratch array** over the worker sub-domain (at
-//!    most a few thousand codes — the product of worker-attribute
-//!    cardinalities), touching only the `u8` columns the spec names.
-//!    The multiply-add that folds those columns into sub-keys does not run
-//!    per worker: sub-keys for an L2-resident **block** of contiguous
-//!    workers are precomputed by the branch-free kernels in
-//!    [`crate::kernel`] (AVX2 when available, scalar otherwise — selected
-//!    at runtime, bit-identical by construction), and the scatter loop
-//!    then reads one `u16` per worker. Establishment base keys are
-//!    precomputed the same way over the workplace `u32` columns.
+//!    most 768 codes — the product of worker-attribute cardinalities),
+//!    plus one **reject slot** past its end. Each worker's packed cell
+//!    code goes through one 768-entry `u16` table that gives its sub-key:
+//!    the spec's own table when unfiltered, or, per filter pattern, that
+//!    table with every cell the pattern rejects mapped to the reject
+//!    slot. Filtered and unfiltered requests run the same branch-free
+//!    loop; the emit step skips the reject slot.
 //! 3. Each establishment emits `(cell key, contribution)` pairs; because
 //!    one establishment's workers are contiguous, every pair *is* one
 //!    establishment's exact contribution to one cell — no global
@@ -56,14 +57,15 @@ use crate::cell::CellKey;
 use crate::cell::CellSchema;
 use crate::filter::{CompiledFilter, FilterExpr};
 use crate::index::TabulationIndex;
-use crate::kernel::{establishment_keys, worker_subkeys, Kernel};
+use crate::kernel::{establishment_keys, Kernel};
 #[cfg(any(doc, feature = "reference"))]
 use crate::marginal::CellStats;
 use crate::marginal::Marginal;
 use crate::region::DatasetIndex;
-use lodes::Dataset;
-#[cfg(feature = "reference")]
-use lodes::Worker;
+use lodes::histogram::WorkerCell;
+use lodes::worker::WORKER_DOMAIN_SIZE;
+use lodes::{Dataset, Worker, WorkerId};
+use std::borrow::Cow;
 #[cfg(feature = "reference")]
 use std::collections::{BTreeMap, HashMap};
 
@@ -91,6 +93,47 @@ pub fn compute_marginal_expr(
     DatasetIndex::one_shard(dataset).marginal(spec, Some(expr), 1, Kernel::Auto)
 }
 
+/// The spec's cell → sub-key table: entry `c` is the worker part of the
+/// cell key (`Σ code · stride` over the spec's worker attributes) of a
+/// worker whose [`WorkerCell`] code is `c`. Built once per tabulation;
+/// empty for a workplace-only spec.
+///
+/// # Panics
+/// Panics if an entry is not below the spec's worker sub-domain, which
+/// the scatter's unchecked scratch indexing relies on (the mixed-radix
+/// construction rules it out).
+pub(crate) fn subkey_table(spec: &MarginalSpec, schema: &CellSchema) -> Vec<u16> {
+    if !spec.has_worker_attrs() {
+        return Vec::new();
+    }
+    let n_wp = spec.workplace_attrs.len();
+    let worker_domain = spec.worker_domain_size();
+    WorkerCell::all()
+        .map(|cell| {
+            let (sex, age, race, ethnicity, education) = cell.decode();
+            let worker = Worker {
+                id: WorkerId(0),
+                sex,
+                age,
+                race,
+                ethnicity,
+                education,
+            };
+            let subkey: u64 = spec
+                .worker_attrs
+                .iter()
+                .enumerate()
+                .map(|(i, attr)| attr.value(&worker) as u64 * schema.stride_of(n_wp + i))
+                .sum();
+            assert!(
+                (subkey as usize) < worker_domain,
+                "sub-key {subkey} outside the worker sub-domain {worker_domain}"
+            );
+            subkey as u16
+        })
+        .collect()
+}
+
 /// Per-shard tabulation state, borrowed immutably by every task of one
 /// shard. Built by [`DatasetIndex::marginal`], one per shard.
 pub(crate) struct ShardPlan<'a> {
@@ -100,27 +143,37 @@ pub(crate) struct ShardPlan<'a> {
     /// Schema strides of the workplace attributes (these already carry the
     /// worker sub-domain factor, so `base + subkey` is the full key).
     wp_strides: Vec<u64>,
-    /// Worker code columns of the spec's worker attributes.
-    wk_cols: Vec<&'a [u8]>,
-    /// Schema strides of the worker attributes (the low mixed-radix part;
-    /// sub-keys fit `u16` because worker domains are small enums — the
-    /// full cross product is ≤ 768 codes).
-    wk_strides: Vec<u16>,
-    /// Worker sub-domain size — the dense scratch extent.
+    /// Cell → sub-key tables of [`WORKER_DOMAIN_SIZE`] entries each: the
+    /// spec's own [`subkey_table`] when unfiltered, else one per filter
+    /// pattern with every rejected cell mapped to `worker_domain`, the
+    /// reject slot. Every entry is below `worker_domain` or equal to it.
+    /// Empty for a workplace-only spec.
+    tables: Cow<'a, [u16]>,
+    /// Worker sub-domain size — the dense scratch extent, and the reject
+    /// slot's index.
     worker_domain: usize,
     filter: Option<&'a CompiledFilter>,
     kernel: Kernel,
 }
 
 impl<'a> ShardPlan<'a> {
+    /// `subkeys` is the spec's [`subkey_table`].
     pub(crate) fn new(
         index: &'a TabulationIndex,
         spec: &MarginalSpec,
         schema: &CellSchema,
+        subkeys: &'a [u16],
         filter: Option<&'a CompiledFilter>,
         kernel: Kernel,
     ) -> Self {
-        let n_wp = spec.workplace_attrs.len();
+        let worker_domain = spec.worker_domain_size();
+        let tables = match filter {
+            Some(f) if !subkeys.is_empty() => {
+                let reject = u16::try_from(worker_domain).expect("worker sub-domain exceeds u16");
+                Cow::Owned(f.subkey_tables(subkeys, reject))
+            }
+            _ => Cow::Borrowed(subkeys),
+        };
         Self {
             index,
             wp_cols: spec
@@ -128,64 +181,53 @@ impl<'a> ShardPlan<'a> {
                 .iter()
                 .map(|&a| index.workplace_column(a))
                 .collect(),
-            wp_strides: (0..n_wp).map(|i| schema.stride_of(i)).collect(),
-            wk_cols: spec
-                .worker_attrs
-                .iter()
-                .map(|&a| index.worker_column(a))
+            wp_strides: (0..spec.workplace_attrs.len())
+                .map(|i| schema.stride_of(i))
                 .collect(),
-            wk_strides: (0..spec.worker_attrs.len())
-                .map(|i| {
-                    u16::try_from(schema.stride_of(n_wp + i))
-                        .expect("worker sub-domain exceeds u16")
-                })
-                .collect(),
-            worker_domain: spec.worker_domain_size(),
+            tables,
+            worker_domain,
             filter,
             kernel,
         }
     }
+
+    /// The cell → sub-key table establishment `e`'s workers go through.
+    #[inline]
+    fn table(&self, e: usize) -> &[u16] {
+        let pattern = self.filter.map_or(0, |f| f.pattern_of(e));
+        &self.tables[pattern * WORKER_DOMAIN_SIZE..][..WORKER_DOMAIN_SIZE]
+    }
 }
 
-/// Workers per precomputed sub-key block: 2¹⁵ `u16` sub-keys = 64 KiB, an
-/// L2-resident staging buffer between the key kernels and the scatter.
-const WORKER_BLOCK: usize = 1 << 15;
+/// Establishments per precomputed key block (128 KiB of `u64` keys).
+pub(crate) const ESTAB_BLOCK: usize = 1 << 14;
 
 /// Tabulate establishments `lo..hi` into a run of `(key, contribution)`
 /// pairs sorted by key. Each pair is one establishment's exact count in
 /// one cell; an establishment emits at most one pair per cell.
 ///
-/// The shard walks its establishments in batches whose worker spans fill
-/// one [`WORKER_BLOCK`]: the batch's establishment base keys and worker
-/// sub-keys are precomputed by the [`crate::kernel`] kernels, then the
-/// scalar scatter counts each establishment's workers into the dense
-/// scratch. The scatter itself is identical for every kernel choice, so
-/// the emitted run is bit-identical whichever kernel filled the buffers.
+/// The shard walks its establishments in blocks of [`ESTAB_BLOCK`]: the
+/// block's establishment base keys are precomputed by the
+/// [`crate::kernel`] kernel, then the scalar scatter counts each
+/// establishment's workers into the dense scratch through its cell →
+/// sub-key table. The scatter itself is identical for every kernel
+/// choice, so the emitted run is bit-identical whichever kernel filled
+/// the base keys.
 pub(crate) fn tabulate_shard(plan: &ShardPlan<'_>, lo: usize, hi: usize) -> Vec<(u64, u32)> {
     let mut run: Vec<(u64, u32)> = Vec::new();
     // Inclusive upper bound on emitted keys, tracked once per
     // establishment so the run sort can pick a radix strategy.
     let mut max_key: u64 = 0;
-    // Dense per-establishment counts over the worker sub-domain, reset
-    // via the touched list (sub-domains are ≤ a few thousand codes).
-    let mut scratch = vec![0u32; plan.worker_domain];
-    let mut touched: Vec<u32> = Vec::with_capacity(plan.worker_domain.min(256));
+    // Dense per-establishment counts over the worker sub-domain plus the
+    // reject slot at `worker_domain`, reset via the touched list.
+    let reject = plan.worker_domain;
+    let mut scratch = vec![0u32; reject + 1];
+    let mut touched: Vec<u16> = Vec::with_capacity(scratch.len().min(256));
     let mut bases: Vec<u64> = Vec::new();
-    let mut subkeys: Vec<u16> = Vec::new();
-    let workers = plan.index.workers();
+    let cells = plan.index.cells();
     let mut batch_lo = lo;
     while batch_lo < hi {
-        // Extend the batch establishment-aligned until its worker span
-        // fills the block (always at least one establishment, so a single
-        // establishment larger than the block still processes — its
-        // sub-key buffer just grows past the L2 target for that batch).
-        let span_start = plan.index.worker_range(batch_lo).start;
-        let mut batch_hi = batch_lo + 1;
-        while batch_hi < hi && plan.index.worker_range(batch_hi).end - span_start <= WORKER_BLOCK {
-            batch_hi += 1;
-        }
-        let span_end = plan.index.worker_range(batch_hi - 1).end;
-
+        let batch_hi = (batch_lo + ESTAB_BLOCK).min(hi);
         // Establishment base keys for the whole batch in one kernel pass.
         bases.resize(batch_hi - batch_lo, 0);
         establishment_keys(
@@ -195,81 +237,44 @@ pub(crate) fn tabulate_shard(plan: &ShardPlan<'_>, lo: usize, hi: usize) -> Vec<
             &mut bases,
             plan.kernel,
         );
-
-        if plan.wk_cols.is_empty() {
-            // Workplace-only fast path: each establishment lands in
-            // exactly one cell with its whole (or filtered) size — no
-            // per-worker attribute work at all when unfiltered.
-            for e in batch_lo..batch_hi {
-                let range = plan.index.worker_range(e);
-                if range.is_empty() {
-                    continue;
-                }
-                let count = match plan.filter {
-                    None => range.len() as u32,
-                    Some(f) => workers[range].iter().filter(|w| f.matches(w)).count() as u32,
-                };
+        for e in batch_lo..batch_hi {
+            let base = bases[e - batch_lo];
+            if plan.tables.is_empty() {
+                // Workplace-only: each establishment lands in exactly one
+                // cell with its whole (or filtered) size.
+                let count = plan.index.employment(e, plan.filter);
                 if count > 0 {
-                    let base = bases[e - batch_lo];
                     max_key = max_key.max(base);
                     run.push((base, count));
                 }
+                continue;
             }
-            batch_lo = batch_hi;
-            continue;
-        }
-
-        // Worker sub-keys for the batch's whole span in one kernel pass.
-        subkeys.resize(span_end - span_start, 0);
-        worker_subkeys(
-            &plan.wk_cols,
-            &plan.wk_strides,
-            span_start,
-            &mut subkeys,
-            plan.kernel,
-        );
-
-        for e in batch_lo..batch_hi {
             let range = plan.index.worker_range(e);
             if range.is_empty() {
                 continue;
             }
-            let base = bases[e - batch_lo];
             // Bound every key this establishment can emit in one step:
-            // sub-keys are strictly below the worker domain.
+            // emitted sub-keys are strictly below the worker domain.
             max_key = max_key.max(base + plan.worker_domain as u64 - 1);
-            // SAFETY (both arms): every sub-key is `Σ code·stride` over
-            // enum-derived code columns, each code strictly below its
-            // attribute's cardinality, so `subkey < worker_domain ==
-            // scratch.len()` by the mixed-radix construction — the same
-            // invariant that makes the `u16` kernel arithmetic exact.
-            // The emit loop below only revisits sub-keys pushed here.
-            match plan.filter {
-                None => {
-                    for &subkey in &subkeys[range.start - span_start..range.end - span_start] {
-                        let slot = unsafe { scratch.get_unchecked_mut(subkey as usize) };
-                        if *slot == 0 {
-                            touched.push(subkey as u32);
-                        }
-                        *slot += 1;
-                    }
-                }
-                Some(f) => {
-                    for i in range {
-                        if f.matches(&workers[i]) {
-                            let subkey = subkeys[i - span_start];
-                            let slot = unsafe { scratch.get_unchecked_mut(subkey as usize) };
-                            if *slot == 0 {
-                                touched.push(subkey as u32);
-                            }
-                            *slot += 1;
-                        }
-                    }
-                }
-            }
-            for &subkey in &touched {
+            let table = plan.table(e);
+            for &cell in &cells[range] {
+                let subkey = table[cell as usize];
+                // SAFETY: every table entry is below `worker_domain` (the
+                // `subkey_table` assert) or equals the reject slot
+                // `worker_domain`, and `scratch.len() == worker_domain + 1`.
                 let slot = unsafe { scratch.get_unchecked_mut(subkey as usize) };
-                run.push((base + subkey as u64, *slot));
+                if *slot == 0 {
+                    touched.push(subkey);
+                }
+                *slot += 1;
+            }
+            // The emit loop only revisits sub-keys the scatter pushed.
+            for &subkey in &touched {
+                // SAFETY: as in the scatter, `subkey <= worker_domain`.
+                let slot = unsafe { scratch.get_unchecked_mut(subkey as usize) };
+                if subkey as usize != reject {
+                    run.push((base + subkey as u64, *slot));
+                }
                 *slot = 0;
             }
             touched.clear();

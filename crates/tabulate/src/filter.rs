@@ -40,10 +40,14 @@
 //!   into distinct leaf-truth *patterns*;
 //! * for each distinct pattern the full expression is collapsed into a
 //!   truth table over the 768-point worker-attribute domain
-//!   (2 × 8 × 6 × 2 × 4);
-//! * a worker is then admitted by two array lookups — its establishment's
-//!   pattern and its packed attribute code — regardless of how large the
-//!   expression is.
+//!   (2 × 8 × 6 × 2 × 4), indexed by the [`WorkerCell`] code the index
+//!   stores per worker;
+//! * the scatter looks an establishment's pattern up once, and then reads
+//!   one table entry per worker, regardless of how large the expression
+//!   is. For a marginal with worker attributes each pattern's table is
+//!   folded with the spec's cell → sub-key table (see
+//!   [`crate::engine`]), so a rejected worker lands in a reject slot
+//!   instead of taking a branch.
 //!
 //! ```
 //! use lodes::{Generator, GeneratorConfig, Education, Sex};
@@ -68,13 +72,13 @@
 
 use crate::attr::{WorkerAttr, WorkplaceAttr};
 use crate::index::TabulationIndex;
+use lodes::histogram::WorkerCell;
 use lodes::{
     AgeGroup, BlockId, CountyId, Education, Ethnicity, NaicsSector, Ownership, PlaceId, Race, Sex,
     StateId, Worker, Workplace,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Size of the full worker-attribute domain the compiled truth tables
 /// cover (sex × age × race × ethnicity × education).
@@ -480,13 +484,8 @@ impl FilterExpr {
                     .collect()
             })
             .collect();
-        // 3. Workers reach `matches` as `&Worker` (in whatever order the
-        //    caller iterates), so establishment lookup goes through the
-        //    dense worker id — a filter-independent column the index
-        //    built once and shares with every compiled filter.
         CompiledFilter {
             pattern_of_estab,
-            employer_of_worker: Arc::clone(index.employer_of_worker()),
             tables,
         }
     }
@@ -595,19 +594,12 @@ fn workplace_attr_tag(attr: WorkplaceAttr) -> u64 {
     }
 }
 
-/// Pack a worker's five attribute codes into one index over the
-/// 768-point worker domain — [`lodes::histogram::WorkerCell`]'s packing (sex, age,
-/// race, ethnicity, education), the one encoding shared with the
-/// histogram layer so the two can never drift apart.
-#[inline]
-fn worker_code(worker: &Worker) -> usize {
-    lodes::histogram::WorkerCell::of(worker).0 as usize
-}
-
-/// Inverse of [`worker_code`]: the five dense attribute codes in
-/// `worker_attr_tag` slot order (sex, age, race, ethnicity, education).
+/// The five dense attribute codes of a [`WorkerCell`] code — the packing
+/// the index stores per worker, shared with the histogram layer so the
+/// two can never drift apart — in `worker_attr_tag` slot order (sex, age,
+/// race, ethnicity, education).
 fn decode_worker_code(code: usize) -> [u32; 5] {
-    let (sex, age, race, ethnicity, education) = lodes::histogram::WorkerCell(code as u16).decode();
+    let (sex, age, race, ethnicity, education) = WorkerCell(code as u16).decode();
     [
         sex.index() as u32,
         age.index() as u32,
@@ -619,33 +611,58 @@ fn decode_worker_code(code: usize) -> [u32; 5] {
 
 /// A [`FilterExpr`] specialized against one [`TabulationIndex`]:
 /// per-establishment workplace-leaf patterns plus one worker-domain truth
-/// table per distinct pattern. `matches` is two array lookups per worker.
+/// table per distinct pattern, indexed by [`WorkerCell`] code. A worker
+/// is admitted by its establishment's pattern and one table lookup.
 ///
-/// Only valid for workers of the index it was compiled against. `Send +
-/// Sync` (plain arrays), so the sharded tabulation loop can borrow it
-/// from every worker thread.
+/// Only valid for establishments of the index it was compiled against.
+/// `Send + Sync` (plain arrays), so the sharded tabulation loop can borrow
+/// it from every worker thread.
 #[derive(Debug, Clone)]
 pub struct CompiledFilter {
     /// Pattern id per establishment (empty for worker-only expressions).
     pattern_of_estab: Vec<u32>,
-    /// Establishment per dense worker id, shared with the index it was
-    /// compiled against (unused by worker-only expressions).
-    employer_of_worker: Arc<Vec<u32>>,
     /// One worker-domain truth table per distinct pattern.
     tables: Vec<Vec<bool>>,
 }
 
 impl CompiledFilter {
-    /// Does `worker` (a record of the compiled-against index's dataset)
-    /// match?
+    /// Does `worker`, employed by establishment `establishment` (its index
+    /// in the compiled-against [`TabulationIndex`]), match?
     #[inline]
-    pub fn matches(&self, worker: &Worker) -> bool {
-        let pattern = if self.pattern_of_estab.is_empty() {
+    pub fn matches(&self, establishment: usize, worker: &Worker) -> bool {
+        self.tables[self.pattern_of(establishment)][WorkerCell::of(worker).0 as usize]
+    }
+
+    /// Establishment `establishment`'s pattern id.
+    #[inline]
+    pub(crate) fn pattern_of(&self, establishment: usize) -> usize {
+        if self.pattern_of_estab.is_empty() {
             0
         } else {
-            self.pattern_of_estab[self.employer_of_worker[worker.id.0 as usize] as usize] as usize
-        };
-        self.tables[pattern][worker_code(worker)]
+            self.pattern_of_estab[establishment] as usize
+        }
+    }
+
+    /// How many of `cells` (worker-cell codes of establishment
+    /// `establishment`'s workers) match.
+    #[inline]
+    pub(crate) fn count(&self, establishment: usize, cells: &[u16]) -> u32 {
+        let truth = &self.tables[self.pattern_of(establishment)];
+        cells.iter().filter(|&&cell| truth[cell as usize]).count() as u32
+    }
+
+    /// `subkeys`, a worker-domain table, once per pattern in pattern
+    /// order, with every cell the pattern rejects mapped to `reject`.
+    pub(crate) fn subkey_tables(&self, subkeys: &[u16], reject: u16) -> Vec<u16> {
+        self.tables
+            .iter()
+            .flat_map(|truth| {
+                truth
+                    .iter()
+                    .zip(subkeys)
+                    .map(move |(&keep, &subkey)| if keep { subkey } else { reject })
+            })
+            .collect()
     }
 
     /// Number of distinct workplace-leaf patterns (1 for worker-only
@@ -731,9 +748,10 @@ mod tests {
         for expr in &exprs {
             let compiled = expr.compile(&index);
             for worker in d.workers() {
-                let wp = d.workplace(d.employer_of(worker.id));
+                let e = d.employer_of(worker.id);
+                let wp = d.workplace(e);
                 assert_eq!(
-                    compiled.matches(worker),
+                    compiled.matches(e.0 as usize, worker),
                     expr.matches_record(worker, wp),
                     "{expr:?} disagrees on worker {:?}",
                     worker.id
@@ -792,13 +810,6 @@ mod tests {
                     ethnicity.index() as u32,
                     education.index() as u32
                 ]
-            );
-        }
-        let d = dataset();
-        for w in d.workers().iter().take(100) {
-            assert_eq!(
-                worker_code(w),
-                lodes::histogram::WorkerCell::of(w).0 as usize
             );
         }
     }

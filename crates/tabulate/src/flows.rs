@@ -44,6 +44,7 @@
 
 use crate::attr::MarginalSpec;
 use crate::cell::{CellKey, CellSchema};
+use crate::engine::ESTAB_BLOCK;
 use crate::filter::CompiledFilter;
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, Kernel};
@@ -265,9 +266,6 @@ impl<'a> FlowPlan<'a> {
     }
 }
 
-/// Establishments per precomputed key block (128 KiB of `u64` keys).
-const ESTAB_BLOCK: usize = 1 << 14;
-
 /// Tabulate establishments `lo..hi` of a flow pair into a run of
 /// `(key, before, after)` contributions sorted by key. Establishment keys
 /// are precomputed blockwise by the [`crate::kernel`] establishment-key
@@ -289,8 +287,8 @@ pub(crate) fn flow_shard(plan: &FlowPlan<'_>, lo: usize, hi: usize) -> Vec<(u64,
             plan.kernel,
         );
         for e in batch_lo..batch_hi {
-            let b = side_count(plan.before, e, plan.filters.map(|(f, _)| f));
-            let a = side_count(plan.after, e, plan.filters.map(|(_, f)| f));
+            let b = plan.before.employment(e, plan.filters.map(|(f, _)| f));
+            let a = plan.after.employment(e, plan.filters.map(|(_, f)| f));
             if b == 0 && a == 0 {
                 continue;
             }
@@ -304,19 +302,6 @@ pub(crate) fn flow_shard(plan: &FlowPlan<'_>, lo: usize, hi: usize) -> Vec<(u64,
     // arbitrarily; the merge's aggregates are all commutative.
     crate::engine::sort_run_by_key(&mut run, max_key, |&(key, _, _)| key);
     run
-}
-
-/// One quarter's (possibly filtered) employment of establishment `e`.
-#[inline]
-fn side_count(index: &TabulationIndex, e: usize, filter: Option<&CompiledFilter>) -> u32 {
-    let range = index.worker_range(e);
-    match filter {
-        None => range.len() as u32,
-        Some(f) => index.workers()[range]
-            .iter()
-            .filter(|w| f.matches(w))
-            .count() as u32,
-    }
 }
 
 /// The pre-index flow evaluator: one pass over the workplace table using

@@ -11,11 +11,12 @@
 //!   range — so per-establishment statistics (`x_v`, contributing-
 //!   establishment counts) fall out of a sequential scan instead of a
 //!   global `(cell, establishment)` hash map;
-//! * **pre-extracted attribute code columns**: worker attributes as dense
-//!   `u8` codes in CSR order, workplace attributes as dense `u32` codes
-//!   per establishment — tabulation reads only the columns a spec names;
-//! * the worker records themselves in CSR order, for filtered workloads
-//!   (the filter API takes `&Worker`).
+//! * one packed **worker-cell column** in CSR order: each worker's five
+//!   attributes as its [`WorkerCell`] code (below 768, a `u16`), the one
+//!   column every worker attribute and every filter's worker leaves are
+//!   read from, through a 768-entry table per spec or filter pattern;
+//! * **workplace attribute code columns**, dense `u32` codes per
+//!   establishment — tabulation reads only the columns a spec names.
 //!
 //! A [`TabulationIndex`] is one shard of a [`crate::DatasetIndex`] — the
 //! whole dataset in the one-shard layout, one state in the per-state
@@ -24,10 +25,11 @@
 //! [`crate::region`], the per-shard marginal algorithm and its
 //! determinism guarantee in [`crate::engine`].
 
-use crate::attr::{Attr, MarginalSpec, WorkerAttr, WorkplaceAttr};
+use crate::attr::{Attr, MarginalSpec, WorkplaceAttr};
 use crate::cell::CellSchema;
+use crate::filter::CompiledFilter;
+use lodes::histogram::WorkerCell;
 use lodes::{Dataset, Geography, Worker, WorkerId, Workplace};
-use std::sync::Arc;
 
 /// All workplace attributes, in the order their columns are stored.
 const WORKPLACE_ATTRS: [WorkplaceAttr; 6] = [
@@ -37,15 +39,6 @@ const WORKPLACE_ATTRS: [WorkplaceAttr; 6] = [
     WorkplaceAttr::Block,
     WorkplaceAttr::Naics,
     WorkplaceAttr::Ownership,
-];
-
-/// All worker attributes, in the order their columns are stored.
-const WORKER_ATTRS: [WorkerAttr; 5] = [
-    WorkerAttr::Sex,
-    WorkerAttr::Age,
-    WorkerAttr::Race,
-    WorkerAttr::Ethnicity,
-    WorkerAttr::Education,
 ];
 
 fn workplace_slot(attr: WorkplaceAttr) -> usize {
@@ -59,14 +52,10 @@ fn workplace_slot(attr: WorkplaceAttr) -> usize {
     }
 }
 
-fn worker_slot(attr: WorkerAttr) -> usize {
-    match attr {
-        WorkerAttr::Sex => 0,
-        WorkerAttr::Age => 1,
-        WorkerAttr::Race => 2,
-        WorkerAttr::Ethnicity => 3,
-        WorkerAttr::Education => 4,
-    }
+/// A worker's [`WorkerCell`] code, the value the index stores per worker.
+#[inline]
+pub(crate) fn worker_cell(worker: &Worker) -> u16 {
+    WorkerCell::of(worker).0
 }
 
 /// Columnar employer-grouped (CSR) layout of one [`Dataset`], built once
@@ -79,47 +68,28 @@ fn worker_slot(attr: WorkerAttr) -> usize {
 pub struct TabulationIndex {
     /// CSR offsets: establishment `e`'s workers occupy
     /// `offsets[e] as usize .. offsets[e + 1] as usize` in the
-    /// employer-grouped worker columns.
+    /// employer-grouped worker-cell column.
     offsets: Vec<u32>,
-    /// Worker records in employer-grouped order (filter evaluation).
-    workers: Vec<Worker>,
-    /// Worker attribute code columns in employer-grouped order, indexed by
-    /// `worker_slot` (sex, age, race, ethnicity, education). Every worker
-    /// domain has ≤ 8 categories, so `u8` codes are exact.
-    worker_codes: [Vec<u8>; 5],
+    /// Each worker's [`WorkerCell`] code in employer-grouped order; every
+    /// code is below `lodes::worker::WORKER_DOMAIN_SIZE` (768).
+    cells: Vec<u16>,
     /// Workplace attribute code columns, one entry per establishment,
     /// indexed by `workplace_slot` (state, county, place, block, naics,
     /// ownership).
     workplace_codes: [Vec<u32>; 6],
-    /// Employing establishment per **dense worker id** (the inverse of
-    /// the CSR grouping). Filter compilation needs it to resolve
-    /// workplace predicates from a bare `&Worker`; it is
-    /// filter-independent, so it is built once here and shared (`Arc`)
-    /// with every [`crate::filter::CompiledFilter`].
-    employer_of_worker: Arc<Vec<u32>>,
 }
 
 impl TabulationIndex {
     /// Build the index: one counting sort over the Job table plus one
-    /// column-extraction pass per attribute. `O(workers + establishments)`
+    /// column-extraction pass per column. `O(workers + establishments)`
     /// — cheap next to a single tabulation, and amortized across all of
     /// them.
     pub fn build(dataset: &Dataset) -> Self {
         let (offsets, order) = dataset.workers_by_employer();
-        let workers: Vec<Worker> = order
+        let cells = order
             .iter()
-            .map(|&w| *dataset.worker(lodes::WorkerId(w)))
+            .map(|&w| worker_cell(dataset.worker(WorkerId(w))))
             .collect();
-        let worker_codes = WORKER_ATTRS.map(|attr| {
-            workers
-                .iter()
-                .map(|w| {
-                    let code = attr.value(w);
-                    debug_assert!(code < 256, "worker attribute code exceeds u8");
-                    code as u8
-                })
-                .collect()
-        });
         let workplace_codes = WORKPLACE_ATTRS.map(|attr| {
             dataset
                 .workplaces()
@@ -127,18 +97,10 @@ impl TabulationIndex {
                 .map(|wp| attr.value(wp))
                 .collect()
         });
-        let mut employer_of_worker = vec![0u32; workers.len()];
-        for e in 0..offsets.len() - 1 {
-            for i in offsets[e] as usize..offsets[e + 1] as usize {
-                employer_of_worker[workers[i].id.0 as usize] = e as u32;
-            }
-        }
         Self {
             offsets,
-            workers,
-            worker_codes,
+            cells,
             workplace_codes,
-            employer_of_worker: Arc::new(employer_of_worker),
         }
     }
 
@@ -149,7 +111,7 @@ impl TabulationIndex {
 
     /// Number of workers indexed.
     pub fn num_workers(&self) -> usize {
-        self.workers.len()
+        self.cells.len()
     }
 
     /// Establishment `e`'s worker range in the employer-grouped columns.
@@ -163,17 +125,21 @@ impl TabulationIndex {
         (self.offsets[hi] - self.offsets[lo]) as usize
     }
 
-    /// Worker records in employer-grouped order.
+    /// The worker-cell column in employer-grouped order.
     #[inline]
-    pub(crate) fn workers(&self) -> &[Worker] {
-        &self.workers
+    pub(crate) fn cells(&self) -> &[u16] {
+        &self.cells
     }
 
-    /// The `u8` code column of one worker attribute (employer-grouped
-    /// order).
+    /// Establishment `e`'s employment, counting only the workers `filter`
+    /// admits when there is one.
     #[inline]
-    pub(crate) fn worker_column(&self, attr: WorkerAttr) -> &[u8] {
-        &self.worker_codes[worker_slot(attr)]
+    pub(crate) fn employment(&self, e: usize, filter: Option<&CompiledFilter>) -> u32 {
+        let range = self.worker_range(e);
+        match filter {
+            None => range.len() as u32,
+            Some(f) => f.count(e, &self.cells[range]),
+        }
     }
 
     /// The `u32` code column of one workplace attribute (one entry per
@@ -181,12 +147,6 @@ impl TabulationIndex {
     #[inline]
     pub(crate) fn workplace_column(&self, attr: WorkplaceAttr) -> &[u32] {
         &self.workplace_codes[workplace_slot(attr)]
-    }
-
-    /// Shared employing-establishment column, indexed by dense worker id.
-    #[inline]
-    pub(crate) fn employer_of_worker(&self) -> &Arc<Vec<u32>> {
-        &self.employer_of_worker
     }
 
     /// Establishment shard boundaries balanced by **cumulative worker
@@ -268,16 +228,10 @@ pub(crate) fn schema_from_cards(cards: &[u64; 6], spec: &MarginalSpec) -> CellSc
 /// by the index itself (no second copy as a `Dataset`, no counting-sort
 /// scratch). [`crate::RegionIndexBuilder`] routes the stream into one
 /// builder per state.
-///
-/// Worker identifiers are **rebased**: each pushed worker is assigned the
-/// next dense id in arrival (CSR) order, so the finished index is
-/// self-contained — filter compilation resolves `employer_of_worker` by
-/// those local ids.
 #[derive(Debug, Clone)]
 pub(crate) struct IndexBuilder {
     offsets: Vec<u32>,
-    workers: Vec<Worker>,
-    worker_codes: [Vec<u8>; 5],
+    cells: Vec<u16>,
     workplace_codes: [Vec<u32>; 6],
 }
 
@@ -286,31 +240,21 @@ impl IndexBuilder {
     pub fn new() -> Self {
         Self {
             offsets: vec![0],
-            workers: Vec::new(),
-            worker_codes: std::array::from_fn(|_| Vec::new()),
+            cells: Vec::new(),
             workplace_codes: std::array::from_fn(|_| Vec::new()),
         }
     }
 
-    /// Append one establishment and its workers (its entire workforce —
-    /// an establishment cannot be pushed twice).
-    pub fn push_establishment(&mut self, workplace: &Workplace, workers: &[Worker]) {
+    /// Append one establishment and the [`worker_cell`] codes of its
+    /// workers (its entire workforce — an establishment cannot be pushed
+    /// twice).
+    pub fn push_establishment(&mut self, workplace: &Workplace, cells: impl Iterator<Item = u16>) {
         for (slot, attr) in WORKPLACE_ATTRS.iter().enumerate() {
             self.workplace_codes[slot].push(attr.value(workplace));
         }
-        for worker in workers {
-            let mut local = *worker;
-            local.id =
-                WorkerId(u32::try_from(self.workers.len()).expect("worker count exceeds u32"));
-            for (slot, attr) in WORKER_ATTRS.iter().enumerate() {
-                let code = attr.value(&local);
-                debug_assert!(code < 256, "worker attribute code exceeds u8");
-                self.worker_codes[slot].push(code as u8);
-            }
-            self.workers.push(local);
-        }
+        self.cells.extend(cells);
         self.offsets
-            .push(u32::try_from(self.workers.len()).expect("worker count exceeds u32"));
+            .push(u32::try_from(self.cells.len()).expect("worker count exceeds u32"));
     }
 
     /// Establishments pushed so far.
@@ -320,28 +264,15 @@ impl IndexBuilder {
 
     /// Workers pushed so far.
     pub fn num_workers(&self) -> usize {
-        self.workers.len()
+        self.cells.len()
     }
 
-    /// Seal the stream into an index. Local worker ids are dense in CSR
-    /// order, so the employer column is read straight off the offsets.
+    /// Seal the stream into an index.
     pub fn finish(self) -> TabulationIndex {
-        let mut employer_of_worker = vec![0u32; self.workers.len()];
-        for e in 0..self.offsets.len() - 1 {
-            for slot in employer_of_worker
-                .iter_mut()
-                .take(self.offsets[e + 1] as usize)
-                .skip(self.offsets[e] as usize)
-            {
-                *slot = e as u32;
-            }
-        }
         TabulationIndex {
             offsets: self.offsets,
-            workers: self.workers,
-            worker_codes: self.worker_codes,
+            cells: self.cells,
             workplace_codes: self.workplace_codes,
-            employer_of_worker: Arc::new(employer_of_worker),
         }
     }
 }
@@ -357,22 +288,22 @@ mod tests {
         let idx = TabulationIndex::build(&d);
         assert_eq!(idx.num_establishments(), d.num_workplaces());
         assert_eq!(idx.num_workers(), d.num_workers());
-        // Every CSR range holds exactly that establishment's workers.
+        // Every CSR range holds exactly that establishment's workers'
+        // cells, in the counting sort's order.
+        let (_, order) = d.workers_by_employer();
         for e in 0..idx.num_establishments() {
             let range = idx.worker_range(e);
             assert_eq!(
                 range.len() as u32,
                 d.establishment_size(lodes::WorkplaceId(e as u32))
             );
-            for w in &idx.workers()[range] {
+            for i in range {
+                let w = d.worker(WorkerId(order[i]));
                 assert_eq!(d.employer_of(w.id).0 as usize, e);
+                assert_eq!(idx.cells()[i], WorkerCell::of(w).0);
             }
         }
-        // Columns agree with the record API.
-        let sex = idx.worker_column(WorkerAttr::Sex);
-        for (i, w) in idx.workers().iter().enumerate() {
-            assert_eq!(sex[i] as u32, WorkerAttr::Sex.value(w));
-        }
+        // Workplace columns agree with the record API.
         let naics = idx.workplace_column(WorkplaceAttr::Naics);
         for (e, wp) in d.workplaces().iter().enumerate() {
             assert_eq!(naics[e], WorkplaceAttr::Naics.value(wp));

@@ -39,17 +39,19 @@
 //!   contributions is the same whatever the layout or task split; all
 //!   merge aggregates are commutative.
 //!
-//! **Worker ids are shard-local** in the per-state layout: each shard's
-//! index rebases worker ids dense-per-shard (see `IndexBuilder`), so a
-//! [`FilterExpr`] is compiled once per shard, against that shard's own
-//! ids.
+//! **Establishment indexes are shard-local** in the per-state layout, so
+//! a [`FilterExpr`] is compiled once per shard, against that shard's own
+//! establishments. A spec's cell → sub-key table depends on the spec
+//! alone, so it is built once per tabulation and shared by every shard.
 
 use crate::attr::MarginalSpec;
 use crate::cell::CellSchema;
-use crate::engine::{merge_runs, tabulate_shard, ShardPlan};
+use crate::engine::{merge_runs, subkey_table, tabulate_shard, ShardPlan};
 use crate::filter::{CompiledFilter, FilterExpr};
 use crate::flows::{flow_shard, FlowMarginal, FlowPlan, FlowStats};
-use crate::index::{cards_from_geography, schema_from_cards, IndexBuilder, TabulationIndex};
+use crate::index::{
+    cards_from_geography, schema_from_cards, worker_cell, IndexBuilder, TabulationIndex,
+};
 use crate::kernel::Kernel;
 use crate::marginal::{CellStats, Marginal};
 use crate::par;
@@ -134,15 +136,14 @@ impl DatasetIndex {
     pub(crate) fn per_state(dataset: &Dataset) -> Self {
         let mut builder = RegionIndexBuilder::new(dataset.geography());
         let (offsets, order) = dataset.workers_by_employer();
-        let mut buf: Vec<Worker> = Vec::new();
         for (e, wp) in dataset.workplaces().iter().enumerate() {
-            buf.clear();
-            buf.extend(
-                order[offsets[e] as usize..offsets[e + 1] as usize]
+            let workers = &order[offsets[e] as usize..offsets[e + 1] as usize];
+            builder.shard(wp).push_establishment(
+                wp,
+                workers
                     .iter()
-                    .map(|&w| *dataset.worker(WorkerId(w))),
+                    .map(|&w| worker_cell(dataset.worker(WorkerId(w)))),
             );
-            builder.push_establishment(wp, &buf);
         }
         builder.finish()
     }
@@ -216,12 +217,13 @@ impl DatasetIndex {
         kernel: Kernel,
     ) -> Marginal {
         let schema = self.schema(spec);
+        let subkeys = subkey_table(spec, &schema);
         let filters = self.compile(filter);
         let plans: Vec<ShardPlan<'_>> = self
             .shards
             .iter()
             .zip(&filters)
-            .map(|(index, f)| ShardPlan::new(index, spec, &schema, f.as_ref(), kernel))
+            .map(|(index, f)| ShardPlan::new(index, spec, &schema, &subkeys, f.as_ref(), kernel))
             .collect();
         let runs = self.run_tasks(threads, |(shard, lo, hi)| {
             tabulate_shard(&plans[shard], lo, hi)
@@ -402,9 +404,13 @@ impl RegionIndexBuilder {
     /// # Panics
     /// Panics if the workplace's state id is outside the geography.
     pub fn push_establishment(&mut self, workplace: &Workplace, workers: &[Worker]) {
-        self.builders[workplace.state.0 as usize]
-            .get_or_insert_with(IndexBuilder::new)
-            .push_establishment(workplace, workers);
+        self.shard(workplace)
+            .push_establishment(workplace, workers.iter().map(worker_cell));
+    }
+
+    /// The builder of `workplace`'s home state's shard.
+    fn shard(&mut self, workplace: &Workplace) -> &mut IndexBuilder {
+        self.builders[workplace.state.0 as usize].get_or_insert_with(IndexBuilder::new)
     }
 
     /// Establishments pushed so far, across all shards.

@@ -104,7 +104,13 @@ mod tests {
         let d = Generator::new(GeneratorConfig::test_small(8)).generate();
         let compiled = ranking2_expr().compile(&TabulationIndex::build(&d));
         for w in d.workers() {
-            assert_eq!(compiled.matches(w), ranking2_filter(w), "worker {:?}", w.id);
+            let e = d.employer_of(w.id).0 as usize;
+            assert_eq!(
+                compiled.matches(e, w),
+                ranking2_filter(w),
+                "worker {:?}",
+                w.id
+            );
         }
         #[cfg(feature = "reference")]
         {

@@ -1,14 +1,15 @@
 //! Property tests for the declarative filter AST: serde round-trips
 //! preserve structure and identity ([`FilterId`]), and the compiled form
 //! agrees bit-for-bit with the reference record semantics — and therefore
-//! with the brute-force reference evaluator run on the equivalent closure
-//! — on randomly generated expressions.
+//! with the brute-force reference evaluator run on the equivalent closure,
+//! on random specs, in both index layouts, at any thread count and with
+//! either kernel — on randomly generated expressions.
 
 use eree::prelude::*;
 use lodes::Worker;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tabulate::{Cmp, FilterExpr, TabulationIndex};
+use tabulate::{Cmp, FilterExpr, Kernel, TabulationIndex};
 
 fn dataset() -> &'static Dataset {
     static DATASET: OnceLock<Dataset> = OnceLock::new();
@@ -47,6 +48,43 @@ const WORKPLACE_ATTRS: [(WorkplaceAttr, u32); 6] = [
     (WorkplaceAttr::Ownership, 4),
 ];
 
+/// A random workplace leaf: a comparison when `cmp`, else a membership
+/// set.
+fn random_workplace_leaf(state: &mut u64, cmp: bool) -> FilterExpr {
+    let (attr, card) = WORKPLACE_ATTRS[(next(state) % 6) as usize];
+    if cmp {
+        let cmp = CMPS[(next(state) % 6) as usize];
+        FilterExpr::WorkplaceCmp(attr, cmp, next(state) as u32 % (card + 2))
+    } else {
+        let len = next(state) % 4;
+        let values = (0..len).map(|_| next(state) as u32 % (card + 2)).collect();
+        FilterExpr::WorkplaceIn(attr, values)
+    }
+}
+
+/// Up to `n` draws from `pool` without replacement (specs reject
+/// duplicate attributes).
+fn distinct_picks<T: Copy + PartialEq>(state: &mut u64, pool: &[T], n: usize) -> Vec<T> {
+    let mut out: Vec<T> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let pick = pool[(next(state) as usize) % pool.len()];
+        if !out.contains(&pick) {
+            out.push(pick);
+        }
+    }
+    out
+}
+
+/// A random marginal spec: 1–3 workplace attributes and 0–5 worker
+/// attributes, so the worker scatter runs at every sub-domain width.
+fn random_spec(state: &mut u64) -> MarginalSpec {
+    let n_wp = 1 + (next(state) % 3) as usize;
+    let wp = distinct_picks(state, &WORKPLACE_ATTRS.map(|(attr, _)| attr), n_wp);
+    let n_wk = (next(state) % 6) as usize;
+    let wk = distinct_picks(state, &WORKER_ATTRS.map(|(attr, _)| attr), n_wk);
+    MarginalSpec::new(wp, wk)
+}
+
 /// A random expression of depth ≤ `depth`, biased toward leaves.
 fn random_expr(state: &mut u64, depth: u32) -> FilterExpr {
     let choice = if depth == 0 {
@@ -67,17 +105,7 @@ fn random_expr(state: &mut u64, depth: u32) -> FilterExpr {
             let values = (0..len).map(|_| next(state) as u32 % (card + 2)).collect();
             FilterExpr::WorkerIn(attr, values)
         }
-        3 => {
-            let (attr, card) = WORKPLACE_ATTRS[(next(state) % 6) as usize];
-            let cmp = CMPS[(next(state) % 6) as usize];
-            FilterExpr::WorkplaceCmp(attr, cmp, next(state) as u32 % (card + 2))
-        }
-        4 => {
-            let (attr, card) = WORKPLACE_ATTRS[(next(state) % 6) as usize];
-            let len = next(state) % 4;
-            let values = (0..len).map(|_| next(state) as u32 % (card + 2)).collect();
-            FilterExpr::WorkplaceIn(attr, values)
-        }
+        3 | 4 => random_workplace_leaf(state, choice == 3),
         5 | 6 => {
             let n = next(state) % 3 + 1;
             let ops = (0..n).map(|_| random_expr(state, depth - 1)).collect();
@@ -117,9 +145,10 @@ proptest! {
         let index = TabulationIndex::build(d);
         let compiled = expr.compile(&index);
         for worker in d.workers() {
-            let wp = d.workplace(d.employer_of(worker.id));
+            let e = d.employer_of(worker.id);
+            let wp = d.workplace(e);
             prop_assert_eq!(
-                compiled.matches(worker),
+                compiled.matches(e.0 as usize, worker),
                 expr.matches_record(worker, wp),
                 "compiled and reference semantics disagree for {:?}",
                 &expr
@@ -130,20 +159,39 @@ proptest! {
     #[test]
     fn expr_marginal_equals_equivalent_closure_marginal(seed in 0u64..u64::MAX) {
         let mut state = seed;
-        let expr = random_expr(&mut state, 2);
+        let spec = random_spec(&mut state);
+        // Two workplace leaves beside a random expression, so a shard
+        // compiles several establishment patterns.
+        let leaves = random_workplace_leaf(&mut state, true)
+            .or(random_workplace_leaf(&mut state, false));
+        let expr = if next(&mut state).is_multiple_of(2) {
+            random_expr(&mut state, 2).and(leaves)
+        } else {
+            random_expr(&mut state, 2).or(leaves)
+        };
         let d = dataset();
-        let spec = workload1();
-        let via_expr = compute_marginal_expr(d, &spec, &expr);
         let closure = |w: &Worker| {
             let wp = d.workplace(d.employer_of(w.id));
             expr.matches_record(w, wp)
         };
         let via_closure = tabulate::compute_marginal_filtered_legacy(d, &spec, closure);
-        prop_assert_eq!(via_expr.num_cells(), via_closure.num_cells());
-        prop_assert_eq!(via_expr.total(), via_closure.total());
-        for ((ka, sa), (kb, sb)) in via_expr.iter().zip(via_closure.iter()) {
-            prop_assert_eq!(ka, kb);
-            prop_assert_eq!(sa, sb);
+        for threshold in [usize::MAX, 1] {
+            let index = DatasetIndex::build_with_threshold(d, threshold);
+            for threads in [1, 3] {
+                for kernel in [Kernel::Scalar, Kernel::Auto] {
+                    let via_expr = index.marginal(&spec, Some(&expr), threads, kernel);
+                    prop_assert_eq!(
+                        &via_expr,
+                        &via_closure,
+                        "{} filtered by {:?}: threshold {}, {} threads, {:?}",
+                        spec.name(),
+                        &expr,
+                        threshold,
+                        threads,
+                        kernel
+                    );
+                }
+            }
         }
     }
 }

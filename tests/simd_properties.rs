@@ -1,9 +1,9 @@
-//! Property tests for the SIMD tabulation kernels: on random specs,
+//! Property tests for the SIMD tabulation kernel: on random specs,
 //! filters, seeds, thread counts, index layouts (one shard or one per
 //! state), and dataset sizes — including datasets smaller than one SIMD
 //! chunk, which exercise the scalar remainder path — the vectorized
-//! kernels must agree **bit-for-bit** with the scalar kernel, for
-//! marginals and flows alike.
+//! establishment-key kernel must agree **bit-for-bit** with the scalar
+//! kernel, for marginals and flows alike.
 //!
 //! On non-AVX2 hardware `Kernel::Auto` resolves to the scalar kernel and
 //! these properties hold trivially.
@@ -40,10 +40,9 @@ const WORKER_ATTRS: [WorkerAttr; 5] = [
     WorkerAttr::Education,
 ];
 
-/// A random marginal spec: 1–3 workplace attributes and 0–3 worker
-/// attributes (the dense-scratch worker side is what the SIMD subkey
-/// kernel accelerates; zero worker attributes covers the
-/// establishment-only path).
+/// A random marginal spec: 1–3 workplace attributes (the columns the
+/// SIMD establishment-key kernel reads) and 0–3 worker attributes (zero
+/// covers the establishment-only path).
 fn random_spec(state: &mut u64) -> MarginalSpec {
     let wp = random_workplace_attrs(state);
     let n_wk = (next(state) % 4) as usize;
@@ -104,11 +103,11 @@ fn layout_threshold(per_state: bool) -> usize {
     }
 }
 
-/// A dataset sized by `size_class`: 0 ⇒ a single establishment (a few
-/// dozen workers at most — smaller than one 32-lane SIMD chunk, so the
-/// whole tabulation runs through the kernel's remainder path), 1 ⇒ a few
-/// establishments (straddles one chunk), 2 ⇒ the standard small test
-/// universe (thousands of chunks plus remainders of every phase).
+/// A dataset sized by `size_class`: 0 ⇒ a single establishment (smaller
+/// than one 4-lane SIMD chunk, so the whole tabulation runs through the
+/// kernel's remainder path), 1 ⇒ a few establishments (straddles one
+/// chunk), 2 ⇒ the standard small test universe (thousands of chunks
+/// plus remainders of every phase).
 fn config(seed: u64, size_class: u8) -> GeneratorConfig {
     match size_class {
         0 => GeneratorConfig {
